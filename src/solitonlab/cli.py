@@ -59,11 +59,9 @@ def _cmd_entropy(args) -> int:
                           record_entropy=True)
     records = entropy.monotonicity_report(traj)
     for rec in records:
-        parts = [f"t={rec.t:.6g}", f"W={rec.W:.12g}", f"defect_l2={rec.defect_l2:.6g}"]
-        if rec.dWdt_numeric is not None:
-            parts.append(f"dWdt_numeric={rec.dWdt_numeric:.6g}")
-            parts.append(f"dWdt_formula={rec.dWdt_formula:.6g}")
-            parts.append(f"monotone={rec.monotone}")
+        parts = [f"t={rec.t:.6g}", f"W={rec.W:.12g}", f"defect_l2={rec.defect_l2:.6g}",
+                 f"dWdt_numeric={rec.dWdt_numeric:.6g}",
+                 f"dWdt_formula={rec.dWdt_formula:.6g}", f"monotone={rec.monotone}"]
         print("  ".join(parts))
     return EXIT_OK
 

@@ -6,6 +6,11 @@ Four right-hand sides are provided: the fixed-tau normalized flow
 equation.  Time stepping is classical RK4 under a parabolic CFL bound; the
 tau-flow <-> unnormalized reparametrization translates trajectories between
 the two conventions.
+
+The DeTurck right-hand side makes one geometry pass per evaluation: it
+inverts g once, computes Gamma(g) once and builds both Ricci and the gauge
+field V from them; the background's Gamma(h) is computed once per
+``make_metric_rhs``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from . import entropy, geometry
+from . import entropy, gauge, geometry
 from .errors import RejectedInputError, StepRejectedError
 from .geometry import FrameModel, GridModel
 
@@ -114,23 +119,18 @@ def rhs_unnormalized(model):
     return -2.0 * geometry.ricci(model)
 
 
-def deturck_term(m: GridModel, h: GridModel, gamma=None):
-    """Gauge correction L_V g with V the reference-background vector field."""
-    from .gauge import deturck_vector  # local import: gauge builds on flows' types
-
-    if gamma is None:
-        gamma = geometry.christoffel(m)
-    v = deturck_vector(m, h, gamma_g=gamma)
-    return geometry.lie_derivative_metric(m, v, gamma=gamma)
-
-
-def rhs_deturck(m: GridModel, h: GridModel, tau: float):
+def rhs_deturck(m: GridModel, h: GridModel, tau: float, gamma_h=None):
     """Metric velocity of the gauge-fixed flow: -2 Ric + g/tau + L_V g.
 
-    ``tau = inf`` gives the unnormalized variant (no g/tau term).
+    V is the reference-background vector field of ``gauge.deturck_vector``;
+    ``gamma_h`` is ``christoffel(h)`` if the caller has it.  ``tau = inf``
+    gives the unnormalized variant (no g/tau term).
     """
-    gamma = geometry.christoffel(m)
-    out = -2.0 * geometry.ricci(m) + deturck_term(m, h, gamma=gamma)
+    ginv = geometry.inverse_metric(m)
+    gamma = geometry.christoffel(m, ginv=ginv)
+    v = gauge.deturck_vector(m, h, gamma_g=gamma, gamma_h=gamma_h, ginv=ginv)
+    out = (-2.0 * geometry.ricci(m, gamma=gamma)
+           + geometry.lie_derivative_metric(m, v, gamma=gamma))
     if np.isfinite(tau):
         out = out + m.g / tau
     return out
@@ -159,7 +159,8 @@ def make_metric_rhs(variant: str, tau: float, background: Optional[GridModel] = 
     if variant == "deturck":
         if background is None:
             raise RejectedInputError("deturck flow needs a reference background")
-        return lambda model: rhs_deturck(model, background, tau)
+        gamma_h = geometry.christoffel(background)
+        return lambda model: rhs_deturck(model, background, tau, gamma_h=gamma_h)
     raise RejectedInputError(f"unknown flow variant {variant!r}")
 
 

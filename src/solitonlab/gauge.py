@@ -98,13 +98,19 @@ def _require_flat(h: GridModel) -> None:
 # gauge vector field and standard form
 
 
-def deturck_vector(g: GridModel, h: GridModel, gamma_g=None, gamma_h=None) -> np.ndarray:
-    """V^k = g^{pq} (Gamma^k_pq(g) - Gamma^k_pq(h))."""
+def deturck_vector(g: GridModel, h: GridModel, gamma_g=None, gamma_h=None,
+                   ginv=None) -> np.ndarray:
+    """V^k = g^{pq} (Gamma^k_pq(g) - Gamma^k_pq(h)).
+
+    ``gamma_g``, ``gamma_h`` and ``ginv`` are the caller's Christoffel
+    symbols of g and h and inverse of g, where it has them.
+    """
+    if ginv is None:
+        ginv = geometry.inverse_metric(g)
     if gamma_g is None:
-        gamma_g = geometry.christoffel(g)
+        gamma_g = geometry.christoffel(g, ginv=ginv)
     if gamma_h is None:
         gamma_h = geometry.christoffel(h)
-    ginv = geometry.inverse_metric(g)
     return np.einsum("...pq,...kpq->...k", ginv, gamma_g - gamma_h)
 
 
@@ -126,8 +132,8 @@ def harmonic_map_rhs(F: np.ndarray, g: GridModel, h: GridModel) -> np.ndarray:
     - Gamma^k_ij(g)); the last term is the forcing that vanishes when g = h.
     """
     _require_flat(h)
-    gamma = geometry.christoffel(g)
     ginv = geometry.inverse_metric(g)
+    gamma = geometry.christoffel(g, ginv=ginv)
     hess = geometry.hessian(g, F)  # [..., k, i, j]
     lap = np.einsum("...ij,...kij->...k", ginv, hess)
     dF = geometry.partials(g, F)  # [..., k, l]
@@ -144,11 +150,6 @@ class GaugeTrajectory:
     times: list = field(default_factory=list)
     F: list = field(default_factory=list)
     energy: list = field(default_factory=list)
-
-    def displacement_at(self, t: float) -> np.ndarray:
-        times = np.asarray(self.times)
-        i = int(np.argmin(np.abs(times - t)))
-        return self.F[i]
 
 
 def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t0: float, t1: float,
@@ -341,7 +342,7 @@ def gauge_equivalence_check(ricci_traj, deturck_traj, gauge_traj: GaugeTrajector
     for i, t in enumerate(gauge_traj.times):
         g_r = ricci_traj.states[i].model
         g_d = deturck_traj.states[i].model
-        if not (np.isclose(g_r.t if hasattr(g_r, "t") else ricci_traj.states[i].t, t)
+        if not (np.isclose(ricci_traj.states[i].t, t)
                 and np.isclose(deturck_traj.states[i].t, t)):
             raise RejectedInputError("trajectories are not sampled at matching times")
         Finv = invert_diffeo(gauge_traj.F[i], gauge_traj.h)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -166,14 +167,26 @@ def validate_spd(g: np.ndarray) -> None:
 # finite differences
 
 
+@lru_cache(maxsize=None)
+def _neighbours(n: int):
+    """Periodic index arrays (i + 1) mod n and (i - 1) mod n, read-only."""
+    idx = np.arange(n)
+    plus, minus = (idx + 1) % n, (idx - 1) % n
+    plus.setflags(write=False)
+    minus.setflags(write=False)
+    return plus, minus
+
+
 def d1(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Second-order central first derivative along a grid axis."""
-    return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * h)
+    plus, minus = _neighbours(f.shape[axis])
+    return (f.take(plus, axis=axis) - f.take(minus, axis=axis)) / (2.0 * h)
 
 
 def d2(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Compact 3-point second derivative along a grid axis."""
-    return (np.roll(f, -1, axis=axis) - 2.0 * f + np.roll(f, 1, axis=axis)) / h**2
+    plus, minus = _neighbours(f.shape[axis])
+    return (f.take(plus, axis=axis) - 2.0 * f + f.take(minus, axis=axis)) / h**2
 
 
 def partials(m: GridModel, f: np.ndarray) -> np.ndarray:
@@ -209,11 +222,15 @@ def inverse_metric(m: GridModel) -> np.ndarray:
     return np.linalg.inv(m.g)
 
 
-def christoffel(m: GridModel) -> np.ndarray:
-    """Christoffel symbols Gamma[..., k, i, j] of the grid metric."""
+def christoffel(m: GridModel, ginv=None) -> np.ndarray:
+    """Christoffel symbols Gamma[..., k, i, j] of the grid metric.
+
+    ``ginv`` is the caller's ``inverse_metric(m)``, if it has one.
+    """
     hs = m.spacings
     n = m.n
-    ginv = inverse_metric(m)
+    if ginv is None:
+        ginv = inverse_metric(m)
     # dg[..., i, j, l] = d_l g_ij
     dg = np.stack([d1(m.g, axis=l, h=hs[l]) for l in range(n)], axis=-1)
     term = (np.einsum("...jli->...lij", dg) + np.einsum("...ilj->...lij", dg)
@@ -222,11 +239,14 @@ def christoffel(m: GridModel) -> np.ndarray:
     return 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
 
 
-def ricci(m):
-    """Ricci tensor: a symmetric field on a grid, diagonal coefficients on a frame."""
+def ricci(m, gamma=None):
+    """Ricci tensor: a symmetric field on a grid, diagonal coefficients on a frame.
+
+    ``gamma`` is the caller's ``christoffel(m)`` of a grid model, if it has one.
+    """
     if isinstance(m, FrameModel):
         return _ricci_frame(m)
-    return _ricci_grid(m)
+    return _ricci_grid(m, gamma=gamma)
 
 
 def _ricci_frame(m: FrameModel) -> np.ndarray:
@@ -243,10 +263,11 @@ def _ricci_frame(m: FrameModel) -> np.ndarray:
     return r * a
 
 
-def _ricci_grid(m: GridModel) -> np.ndarray:
+def _ricci_grid(m: GridModel, gamma=None) -> np.ndarray:
     hs = m.spacings
     n = m.n
-    gamma = christoffel(m)
+    if gamma is None:
+        gamma = christoffel(m)
     # dgamma[..., k, i, j, l] = d_l Gamma^k_ij
     dgamma = np.stack([d1(gamma, axis=l, h=hs[l]) for l in range(n)], axis=-1)
     r = np.einsum("...kijk->...ij", dgamma)
@@ -260,7 +281,9 @@ def scalar_curvature(m):
     """Scalar curvature: a scalar field on a grid, a real on a frame model."""
     if isinstance(m, FrameModel):
         return float(np.sum(_ricci_frame(m) / m.a))
-    return np.einsum("...ij,...ij->...", inverse_metric(m), _ricci_grid(m))
+    ginv = inverse_metric(m)
+    ric = _ricci_grid(m, gamma=christoffel(m, ginv=ginv))
+    return np.einsum("...ij,...ij->...", ginv, ric)
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +292,6 @@ def scalar_curvature(m):
 
 def lower_vector(m: GridModel, v: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", m.g, v)
-
-
-def raise_vector(m: GridModel, w: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...j->...i", inverse_metric(m), w)
 
 
 def covd_oneform(m: GridModel, w: np.ndarray, gamma=None) -> np.ndarray:

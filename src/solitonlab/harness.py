@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import entropy, flows, gauge, geometry, stability
-from .errors import RejectedInputError
+from .errors import InsufficientDataError, RejectedInputError
 from .geometry import FrameModel, GridModel
 
 OUTPUT_ENV_VAR = "SOLITONLAB_OUTPUT"
@@ -156,8 +156,8 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.kind == "grid":
         if len(cfg.dims) != len(cfg.period):
             _fail("model.dims", "dims and period must have equal length")
-        if any(d < 4 for d in cfg.dims):
-            _fail("model.dims", "each grid dimension must be at least 4")
+        if any(d < 8 for d in cfg.dims):
+            _fail("model.dims", "each grid dimension must be at least 8")
         if cfg.recipe not in ("flat", "perturbed-flat"):
             _fail("model.recipe", f"unknown grid recipe {cfg.recipe!r}")
     else:
@@ -173,6 +173,8 @@ def _validate(cfg: RunConfig) -> None:
         _fail("flow.t_end", "must be positive")
     if not (cfg.tau > 0):
         _fail("flow.tau", "must be positive (or inf)")
+    if cfg.couple_potential and np.isinf(cfg.tau):
+        _fail("flow.couple_potential", "the coupled potential needs a finite tau")
     if cfg.sample_every < 1:
         _fail("flow.sample_every", "must be at least 1")
     if not 0 < cfg.amplitude < 0.5:
@@ -253,8 +255,8 @@ def flat_background(cfg: RunConfig) -> GridModel:
 
 def _state_record(state) -> dict:
     model = state.model
-    rec = {"kind": "state", "t": state.t, "tau": None if state.tau is None else
-           (None if np.isinf(state.tau) else state.tau)}
+    rec = {"kind": "state", "t": state.t,
+           "tau": None if np.isinf(state.tau) else state.tau}
     if isinstance(model, FrameModel):
         rec["model"] = "frame"
         rec["a"] = model.a.tolist()
@@ -334,14 +336,16 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
         stage = "entropy"
         if cfg.couple_potential:
             recs = entropy.monotonicity_report(traj)
-            mids = [r for r in recs if r.dWdt_numeric is not None]
-            verdicts["monotonicity"] = bool(all(r.monotone for r in mids)) if mids else None
+            verdicts["monotonicity"] = bool(all(r.monotone for r in recs)) if recs else None
             verdicts["entropy_initial"] = recs[0].W if recs else None
             verdicts["entropy_final"] = recs[-1].W if recs else None
 
         stage = "gauge"
         if cfg.reconstruct and cfg.kind == "grid":
-            disc, energy_records = _gauge_reconstruction(cfg, model0, background)
+            same_flow = (cfg.variant == "deturck" and np.isinf(cfg.tau)
+                         and not cfg.couple_potential)
+            disc, energy_records = _gauge_reconstruction(
+                cfg, model0, background, deturck_traj=traj if same_flow else None)
             verdicts["gauge_discrepancy"] = disc
             with open(traj_path, "a") as fh:
                 for er in energy_records:
@@ -383,7 +387,7 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
                     fit = stability.fit_exponential_rate(times, norms)
                     verdicts["rate"] = fit.rate
                     verdicts["rate_gap_relative_deviation"] = abs(fit.rate - report.gap) / report.gap
-                except Exception:
+                except InsufficientDataError:
                     verdicts["rate"] = None
     except Exception as exc:
         verdicts["failed_stage"] = stage
@@ -403,12 +407,20 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
     return record
 
 
-def _gauge_reconstruction(cfg: RunConfig, model0: GridModel, h: GridModel):
-    """Max sup-discrepancy of the gauge transport, plus the energy records."""
+def _gauge_reconstruction(cfg: RunConfig, model0: GridModel, h: GridModel,
+                          deturck_traj=None):
+    """Max sup-discrepancy of the gauge transport, plus the energy records.
+
+    ``deturck_traj`` is the unnormalized DeTurck flow of ``model0`` against
+    ``h`` with the config's dt, t_end and sampling, if the caller already
+    integrated it; otherwise it is integrated here.
+    """
     ricci = flows.run_flow(model0, "unnormalized", np.inf, cfg.dt, cfg.t_end,
                            sample_every=cfg.sample_every)
-    det = flows.run_flow(model0, "deturck", np.inf, cfg.dt, cfg.t_end,
-                         background=h, sample_every=cfg.sample_every)
+    det = deturck_traj
+    if det is None:
+        det = flows.run_flow(model0, "deturck", np.inf, cfg.dt, cfg.t_end,
+                             background=h, sample_every=cfg.sample_every)
     ginterp = flows.MetricInterpolant(ricci)
     gt = gauge.run_harmonic_gauge(lambda t: ginterp(t), h,
                                   np.zeros(h.dims + (h.n,)), 0.0, cfg.t_end, cfg.dt)

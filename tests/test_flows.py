@@ -1,9 +1,11 @@
 """Flow drivers: exact solutions, integrator order, stepping, reparametrization."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from solitonlab import flows
+from solitonlab import flows, gauge, geometry
 from solitonlab.errors import RejectedInputError, StepRejectedError
 from solitonlab.flows import FlowState, MetricInterpolant, Trajectory
 from solitonlab.geometry import FrameModel, GridModel
@@ -75,6 +77,43 @@ def test_deturck_flat_background_is_stationary():
     h = GridModel.flat(2, (12, 12), (TWO_PI, TWO_PI))
     traj = flows.run_flow(h, "deturck", tau=np.inf, dt=0.02, t_end=0.2, background=h)
     assert np.max(np.abs(traj.states[-1].model.g - h.g)) == 0.0
+
+
+def _wavy_grid(n, dims):
+    m = GridModel.flat(n, dims)
+    x = m.coords()
+    g = m.g.copy()
+    for i in range(n):
+        g[..., i, i] += 0.05 * np.sin(x[i] + i)
+        for j in range(i + 1, n):
+            g[..., i, j] = g[..., j, i] = 0.02 * np.cos(x[i] - 2.0 * x[j])
+    return m.with_metric(g)
+
+
+@pytest.mark.parametrize("n,dims", [(2, (8, 10)), (3, (8, 8, 8))])
+@pytest.mark.parametrize("tau", [0.7, np.inf])
+def test_deturck_rhs_equals_its_unfused_terms(n, dims, tau):
+    m = _wavy_grid(n, dims)
+    h = GridModel.flat(n, dims)
+    v = gauge.deturck_vector(m, h)
+    expected = -2.0 * geometry.ricci(m) + geometry.lie_derivative_metric(m, v)
+    if np.isfinite(tau):
+        expected = expected + m.g / tau
+    assert np.array_equal(flows.rhs_deturck(m, h, tau), expected)
+    assert np.array_equal(flows.make_metric_rhs("deturck", tau, h)(m), expected)
+
+
+def test_deturck_rhs_makes_one_geometry_pass(monkeypatch):
+    m = _wavy_grid(2, (8, 8))
+    rhs = flows.make_metric_rhs("deturck", np.inf, GridModel.flat(2, (8, 8)))
+    calls = Counter()
+    for name in ("christoffel", "inverse_metric"):
+        def counted(*args, _fn=getattr(geometry, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(geometry, name, counted)
+    rhs(m)
+    assert calls == {"christoffel": 1, "inverse_metric": 1}
 
 
 def test_cfl_bound_scales_with_grid():

@@ -87,6 +87,16 @@ def test_curvature_matches_symbolic_oracle_at_second_order(symbolic_t2_oracle, o
     assert 3.0 < ratio < 5.5, f"expected O(h^2) convergence, got ratio {ratio}"
 
 
+@pytest.mark.parametrize("shape", [(8, 10, 2, 2), (8, 9, 10, 3, 3)])
+def test_stencils_equal_the_roll_formula(shape):
+    f = np.random.default_rng(0).standard_normal(shape)
+    h = 0.3
+    for axis in range(f.ndim):
+        up, down = np.roll(f, -1, axis=axis), np.roll(f, 1, axis=axis)
+        assert np.array_equal(geometry.d1(f, axis=axis, h=h), (up - down) / (2.0 * h))
+        assert np.array_equal(geometry.d2(f, axis=axis, h=h), (up - 2.0 * f + down) / h**2)
+
+
 def test_flat_metric_curvature_vanishes_exactly():
     m = GridModel.flat(2, (16, 16), (TWO_PI, TWO_PI))
     assert np.max(np.abs(geometry.christoffel(m))) == 0.0

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from solitonlab import cli, flows, geometry, harness
-from solitonlab.errors import RejectedInputError
+from solitonlab import cli, flows, geometry, harness, stability
+from solitonlab.errors import InsufficientDataError, RejectedInputError
 from solitonlab.geometry import FrameModel, GridModel
 from solitonlab.harness import RunConfig
 
@@ -69,6 +69,10 @@ def test_parse_rejects_unknown_section_and_key():
     ("[model]\nkind = sphere\n", "model.kind"),
     ("[model]\ndims = 8\n", "model.dims"),
     ("[model]\ndims = 2,2\n", "model.dims"),
+    ("[model]\ndims = 6,6\n", "model.dims"),
+    ("[flow]\ncouple_potential = true\n", "flow.couple_potential"),
+    ("[model]\nkind = frame\nrecipe = berger\n"
+     "[flow]\nvariant = tau\ntau = inf\ncouple_potential = true\n", "flow.couple_potential"),
     ("[model]\namplitude = 0.9\n", "model.amplitude"),
     ("[model]\nkind = frame\nrecipe = berger\ncoefficients = 1,-1,1\n",
      "model.coefficients"),
@@ -206,14 +210,53 @@ def test_run_experiment_records_failed_stage(tmp_path, monkeypatch):
     assert "error" in doc["verdicts"]
 
 
+def test_rate_fit_without_enough_data_records_no_rate(tmp_path, monkeypatch):
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+
+    def too_few(times, norms):
+        raise InsufficientDataError("too few samples")
+
+    monkeypatch.setattr(stability, "fit_exponential_rate", too_few)
+    record = harness.run_experiment(harness.parse_config(GRID_CONFIG))
+    assert record.verdicts["rate"] is None
+
+
+def test_rate_fit_error_fails_the_stability_stage(tmp_path, monkeypatch):
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+
+    def broken(times, norms):
+        raise FloatingPointError("overflow in the fit")
+
+    monkeypatch.setattr(stability, "fit_exponential_rate", broken)
+    cfg = harness.parse_config(GRID_CONFIG)
+    with pytest.raises(FloatingPointError):
+        harness.run_experiment(cfg)
+    doc = json.loads((tmp_path / f"{cfg.name}-{cfg.digest()}" / "record.json").read_text())
+    assert doc["verdicts"]["failed_stage"] == "stability"
+
+
 def test_gauge_reconstruction_verdict(tmp_path, monkeypatch):
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
     cfg = harness.parse_config(GRID_CONFIG)
     cfg.reconstruct = True
     cfg.analyze = False
     cfg.name = "with-gauge"
+    run_flow = flows.run_flow
+    variants = []
+
+    def counted(model0, variant, *args, **kwargs):
+        variants.append(variant)
+        return run_flow(model0, variant, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "run_flow", counted)
     record = harness.run_experiment(cfg)
+    # the gauge stage reuses the pipeline's DeTurck trajectory
+    assert variants == ["deturck", "unnormalized"]
     assert 0.0 <= record.verdicts["gauge_discrepancy"] < 1e-3
+    disc, _ = harness._gauge_reconstruction(cfg, harness.build_model(cfg),
+                                            harness.flat_background(cfg))
+    assert variants[2:] == ["unnormalized", "deturck"]
+    assert record.verdicts["gauge_discrepancy"] == disc
     lines = [json.loads(l) for l in open(record.trajectory_path)]
     assert any(rec["kind"] == "gauge" for rec in lines)
 
