@@ -125,15 +125,20 @@ def p_operator(g: GridModel, h: GridModel) -> np.ndarray:
 # harmonic-map heat flow for the displacement
 
 
-def harmonic_map_rhs(F: np.ndarray, g: GridModel, h: GridModel) -> np.ndarray:
+def harmonic_map_rhs(F: np.ndarray, g: GridModel, h: GridModel, ginv=None,
+                     gamma=None) -> np.ndarray:
     """Map-Laplacian velocity of F = phi - Id for a flat target background.
 
     rhs^k = g^{ij} (d2_ij F^k - Gamma^l_ij(g) d_l F^k) + g^{ij} (Gamma^k_ij(h)
     - Gamma^k_ij(g)); the last term is the forcing that vanishes when g = h.
+    ``ginv`` and ``gamma`` are the caller's inverse and Christoffel symbols
+    of g, where it has them.
     """
     _require_flat(h)
-    ginv = geometry.inverse_metric(g)
-    gamma = geometry.christoffel(g, ginv=ginv)
+    if ginv is None:
+        ginv = geometry.inverse_metric(g)
+    if gamma is None:
+        gamma = geometry.christoffel(g, ginv=ginv)
     hess = geometry.hessian(g, F)  # [..., k, i, j]
     lap = np.einsum("...ij,...kij->...k", ginv, hess)
     dF = geometry.partials(g, F)  # [..., k, l]
@@ -157,8 +162,11 @@ def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t0: float, t1: floa
     """Integrate the displacement heat flow driven by an evolving metric.
 
     ``g_of_t`` maps a time to a GridModel (e.g. a MetricInterpolant).  RK4 in
-    time; the injectivity proxy is checked after every step and a failure
-    raises ``GaugeBreakdownError`` with the breakdown time.
+    time; ``g_of_t`` is called once per distinct time (step ends and
+    midpoints) and each metric's inverse and Christoffel symbols are shared
+    by the stages and the energy record that use it.  The injectivity proxy
+    is checked after every step and a failure raises ``GaugeBreakdownError``
+    with the breakdown time.
     """
     _require_flat(h)
     traj = GaugeTrajectory(h=h)
@@ -166,25 +174,38 @@ def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t0: float, t1: floa
     t = t0
     n_steps = int(round((t1 - t0) / dt))
 
-    def record(t, F):
+    def metric_at(t):
+        """g(t) with its inverse and Christoffel symbols."""
         g = g_of_t(t)
-        e = energy_density(F, g, h)
+        ginv = geometry.inverse_metric(g)
+        return g, ginv, geometry.christoffel(g, ginv=ginv)
+
+    def rhs(F, at):
+        g, ginv, gamma = at
+        return harmonic_map_rhs(F, g, h, ginv=ginv, gamma=gamma)
+
+    def record(t, F, at):
+        g, ginv, _ = at
+        e = energy_density(F, g, h, ginv=ginv)
         traj.times.append(float(t))
         traj.F.append(F.copy())
         traj.energy.append(EnergyRecord(t=float(t), e_sup=float(np.max(e)),
-                                        E=total_energy(F, g, h)))
+                                        E=total_energy(F, g, h, density=e)))
 
-    record(t, F)
+    now = metric_at(t)
+    record(t, F, now)
     for _ in range(n_steps):
-        k1 = harmonic_map_rhs(F, g_of_t(t), h)
-        k2 = harmonic_map_rhs(F + 0.5 * dt * k1, g_of_t(t + 0.5 * dt), h)
-        k3 = harmonic_map_rhs(F + 0.5 * dt * k2, g_of_t(t + 0.5 * dt), h)
-        k4 = harmonic_map_rhs(F + dt * k3, g_of_t(t + dt), h)
+        mid, end = metric_at(t + 0.5 * dt), metric_at(t + dt)
+        k1 = rhs(F, now)
+        k2 = rhs(F + 0.5 * dt * k1, mid)
+        k3 = rhs(F + 0.5 * dt * k2, mid)
+        k4 = rhs(F + dt * k3, end)
         F = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += dt
         if not DiffeoField(F=F, h=h).is_injective():
             raise GaugeBreakdownError(f"gauge lost injectivity at t = {t}", time=t)
-        record(t, F)
+        now = end
+        record(t, F, now)
     return traj
 
 
@@ -229,16 +250,17 @@ def integrate_diffeo_ode(times, v_series, S0: np.ndarray, grid: GridModel) -> Ga
 # energy of the displacement
 
 
-def energy_density(F: np.ndarray, g: GridModel, h: GridModel) -> np.ndarray:
+def energy_density(F: np.ndarray, g: GridModel, h: GridModel, ginv=None) -> np.ndarray:
     """e = g^{ij} h_kl d_i F^k d_j F^l, the gauge-displacement energy density."""
-    ginv = geometry.inverse_metric(g)
+    if ginv is None:
+        ginv = geometry.inverse_metric(g)
     dF = geometry.partials(g, F)  # [..., k, i]
     return np.einsum("...ij,...kl,...ki,...lj->...", ginv, h.g, dF, dF)
 
 
-def total_energy(F: np.ndarray, g: GridModel, h: GridModel) -> float:
-    """E = int e dV_g by midpoint quadrature."""
-    e = energy_density(F, g, h)
+def total_energy(F: np.ndarray, g: GridModel, h: GridModel, density=None) -> float:
+    """E = int e dV_g by midpoint quadrature; ``density`` is e, if computed."""
+    e = energy_density(F, g, h) if density is None else density
     dV = np.prod(g.spacings)
     return float(np.sum(e * np.sqrt(np.linalg.det(g.g))) * dV)
 

@@ -167,10 +167,14 @@ def _validate(cfg: RunConfig) -> None:
             _fail("model.coefficients", "need three positive coefficients")
     if cfg.variant not in ("tau", "unnormalized", "deturck"):
         _fail("flow.variant", f"unknown variant {cfg.variant!r}")
-    if not cfg.dt > 0:
-        _fail("flow.dt", "must be positive")
-    if not cfg.t_end > 0:
-        _fail("flow.t_end", "must be positive")
+    if not 0 < cfg.dt < np.inf:
+        _fail("flow.dt", "must be positive and finite")
+    if not 0 < cfg.t_end < np.inf:
+        _fail("flow.t_end", "must be positive and finite")
+    steps = cfg.t_end / cfg.dt
+    if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
+        _fail("flow.t_end", f"must be a whole number of steps of dt = {cfg.dt!r} "
+              f"(t_end / dt = {steps!r})")
     if not (cfg.tau > 0):
         _fail("flow.tau", "must be positive (or inf)")
     if cfg.couple_potential and np.isinf(cfg.tau):

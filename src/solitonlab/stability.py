@@ -6,11 +6,22 @@ Perturbations of a grid metric are flattened component-major: for each
 upper-triangle component (i <= j) the node values are raveled in C order
 and the blocks concatenated.  The Euclidean inner product on these vectors
 is what all projections and orthogonality statements refer to.
+
+Spectra take one of two paths.  At a flat background the assembled operator
+(``assemble_linearized_pde``) is a constant-coefficient stencil acting alike
+on every component, so it is a ``FourierOperator``: its eigenvalues are its
+per-wavenumber symbol, repeated once per component, at O(N log N) cost and
+with no grid-size cap.  Its dense matrix is built only when asked for, and
+``apply`` and the report's eigenvectors go through that matrix.  Every other ``LinearOperator`` (frame
+Jacobians, the finite-difference ``linearize_flow_rhs``, hand-built
+matrices) is decomposed densely, and ``linearize_flow_rhs`` stays capped at
+``DENSE_GRID_CAP`` nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -19,7 +30,7 @@ from . import flows, geometry
 from .errors import InsufficientDataError, NumericalFailureError, RejectedInputError
 from .geometry import FrameModel, GridModel
 
-DENSE_GRID_CAP = 32 * 32  # nodes; full tensor spectra stay at desk scale
+DENSE_GRID_CAP = 32 * 32  # nodes; dense finite-difference linearizations stay at desk scale
 NOISE_FLOOR = 1e-12
 
 
@@ -106,27 +117,75 @@ def scalar_laplacian_matrix(h: GridModel) -> np.ndarray:
     return out
 
 
-def assemble_linearized_pde(h: GridModel, tau: float) -> LinearOperator:
+def laplacian_symbol(h: GridModel, tau: float) -> np.ndarray:
+    """Fourier symbol of ``scalar_laplacian_matrix(h)`` plus 1/tau (if finite).
+
+    Shape ``h.dims``, wavenumbers in ``np.fft.fftn`` order.  Per axis the
+    compact stencil contributes -h^{aa} 2 (1 - cos theta_a)/dx_a^2 and each
+    nested-central mixed pair -2 h^{ab} sin(theta_a) sin(theta_b)/(dx_a dx_b),
+    theta_a being the phase advance per node.  Reads the metric at the first
+    node, as the matrix assembly does.
+    """
+    n = h.n
+    hinv = np.linalg.inv(h.g.reshape(-1, n, n)[0])
+    theta = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(d) for d in h.dims], indexing="ij")
+    dx = h.spacings
+    sym = np.zeros(h.dims)
+    for a in range(n):
+        sym -= hinv[a, a] * 2.0 * (1.0 - np.cos(theta[a])) / dx[a] ** 2
+    for a in range(n):
+        for b in range(a + 1, n):
+            sym -= 2.0 * hinv[a, b] * np.sin(theta[a]) * np.sin(theta[b]) / (dx[a] * dx[b])
+    if np.isfinite(tau):
+        sym += 1.0 / tau
+    return sym
+
+
+@dataclass(frozen=True)
+class FourierOperator:
+    """Constant-coefficient stencil operator on a flat periodic grid.
+
+    It acts alike on each of the ``ncomp`` symmetric components and is
+    diagonal in the discrete Fourier basis: ``symbol`` (shape
+    ``background.dims``, fftn order) holds its eigenvalue per wavenumber.
+    The dense ``matrix`` is the Kronecker assembly, built on first access;
+    ``apply`` multiplies by it.
+    """
+
+    symbol: np.ndarray
+    ncomp: int
+    background: GridModel
+    tau: float
+
+    @property
+    def dim(self) -> int:
+        return self.ncomp * self.symbol.size
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        mat = np.kron(np.eye(self.ncomp), scalar_laplacian_matrix(self.background))
+        if np.isfinite(self.tau):
+            mat = mat + np.eye(self.dim) / self.tau
+        return mat
+
+    apply = LinearOperator.apply
+
+
+def assemble_linearized_pde(h: GridModel, tau: float) -> FourierOperator:
     """The linearized gauge-fixed flow operator at a flat background.
 
     At a constant-coefficient background the gauge-fixed linearization has
     no zeroth- or first-order curvature terms, leaving the componentwise
-    Laplacian plus the 1/tau dilation term (omitted when tau = inf).
+    Laplacian plus the 1/tau dilation term (omitted when tau = inf).  The
+    operator is returned through its Fourier symbol; no matrix is formed.
     """
     g0 = h.g.reshape(-1, h.n, h.n)
     if not np.allclose(g0, g0[0]):
         raise RejectedInputError("operator assembly requires a flat (constant) background")
-    N = int(np.prod(h.dims))
-    if N > DENSE_GRID_CAP:
-        raise RejectedInputError(f"dense tensor spectra are capped at {DENSE_GRID_CAP} nodes")
-    lap = scalar_laplacian_matrix(h)
-    ncomp = len(sym_components(h.n))
-    mat = np.kron(np.eye(ncomp), lap)
-    if np.isfinite(tau):
-        if not tau > 0:
-            raise RejectedInputError("tau must be positive or inf")
-        mat = mat + np.eye(ncomp * N) / tau
-    return LinearOperator(matrix=mat, background=h, tau=tau)
+    if np.isfinite(tau) and not tau > 0:
+        raise RejectedInputError("tau must be positive or inf")
+    return FourierOperator(symbol=laplacian_symbol(h, tau), ncomp=len(sym_components(h.n)),
+                           background=h, tau=tau)
 
 
 def jacobian_ode(rhs: Callable, background: FrameModel, step: float = 1e-6) -> LinearOperator:
@@ -184,12 +243,17 @@ def linearize_flow_rhs(background: GridModel, variant: str, tau: float,
 @dataclass(frozen=True)
 class SpectralReport:
     eigenvalues: np.ndarray  # sorted by real part, ascending
-    modes: np.ndarray        # columns, matching order
     eps_neutral: float
     n_grow: int
     n_neutral: int
     n_decay: int
     gap: float
+    mode_basis: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def modes(self) -> np.ndarray:
+        """Eigenvectors as columns in eigenvalue order, built on first access."""
+        return self.mode_basis()
 
     def classification(self) -> np.ndarray:
         """Per-mode labels: +1 growing, 0 neutral, -1 decaying."""
@@ -208,55 +272,58 @@ class SpectralReport:
         }
 
 
-def default_neutral_tolerance(op: LinearOperator) -> float:
+def default_neutral_tolerance(op: LinearOperator | FourierOperator) -> float:
     """One tenth of the flat-background gap estimate, scale-based otherwise.
 
-    For a flat grid background the estimate is the smallest nonzero
-    magnitude of the stencil symbol sum_i h^{ii} 2(1 - cos k_i h_i)/h_i^2
-    shifted by 1/tau; frame operators fall back to a norm-based floor.
+    For a grid background the estimate is the smallest magnitude above
+    1e-10 of the compact operator's symbol (the operator's own, for a
+    ``FourierOperator``); frame operators fall back to a norm-based floor.
     """
-    m = op.background
-    if isinstance(m, GridModel):
-        n = m.n
-        hinv = np.linalg.inv(m.g.reshape(-1, n, n)[0])
-        freqs = np.meshgrid(*[np.fft.fftfreq(d) * d for d in m.dims], indexing="ij")
-        sym = np.zeros(m.dims)
-        for a in range(n):
-            ka = 2.0 * np.pi * freqs[a] / m.period[a]
-            sym -= hinv[a, a] * 2.0 * (1.0 - np.cos(ka * m.spacings[a])) / m.spacings[a] ** 2
-        if np.isfinite(op.tau):
-            sym = sym + 1.0 / op.tau
-        mags = np.abs(sym.ravel())
-        nonzero = mags[mags > 1e-10]
-        if nonzero.size:
-            return float(np.min(nonzero) / 10.0)
-    scale = float(np.max(np.abs(op.matrix)))
-    return max(scale, 1.0) * 1e-8
+    if isinstance(op, FourierOperator):
+        sym = op.symbol
+    elif isinstance(op.background, GridModel):
+        sym = laplacian_symbol(op.background, op.tau)
+    else:
+        return max(float(np.max(np.abs(op.matrix))), 1.0) * 1e-8
+    mags = np.abs(sym.ravel())
+    return float(np.min(mags[mags > 1e-10]) / 10.0)
 
 
-def spectrum(op: LinearOperator, eps_neutral: Optional[float] = None) -> SpectralReport:
-    """Full dense eigendecomposition with neutral-band classification."""
+def spectrum(op: LinearOperator | FourierOperator, eps_neutral: Optional[float] = None) -> SpectralReport:
+    """Eigenvalues with neutral-band classification.
+
+    A ``FourierOperator``'s eigenvalues are its symbol repeated once per
+    component; its modes are a dense ``eigh`` of its matrix, taken only on
+    request.  Any other operator gets a full dense eigendecomposition.
+    """
     if eps_neutral is None:
         eps_neutral = default_neutral_tolerance(op)
-    sym = np.allclose(op.matrix, op.matrix.T, atol=1e-12)
-    try:
-        if sym:
-            vals, vecs = np.linalg.eigh(op.matrix)
-            vals = vals.astype(complex)
-        else:
-            vals, vecs = np.linalg.eig(op.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(np.real(vals))
-    vals, vecs = vals[order], vecs[:, order]
+    if isinstance(op, FourierOperator):
+        repeated = np.repeat(op.symbol.ravel(), op.ncomp)
+        vals = np.sort(repeated).astype(complex)
+        mode_basis = lambda: np.linalg.eigh(op.matrix)[1]
+    else:
+        sym = np.allclose(op.matrix, op.matrix.T, atol=1e-12)
+        try:
+            if sym:
+                vals, vecs = np.linalg.eigh(op.matrix)
+                vals = vals.astype(complex)
+            else:
+                vals, vecs = np.linalg.eig(op.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+        order = np.argsort(np.real(vals))
+        vals, vecs = vals[order], vecs[:, order]
+        mode_basis = lambda: vecs
     re = np.real(vals)
     n_grow = int(np.sum(re > eps_neutral))
     n_decay = int(np.sum(re < -eps_neutral))
     n_neutral = len(vals) - n_grow - n_decay
     outside = np.abs(re)[np.abs(re) > eps_neutral]
     gap = float(np.min(outside)) if outside.size else np.inf
-    return SpectralReport(eigenvalues=vals, modes=vecs, eps_neutral=float(eps_neutral),
-                          n_grow=n_grow, n_neutral=n_neutral, n_decay=n_decay, gap=gap)
+    return SpectralReport(eigenvalues=vals, eps_neutral=float(eps_neutral),
+                          n_grow=n_grow, n_neutral=n_neutral, n_decay=n_decay, gap=gap,
+                          mode_basis=mode_basis)
 
 
 @dataclass(frozen=True)
@@ -401,7 +468,8 @@ class ResidualRecord:
     k_norm: float
 
 
-def residual_evolution_monitor(traj, op: LinearOperator, g1: GridModel) -> list:
+def residual_evolution_monitor(traj, op: LinearOperator | FourierOperator,
+                               g1: GridModel) -> list:
     """Nonlinear remainder ||dk/dt - L k|| along a trajectory, k = g - g1.
 
     Per interior sample the time derivative is a centered difference; the

@@ -152,6 +152,58 @@ def test_harmonic_rhs_rejects_curved_background():
         gauge.harmonic_map_rhs(F, g, g)
 
 
+def _unshared_harmonic_gauge(g_of_t, h, F0, t0, t1, dt):
+    """RK4 of the displacement flow with every stage and energy record
+    re-evaluating g_of_t and its geometry: the reference for the shared form."""
+    traj = gauge.GaugeTrajectory(h=h)
+    F, t = np.array(F0, dtype=float), t0
+
+    def record(t, F):
+        g = g_of_t(t)
+        e = gauge.energy_density(F, g, h)
+        traj.times.append(float(t))
+        traj.F.append(F.copy())
+        traj.energy.append(gauge.EnergyRecord(t=float(t), e_sup=float(np.max(e)),
+                                              E=gauge.total_energy(F, g, h)))
+
+    record(t, F)
+    for _ in range(int(round((t1 - t0) / dt))):
+        k1 = gauge.harmonic_map_rhs(F, g_of_t(t), h)
+        k2 = gauge.harmonic_map_rhs(F + 0.5 * dt * k1, g_of_t(t + 0.5 * dt), h)
+        k3 = gauge.harmonic_map_rhs(F + 0.5 * dt * k2, g_of_t(t + 0.5 * dt), h)
+        k4 = gauge.harmonic_map_rhs(F + dt * k3, g_of_t(t + dt), h)
+        F = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+        record(t, F)
+    return traj
+
+
+def test_harmonic_gauge_evaluates_each_metric_once():
+    """One g_of_t call per distinct time (2 n_steps + 1), and the trajectory
+    is bitwise that of the form re-evaluating the metric at every use."""
+    g0 = _nonconformal(16)
+    ricci = flows.run_flow(g0, "unnormalized", np.inf, 0.01, 0.1)
+    interp = flows.MetricInterpolant(ricci)
+    h = _flat(16)
+    X, Y = h.coords()
+    F0 = np.stack([0.01 * np.sin(X + Y), 0.02 * np.cos(X)], axis=-1)
+    seen = []
+
+    def counting(t):
+        seen.append(t)
+        return interp(t)
+
+    n_steps = 10
+    got = gauge.run_harmonic_gauge(counting, h, F0, 0.0, 0.1, 0.01)
+    assert len(seen) == 2 * n_steps + 1
+    assert len(set(seen)) == len(seen)
+    want = _unshared_harmonic_gauge(interp, h, F0, 0.0, 0.1, 0.01)
+    assert got.times == want.times
+    assert all(np.array_equal(a, b) for a, b in zip(got.F, want.F))
+    assert len(got.F) == len(want.F) == n_steps + 1
+    assert got.energy == want.energy
+
+
 def test_harmonic_flow_decays_displacement_on_flat_pair():
     """With g = h the flow is the plain heat equation: energy decays."""
     h = _flat(16)

@@ -63,6 +63,9 @@ def test_parse_rejects_unknown_section_and_key():
 @pytest.mark.parametrize("snippet,field", [
     ("[flow]\ndt = -0.1\n", "flow.dt"),
     ("[flow]\ndt = soon\n", "flow.dt"),
+    ("[flow]\ndt = 0.3\nt_end = 1.0\n", "flow.t_end"),
+    ("[flow]\nt_end = inf\n", "flow.t_end"),
+    ("[flow]\ndt = 1e-310\nt_end = 1.0\n", "flow.t_end"),
     ("[flow]\ntau = 0\n", "flow.tau"),
     ("[flow]\nvariant = sideways\n", "flow.variant"),
     ("[flow]\ncouple_potential = maybe\n", "flow.couple_potential"),
@@ -327,3 +330,25 @@ def test_cli_spectrum_and_plot(tmp_path, monkeypatch, capsys):
     assert cli.main(["plot", record_path, "norm"]) == cli.EXIT_OK
     plot_path = capsys.readouterr().out.strip()
     assert plot_path.endswith("plot-norm.dat")
+
+
+def _unit_flat_symbol(dims, period):
+    """Compact-stencil Laplacian eigenvalues of a unit-metric torus."""
+    thetas = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(d) for d in dims], indexing="ij")
+    return sum(-2.0 * (1.0 - np.cos(th)) / (p / d) ** 2
+               for th, d, p in zip(thetas, dims, period)).ravel()
+
+
+@pytest.mark.parametrize("dims", [(64, 64), (8, 8, 8)], ids=["64x64", "8x8x8"])
+def test_cli_spectrum_beyond_the_dense_cap(tmp_path, capsys, dims):
+    period = tuple(TWO_PI * (1.0 + 0.1 * ax) for ax in range(len(dims)))
+    text = ("[model]\nkind = grid\nrecipe = flat\n"
+            f"dims = {','.join(map(str, dims))}\n"
+            f"period = {','.join(map(repr, period))}\n")
+    assert cli.main(["spectrum", _write_config(tmp_path, text)]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    sym = _unit_flat_symbol(dims, period)
+    ncomp = len(dims) * (len(dims) + 1) // 2
+    assert doc["counts"] == {"grow": 0, "neutral": ncomp, "decay": ncomp * sym.size - ncomp}
+    gap = np.min(np.abs(sym)[np.abs(sym) > 1e-10])
+    assert abs(doc["gap"] - gap) <= 1e-12 * gap

@@ -94,9 +94,94 @@ def test_assembly_validation():
     with pytest.raises(RejectedInputError):
         stability.assemble_linearized_pde(h.with_metric(g), np.inf)
     with pytest.raises(RejectedInputError):
-        stability.assemble_linearized_pde(_flat(64), np.inf)
-    with pytest.raises(RejectedInputError):
         stability.assemble_linearized_pde(_flat(8), tau=-1.0)
+    # the finite-difference linearization is dense and stays capped
+    with pytest.raises(RejectedInputError, match="capped"):
+        stability.linearize_flow_rhs(_flat(64), "deturck", np.inf, reference=_flat(64))
+
+
+@pytest.mark.parametrize("h", [_flat(64), GridModel.flat(3, (8, 8, 8))],
+                         ids=["64x64", "8x8x8"])
+def test_assembled_spectra_need_no_node_cap(h):
+    """Flat-background spectra come from the symbol: 64^2 and 3-D grids work,
+    and the kernel is the constant metrics (3 components in 2-D, 6 in 3-D)."""
+    op = stability.assemble_linearized_pde(h, np.inf)
+    report = stability.spectrum(op)
+    ncomp = h.n * (h.n + 1) // 2
+    oracle = np.sort(np.repeat(_symbol_eigenvalues(h), ncomp))
+    assert np.max(np.abs(np.real(report.eigenvalues) - oracle)) < 1e-12
+    assert report.n_neutral == ncomp
+    assert report.n_grow == 0
+    assert report.n_decay == ncomp * np.prod(h.dims) - ncomp
+    assert np.isclose(report.gap, np.min(np.abs(oracle)[np.abs(oracle) > 1e-10]),
+                      rtol=1e-12, atol=0.0)
+
+
+# the Fourier-symbol path against the dense path
+
+EQUIVALENCE_CASES = [(_flat, 8, np.inf), (_flat, 16, np.inf), (_aniso_flat, 16, np.inf),
+                     (_aniso_flat, 16, 0.5)]
+EQUIVALENCE_IDS = ["flat8", "flat16", "aniso16", "aniso16-tau0.5"]
+
+
+@pytest.mark.parametrize("make,n,tau", EQUIVALENCE_CASES, ids=EQUIVALENCE_IDS)
+def test_symbol_operator_equals_its_dense_matrix(make, n, tau):
+    h = make(n)
+    op = stability.assemble_linearized_pde(h, tau)
+    report = stability.spectrum(op)
+    assert "matrix" not in vars(op)
+    dense = np.linalg.eigvalsh(op.matrix)
+    assert np.max(np.abs(np.real(report.eigenvalues) - dense)) < 1e-12
+    assert np.all(np.imag(report.eigenvalues) == 0.0)
+
+    rng = np.random.default_rng(4)
+    k = rng.standard_normal(h.g.shape)
+    k = k + np.swapaxes(k, -1, -2)
+    applied = stability.tensor_to_vec(op.apply(k), h.n)
+    assert np.allclose(applied, op.matrix @ stability.tensor_to_vec(k, h.n),
+                       rtol=0.0, atol=1e-12)
+
+    modes = report.modes
+    assert np.isrealobj(modes)
+    assert np.max(np.abs(modes.T @ modes - np.eye(op.dim))) < 1e-12
+    lams = np.real(report.eigenvalues)
+    assert np.max(np.abs(op.matrix @ modes - modes * lams)) < 1e-11
+
+
+@pytest.mark.parametrize("make,n,tau", EQUIVALENCE_CASES, ids=EQUIVALENCE_IDS)
+def test_symbol_report_splits_like_the_dense_report(make, n, tau):
+    h = make(n)
+    op = stability.assemble_linearized_pde(h, tau)
+    report = stability.spectrum(op)
+    dense = stability.spectrum(stability.LinearOperator(matrix=op.matrix, background=h,
+                                                        tau=tau))
+    assert report.eps_neutral == dense.eps_neutral
+    assert (report.n_grow, report.n_neutral, report.n_decay) == \
+        (dense.n_grow, dense.n_neutral, dense.n_decay)
+    F = np.random.default_rng(5).standard_normal(op.dim)
+    split = stability.trichotomy_split(F, report)
+    ref = stability.trichotomy_split(F, dense)
+    assert np.max(np.abs(split.reassembled() - F)) < 1e-10
+    for part in ("F_up", "F_down", "F_0"):
+        assert np.max(np.abs(getattr(split, part) - getattr(ref, part))) < 1e-10
+    assert np.max(np.abs(stability.project_neutral(F, report)
+                         - stability.project_neutral(F, dense))) < 1e-10
+
+
+def test_symbol_spectrum_forms_and_decomposes_no_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    h = _aniso_flat(32)  # validating the metric takes eigenvalues of 2x2 blocks
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    op = stability.assemble_linearized_pde(h, 2.0)
+    report = stability.spectrum(op)
+    report.to_document()
+    assert report.n_decay > 0
+    assert "matrix" not in vars(op)
+    assert "modes" not in vars(report)
 
 
 def test_default_neutral_tolerance_is_a_tenth_of_the_gap():
