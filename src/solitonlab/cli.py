@@ -52,11 +52,9 @@ def _cmd_spectrum(args) -> int:
 def _cmd_entropy(args) -> int:
     cfg = _load_config(args.config)
     model = harness.build_model(cfg)
-    f0 = entropy.constant_potential(model, cfg.tau)
     traj = flows.run_flow(model, cfg.variant, cfg.tau, cfg.dt, cfg.t_end,
                           background=harness.flat_background(cfg) if cfg.kind == "grid" else None,
-                          f0=f0, couple_f=True, sample_every=cfg.sample_every,
-                          record_entropy=True)
+                          couple_f=True, sample_every=cfg.sample_every)
     records = entropy.monotonicity_report(traj)
     for rec in records:
         parts = [f"t={rec.t:.6g}", f"W={rec.W:.12g}", f"defect_l2={rec.defect_l2:.6g}",

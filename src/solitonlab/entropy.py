@@ -64,8 +64,7 @@ def _is_radial(model, f) -> bool:
 
 def _require_round(model: FrameModel) -> float:
     """Radius of a round frame sphere; rejects anisotropic coefficients."""
-    lams = model.milnor_lambdas()
-    if not (np.allclose(lams, 2.0) and np.allclose(model.a, model.a[0])):
+    if not (np.allclose(model.lams, 2.0) and np.allclose(model.a, model.a[0])):
         raise RejectedInputError("polar-profile potentials need a round sphere frame model")
     return float(np.sqrt(model.a[0]))
 
@@ -386,13 +385,13 @@ def minimize_mu(model, tau: float, f0=None, grad_tol: float = GRAD_TOL,
         return MuResult(f=f, mu=_w_value(model, f, tau), iterations=0, grad_norm=0.0)
     if _is_radial(model, f0):
         return _minimize_mu_radial(model, tau, f0, grad_tol, min(max_iter, 1000))
+    if isinstance(model, FrameModel):
+        raise RejectedInputError("a frame model takes a constant potential or a "
+                                 "1-d polar profile")
 
     f = normalize_f(model, np.asarray(f0, dtype=float), tau)
     shape = f.shape
-    if isinstance(model, GridModel):
-        w_nodes = np.sqrt(np.linalg.det(model.g)) * np.prod(model.spacings)
-    else:
-        w_nodes = _RadialQuadrature(_require_round(model), len(f)).w
+    w_nodes = np.sqrt(np.linalg.det(model.g)) * np.prod(model.spacings)
     c = (4.0 * np.pi * tau) ** (-model.n / 2.0)
 
     def objective(ft):

@@ -3,9 +3,9 @@
 Four right-hand sides are provided: the fixed-tau normalized flow
 ``-2 Ric + g / tau``, the unnormalized flow ``-2 Ric``, the gauge-fixed
 (DeTurck) flow with a reference background, and the coupled potential
-equation.  Time stepping is classical RK4 under a parabolic CFL bound; the
-tau-flow <-> unnormalized reparametrization translates trajectories between
-the two conventions.
+equation.  Time stepping is classical RK4 (``rk4``, shared with the gauge
+flows) under a parabolic CFL bound; the tau-flow <-> unnormalized
+reparametrization translates trajectories between the two conventions.
 
 The DeTurck right-hand side makes one geometry pass per evaluation: it
 inverts g once, computes Gamma(g) once and builds both Ricci and the gauge
@@ -26,6 +26,7 @@ from .errors import RejectedInputError, StepRejectedError
 from .geometry import FrameModel, GridModel
 
 CFL_FACTOR = 0.2
+MAX_HALVINGS = 8
 
 
 @dataclass(frozen=True)
@@ -168,72 +169,80 @@ def make_metric_rhs(variant: str, tau: float, background: Optional[GridModel] = 
 # time stepping
 
 
+def rk4(f: Callable, y: tuple, dt: float) -> tuple:
+    """One classical RK4 step of the tuple of arrays ``y``.
+
+    ``f(c, y)`` returns the velocities of the components of ``y`` at the
+    stage whose time is a fraction ``c`` (0, 1/2, 1/2, 1) of the step.
+    """
+    k1 = f(0.0, y)
+    k2 = f(0.5, tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k1)))
+    k3 = f(0.5, tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k2)))
+    k4 = f(1.0, tuple(yi + dt * ki for yi, ki in zip(y, k3)))
+    return tuple(yi + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+
+
 def cfl_bound(model) -> float:
-    """Parabolic step bound 0.2 h^2 / max eig(g^{-1}); inf for frame ODEs."""
+    """Parabolic step bound 0.2 h^2 min eig(g) (= 0.2 h^2 / max eig(g^{-1}));
+    inf for frame ODEs."""
     if isinstance(model, FrameModel):
         return np.inf
-    lam_max = np.max(np.linalg.eigvalsh(geometry.inverse_metric(model)))
     h_min = float(np.min(model.spacings))
-    return CFL_FACTOR * h_min**2 / float(lam_max)
+    return CFL_FACTOR * h_min**2 * model.min_eig
 
 
 def step(state: FlowState, metric_rhs: Callable, dt: float,
-         couple_f: bool = False, enforce_cfl: bool = True) -> FlowState:
+         couple_f: bool = False) -> FlowState:
     """One classical RK4 step of the metric (and the potential, if coupled).
 
-    The updated metric is re-validated; a non-SPD result raises
-    ``StepRejectedError`` so the caller can halve dt.  When ``couple_f`` is
-    set the potential is advanced alongside and then re-normalized to the
-    constraint.
+    A stage or result metric outside the SPD cone (a non-SPD grid metric, a
+    frame coefficient <= 0) raises ``StepRejectedError`` so the caller can
+    halve dt.  When ``couple_f`` is set the potential is advanced alongside
+    and then re-normalized to the constraint.
     """
-    if enforce_cfl and dt > cfl_bound(state.model):
-        raise StepRejectedError(f"dt = {dt} exceeds the CFL bound {cfl_bound(state.model):.3e}")
-    g0 = _metric_array(state.model)
-    f0 = state.f
-    if couple_f and f0 is None:
+    bound = cfl_bound(state.model)
+    if dt > bound:
+        raise StepRejectedError(f"dt = {dt} exceeds the CFL bound {bound:.3e}")
+    if couple_f and state.f is None:
         raise RejectedInputError("coupled stepping requires a potential in the state")
 
-    def rhs(g, f):
-        model = _with_metric(state.model, g)
-        dg = metric_rhs(model)
-        df = rhs_potential(f, model, state.tau) if couple_f else None
-        return dg, df
+    def model_at(arr, validate=False):
+        try:
+            return _with_metric(state.model, arr, validate=validate)
+        except RejectedInputError as exc:
+            raise StepRejectedError(
+                f"step to t = {state.t + dt} left the SPD cone: {exc}") from exc
 
-    k1g, k1f = rhs(g0, f0)
-    k2g, k2f = rhs(g0 + 0.5 * dt * k1g, f0 + 0.5 * dt * k1f if couple_f else f0)
-    k3g, k3f = rhs(g0 + 0.5 * dt * k2g, f0 + 0.5 * dt * k2f if couple_f else f0)
-    k4g, k4f = rhs(g0 + dt * k3g, f0 + dt * k3f if couple_f else f0)
-    g1 = g0 + (dt / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-    try:
-        model1 = _with_metric(state.model, g1, validate=True)
-        if isinstance(model1, FrameModel) and np.any(model1.a <= 0):
-            raise RejectedInputError("negative frame coefficient")
-    except RejectedInputError as exc:
-        raise StepRejectedError(f"step to t = {state.t + dt} left the SPD cone: {exc}") from exc
-    f1 = f0
-    if couple_f:
-        f1 = f0 + (dt / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-        f1 = entropy.normalize_f(model1, f1, state.tau)
+    def velocity(_, y):
+        model = model_at(y[0])
+        if couple_f:
+            return metric_rhs(model), rhs_potential(y[1], model, state.tau)
+        return (metric_rhs(model),)
+
+    y0 = (_metric_array(state.model), state.f) if couple_f else (_metric_array(state.model),)
+    y1 = rk4(velocity, y0, dt)
+    model1 = model_at(y1[0], validate=True)
+    f1 = entropy.normalize_f(model1, y1[1], state.tau) if couple_f else state.f
     return FlowState(t=state.t + dt, model=model1, tau=state.tau, f=f1, F=state.F)
 
 
 def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
              background: Optional[GridModel] = None, f0=None,
-             couple_f: bool = False, sample_every: int = 1,
-             record_entropy: bool = False, max_halvings: int = 8) -> Trajectory:
+             couple_f: bool = False, sample_every: int = 1) -> Trajectory:
     """Drive ``step`` from t = 0 to ``t_end``, recording states and diagnostics.
 
-    On step rejection dt is halved (up to ``max_halvings``); rejection past
-    that limit propagates.  Diagnostics per sample: scalar curvature range,
-    metric deviation from the background (if given), and the entropy record
-    (if requested on a coupled run).
+    On step rejection dt is halved (up to ``MAX_HALVINGS`` times); rejection
+    past that limit propagates.  Diagnostics per sample: scalar curvature
+    range, metric deviation from the background (if given), and the entropy
+    record of a coupled run.
     """
     metric_rhs = make_metric_rhs(variant, tau, background)
     if couple_f and f0 is None:
         f0 = entropy.constant_potential(model0, tau)
     state = FlowState(t=0.0, model=model0, tau=tau, f=f0)
     traj = Trajectory(convention=variant)
-    traj.append(state, _diagnose(state, background, record_entropy))
+    traj.append(state, _diagnose(state, background, couple_f))
     n_steps = int(round(t_end / dt))
     i = 0
     while i < n_steps:
@@ -250,16 +259,16 @@ def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
             except StepRejectedError:
                 halvings += 1
                 sub_dt *= 0.5
-                if halvings > max_halvings:
+                if halvings > MAX_HALVINGS:
                     raise
         state = advanced
         i += 1
         if i % sample_every == 0 or i == n_steps:
-            traj.append(state, _diagnose(state, background, record_entropy))
+            traj.append(state, _diagnose(state, background, couple_f))
     return traj
 
 
-def _diagnose(state: FlowState, background, record_entropy: bool) -> dict:
+def _diagnose(state: FlowState, background, couple_f: bool) -> dict:
     diag = {"t": state.t}
     model = state.model
     R = geometry.scalar_curvature(model)
@@ -272,7 +281,7 @@ def _diagnose(state: FlowState, background, record_entropy: bool) -> dict:
         rep = geometry.norms(model, dev, k=1)
         diag["deviation_l2"] = rep.l2
         diag["deviation_sup"] = rep.sup
-    if record_entropy and state.f is not None:
+    if couple_f:
         rec = entropy.entropy_record(state)
         diag["entropy"] = {"W": rec.W, "defect_l2": rec.defect_l2}
     return diag

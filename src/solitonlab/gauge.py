@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
+from . import flows, geometry
 from .errors import GaugeBreakdownError, NonConvergenceError, RejectedInputError
 from .geometry import GridModel
 
@@ -180,10 +180,6 @@ def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t0: float, t1: floa
         ginv = geometry.inverse_metric(g)
         return g, ginv, geometry.christoffel(g, ginv=ginv)
 
-    def rhs(F, at):
-        g, ginv, gamma = at
-        return harmonic_map_rhs(F, g, h, ginv=ginv, gamma=gamma)
-
     def record(t, F, at):
         g, ginv, _ = at
         e = energy_density(F, g, h, ginv=ginv)
@@ -192,19 +188,20 @@ def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t0: float, t1: floa
         traj.energy.append(EnergyRecord(t=float(t), e_sup=float(np.max(e)),
                                         E=total_energy(F, g, h, density=e)))
 
+    def velocity(c, y):
+        g, ginv, gamma = stages[c]
+        return (harmonic_map_rhs(y[0], g, h, ginv=ginv, gamma=gamma),)
+
     now = metric_at(t)
     record(t, F, now)
     for _ in range(n_steps):
-        mid, end = metric_at(t + 0.5 * dt), metric_at(t + dt)
-        k1 = rhs(F, now)
-        k2 = rhs(F + 0.5 * dt * k1, mid)
-        k3 = rhs(F + 0.5 * dt * k2, mid)
-        k4 = rhs(F + dt * k3, end)
-        F = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # the metrics at the stage fractions c = 0, 1/2, 1 of this step
+        stages = {0.0: now, 0.5: metric_at(t + 0.5 * dt), 1.0: metric_at(t + dt)}
+        F, = flows.rk4(velocity, (F,), dt)
         t += dt
         if not DiffeoField(F=F, h=h).is_injective():
             raise GaugeBreakdownError(f"gauge lost injectivity at t = {t}", time=t)
-        now = end
+        now = stages[1.0]
         record(t, F, now)
     return traj
 
@@ -236,11 +233,7 @@ def integrate_diffeo_ode(times, v_series, S0: np.ndarray, grid: GridModel) -> Ga
     traj.F.append(S.copy())
     for i in range(len(times) - 1):
         t, dt = times[i], times[i + 1] - times[i]
-        k1 = -v_at(t, x0 + S)
-        k2 = -v_at(t + 0.5 * dt, x0 + S + 0.5 * dt * k1)
-        k3 = -v_at(t + 0.5 * dt, x0 + S + 0.5 * dt * k2)
-        k4 = -v_at(t + dt, x0 + S + dt * k3)
-        S = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        S, = flows.rk4(lambda c, y: (-v_at(t + c * dt, x0 + y[0]),), (S,), dt)
         traj.times.append(float(times[i + 1]))
         traj.F.append(S.copy())
     return traj

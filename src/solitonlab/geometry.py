@@ -2,9 +2,9 @@
 
 Two backgrounds are supported:
 
-* ``FrameModel`` -- a homogeneous space described by the structure constants
-  of a Milnor frame and diagonal metric coefficients.  Curvature is
-  closed-form, fields are constants, and flows reduce to ODEs.
+* ``FrameModel`` -- a homogeneous space described by the three structure
+  constants lambda_k of a Milnor frame and diagonal metric coefficients.
+  Curvature is closed-form, fields are constants, and flows reduce to ODEs.
 * ``GridModel`` -- a flat periodic torus carrying a symmetric 2-tensor field
   (the metric) on a uniform grid.  All derivative operators are second-order
   central differences with periodic wraparound.
@@ -16,8 +16,8 @@ Grid fields are plain numpy arrays: scalars have shape ``dims``, vectors
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -33,28 +33,28 @@ DET_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class FrameModel:
-    """Homogeneous model: Milnor frame structure constants + diagonal metric.
+    """Homogeneous model: a Milnor frame of a unimodular 3-dimensional Lie
+    group and a diagonal metric.
 
-    ``c[i, j, k]`` are the structure constants ``[e_i, e_j] = c[i,j,k] e_k``
-    (antisymmetric in i, j); ``a[i] > 0`` are the diagonal metric
-    coefficients, so ``g = diag(a)`` in the frame.  ``base_volume`` is the
-    volume of the group for ``a = (1, ..., 1)``.
+    ``lams`` are the frame's structure constants: ``[e_i, e_j] = lams[k] e_k``
+    for every cyclic permutation (i, j, k) of (0, 1, 2) (Milnor, Adv. Math. 21,
+    1976); ``a[i] > 0`` are the diagonal metric coefficients, so ``g = diag(a)``
+    in the frame.  ``base_volume`` is the volume of the group for
+    ``a = (1, 1, 1)``.
     """
 
-    n: int
-    c: np.ndarray
+    lams: np.ndarray
     a: np.ndarray
     base_volume: float = 1.0
+    n = 3  # a class constant, not a field: Milnor frames span 3-dimensional groups
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
+        object.__setattr__(self, "lams", np.asarray(self.lams, dtype=float))
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        if self.c.shape != (self.n, self.n, self.n):
-            raise RejectedInputError("structure constants must have shape (n, n, n)")
-        if self.a.shape != (self.n,):
-            raise RejectedInputError("metric coefficients must have shape (n,)")
-        if not np.allclose(self.c, -np.swapaxes(self.c, 0, 1)):
-            raise RejectedInputError("structure constants must be antisymmetric in the first two indices")
+        if self.lams.shape != (3,):
+            raise RejectedInputError("structure constants must have shape (3,)")
+        if self.a.shape != (3,):
+            raise RejectedInputError("metric coefficients must have shape (3,)")
         if np.any(self.a <= 0):
             raise RejectedInputError("metric coefficients must be positive")
 
@@ -65,37 +65,16 @@ class FrameModel:
         Structure constants ``[e_i, e_j] = 2 eps_{ijk} e_k``; the group volume
         at unit coefficients is ``2 pi^2``.
         """
-        c = np.zeros((3, 3, 3))
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            c[i, j, k] = 2.0
-            c[j, i, k] = -2.0
-        return cls(n=3, c=c, a=np.asarray(a, dtype=float), base_volume=2.0 * np.pi**2)
+        return cls(lams=(2.0, 2.0, 2.0), a=a, base_volume=2.0 * np.pi**2)
 
     @classmethod
     def flat_torus3(cls, a=(1.0, 1.0, 1.0), base_volume: float = 1.0) -> "FrameModel":
         """Abelian frame (zero structure constants): a flat 3-torus."""
-        return cls(n=3, c=np.zeros((3, 3, 3)), a=np.asarray(a, dtype=float), base_volume=base_volume)
+        return cls(lams=np.zeros(3), a=a, base_volume=base_volume)
 
     def with_a(self, a) -> "FrameModel":
-        return replace(self, a=np.asarray(a, dtype=float))
-
-    def milnor_lambdas(self) -> np.ndarray:
-        """Extract the diagonal structure constants lambda_k of a Milnor frame.
-
-        Requires ``c[i, j, k] = lambda_k eps_{ijk}``; raises otherwise.
-        """
-        if self.n == 2:
-            if not np.allclose(self.c, 0.0):
-                raise RejectedInputError("2-dimensional frame models must be abelian")
-            return np.zeros(2)
-        lams = np.array([self.c[1, 2, 0], self.c[2, 0, 1], self.c[0, 1, 2]])
-        check = np.zeros_like(self.c)
-        for idx, (i, j, k) in enumerate(((1, 2, 0), (2, 0, 1), (0, 1, 2))):
-            check[i, j, k] = lams[idx]
-            check[j, i, k] = -lams[idx]
-        if not np.allclose(check, self.c):
-            raise RejectedInputError("structure constants are not in Milnor (diagonal) form")
-        return lams
+        """The same frame with metric coefficients ``a``."""
+        return FrameModel(lams=self.lams, a=a, base_volume=self.base_volume)
 
 
 @dataclass(frozen=True)
@@ -103,7 +82,8 @@ class GridModel:
     """Periodic-grid model: a metric tensor field on a flat torus.
 
     ``g`` has shape ``dims + (n, n)`` and must be symmetric positive definite
-    at every node.  Index arithmetic wraps modulo ``dims``.
+    at every node.  Index arithmetic wraps modulo ``dims``.  Validation keeps
+    the smallest eigenvalue of g as ``min_eig``.
     """
 
     n: int
@@ -125,7 +105,7 @@ class GridModel:
         if self.g.shape != self.dims + (self.n, self.n):
             raise RejectedInputError(f"metric field must have shape {self.dims + (self.n, self.n)}")
         if self.validate:
-            validate_spd(self.g)
+            object.__setattr__(self, "min_eig", validate_spd(self.g))
 
     @classmethod
     def flat(cls, n=2, dims=(16, 16), period=None, scale=1.0) -> "GridModel":
@@ -135,6 +115,11 @@ class GridModel:
         g = np.zeros(tuple(dims) + (n, n))
         g[...] = scale * np.eye(n)
         return cls(n=n, dims=tuple(dims), period=tuple(period), g=g)
+
+    @cached_property
+    def min_eig(self) -> float:
+        """Smallest eigenvalue of g over all nodes; validates g if not yet done."""
+        return validate_spd(self.g)
 
     @property
     def spacings(self) -> np.ndarray:
@@ -149,18 +134,22 @@ class GridModel:
         return GridModel(n=self.n, dims=self.dims, period=self.period, g=g, validate=validate)
 
 
-def validate_spd(g: np.ndarray) -> None:
-    """Reject a metric field with a non-SPD or near-degenerate node."""
+def validate_spd(g: np.ndarray) -> float:
+    """Reject a metric field with a non-SPD or near-degenerate node.
+
+    One eigendecomposition per node serves every check; returns the smallest
+    eigenvalue over all nodes.
+    """
     if not np.all(np.isfinite(g)):
         raise RejectedInputError("metric field contains non-finite entries")
     if not np.allclose(g, np.swapaxes(g, -1, -2)):
         raise RejectedInputError("metric field is not symmetric")
-    det = np.linalg.det(g)
-    if np.any(det < DET_FLOOR):
-        raise RejectedInputError("metric determinant below degeneracy floor")
     eigs = np.linalg.eigvalsh(g)
+    if np.any(np.prod(eigs, axis=-1) < DET_FLOOR):
+        raise RejectedInputError("metric determinant below degeneracy floor")
     if np.any(eigs[..., 0] <= 0):
         raise RejectedInputError("metric is not positive definite at some node")
+    return float(np.min(eigs[..., 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +240,7 @@ def ricci(m, gamma=None):
 
 def _ricci_frame(m: FrameModel) -> np.ndarray:
     """Closed-form Ricci of a unimodular Milnor frame, as lowered diagonal R_ii."""
-    lams = m.milnor_lambdas()
-    if m.n == 2:
-        return np.zeros(2)
-    a = m.a
+    lams, a = m.lams, m.a
     idx = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
     cbar = np.array([lams[i] * np.sqrt(a[i] / (a[j] * a[k])) for i, j, k in idx])
     s = 0.5 * cbar.sum()

@@ -264,7 +264,8 @@ def _state_record(state) -> dict:
     if isinstance(model, FrameModel):
         rec["model"] = "frame"
         rec["a"] = model.a.tolist()
-        rec["c"] = model.c.tolist() if hasattr(model.c, "tolist") else model.c
+        rec["lams"] = model.lams.tolist()
+        rec["base_volume"] = model.base_volume
     else:
         rec["model"] = "grid"
         rec["dims"] = list(model.dims)
@@ -292,7 +293,8 @@ def load_trajectory(path):
                 convention = rec["convention"]
             elif rec["kind"] == "state":
                 if rec["model"] == "frame":
-                    model = FrameModel.su2().with_a(np.array(rec["a"]))
+                    model = FrameModel(lams=rec["lams"], a=rec["a"],
+                                       base_volume=rec["base_volume"])
                 else:
                     model = GridModel(n=len(rec["dims"]), dims=tuple(rec["dims"]),
                                       period=tuple(rec["period"]),
@@ -326,14 +328,9 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
         background = flat_background(cfg) if cfg.kind == "grid" else None
 
         stage = "flow"
-        f0 = None
-        if cfg.couple_potential:
-            f0 = entropy.constant_potential(model0, cfg.tau)
         traj = flows.run_flow(model0, cfg.variant, cfg.tau, cfg.dt, cfg.t_end,
-                              background=background, f0=f0,
-                              couple_f=cfg.couple_potential,
-                              sample_every=cfg.sample_every,
-                              record_entropy=cfg.couple_potential)
+                              background=background, couple_f=cfg.couple_potential,
+                              sample_every=cfg.sample_every)
         traj_path = out_dir / "trajectory.jsonl"
         save_trajectory(traj, traj_path)
 

@@ -108,7 +108,7 @@ def test_criterion_1_exact_solutions():
 def test_criterion_2_entropy_monotonicity():
     m = FrameModel.su2(a=(4.4, 4.0, 3.7))
     traj = flows.run_flow(m, "tau", tau=1.0, dt=1e-4, t_end=0.02,
-                          couple_f=True, record_entropy=True, sample_every=10)
+                          couple_f=True, sample_every=10)
     records = entropy.monotonicity_report(traj)
     W = np.array([r.W for r in records])
     nondecreasing = bool(np.all(np.diff(W) >= -1e-13))

@@ -119,7 +119,7 @@ def test_grid_defect_matches_hessian_oracle():
 def test_monotonicity_report_on_berger_flow():
     m = FrameModel.su2(a=(4.4, 4.0, 3.7))
     traj = flows.run_flow(m, "tau", tau=1.0, dt=1e-3, t_end=0.1,
-                          couple_f=True, record_entropy=True, sample_every=10)
+                          couple_f=True, sample_every=10)
     records = entropy.monotonicity_report(traj)
     W = [r.W for r in records]
     assert all(w2 >= w1 - 1e-12 for w1, w2 in zip(W, W[1:]))
@@ -161,6 +161,13 @@ def test_constant_start_on_frame_is_symmetric_critical_point():
     assert res.iterations == 0
     f = entropy.constant_potential(m, 1.0)
     assert np.isclose(res.mu, entropy.w_functional(m, f, 1.0), atol=1e-12)
+
+
+@pytest.mark.parametrize("f0", [np.array(0.5), np.zeros((4, 4))], ids=["0-d", "2-d"])
+def test_minimize_mu_rejects_other_frame_potentials(f0):
+    """A frame model takes a float or a 1-d polar profile, nothing else."""
+    with pytest.raises(RejectedInputError, match="frame model"):
+        entropy.minimize_mu(FrameModel.su2(), 1.0, f0=f0)
 
 
 def test_radial_solver_recovers_round_minimum():

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from solitonlab import flows, gauge, geometry
+from solitonlab import entropy, flows, gauge, geometry
 from solitonlab.errors import RejectedInputError, StepRejectedError
 from solitonlab.flows import FlowState, MetricInterpolant, Trajectory
 from solitonlab.geometry import FrameModel, GridModel
@@ -121,6 +121,11 @@ def test_cfl_bound_scales_with_grid():
     h32 = GridModel.flat(2, (32, 32), (TWO_PI, TWO_PI))
     assert np.isclose(flows.cfl_bound(h16) / flows.cfl_bound(h32), 4.0)
     assert flows.cfl_bound(FrameModel.su2()) == np.inf
+    # 0.2 h^2 min eig(g) is the bound 0.2 h^2 / max eig(g^{-1}), validated or not
+    g = _wavy_grid(2, (8, 10))
+    inverse_form = 0.2 * np.min(g.spacings) ** 2 / np.max(np.linalg.eigvalsh(np.linalg.inv(g.g)))
+    assert np.isclose(flows.cfl_bound(g), inverse_form, rtol=1e-14, atol=0.0)
+    assert flows.cfl_bound(g.with_metric(g.g, validate=False)) == flows.cfl_bound(g)
 
 
 def test_step_rejects_dt_above_cfl():
@@ -131,6 +136,70 @@ def test_step_rejects_dt_above_cfl():
     rhs = flows.make_metric_rhs("deturck", np.inf, background=h)
     with pytest.raises(StepRejectedError):
         flows.step(state, rhs, dt=10.0 * flows.cfl_bound(g0))
+
+
+def test_step_matches_the_classical_rk4_formula():
+    """One step is bitwise the textbook RK4 written out stage by stage."""
+    dt = 0.01
+    g0 = _wavy_grid(2, (8, 8))
+    rhs = flows.make_metric_rhs("deturck", np.inf, GridModel.flat(2, (8, 8)))
+    at = lambda g: g0.with_metric(g, validate=False)
+    k1 = rhs(at(g0.g))
+    k2 = rhs(at(g0.g + 0.5 * dt * k1))
+    k3 = rhs(at(g0.g + 0.5 * dt * k2))
+    k4 = rhs(at(g0.g + dt * k3))
+    got = flows.step(FlowState(t=0.0, model=g0, tau=np.inf), rhs, dt)
+    assert np.array_equal(got.model.g, g0.g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    assert got.t == dt
+
+    tau = 1.0
+    m = FrameModel.su2(a=(4.4, 4.0, 3.7))
+    f0 = entropy.constant_potential(m, tau)
+    rhs = flows.make_metric_rhs("tau", tau)
+
+    def k(a, f):
+        stage = m.with_a(a)
+        return rhs(stage), flows.rhs_potential(f, stage, tau)
+
+    k1a, k1f = k(m.a, f0)
+    k2a, k2f = k(m.a + 0.5 * dt * k1a, f0 + 0.5 * dt * k1f)
+    k3a, k3f = k(m.a + 0.5 * dt * k2a, f0 + 0.5 * dt * k2f)
+    k4a, k4f = k(m.a + dt * k3a, f0 + dt * k3f)
+    a1 = m.a + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+    f1 = entropy.normalize_f(m.with_a(a1), f0 + (dt / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f),
+                             tau)
+    got = flows.step(FlowState(t=0.0, model=m, tau=tau, f=f0), rhs, dt, couple_f=True)
+    assert np.array_equal(got.model.a, a1)
+    assert got.f == f1
+
+
+def test_grid_step_decomposes_each_metric_once(monkeypatch):
+    """An accepted DeTurck step inverts each stage metric once and decomposes
+    only its result: the SPD check keeps the smallest eigenvalue that the
+    next step's CFL bound reads."""
+    rhs = flows.make_metric_rhs("deturck", np.inf, GridModel.flat(2, (8, 8)))
+    state = FlowState(t=0.0, model=_wavy_grid(2, (8, 8)), tau=np.inf)
+    calls = Counter()
+    for owner, name in ((geometry, "inverse_metric"), (np.linalg, "eigvalsh"),
+                        (np.linalg, "det")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    for n_steps in (1, 2):
+        state = flows.step(state, rhs, 0.01)
+        assert calls == {"eigvalsh": n_steps, "inverse_metric": 4 * n_steps}
+
+
+def test_frame_stage_past_zero_is_a_rejected_step():
+    """A frame coefficient crossing zero inside a stage is a rejected step
+    (dt can be halved); a bad tau is still rejected input."""
+    m = FrameModel.su2(a=(1.2, 1.0, 0.9))
+    state = FlowState(t=0.0, model=m, tau=1.0)
+    with pytest.raises(StepRejectedError, match="t = 1.0 left the SPD cone"):
+        flows.step(state, flows.make_metric_rhs("tau", 1.0), 1.0)
+    with pytest.raises(RejectedInputError):
+        flows.step(state, flows.make_metric_rhs("tau", 0.0), 0.01)
 
 
 def test_run_flow_halves_dt_to_recover():
@@ -159,7 +228,7 @@ def test_coupled_potential_keeps_constraint():
     from solitonlab import entropy
     m = FrameModel.su2(a=(4.4, 4.0, 3.7))
     traj = flows.run_flow(m, "tau", tau=1.0, dt=1e-3, t_end=0.1,
-                          couple_f=True, record_entropy=True)
+                          couple_f=True)
     for state in traj.states:
         assert entropy.constraint_residual(state.model, state.f, state.tau) < 1e-10
 

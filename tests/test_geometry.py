@@ -149,7 +149,7 @@ def test_frame_ricci_matches_koszul_oracle():
     for a in [(1.0, 1.0, 1.0), (4.0, 4.0, 4.0), (1.3, 0.9, 0.5)]:
         m = FrameModel.su2(a=a)
         got = geometry.ricci(m)  # lowered diagonal coefficients
-        oracle = _koszul_frame_ricci(m.milnor_lambdas(), a)
+        oracle = _koszul_frame_ricci(m.lams, a)
         off = oracle - np.diag(np.diag(oracle))
         assert np.max(np.abs(off)) < 1e-12, "oracle Ricci should be diagonal"
         # the oracle traces against the orthonormal frame, so its diagonal

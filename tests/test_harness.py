@@ -125,7 +125,7 @@ def test_build_frame_models():
 def test_trajectory_round_trip_frame(tmp_path):
     m = FrameModel.su2(a=(4.4, 4.0, 3.7))
     traj = flows.run_flow(m, "tau", tau=1.0, dt=1e-2, t_end=0.05,
-                          couple_f=True, record_entropy=True)
+                          couple_f=True)
     path = tmp_path / "traj.jsonl"
     harness.save_trajectory(traj, path)
     back = harness.load_trajectory(path)
@@ -148,6 +148,22 @@ def test_trajectory_round_trip_grid(tmp_path):
     for s0, s1 in zip(traj.states, back.states):
         assert np.array_equal(s0.model.g, s1.model.g)
         assert s1.model.dims == s0.model.dims
+
+
+def test_trajectory_round_trip_flat_torus(tmp_path):
+    """A frame state reloads with its own structure constants and base volume."""
+    m = FrameModel.flat_torus3(a=(1.0, 2.0, 3.0), base_volume=5.0)
+    traj = flows.run_flow(m, "tau", tau=1.0, dt=1e-2, t_end=0.05)
+    path = tmp_path / "traj.jsonl"
+    harness.save_trajectory(traj, path)
+    back = harness.load_trajectory(path)
+    assert len(back.states) == len(traj.states)
+    for s0, s1 in zip(traj.states, back.states):
+        assert np.array_equal(s1.model.lams, np.zeros(3))
+        assert np.array_equal(s1.model.a, s0.model.a)
+        assert s1.model.base_volume == 5.0
+        assert np.array_equal(geometry.ricci(s1.model), np.zeros(3))
+        assert geometry.volume(s1.model) == geometry.volume(s0.model)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +331,22 @@ def test_cli_numerical_exit_code(tmp_path, monkeypatch, capsys):
     code = cli.main(["run", _write_config(tmp_path, text)])
     assert code == cli.EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_frame_singularity_exits_numerical(tmp_path, monkeypatch, capsys):
+    """Berger (1.2, 1.0, 0.9) lies below the round fixed point a = 4 of the
+    tau = 1 flow and collapses in finite time: halving cannot carry a step
+    past the singularity, so the run fails in the flow stage, naming the time."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    text = ("[model]\nkind = frame\nrecipe = berger\ncoefficients = 1.2,1.0,0.9\n"
+            "[flow]\nvariant = tau\ntau = 1.0\ndt = 0.01\nt_end = 2.0\n"
+            "[output]\nname = singular\n")
+    assert cli.main(["run", _write_config(tmp_path, text)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: step to t = 0.297" in err
+    assert "left the SPD cone" in err
+    record, = tmp_path.glob("singular-*/record.json")
+    assert json.loads(record.read_text())["verdicts"]["failed_stage"] == "flow"
 
 
 def test_cli_spectrum_and_plot(tmp_path, monkeypatch, capsys):
