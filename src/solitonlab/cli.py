@@ -51,9 +51,10 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_entropy(args) -> int:
     cfg = _load_config(args.config)
+    cfg.couple_potential = True  # the audit evolves the potential: check it as `run` would
+    harness._validate(cfg)
     model = harness.build_model(cfg)
     traj = flows.run_flow(model, cfg.variant, cfg.tau, cfg.dt, cfg.t_end,
-                          background=harness.flat_background(cfg) if cfg.kind == "grid" else None,
                           couple_f=True, sample_every=cfg.sample_every)
     records = entropy.monotonicity_report(traj)
     for rec in records:

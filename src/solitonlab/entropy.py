@@ -107,25 +107,38 @@ class _RadialQuadrature:
         return 0.5 * acc
 
 
-def _quadrature_terms(model, f, tau):
-    """Per-node weights w, potential values, kinetic term u w |grad f|^2, R."""
+def _weights(model, f):
+    """Per-node volume weights w and potential values of the quadrature."""
     if isinstance(model, GridModel):
-        dV = np.prod(model.spacings)
-        w = np.sqrt(np.linalg.det(model.g)) * dV
-        ginv = geometry.inverse_metric(model)
-        df = geometry.partials(model, f)
-        gsq = np.einsum("...ij,...i,...j->...", ginv, df, df)
-        R = geometry.scalar_curvature(model)
-        return w, np.asarray(f, dtype=float), np.exp(-f) * w * gsq, R
+        return model.sqrt_det * np.prod(model.spacings), np.asarray(f, dtype=float)
     if _is_radial(model, f):
-        r = _require_round(model)
-        quad = _RadialQuadrature(r, len(f))
-        R = geometry.scalar_curvature(model)
-        return quad.w, f, quad.kinetic(f), np.full_like(f, R)
+        return _RadialQuadrature(_require_round(model), len(f)).w, f
     # constant potential on a homogeneous model
-    fval = float(f)
-    return np.array([geometry.volume(model)]), np.array([fval]), np.array([0.0]), \
-        np.array([geometry.scalar_curvature(model)])
+    return np.array([geometry.volume(model)]), np.array([float(f)])
+
+
+def _grad_sq(model: GridModel, f):
+    """Partials of a grid potential and |grad f|^2 per node."""
+    df = geometry.partials(model, f)
+    return df, np.einsum("...ij,...i,...j->...", model.ginv, df, df)
+
+
+def _quadrature_terms(model, f):
+    """Per-node weights w, potential values, kinetic term u w |grad f|^2, R."""
+    w, fv = _weights(model, f)
+    R = geometry.scalar_curvature(model)
+    if isinstance(model, GridModel):
+        return w, fv, np.exp(-f) * w * _grad_sq(model, f)[1], R
+    if _is_radial(model, f):
+        kin = _RadialQuadrature(_require_round(model), len(f)).kinetic(f)
+        return w, fv, kin, np.full_like(f, R)
+    return w, fv, np.array([0.0]), np.array([R])
+
+
+def _mass(model, f, tau: float) -> float:
+    """(4 pi tau)^{-n/2} int e^{-f} dV."""
+    w, fv = _weights(model, f)
+    return (4.0 * np.pi * tau) ** (-model.n / 2.0) * np.sum(np.exp(-fv) * w)
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +156,12 @@ def constant_potential(model, tau: float):
 
 def constraint_residual(model, f, tau: float) -> float:
     """|(4 pi tau)^{-n/2} int e^{-f} dV - 1|."""
-    w, fv, _, _ = _quadrature_terms(model, f, tau)
-    mass = (4.0 * np.pi * tau) ** (-model.n / 2.0) * np.sum(np.exp(-fv) * w)
-    return float(abs(mass - 1.0))
+    return float(abs(_mass(model, f, tau) - 1.0))
 
 
 def normalize_f(model, f, tau: float):
     """Shift f by the unique constant that restores the constraint."""
-    w, fv, _, _ = _quadrature_terms(model, f, tau)
-    mass = (4.0 * np.pi * tau) ** (-model.n / 2.0) * np.sum(np.exp(-fv) * w)
-    shift = float(np.log(mass))
+    shift = float(np.log(_mass(model, f, tau)))
     if isinstance(f, np.ndarray):
         return f + shift
     return float(f) + shift
@@ -170,7 +179,7 @@ def w_functional(model, f, tau: float) -> float:
 
 def _w_value(model, f, tau: float) -> float:
     n = model.n
-    w, fv, kin, R = _quadrature_terms(model, f, tau)
+    w, fv, kin, R = _quadrature_terms(model, f)
     u = np.exp(-fv)
     c = (4.0 * np.pi * tau) ** (-n / 2.0)
     return float(c * np.sum(tau * kin + u * w * (tau * R + fv - n)))
@@ -189,9 +198,8 @@ def soliton_defect(model, f, tau: float):
     """
     if isinstance(model, FrameModel):
         return geometry.ricci(model) - model.a / (2.0 * tau)
-    gamma = geometry.christoffel(model)
     df = geometry.partials(model, f)
-    hess = geometry.hessian(model, f) - np.einsum("...kij,...k->...ij", gamma, df)
+    hess = geometry.hessian(model, f) - np.einsum("...kij,...k->...ij", model.gamma, df)
     return geometry.ricci(model) + hess - model.g / (2.0 * tau)
 
 
@@ -200,13 +208,12 @@ def weighted_defect_sq(model, f, tau: float) -> float:
     if isinstance(model, FrameModel) and isinstance(f, np.ndarray):
         raise RejectedInputError("defect on a frame model needs a constant potential")
     d = soliton_defect(model, f, tau)
-    w, fv, _, _ = _quadrature_terms(model, f, tau)
+    w, fv = _weights(model, f)
     c = (4.0 * np.pi * tau) ** (-model.n / 2.0)
     if isinstance(model, FrameModel):
         mag_sq = float(np.sum((d / model.a) ** 2))
         return float(mag_sq * c * np.sum(np.exp(-fv) * w))
-    ginv = geometry.inverse_metric(model)
-    mag_sq = np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, d, d)
+    mag_sq = np.einsum("...ik,...jl,...ij,...kl->...", model.ginv, model.ginv, d, d)
     return float(np.sum(c * np.exp(-fv) * w * mag_sq))
 
 
@@ -233,16 +240,21 @@ def monotonicity_report(traj, tol: float = 1e-10) -> list:
 
     Per sample: W, centered-difference dW/dt, and the closed-form derivative
     ``2 tau int |defect|^2 dm``.  ``monotone`` flags any sample where the
-    numeric derivative dips below ``-tol``.
+    numeric derivative dips below ``-tol``.  Each state's geometry is read
+    off a throwaway twin of its model, so the trajectory keeps metrics only.
     """
     states = traj.states
     if any(s.f is None for s in states):
         raise RejectedInputError("monotonicity audit requires a trajectory with the potential evolved")
     times = traj.times
-    W = np.array([w_functional(s.model, s.f, s.tau) for s in states])
+    W, formulas = [], []
+    for s in states:
+        model = geometry.twin(s.model)
+        W.append(w_functional(model, s.f, s.tau))
+        formulas.append(2.0 * s.tau * weighted_defect_sq(model, s.f, s.tau))
+    W = np.array(W)
     records = []
-    for i, s in enumerate(states):
-        formula = 2.0 * s.tau * weighted_defect_sq(s.model, s.f, s.tau)
+    for i, (s, formula) in enumerate(zip(states, formulas)):
         if 0 < i < len(states) - 1:
             numeric = (W[i + 1] - W[i - 1]) / (times[i + 1] - times[i - 1])
         elif i == 0 and len(states) > 1:
@@ -263,28 +275,22 @@ def monotonicity_report(traj, tol: float = 1e-10) -> list:
 # mu-invariant minimization
 
 
-def _w_and_grad(model, f, tau):
-    """Entropy value and its exact discrete gradient dW/df per node."""
+def _w_and_grad(model: GridModel, f, tau):
+    """Entropy value and its exact discrete gradient dW/df per grid node."""
     n = model.n
     c = (4.0 * np.pi * tau) ** (-n / 2.0)
-    if isinstance(model, GridModel):
-        dV = np.prod(model.spacings)
-        w = np.sqrt(np.linalg.det(model.g)) * dV
-        ginv = geometry.inverse_metric(model)
-        df = geometry.partials(model, f)
-        gsq = np.einsum("...ij,...i,...j->...", ginv, df, df)
-        R = geometry.scalar_curvature(model)
-        u = np.exp(-f)
-        A = tau * (gsq + R) + f - n
-        W = float(np.sum(c * u * w * A))
-        grad = c * u * w * (1.0 - A)
-        # adjoint of the central-difference Dirichlet term
-        # adjoint of the periodic central difference is its negative
-        s = 2.0 * tau * c * (u * w)[..., None] * np.einsum("...ij,...j->...i", ginv, df)
-        for l in range(model.n):
-            grad -= geometry.d1(s[..., l], axis=l, h=model.spacings[l])
-        return W, grad
-    raise RejectedInputError("the descent path needs a grid potential field")
+    w, _ = _weights(model, f)
+    df, gsq = _grad_sq(model, f)
+    R = geometry.scalar_curvature(model)
+    u = np.exp(-f)
+    A = tau * (gsq + R) + f - n
+    W = float(np.sum(c * u * w * A))
+    grad = c * u * w * (1.0 - A)
+    # adjoint of the periodic central difference is its negative
+    s = 2.0 * tau * c * (u * w)[..., None] * np.einsum("...ij,...j->...i", model.ginv, df)
+    for l in range(model.n):
+        grad -= geometry.d1(s[..., l], axis=l, h=model.spacings[l])
+    return W, grad
 
 
 def _minimize_mu_radial(model, tau: float, f0: np.ndarray, grad_tol: float,
@@ -354,7 +360,7 @@ def _minimize_mu_radial(model, tau: float, f0: np.ndarray, grad_tol: float,
         last_iterate=MuResult(f=f, mu=W, iterations=max_iter, grad_norm=gnorm))
 
 
-def _projected_grad_norm(model, f, tau, w_nodes, grad):
+def _projected_grad_norm(f, w_nodes, grad):
     """Weighted L2 norm of the constraint-tangent functional gradient."""
     u = np.exp(-f)
     gamma = grad / w_nodes
@@ -391,7 +397,7 @@ def minimize_mu(model, tau: float, f0=None, grad_tol: float = GRAD_TOL,
 
     f = normalize_f(model, np.asarray(f0, dtype=float), tau)
     shape = f.shape
-    w_nodes = np.sqrt(np.linalg.det(model.g)) * np.prod(model.spacings)
+    w_nodes, _ = _weights(model, f)
     c = (4.0 * np.pi * tau) ** (-model.n / 2.0)
 
     def objective(ft):
@@ -414,7 +420,7 @@ def minimize_mu(model, tau: float, f0=None, grad_tol: float = GRAD_TOL,
         iters += int(res.nit)
         f = normalize_f(model, x.reshape(shape), tau)
         W, grad = _w_and_grad(model, f, tau)
-        gnorm = _projected_grad_norm(model, f, tau, w_nodes, grad)
+        gnorm = _projected_grad_norm(f, w_nodes, grad)
         if gnorm < grad_tol:
             break
     result = MuResult(f=f, mu=W, iterations=iters, grad_norm=gnorm)

@@ -7,15 +7,16 @@ equation.  Time stepping is classical RK4 (``rk4``, shared with the gauge
 flows) under a parabolic CFL bound; the tau-flow <-> unnormalized
 reparametrization translates trajectories between the two conventions.
 
-The DeTurck right-hand side makes one geometry pass per evaluation: it
-inverts g once, computes Gamma(g) once and builds both Ricci and the gauge
-field V from them; the background's Gamma(h) is computed once per
-``make_metric_rhs``.
+The DeTurck right-hand side makes one geometry pass per evaluation: the
+model derives g^{-1}, Gamma(g) and Ricci once, and both Ricci and the gauge
+field V read them; the background's Gamma(h) is derived once per
+``make_metric_rhs``.  Trajectory states carry metrics only: diagnostics read
+the geometry of a throwaway twin of each sampled model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -120,18 +121,14 @@ def rhs_unnormalized(model):
     return -2.0 * geometry.ricci(model)
 
 
-def rhs_deturck(m: GridModel, h: GridModel, tau: float, gamma_h=None):
+def rhs_deturck(m: GridModel, h: GridModel, tau: float):
     """Metric velocity of the gauge-fixed flow: -2 Ric + g/tau + L_V g.
 
-    V is the reference-background vector field of ``gauge.deturck_vector``;
-    ``gamma_h`` is ``christoffel(h)`` if the caller has it.  ``tau = inf``
-    gives the unnormalized variant (no g/tau term).
+    V is the reference-background vector field of ``gauge.deturck_vector``.
+    ``tau = inf`` gives the unnormalized variant (no g/tau term).
     """
-    ginv = geometry.inverse_metric(m)
-    gamma = geometry.christoffel(m, ginv=ginv)
-    v = gauge.deturck_vector(m, h, gamma_g=gamma, gamma_h=gamma_h, ginv=ginv)
-    out = (-2.0 * geometry.ricci(m, gamma=gamma)
-           + geometry.lie_derivative_metric(m, v, gamma=gamma))
+    v = gauge.deturck_vector(m, h)
+    out = -2.0 * geometry.ricci(m) + geometry.lie_derivative_metric(m, v)
     if np.isfinite(tau):
         out = out + m.g / tau
     return out
@@ -143,11 +140,9 @@ def rhs_potential(f, model, tau: float):
     if isinstance(model, FrameModel):
         # homogeneous: gradient terms vanish for the constant potential
         return -geometry.scalar_curvature(model) + n / (2.0 * tau)
-    gamma = geometry.christoffel(model)
-    ginv = geometry.inverse_metric(model)
     df = geometry.partials(model, f)
-    grad_sq = np.einsum("...ij,...i,...j->...", ginv, df, df)
-    lap = geometry.laplacian_scalar(model, f, gamma=gamma)
+    grad_sq = np.einsum("...ij,...i,...j->...", model.ginv, df, df)
+    lap = geometry.laplacian_scalar(model, f)
     return -lap + grad_sq - geometry.scalar_curvature(model) + n / (2.0 * tau)
 
 
@@ -160,8 +155,8 @@ def make_metric_rhs(variant: str, tau: float, background: Optional[GridModel] = 
     if variant == "deturck":
         if background is None:
             raise RejectedInputError("deturck flow needs a reference background")
-        gamma_h = geometry.christoffel(background)
-        return lambda model: rhs_deturck(model, background, tau, gamma_h=gamma_h)
+        background.gamma  # derive Gamma(h) now, once for every evaluation
+        return lambda model: rhs_deturck(model, background, tau)
     raise RejectedInputError(f"unknown flow variant {variant!r}")
 
 
@@ -223,7 +218,8 @@ def step(state: FlowState, metric_rhs: Callable, dt: float,
     y0 = (_metric_array(state.model), state.f) if couple_f else (_metric_array(state.model),)
     y1 = rk4(velocity, y0, dt)
     model1 = model_at(y1[0], validate=True)
-    f1 = entropy.normalize_f(model1, y1[1], state.tau) if couple_f else state.f
+    f1 = (entropy.normalize_f(geometry.twin(model1), y1[1], state.tau) if couple_f
+          else state.f)
     return FlowState(t=state.t + dt, model=model1, tau=state.tau, f=f1, F=state.F)
 
 
@@ -239,7 +235,7 @@ def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
     """
     metric_rhs = make_metric_rhs(variant, tau, background)
     if couple_f and f0 is None:
-        f0 = entropy.constant_potential(model0, tau)
+        f0 = entropy.constant_potential(geometry.twin(model0), tau)
     state = FlowState(t=0.0, model=model0, tau=tau, f=f0)
     traj = Trajectory(convention=variant)
     traj.append(state, _diagnose(state, background, couple_f))
@@ -270,19 +266,16 @@ def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
 
 def _diagnose(state: FlowState, background, couple_f: bool) -> dict:
     diag = {"t": state.t}
-    model = state.model
+    model = geometry.twin(state.model)
     R = geometry.scalar_curvature(model)
-    diag["scalar_curvature_range"] = (
-        [float(R), float(R)] if np.isscalar(R) or np.ndim(R) == 0
-        else [float(np.min(R)), float(np.max(R))]
-    )
+    diag["scalar_curvature_range"] = [float(np.min(R)), float(np.max(R))]
     if background is not None and isinstance(model, GridModel):
         dev = model.g - background.g
         rep = geometry.norms(model, dev, k=1)
         diag["deviation_l2"] = rep.l2
         diag["deviation_sup"] = rep.sup
     if couple_f:
-        rec = entropy.entropy_record(state)
+        rec = entropy.entropy_record(replace(state, model=model))
         diag["entropy"] = {"W": rec.W, "defect_l2": rec.defect_l2}
     return diag
 

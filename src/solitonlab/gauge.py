@@ -98,47 +98,28 @@ def _require_flat(h: GridModel) -> None:
 # gauge vector field and standard form
 
 
-def deturck_vector(g: GridModel, h: GridModel, gamma_g=None, gamma_h=None,
-                   ginv=None) -> np.ndarray:
-    """V^k = g^{pq} (Gamma^k_pq(g) - Gamma^k_pq(h)).
-
-    ``gamma_g``, ``gamma_h`` and ``ginv`` are the caller's Christoffel
-    symbols of g and h and inverse of g, where it has them.
-    """
-    if ginv is None:
-        ginv = geometry.inverse_metric(g)
-    if gamma_g is None:
-        gamma_g = geometry.christoffel(g, ginv=ginv)
-    if gamma_h is None:
-        gamma_h = geometry.christoffel(h)
-    return np.einsum("...pq,...kpq->...k", ginv, gamma_g - gamma_h)
+def deturck_vector(g: GridModel, h: GridModel) -> np.ndarray:
+    """V^k = g^{pq} (Gamma^k_pq(g) - Gamma^k_pq(h))."""
+    return np.einsum("...pq,...kpq->...k", g.ginv, g.gamma - h.gamma)
 
 
 def p_operator(g: GridModel, h: GridModel) -> np.ndarray:
     """Standard-form gauge term nabla_i V_j + nabla_j V_i (w.r.t. g)."""
-    gamma = geometry.christoffel(g)
-    v = deturck_vector(g, h, gamma_g=gamma)
-    return geometry.lie_derivative_metric(g, v, gamma=gamma)
+    return geometry.lie_derivative_metric(g, deturck_vector(g, h))
 
 
 # ---------------------------------------------------------------------------
 # harmonic-map heat flow for the displacement
 
 
-def harmonic_map_rhs(F: np.ndarray, g: GridModel, h: GridModel, ginv=None,
-                     gamma=None) -> np.ndarray:
+def harmonic_map_rhs(F: np.ndarray, g: GridModel, h: GridModel) -> np.ndarray:
     """Map-Laplacian velocity of F = phi - Id for a flat target background.
 
     rhs^k = g^{ij} (d2_ij F^k - Gamma^l_ij(g) d_l F^k) + g^{ij} (Gamma^k_ij(h)
     - Gamma^k_ij(g)); the last term is the forcing that vanishes when g = h.
-    ``ginv`` and ``gamma`` are the caller's inverse and Christoffel symbols
-    of g, where it has them.
     """
     _require_flat(h)
-    if ginv is None:
-        ginv = geometry.inverse_metric(g)
-    if gamma is None:
-        gamma = geometry.christoffel(g, ginv=ginv)
+    ginv, gamma = g.ginv, g.gamma
     hess = geometry.hessian(g, F)  # [..., k, i, j]
     lap = np.einsum("...ij,...kij->...k", ginv, hess)
     dF = geometry.partials(g, F)  # [..., k, l]
@@ -163,10 +144,9 @@ def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t0: float, t1: floa
 
     ``g_of_t`` maps a time to a GridModel (e.g. a MetricInterpolant).  RK4 in
     time; ``g_of_t`` is called once per distinct time (step ends and
-    midpoints) and each metric's inverse and Christoffel symbols are shared
-    by the stages and the energy record that use it.  The injectivity proxy
-    is checked after every step and a failure raises ``GaugeBreakdownError``
-    with the breakdown time.
+    midpoints), so the stages and the energy record that use one metric share
+    its derived fields.  The injectivity proxy is checked after every step and
+    a failure raises ``GaugeBreakdownError`` with the breakdown time.
     """
     _require_flat(h)
     traj = GaugeTrajectory(h=h)
@@ -174,29 +154,21 @@ def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t0: float, t1: floa
     t = t0
     n_steps = int(round((t1 - t0) / dt))
 
-    def metric_at(t):
-        """g(t) with its inverse and Christoffel symbols."""
-        g = g_of_t(t)
-        ginv = geometry.inverse_metric(g)
-        return g, ginv, geometry.christoffel(g, ginv=ginv)
-
-    def record(t, F, at):
-        g, ginv, _ = at
-        e = energy_density(F, g, h, ginv=ginv)
+    def record(t, F, g):
+        e = energy_density(F, g, h)
         traj.times.append(float(t))
         traj.F.append(F.copy())
         traj.energy.append(EnergyRecord(t=float(t), e_sup=float(np.max(e)),
-                                        E=total_energy(F, g, h, density=e)))
+                                        E=_integrate(e, g)))
 
     def velocity(c, y):
-        g, ginv, gamma = stages[c]
-        return (harmonic_map_rhs(y[0], g, h, ginv=ginv, gamma=gamma),)
+        return (harmonic_map_rhs(y[0], stages[c], h),)
 
-    now = metric_at(t)
+    now = g_of_t(t)
     record(t, F, now)
     for _ in range(n_steps):
         # the metrics at the stage fractions c = 0, 1/2, 1 of this step
-        stages = {0.0: now, 0.5: metric_at(t + 0.5 * dt), 1.0: metric_at(t + dt)}
+        stages = {0.0: now, 0.5: g_of_t(t + 0.5 * dt), 1.0: g_of_t(t + dt)}
         F, = flows.rk4(velocity, (F,), dt)
         t += dt
         if not DiffeoField(F=F, h=h).is_injective():
@@ -243,19 +215,20 @@ def integrate_diffeo_ode(times, v_series, S0: np.ndarray, grid: GridModel) -> Ga
 # energy of the displacement
 
 
-def energy_density(F: np.ndarray, g: GridModel, h: GridModel, ginv=None) -> np.ndarray:
+def energy_density(F: np.ndarray, g: GridModel, h: GridModel) -> np.ndarray:
     """e = g^{ij} h_kl d_i F^k d_j F^l, the gauge-displacement energy density."""
-    if ginv is None:
-        ginv = geometry.inverse_metric(g)
     dF = geometry.partials(g, F)  # [..., k, i]
-    return np.einsum("...ij,...kl,...ki,...lj->...", ginv, h.g, dF, dF)
+    return np.einsum("...ij,...kl,...ki,...lj->...", g.ginv, h.g, dF, dF)
 
 
-def total_energy(F: np.ndarray, g: GridModel, h: GridModel, density=None) -> float:
-    """E = int e dV_g by midpoint quadrature; ``density`` is e, if computed."""
-    e = energy_density(F, g, h) if density is None else density
-    dV = np.prod(g.spacings)
-    return float(np.sum(e * np.sqrt(np.linalg.det(g.g))) * dV)
+def total_energy(F: np.ndarray, g: GridModel, h: GridModel) -> float:
+    """E = int e dV_g by midpoint quadrature."""
+    return _integrate(energy_density(F, g, h), g)
+
+
+def _integrate(e: np.ndarray, g: GridModel) -> float:
+    """Midpoint quadrature of a scalar field against dV_g."""
+    return float(np.sum(e * g.sqrt_det) * np.prod(g.spacings))
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +248,22 @@ def pullback_metric(F: np.ndarray, g: GridModel) -> GridModel:
 
 def invert_diffeo(F: np.ndarray, grid: GridModel, tol: float = 1e-13,
                   max_iter: int = 100) -> np.ndarray:
-    """Displacement G of the inverse map: (Id + F) o (Id + G) = Id."""
+    """Displacement G of the inverse map: (Id + F) o (Id + G) = Id.
+
+    Fixed-point iteration; raises ``NonConvergenceError`` (carrying the last
+    iterate) if the update does not drop below ``tol`` in ``max_iter`` sweeps.
+    """
     x0 = coords_array(grid)
     period = np.array(grid.period)
-    G = -F.copy()
+    G, delta = -F.copy(), np.inf
     for _ in range(max_iter):
         G_new = -interp_periodic(F, np.mod(x0 + G, period), grid.dims, grid.period)
         delta = float(np.max(np.abs(G_new - G)))
         G = G_new
         if delta < tol:
-            break
-    return G
+            return G
+    raise NonConvergenceError(f"diffeomorphism inversion stalled at update {delta:.3e}",
+                              last_iterate=G)
 
 
 def _solve_background_divergence(h: GridModel, rhs: np.ndarray) -> np.ndarray:

@@ -76,6 +76,11 @@ class FrameModel:
         """The same frame with metric coefficients ``a``."""
         return FrameModel(lams=self.lams, a=a, base_volume=self.base_volume)
 
+    @cached_property
+    def ric(self) -> np.ndarray:
+        """Ricci tensor as lowered diagonal coefficients, read-only."""
+        return _read_only(_ricci_frame(self))
+
 
 @dataclass(frozen=True)
 class GridModel:
@@ -83,7 +88,9 @@ class GridModel:
 
     ``g`` has shape ``dims + (n, n)`` and must be symmetric positive definite
     at every node.  Index arithmetic wraps modulo ``dims``.  Validation keeps
-    the smallest eigenvalue of g as ``min_eig``.
+    the smallest eigenvalue of g as ``min_eig``.  The derived fields ``ginv``,
+    ``gamma``, ``ric`` and ``sqrt_det`` are computed once, on first use, and
+    are read-only: a model is never written to in place.
     """
 
     n: int
@@ -121,6 +128,26 @@ class GridModel:
         """Smallest eigenvalue of g over all nodes; validates g if not yet done."""
         return validate_spd(self.g)
 
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        """Inverse metric g^{ij}."""
+        return _read_only(inverse_metric(self))
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Christoffel symbols Gamma[..., k, i, j]."""
+        return _read_only(christoffel(self))
+
+    @cached_property
+    def ric(self) -> np.ndarray:
+        """Ricci tensor field."""
+        return _read_only(_ricci_grid(self))
+
+    @cached_property
+    def sqrt_det(self) -> np.ndarray:
+        """Volume density sqrt(det g) per node."""
+        return _read_only(np.sqrt(np.linalg.det(self.g)))
+
     @property
     def spacings(self) -> np.ndarray:
         return np.array([p / d for p, d in zip(self.period, self.dims)])
@@ -132,6 +159,19 @@ class GridModel:
 
     def with_metric(self, g, validate: bool = True) -> "GridModel":
         return GridModel(n=self.n, dims=self.dims, period=self.period, g=g, validate=validate)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def twin(m):
+    """A copy of ``m`` sharing its metric but none of its derived fields: reads
+    the geometry of a stored model without keeping that geometry on it."""
+    if isinstance(m, FrameModel):
+        return m.with_a(m.a)
+    return m.with_metric(m.g, validate=False)
 
 
 def validate_spd(g: np.ndarray) -> float:
@@ -211,31 +251,21 @@ def inverse_metric(m: GridModel) -> np.ndarray:
     return np.linalg.inv(m.g)
 
 
-def christoffel(m: GridModel, ginv=None) -> np.ndarray:
-    """Christoffel symbols Gamma[..., k, i, j] of the grid metric.
-
-    ``ginv`` is the caller's ``inverse_metric(m)``, if it has one.
-    """
+def christoffel(m: GridModel) -> np.ndarray:
+    """Christoffel symbols Gamma[..., k, i, j] of the grid metric."""
     hs = m.spacings
     n = m.n
-    if ginv is None:
-        ginv = inverse_metric(m)
     # dg[..., i, j, l] = d_l g_ij
     dg = np.stack([d1(m.g, axis=l, h=hs[l]) for l in range(n)], axis=-1)
     term = (np.einsum("...jli->...lij", dg) + np.einsum("...ilj->...lij", dg)
             - np.einsum("...ijl->...lij", dg))
     # term[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
+    return 0.5 * np.einsum("...kl,...lij->...kij", m.ginv, term)
 
 
-def ricci(m, gamma=None):
-    """Ricci tensor: a symmetric field on a grid, diagonal coefficients on a frame.
-
-    ``gamma`` is the caller's ``christoffel(m)`` of a grid model, if it has one.
-    """
-    if isinstance(m, FrameModel):
-        return _ricci_frame(m)
-    return _ricci_grid(m, gamma=gamma)
+def ricci(m):
+    """Ricci tensor: a symmetric field on a grid, diagonal coefficients on a frame."""
+    return m.ric
 
 
 def _ricci_frame(m: FrameModel) -> np.ndarray:
@@ -249,11 +279,10 @@ def _ricci_frame(m: FrameModel) -> np.ndarray:
     return r * a
 
 
-def _ricci_grid(m: GridModel, gamma=None) -> np.ndarray:
+def _ricci_grid(m: GridModel) -> np.ndarray:
     hs = m.spacings
     n = m.n
-    if gamma is None:
-        gamma = christoffel(m)
+    gamma = m.gamma
     # dgamma[..., k, i, j, l] = d_l Gamma^k_ij
     dgamma = np.stack([d1(gamma, axis=l, h=hs[l]) for l in range(n)], axis=-1)
     r = np.einsum("...kijk->...ij", dgamma)
@@ -266,10 +295,8 @@ def _ricci_grid(m: GridModel, gamma=None) -> np.ndarray:
 def scalar_curvature(m):
     """Scalar curvature: a scalar field on a grid, a real on a frame model."""
     if isinstance(m, FrameModel):
-        return float(np.sum(_ricci_frame(m) / m.a))
-    ginv = inverse_metric(m)
-    ric = _ricci_grid(m, gamma=christoffel(m, ginv=ginv))
-    return np.einsum("...ij,...ij->...", ginv, ric)
+        return float(np.sum(m.ric / m.a))
+    return np.einsum("...ij,...ij->...", m.ginv, m.ric)
 
 
 # ---------------------------------------------------------------------------
@@ -280,73 +307,58 @@ def lower_vector(m: GridModel, v: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", m.g, v)
 
 
-def covd_oneform(m: GridModel, w: np.ndarray, gamma=None) -> np.ndarray:
+def covd_oneform(m: GridModel, w: np.ndarray) -> np.ndarray:
     """Covariant derivative of a 1-form: out[..., i, j] = nabla_i w_j."""
-    if gamma is None:
-        gamma = christoffel(m)
     dw = partials(m, w)  # dw[..., j, i] = d_i w_j
-    return np.einsum("...ji->...ij", dw) - np.einsum("...kij,...k->...ij", gamma, w)
+    return np.einsum("...ji->...ij", dw) - np.einsum("...kij,...k->...ij", m.gamma, w)
 
 
-def covd_tensor(m: GridModel, t: np.ndarray, gamma=None) -> np.ndarray:
+def covd_tensor(m: GridModel, t: np.ndarray) -> np.ndarray:
     """Covariant derivative of a (0,2)-tensor: out[..., l, i, j] = nabla_l T_ij."""
-    if gamma is None:
-        gamma = christoffel(m)
     dt = partials(m, t)  # dt[..., i, j, l] = d_l T_ij
     out = np.einsum("...ijl->...lij", dt)
-    out -= np.einsum("...mli,...mj->...lij", gamma, t)
-    out -= np.einsum("...mlj,...im->...lij", gamma, t)
+    out -= np.einsum("...mli,...mj->...lij", m.gamma, t)
+    out -= np.einsum("...mlj,...im->...lij", m.gamma, t)
     return out
 
 
-def divergence(m: GridModel, t: np.ndarray, gamma=None) -> np.ndarray:
+def divergence(m: GridModel, t: np.ndarray) -> np.ndarray:
     """Divergence (delta T)_j = -g^{ik} nabla_i T_kj, returned as a 1-form."""
-    ginv = inverse_metric(m)
-    dt = covd_tensor(m, t, gamma=gamma)
-    return -np.einsum("...ik,...ikj->...j", ginv, dt)
+    return -np.einsum("...ik,...ikj->...j", m.ginv, covd_tensor(m, t))
 
 
-def lie_derivative_metric(m: GridModel, v: np.ndarray, gamma=None) -> np.ndarray:
+def lie_derivative_metric(m: GridModel, v: np.ndarray) -> np.ndarray:
     """(L_V g)_ij = nabla_i V_j + nabla_j V_i for an upper-index field V."""
-    w = lower_vector(m, v)
-    dv = covd_oneform(m, w, gamma=gamma)
+    dv = covd_oneform(m, lower_vector(m, v))
     return dv + np.swapaxes(dv, -1, -2)
 
 
-def laplacian_scalar(m: GridModel, f: np.ndarray, gamma=None) -> np.ndarray:
+def laplacian_scalar(m: GridModel, f: np.ndarray) -> np.ndarray:
     """Rough Laplacian g^{ij} nabla_i nabla_j f of a scalar field."""
-    if gamma is None:
-        gamma = christoffel(m)
-    ginv = inverse_metric(m)
-    hess = hessian(m, f)
-    hess = hess - np.einsum("...kij,...k->...ij", gamma, partials(m, f))
-    return np.einsum("...ij,...ij->...", ginv, hess)
+    hess = hessian(m, f) - np.einsum("...kij,...k->...ij", m.gamma, partials(m, f))
+    return np.einsum("...ij,...ij->...", m.ginv, hess)
 
 
-def laplacian_tensor(m: GridModel, t: np.ndarray, gamma=None) -> np.ndarray:
+def laplacian_tensor(m: GridModel, t: np.ndarray) -> np.ndarray:
     """Rough Laplacian g^{ml} nabla_m nabla_l T_ij of a (0,2)-tensor field."""
-    if gamma is None:
-        gamma = christoffel(m)
     hs = m.spacings
     n = m.n
-    first = covd_tensor(m, t, gamma=gamma)  # [..., l, i, j]
+    first = covd_tensor(m, t)  # [..., l, i, j]
     # second[..., m, l, i, j] = d_m (nabla_l T)_ij
     second = np.stack([d1(first, axis=mx, h=hs[mx]) for mx in range(n)], axis=-4)
     # replace the wide diagonal d_l d_l T part by the compact stencil
     for l in range(n):
         wide = d1(d1(t, axis=l, h=hs[l]), axis=l, h=hs[l])
         second[..., l, l, :, :] += d2(t, axis=l, h=hs[l]) - wide
-    second -= np.einsum("...pml,...pij->...mlij", gamma, first)
-    second -= np.einsum("...pmi,...lpj->...mlij", gamma, first)
-    second -= np.einsum("...pmj,...lip->...mlij", gamma, first)
-    ginv = inverse_metric(m)
-    return np.einsum("...ml,...mlij->...ij", ginv, second)
+    second -= np.einsum("...pml,...pij->...mlij", m.gamma, first)
+    second -= np.einsum("...pmi,...lpj->...mlij", m.gamma, first)
+    second -= np.einsum("...pmj,...lip->...mlij", m.gamma, first)
+    return np.einsum("...ml,...mlij->...ij", m.ginv, second)
 
 
-def riemann_lowered(m: GridModel, gamma=None) -> np.ndarray:
+def riemann_lowered(m: GridModel) -> np.ndarray:
     """Riemann tensor R_{ikjl} = g_{im} R^m_{kjl} on the grid."""
-    if gamma is None:
-        gamma = christoffel(m)
+    gamma = m.gamma
     hs = m.spacings
     n = m.n
     dgamma = np.stack([d1(gamma, axis=l, h=hs[l]) for l in range(n)], axis=-1)
@@ -358,21 +370,17 @@ def riemann_lowered(m: GridModel, gamma=None) -> np.ndarray:
     return np.einsum("...im,...mkjl->...ikjl", m.g, riem)
 
 
-def lichnerowicz(m: GridModel, t: np.ndarray, gamma=None) -> np.ndarray:
+def lichnerowicz(m: GridModel, t: np.ndarray) -> np.ndarray:
     """Lichnerowicz Laplacian: rough Laplacian plus curvature terms.
 
     Delta_L T = Delta T + 2 R_{ikjl} T^{kl} - R_ik T^k_j - R_jk T^k_i.
     On a flat background this is the componentwise Laplacian.
     """
-    if gamma is None:
-        gamma = christoffel(m)
-    ginv = inverse_metric(m)
-    rough = laplacian_tensor(m, t, gamma=gamma)
-    ric = _ricci_grid(m)
-    riem = riemann_lowered(m, gamma=gamma)
+    ginv, ric = m.ginv, m.ric
     t_up = np.einsum("...ka,...lb,...ab->...kl", ginv, ginv, t)
     t_mixed = np.einsum("...ka,...aj->...kj", ginv, t)  # T^k_j
-    out = rough + 2.0 * np.einsum("...ikjl,...kl->...ij", riem, t_up)
+    out = laplacian_tensor(m, t) + 2.0 * np.einsum("...ikjl,...kl->...ij",
+                                                   riemann_lowered(m), t_up)
     out -= np.einsum("...ik,...kj->...ij", ric, t_mixed)
     out -= np.einsum("...jk,...ki->...ij", ric, t_mixed)
     return out
@@ -397,7 +405,7 @@ def _pointwise_sq(m: GridModel, f: np.ndarray, index: str) -> np.ndarray:
     extra = f.ndim - len(m.dims)
     if extra == 0:
         return f**2
-    ginv = inverse_metric(m)
+    ginv = m.ginv
     if extra == 1:
         if index == "upper":
             return np.einsum("...ij,...i,...j->...", m.g, f, f)
@@ -416,8 +424,7 @@ def volume(m) -> float:
     """Total volume of the model."""
     if isinstance(m, FrameModel):
         return float(m.base_volume * np.sqrt(np.prod(m.a)))
-    dV = np.prod(m.spacings)
-    return float(np.sum(np.sqrt(np.linalg.det(m.g))) * dV)
+    return float(np.sum(m.sqrt_det) * np.prod(m.spacings))
 
 
 def norms(m: GridModel, f: np.ndarray, k: int = 0, index: str = "upper") -> NormReport:
@@ -431,7 +438,7 @@ def norms(m: GridModel, f: np.ndarray, k: int = 0, index: str = "upper") -> Norm
     if k > 2:
         raise RejectedInputError("norms support derivative order k <= 2")
     dV = np.prod(m.spacings)
-    sqrtdet = np.sqrt(np.linalg.det(m.g))
+    sqrtdet = m.sqrt_det
     base_sq = _pointwise_sq(m, f, index)
     l2 = float(np.sqrt(np.sum(base_sq * sqrtdet) * dV))
     sup = float(np.sqrt(np.max(base_sq)))

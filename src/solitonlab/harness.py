@@ -179,6 +179,9 @@ def _validate(cfg: RunConfig) -> None:
         _fail("flow.tau", "must be positive (or inf)")
     if cfg.couple_potential and np.isinf(cfg.tau):
         _fail("flow.couple_potential", "the coupled potential needs a finite tau")
+    if cfg.couple_potential and cfg.kind == "grid":
+        _fail("flow.couple_potential", "on a grid the potential would solve a backward "
+              "heat equation forward in time; use a frame model")
     if cfg.sample_every < 1:
         _fail("flow.sample_every", "must be at least 1")
     if not 0 < cfg.amplitude < 0.5:
@@ -337,9 +340,9 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
         stage = "entropy"
         if cfg.couple_potential:
             recs = entropy.monotonicity_report(traj)
-            verdicts["monotonicity"] = bool(all(r.monotone for r in recs)) if recs else None
-            verdicts["entropy_initial"] = recs[0].W if recs else None
-            verdicts["entropy_final"] = recs[-1].W if recs else None
+            verdicts["monotonicity"] = all(r.monotone for r in recs)
+            verdicts["entropy_initial"] = recs[0].W
+            verdicts["entropy_final"] = recs[-1].W
 
         stage = "gauge"
         if cfg.reconstruct and cfg.kind == "grid":

@@ -261,7 +261,8 @@ class SpectralReport:
         return np.where(re > self.eps_neutral, 1, np.where(re < -self.eps_neutral, -1, 0))
 
     def to_document(self) -> dict:
-        return {
+        """JSON-ready report; ``eigenvalues_im`` is omitted for a real spectrum."""
+        doc = {
             "eigenvalues_re": np.real(self.eigenvalues).tolist(),
             "eigenvalues_im": np.imag(self.eigenvalues).tolist(),
             "eps_neutral": self.eps_neutral,
@@ -270,6 +271,9 @@ class SpectralReport:
             "gap": self.gap,
             "convention": "forward-time: Re(lambda) > 0 grows under e^{Lt}",
         }
+        if not np.any(np.imag(self.eigenvalues)):
+            del doc["eigenvalues_im"]
+        return doc
 
 
 def default_neutral_tolerance(op: LinearOperator | FourierOperator) -> float:

@@ -220,6 +220,22 @@ def test_grid_minimizer_beats_test_potentials():
         assert res.mu <= entropy.w_functional(m, f, tau) + 1e-9
 
 
+def test_grid_mu_solve_derives_the_geometry_once(monkeypatch):
+    """Every objective evaluation of the L-BFGS solve reads the same metric's
+    inverse, Christoffel symbols and Ricci, derived on the first one."""
+    calls = {}
+    for name in ("inverse_metric", "christoffel", "_ricci_grid"):
+        def counted(*args, _fn=getattr(geometry, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(geometry, name, counted)
+    m = _perturbed_grid(n=8, amp=0.02)
+    X, _ = m.coords()
+    res = entropy.minimize_mu(m, 1.0, f0=0.05 * np.sin(X), grad_tol=1e-6)
+    assert res.iterations > 1
+    assert calls == {"inverse_metric": 1, "christoffel": 1, "_ricci_grid": 1}
+
+
 def test_entropy_record_from_state():
     m = FrameModel.su2(a=(4.0, 4.0, 4.0))
     f = entropy.constant_potential(m, 1.0)

@@ -191,6 +191,40 @@ def test_grid_step_decomposes_each_metric_once(monkeypatch):
         assert calls == {"eigvalsh": n_steps, "inverse_metric": 4 * n_steps}
 
 
+def test_coupled_frame_step_derives_each_ricci_once(monkeypatch):
+    """A coupled Berger step computes the Ricci of each stage model once, for
+    the metric and the potential velocities alike; renormalizing the potential
+    on the result reads only its volume."""
+    seen = []
+
+    def counted(m, _fn=geometry._ricci_frame):
+        seen.append(m)
+        return _fn(m)
+
+    monkeypatch.setattr(geometry, "_ricci_frame", counted)
+    tau = 1.0
+    m = FrameModel.su2(a=(4.4, 4.0, 3.7))
+    state = FlowState(t=0.0, model=m, tau=tau, f=entropy.constant_potential(m, tau))
+    flows.step(state, flows.make_metric_rhs("tau", tau), 0.01, couple_f=True)
+    assert len(seen) == 4
+    assert len({id(model) for model in seen}) == 4
+
+
+DERIVED = {"ginv", "gamma", "ric", "sqrt_det"}
+
+
+def test_trajectory_states_keep_no_derived_fields():
+    h = GridModel.flat(2, (8, 8))
+    runs = [flows.run_flow(_wavy_grid(2, (8, 8)), "deturck", np.inf, 0.01, 0.04,
+                           background=h, sample_every=2),
+            flows.run_flow(_wavy_grid(2, (8, 8)), "tau", 1.0, 0.001, 0.002, couple_f=True),
+            flows.run_flow(FrameModel.su2(a=(4.4, 4.0, 3.7)), "tau", 1.0, 0.01, 0.05,
+                           couple_f=True, sample_every=2)]
+    entropy.monotonicity_report(runs[-1])
+    for traj in runs:
+        assert all(not DERIVED & vars(s.model).keys() for s in traj.states)
+
+
 def test_frame_stage_past_zero_is_a_rejected_step():
     """A frame coefficient crossing zero inside a stage is a rejected step
     (dt can be halved); a bad tau is still rejected input."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from solitonlab import flows, gauge, geometry
-from solitonlab.errors import GaugeBreakdownError, RejectedInputError
+from solitonlab.errors import GaugeBreakdownError, NonConvergenceError, RejectedInputError
 from solitonlab.gauge import DiffeoField
 from solitonlab.geometry import GridModel
 
@@ -101,6 +101,16 @@ def test_invert_diffeo_round_trip():
     pts_inv = np.mod(gauge.coords_array(g) + G, np.array(g.period))
     fixed = G + gauge.interp_periodic(F, pts_inv, g.dims, g.period)
     assert np.max(np.abs(fixed)) < 1e-12
+
+
+def test_invert_diffeo_raises_when_it_stalls():
+    g = _flat(32)
+    X, Y = g.coords()
+    F = np.zeros(g.dims + (2,))
+    F[..., 0] = 0.1 * np.sin(X + Y)
+    with pytest.raises(NonConvergenceError, match="stalled") as info:
+        gauge.invert_diffeo(F, g, max_iter=1)
+    assert info.value.last_iterate.shape == F.shape
 
 
 # ---------------------------------------------------------------------------

@@ -281,3 +281,30 @@ def test_model_serialization_round_trip(tmp_path, mode, curved_t2):
         assert np.array_equal(loaded.g, curved_t2.g)
     else:
         assert np.allclose(loaded.g, curved_t2.g, atol=0.0, rtol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# derived fields
+
+
+def test_derived_fields_are_cached_and_read_only(curved_t2):
+    m = curved_t2.with_metric(curved_t2.g)
+    assert np.array_equal(m.ginv, geometry.inverse_metric(m))
+    assert np.array_equal(m.gamma, geometry.christoffel(m))
+    assert np.array_equal(m.sqrt_det, np.sqrt(np.linalg.det(m.g)))
+    frame = FrameModel.su2(a=(1.2, 1.0, 0.7))
+    for model, names in ((m, ("ginv", "gamma", "ric", "sqrt_det")), (frame, ("ric",))):
+        for name in names:
+            field = getattr(model, name)
+            assert getattr(model, name) is field  # derived once
+            with pytest.raises(ValueError, match="read-only"):
+                field[...] = 0.0
+        assert geometry.ricci(model) is model.ric
+
+
+def test_twin_shares_the_metric_and_none_of_the_fields(curved_t2):
+    m = curved_t2.with_metric(curved_t2.g)
+    m.ric
+    t = geometry.twin(m)
+    assert t.g is m.g and not {"ginv", "gamma", "ric", "sqrt_det"} & vars(t).keys()
+    assert np.array_equal(t.ric, m.ric)

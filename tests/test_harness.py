@@ -74,6 +74,7 @@ def test_parse_rejects_unknown_section_and_key():
     ("[model]\ndims = 2,2\n", "model.dims"),
     ("[model]\ndims = 6,6\n", "model.dims"),
     ("[flow]\ncouple_potential = true\n", "flow.couple_potential"),
+    ("[flow]\ntau = 1.0\ncouple_potential = true\n", "flow.couple_potential"),
     ("[model]\nkind = frame\nrecipe = berger\n"
      "[flow]\nvariant = tau\ntau = inf\ncouple_potential = true\n", "flow.couple_potential"),
     ("[model]\namplitude = 0.9\n", "model.amplitude"),
@@ -362,6 +363,45 @@ def test_cli_spectrum_and_plot(tmp_path, monkeypatch, capsys):
     assert cli.main(["plot", record_path, "norm"]) == cli.EXIT_OK
     plot_path = capsys.readouterr().out.strip()
     assert plot_path.endswith("plot-norm.dat")
+
+
+BERGER_ENTROPY = ("[model]\nkind = frame\nrecipe = berger\ncoefficients = {}\n"
+                  "[flow]\nvariant = tau\ntau = 1.0\ndt = 0.01\nt_end = {}\n")
+
+
+def test_cli_entropy_on_a_berger_flow(tmp_path, capsys):
+    cfg = _write_config(tmp_path, BERGER_ENTROPY.format("4.4,4.0,3.7", 0.1))
+    assert cli.main(["entropy", cfg]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 11
+    for line in lines:
+        fields = dict(part.split("=") for part in line.split())
+        assert np.isfinite(float(fields["W"]))
+        assert fields["monotone"] == "True"
+
+
+def test_cli_entropy_exit_codes(tmp_path, capsys):
+    singular = _write_config(tmp_path, BERGER_ENTROPY.format("1.2,1.0,0.9", 2.0))
+    assert cli.main(["entropy", singular]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "left the SPD cone" in err
+    assert abs(float(err.split("step to t = ")[1].split()[0]) - 0.2974) < 1e-4
+    # the potential cannot be audited on a grid, whatever tau is
+    for tau in ("inf", "1.0"):
+        grid = _write_config(tmp_path, GRID_CONFIG.replace("tau = inf", f"tau = {tau}"))
+        assert cli.main(["entropy", grid]) == cli.EXIT_VALIDATION
+        assert "flow.couple_potential" in capsys.readouterr().err
+
+
+def test_cli_gauge_check(tmp_path, capsys):
+    grid = _write_config(tmp_path, GRID_CONFIG.replace("dims = 8,8", "dims = 16,16"))
+    assert cli.main(["gauge-check", grid]) == cli.EXIT_OK
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("max sup-discrepancy")
+    assert np.isfinite(float(first.split(":")[-1]))
+    frame = _write_config(tmp_path, BERGER_ENTROPY.format("4.4,4.0,3.7", 0.1))
+    assert cli.main(["gauge-check", frame]) == cli.EXIT_VALIDATION
+    assert "model.kind" in capsys.readouterr().err
 
 
 def _unit_flat_symbol(dims, period):

@@ -184,6 +184,16 @@ def test_symbol_spectrum_forms_and_decomposes_no_matrix(monkeypatch):
     assert "modes" not in vars(report)
 
 
+def test_document_writes_imaginary_parts_only_when_nonzero():
+    real = stability.spectrum(stability.assemble_linearized_pde(_flat(8), 2.0)).to_document()
+    assert "eigenvalues_im" not in real
+    rotation = stability.LinearOperator(matrix=np.array([[-1.0, -2.0], [2.0, -1.0]]),
+                                        background=None, tau=np.inf)
+    doc = stability.spectrum(rotation, eps_neutral=1e-8).to_document()
+    assert doc["eigenvalues_re"] == [-1.0, -1.0]
+    assert np.allclose(sorted(doc["eigenvalues_im"]), [-2.0, 2.0], rtol=1e-14)
+
+
 def test_default_neutral_tolerance_is_a_tenth_of_the_gap():
     h = _flat(16)
     op = stability.assemble_linearized_pde(h, np.inf)
