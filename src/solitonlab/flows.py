@@ -223,23 +223,34 @@ def step(state: FlowState, metric_rhs: Callable, dt: float,
     return FlowState(t=state.t + dt, model=model1, tau=state.tau, f=f1, F=state.F)
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """The number of steps of ``dt`` in ``t_end``; ``RejectedInputError``
+    unless it is finite and whole to 1e-9 relative."""
+    steps = t_end / dt
+    if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
+        raise RejectedInputError(f"t_end = {t_end!r} is not a whole number of steps of "
+                                 f"dt = {dt!r} (t_end / dt = {steps!r})")
+    return int(round(steps))
+
+
 def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
              background: Optional[GridModel] = None, f0=None,
              couple_f: bool = False, sample_every: int = 1) -> Trajectory:
     """Drive ``step`` from t = 0 to ``t_end``, recording states and diagnostics.
 
-    On step rejection dt is halved (up to ``MAX_HALVINGS`` times); rejection
+    ``t_end`` must be a whole number of steps (``step_count``).  On step
+    rejection dt is halved (up to ``MAX_HALVINGS`` times); rejection
     past that limit propagates.  Diagnostics per sample: scalar curvature
     range, metric deviation from the background (if given), and the entropy
     record of a coupled run.
     """
+    n_steps = step_count(t_end, dt)
     metric_rhs = make_metric_rhs(variant, tau, background)
     if couple_f and f0 is None:
         f0 = entropy.constant_potential(geometry.twin(model0), tau)
     state = FlowState(t=0.0, model=model0, tau=tau, f=f0)
     traj = Trajectory(convention=variant)
     traj.append(state, _diagnose(state, background, couple_f))
-    n_steps = int(round(t_end / dt))
     i = 0
     while i < n_steps:
         halvings = 0

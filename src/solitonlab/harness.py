@@ -167,14 +167,16 @@ def _validate(cfg: RunConfig) -> None:
             _fail("model.coefficients", "need three positive coefficients")
     if cfg.variant not in ("tau", "unnormalized", "deturck"):
         _fail("flow.variant", f"unknown variant {cfg.variant!r}")
+    if cfg.variant == "deturck" and cfg.kind == "frame":
+        _fail("flow.variant", "the deturck flow needs a grid model (a flat reference background)")
     if not 0 < cfg.dt < np.inf:
         _fail("flow.dt", "must be positive and finite")
     if not 0 < cfg.t_end < np.inf:
         _fail("flow.t_end", "must be positive and finite")
-    steps = cfg.t_end / cfg.dt
-    if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
-        _fail("flow.t_end", f"must be a whole number of steps of dt = {cfg.dt!r} "
-              f"(t_end / dt = {steps!r})")
+    try:
+        flows.step_count(cfg.t_end, cfg.dt)
+    except RejectedInputError as exc:
+        _fail("flow.t_end", str(exc))
     if not (cfg.tau > 0):
         _fail("flow.tau", "must be positive (or inf)")
     if cfg.couple_potential and np.isinf(cfg.tau):
@@ -296,6 +298,10 @@ def load_trajectory(path):
                 convention = rec["convention"]
             elif rec["kind"] == "state":
                 if rec["model"] == "frame":
+                    if "lams" not in rec:
+                        raise RejectedInputError(
+                            f"{path}: frame state at t = {rec['t']} has no 'lams' (written "
+                            "before frame states recorded their Milnor constants)")
                     model = FrameModel(lams=rec["lams"], a=rec["a"],
                                        base_volume=rec["base_volume"])
                 else:

@@ -7,31 +7,32 @@ upper-triangle component (i <= j) the node values are raveled in C order
 and the blocks concatenated.  The Euclidean inner product on these vectors
 is what all projections and orthogonality statements refer to.
 
-Spectra take one of two paths.  At a flat background the assembled operator
-(``assemble_linearized_pde``) is a constant-coefficient stencil acting alike
-on every component, so it is a ``FourierOperator``: its eigenvalues are its
-per-wavenumber symbol, repeated once per component, at O(N log N) cost and
-with no grid-size cap.  Its dense matrix is built only when asked for, and
-``apply`` and the report's eigenvectors go through that matrix.  Every other ``LinearOperator`` (frame
-Jacobians, the finite-difference ``linearize_flow_rhs``, hand-built
-matrices) is decomposed densely, and ``linearize_flow_rhs`` stays capped at
-``DENSE_GRID_CAP`` nodes.
+At a flat background the grid operators (``assemble_linearized_pde``'s
+compact stencil, ``linearize_flow_rhs``'s impulse response of the discrete
+flow) are translation invariant and act alike on every component, so they
+are ``FourierOperator``s and live in Fourier space only: the eigenvalues are
+the per-wavenumber symbol, repeated once per component; ``apply``, the
+trichotomy split and the neutral projection are FFT multiplies, with no
+grid-size cap.  Dense ``LinearOperator``s (frame Jacobians, hand-built
+matrices) are decomposed by ``eig``/``eigh``; their reports keep the modes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from . import flows, geometry
 from .errors import InsufficientDataError, NumericalFailureError, RejectedInputError
 from .geometry import FrameModel, GridModel
 
-DENSE_GRID_CAP = 32 * 32  # nodes; dense finite-difference linearizations stay at desk scale
 NOISE_FLOOR = 1e-12
+# component coupling that ``linearize_flow_rhs`` takes for finite-difference
+# noise (about 1e-11 relative at its default step); ungauged flows couple at O(1)
+COMPONENT_RTOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +63,7 @@ def vec_to_tensor(vec: np.ndarray, dims, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Dense matrix acting on flattened metric perturbations."""
+    """Dense matrix acting on vectors: frame Jacobians and hand-built operators."""
 
     matrix: np.ndarray
     background: object
@@ -72,59 +73,18 @@ class LinearOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, field: np.ndarray) -> np.ndarray:
-        m = self.background
-        if isinstance(m, GridModel):
-            return vec_to_tensor(self.matrix @ tensor_to_vec(field, m.n), m.dims, m.n)
-        return self.matrix @ field
-
-
-def _axis_matrices(dims, spacings):
-    d1s, d2s = [], []
-    for d, h in zip(dims, spacings):
-        s_plus, s_minus = np.roll(np.eye(d), -1, axis=1), np.roll(np.eye(d), 1, axis=1)
-        d1s.append((s_plus - s_minus) / (2.0 * h))
-        d2s.append((s_plus - 2.0 * np.eye(d) + s_minus) / h**2)
-    return d1s, d2s
-
-
-def _kron_chain(mats) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
-def scalar_laplacian_matrix(h: GridModel) -> np.ndarray:
-    """Dense matrix of the constant-coefficient Laplacian h^{ij} d_i d_j.
-
-    Diagonal directions use the compact 3-point stencil, mixed directions
-    nested central differences, matching the pointwise grid operators.
-    """
-    n = h.n
-    hinv = np.linalg.inv(h.g.reshape(-1, n, n)[0])
-    d1s, d2s = _axis_matrices(h.dims, h.spacings)
-    eyes = [np.eye(d) for d in h.dims]
-    out = np.zeros((int(np.prod(h.dims)),) * 2)
-    for a in range(n):
-        out += hinv[a, a] * _kron_chain([d2s[a] if ax == a else eyes[ax]
-                                         for ax in range(n)])
-    for a in range(n):
-        for b in range(a + 1, n):
-            mats = [eyes[ax] for ax in range(n)]
-            mats[a], mats[b] = d1s[a], d1s[b]
-            out += 2.0 * hinv[a, b] * _kron_chain(mats)
-    return out
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        return self.matrix @ vec
 
 
 def laplacian_symbol(h: GridModel, tau: float) -> np.ndarray:
-    """Fourier symbol of ``scalar_laplacian_matrix(h)`` plus 1/tau (if finite).
+    """Fourier symbol of the Laplacian h^{ij} d_i d_j plus 1/tau (if finite).
 
     Shape ``h.dims``, wavenumbers in ``np.fft.fftn`` order.  Per axis the
     compact stencil contributes -h^{aa} 2 (1 - cos theta_a)/dx_a^2 and each
     nested-central mixed pair -2 h^{ab} sin(theta_a) sin(theta_b)/(dx_a dx_b),
     theta_a being the phase advance per node.  Reads the metric at the first
-    node, as the matrix assembly does.
+    node.
     """
     n = h.n
     hinv = np.linalg.inv(h.g.reshape(-1, n, n)[0])
@@ -141,15 +101,19 @@ def laplacian_symbol(h: GridModel, tau: float) -> np.ndarray:
     return sym
 
 
+def _fourier_multiply(multiplier: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Multiply the grids on the trailing axes by a real, even Fourier multiplier."""
+    axes = tuple(range(-multiplier.ndim, 0))
+    return np.fft.ifftn(multiplier * np.fft.fftn(blocks, axes=axes), axes=axes).real
+
+
 @dataclass(frozen=True)
 class FourierOperator:
-    """Constant-coefficient stencil operator on a flat periodic grid.
+    """Translation-invariant operator on a flat periodic grid.
 
     It acts alike on each of the ``ncomp`` symmetric components and is
     diagonal in the discrete Fourier basis: ``symbol`` (shape
     ``background.dims``, fftn order) holds its eigenvalue per wavenumber.
-    The dense ``matrix`` is the Kronecker assembly, built on first access;
-    ``apply`` multiplies by it.
     """
 
     symbol: np.ndarray
@@ -161,14 +125,26 @@ class FourierOperator:
     def dim(self) -> int:
         return self.ncomp * self.symbol.size
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        mat = np.kron(np.eye(self.ncomp), scalar_laplacian_matrix(self.background))
-        if np.isfinite(self.tau):
-            mat = mat + np.eye(self.dim) / self.tau
-        return mat
+    def apply(self, field: np.ndarray) -> np.ndarray:
+        blocks = np.moveaxis(field, (-2, -1), (0, 1))
+        return np.moveaxis(_fourier_multiply(self.symbol, blocks), (0, 1), (-2, -1))
 
-    apply = LinearOperator.apply
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense view, built from the symbol on every read.  Nothing in the
+        package reads it: it stays only because ``perfbench/tracer.py``
+        (``_operator_dim``) reads ``matrix.shape[0]`` after each traced
+        ``spectrum``, and goes when the tracer reads ``dim`` (ROADMAP item 7)."""
+        N = self.symbol.size
+        units = np.eye(N).reshape((N,) + self.symbol.shape)
+        block = _fourier_multiply(self.symbol, units).reshape(N, N).T
+        return scipy.linalg.block_diag(*[block] * self.ncomp)
+
+
+def _require_flat(h: GridModel) -> None:
+    g0 = h.g.reshape(-1, h.n, h.n)
+    if not np.allclose(g0, g0[0]):
+        raise RejectedInputError("operator assembly requires a flat (constant) background")
 
 
 def assemble_linearized_pde(h: GridModel, tau: float) -> FourierOperator:
@@ -179,9 +155,7 @@ def assemble_linearized_pde(h: GridModel, tau: float) -> FourierOperator:
     Laplacian plus the 1/tau dilation term (omitted when tau = inf).  The
     operator is returned through its Fourier symbol; no matrix is formed.
     """
-    g0 = h.g.reshape(-1, h.n, h.n)
-    if not np.allclose(g0, g0[0]):
-        raise RejectedInputError("operator assembly requires a flat (constant) background")
+    _require_flat(h)
     if np.isfinite(tau) and not tau > 0:
         raise RejectedInputError("tau must be positive or inf")
     return FourierOperator(symbol=laplacian_symbol(h, tau), ncomp=len(sym_components(h.n)),
@@ -204,40 +178,46 @@ def jacobian_ode(rhs: Callable, background: FrameModel, step: float = 1e-6) -> L
 
 def linearize_flow_rhs(background: GridModel, variant: str, tau: float,
                        reference: Optional[GridModel] = None,
-                       step: float = 1e-7) -> LinearOperator:
-    """Exact-to-roundoff linearization of the discrete flow right-hand side.
+                       step: float = 1e-5) -> FourierOperator:
+    """Linearization of the discrete flow right-hand side, accurate to about
+    1e-11 relative.
 
-    Columns are central finite differences of the actual grid stencils, so
-    the operator reproduces the flow code's own discretization (including
-    its wide first-derivative stencils), which the evolution-residual
-    monitor needs to see a genuinely quadratic remainder.
+    At a flat background it is a convolution: central differences at one
+    node per component (2 ncomp RHS evaluations), FFT-ed, give its symbol.
+    It reproduces the flow code's own stencils (wide first derivatives
+    included), which the evolution-residual monitor needs to see a quadratic
+    remainder.  A curved background, or components coupled or unequal beyond
+    ``COMPONENT_RTOL`` (the ungauged tau and unnormalized flows), is rejected.
     """
+    _require_flat(background)
     n = background.n
-    N = int(np.prod(background.dims))
-    if N > DENSE_GRID_CAP:
-        raise RejectedInputError(f"dense tensor spectra are capped at {DENSE_GRID_CAP} nodes")
-    rhs = flows.make_metric_rhs(variant, tau, background=reference)
     comps = sym_components(n)
-    mat = np.empty((len(comps) * N, len(comps) * N))
-    col = 0
-    for (i, j) in comps:
-        for node in np.ndindex(*background.dims):
-            gp = background.g.copy()
-            gm = background.g.copy()
-            gp[node + (i, j)] += step
-            gm[node + (i, j)] -= step
-            if i != j:
-                gp[node + (j, i)] += step
-                gm[node + (j, i)] -= step
-            vp = rhs(background.with_metric(gp, validate=False))
-            vm = rhs(background.with_metric(gm, validate=False))
-            mat[:, col] = tensor_to_vec((vp - vm) / (2.0 * step), n)
-            col += 1
-    return LinearOperator(matrix=mat, background=background, tau=tau)
+    rhs = flows.make_metric_rhs(variant, tau, background=reference)
+    response = np.empty((len(comps), len(comps)) + background.dims)
+    for c, (i, j) in enumerate(comps):
+        bump = np.zeros(background.g.shape)
+        bump[(0,) * n + (i, j)] = bump[(0,) * n + (j, i)] = step
+        dv = (rhs(background.with_metric(background.g + bump, validate=False))
+              - rhs(background.with_metric(background.g - bump, validate=False))) / (2.0 * step)
+        response[:, c] = [dv[..., a, b] for (a, b) in comps]
+    blocks = np.fft.fftn(response, axes=tuple(range(2, 2 + n)))
+    symbol = np.mean(np.diagonal(blocks, axis1=0, axis2=1).real, axis=-1)
+    identity = np.eye(len(comps)).reshape((len(comps),) * 2 + (1,) * n)
+    mismatch = float(np.max(np.abs(blocks - identity * symbol)))
+    if mismatch > COMPONENT_RTOL * max(1.0, float(np.max(np.abs(blocks)))):
+        raise RejectedInputError(
+            f"the linearized {variant!r} flow couples or distinguishes the metric components "
+            f"(symbol mismatch {mismatch:.3g}); it has no componentwise Fourier form")
+    return FourierOperator(symbol=symbol, ncomp=len(comps), background=background, tau=tau)
 
 
 # ---------------------------------------------------------------------------
 # spectra and the trichotomy
+
+
+def _labels(values: np.ndarray, eps_neutral: float) -> np.ndarray:
+    re = np.real(values)
+    return np.where(re > eps_neutral, 1, np.where(re < -eps_neutral, -1, 0))
 
 
 @dataclass(frozen=True)
@@ -248,17 +228,13 @@ class SpectralReport:
     n_neutral: int
     n_decay: int
     gap: float
-    mode_basis: Callable[[], np.ndarray] = field(repr=False, compare=False)
-
-    @cached_property
-    def modes(self) -> np.ndarray:
-        """Eigenvectors as columns in eigenvalue order, built on first access."""
-        return self.mode_basis()
+    # a FourierOperator's symbol, or a dense operator's eigenvectors (columns)
+    symbol: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    modes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def classification(self) -> np.ndarray:
         """Per-mode labels: +1 growing, 0 neutral, -1 decaying."""
-        re = np.real(self.eigenvalues)
-        return np.where(re > self.eps_neutral, 1, np.where(re < -self.eps_neutral, -1, 0))
+        return _labels(self.eigenvalues, self.eps_neutral)
 
     def to_document(self) -> dict:
         """JSON-ready report; ``eigenvalues_im`` is omitted for a real spectrum."""
@@ -277,35 +253,26 @@ class SpectralReport:
 
 
 def default_neutral_tolerance(op: LinearOperator | FourierOperator) -> float:
-    """One tenth of the flat-background gap estimate, scale-based otherwise.
-
-    For a grid background the estimate is the smallest magnitude above
-    1e-10 of the compact operator's symbol (the operator's own, for a
-    ``FourierOperator``); frame operators fall back to a norm-based floor.
-    """
+    """One tenth of the smallest symbol magnitude above 1e-10 for a
+    ``FourierOperator``; a norm-based floor for a dense operator."""
     if isinstance(op, FourierOperator):
-        sym = op.symbol
-    elif isinstance(op.background, GridModel):
-        sym = laplacian_symbol(op.background, op.tau)
-    else:
-        return max(float(np.max(np.abs(op.matrix))), 1.0) * 1e-8
-    mags = np.abs(sym.ravel())
-    return float(np.min(mags[mags > 1e-10]) / 10.0)
+        mags = np.abs(op.symbol.ravel())
+        return float(np.min(mags[mags > 1e-10]) / 10.0)
+    return max(float(np.max(np.abs(op.matrix))), 1.0) * 1e-8
 
 
 def spectrum(op: LinearOperator | FourierOperator, eps_neutral: Optional[float] = None) -> SpectralReport:
     """Eigenvalues with neutral-band classification.
 
     A ``FourierOperator``'s eigenvalues are its symbol repeated once per
-    component; its modes are a dense ``eigh`` of its matrix, taken only on
-    request.  Any other operator gets a full dense eigendecomposition.
+    component; any other operator gets a dense eigendecomposition.
     """
     if eps_neutral is None:
         eps_neutral = default_neutral_tolerance(op)
+    symbol = modes = None
     if isinstance(op, FourierOperator):
-        repeated = np.repeat(op.symbol.ravel(), op.ncomp)
-        vals = np.sort(repeated).astype(complex)
-        mode_basis = lambda: np.linalg.eigh(op.matrix)[1]
+        symbol = op.symbol
+        vals = np.sort(np.repeat(symbol.ravel(), op.ncomp)).astype(complex)
     else:
         sym = np.allclose(op.matrix, op.matrix.T, atol=1e-12)
         try:
@@ -317,8 +284,7 @@ def spectrum(op: LinearOperator | FourierOperator, eps_neutral: Optional[float] 
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
         order = np.argsort(np.real(vals))
-        vals, vecs = vals[order], vecs[:, order]
-        mode_basis = lambda: vecs
+        vals, modes = vals[order], vecs[:, order]
     re = np.real(vals)
     n_grow = int(np.sum(re > eps_neutral))
     n_decay = int(np.sum(re < -eps_neutral))
@@ -327,7 +293,14 @@ def spectrum(op: LinearOperator | FourierOperator, eps_neutral: Optional[float] 
     gap = float(np.min(outside)) if outside.size else np.inf
     return SpectralReport(eigenvalues=vals, eps_neutral=float(eps_neutral),
                           n_grow=n_grow, n_neutral=n_neutral, n_decay=n_decay, gap=gap,
-                          mode_basis=mode_basis)
+                          symbol=symbol, modes=modes)
+
+
+def _symbol_mask(report: SpectralReport, want: int, F: np.ndarray) -> np.ndarray:
+    """The part of the flattened ``F`` on the wavenumbers labelled ``want``."""
+    mask = (_labels(report.symbol, report.eps_neutral) == want).astype(float)
+    blocks = np.reshape(F, (-1,) + report.symbol.shape)
+    return _fourier_multiply(mask, blocks).ravel()
 
 
 @dataclass(frozen=True)
@@ -348,13 +321,13 @@ def trichotomy_split(F: np.ndarray, report: SpectralReport) -> TrichotomySplit:
     the growing part carries lambda_k < 0; the classifications coincide
     after the sign flip of the exponent convention.)
     """
-    coeff = np.linalg.solve(report.modes, F.astype(complex))
-    labels = report.classification()
-    parts = []
-    for want in (1, -1, 0):
-        sel = coeff * (labels == want)
-        parts.append(np.real_if_close(report.modes @ sel))
-    up, down, zero = (np.real(p) for p in parts)
+    if report.symbol is not None:
+        up, down, zero = (_symbol_mask(report, want, F) for want in (1, -1, 0))
+    else:
+        coeff = np.linalg.solve(report.modes, F.astype(complex))
+        labels = report.classification()
+        up, down, zero = (np.real(report.modes @ (coeff * (labels == want)))
+                          for want in (1, -1, 0))
     return TrichotomySplit(F_up=up, F_down=down, F_0=zero)
 
 
@@ -408,19 +381,18 @@ def project_neutral(k, report: SpectralReport):
     """Euclidean-orthogonal projection onto the neutral eigenspace.
 
     ``k`` may be a single flattened perturbation or a sequence of samples;
-    a sequence is projected sample-wise and averaged in time, the discrete
-    stand-in for the space-time kernel projection on a static background.
+    a sequence is averaged in time and projected, the discrete stand-in for
+    the space-time kernel projection on a static background.
     """
-    labels = report.classification()
-    basis = np.real_if_close(report.modes[:, labels == 0])
+    samples = k if isinstance(k, (list, tuple)) else [k]
+    mean = np.mean([np.asarray(ki, dtype=float) for ki in samples], axis=0)
+    if report.symbol is not None:
+        return _symbol_mask(report, 0, mean)
+    basis = np.real_if_close(report.modes[:, report.classification() == 0])
     if basis.size == 0:
-        sample = k[0] if isinstance(k, (list, tuple)) else k
-        return np.zeros_like(np.asarray(sample, dtype=float))
+        return np.zeros_like(mean)
     q, _ = np.linalg.qr(np.real(basis))
-    if isinstance(k, (list, tuple)):
-        projs = [q @ (q.T @ np.asarray(ki, dtype=float)) for ki in k]
-        return np.mean(projs, axis=0)
-    return q @ (q.T @ np.asarray(k, dtype=float))
+    return q @ (q.T @ mean)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +444,7 @@ class ResidualRecord:
     k_norm: float
 
 
-def residual_evolution_monitor(traj, op: LinearOperator | FourierOperator,
+def residual_evolution_monitor(traj, op: FourierOperator,
                                g1: GridModel) -> list:
     """Nonlinear remainder ||dk/dt - L k|| along a trajectory, k = g - g1.
 

@@ -246,6 +246,18 @@ def test_run_flow_halves_dt_to_recover():
     assert traj.states[-1].t == pytest.approx(5 * dt)
 
 
+def test_run_flow_takes_only_whole_steps():
+    """A t_end that is not a whole number of steps of dt is rejected, not
+    rounded; 1e-9 relative slack absorbs the rounding of t_end / dt."""
+    m = FrameModel.su2(a=(4.4, 4.0, 3.7))
+    for dt, t_end in ((0.3, 1.0), (0.01, 0.0151), (0.1, np.inf), (1e-310, 1.0)):
+        with pytest.raises(RejectedInputError, match="whole number of steps"):
+            flows.run_flow(m, "tau", 1.0, dt, t_end)
+    traj = flows.run_flow(m, "tau", 1.0, 0.1, 0.3)  # 0.3 / 0.1 = 2.9999999999999996
+    assert len(traj.states) == 4
+    assert flows.step_count(0.3, 0.1) == 3
+
+
 def test_trajectory_rejects_non_monotone_times():
     m = FrameModel.su2()
     traj = Trajectory(convention="tau")

@@ -80,6 +80,7 @@ def test_parse_rejects_unknown_section_and_key():
     ("[model]\namplitude = 0.9\n", "model.amplitude"),
     ("[model]\nkind = frame\nrecipe = berger\ncoefficients = 1,-1,1\n",
      "model.coefficients"),
+    ("[model]\nkind = frame\nrecipe = berger\n[flow]\nvariant = deturck\n", "flow.variant"),
 ])
 def test_field_precise_validation(snippet, field):
     with pytest.raises(RejectedInputError, match=field.replace(".", r"\.")):
@@ -165,6 +166,18 @@ def test_trajectory_round_trip_flat_torus(tmp_path):
         assert s1.model.base_volume == 5.0
         assert np.array_equal(geometry.ricci(s1.model), np.zeros(3))
         assert geometry.volume(s1.model) == geometry.volume(s0.model)
+
+
+def test_frame_trajectory_without_lams_is_rejected_by_name(tmp_path):
+    """Frame states written before they recorded their Milnor constants."""
+    path = tmp_path / "old.jsonl"
+    lines = [{"kind": "header", "convention": "tau"},
+             {"kind": "state", "t": 0.0, "tau": 1.0, "model": "frame",
+              "a": [4.4, 4.0, 3.7], "c": np.zeros((3, 3, 3)).tolist(), "f": 0.1},
+             {"kind": "diagnostics", "t": 0.0}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(RejectedInputError, match="'lams'"):
+        harness.load_trajectory(path)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +335,10 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert cli.main(["run", bad]) == cli.EXIT_VALIDATION
     assert "flow.dt" in capsys.readouterr().err
     assert cli.main(["run", str(tmp_path / "missing.ini")]) == cli.EXIT_VALIDATION
+    frame = _write_config(tmp_path, "[model]\nkind = frame\nrecipe = round\n"
+                          "coefficients = 4,4,4\n[flow]\nvariant = deturck\n")
+    assert cli.main(["run", frame]) == cli.EXIT_VALIDATION
+    assert "validation error: flow.variant" in capsys.readouterr().err
 
 
 def test_cli_numerical_exit_code(tmp_path, monkeypatch, capsys):

@@ -38,6 +38,98 @@ def _symbol_eigenvalues(h):
     return np.sort(sym.ravel())
 
 
+# Test-side dense oracles.  The package keeps flat-background operators in
+# Fourier space only, so these assemble them independently: the compact
+# operator as a Kronecker product of 1-D stencil matrices, the flow's
+# linearization column by column, one perturbed node at a time.
+
+
+def _axis_matrices(dims, spacings):
+    d1s, d2s = [], []
+    for d, h in zip(dims, spacings):
+        s_plus, s_minus = np.roll(np.eye(d), -1, axis=1), np.roll(np.eye(d), 1, axis=1)
+        d1s.append((s_plus - s_minus) / (2.0 * h))
+        d2s.append((s_plus - 2.0 * np.eye(d) + s_minus) / h**2)
+    return d1s, d2s
+
+
+def _kron_chain(mats):
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+def _scalar_laplacian_matrix(h):
+    """Dense h^{ij} d_i d_j: compact 3-point diagonal stencils, nested central
+    differences in mixed directions."""
+    n = h.n
+    hinv = np.linalg.inv(h.g.reshape(-1, n, n)[0])
+    d1s, d2s = _axis_matrices(h.dims, h.spacings)
+    eyes = [np.eye(d) for d in h.dims]
+    out = np.zeros((int(np.prod(h.dims)),) * 2)
+    for a in range(n):
+        out += hinv[a, a] * _kron_chain([d2s[a] if ax == a else eyes[ax]
+                                         for ax in range(n)])
+    for a in range(n):
+        for b in range(a + 1, n):
+            mats = [eyes[ax] for ax in range(n)]
+            mats[a], mats[b] = d1s[a], d1s[b]
+            out += 2.0 * hinv[a, b] * _kron_chain(mats)
+    return out
+
+
+def _dense_assembled_operator(h, tau):
+    """Kronecker oracle of ``assemble_linearized_pde``: the scalar operator on
+    each component, plus 1/tau."""
+    ncomp = h.n * (h.n + 1) // 2
+    mat = np.kron(np.eye(ncomp), _scalar_laplacian_matrix(h))
+    if np.isfinite(tau):
+        mat = mat + np.eye(mat.shape[0]) / tau
+    return mat
+
+
+def _dense_flow_linearization(background, variant, tau, reference, step=1e-5):
+    """Node-by-node central-difference linearization of the flow RHS (2 RHS
+    evaluations per column; keep it at 16^2 or below)."""
+    n = background.n
+    N = int(np.prod(background.dims))
+    rhs = flows.make_metric_rhs(variant, tau, background=reference)
+    comps = stability.sym_components(n)
+    mat = np.empty((len(comps) * N, len(comps) * N))
+    col = 0
+    for (i, j) in comps:
+        for node in np.ndindex(*background.dims):
+            gp = background.g.copy()
+            gm = background.g.copy()
+            gp[node + (i, j)] += step
+            gm[node + (i, j)] -= step
+            if i != j:
+                gp[node + (j, i)] += step
+                gm[node + (j, i)] -= step
+            vp = rhs(background.with_metric(gp, validate=False))
+            vm = rhs(background.with_metric(gm, validate=False))
+            mat[:, col] = stability.tensor_to_vec((vp - vm) / (2.0 * step), n)
+            col += 1
+    return mat
+
+
+def _wide_stencil_symbol(h, tau):
+    """Closed-form symbol of the DeTurck flow's linearization at a flat h:
+    h^{ab} d_a d_b with wide central first differences, plus 1/tau."""
+    n = h.n
+    Hinv = np.linalg.inv(h.g.reshape(-1, n, n)[0])
+    theta = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(d) for d in h.dims], indexing="ij")
+    sines = [np.sin(th) / dx for th, dx in zip(theta, h.spacings)]
+    sym = -sum(Hinv[a, b] * sines[a] * sines[b] for a in range(n) for b in range(n))
+    return sym + 1.0 / tau if np.isfinite(tau) else sym
+
+
+def _random_symmetric(h, seed):
+    k = np.random.default_rng(seed).standard_normal(h.g.shape)
+    return k + np.swapaxes(k, -1, -2)
+
+
 # ---------------------------------------------------------------------------
 # flattening
 
@@ -59,7 +151,7 @@ def test_tensor_vec_round_trip():
 @pytest.mark.parametrize("make", [_flat, _aniso_flat])
 def test_scalar_laplacian_matches_symbol(make):
     h = make(16)
-    mat = stability.scalar_laplacian_matrix(h)
+    mat = _scalar_laplacian_matrix(h)
     vals = np.sort(np.linalg.eigvalsh(0.5 * (mat + mat.T)))
     assert np.max(np.abs(vals - _symbol_eigenvalues(h))) < 1e-8
 
@@ -95,9 +187,6 @@ def test_assembly_validation():
         stability.assemble_linearized_pde(h.with_metric(g), np.inf)
     with pytest.raises(RejectedInputError):
         stability.assemble_linearized_pde(_flat(8), tau=-1.0)
-    # the finite-difference linearization is dense and stays capped
-    with pytest.raises(RejectedInputError, match="capped"):
-        stability.linearize_flow_rhs(_flat(64), "deturck", np.inf, reference=_flat(64))
 
 
 @pytest.mark.parametrize("h", [_flat(64), GridModel.flat(3, (8, 8, 8))],
@@ -129,23 +218,18 @@ def test_symbol_operator_equals_its_dense_matrix(make, n, tau):
     h = make(n)
     op = stability.assemble_linearized_pde(h, tau)
     report = stability.spectrum(op)
-    assert "matrix" not in vars(op)
-    dense = np.linalg.eigvalsh(op.matrix)
-    assert np.max(np.abs(np.real(report.eigenvalues) - dense)) < 1e-12
+    oracle = _dense_assembled_operator(h, tau)
+    assert np.max(np.abs(np.real(report.eigenvalues) - np.linalg.eigvalsh(oracle))) < 1e-12
     assert np.all(np.imag(report.eigenvalues) == 0.0)
+    assert report.modes is None
 
-    rng = np.random.default_rng(4)
-    k = rng.standard_normal(h.g.shape)
-    k = k + np.swapaxes(k, -1, -2)
+    k = _random_symmetric(h, 4)
     applied = stability.tensor_to_vec(op.apply(k), h.n)
-    assert np.allclose(applied, op.matrix @ stability.tensor_to_vec(k, h.n),
+    assert np.allclose(applied, oracle @ stability.tensor_to_vec(k, h.n),
                        rtol=0.0, atol=1e-12)
-
-    modes = report.modes
-    assert np.isrealobj(modes)
-    assert np.max(np.abs(modes.T @ modes - np.eye(op.dim))) < 1e-12
-    lams = np.real(report.eigenvalues)
-    assert np.max(np.abs(op.matrix @ modes - modes * lams)) < 1e-11
+    # the dense view kept for the benchmark's tracer is the same operator
+    assert "matrix" not in vars(op)
+    assert np.max(np.abs(op.matrix - oracle)) < 1e-12
 
 
 @pytest.mark.parametrize("make,n,tau", EQUIVALENCE_CASES, ids=EQUIVALENCE_IDS)
@@ -153,9 +237,11 @@ def test_symbol_report_splits_like_the_dense_report(make, n, tau):
     h = make(n)
     op = stability.assemble_linearized_pde(h, tau)
     report = stability.spectrum(op)
-    dense = stability.spectrum(stability.LinearOperator(matrix=op.matrix, background=h,
-                                                        tau=tau))
-    assert report.eps_neutral == dense.eps_neutral
+    oracle = _dense_assembled_operator(h, tau)
+    mags = np.abs(np.linalg.eigvalsh(oracle))
+    assert abs(report.eps_neutral - np.min(mags[mags > 1e-10]) / 10.0) < 1e-13
+    dense = stability.spectrum(stability.LinearOperator(matrix=oracle, background=None,
+                                                        tau=tau), report.eps_neutral)
     assert (report.n_grow, report.n_neutral, report.n_decay) == \
         (dense.n_grow, dense.n_neutral, dense.n_decay)
     F = np.random.default_rng(5).standard_normal(op.dim)
@@ -181,7 +267,49 @@ def test_symbol_spectrum_forms_and_decomposes_no_matrix(monkeypatch):
     report.to_document()
     assert report.n_decay > 0
     assert "matrix" not in vars(op)
-    assert "modes" not in vars(report)
+    assert report.modes is None
+
+
+@pytest.mark.parametrize("h", [_aniso_flat(64), GridModel.flat(3, (8, 8, 8))],
+                         ids=["aniso64x64", "8x8x8"])
+@pytest.mark.parametrize("tau", [np.inf, 0.5])
+def test_symbol_split_and_projection_need_no_dense_algebra(monkeypatch, h, tau):
+    """At dimension 12288 (64^2) and 3072 (8^3) the split and the neutral
+    projection are FFT masks: no dense eigensolver and no Kronecker product."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra called")
+
+    for name in ("eigh", "eig", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+    op = stability.assemble_linearized_pde(h, tau)
+    report = stability.spectrum(op)
+    F = np.random.default_rng(6).standard_normal(op.dim)
+    split = stability.trichotomy_split(F, report)
+    assert np.max(np.abs(split.reassembled() - F)) < 1e-12
+    parts = (split.F_up, split.F_down, split.F_0)
+    assert np.isclose(np.sum(F**2), sum(np.sum(p**2) for p in parts), rtol=1e-12, atol=0.0)
+    for name, part in zip(("F_up", "F_down", "F_0"), parts):
+        again = stability.trichotomy_split(part, report)
+        for other in ("F_up", "F_down", "F_0"):
+            want = part if other == name else 0.0
+            assert np.max(np.abs(getattr(again, other) - want)) < 1e-12
+    # each part lies where the operator grows, decays or vanishes
+    L = lambda v: stability.tensor_to_vec(op.apply(stability.vec_to_tensor(v, h.dims, h.n)),
+                                          h.n)
+    eps = report.eps_neutral
+    assert split.F_up @ L(split.F_up) >= eps * (split.F_up @ split.F_up)
+    assert split.F_down @ L(split.F_down) <= -eps * (split.F_down @ split.F_down)
+    assert np.linalg.norm(L(split.F_0)) <= eps * np.linalg.norm(split.F_0)
+    neutral = stability.project_neutral(F, report)
+    assert np.max(np.abs(neutral - split.F_0)) < 1e-12
+    assert np.max(np.abs(stability.project_neutral([F, 3.0 * F], report)
+                         - 2.0 * neutral)) < 1e-12
+    assert np.max(np.abs(stability.project_neutral(neutral, report) - neutral)) < 1e-12
+    # tau = inf: the constants are neutral, no mode grows; tau = 0.5: no mode is neutral
+    assert (report.n_neutral > 0) == np.isinf(tau)
+    assert (report.n_grow > 0) == np.isfinite(tau)
+    assert "matrix" not in vars(op)
 
 
 def test_document_writes_imaginary_parts_only_when_nonzero():
@@ -227,6 +355,60 @@ def test_discrete_rhs_linearization_consistent_with_assembly():
         diffs.append(np.max(np.abs(a - b)) / np.max(np.abs(b)))
     assert diffs[0] / diffs[1] > 3.0
     assert diffs[1] < 0.05
+
+
+LINEARIZATION_CASES = [(make, n, tau) for make in (_flat, _aniso_flat) for n in (8, 16)
+                       for tau in (np.inf, 0.5)]
+
+
+@pytest.mark.parametrize("make,n,tau", LINEARIZATION_CASES,
+                         ids=[f"{m.__name__.strip('_')}{n}-tau{t}"
+                              for m, n, t in LINEARIZATION_CASES])
+def test_linearized_flow_matches_the_dense_oracle(make, n, tau):
+    h = make(n)
+    op = stability.linearize_flow_rhs(h, "deturck", tau, reference=h)
+    oracle = _dense_flow_linearization(h, "deturck", tau, reference=h)
+    eps = stability.default_neutral_tolerance(op)
+    report = stability.spectrum(op, eps)
+    dense = stability.spectrum(stability.LinearOperator(matrix=oracle, background=None,
+                                                        tau=tau), eps)
+    assert np.max(np.abs(report.eigenvalues - dense.eigenvalues)) < 1e-8
+    assert (report.n_grow, report.n_neutral, report.n_decay) == \
+        (dense.n_grow, dense.n_neutral, dense.n_decay)
+    assert abs(report.gap - dense.gap) < 1e-8
+    k = _random_symmetric(h, 8)
+    applied = stability.tensor_to_vec(op.apply(k), h.n)
+    assert np.max(np.abs(applied - oracle @ stability.tensor_to_vec(k, h.n))) < 1e-8
+
+
+@pytest.mark.parametrize("h", [_aniso_flat(64), GridModel.flat(3, (8, 8, 8))],
+                         ids=["aniso64x64", "8x8x8"])
+@pytest.mark.parametrize("tau", [np.inf, 0.5])
+def test_linearized_flow_needs_no_node_cap(monkeypatch, h, tau):
+    """2 RHS evaluations per metric component give the symbol of the wide
+    stencils on any grid."""
+    calls = []
+    rhs_deturck = flows.rhs_deturck
+    monkeypatch.setattr(flows, "rhs_deturck",
+                        lambda *args: calls.append(1) or rhs_deturck(*args))
+    op = stability.linearize_flow_rhs(h, "deturck", tau, reference=h)
+    ncomp = h.n * (h.n + 1) // 2
+    assert len(calls) == 2 * ncomp
+    assert (op.ncomp, op.symbol.shape) == (ncomp, h.dims)
+    oracle = _wide_stencil_symbol(h, tau)
+    assert np.max(np.abs(op.symbol - oracle)) < 1e-8 * np.max(np.abs(oracle))
+
+
+def test_linearized_flow_rejects_coupled_components_and_curved_backgrounds():
+    h = _flat(8)
+    # without the DeTurck term, Ricci's divergence terms couple the components
+    for variant in ("tau", "unnormalized"):
+        with pytest.raises(RejectedInputError, match="couples"):
+            stability.linearize_flow_rhs(h, variant, 1.0)
+    X, _ = h.coords()
+    curved = h.with_metric(h.g * (1.0 + 0.1 * np.sin(X))[..., None, None])
+    with pytest.raises(RejectedInputError, match="flat"):
+        stability.linearize_flow_rhs(curved, "deturck", np.inf, reference=h)
 
 
 # ---------------------------------------------------------------------------
