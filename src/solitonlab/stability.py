@@ -13,7 +13,8 @@ flow) are translation invariant and act alike on every component, so they
 are ``FourierOperator``s and live in Fourier space only: the eigenvalues are
 the per-wavenumber symbol, repeated once per component; ``apply``, the
 trichotomy split and the neutral projection are FFT multiplies, with no
-grid-size cap.  Dense ``LinearOperator``s (frame Jacobians, hand-built
+grid-size cap; their ``matrix`` is a dense view rebuilt from the symbol,
+kept only for the benchmark's tracer.  Dense ``LinearOperator``s (frame Jacobians, hand-built
 matrices) are decomposed by ``eig``/``eigh``; their reports keep the modes.
 """
 
@@ -30,8 +31,10 @@ from .errors import InsufficientDataError, NumericalFailureError, RejectedInputE
 from .geometry import FrameModel, GridModel
 
 NOISE_FLOOR = 1e-12
-# component coupling that ``linearize_flow_rhs`` takes for finite-difference
-# noise (about 1e-11 relative at its default step); ungauged flows couple at O(1)
+# central-difference step of ``linearize_flow_rhs``, and the component coupling
+# it takes for finite-difference noise (about 1e-11 relative at this step);
+# ungauged flows couple at O(1)
+FD_STEP = 1e-5
 COMPONENT_RTOL = 1e-6
 
 
@@ -66,8 +69,6 @@ class LinearOperator:
     """Dense matrix acting on vectors: frame Jacobians and hand-built operators."""
 
     matrix: np.ndarray
-    background: object
-    tau: float
 
     @property
     def dim(self) -> int:
@@ -112,14 +113,12 @@ class FourierOperator:
     """Translation-invariant operator on a flat periodic grid.
 
     It acts alike on each of the ``ncomp`` symmetric components and is
-    diagonal in the discrete Fourier basis: ``symbol`` (shape
-    ``background.dims``, fftn order) holds its eigenvalue per wavenumber.
+    diagonal in the discrete Fourier basis: ``symbol`` (shape the grid's
+    ``dims``, fftn order) holds its eigenvalue per wavenumber.
     """
 
     symbol: np.ndarray
     ncomp: int
-    background: GridModel
-    tau: float
 
     @property
     def dim(self) -> int:
@@ -158,8 +157,7 @@ def assemble_linearized_pde(h: GridModel, tau: float) -> FourierOperator:
     _require_flat(h)
     if np.isfinite(tau) and not tau > 0:
         raise RejectedInputError("tau must be positive or inf")
-    return FourierOperator(symbol=laplacian_symbol(h, tau), ncomp=len(sym_components(h.n)),
-                           background=h, tau=tau)
+    return FourierOperator(symbol=laplacian_symbol(h, tau), ncomp=len(sym_components(h.n)))
 
 
 def jacobian_ode(rhs: Callable, background: FrameModel, step: float = 1e-6) -> LinearOperator:
@@ -173,14 +171,13 @@ def jacobian_ode(rhs: Callable, background: FrameModel, step: float = 1e-6) -> L
         ap[k] += hk
         am[k] -= hk
         mat[:, k] = (rhs(background.with_a(ap)) - rhs(background.with_a(am))) / (2.0 * hk)
-    return LinearOperator(matrix=mat, background=background, tau=np.nan)
+    return LinearOperator(matrix=mat)
 
 
 def linearize_flow_rhs(background: GridModel, variant: str, tau: float,
-                       reference: Optional[GridModel] = None,
-                       step: float = 1e-5) -> FourierOperator:
+                       reference: Optional[GridModel] = None) -> FourierOperator:
     """Linearization of the discrete flow right-hand side, accurate to about
-    1e-11 relative.
+    1e-11 relative at the step ``FD_STEP``.
 
     At a flat background it is a convolution: central differences at one
     node per component (2 ncomp RHS evaluations), FFT-ed, give its symbol.
@@ -196,9 +193,9 @@ def linearize_flow_rhs(background: GridModel, variant: str, tau: float,
     response = np.empty((len(comps), len(comps)) + background.dims)
     for c, (i, j) in enumerate(comps):
         bump = np.zeros(background.g.shape)
-        bump[(0,) * n + (i, j)] = bump[(0,) * n + (j, i)] = step
+        bump[(0,) * n + (i, j)] = bump[(0,) * n + (j, i)] = FD_STEP
         dv = (rhs(background.with_metric(background.g + bump, validate=False))
-              - rhs(background.with_metric(background.g - bump, validate=False))) / (2.0 * step)
+              - rhs(background.with_metric(background.g - bump, validate=False))) / (2.0 * FD_STEP)
         response[:, c] = [dv[..., a, b] for (a, b) in comps]
     blocks = np.fft.fftn(response, axes=tuple(range(2, 2 + n)))
     symbol = np.mean(np.diagonal(blocks, axis1=0, axis2=1).real, axis=-1)
@@ -208,7 +205,7 @@ def linearize_flow_rhs(background: GridModel, variant: str, tau: float,
         raise RejectedInputError(
             f"the linearized {variant!r} flow couples or distinguishes the metric components "
             f"(symbol mismatch {mismatch:.3g}); it has no componentwise Fourier form")
-    return FourierOperator(symbol=symbol, ncomp=len(comps), background=background, tau=tau)
+    return FourierOperator(symbol=symbol, ncomp=len(comps))
 
 
 # ---------------------------------------------------------------------------
