@@ -84,7 +84,10 @@ def _cmd_plot(args) -> int:
         data = json.loads(record_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise RejectedInputError(f"record file: {exc}") from exc
-    record = harness.RunRecord(**data)
+    try:
+        record = harness.RunRecord(**data)
+    except TypeError as exc:  # not an object, or missing or unknown keys
+        raise RejectedInputError(f"record file {record_path}: {exc}") from exc
     path = harness.emit_plotdata(record, args.quantity)
     print(path)
     return EXIT_OK

@@ -192,8 +192,8 @@ def step(state: FlowState, metric_rhs: Callable, dt: float,
     """One classical RK4 step of the metric (and the potential, if coupled).
 
     A stage or result metric outside the SPD cone (a non-SPD grid metric, a
-    frame coefficient <= 0) raises ``StepRejectedError`` so the caller can
-    halve dt.  When ``couple_f`` is set the potential is advanced alongside
+    frame coefficient <= 0, a stage metric too singular to invert) raises
+    ``StepRejectedError`` so the caller can halve dt.  When ``couple_f`` is set the potential is advanced alongside
     and then re-normalized to the constraint.
     """
     bound = cfl_bound(state.model)
@@ -216,7 +216,11 @@ def step(state: FlowState, metric_rhs: Callable, dt: float,
         return (metric_rhs(model),)
 
     y0 = (_metric_array(state.model), state.f) if couple_f else (_metric_array(state.model),)
-    y1 = rk4(velocity, y0, dt)
+    try:
+        y1 = rk4(velocity, y0, dt)
+    except np.linalg.LinAlgError as exc:
+        raise StepRejectedError(
+            f"step to t = {state.t + dt} met a singular stage metric: {exc}") from exc
     model1 = model_at(y1[0], validate=True)
     f1 = (entropy.normalize_f(geometry.twin(model1), y1[1], state.tau) if couple_f
           else state.f)

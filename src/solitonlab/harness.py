@@ -7,6 +7,16 @@ Configs are INI-style text with sections [model], [flow], [gauge],
 offending name, and every numeric field is validated with a field-precise
 message.  Runs are reproducible: randomized initial data takes an explicit
 seed, and verdicts are recomputable from the persisted trajectory alone.
+
+A persisted trajectory is a JSONL index (``trajectory.jsonl``) plus one
+uncompressed ``.npz`` array file beside it (``trajectory.npz``).  The index
+holds a header naming the array file, then per sample a state line (t, tau,
+the model kind and its scalar parameters: ``dims``/``period`` or
+``lams``/``base_volume``) and a diagnostics line; the gauge stage appends its
+energy lines.  The array file holds the stacked float64 metric arrays, under
+``g`` (grid) or ``a`` (frame), and the stacked potentials under ``f`` when
+the states carry one, so loading round-trips bitwise.  Plot data reads the
+index alone.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ import hashlib
 import json
 import os
 import time
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -69,7 +80,7 @@ class RunConfig:
 @dataclass
 class RunRecord:
     config_hash: str
-    trajectory_path: str
+    trajectory_path: Optional[str]  # None when the run failed before saving one
     spectral_path: Optional[str]
     verdicts: dict
     wall_clock: float
@@ -259,7 +270,15 @@ def flat_background(cfg: RunConfig) -> GridModel:
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# persistence: a JSONL index plus an .npz array file (see the module docstring)
+
+
+def _arrays_path(path) -> Path:
+    path = Path(path)
+    arrays = path.with_suffix(".npz")
+    if arrays == path:
+        raise RejectedInputError(f"{path}: a trajectory index must not end in .npz")
+    return arrays
 
 
 def _state_record(state) -> dict:
@@ -268,56 +287,79 @@ def _state_record(state) -> dict:
            "tau": None if np.isinf(state.tau) else state.tau}
     if isinstance(model, FrameModel):
         rec["model"] = "frame"
-        rec["a"] = model.a.tolist()
         rec["lams"] = model.lams.tolist()
         rec["base_volume"] = model.base_volume
     else:
         rec["model"] = "grid"
         rec["dims"] = list(model.dims)
         rec["period"] = list(model.period)
-        rec["g"] = model.g.tolist()
-    if state.f is not None:
-        rec["f"] = state.f.tolist() if isinstance(state.f, np.ndarray) else float(state.f)
     return rec
 
 
 def save_trajectory(traj, path) -> None:
+    """Write ``traj`` as the JSONL index ``path`` plus its ``.npz`` arrays."""
+    arrays_path = _arrays_path(path)
+    key = "a" if isinstance(traj.states[0].model, FrameModel) else "g"
+    arrays = {key: traj.metric_series()}
+    with_f = [s.f is not None for s in traj.states]
+    if any(with_f):
+        if not all(with_f):
+            raise RejectedInputError("a trajectory carries a potential on every state or none")
+        arrays["f"] = np.stack([np.asarray(s.f, dtype=float) for s in traj.states])
+    with open(arrays_path, "wb") as fh:
+        np.savez(fh, **arrays)
     with open(path, "w") as fh:
-        fh.write(json.dumps({"kind": "header", "convention": traj.convention}) + "\n")
+        fh.write(json.dumps({"kind": "header", "convention": traj.convention,
+                             "arrays": arrays_path.name}) + "\n")
         for state, diag in zip(traj.states, traj.diagnostics):
             fh.write(json.dumps(_state_record(state)) + "\n")
             fh.write(json.dumps({"kind": "diagnostics", **diag}) + "\n")
 
 
 def load_trajectory(path):
-    states, diags, convention = [], [], "tau"
+    """Read back what ``save_trajectory`` wrote, bitwise.
+
+    An index that names no array file (written before trajectories kept their
+    arrays in one, with the arrays inline), or whose array file is missing or
+    does not match its states, is rejected naming the file.
+    """
+    path = Path(path)
     with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if rec["kind"] == "header":
-                convention = rec["convention"]
-            elif rec["kind"] == "state":
-                if rec["model"] == "frame":
-                    if "lams" not in rec:
-                        raise RejectedInputError(
-                            f"{path}: frame state at t = {rec['t']} has no 'lams' (written "
-                            "before frame states recorded their Milnor constants)")
-                    model = FrameModel(lams=rec["lams"], a=rec["a"],
-                                       base_volume=rec["base_volume"])
-                else:
-                    model = GridModel(n=len(rec["dims"]), dims=tuple(rec["dims"]),
-                                      period=tuple(rec["period"]),
-                                      g=np.array(rec["g"]), validate=False)
-                f = rec.get("f")
-                if isinstance(f, list):
-                    f = np.array(f)
-                tau = rec["tau"] if rec["tau"] is not None else np.inf
-                states.append(flows.FlowState(t=rec["t"], model=model, tau=tau, f=f))
-            elif rec["kind"] == "diagnostics":
-                diags.append({k: v for k, v in rec.items() if k != "kind"})
-    traj = flows.Trajectory(convention=convention)
-    for s, d in zip(states, diags):
-        traj.append(s, d)
+        records = [json.loads(line) for line in fh]
+    if not records or records[0].get("kind") != "header" or "arrays" not in records[0]:
+        raise RejectedInputError(
+            f"{path}: the header names no array file (an index written before "
+            "trajectories kept their arrays in a .npz file beside it)")
+    arrays_path = path.parent / records[0]["arrays"]
+    try:
+        with np.load(arrays_path) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise RejectedInputError(f"{path}: cannot read its array file {arrays_path}: {exc}") from exc
+    state_recs = [r for r in records if r["kind"] == "state"]
+    diags = [{k: v for k, v in r.items() if k != "kind"}
+             for r in records if r["kind"] == "diagnostics"]
+    key = "a" if state_recs and state_recs[0]["model"] == "frame" else "g"
+    if key not in arrays or any(len(v) != len(state_recs) for v in arrays.values()):
+        raise RejectedInputError(f"{arrays_path}: does not hold one {key!r} array per "
+                                 f"state of {path} ({len(state_recs)} states)")
+    fs = arrays.get("f")
+    traj = flows.Trajectory(convention=records[0]["convention"])
+    for i, (rec, diag) in enumerate(zip(state_recs, diags)):
+        if rec["model"] == "frame":
+            if "lams" not in rec:
+                raise RejectedInputError(
+                    f"{path}: frame state at t = {rec['t']} has no 'lams' (written "
+                    "before frame states recorded their Milnor constants)")
+            model = FrameModel(lams=rec["lams"], a=arrays["a"][i],
+                               base_volume=rec["base_volume"])
+            f = None if fs is None else float(fs[i])
+        else:
+            model = GridModel(n=len(rec["dims"]), dims=tuple(rec["dims"]),
+                              period=tuple(rec["period"]), g=arrays["g"][i], validate=False)
+            f = None if fs is None else fs[i]
+        tau = rec["tau"] if rec["tau"] is not None else np.inf
+        traj.append(flows.FlowState(t=rec["t"], model=model, tau=tau, f=f), diag)
     return traj
 
 
@@ -332,6 +374,7 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
     out_dir.mkdir(parents=True, exist_ok=True)
     verdicts = {}
     stage = "setup"
+    traj_path = None
     try:
         model0 = build_model(cfg)
         background = flat_background(cfg) if cfg.kind == "grid" else None
@@ -340,8 +383,8 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
         traj = flows.run_flow(model0, cfg.variant, cfg.tau, cfg.dt, cfg.t_end,
                               background=background, couple_f=cfg.couple_potential,
                               sample_every=cfg.sample_every)
+        save_trajectory(traj, out_dir / "trajectory.jsonl")
         traj_path = out_dir / "trajectory.jsonl"
-        save_trajectory(traj, traj_path)
 
         stage = "entropy"
         if cfg.couple_potential:
@@ -403,7 +446,7 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
         verdicts["failed_stage"] = stage
         verdicts["error"] = f"{type(exc).__name__}: {exc}"
         record = RunRecord(config_hash=cfg.digest(),
-                           trajectory_path=str(out_dir / "trajectory.jsonl"),
+                           trajectory_path=str(traj_path) if traj_path else None,
                            spectral_path=None, verdicts=verdicts,
                            wall_clock=time.time() - t_start)
         (out_dir / "record.json").write_text(record.to_json())
@@ -454,10 +497,14 @@ def emit_plotdata(record: RunRecord, quantity: str, path=None) -> str:
     if quantity not in PLOT_QUANTITIES:
         raise RejectedInputError(f"unknown plot quantity {quantity!r}; "
                                  f"choose from {PLOT_QUANTITIES}")
+    traj_path = record.trajectory_path
+    if not isinstance(traj_path, str) or not Path(traj_path).is_file():
+        raise RejectedInputError(f"the record's trajectory {traj_path!r} does not exist "
+                                 "(a failed run saves none before its flow completes)")
     if path is None:
-        path = str(Path(record.trajectory_path).parent / f"plot-{quantity}.dat")
+        path = str(Path(traj_path).parent / f"plot-{quantity}.dat")
     rows = []
-    with open(record.trajectory_path) as fh:
+    with open(traj_path) as fh:
         for line in fh:
             rec = json.loads(line)
             value = None

@@ -246,6 +246,22 @@ def test_run_flow_halves_dt_to_recover():
     assert traj.states[-1].t == pytest.approx(5 * dt)
 
 
+def test_singular_stage_is_a_rejected_step_that_halving_recovers(monkeypatch):
+    """An RK4 stage metric that cannot be inverted is a rejected step naming
+    its time, not a ``LinAlgError``: at dt = 0.01 the first half stage of
+    g' = -200 g is the zero metric, at dt = 0.005 it is g/2."""
+    singular_at_dt = lambda m: -2.0 * m.g / 0.01 + 0.0 * m.ginv
+    flat = GridModel.flat(2, (8, 8))
+    with pytest.raises(StepRejectedError, match="t = 0.01 met a singular stage metric"):
+        flows.step(FlowState(0.0, flat, np.inf), singular_at_dt, 0.01)
+    monkeypatch.setattr(flows, "make_metric_rhs", lambda *args: singular_at_dt)
+    traj = flows.run_flow(flat, "unnormalized", np.inf, dt=0.01, t_end=0.01)
+    half = flows.step(FlowState(0.0, flat, np.inf), singular_at_dt, 0.005)
+    twice = flows.step(half, singular_at_dt, 0.005)
+    assert traj.times.tolist() == [0.0, 0.01]
+    assert np.array_equal(traj.states[-1].model.g, twice.model.g)
+
+
 def test_run_flow_takes_only_whole_steps():
     """A t_end that is not a whole number of steps of dt is rejected, not
     rounded; 1e-9 relative slack absorbs the rounding of t_end / dt."""

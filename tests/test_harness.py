@@ -1,6 +1,7 @@
 """Config parsing, persistence, the experiment pipeline, plot data, CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,9 +135,13 @@ def test_trajectory_round_trip_frame(tmp_path):
     assert back.convention == traj.convention
     assert len(back.states) == len(traj.states)
     for s0, s1 in zip(traj.states, back.states):
-        assert np.allclose(s0.model.a, s1.model.a, atol=1e-15)
-        assert np.isclose(s0.f, s1.f, atol=1e-15)
-    assert back.diagnostics[-1]["entropy"]["W"] == traj.diagnostics[-1]["entropy"]["W"]
+        assert np.array_equal(s0.model.a, s1.model.a)
+        assert s0.f == s1.f
+        assert s0.t == s1.t and s0.tau == s1.tau
+    assert back.diagnostics == traj.diagnostics
+    inf_tau = flows.run_flow(m, "unnormalized", np.inf, dt=1e-2, t_end=0.02)
+    harness.save_trajectory(inf_tau, path)
+    assert [s.tau for s in harness.load_trajectory(path).states] == [np.inf] * 3
 
 
 def test_trajectory_round_trip_grid(tmp_path):
@@ -150,6 +155,66 @@ def test_trajectory_round_trip_grid(tmp_path):
     for s0, s1 in zip(traj.states, back.states):
         assert np.array_equal(s0.model.g, s1.model.g)
         assert s1.model.dims == s0.model.dims
+
+
+def test_trajectory_round_trip_grid_potential(tmp_path):
+    """A grid state's scalar field f, time and tau come back bitwise."""
+    cfg = harness.parse_config(GRID_CONFIG)
+    model = harness.build_model(cfg)
+    rng = np.random.default_rng(5)
+    traj = flows.Trajectory(convention="tau")
+    for t in (0.0, 0.1 / 3.0, np.pi):
+        f = rng.standard_normal(model.dims) * np.exp(rng.uniform(-40, 40, model.dims))
+        traj.append(flows.FlowState(t=t, model=model, tau=2.0 / 3.0, f=f), {"t": t})
+    path = tmp_path / "traj.jsonl"
+    harness.save_trajectory(traj, path)
+    back = harness.load_trajectory(path)
+    for s0, s1 in zip(traj.states, back.states, strict=True):
+        assert np.array_equal(s0.model.g, s1.model.g)
+        assert np.array_equal(s0.f, s1.f)
+        assert s0.t == s1.t and s0.tau == s1.tau
+    with np.load(tmp_path / "traj.npz") as npz:
+        assert sorted(npz.files) == ["f", "g"]
+        assert npz["f"].dtype == np.float64 and npz["f"].shape == (3,) + model.dims
+
+
+README_CONFIG = """
+[model]
+kind = grid
+dims = 16,16
+recipe = perturbed-flat
+amplitude = 0.01
+seed = 7
+
+[flow]
+variant = deturck
+tau = inf
+dt = 0.02
+t_end = 16.0
+sample_every = 4
+
+[stability]
+analyze = false
+"""
+
+
+def test_readme_trajectory_keeps_its_arrays_out_of_the_index(tmp_path, monkeypatch):
+    """The README run's index holds scalars only; its 201 metrics sit in the
+    array file as one float64 stack."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    record = harness.run_experiment(harness.parse_config(README_CONFIG))
+    index = Path(record.trajectory_path)
+    lines = [json.loads(line) for line in index.read_text().splitlines()]
+    assert lines[0] == {"kind": "header", "convention": "deturck", "arrays": "trajectory.npz"}
+    assert not any("g" in rec for rec in lines)
+    states = [rec for rec in lines if rec["kind"] == "state"]
+    assert len(states) == 201
+    with np.load(index.with_suffix(".npz")) as npz:
+        assert npz.files == ["g"]
+        g = npz["g"]
+    assert g.dtype == np.float64 and g.shape == (201, 16, 16, 2, 2)
+    assert index.stat().st_size < 100_000
+    assert index.with_suffix(".npz").stat().st_size < g.nbytes + 1_000
 
 
 def test_trajectory_round_trip_flat_torus(tmp_path):
@@ -168,15 +233,52 @@ def test_trajectory_round_trip_flat_torus(tmp_path):
         assert geometry.volume(s1.model) == geometry.volume(s0.model)
 
 
-def test_frame_trajectory_without_lams_is_rejected_by_name(tmp_path):
-    """Frame states written before they recorded their Milnor constants."""
-    path = tmp_path / "old.jsonl"
-    lines = [{"kind": "header", "convention": "tau"},
-             {"kind": "state", "t": 0.0, "tau": 1.0, "model": "frame",
-              "a": [4.4, 4.0, 3.7], "c": np.zeros((3, 3, 3)).tolist(), "f": 0.1},
-             {"kind": "diagnostics", "t": 0.0}]
+def _write_index(path, lines):
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+
+def test_frame_trajectory_without_lams_is_rejected_by_name(tmp_path):
+    """A frame state whose index line lacks its Milnor constants."""
+    path = tmp_path / "old.jsonl"
+    np.savez(tmp_path / "old.npz", a=np.array([[4.4, 4.0, 3.7]]), f=np.array([0.1]))
+    _write_index(path, [{"kind": "header", "convention": "tau", "arrays": "old.npz"},
+                        {"kind": "state", "t": 0.0, "tau": 1.0, "model": "frame",
+                         "c": np.zeros((3, 3, 3)).tolist()},
+                        {"kind": "diagnostics", "t": 0.0}])
     with pytest.raises(RejectedInputError, match="'lams'"):
+        harness.load_trajectory(path)
+
+
+def test_trajectory_without_its_arrays_is_rejected_by_name(tmp_path):
+    """An index whose array file is gone, or whose arrays do not match its
+    states, is rejected naming the file."""
+    m = FrameModel.su2(a=(4.4, 4.0, 3.7))
+    traj = flows.run_flow(m, "tau", tau=1.0, dt=1e-2, t_end=0.03)
+    path = tmp_path / "traj.jsonl"
+    harness.save_trajectory(traj, path)
+    arrays = tmp_path / "traj.npz"
+    np.savez(arrays, a=traj.metric_series()[:2])
+    with pytest.raises(RejectedInputError, match="traj.npz: does not hold one 'a' array"):
+        harness.load_trajectory(path)
+    arrays.write_bytes(b"not an array file")
+    with pytest.raises(RejectedInputError, match="traj.npz"):
+        harness.load_trajectory(path)
+    arrays.unlink()
+    with pytest.raises(RejectedInputError, match="traj.jsonl: cannot read its array file"):
+        harness.load_trajectory(path)
+    with pytest.raises(RejectedInputError, match="must not end in .npz"):
+        harness.save_trajectory(traj, arrays)
+
+
+def test_trajectory_with_inline_arrays_is_rejected_by_name(tmp_path):
+    """An index written when the states carried their arrays inline."""
+    path = tmp_path / "inline.jsonl"
+    _write_index(path, [{"kind": "header", "convention": "deturck"},
+                        {"kind": "state", "t": 0.0, "tau": None, "model": "grid",
+                         "dims": [8, 8], "period": [TWO_PI, TWO_PI],
+                         "g": np.broadcast_to(np.eye(2), (8, 8, 2, 2)).tolist()},
+                        {"kind": "diagnostics", "t": 0.0}])
+    with pytest.raises(RejectedInputError, match="inline.jsonl: the header names no array file"):
         harness.load_trajectory(path)
 
 
@@ -192,6 +294,7 @@ def test_run_experiment_writes_artifacts_and_verdicts(tmp_path, monkeypatch):
     assert (out_dir / "record.json").exists()
     assert (out_dir / "config.ini").exists()
     assert (out_dir / "trajectory.jsonl").exists()
+    assert (out_dir / "trajectory.npz").exists()
     assert record.spectral_path is not None
     doc = json.loads((out_dir / "spectral.json").read_text())
     assert doc["counts"]["neutral"] == 3
@@ -365,6 +468,51 @@ def test_cli_frame_singularity_exits_numerical(tmp_path, monkeypatch, capsys):
     assert "left the SPD cone" in err
     record, = tmp_path.glob("singular-*/record.json")
     assert json.loads(record.read_text())["verdicts"]["failed_stage"] == "flow"
+
+
+def test_cli_singular_stage_exits_numerical_naming_the_time(tmp_path, monkeypatch, capsys):
+    """A stage metric that no halving makes invertible ends in exit 3 naming
+    the time of the last step tried (dt / 2^8), not in a ``LinAlgError``."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    singular = lambda m: np.linalg.inv(np.zeros_like(m.g))
+    monkeypatch.setattr(flows, "make_metric_rhs", lambda *args: singular)
+    assert cli.main(["run", _write_config(tmp_path, GRID_CONFIG)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert f"numerical failure: step to t = {0.01 / 2**flows.MAX_HALVINGS}" in err
+    assert "singular stage metric" in err
+
+
+def test_cli_plot_of_a_failed_run_is_rejected(tmp_path, monkeypatch, capsys):
+    """A run that fails in its flow saves no trajectory: its record says so
+    and ``plot`` on it exits 2."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    text = ("[model]\nkind = frame\nrecipe = berger\ncoefficients = 1.2,1.0,0.9\n"
+            "[flow]\nvariant = tau\ntau = 1.0\ndt = 0.01\nt_end = 1.0\n"
+            "[output]\nname = singular\n")
+    assert cli.main(["run", _write_config(tmp_path, text)]) == cli.EXIT_NUMERICAL
+    record, = tmp_path.glob("singular-*/record.json")
+    assert json.loads(record.read_text())["trajectory_path"] is None
+    assert not list(record.parent.glob("trajectory.*"))
+    capsys.readouterr()
+    assert cli.main(["plot", str(record), "norm"]) == cli.EXIT_VALIDATION
+    assert "validation error: the record's trajectory None does not exist" in (
+        capsys.readouterr().err)
+
+
+def test_cli_plot_rejects_a_malformed_record(tmp_path, capsys):
+    """A record.json with missing or unknown keys is rejected input, not a
+    ``TypeError``."""
+    good = {"config_hash": "0", "trajectory_path": str(tmp_path / "gone.jsonl"),
+            "spectral_path": None, "verdicts": {}, "wall_clock": 0.0}
+    for data, needle in (({k: v for k, v in good.items() if k != "verdicts"}, "verdicts"),
+                         ({**good, "colour": "blue"}, "colour"),
+                         ([1, 2], "mapping"),
+                         (good, "gone.jsonl")):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["plot", str(path), "norm"]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and needle in err
 
 
 def test_cli_spectrum_and_plot(tmp_path, monkeypatch, capsys):
