@@ -176,6 +176,9 @@ def test_trajectory_round_trip_grid_potential(tmp_path):
     with np.load(tmp_path / "traj.npz") as npz:
         assert sorted(npz.files) == ["f", "g"]
         assert npz["f"].dtype == np.float64 and npz["f"].shape == (3,) + model.dims
+    traj.append(flows.FlowState(t=4.0, model=model, tau=2.0 / 3.0), {"t": 4.0})
+    with pytest.raises(RejectedInputError, match="potential on every state or none"):
+        harness.save_trajectory(traj, path)
 
 
 README_CONFIG = """
@@ -192,9 +195,6 @@ tau = inf
 dt = 0.02
 t_end = 16.0
 sample_every = 4
-
-[stability]
-analyze = false
 """
 
 
@@ -259,6 +259,10 @@ def test_trajectory_without_its_arrays_is_rejected_by_name(tmp_path):
     arrays = tmp_path / "traj.npz"
     np.savez(arrays, a=traj.metric_series()[:2])
     with pytest.raises(RejectedInputError, match="traj.npz: does not hold one 'a' array"):
+        harness.load_trajectory(path)
+    harness.save_trajectory(traj, path)
+    arrays.write_bytes(arrays.read_bytes()[:200])  # a write cut short
+    with pytest.raises(RejectedInputError, match="traj.npz"):
         harness.load_trajectory(path)
     arrays.write_bytes(b"not an array file")
     with pytest.raises(RejectedInputError, match="traj.npz"):
