@@ -193,8 +193,9 @@ def step(state: FlowState, metric_rhs: Callable, dt: float,
 
     A stage or result metric outside the SPD cone (a non-SPD grid metric, a
     frame coefficient <= 0, a stage metric too singular to invert) raises
-    ``StepRejectedError`` so the caller can halve dt.  When ``couple_f`` is set the potential is advanced alongside
-    and then re-normalized to the constraint.
+    ``StepRejectedError`` so the caller can halve dt.  When ``couple_f`` is
+    set the potential is advanced alongside and then re-normalized to the
+    constraint.
     """
     bound = cfl_bound(state.model)
     if dt > bound:
