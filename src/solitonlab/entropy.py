@@ -18,7 +18,6 @@ resolve the concentration regime at small tau), or a grid scalar field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,7 +39,6 @@ class EntropyRecord:
     defect_l2: float
     dWdt_numeric: float = np.nan
     dWdt_formula: float = np.nan
-    mu: Optional[float] = None
     monotone: bool = True
 
 
@@ -83,7 +81,6 @@ class _RadialQuadrature:
 
     def __init__(self, r: float, n_theta: int):
         self.r = r
-        self.n = n_theta
         self.dtheta = np.pi / n_theta
         self.theta = (np.arange(n_theta) + 0.5) * self.dtheta
         self.w = 4.0 * np.pi * r**3 * np.sin(self.theta) ** 2 * self.dtheta
@@ -221,11 +218,10 @@ def defect_l2(model, f, tau: float) -> float:
     return float(np.sqrt(weighted_defect_sq(model, f, tau)))
 
 
-def entropy_record(state, t: Optional[float] = None) -> EntropyRecord:
+def entropy_record(state) -> EntropyRecord:
     """W and defect for a single flow state carrying a potential."""
-    t = state.t if t is None else t
     return EntropyRecord(
-        t=t,
+        t=state.t,
         W=w_functional(state.model, state.f, state.tau),
         defect_l2=defect_l2(state.model, state.f, state.tau),
     )
@@ -235,26 +231,28 @@ def entropy_record(state, t: Optional[float] = None) -> EntropyRecord:
 # monotonicity audit
 
 
-def monotonicity_report(traj, tol: float = 1e-10) -> list:
+def monotonicity_report(traj) -> list:
     """Audit the entropy derivative along a coupled-flow trajectory.
 
-    Per sample: W, centered-difference dW/dt, and the closed-form derivative
-    ``2 tau int |defect|^2 dm``.  ``monotone`` flags any sample where the
-    numeric derivative dips below ``-tol``.  Each state's geometry is read
-    off a throwaway twin of its model, so the trajectory keeps metrics only.
+    Reads the W and ``defect_l2`` that ``flows.run_flow`` records for every
+    sample of a coupled run (``diagnostics[i]["entropy"]``, see
+    ``entropy_record``) and evaluates nothing again.  Per sample: W, the
+    centered-difference dW/dt, and the closed-form derivative
+    ``2 tau int |defect|^2 dm = 2 tau defect_l2^2``.  ``monotone`` flags any
+    sample where the numeric derivative dips below -1e-10.  A trajectory
+    without potentials or without those records is rejected.
     """
     states = traj.states
     if any(s.f is None for s in states):
         raise RejectedInputError("monotonicity audit requires a trajectory with the potential evolved")
+    if any("entropy" not in d for d in traj.diagnostics):
+        raise RejectedInputError("monotonicity audit requires the per-sample entropy records "
+                                 "that a coupled run_flow writes into the diagnostics")
     times = traj.times
-    W, formulas = [], []
-    for s in states:
-        model = geometry.twin(s.model)
-        W.append(w_functional(model, s.f, s.tau))
-        formulas.append(2.0 * s.tau * weighted_defect_sq(model, s.f, s.tau))
-    W = np.array(W)
+    W = np.array([d["entropy"]["W"] for d in traj.diagnostics])
+    defects = [d["entropy"]["defect_l2"] for d in traj.diagnostics]
     records = []
-    for i, (s, formula) in enumerate(zip(states, formulas)):
+    for i, (s, defect) in enumerate(zip(states, defects)):
         if 0 < i < len(states) - 1:
             numeric = (W[i + 1] - W[i - 1]) / (times[i + 1] - times[i - 1])
         elif i == 0 and len(states) > 1:
@@ -264,10 +262,9 @@ def monotonicity_report(traj, tol: float = 1e-10) -> list:
         else:
             numeric = np.nan
         records.append(EntropyRecord(
-            t=float(times[i]), W=float(W[i]),
-            defect_l2=float(np.sqrt(max(formula / (2.0 * s.tau), 0.0))),
-            dWdt_numeric=float(numeric), dWdt_formula=float(formula),
-            monotone=bool(numeric >= -tol)))
+            t=float(times[i]), W=float(W[i]), defect_l2=float(defect),
+            dWdt_numeric=float(numeric), dWdt_formula=float(2.0 * s.tau * defect**2),
+            monotone=bool(numeric >= -1e-10)))
     return records
 
 
@@ -430,6 +427,6 @@ def minimize_mu(model, tau: float, f0=None, grad_tol: float = GRAD_TOL,
     return result
 
 
-def minimize_mu_multistart(model, tau: float, starts, **kw) -> list:
+def minimize_mu_multistart(model, tau: float, starts) -> list:
     """Run ``minimize_mu`` from several starts; returns all results."""
-    return [minimize_mu(model, tau, f0=f0, **kw) for f0 in starts]
+    return [minimize_mu(model, tau, f0=f0) for f0 in starts]

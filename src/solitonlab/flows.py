@@ -35,7 +35,7 @@ class FlowState:
     """Immutable snapshot of an evolving geometry.
 
     ``f`` is the scalar potential (a float on a frame model, a scalar field
-    on a grid); ``F`` an optional gauge displacement field.  ``tau`` may be
+    on a grid), or None when the potential is not evolved.  ``tau`` may be
     ``inf`` for the unnormalized convention.
     """
 
@@ -43,7 +43,6 @@ class FlowState:
     model: object
     tau: float
     f: Optional[object] = None
-    F: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -225,7 +224,7 @@ def step(state: FlowState, metric_rhs: Callable, dt: float,
     model1 = model_at(y1[0], validate=True)
     f1 = (entropy.normalize_f(geometry.twin(model1), y1[1], state.tau) if couple_f
           else state.f)
-    return FlowState(t=state.t + dt, model=model1, tau=state.tau, f=f1, F=state.F)
+    return FlowState(t=state.t + dt, model=model1, tau=state.tau, f=f1)
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -239,7 +238,7 @@ def step_count(t_end: float, dt: float) -> int:
 
 
 def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
-             background: Optional[GridModel] = None, f0=None,
+             background: Optional[GridModel] = None,
              couple_f: bool = False, sample_every: int = 1) -> Trajectory:
     """Drive ``step`` from t = 0 to ``t_end``, recording states and diagnostics.
 
@@ -247,12 +246,12 @@ def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
     rejection dt is halved (up to ``MAX_HALVINGS`` times); rejection
     past that limit propagates.  Diagnostics per sample: scalar curvature
     range, metric deviation from the background (if given), and the entropy
-    record of a coupled run.
+    record of a coupled run, whose potential starts at the constant that
+    satisfies the normalization constraint.
     """
     n_steps = step_count(t_end, dt)
     metric_rhs = make_metric_rhs(variant, tau, background)
-    if couple_f and f0 is None:
-        f0 = entropy.constant_potential(geometry.twin(model0), tau)
+    f0 = entropy.constant_potential(geometry.twin(model0), tau) if couple_f else None
     state = FlowState(t=0.0, model=model0, tau=tau, f=f0)
     traj = Trajectory(convention=variant)
     traj.append(state, _diagnose(state, background, couple_f))
@@ -287,7 +286,7 @@ def _diagnose(state: FlowState, background, couple_f: bool) -> dict:
     diag["scalar_curvature_range"] = [float(np.min(R)), float(np.max(R))]
     if background is not None and isinstance(model, GridModel):
         dev = model.g - background.g
-        rep = geometry.norms(model, dev, k=1)
+        rep = geometry.norms(model, dev)
         diag["deviation_l2"] = rep.l2
         diag["deviation_sup"] = rep.sup
     if couple_f:
@@ -300,19 +299,18 @@ def _diagnose(state: FlowState, background, couple_f: bool) -> dict:
 # reparametrization between the two flow conventions
 
 
-def reparametrize(traj: Trajectory, tau: float, s_samples=None) -> Trajectory:
+def reparametrize(traj: Trajectory, tau: float) -> Trajectory:
     """Translate a tau-flow trajectory to the unnormalized convention.
 
     Uses ``c(s) = 1 - s/tau``, ``t(s) = -tau log(1 - s/tau)`` and
-    ``g~(s) = c(s) g(t(s))`` with cubic interpolation of the metric in t.
-    Requires ``s < tau``.
+    ``g~(s) = c(s) g(t(s))`` with cubic interpolation of the metric in t, at
+    the images ``s = tau (1 - e^{-t/tau})`` of the sample times.  Requires
+    ``s < tau``, which fails in floating point once t exceeds about 37 tau.
     """
     if traj.convention != "tau":
         raise RejectedInputError("reparametrize expects a tau-flow trajectory")
     interp = MetricInterpolant(traj)
-    if s_samples is None:
-        s_samples = tau * (1.0 - np.exp(-traj.times / tau))
-    s_samples = np.asarray(s_samples, dtype=float)
+    s_samples = tau * (1.0 - np.exp(-traj.times / tau))
     if np.any(s_samples >= tau):
         raise RejectedInputError("reparametrization requires s < tau")
     out = Trajectory(convention="unnormalized")

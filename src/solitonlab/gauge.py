@@ -88,12 +88,6 @@ class EnergyRecord:
     E: float
 
 
-def _require_flat(h: GridModel) -> None:
-    g0 = h.g.reshape(-1, h.n, h.n)
-    if not np.allclose(g0, g0[0]):
-        raise RejectedInputError("the reference background must be a constant (flat) metric")
-
-
 # ---------------------------------------------------------------------------
 # gauge vector field and standard form
 
@@ -118,7 +112,7 @@ def harmonic_map_rhs(F: np.ndarray, g: GridModel, h: GridModel) -> np.ndarray:
     rhs^k = g^{ij} (d2_ij F^k - Gamma^l_ij(g) d_l F^k) + g^{ij} (Gamma^k_ij(h)
     - Gamma^k_ij(g)); the last term is the forcing that vanishes when g = h.
     """
-    _require_flat(h)
+    geometry.require_flat(h)
     ginv, gamma = g.ginv, g.gamma
     hess = geometry.hessian(g, F)  # [..., k, i, j]
     lap = np.einsum("...ij,...kij->...k", ginv, hess)
@@ -148,7 +142,7 @@ def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t0: float, t1: floa
     its derived fields.  The injectivity proxy is checked after every step and
     a failure raises ``GaugeBreakdownError`` with the breakdown time.
     """
-    _require_flat(h)
+    geometry.require_flat(h)
     traj = GaugeTrajectory(h=h)
     F = np.array(F0, dtype=float)
     t = t0
@@ -246,12 +240,11 @@ def pullback_metric(F: np.ndarray, g: GridModel) -> GridModel:
     return g.with_metric(0.5 * (out + np.swapaxes(out, -1, -2)), validate=False)
 
 
-def invert_diffeo(F: np.ndarray, grid: GridModel, tol: float = 1e-13,
-                  max_iter: int = 100) -> np.ndarray:
+def invert_diffeo(F: np.ndarray, grid: GridModel, max_iter: int = 100) -> np.ndarray:
     """Displacement G of the inverse map: (Id + F) o (Id + G) = Id.
 
     Fixed-point iteration; raises ``NonConvergenceError`` (carrying the last
-    iterate) if the update does not drop below ``tol`` in ``max_iter`` sweeps.
+    iterate) if the update does not drop below 1e-13 in ``max_iter`` sweeps.
     """
     x0 = coords_array(grid)
     period = np.array(grid.period)
@@ -260,7 +253,7 @@ def invert_diffeo(F: np.ndarray, grid: GridModel, tol: float = 1e-13,
         G_new = -interp_periodic(F, np.mod(x0 + G, period), grid.dims, grid.period)
         delta = float(np.max(np.abs(G_new - G)))
         G = G_new
-        if delta < tol:
+        if delta < 1e-13:
             return G
     raise NonConvergenceError(f"diffeomorphism inversion stalled at update {delta:.3e}",
                               last_iterate=G)
@@ -272,7 +265,7 @@ def _solve_background_divergence(h: GridModel, rhs: np.ndarray) -> np.ndarray:
     Fourier solve with the central-difference symbols so the solution inverts
     the discrete operator; null (Nyquist/constant) modes are dropped.
     """
-    _require_flat(h)
+    geometry.require_flat(h)
     n = h.n
     H = h.g.reshape(-1, n, n)[0]
     Hinv = np.linalg.inv(H)
@@ -291,22 +284,21 @@ def _solve_background_divergence(h: GridModel, rhs: np.ndarray) -> np.ndarray:
     return np.stack([np.real(np.fft.ifftn(xhat[..., l])) for l in range(n)], axis=-1)
 
 
-def divergence_gauge_fix(g: GridModel, h: GridModel, tol: float = 1e-8,
-                         max_iter: int = 40) -> DiffeoField:
+def divergence_gauge_fix(g: GridModel, h: GridModel) -> DiffeoField:
     """Find phi near Id with delta_{phi^* h}(g) = 0 by fixed-point iteration.
 
     Each sweep solves the flat linearized system for a displacement update
     and re-measures the divergence against the pulled-back background.
     Raises ``NonConvergenceError`` (carrying the last iterate) if the
-    residual does not drop below ``tol``.
+    residual does not drop below 1e-8 in 40 sweeps.
     """
-    _require_flat(h)
+    geometry.require_flat(h)
     X = np.zeros(h.dims + (h.n,))
-    for _ in range(max_iter):
+    for _ in range(40):
         b = pullback_metric(X, h) if np.any(X) else h
         r = geometry.divergence(b, g.g)
-        res = geometry.norms(b, r, k=0, index="lower").l2
-        if res < tol:
+        res = geometry.norms(b, r, index="lower").l2
+        if res < 1e-8:
             return DiffeoField(F=X, h=h)
         X = X + _solve_background_divergence(h, r)
     raise NonConvergenceError(
@@ -317,7 +309,7 @@ def divergence_gauge_fix(g: GridModel, h: GridModel, tol: float = 1e-8,
 def gauge_residual(g: GridModel, phi: DiffeoField) -> float:
     """L2 norm of delta_{phi^* h}(g), the gauge condition being enforced."""
     b = pullback_metric(phi.F, phi.h) if np.any(phi.F) else phi.h
-    return geometry.norms(b, geometry.divergence(b, g.g), k=0, index="lower").l2
+    return geometry.norms(b, geometry.divergence(b, g.g), index="lower").l2
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,18 @@ def validate_spd(g: np.ndarray) -> float:
     return float(np.min(eigs[..., 0]))
 
 
+def require_flat(h: GridModel) -> None:
+    """Reject a background whose metric is not the same at every node."""
+    g0 = h.g.reshape(-1, h.n, h.n)
+    if not np.allclose(g0, g0[0]):
+        raise RejectedInputError("the background must be a constant (flat) metric")
+
+
+def sym_components(n: int):
+    """Index pairs (i, j), i <= j, of a symmetric n x n tensor, row-major."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -392,12 +404,10 @@ def lichnerowicz(m: GridModel, t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormReport:
-    """Discrete norms of a grid field: L2, sup, Sobolev W^{k,2}, and a C^k proxy."""
+    """Discrete norms of a grid field: L2 and sup."""
 
     l2: float
     sup: float
-    sobolev: float
-    ck: float
 
 
 def _pointwise_sq(m: GridModel, f: np.ndarray, index: str) -> np.ndarray:
@@ -415,11 +425,6 @@ def _pointwise_sq(m: GridModel, f: np.ndarray, index: str) -> np.ndarray:
     raise RejectedInputError("fields with more than two component axes are not supported")
 
 
-def _frobenius_sq(f: np.ndarray, grid_ndim: int) -> np.ndarray:
-    comp_axes = tuple(range(grid_ndim, f.ndim))
-    return np.sum(f**2, axis=comp_axes) if comp_axes else f**2
-
-
 def volume(m) -> float:
     """Total volume of the model."""
     if isinstance(m, FrameModel):
@@ -427,31 +432,15 @@ def volume(m) -> float:
     return float(np.sum(m.sqrt_det) * np.prod(m.spacings))
 
 
-def norms(m: GridModel, f: np.ndarray, k: int = 0, index: str = "upper") -> NormReport:
-    """Discrete L2 / sup / W^{k,2} norms and the C^k sup-of-derivatives proxy.
+def norms(m: GridModel, f: np.ndarray, index: str = "upper") -> NormReport:
+    """Discrete L2 norm against dV_g and the sup norm of a grid field.
 
-    The base magnitude contracts indices with the model metric (``index``
-    selects upper or lower for rank-1 fields); derivative magnitudes use the
-    Frobenius contraction of coordinate partials, the stated stand-in for
-    Hoelder seminorms on a grid.
+    The pointwise magnitude contracts indices with the model metric
+    (``index`` selects upper or lower for rank-1 fields).
     """
-    if k > 2:
-        raise RejectedInputError("norms support derivative order k <= 2")
-    dV = np.prod(m.spacings)
-    sqrtdet = m.sqrt_det
     base_sq = _pointwise_sq(m, f, index)
-    l2 = float(np.sqrt(np.sum(base_sq * sqrtdet) * dV))
-    sup = float(np.sqrt(np.max(base_sq)))
-    sob_sq = np.sum(base_sq * sqrtdet) * dV
-    ck = sup
-    deriv = f
-    gdim = len(m.dims)
-    for _ in range(k):
-        deriv = partials(m, deriv)
-        mag_sq = _frobenius_sq(deriv, gdim)
-        sob_sq += np.sum(mag_sq * sqrtdet) * dV
-        ck = max(ck, float(np.sqrt(np.max(mag_sq))))
-    return NormReport(l2=l2, sup=sup, sobolev=float(np.sqrt(sob_sq)), ck=ck)
+    l2 = float(np.sqrt(np.sum(base_sq * m.sqrt_det) * np.prod(m.spacings)))
+    return NormReport(l2=l2, sup=float(np.sqrt(np.max(base_sq))))
 
 
 # ---------------------------------------------------------------------------
@@ -461,60 +450,47 @@ _MAGIC = b"SLGM"
 _VERSION = 1
 
 
-def _triu_indices(n):
-    return [(i, j) for i in range(n) for j in range(i, n)]
+def save_model(m: GridModel, path) -> None:
+    """Write a grid metric to a binary SLGM file.
 
-
-def save_model(m: GridModel, path, mode: str = "binary") -> None:
-    """Write a grid metric to disk.
-
-    Binary layout: magic ``SLGM``, version byte, n byte, mode byte (0 binary /
-    1 text marker unused), n uint32 dims, n float64 periods, then row-major
-    node-ordered upper-triangle components as little-endian float64.
+    Layout: magic ``SLGM``, version byte, n byte, a reserved zero byte,
+    n uint32 dims, n float64 periods, then row-major node-ordered
+    upper-triangle components as little-endian float64.
     """
-    path = Path(path)
-    pairs = _triu_indices(m.n)
+    pairs = sym_components(m.n)
     flat = np.stack([m.g[(..., i, j)] for i, j in pairs], axis=-1).reshape(-1, len(pairs))
-    if mode == "binary":
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<BBB", _VERSION, m.n, 0))
-            fh.write(struct.pack(f"<{m.n}I", *m.dims))
-            fh.write(struct.pack(f"<{m.n}d", *m.period))
-            fh.write(flat.astype("<f8").tobytes())
-    elif mode == "text":
-        with open(path, "w") as fh:
-            fh.write(f"{m.n} " + " ".join(str(d) for d in m.dims) + " "
-                     + " ".join(repr(float(p)) for p in m.period) + "\n")
-            for row in flat:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-    else:
-        raise RejectedInputError(f"unknown serialization mode {mode!r}")
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<BBB", _VERSION, m.n, 0))
+        fh.write(struct.pack(f"<{m.n}I", *m.dims))
+        fh.write(struct.pack(f"<{m.n}d", *m.period))
+        fh.write(flat.astype("<f8").tobytes())
 
 
 def load_model(path) -> GridModel:
-    """Read a grid metric written by :func:`save_model` (either mode)."""
+    """Read a grid metric written by :func:`save_model`.
+
+    A file that is not a complete SLGM file of a supported version (empty,
+    truncated, padded, or in another layout) is rejected naming the path.
+    """
     path = Path(path)
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-        if head == _MAGIC:
-            version, n, _ = struct.unpack("<BBB", fh.read(3))
-            if version != _VERSION:
-                raise RejectedInputError(f"unsupported metric file version {version}")
-            dims = struct.unpack(f"<{n}I", fh.read(4 * n))
-            period = struct.unpack(f"<{n}d", fh.read(8 * n))
-            pairs = _triu_indices(n)
-            data = np.frombuffer(fh.read(), dtype="<f8").reshape(dims + (len(pairs),))
-        else:
-            fh.seek(0)
-            lines = fh.read().decode().splitlines()
-            header = lines[0].split()
-            n = int(header[0])
-            dims = tuple(int(v) for v in header[1:1 + n])
-            period = tuple(float(v) for v in header[1 + n:1 + 2 * n])
-            pairs = _triu_indices(n)
-            data = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
-            data = data.reshape(dims + (len(pairs),))
+    raw = path.read_bytes()
+    if raw[:4] != _MAGIC or len(raw) < 7:
+        raise RejectedInputError(f"{path}: not a complete SLGM metric file")
+    version, n, _ = struct.unpack_from("<BBB", raw, 4)
+    if version != _VERSION:
+        raise RejectedInputError(f"{path}: unsupported metric file version {version}")
+    start = 7 + 12 * n  # after the dims and periods
+    if n not in (2, 3) or len(raw) < start:
+        raise RejectedInputError(f"{path}: truncated or malformed SLGM header")
+    pairs = sym_components(n)
+    dims = struct.unpack_from(f"<{n}I", raw, 7)
+    period = struct.unpack_from(f"<{n}d", raw, 7 + 4 * n)
+    size = int(np.prod(dims)) * len(pairs) * 8
+    if len(raw) != start + size:
+        raise RejectedInputError(f"{path}: holds {len(raw) - start} bytes of metric data, "
+                                 f"dims {dims} need {size}")
+    data = np.frombuffer(raw, dtype="<f8", offset=start).reshape(dims + (len(pairs),))
     g = np.empty(dims + (n, n))
     for idx, (i, j) in enumerate(pairs):
         g[(..., i, j)] = data[..., idx]

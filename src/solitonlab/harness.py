@@ -492,8 +492,9 @@ def _gauge_reconstruction(cfg: RunConfig, model0: GridModel, h: GridModel,
 PLOT_QUANTITIES = ("norm", "W", "defect", "energy")
 
 
-def emit_plotdata(record: RunRecord, quantity: str, path=None) -> str:
-    """Write a two-column (t, value) table for one monitored quantity."""
+def emit_plotdata(record: RunRecord, quantity: str) -> str:
+    """Write a two-column (t, value) table for one monitored quantity to
+    ``plot-<quantity>.dat`` beside the record's trajectory; returns its path."""
     if quantity not in PLOT_QUANTITIES:
         raise RejectedInputError(f"unknown plot quantity {quantity!r}; "
                                  f"choose from {PLOT_QUANTITIES}")
@@ -501,8 +502,7 @@ def emit_plotdata(record: RunRecord, quantity: str, path=None) -> str:
     if not isinstance(traj_path, str) or not Path(traj_path).is_file():
         raise RejectedInputError(f"the record's trajectory {traj_path!r} does not exist "
                                  "(a failed run saves none before its flow completes)")
-    if path is None:
-        path = str(Path(traj_path).parent / f"plot-{quantity}.dat")
+    path = str(Path(traj_path).parent / f"plot-{quantity}.dat")
     rows = []
     with open(traj_path) as fh:
         for line in fh:

@@ -28,7 +28,7 @@ import scipy.linalg
 
 from . import flows, geometry
 from .errors import InsufficientDataError, NumericalFailureError, RejectedInputError
-from .geometry import FrameModel, GridModel
+from .geometry import FrameModel, GridModel, require_flat, sym_components
 
 NOISE_FLOOR = 1e-12
 # central-difference step of ``linearize_flow_rhs``, and the component coupling
@@ -40,10 +40,6 @@ COMPONENT_RTOL = 1e-6
 
 # ---------------------------------------------------------------------------
 # flattening of symmetric 2-tensor fields
-
-
-def sym_components(n: int):
-    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
 def tensor_to_vec(field: np.ndarray, n: int) -> np.ndarray:
@@ -140,12 +136,6 @@ class FourierOperator:
         return scipy.linalg.block_diag(*[block] * self.ncomp)
 
 
-def _require_flat(h: GridModel) -> None:
-    g0 = h.g.reshape(-1, h.n, h.n)
-    if not np.allclose(g0, g0[0]):
-        raise RejectedInputError("operator assembly requires a flat (constant) background")
-
-
 def assemble_linearized_pde(h: GridModel, tau: float) -> FourierOperator:
     """The linearized gauge-fixed flow operator at a flat background.
 
@@ -154,19 +144,20 @@ def assemble_linearized_pde(h: GridModel, tau: float) -> FourierOperator:
     Laplacian plus the 1/tau dilation term (omitted when tau = inf).  The
     operator is returned through its Fourier symbol; no matrix is formed.
     """
-    _require_flat(h)
+    require_flat(h)
     if np.isfinite(tau) and not tau > 0:
         raise RejectedInputError("tau must be positive or inf")
     return FourierOperator(symbol=laplacian_symbol(h, tau), ncomp=len(sym_components(h.n)))
 
 
-def jacobian_ode(rhs: Callable, background: FrameModel, step: float = 1e-6) -> LinearOperator:
-    """Central finite-difference Jacobian of a frame-ODE right-hand side."""
+def jacobian_ode(rhs: Callable, background: FrameModel) -> LinearOperator:
+    """Central finite-difference Jacobian of a frame-ODE right-hand side, with
+    step 1e-6 relative to each coefficient (absolute below 1)."""
     a0 = np.array(background.a, dtype=float)
     dim = len(a0)
     mat = np.empty((dim, dim))
     for k in range(dim):
-        hk = step * max(1.0, abs(a0[k]))
+        hk = 1e-6 * max(1.0, abs(a0[k]))
         ap, am = a0.copy(), a0.copy()
         ap[k] += hk
         am[k] -= hk
@@ -186,7 +177,7 @@ def linearize_flow_rhs(background: GridModel, variant: str, tau: float,
     remainder.  A curved background, or components coupled or unequal beyond
     ``COMPONENT_RTOL`` (the ungauged tau and unnormalized flows), is rejected.
     """
-    _require_flat(background)
+    require_flat(background)
     n = background.n
     comps = sym_components(n)
     rhs = flows.make_metric_rhs(variant, tau, background=reference)

@@ -136,6 +136,32 @@ def test_monotonicity_report_needs_potentials():
         entropy.monotonicity_report(traj)
 
 
+def test_monotonicity_report_reads_the_recorded_entropy():
+    """The audit reuses the W and defect the flow recorded per sample; they
+    equal the functional and the defect evaluated on each state afresh."""
+    tau = 1.5
+    traj = flows.run_flow(FrameModel.su2(a=(4.4, 4.0, 3.7)), "tau", tau=tau, dt=1e-3,
+                          t_end=0.05, couple_f=True, sample_every=10)
+    records = entropy.monotonicity_report(traj)
+    assert len(records) == len(traj.states) == 6
+    for rec, s in zip(records, traj.states):
+        model = geometry.twin(s.model)
+        defect_sq = entropy.weighted_defect_sq(model, s.f, tau)
+        assert rec.W == entropy.w_functional(model, s.f, tau)
+        assert rec.defect_l2 == np.sqrt(defect_sq)
+        assert np.isclose(rec.dWdt_formula, 2.0 * tau * defect_sq, rtol=4e-16, atol=0.0)
+
+
+def test_monotonicity_report_needs_the_entropy_records():
+    m = FrameModel.su2(a=(4.4, 4.0, 3.7))
+    f = entropy.constant_potential(m, 1.0)
+    traj = flows.Trajectory(convention="tau")
+    for t in (0.0, 0.1, 0.2):
+        traj.append(flows.FlowState(t=t, model=m, tau=1.0, f=f), {"t": t})
+    with pytest.raises(RejectedInputError, match="entropy records"):
+        entropy.monotonicity_report(traj)
+
+
 # ---------------------------------------------------------------------------
 # mu minimization
 

@@ -323,6 +323,16 @@ def test_reparametrization_round_trip():
         assert np.max(np.abs(orig.model.a - rec.model.a)) < 1e-7
 
 
+def test_reparametrize_rejects_samples_past_forty_tau():
+    """Past t ~ 37 tau, 1 - e^{-t/tau} rounds to 1, so s reaches tau."""
+    tau = 0.1
+    traj = flows.run_flow(FrameModel.flat_torus3(), "tau", tau=tau, dt=0.01, t_end=4.1,
+                          sample_every=100)
+    assert traj.times[-1] > 40.0 * tau
+    with pytest.raises(RejectedInputError, match="s < tau"):
+        flows.reparametrize(traj, tau)
+
+
 def test_reparametrized_trajectory_solves_unnormalized_flow():
     """g~(s) = c(s) g(t(s)) must satisfy dg~/ds = -2 Ric(g~) to O(interp)."""
     m = FrameModel.su2(a=(4.4, 4.0, 3.7))

@@ -1,5 +1,7 @@
 """Geometry layer: curvature against symbolic oracles, norms, serialization."""
 
+import re
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -264,23 +266,33 @@ def test_non_spd_metric_rejected():
         m.with_metric(bad)
 
 
-def test_norms_rejects_high_order():
-    m = GridModel.flat(2, (8, 8), (TWO_PI, TWO_PI))
-    with pytest.raises(RejectedInputError):
-        geometry.norms(m, np.zeros(m.dims), k=3)
-
-
-@pytest.mark.parametrize("mode", ["binary", "text"])
-def test_model_serialization_round_trip(tmp_path, mode, curved_t2):
-    path = tmp_path / f"model-{mode}.slgm"
-    geometry.save_model(curved_t2, path, mode=mode)
+def test_model_serialization_round_trip(tmp_path, curved_t2):
+    path = tmp_path / "model.slgm"
+    geometry.save_model(curved_t2, path)
     loaded = geometry.load_model(path)
     assert loaded.dims == curved_t2.dims
     assert np.allclose(loaded.period, curved_t2.period)
-    if mode == "binary":
-        assert np.array_equal(loaded.g, curved_t2.g)
-    else:
-        assert np.allclose(loaded.g, curved_t2.g, atol=0.0, rtol=0.0)
+    assert np.array_equal(loaded.g, curved_t2.g)
+
+
+def test_malformed_metric_file_is_rejected_naming_the_path(tmp_path, curved_t2):
+    """An empty file, a truncated or padded SLGM file and a file in the old
+    text layout are rejected input, not a numpy or struct error."""
+    good = tmp_path / "good.slgm"
+    geometry.save_model(curved_t2, good)
+    raw = good.read_bytes()
+    pairs = geometry.sym_components(curved_t2.n)
+    rows = curved_t2.g.reshape(-1, 2, 2)
+    text = (f"2 {curved_t2.dims[0]} {curved_t2.dims[1]} {TWO_PI!r} {TWO_PI!r}\n"
+            + "".join(" ".join(repr(float(r[i, j])) for i, j in pairs) + "\n" for r in rows))
+    cases = {"empty": b"", "magic-only": raw[:6], "header-cut": raw[:12],
+             "truncated": raw[:-3], "short-a-node": raw[:-24], "padded": raw + b"\0" * 8,
+             "text": text.encode()}
+    for name, content in cases.items():
+        path = tmp_path / f"{name}.slgm"
+        path.write_bytes(content)
+        with pytest.raises(RejectedInputError, match=re.escape(str(path))):
+            geometry.load_model(path)
 
 
 # ---------------------------------------------------------------------------
