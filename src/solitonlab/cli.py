@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import entropy, flows, harness, stability
+from . import entropy, harness
 from .errors import (GaugeBreakdownError, NonConvergenceError, NumericalFailureError,
                      RejectedInputError, StepRejectedError)
 
@@ -39,12 +39,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = _load_config(args.config)
-    if cfg.kind != "grid":
-        raise RejectedInputError("model.kind: spectrum analysis needs a grid model")
-    h = harness.flat_background(cfg)
-    op = stability.assemble_linearized_pde(h, cfg.tau)
-    report = stability.spectrum(op, cfg.eps_neutral)
+    report = harness.spectral_report(_load_config(args.config))
     print(json.dumps(report.to_document(), indent=2))
     return EXIT_OK
 
@@ -52,12 +47,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_entropy(args) -> int:
     cfg = _load_config(args.config)
     cfg.couple_potential = True  # the audit evolves the potential: check it as `run` would
-    harness._validate(cfg)
-    model = harness.build_model(cfg)
-    traj = flows.run_flow(model, cfg.variant, cfg.tau, cfg.dt, cfg.t_end,
-                          couple_f=True, sample_every=cfg.sample_every)
-    records = entropy.monotonicity_report(traj)
-    for rec in records:
+    harness.validate_config(cfg)
+    for rec in entropy.monotonicity_report(harness.integrate_flow(cfg)):
         parts = [f"t={rec.t:.6g}", f"W={rec.W:.12g}", f"defect_l2={rec.defect_l2:.6g}",
                  f"dWdt_numeric={rec.dWdt_numeric:.6g}",
                  f"dWdt_formula={rec.dWdt_formula:.6g}", f"monotone={rec.monotone}"]
@@ -66,12 +57,7 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_gauge_check(args) -> int:
-    cfg = _load_config(args.config)
-    if cfg.kind != "grid":
-        raise RejectedInputError("model.kind: gauge checks need a grid model")
-    model0 = harness.build_model(cfg)
-    h = harness.flat_background(cfg)
-    disc, energy = harness._gauge_reconstruction(cfg, model0, h)
+    disc, energy = harness.gauge_reconstruction(_load_config(args.config))
     print(f"max sup-discrepancy (ricci pullback vs deturck): {disc:.6e}")
     if energy:
         print(f"final gauge energy: {energy[-1].E:.6e} (sup density {energy[-1].e_sup:.6e})")

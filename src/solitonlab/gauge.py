@@ -141,12 +141,13 @@ def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t0: float, t1: floa
     midpoints), so the stages and the energy record that use one metric share
     its derived fields.  The injectivity proxy is checked after every step and
     a failure raises ``GaugeBreakdownError`` with the breakdown time.
+    ``t1 - t0`` must be a whole number of steps (``flows.step_count``).
     """
     geometry.require_flat(h)
     traj = GaugeTrajectory(h=h)
     F = np.array(F0, dtype=float)
     t = t0
-    n_steps = int(round((t1 - t0) / dt))
+    n_steps = flows.step_count(t1 - t0, dt)
 
     def record(t, F, g):
         e = energy_density(F, g, h)

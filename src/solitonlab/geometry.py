@@ -55,7 +55,7 @@ class FrameModel:
             raise RejectedInputError("structure constants must have shape (3,)")
         if self.a.shape != (3,):
             raise RejectedInputError("metric coefficients must have shape (3,)")
-        if np.any(self.a <= 0):
+        if not np.all(self.a > 0):  # NaN included
             raise RejectedInputError("metric coefficients must be positive")
 
     @classmethod

@@ -27,7 +27,7 @@ import json
 import os
 import time
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -39,12 +39,15 @@ from .geometry import FrameModel, GridModel
 
 OUTPUT_ENV_VAR = "SOLITONLAB_OUTPUT"
 
+# The config format: its sections and their keys, in the order
+# ``serialize_config`` writes them.  Each key names a ``RunConfig`` field and
+# is read as the type of that field's default (``None``: a number or "auto").
 _SCHEMA = {
-    "model": {"kind", "dims", "period", "recipe", "amplitude", "seed", "coefficients"},
-    "flow": {"variant", "tau", "dt", "t_end", "sample_every", "couple_potential"},
-    "gauge": {"reconstruct", "fix_divergence"},
-    "stability": {"analyze", "eps_neutral", "interval_length", "beta"},
-    "output": {"root", "name"},
+    "model": ("kind", "dims", "period", "recipe", "amplitude", "seed", "coefficients"),
+    "flow": ("variant", "tau", "dt", "t_end", "sample_every", "couple_potential"),
+    "gauge": ("reconstruct", "fix_divergence"),
+    "stability": ("analyze", "eps_neutral", "interval_length", "beta"),
+    "output": ("root", "name"),
 }
 
 
@@ -97,29 +100,23 @@ def _fail(field_name: str, message: str):
     raise RejectedInputError(f"{field_name}: {message}")
 
 
-def _parse_float(sec, key, raw) -> float:
-    if raw.strip().lower() in ("inf", "infinity"):
-        return np.inf
+_EXPECTED = {bool: "a boolean", tuple: "a comma-separated list", int: "an integer",
+             float: "a number", type(None): "a number or 'auto'"}
+
+
+def _parse_value(name: str, default, raw: str):
+    """``raw`` read as the type of ``default``."""
+    raw = raw.strip()
     try:
-        return float(raw)
-    except ValueError:
-        _fail(f"{sec}.{key}", f"not a number: {raw!r}")
-
-
-def _parse_tuple(sec, key, raw, cast):
-    try:
-        return tuple(cast(p.strip()) for p in raw.split(",") if p.strip())
-    except ValueError:
-        _fail(f"{sec}.{key}", f"not a comma-separated list: {raw!r}")
-
-
-def _parse_bool(sec, key, raw) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    _fail(f"{sec}.{key}", f"not a boolean: {raw!r}")
+        if isinstance(default, bool):
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(p) for p in raw.split(",") if p.strip())
+        if default is None:
+            return None if raw.lower() == "auto" else float(raw)
+        return type(default)(raw)
+    except (KeyError, ValueError):
+        _fail(name, f"not {_EXPECTED[type(default)]}: {raw!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -135,33 +132,17 @@ def parse_config(text: str) -> RunConfig:
         for key, raw in parser.items(sec):
             if key not in _SCHEMA[sec]:
                 _fail(f"{sec}.{key}", "unknown key")
-            _apply(cfg, sec, key, raw)
-    _validate(cfg)
+            setattr(cfg, key, _parse_value(f"{sec}.{key}", getattr(cfg, key), raw))
+    validate_config(cfg)
     return cfg
 
 
-def _apply(cfg: RunConfig, sec: str, key: str, raw: str) -> None:
-    if key in ("dims",):
-        cfg.dims = _parse_tuple(sec, key, raw, int)
-    elif key in ("period", "coefficients"):
-        setattr(cfg, key, _parse_tuple(sec, key, raw, float))
-    elif key in ("amplitude", "tau", "dt", "t_end", "interval_length"):
-        setattr(cfg, key, _parse_float(sec, key, raw))
-    elif key in ("eps_neutral", "beta"):
-        setattr(cfg, key, None if raw.strip().lower() == "auto"
-                else _parse_float(sec, key, raw))
-    elif key in ("seed", "sample_every"):
-        try:
-            setattr(cfg, key, int(raw))
-        except ValueError:
-            _fail(f"{sec}.{key}", f"not an integer: {raw!r}")
-    elif key in ("couple_potential", "reconstruct", "fix_divergence", "analyze"):
-        setattr(cfg, key, _parse_bool(sec, key, raw))
-    else:
-        setattr(cfg, key, raw.strip())
+def _positive_finite(*values) -> bool:
+    return all(0 < v < np.inf for v in values)  # False for NaN
 
 
-def _validate(cfg: RunConfig) -> None:
+def validate_config(cfg: RunConfig) -> None:
+    """Reject ``cfg`` naming the first field out of range (``RejectedInputError``)."""
     if cfg.kind not in ("grid", "frame"):
         _fail("model.kind", f"must be 'grid' or 'frame', got {cfg.kind!r}")
     if cfg.kind == "grid":
@@ -169,20 +150,22 @@ def _validate(cfg: RunConfig) -> None:
             _fail("model.dims", "dims and period must have equal length")
         if any(d < 8 for d in cfg.dims):
             _fail("model.dims", "each grid dimension must be at least 8")
+        if not _positive_finite(*cfg.period):
+            _fail("model.period", "each period must be positive and finite")
         if cfg.recipe not in ("flat", "perturbed-flat"):
             _fail("model.recipe", f"unknown grid recipe {cfg.recipe!r}")
     else:
         if cfg.recipe not in ("round", "berger"):
             _fail("model.recipe", f"unknown frame recipe {cfg.recipe!r}")
-        if len(cfg.coefficients) != 3 or any(c <= 0 for c in cfg.coefficients):
-            _fail("model.coefficients", "need three positive coefficients")
+        if len(cfg.coefficients) != 3 or not _positive_finite(*cfg.coefficients):
+            _fail("model.coefficients", "need three positive finite coefficients")
     if cfg.variant not in ("tau", "unnormalized", "deturck"):
         _fail("flow.variant", f"unknown variant {cfg.variant!r}")
     if cfg.variant == "deturck" and cfg.kind == "frame":
         _fail("flow.variant", "the deturck flow needs a grid model (a flat reference background)")
-    if not 0 < cfg.dt < np.inf:
+    if not _positive_finite(cfg.dt):
         _fail("flow.dt", "must be positive and finite")
-    if not 0 < cfg.t_end < np.inf:
+    if not _positive_finite(cfg.t_end):
         _fail("flow.t_end", "must be positive and finite")
     try:
         flows.step_count(cfg.t_end, cfg.dt)
@@ -199,40 +182,30 @@ def _validate(cfg: RunConfig) -> None:
         _fail("flow.sample_every", "must be at least 1")
     if not 0 < cfg.amplitude < 0.5:
         _fail("model.amplitude", "must lie in (0, 0.5)")
-    if not cfg.interval_length > 0:
-        _fail("stability.interval_length", "must be positive")
+    if cfg.eps_neutral is not None and not _positive_finite(cfg.eps_neutral):
+        _fail("stability.eps_neutral", "must be positive and finite, or auto")
+    if not _positive_finite(cfg.interval_length):
+        _fail("stability.interval_length", "must be positive and finite")
+    if cfg.beta is not None and not 1 < cfg.beta < np.inf:
+        _fail("stability.beta", "must be finite and above 1, or auto")
+
+
+def _format_value(value) -> str:
+    if value is None:
+        return "auto"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    inf = lambda v: "inf" if np.isinf(v) else repr(v)
-    lines = [
-        "[model]",
-        f"kind = {cfg.kind}",
-        f"dims = {','.join(str(d) for d in cfg.dims)}",
-        f"period = {','.join(repr(p) for p in cfg.period)}",
-        f"recipe = {cfg.recipe}",
-        f"amplitude = {cfg.amplitude!r}",
-        f"seed = {cfg.seed}",
-        f"coefficients = {','.join(repr(c) for c in cfg.coefficients)}",
-        "[flow]",
-        f"variant = {cfg.variant}",
-        f"tau = {inf(cfg.tau)}",
-        f"dt = {cfg.dt!r}",
-        f"t_end = {cfg.t_end!r}",
-        f"sample_every = {cfg.sample_every}",
-        f"couple_potential = {str(cfg.couple_potential).lower()}",
-        "[gauge]",
-        f"reconstruct = {str(cfg.reconstruct).lower()}",
-        f"fix_divergence = {str(cfg.fix_divergence).lower()}",
-        "[stability]",
-        f"analyze = {str(cfg.analyze).lower()}",
-        f"eps_neutral = {'auto' if cfg.eps_neutral is None else repr(cfg.eps_neutral)}",
-        f"interval_length = {cfg.interval_length!r}",
-        f"beta = {'auto' if cfg.beta is None else repr(cfg.beta)}",
-        "[output]",
-        f"root = {cfg.root}",
-        f"name = {cfg.name}",
-    ]
+    """The config as text that ``parse_config`` reads back to an equal config."""
+    lines = []
+    for sec, keys in _SCHEMA.items():
+        lines.append(f"[{sec}]")
+        lines += [f"{key} = {_format_value(getattr(cfg, key))}" for key in keys]
     return "\n".join(lines) + "\n"
 
 
@@ -266,6 +239,10 @@ def build_model(cfg: RunConfig):
 
 
 def flat_background(cfg: RunConfig) -> GridModel:
+    """The flat reference torus of a grid config, which every grid-only stage
+    starts from; a frame config is rejected as ``model.kind``."""
+    if cfg.kind != "grid":
+        _fail("model.kind", "this stage needs a grid model (a flat reference background)")
     return GridModel.flat(len(cfg.dims), cfg.dims, cfg.period)
 
 
@@ -316,6 +293,26 @@ def save_trajectory(traj, path) -> None:
             fh.write(json.dumps({"kind": "diagnostics", **diag}) + "\n")
 
 
+def _read_index(path) -> list:
+    """The records of the trajectory index ``path``, one JSON object per line.
+
+    A line that is not an object with a ``kind`` (and, past the header, a
+    time ``t``) is rejected naming the file and the line.
+    """
+    records = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise RejectedInputError(f"{path}, line {lineno}: not JSON ({exc})") from exc
+            if not (isinstance(rec, dict) and "kind" in rec
+                    and (rec["kind"] == "header" or "t" in rec)):
+                raise RejectedInputError(f"{path}, line {lineno}: not an index record")
+            records.append(rec)
+    return records
+
+
 def load_trajectory(path):
     """Read back what ``save_trajectory`` wrote, bitwise.
 
@@ -324,8 +321,7 @@ def load_trajectory(path):
     does not match its states, is rejected naming the file.
     """
     path = Path(path)
-    with open(path) as fh:
-        records = [json.loads(line) for line in fh]
+    records = _read_index(path)
     if not records or records[0].get("kind") != "header" or "arrays" not in records[0]:
         raise RejectedInputError(
             f"{path}: the header names no array file (an index written before "
@@ -364,110 +360,29 @@ def load_trajectory(path):
 
 
 # ---------------------------------------------------------------------------
-# the pipeline
+# the pipeline: ``run_experiment`` chains the stages below, and each CLI
+# subcommand calls the stages it reports on
 
 
-def run_experiment(cfg: RunConfig) -> RunRecord:
-    t_start = time.time()
-    out_root = Path(os.environ.get(OUTPUT_ENV_VAR, cfg.root))
-    out_dir = out_root / f"{cfg.name}-{cfg.digest()}"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    verdicts = {}
-    stage = "setup"
-    traj_path = None
-    try:
-        model0 = build_model(cfg)
-        background = flat_background(cfg) if cfg.kind == "grid" else None
-
-        stage = "flow"
-        traj = flows.run_flow(model0, cfg.variant, cfg.tau, cfg.dt, cfg.t_end,
-                              background=background, couple_f=cfg.couple_potential,
-                              sample_every=cfg.sample_every)
-        save_trajectory(traj, out_dir / "trajectory.jsonl")
-        traj_path = out_dir / "trajectory.jsonl"
-
-        stage = "entropy"
-        if cfg.couple_potential:
-            recs = entropy.monotonicity_report(traj)
-            verdicts["monotonicity"] = all(r.monotone for r in recs)
-            verdicts["entropy_initial"] = recs[0].W
-            verdicts["entropy_final"] = recs[-1].W
-
-        stage = "gauge"
-        if cfg.reconstruct and cfg.kind == "grid":
-            same_flow = (cfg.variant == "deturck" and np.isinf(cfg.tau)
-                         and not cfg.couple_potential)
-            disc, energy_records = _gauge_reconstruction(
-                cfg, model0, background, deturck_traj=traj if same_flow else None)
-            verdicts["gauge_discrepancy"] = disc
-            with open(traj_path, "a") as fh:
-                for er in energy_records:
-                    fh.write(json.dumps({"kind": "gauge", "t": er.t,
-                                         "e_sup": er.e_sup, "E": er.E}) + "\n")
-        if cfg.fix_divergence and cfg.kind == "grid":
-            phi = gauge.divergence_gauge_fix(traj.states[-1].model, background)
-            verdicts["divergence_residual"] = gauge.gauge_residual(traj.states[-1].model, phi)
-
-        spectral_path = None
-        stage = "stability"
-        if cfg.analyze and cfg.kind == "grid":
-            op = stability.assemble_linearized_pde(background, cfg.tau)
-            report = stability.spectrum(op, cfg.eps_neutral)
-            spectral_path = out_dir / "spectral.json"
-            spectral_path.write_text(json.dumps(report.to_document(), indent=2))
-
-            fam = stability.nearest_soliton_in_family(traj.states[-1].model, background)
-            verdicts["factor_two_holds"] = fam.factor_two_holds
-            verdicts["distance_to_family"] = float(np.max(
-                np.abs(traj.states[-1].model.g - fam.g1.g)))
-
-            times = np.array(traj.times)
-            norms = [geometry.norms(background, s.model.g - fam.g1.g).l2
-                     for s in traj.states]
-            verdicts["final_norm"] = norms[-1]
-            if float(np.max(norms)) < stability.NOISE_FLOOR:
-                verdicts["stationary"] = True
-            else:
-                verdicts["stationary"] = False
-                L = cfg.interval_length
-                beta = cfg.beta if cfg.beta is not None else float(np.exp(L * report.gap / 4.0))
-                if times[-1] >= 3.0 * L:
-                    sel = lambda lo, hi: [nv for t, nv in zip(times, norms)
-                                          if lo <= t <= hi]
-                    verdicts["three_interval"] = stability.three_interval_test(
-                        sel(0, L), sel(L, 2 * L), sel(2 * L, 3 * L), beta)
-                try:
-                    fit = stability.fit_exponential_rate(times, norms)
-                    verdicts["rate"] = fit.rate
-                    verdicts["rate_gap_relative_deviation"] = abs(fit.rate - report.gap) / report.gap
-                except InsufficientDataError:
-                    verdicts["rate"] = None
-    except Exception as exc:
-        verdicts["failed_stage"] = stage
-        verdicts["error"] = f"{type(exc).__name__}: {exc}"
-        record = RunRecord(config_hash=cfg.digest(),
-                           trajectory_path=str(traj_path) if traj_path else None,
-                           spectral_path=None, verdicts=verdicts,
-                           wall_clock=time.time() - t_start)
-        (out_dir / "record.json").write_text(record.to_json())
-        raise
-
-    record = RunRecord(config_hash=cfg.digest(), trajectory_path=str(traj_path),
-                       spectral_path=str(spectral_path) if spectral_path else None,
-                       verdicts=verdicts, wall_clock=time.time() - t_start)
-    (out_dir / "record.json").write_text(record.to_json())
-    (out_dir / "config.ini").write_text(serialize_config(cfg))
-    return record
+def integrate_flow(cfg: RunConfig) -> flows.Trajectory:
+    """The flow stage: the config's flow from ``build_model(cfg)``, recording
+    on a grid the deviation from the flat background."""
+    background = flat_background(cfg) if cfg.kind == "grid" else None
+    return flows.run_flow(build_model(cfg), cfg.variant, cfg.tau, cfg.dt, cfg.t_end,
+                          background=background, couple_f=cfg.couple_potential,
+                          sample_every=cfg.sample_every)
 
 
-def _gauge_reconstruction(cfg: RunConfig, model0: GridModel, h: GridModel,
-                          deturck_traj=None):
-    """Max sup-discrepancy of the gauge transport, plus the energy records.
+def gauge_reconstruction(cfg: RunConfig, deturck_traj=None):
+    """The gauge stage: max sup-discrepancy of the gauge transport, plus the
+    energy records.
 
-    ``deturck_traj`` is the unnormalized DeTurck flow of ``model0`` against
-    ``h`` with the config's dt, t_end and sampling, if the caller already
+    ``deturck_traj`` is the unnormalized DeTurck flow of ``build_model(cfg)``
+    with the config's dt, t_end and sampling, if the caller already
     integrated it; otherwise it is integrated here.
     """
+    h = flat_background(cfg)
+    model0 = build_model(cfg)
     ricci = flows.run_flow(model0, "unnormalized", np.inf, cfg.dt, cfg.t_end,
                            sample_every=cfg.sample_every)
     det = deturck_traj
@@ -483,6 +398,103 @@ def _gauge_reconstruction(cfg: RunConfig, model0: GridModel, h: GridModel,
     sub.F = [gt.F[i] for i in idx]
     errs = gauge.gauge_equivalence_check(ricci, det, sub)
     return float(np.max(errs)), gt.energy
+
+
+def spectral_report(cfg: RunConfig) -> stability.SpectralReport:
+    """The spectral stage: the linearized flow at the config's flat background."""
+    op = stability.assemble_linearized_pde(flat_background(cfg), cfg.tau)
+    return stability.spectrum(op, cfg.eps_neutral)
+
+
+def stability_verdicts(cfg: RunConfig, traj, report, verdicts: dict) -> None:
+    """The stability stage: distance of ``traj`` to the flat soliton family,
+    the three-interval dichotomy, and its decay rate against the gap of
+    ``report``.  Each verdict goes into ``verdicts`` as soon as it is known,
+    so a failure keeps those before it."""
+    background = flat_background(cfg)
+    final = traj.states[-1].model
+    fam = stability.nearest_soliton_in_family(final, background)
+    verdicts["factor_two_holds"] = fam.factor_two_holds
+    verdicts["distance_to_family"] = float(np.max(np.abs(final.g - fam.g1.g)))
+
+    times = np.array(traj.times)
+    norms = [geometry.norms(background, s.model.g - fam.g1.g).l2 for s in traj.states]
+    verdicts["final_norm"] = norms[-1]
+    if float(np.max(norms)) < stability.NOISE_FLOOR:
+        verdicts["stationary"] = True
+        return
+    verdicts["stationary"] = False
+    L = cfg.interval_length
+    beta = cfg.beta if cfg.beta is not None else float(np.exp(L * report.gap / 4.0))
+    if times[-1] >= 3.0 * L:
+        sel = lambda lo, hi: [nv for t, nv in zip(times, norms) if lo <= t <= hi]
+        verdicts["three_interval"] = stability.three_interval_test(
+            sel(0, L), sel(L, 2 * L), sel(2 * L, 3 * L), beta)
+    try:
+        fit = stability.fit_exponential_rate(times, norms)
+        verdicts["rate"] = fit.rate
+        verdicts["rate_gap_relative_deviation"] = abs(fit.rate - report.gap) / report.gap
+    except InsufficientDataError:
+        verdicts["rate"] = None
+
+
+def run_experiment(cfg: RunConfig) -> RunRecord:
+    """Run the stages ``cfg`` asks for under ``<root>/<name>-<digest>``.  A
+    failed run's record names its stage and error and keeps what came before:
+    its verdicts, its ``config.ini`` and the files it wrote."""
+    t_start = time.time()
+    out_root = Path(os.environ.get(OUTPUT_ENV_VAR, cfg.root))
+    out_dir = out_root / f"{cfg.name}-{cfg.digest()}"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.ini").write_text(serialize_config(cfg))
+    record = RunRecord(config_hash=cfg.digest(), trajectory_path=None,
+                       spectral_path=None, verdicts={}, wall_clock=0.0)
+    verdicts = record.verdicts
+    stage = "flow"
+    try:
+        traj = integrate_flow(cfg)
+        traj_path = out_dir / "trajectory.jsonl"
+        save_trajectory(traj, traj_path)
+        record.trajectory_path = str(traj_path)
+
+        stage = "entropy"
+        if cfg.couple_potential:
+            recs = entropy.monotonicity_report(traj)
+            verdicts["monotonicity"] = all(r.monotone for r in recs)
+            verdicts["entropy_initial"] = recs[0].W
+            verdicts["entropy_final"] = recs[-1].W
+
+        stage = "gauge"
+        if cfg.reconstruct and cfg.kind == "grid":
+            same_flow = (cfg.variant == "deturck" and np.isinf(cfg.tau)
+                         and not cfg.couple_potential)
+            disc, energy_records = gauge_reconstruction(
+                cfg, deturck_traj=traj if same_flow else None)
+            verdicts["gauge_discrepancy"] = disc
+            with open(traj_path, "a") as fh:
+                for er in energy_records:
+                    fh.write(json.dumps({"kind": "gauge", "t": er.t,
+                                         "e_sup": er.e_sup, "E": er.E}) + "\n")
+        if cfg.fix_divergence and cfg.kind == "grid":
+            final = traj.states[-1].model
+            phi = gauge.divergence_gauge_fix(final, flat_background(cfg))
+            verdicts["divergence_residual"] = gauge.gauge_residual(final, phi)
+
+        stage = "stability"
+        if cfg.analyze and cfg.kind == "grid":
+            report = spectral_report(cfg)
+            spectral_path = out_dir / "spectral.json"
+            spectral_path.write_text(json.dumps(report.to_document(), indent=2))
+            record.spectral_path = str(spectral_path)
+            stability_verdicts(cfg, traj, report, verdicts)
+    except BaseException as exc:
+        verdicts["failed_stage"] = stage
+        verdicts["error"] = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        record.wall_clock = time.time() - t_start
+        (out_dir / "record.json").write_text(record.to_json())
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -504,21 +516,19 @@ def emit_plotdata(record: RunRecord, quantity: str) -> str:
                                  "(a failed run saves none before its flow completes)")
     path = str(Path(traj_path).parent / f"plot-{quantity}.dat")
     rows = []
-    with open(traj_path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            value = None
-            if rec["kind"] == "diagnostics":
-                if quantity == "norm":
-                    value = rec.get("deviation_l2")
-                elif quantity == "W":
-                    value = rec.get("entropy", {}).get("W")
-                elif quantity == "defect":
-                    value = rec.get("entropy", {}).get("defect_l2")
-            elif rec["kind"] == "gauge" and quantity == "energy":
-                value = rec.get("E")
-            if value is not None:
-                rows.append((rec["t"], value))
+    for rec in _read_index(traj_path):
+        value = None
+        if rec["kind"] == "diagnostics":
+            if quantity == "norm":
+                value = rec.get("deviation_l2")
+            elif quantity == "W":
+                value = rec.get("entropy", {}).get("W")
+            elif quantity == "defect":
+                value = rec.get("entropy", {}).get("defect_l2")
+        elif rec["kind"] == "gauge" and quantity == "energy":
+            value = rec.get("E")
+        if value is not None:
+            rows.append((rec["t"], value))
     with open(path, "w") as fh:
         fh.write(f"# t\t{quantity}\n")
         for t, v in rows:

@@ -230,6 +230,18 @@ def test_harmonic_flow_decays_displacement_on_flat_pair():
     assert np.isclose(ratio, np.exp(-lam), rtol=1e-4)
 
 
+def test_harmonic_flow_ends_at_t1():
+    """The flow takes whole steps of dt from t0 to t1; a span that is not a
+    whole number of steps is rejected rather than overshot or left untaken."""
+    h = _flat(8)
+    F0 = np.zeros(h.dims + (2,))
+    traj = gauge.run_harmonic_gauge(lambda t: h, h, F0, 0.0, 0.3, 0.1)
+    assert len(traj.times) == 4 and abs(traj.times[-1] - 0.3) < 1e-12
+    for t1 in (0.55, 0.04):  # 5.5 and 0.4 steps: once rounded to 6 and 0 steps
+        with pytest.raises(RejectedInputError, match="not a whole number of steps"):
+            gauge.run_harmonic_gauge(lambda t: h, h, F0, 0.0, t1, 0.1)
+
+
 def test_harmonic_flow_reports_breakdown():
     """An unstable step size blows the displacement up past injectivity."""
     h = _flat(16)

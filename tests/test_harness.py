@@ -1,5 +1,8 @@
 """Config parsing, persistence, the experiment pipeline, plot data, CLI."""
 
+import dataclasses
+import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -82,6 +85,20 @@ def test_parse_rejects_unknown_section_and_key():
     ("[model]\nkind = frame\nrecipe = berger\ncoefficients = 1,-1,1\n",
      "model.coefficients"),
     ("[model]\nkind = frame\nrecipe = berger\n[flow]\nvariant = deturck\n", "flow.variant"),
+    ("[model]\nkind = frame\nrecipe = berger\ncoefficients = nan,1,1\n",
+     "model.coefficients"),
+    ("[model]\nperiod = 0,6.0\n", "model.period"),
+    ("[model]\nperiod = inf,6.0\n", "model.period"),
+    ("[model]\nperiod = nan,6.0\n", "model.period"),
+    ("[model]\nperiod = -6.0,6.0\n", "model.period"),
+    ("[stability]\neps_neutral = -1\n", "stability.eps_neutral"),
+    ("[stability]\neps_neutral = nan\n", "stability.eps_neutral"),
+    ("[stability]\neps_neutral = inf\n", "stability.eps_neutral"),
+    ("[stability]\nbeta = 1\n", "stability.beta"),
+    ("[stability]\nbeta = -3\n", "stability.beta"),
+    ("[stability]\nbeta = nan\n", "stability.beta"),
+    ("[stability]\nbeta = inf\n", "stability.beta"),
+    ("[stability]\ninterval_length = inf\n", "stability.interval_length"),
 ])
 def test_field_precise_validation(snippet, field):
     with pytest.raises(RejectedInputError, match=field.replace(".", r"\.")):
@@ -93,6 +110,67 @@ def test_auto_fields_round_trip():
     assert cfg.eps_neutral is None
     assert cfg.beta == 1.5
     assert harness.parse_config(harness.serialize_config(cfg)) == cfg
+
+
+THREE_D_CONFIG = ("[model]\ndims = 8,8,8\nperiod = 6.0,6.5,7.0\n[flow]\ntau = 2.5\n"
+                  "[stability]\neps_neutral = 1e-3\nbeta = 1.5\ninterval_length = 0.25\n")
+BERGER_AUDIT = RunConfig(kind="frame", recipe="berger", coefficients=(4.4, 4.0, 3.7),
+                         variant="tau", tau=1.0, dt=1e-3, t_end=0.05, sample_every=10,
+                         couple_potential=True, analyze=False, name="frame-audit")
+
+
+def _format_hash(cfgs):
+    """One hash over the digests and serialized texts of ``cfgs``."""
+    h = hashlib.sha256()
+    for cfg in cfgs:
+        h.update(cfg.digest().encode())
+        h.update(harness.serialize_config(cfg).encode())
+    return h.hexdigest()[:16]
+
+
+def _perfbench_configs():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cfgs = [harness.parse_config(workloads.config_text(w, size, v))
+            for w in workloads.WORKLOADS for size in ("full", "smoke")
+            for v in range(workloads.N_VARIANTS)]
+    return cfgs + [RunConfig(dims=(n, n), seed=v) for n in (8, 16, 32)
+                   for v in range(workloads.N_VARIANTS)]
+
+
+def test_config_text_and_digest_are_stable():
+    """``serialize_config`` and ``RunConfig.digest`` give what they gave when
+    the format was spelled out field by field, so existing run directories
+    keep their names and their ``config.ini``."""
+    assert harness.serialize_config(harness.parse_config(GRID_CONFIG)) == (
+        "[model]\nkind = grid\ndims = 8,8\n"
+        "period = 6.283185307179586,6.283185307179586\nrecipe = perturbed-flat\n"
+        "amplitude = 0.01\nseed = 3\ncoefficients = 1.0,1.0,1.0\n"
+        "[flow]\nvariant = deturck\ntau = inf\ndt = 0.01\nt_end = 0.05\n"
+        "sample_every = 1\ncouple_potential = false\n"
+        "[gauge]\nreconstruct = false\nfix_divergence = false\n"
+        "[stability]\nanalyze = true\neps_neutral = auto\ninterval_length = 1.0\n"
+        "beta = auto\n[output]\nroot = runs\nname = smoke\n")
+    expected = {  # name: (config text, digest, _format_hash)
+        "grid": (GRID_CONFIG, "5e2d3cadd2bc1c83", "75a85009b5595ec3"),
+        "readme": (README_CONFIG, "02cf6a89501185bd", "dad2f5ea2aa64af8"),
+        "3-D": (THREE_D_CONFIG, "84ae8e5e8c506ed4", "c3953fb8cfa6a226"),
+        "empty": ("", "f51084d726afe4f3", "8d857ea4dd90b626"),
+    }
+    for name, (text, digest, text_hash) in expected.items():
+        cfg = harness.parse_config(text)
+        assert (cfg.digest(), _format_hash([cfg])) == (digest, text_hash), name
+    assert (BERGER_AUDIT.digest(), _format_hash([BERGER_AUDIT])) == (
+        "1ce71d09817aaa0a", "a5d5b6b9be2c05e0")
+    bench = _perfbench_configs()
+    assert len(bench) == 110 and _format_hash(bench) == "2b3fa0b73f649226"
+
+
+def test_schema_lists_every_config_field_once():
+    keys = [key for keys in harness._SCHEMA.values() for key in keys]
+    assert keys == [f.name for f in dataclasses.fields(RunConfig)]
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +407,7 @@ def test_verdicts_recomputable_from_trajectory(tmp_path, monkeypatch):
 
 def test_run_experiment_frame_entropy_audit(tmp_path, monkeypatch):
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
-    cfg = RunConfig(kind="frame", recipe="berger", coefficients=(4.4, 4.0, 3.7),
-                    variant="tau", tau=1.0, dt=1e-3, t_end=0.05, sample_every=10,
-                    couple_potential=True, analyze=False, name="frame-audit")
-    record = harness.run_experiment(cfg)
+    record = harness.run_experiment(BERGER_AUDIT)
     assert record.verdicts["monotonicity"] is True
     assert record.verdicts["entropy_final"] >= record.verdicts["entropy_initial"]
 
@@ -348,6 +423,8 @@ def test_run_experiment_records_failed_stage(tmp_path, monkeypatch):
     doc = json.loads((out_dir / "record.json").read_text())
     assert doc["verdicts"]["failed_stage"] == "flow"
     assert "error" in doc["verdicts"]
+    assert doc["trajectory_path"] is None and doc["spectral_path"] is None
+    assert (out_dir / "config.ini").read_text() == harness.serialize_config(cfg)
 
 
 def test_rate_fit_without_enough_data_records_no_rate(tmp_path, monkeypatch):
@@ -371,8 +448,13 @@ def test_rate_fit_error_fails_the_stability_stage(tmp_path, monkeypatch):
     cfg = harness.parse_config(GRID_CONFIG)
     with pytest.raises(FloatingPointError):
         harness.run_experiment(cfg)
-    doc = json.loads((tmp_path / f"{cfg.name}-{cfg.digest()}" / "record.json").read_text())
+    out_dir = tmp_path / f"{cfg.name}-{cfg.digest()}"
+    doc = json.loads((out_dir / "record.json").read_text())
     assert doc["verdicts"]["failed_stage"] == "stability"
+    assert doc["verdicts"]["factor_two_holds"] is True  # reached before the fit
+    assert doc["spectral_path"] == str(out_dir / "spectral.json")
+    assert json.loads((out_dir / "spectral.json").read_text())["counts"]["neutral"] == 3
+    assert harness.parse_config((out_dir / "config.ini").read_text()) == cfg
 
 
 def test_gauge_reconstruction_verdict(tmp_path, monkeypatch):
@@ -393,8 +475,7 @@ def test_gauge_reconstruction_verdict(tmp_path, monkeypatch):
     # the gauge stage reuses the pipeline's DeTurck trajectory
     assert variants == ["deturck", "unnormalized"]
     assert 0.0 <= record.verdicts["gauge_discrepancy"] < 1e-3
-    disc, _ = harness._gauge_reconstruction(cfg, harness.build_model(cfg),
-                                            harness.flat_background(cfg))
+    disc, _ = harness.gauge_reconstruction(cfg)
     assert variants[2:] == ["unnormalized", "deturck"]
     assert record.verdicts["gauge_discrepancy"] == disc
     lines = [json.loads(l) for l in open(record.trajectory_path)]
@@ -474,6 +555,17 @@ def test_cli_frame_singularity_exits_numerical(tmp_path, monkeypatch, capsys):
     assert json.loads(record.read_text())["verdicts"]["failed_stage"] == "flow"
 
 
+def test_cli_frame_overflow_exits_numerical(tmp_path, monkeypatch, capsys):
+    """A tau so small that the first step overflows to NaN coefficients is a
+    rejected step (exit 3), not a run that ends in exit 0 on a NaN trajectory."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    text = ("[model]\nkind = frame\nrecipe = round\ncoefficients = 4,1,1\n"
+            "[flow]\nvariant = tau\ntau = 1e-300\ndt = 0.01\nt_end = 0.02\n")
+    with np.errstate(all="ignore"):
+        assert cli.main(["run", _write_config(tmp_path, text)]) == cli.EXIT_NUMERICAL
+    assert "left the SPD cone: metric coefficients must be positive" in capsys.readouterr().err
+
+
 def test_cli_singular_stage_exits_numerical_naming_the_time(tmp_path, monkeypatch, capsys):
     """A stage metric that no halving makes invertible ends in exit 3 naming
     the time of the last step tried (dt / 2^8), not in a ``LinAlgError``."""
@@ -519,10 +611,31 @@ def test_cli_plot_rejects_a_malformed_record(tmp_path, capsys):
         assert err.startswith("validation error:") and needle in err
 
 
+def test_cli_plot_rejects_a_malformed_index(tmp_path, monkeypatch, capsys):
+    """A trajectory index cut short, or holding a line that is not a record,
+    is rejected naming the file and the line, not with a traceback."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    record = harness.run_experiment(harness.parse_config(GRID_CONFIG))
+    record_path = str(Path(record.trajectory_path).parent / "record.json")
+    index = Path(record.trajectory_path)
+    text = index.read_text()
+    last = text.count("\n")
+    for broken, line in ((text[:-20], last), (text + "[1, 2]\n", last + 1)):
+        index.write_text(broken)
+        assert cli.main(["plot", record_path, "norm"]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {index}, line {line}:"), err
+        with pytest.raises(RejectedInputError, match=f"line {line}:"):
+            harness.load_trajectory(index)
+
+
 def test_cli_spectrum_and_plot(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
     cfg_path = _write_config(tmp_path, GRID_CONFIG)
-    assert cli.main(["spectrum", cfg_path]) == cli.EXIT_OK
+    with monkeypatch.context() as m:
+        m.setattr(flows, "run_flow", None)  # the spectrum runs no flow
+        assert cli.main(["spectrum", cfg_path]) == cli.EXIT_OK
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.ini"]  # and writes no file
     doc = json.loads(capsys.readouterr().out)
     assert doc["counts"]["neutral"] == 3
 
