@@ -123,11 +123,10 @@ def rhs_unnormalized(model):
 def rhs_deturck(m: GridModel, h: GridModel, tau: float):
     """Metric velocity of the gauge-fixed flow: -2 Ric + g/tau + L_V g.
 
-    V is the reference-background vector field of ``gauge.deturck_vector``.
+    L_V g is ``gauge.p_operator``, with V from ``gauge.deturck_vector``.
     ``tau = inf`` gives the unnormalized variant (no g/tau term).
     """
-    v = gauge.deturck_vector(m, h)
-    out = -2.0 * geometry.ricci(m) + geometry.lie_derivative_metric(m, v)
+    out = -2.0 * geometry.ricci(m) + gauge.p_operator(m, h)
     if np.isfinite(tau):
         out = out + m.g / tau
     return out
@@ -186,21 +185,18 @@ def cfl_bound(model) -> float:
     return CFL_FACTOR * h_min**2 * model.min_eig
 
 
-def step(state: FlowState, metric_rhs: Callable, dt: float,
-         couple_f: bool = False) -> FlowState:
+def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
     """One classical RK4 step of the metric (and the potential, if coupled).
 
     A stage or result metric outside the SPD cone (a non-SPD grid metric, a
     frame coefficient <= 0, a stage metric too singular to invert) raises
-    ``StepRejectedError`` so the caller can halve dt.  When ``couple_f`` is
-    set the potential is advanced alongside and then re-normalized to the
-    constraint.
+    ``StepRejectedError`` so the caller can halve dt.  Coupling follows
+    ``state.f``: a potential is advanced alongside, then re-normalized.
     """
     bound = cfl_bound(state.model)
     if dt > bound:
         raise StepRejectedError(f"dt = {dt} exceeds the CFL bound {bound:.3e}")
-    if couple_f and state.f is None:
-        raise RejectedInputError("coupled stepping requires a potential in the state")
+    coupled = state.f is not None
 
     def model_at(arr, validate=False):
         try:
@@ -211,19 +207,18 @@ def step(state: FlowState, metric_rhs: Callable, dt: float,
 
     def velocity(_, y):
         model = model_at(y[0])
-        if couple_f:
+        if coupled:
             return metric_rhs(model), rhs_potential(y[1], model, state.tau)
         return (metric_rhs(model),)
 
-    y0 = (_metric_array(state.model), state.f) if couple_f else (_metric_array(state.model),)
+    y0 = (_metric_array(state.model), state.f) if coupled else (_metric_array(state.model),)
     try:
         y1 = rk4(velocity, y0, dt)
     except np.linalg.LinAlgError as exc:
         raise StepRejectedError(
             f"step to t = {state.t + dt} met a singular stage metric: {exc}") from exc
     model1 = model_at(y1[0], validate=True)
-    f1 = (entropy.normalize_f(geometry.twin(model1), y1[1], state.tau) if couple_f
-          else state.f)
+    f1 = entropy.normalize_f(geometry.twin(model1), y1[1], state.tau) if coupled else None
     return FlowState(t=state.t + dt, model=model1, tau=state.tau, f=f1)
 
 
@@ -254,7 +249,7 @@ def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
     f0 = entropy.constant_potential(geometry.twin(model0), tau) if couple_f else None
     state = FlowState(t=0.0, model=model0, tau=tau, f=f0)
     traj = Trajectory(convention=variant)
-    traj.append(state, _diagnose(state, background, couple_f))
+    traj.append(state, _diagnose(state, background))
     i = 0
     while i < n_steps:
         halvings = 0
@@ -264,7 +259,7 @@ def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
             try:
                 sub = advanced
                 for _ in range(2**halvings):
-                    sub = step(sub, metric_rhs, sub_dt, couple_f=couple_f)
+                    sub = step(sub, metric_rhs, sub_dt)
                 advanced = sub
                 break
             except StepRejectedError:
@@ -275,11 +270,11 @@ def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
         state = advanced
         i += 1
         if i % sample_every == 0 or i == n_steps:
-            traj.append(state, _diagnose(state, background, couple_f))
+            traj.append(state, _diagnose(state, background))
     return traj
 
 
-def _diagnose(state: FlowState, background, couple_f: bool) -> dict:
+def _diagnose(state: FlowState, background) -> dict:
     diag = {"t": state.t}
     model = geometry.twin(state.model)
     R = geometry.scalar_curvature(model)
@@ -289,7 +284,7 @@ def _diagnose(state: FlowState, background, couple_f: bool) -> dict:
         rep = geometry.norms(model, dev)
         diag["deviation_l2"] = rep.l2
         diag["deviation_sup"] = rep.sup
-    if couple_f:
+    if state.f is not None:
         rec = entropy.entropy_record(replace(state, model=model))
         diag["entropy"] = {"W": rec.W, "defect_l2": rec.defect_l2}
     return diag

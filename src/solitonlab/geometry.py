@@ -15,10 +15,8 @@ Grid fields are plain numpy arrays: scalars have shape ``dims``, vectors
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -351,53 +349,6 @@ def laplacian_scalar(m: GridModel, f: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", m.ginv, hess)
 
 
-def laplacian_tensor(m: GridModel, t: np.ndarray) -> np.ndarray:
-    """Rough Laplacian g^{ml} nabla_m nabla_l T_ij of a (0,2)-tensor field."""
-    hs = m.spacings
-    n = m.n
-    first = covd_tensor(m, t)  # [..., l, i, j]
-    # second[..., m, l, i, j] = d_m (nabla_l T)_ij
-    second = np.stack([d1(first, axis=mx, h=hs[mx]) for mx in range(n)], axis=-4)
-    # replace the wide diagonal d_l d_l T part by the compact stencil
-    for l in range(n):
-        wide = d1(d1(t, axis=l, h=hs[l]), axis=l, h=hs[l])
-        second[..., l, l, :, :] += d2(t, axis=l, h=hs[l]) - wide
-    second -= np.einsum("...pml,...pij->...mlij", m.gamma, first)
-    second -= np.einsum("...pmi,...lpj->...mlij", m.gamma, first)
-    second -= np.einsum("...pmj,...lip->...mlij", m.gamma, first)
-    return np.einsum("...ml,...mlij->...ij", m.ginv, second)
-
-
-def riemann_lowered(m: GridModel) -> np.ndarray:
-    """Riemann tensor R_{ikjl} = g_{im} R^m_{kjl} on the grid."""
-    gamma = m.gamma
-    hs = m.spacings
-    n = m.n
-    dgamma = np.stack([d1(gamma, axis=l, h=hs[l]) for l in range(n)], axis=-1)
-    # R^m_{kjl} = d_j Gamma^m_{lk} - d_l Gamma^m_{jk}
-    #             + Gamma^m_{jp} Gamma^p_{lk} - Gamma^m_{lp} Gamma^p_{jk}
-    riem = np.einsum("...mlkj->...mkjl", dgamma) - np.einsum("...mjkl->...mkjl", dgamma)
-    riem += np.einsum("...mjp,...plk->...mkjl", gamma, gamma)
-    riem -= np.einsum("...mlp,...pjk->...mkjl", gamma, gamma)
-    return np.einsum("...im,...mkjl->...ikjl", m.g, riem)
-
-
-def lichnerowicz(m: GridModel, t: np.ndarray) -> np.ndarray:
-    """Lichnerowicz Laplacian: rough Laplacian plus curvature terms.
-
-    Delta_L T = Delta T + 2 R_{ikjl} T^{kl} - R_ik T^k_j - R_jk T^k_i.
-    On a flat background this is the componentwise Laplacian.
-    """
-    ginv, ric = m.ginv, m.ric
-    t_up = np.einsum("...ka,...lb,...ab->...kl", ginv, ginv, t)
-    t_mixed = np.einsum("...ka,...aj->...kj", ginv, t)  # T^k_j
-    out = laplacian_tensor(m, t) + 2.0 * np.einsum("...ikjl,...kl->...ij",
-                                                   riemann_lowered(m), t_up)
-    out -= np.einsum("...ik,...kj->...ij", ric, t_mixed)
-    out -= np.einsum("...jk,...ki->...ij", ric, t_mixed)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # norms and volume
 
@@ -441,58 +392,3 @@ def norms(m: GridModel, f: np.ndarray, index: str = "upper") -> NormReport:
     base_sq = _pointwise_sq(m, f, index)
     l2 = float(np.sqrt(np.sum(base_sq * m.sqrt_det) * np.prod(m.spacings)))
     return NormReport(l2=l2, sup=float(np.sqrt(np.max(base_sq))))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_MAGIC = b"SLGM"
-_VERSION = 1
-
-
-def save_model(m: GridModel, path) -> None:
-    """Write a grid metric to a binary SLGM file.
-
-    Layout: magic ``SLGM``, version byte, n byte, a reserved zero byte,
-    n uint32 dims, n float64 periods, then row-major node-ordered
-    upper-triangle components as little-endian float64.
-    """
-    pairs = sym_components(m.n)
-    flat = np.stack([m.g[(..., i, j)] for i, j in pairs], axis=-1).reshape(-1, len(pairs))
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<BBB", _VERSION, m.n, 0))
-        fh.write(struct.pack(f"<{m.n}I", *m.dims))
-        fh.write(struct.pack(f"<{m.n}d", *m.period))
-        fh.write(flat.astype("<f8").tobytes())
-
-
-def load_model(path) -> GridModel:
-    """Read a grid metric written by :func:`save_model`.
-
-    A file that is not a complete SLGM file of a supported version (empty,
-    truncated, padded, or in another layout) is rejected naming the path.
-    """
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != _MAGIC or len(raw) < 7:
-        raise RejectedInputError(f"{path}: not a complete SLGM metric file")
-    version, n, _ = struct.unpack_from("<BBB", raw, 4)
-    if version != _VERSION:
-        raise RejectedInputError(f"{path}: unsupported metric file version {version}")
-    start = 7 + 12 * n  # after the dims and periods
-    if n not in (2, 3) or len(raw) < start:
-        raise RejectedInputError(f"{path}: truncated or malformed SLGM header")
-    pairs = sym_components(n)
-    dims = struct.unpack_from(f"<{n}I", raw, 7)
-    period = struct.unpack_from(f"<{n}d", raw, 7 + 4 * n)
-    size = int(np.prod(dims)) * len(pairs) * 8
-    if len(raw) != start + size:
-        raise RejectedInputError(f"{path}: holds {len(raw) - start} bytes of metric data, "
-                                 f"dims {dims} need {size}")
-    data = np.frombuffer(raw, dtype="<f8", offset=start).reshape(dims + (len(pairs),))
-    g = np.empty(dims + (n, n))
-    for idx, (i, j) in enumerate(pairs):
-        g[(..., i, j)] = data[..., idx]
-        g[(..., j, i)] = data[..., idx]
-    return GridModel(n=n, dims=dims, period=period, g=g)

@@ -146,8 +146,8 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.kind not in ("grid", "frame"):
         _fail("model.kind", f"must be 'grid' or 'frame', got {cfg.kind!r}")
     if cfg.kind == "grid":
-        if len(cfg.dims) != len(cfg.period):
-            _fail("model.dims", "dims and period must have equal length")
+        if len(cfg.dims) != len(cfg.period) or len(cfg.dims) not in (2, 3):
+            _fail("model.dims", "need 2 or 3 axes, and one period per axis")
         if any(d < 8 for d in cfg.dims):
             _fail("model.dims", "each grid dimension must be at least 8")
         if not _positive_finite(*cfg.period):
@@ -293,11 +293,22 @@ def save_trajectory(traj, path) -> None:
             fh.write(json.dumps({"kind": "diagnostics", **diag}) + "\n")
 
 
+_NUM = (int, float)
+# The fields each kind of index line needs (a state line also its model's),
+# and the JSON type of each field that loading or plotting would trip on.
+_NEEDED = {"header": ("convention",), "state": ("t", "tau", "model"), "diagnostics": ("t",),
+           "gauge": ("t",), "grid": ("dims", "period"), "frame": ("lams", "base_volume")}
+_TYPES = {"arrays": str, "t": _NUM, "tau": (*_NUM, type(None)), "dims": list,
+          "period": list, "lams": list, "base_volume": _NUM, "entropy": dict}
+
+
 def _read_index(path) -> list:
     """The records of the trajectory index ``path``, one JSON object per line.
 
-    A line that is not an object with a ``kind`` (and, past the header, a
-    time ``t``) is rejected naming the file and the line.
+    A line that is not an index record, that lacks a field its kind needs, or
+    that holds a field of the wrong type (a list of other than numbers, dims
+    of other than integers, a model other than grid or frame) is rejected
+    naming the file and the line.
     """
     records = []
     with open(path) as fh:
@@ -306,9 +317,18 @@ def _read_index(path) -> list:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RejectedInputError(f"{path}, line {lineno}: not JSON ({exc})") from exc
-            if not (isinstance(rec, dict) and "kind" in rec
-                    and (rec["kind"] == "header" or "t" in rec)):
+            kind = rec.get("kind") if isinstance(rec, dict) else None
+            if kind not in ("header", "state", "diagnostics", "gauge"):
                 raise RejectedInputError(f"{path}, line {lineno}: not an index record")
+            model = rec.get("model") if kind == "state" else None
+            needed = _NEEDED[kind] + (_NEEDED[model] if model in ("grid", "frame") else ())
+            for name in needed + tuple(rec):
+                value, item = rec.get(name), (int if name == "dims" else _NUM)
+                if (name not in rec or not isinstance(value, _TYPES.get(name, object))
+                        or _TYPES.get(name) is list and not all(isinstance(x, item) for x in value)
+                        or name == "model" and value not in ("grid", "frame")):
+                    raise RejectedInputError(f"{path}, line {lineno}: field {name!r} is missing "
+                                             "or has the wrong type")
             records.append(rec)
     return records
 
@@ -343,10 +363,6 @@ def load_trajectory(path):
     traj = flows.Trajectory(convention=records[0]["convention"])
     for i, (rec, diag) in enumerate(zip(state_recs, diags)):
         if rec["model"] == "frame":
-            if "lams" not in rec:
-                raise RejectedInputError(
-                    f"{path}: frame state at t = {rec['t']} has no 'lams' (written "
-                    "before frame states recorded their Milnor constants)")
             model = FrameModel(lams=rec["lams"], a=arrays["a"][i],
                                base_volume=rec["base_volume"])
             f = None if fs is None else float(fs[i])
@@ -390,8 +406,7 @@ def gauge_reconstruction(cfg: RunConfig, deturck_traj=None):
         det = flows.run_flow(model0, "deturck", np.inf, cfg.dt, cfg.t_end,
                              background=h, sample_every=cfg.sample_every)
     ginterp = flows.MetricInterpolant(ricci)
-    gt = gauge.run_harmonic_gauge(lambda t: ginterp(t), h,
-                                  np.zeros(h.dims + (h.n,)), 0.0, cfg.t_end, cfg.dt)
+    gt = gauge.run_harmonic_gauge(ginterp, h, np.zeros(h.dims + (h.n,)), 0.0, cfg.t_end, cfg.dt)
     idx = [int(round(t / cfg.dt)) for t in ricci.times]
     sub = gauge.GaugeTrajectory(h=h)
     sub.times = [gt.times[i] for i in idx]
@@ -403,7 +418,10 @@ def gauge_reconstruction(cfg: RunConfig, deturck_traj=None):
 def spectral_report(cfg: RunConfig) -> stability.SpectralReport:
     """The spectral stage: the linearized flow at the config's flat background."""
     op = stability.assemble_linearized_pde(flat_background(cfg), cfg.tau)
-    return stability.spectrum(op, cfg.eps_neutral)
+    report = stability.spectrum(op, cfg.eps_neutral)
+    if np.isinf(report.gap):  # every eigenvalue is neutral
+        _fail("stability.eps_neutral", "leaves no eigenvalue outside the neutral band (no gap)")
+    return report
 
 
 def stability_verdicts(cfg: RunConfig, traj, report, verdicts: dict) -> None:

@@ -53,7 +53,7 @@ def _finite(command, out) -> bool:
        steps=st.integers(1, 4),
        analyze=st.booleans(),
        reconstruct=st.booleans(),
-       eps_neutral=st.sampled_from(["auto", "1e-3", "-1", "nan"]),
+       eps_neutral=st.sampled_from(["auto", "1e-3", "1e6", "-1", "nan"]),
        beta=st.sampled_from(["auto", "1.5", "0.5", "nan"]))
 def test_run_ends_in_one_of_three_ways(tmp_path_factory, model, variant, tau, steps,
                                        analyze, reconstruct, eps_neutral, beta):

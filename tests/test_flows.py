@@ -168,7 +168,7 @@ def test_step_matches_the_classical_rk4_formula():
     a1 = m.a + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
     f1 = entropy.normalize_f(m.with_a(a1), f0 + (dt / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f),
                              tau)
-    got = flows.step(FlowState(t=0.0, model=m, tau=tau, f=f0), rhs, dt, couple_f=True)
+    got = flows.step(FlowState(t=0.0, model=m, tau=tau, f=f0), rhs, dt)
     assert np.array_equal(got.model.a, a1)
     assert got.f == f1
 
@@ -205,7 +205,7 @@ def test_coupled_frame_step_derives_each_ricci_once(monkeypatch):
     tau = 1.0
     m = FrameModel.su2(a=(4.4, 4.0, 3.7))
     state = FlowState(t=0.0, model=m, tau=tau, f=entropy.constant_potential(m, tau))
-    flows.step(state, flows.make_metric_rhs("tau", tau), 0.01, couple_f=True)
+    flows.step(state, flows.make_metric_rhs("tau", tau), 0.01)
     assert len(seen) == 4
     assert len({id(model) for model in seen}) == 4
 

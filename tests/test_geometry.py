@@ -1,6 +1,4 @@
-"""Geometry layer: curvature against symbolic oracles, norms, serialization."""
-
-import re
+"""Geometry layer: curvature against symbolic oracles, norms, validation."""
 
 import numpy as np
 import pytest
@@ -208,18 +206,6 @@ def test_divergence_is_adjoint_of_lie_derivative(curved_t2):
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
-def test_lichnerowicz_equals_componentwise_laplacian_on_flat():
-    m = GridModel.flat(2, (24, 24), (TWO_PI, TWO_PI))
-    X, Y = m.coords()
-    T = np.zeros(m.g.shape)
-    T[..., 0, 0] = np.sin(2 * X)
-    T[..., 0, 1] = T[..., 1, 0] = np.cos(X + Y)
-    T[..., 1, 1] = np.sin(Y)
-    lich = geometry.lichnerowicz(m, T)
-    lap = geometry.laplacian_tensor(m, T)
-    assert np.allclose(lich, lap, atol=1e-13)
-
-
 def test_scalar_laplacian_eigenfunction():
     m = GridModel.flat(2, (64, 64), (TWO_PI, TWO_PI))
     X, _ = m.coords()
@@ -230,7 +216,7 @@ def test_scalar_laplacian_eigenfunction():
 
 
 # ---------------------------------------------------------------------------
-# norms, volume, validation, serialization
+# norms, volume, validation
 
 
 def test_volume_scaling():
@@ -264,35 +250,6 @@ def test_non_spd_metric_rejected():
     bad[0, 0] = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite at one node
     with pytest.raises(RejectedInputError):
         m.with_metric(bad)
-
-
-def test_model_serialization_round_trip(tmp_path, curved_t2):
-    path = tmp_path / "model.slgm"
-    geometry.save_model(curved_t2, path)
-    loaded = geometry.load_model(path)
-    assert loaded.dims == curved_t2.dims
-    assert np.allclose(loaded.period, curved_t2.period)
-    assert np.array_equal(loaded.g, curved_t2.g)
-
-
-def test_malformed_metric_file_is_rejected_naming_the_path(tmp_path, curved_t2):
-    """An empty file, a truncated or padded SLGM file and a file in the old
-    text layout are rejected input, not a numpy or struct error."""
-    good = tmp_path / "good.slgm"
-    geometry.save_model(curved_t2, good)
-    raw = good.read_bytes()
-    pairs = geometry.sym_components(curved_t2.n)
-    rows = curved_t2.g.reshape(-1, 2, 2)
-    text = (f"2 {curved_t2.dims[0]} {curved_t2.dims[1]} {TWO_PI!r} {TWO_PI!r}\n"
-            + "".join(" ".join(repr(float(r[i, j])) for i, j in pairs) + "\n" for r in rows))
-    cases = {"empty": b"", "magic-only": raw[:6], "header-cut": raw[:12],
-             "truncated": raw[:-3], "short-a-node": raw[:-24], "padded": raw + b"\0" * 8,
-             "text": text.encode()}
-    for name, content in cases.items():
-        path = tmp_path / f"{name}.slgm"
-        path.write_bytes(content)
-        with pytest.raises(RejectedInputError, match=re.escape(str(path))):
-            geometry.load_model(path)
 
 
 # ---------------------------------------------------------------------------

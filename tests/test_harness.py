@@ -77,6 +77,7 @@ def test_parse_rejects_unknown_section_and_key():
     ("[model]\ndims = 8\n", "model.dims"),
     ("[model]\ndims = 2,2\n", "model.dims"),
     ("[model]\ndims = 6,6\n", "model.dims"),
+    ("[model]\ndims = 8,8,8,8\nperiod = 6.0,6.0,6.0,6.0\n", "model.dims"),
     ("[flow]\ncouple_potential = true\n", "flow.couple_potential"),
     ("[flow]\ntau = 1.0\ncouple_potential = true\n", "flow.couple_potential"),
     ("[model]\nkind = frame\nrecipe = berger\n"
@@ -259,21 +260,16 @@ def test_trajectory_round_trip_grid_potential(tmp_path):
         harness.save_trajectory(traj, path)
 
 
-README_CONFIG = """
-[model]
-kind = grid
-dims = 16,16
-recipe = perturbed-flat
-amplitude = 0.01
-seed = 7
+ROOT = Path(__file__).resolve().parent.parent
+README_CONFIG = (ROOT / "examples.ini").read_text()
 
-[flow]
-variant = deturck
-tau = inf
-dt = 0.02
-t_end = 16.0
-sample_every = 4
-"""
+
+def test_examples_ini_is_the_readme_config():
+    """The quick start's ``examples.ini`` is the README's minimal config."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert block == README_CONFIG
+    assert "solitonlab run examples.ini" in readme
 
 
 def test_readme_trajectory_keeps_its_arrays_out_of_the_index(tmp_path, monkeypatch):
@@ -362,6 +358,35 @@ def test_trajectory_with_inline_arrays_is_rejected_by_name(tmp_path):
                         {"kind": "diagnostics", "t": 0.0}])
     with pytest.raises(RejectedInputError, match="inline.jsonl: the header names no array file"):
         harness.load_trajectory(path)
+
+
+@pytest.mark.parametrize("lineno,field,edit", [
+    (3, "entropy", lambda rec: {**rec, "entropy": 5}),
+    (2, "model", lambda rec: {k: v for k, v in rec.items() if k != "model"}),
+], ids=["entropy-not-an-object", "state-without-model"])
+def test_index_line_of_the_wrong_shape_is_rejected_naming_the_line(tmp_path, capsys,
+                                                                   lineno, field, edit):
+    """An index line whose field is missing or of the wrong shape is rejected
+    naming the file, the line and the field, by ``plot`` (exit 2) and by
+    ``load_trajectory`` alike, not with a traceback."""
+    traj = flows.run_flow(FrameModel.su2(a=(4.4, 4.0, 3.7)), "tau", tau=1.0, dt=1e-2,
+                          t_end=0.02, couple_f=True)
+    index = tmp_path / "traj.jsonl"
+    harness.save_trajectory(traj, index)
+    record = tmp_path / "record.json"
+    record.write_text(harness.RunRecord(config_hash="0", trajectory_path=str(index),
+                                        spectral_path=None, verdicts={},
+                                        wall_clock=0.0).to_json())
+    assert cli.main(["plot", str(record), "W"]) == cli.EXIT_OK
+    capsys.readouterr()
+    lines = [json.loads(line) for line in index.read_text().splitlines()]
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    _write_index(index, lines)
+    assert cli.main(["plot", str(record), "W"]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {index}, line {lineno}:") and repr(field) in err
+    with pytest.raises(RejectedInputError, match=f"line {lineno}: .*'{field}'"):
+        harness.load_trajectory(index)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +670,20 @@ def test_cli_spectrum_and_plot(tmp_path, monkeypatch, capsys):
     assert cli.main(["plot", record_path, "norm"]) == cli.EXIT_OK
     plot_path = capsys.readouterr().out.strip()
     assert plot_path.endswith("plot-norm.dat")
+
+
+def test_an_eps_neutral_that_leaves_no_gap_is_rejected(tmp_path, monkeypatch, capsys):
+    """An eps_neutral above every eigenvalue's magnitude leaves no spectral
+    gap: ``spectrum`` and ``run`` reject it by name (exit 2) rather than
+    print an infinite gap or a NaN rate deviation."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    cfg = _write_config(tmp_path, GRID_CONFIG.replace("analyze = true",
+                                                      "analyze = true\neps_neutral = 1e6"))
+    for command in ("spectrum", "run"):
+        assert cli.main([command, cfg]) == cli.EXIT_VALIDATION
+        assert "validation error: stability.eps_neutral" in capsys.readouterr().err
+    record, = tmp_path.glob("smoke-*/record.json")
+    assert json.loads(record.read_text())["verdicts"]["failed_stage"] == "stability"
 
 
 BERGER_ENTROPY = ("[model]\nkind = frame\nrecipe = berger\ncoefficients = {}\n"
