@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import entropy, gauge, geometry
 from .errors import RejectedInputError, StepRejectedError
@@ -82,6 +81,8 @@ class MetricInterpolant:
     """Cubic-in-time interpolant of a trajectory's metric coefficients."""
 
     def __init__(self, traj: Trajectory):
+        from scipy.interpolate import CubicSpline
+
         times = traj.times
         series = traj.metric_series()
         self._template = traj.states[0].model

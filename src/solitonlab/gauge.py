@@ -213,7 +213,10 @@ def integrate_diffeo_ode(times, v_series, S0: np.ndarray, grid: GridModel) -> Ga
 def energy_density(F: np.ndarray, g: GridModel, h: GridModel) -> np.ndarray:
     """e = g^{ij} h_kl d_i F^k d_j F^l, the gauge-displacement energy density."""
     dF = geometry.partials(g, F)  # [..., k, i]
-    return np.einsum("...ij,...kl,...ki,...lj->...", g.ginv, h.g, dF, dF)
+    ginv, hg = g.ginv, h.g
+    # summed over k, i, l, j in that order: bitwise einsum("...ij,...kl,...ki,...lj->...")
+    return sum(ginv[..., i, j] * hg[..., k, l] * dF[..., k, i] * dF[..., l, j]
+               for k, i, l, j in itertools.product(range(g.n), repeat=4))
 
 
 def total_energy(F: np.ndarray, g: GridModel, h: GridModel) -> float:

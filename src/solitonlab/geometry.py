@@ -11,6 +11,11 @@ Two backgrounds are supported:
 
 Grid fields are plain numpy arrays: scalars have shape ``dims``, vectors
 ``dims + (n,)`` and symmetric 2-tensors ``dims + (n, n)``.
+
+The hot contractions over the n <= 3 component axes are sums of broadcast
+products, added in the order ``einsum`` adds them, so they equal its result
+bitwise.  A contraction that ``einsum`` adds in another order (it reduces some
+in SIMD lanes), or computes faster in its one call, stays an ``einsum``.
 """
 
 from __future__ import annotations
@@ -146,9 +151,10 @@ class GridModel:
         """Volume density sqrt(det g) per node."""
         return _read_only(np.sqrt(np.linalg.det(self.g)))
 
-    @property
+    @cached_property
     def spacings(self) -> np.ndarray:
-        return np.array([p / d for p, d in zip(self.period, self.dims)])
+        """Grid step period / points along each axis."""
+        return _read_only(np.array([p / d for p, d in zip(self.period, self.dims)]))
 
     def coords(self):
         """Node coordinate arrays, one per axis, broadcastable to ``dims``."""
@@ -270,7 +276,9 @@ def christoffel(m: GridModel) -> np.ndarray:
     term = (np.einsum("...jli->...lij", dg) + np.einsum("...ilj->...lij", dg)
             - np.einsum("...ijl->...lij", dg))
     # term[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    return 0.5 * np.einsum("...kl,...lij->...kij", m.ginv, term)
+    ginv = m.ginv
+    # g^{kl} term_lij with l summed in order: bitwise einsum("...kl,...lij->...kij")
+    return 0.5 * sum(ginv[..., :, l, None, None] * term[..., None, l, :, :] for l in range(n))
 
 
 def ricci(m):
@@ -297,8 +305,11 @@ def _ricci_grid(m: GridModel) -> np.ndarray:
     dgamma = np.stack([d1(gamma, axis=l, h=hs[l]) for l in range(n)], axis=-1)
     r = np.einsum("...kijk->...ij", dgamma)
     r -= np.einsum("...kkji->...ij", dgamma)
-    r += np.einsum("...kkl,...lij->...ij", gamma, gamma)
-    r -= np.einsum("...kil,...lkj->...ij", gamma, gamma)
+    # the Gamma.Gamma terms with k outer and l inner: bitwise einsum("...kkl,...lij->...ij")
+    # and einsum("...kil,...lkj->...ij")
+    pairs = [(k, l) for k in range(n) for l in range(n)]
+    r += sum(gamma[..., k, k, l, None, None] * gamma[..., l, :, :] for k, l in pairs)
+    r -= sum(gamma[..., k, :, l, None] * gamma[..., l, k, None, :] for k, l in pairs)
     return 0.5 * (r + np.swapaxes(r, -1, -2))
 
 
@@ -327,8 +338,11 @@ def covd_tensor(m: GridModel, t: np.ndarray) -> np.ndarray:
     """Covariant derivative of a (0,2)-tensor: out[..., l, i, j] = nabla_l T_ij."""
     dt = partials(m, t)  # dt[..., i, j, l] = d_l T_ij
     out = np.einsum("...ijl->...lij", dt)
-    out -= np.einsum("...mli,...mj->...lij", m.gamma, t)
-    out -= np.einsum("...mlj,...im->...lij", m.gamma, t)
+    gamma, idx = m.gamma, range(m.n)
+    # Gamma's upper index summed in order: bitwise einsum("...mli,...mj->...lij") and
+    # einsum("...mlj,...im->...lij")
+    out -= sum(gamma[..., p, :, :, None] * t[..., p, None, None, :] for p in idx)
+    out -= sum(gamma[..., p, :, None, :] * t[..., None, :, p, None] for p in idx)
     return out
 
 

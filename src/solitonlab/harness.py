@@ -337,8 +337,11 @@ def load_trajectory(path):
     """Read back what ``save_trajectory`` wrote, bitwise.
 
     An index that names no array file (written before trajectories kept their
-    arrays in one, with the arrays inline), or whose array file is missing or
-    does not match its states, is rejected naming the file.
+    arrays in one, with the arrays inline), whose state and diagnostics lines
+    differ in number, or whose array file is missing or does not match its
+    states, is rejected naming the file.  A state line whose model rejects its
+    parameters (``dims`` of other than 2 or 3 axes or under 8 points per axis,
+    a ``period`` of another length) is rejected naming the file and the line.
     """
     path = Path(path)
     records = _read_index(path)
@@ -352,24 +355,30 @@ def load_trajectory(path):
             arrays = {k: npz[k] for k in npz.files}
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise RejectedInputError(f"{path}: cannot read its array file {arrays_path}: {exc}") from exc
-    state_recs = [r for r in records if r["kind"] == "state"]
+    state_lines = [(lineno, r) for lineno, r in enumerate(records, 1) if r["kind"] == "state"]
     diags = [{k: v for k, v in r.items() if k != "kind"}
              for r in records if r["kind"] == "diagnostics"]
-    key = "a" if state_recs and state_recs[0]["model"] == "frame" else "g"
-    if key not in arrays or any(len(v) != len(state_recs) for v in arrays.values()):
+    if len(state_lines) != len(diags):
+        raise RejectedInputError(f"{path}: {len(state_lines)} state lines but {len(diags)} "
+                                 "diagnostics lines (one of each per sample)")
+    key = "a" if state_lines and state_lines[0][1]["model"] == "frame" else "g"
+    if key not in arrays or any(len(v) != len(state_lines) for v in arrays.values()):
         raise RejectedInputError(f"{arrays_path}: does not hold one {key!r} array per "
-                                 f"state of {path} ({len(state_recs)} states)")
+                                 f"state of {path} ({len(state_lines)} states)")
     fs = arrays.get("f")
     traj = flows.Trajectory(convention=records[0]["convention"])
-    for i, (rec, diag) in enumerate(zip(state_recs, diags)):
-        if rec["model"] == "frame":
-            model = FrameModel(lams=rec["lams"], a=arrays["a"][i],
-                               base_volume=rec["base_volume"])
-            f = None if fs is None else float(fs[i])
-        else:
-            model = GridModel(n=len(rec["dims"]), dims=tuple(rec["dims"]),
-                              period=tuple(rec["period"]), g=arrays["g"][i], validate=False)
-            f = None if fs is None else fs[i]
+    for i, ((lineno, rec), diag) in enumerate(zip(state_lines, diags)):
+        try:
+            if rec["model"] == "frame":
+                model = FrameModel(lams=rec["lams"], a=arrays["a"][i],
+                                   base_volume=rec["base_volume"])
+                f = None if fs is None else float(fs[i])
+            else:
+                model = GridModel(n=len(rec["dims"]), dims=tuple(rec["dims"]),
+                                  period=tuple(rec["period"]), g=arrays["g"][i], validate=False)
+                f = None if fs is None else fs[i]
+        except RejectedInputError as exc:
+            raise RejectedInputError(f"{path}, line {lineno}: {exc}") from exc
         tau = rec["tau"] if rec["tau"] is not None else np.inf
         traj.append(flows.FlowState(t=rec["t"], model=model, tau=tau, f=f), diag)
     return traj

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import flows, geometry
 from .errors import InsufficientDataError, NumericalFailureError, RejectedInputError
@@ -130,6 +129,8 @@ class FourierOperator:
         package reads it: it stays only because ``perfbench/tracer.py``
         (``_operator_dim``) reads ``matrix.shape[0]`` after each traced
         ``spectrum``, and goes when the tracer reads ``dim`` (ROADMAP item 7)."""
+        import scipy.linalg
+
         N = self.symbol.size
         units = np.eye(N).reshape((N,) + self.symbol.shape)
         block = _fourier_multiply(self.symbol, units).reshape(N, N).T

@@ -336,3 +336,22 @@ def test_gauge_equivalence_rejects_mismatched_times():
                                F=[np.zeros(h.dims + (2,))] * 2)
     with pytest.raises(RejectedInputError):
         gauge.gauge_equivalence_check(traj_a, traj_b, gt)
+
+
+@pytest.mark.parametrize("dims", [(16, 16), (32, 32), (8, 8, 8), (12, 10, 9)],
+                         ids=lambda d: "x".join(map(str, d)))
+def test_energy_density_equals_its_einsum_spelling_bitwise(dims):
+    """The unrolled energy density adds its terms in einsum's order (k, i, l, j)."""
+    n = len(dims)
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        a = 0.3 * rng.standard_normal(dims + (n, n))
+        g = GridModel(n=n, dims=dims, period=(TWO_PI,) * n,
+                      g=np.eye(n) + a @ np.swapaxes(a, -1, -2))
+        b = rng.standard_normal((n, n))
+        h = GridModel.flat(n, dims, (TWO_PI,) * n).with_metric(
+            np.broadcast_to(np.eye(n) + 0.1 * b @ b.T, dims + (n, n)))
+        F = 0.05 * rng.standard_normal(dims + (n,))
+        dF = geometry.partials(g, F)
+        oracle = np.einsum("...ij,...kl,...ki,...lj->...", g.ginv, h.g, dF, dF)
+        assert np.array_equal(gauge.energy_density(F, g, h), oracle)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from solitonlab import geometry
+from solitonlab import flows, geometry
 from solitonlab.errors import RejectedInputError
 from solitonlab.geometry import FrameModel, GridModel
 
@@ -277,3 +277,75 @@ def test_twin_shares_the_metric_and_none_of_the_fields(curved_t2):
     t = geometry.twin(m)
     assert t.g is m.g and not {"ginv", "gamma", "ric", "sqrt_det"} & vars(t).keys()
     assert np.array_equal(t.ric, m.ric)
+
+
+# ---------------------------------------------------------------------------
+# unrolled contractions against their einsum spelling, bitwise
+
+SHAPES = [(16, 16), (32, 32), (8, 8, 8), (12, 10, 9)]
+SEEDS = (0, 1, 2)
+
+
+def _random_spd(dims, seed):
+    """A random SPD metric field: I + A A^T with A ~ 0.3 N(0, 1) per node."""
+    n = len(dims)
+    a = 0.3 * np.random.default_rng(seed).standard_normal(tuple(dims) + (n, n))
+    g = np.eye(n) + a @ np.swapaxes(a, -1, -2)
+    return GridModel(n=n, dims=dims, period=(TWO_PI,) * n, g=0.5 * (g + np.swapaxes(g, -1, -2)))
+
+
+def _einsum_christoffel(m, ginv):
+    hs = m.spacings
+    dg = np.stack([geometry.d1(m.g, axis=l, h=hs[l]) for l in range(m.n)], axis=-1)
+    term = (np.einsum("...jli->...lij", dg) + np.einsum("...ilj->...lij", dg)
+            - np.einsum("...ijl->...lij", dg))
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
+
+
+def _einsum_ricci(m, gamma):
+    hs = m.spacings
+    dgamma = np.stack([geometry.d1(gamma, axis=l, h=hs[l]) for l in range(m.n)], axis=-1)
+    r = np.einsum("...kijk->...ij", dgamma)
+    r -= np.einsum("...kkji->...ij", dgamma)
+    r += np.einsum("...kkl,...lij->...ij", gamma, gamma)
+    r -= np.einsum("...kil,...lkj->...ij", gamma, gamma)
+    return 0.5 * (r + np.swapaxes(r, -1, -2))
+
+
+def _einsum_covd_tensor(m, gamma, t):
+    out = np.einsum("...ijl->...lij", geometry.partials(m, t))
+    out -= np.einsum("...mli,...mj->...lij", gamma, t)
+    out -= np.einsum("...mlj,...im->...lij", gamma, t)
+    return out
+
+
+@pytest.mark.parametrize("dims", SHAPES, ids=lambda d: "x".join(map(str, d)))
+def test_unrolled_curvature_contractions_equal_einsum_bitwise(dims):
+    """Christoffel, Ricci and the covariant derivative of a 2-tensor sum their
+    component products in einsum's order, so they equal its result bitwise."""
+    for seed in SEEDS:
+        m = _random_spd(dims, seed)
+        assert np.array_equal(m.gamma, _einsum_christoffel(m, np.linalg.inv(m.g)))
+        assert np.array_equal(m.ric, _einsum_ricci(m, m.gamma))
+        t = _random_spd(dims, seed + 10).g
+        assert np.array_equal(geometry.covd_tensor(m, t), _einsum_covd_tensor(m, m.gamma, t))
+
+
+def _einsum_rhs_deturck(m, h, tau):
+    """-2 Ric + L_V g (+ g / tau) with every contraction spelled as einsum."""
+    ginv = np.linalg.inv(m.g)
+    gamma = _einsum_christoffel(m, ginv)
+    v = np.einsum("...pq,...kpq->...k", ginv, gamma - _einsum_christoffel(h, np.linalg.inv(h.g)))
+    w = np.einsum("...ij,...j->...i", m.g, v)
+    dw = np.einsum("...ji->...ij", geometry.partials(m, w))
+    dw = dw - np.einsum("...kij,...k->...ij", gamma, w)
+    out = -2.0 * _einsum_ricci(m, gamma) + (dw + np.swapaxes(dw, -1, -2))
+    return out + m.g / tau if np.isfinite(tau) else out
+
+
+@pytest.mark.parametrize("tau", [0.7, np.inf])
+def test_deturck_rhs_equals_its_einsum_spelling_bitwise(tau):
+    h = GridModel.flat(2, (16, 16), (TWO_PI, TWO_PI))
+    for seed in SEEDS:
+        m = _random_spd((16, 16), seed)
+        assert np.array_equal(flows.rhs_deturck(m, h, tau), _einsum_rhs_deturck(m, h, tau))

@@ -4,6 +4,10 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +391,63 @@ def test_index_line_of_the_wrong_shape_is_rejected_naming_the_line(tmp_path, cap
     assert err.startswith(f"validation error: {index}, line {lineno}:") and repr(field) in err
     with pytest.raises(RejectedInputError, match=f"line {lineno}: .*'{field}'"):
         harness.load_trajectory(index)
+
+
+def _grid_index(tmp_path):
+    """The index of a 3-state 8^2 DeTurck trajectory, and its lines as records."""
+    h = GridModel.flat(2, (8, 8), (TWO_PI, TWO_PI))
+    model0 = harness.build_model(harness.parse_config(GRID_CONFIG))
+    traj = flows.run_flow(model0, "deturck", np.inf, 0.01, 0.02, background=h)
+    index = tmp_path / "traj.jsonl"
+    harness.save_trajectory(traj, index)
+    return index, [json.loads(line) for line in index.read_text().splitlines()]
+
+
+def test_index_that_lost_a_line_is_rejected_by_name(tmp_path):
+    """An index whose state and diagnostics lines differ in number does not
+    load short: it is rejected naming the file."""
+    index, lines = _grid_index(tmp_path)
+    assert [rec["kind"] for rec in lines[:3]] == ["header", "state", "diagnostics"]
+    _write_index(index, lines[:2] + lines[3:])
+    with pytest.raises(RejectedInputError,
+                       match=re.escape(f"{index}: 3 state lines but 2 diagnostics lines")):
+        harness.load_trajectory(index)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("dims", [8], "grid models support n = 2 or 3"),
+    ("dims", [4, 4], "grid needs at least 8 points per axis"),
+    ("period", [6.0], "dims and period must have length n"),
+], ids=["one-axis-dims", "too-few-points", "one-entry-period"])
+def test_state_line_with_wrong_model_values_is_rejected_naming_the_line(tmp_path, field,
+                                                                       value, message):
+    """A state line whose model parameters have the right types but values
+    the grid model rejects is rejected naming the file and the line."""
+    index, lines = _grid_index(tmp_path)
+    assert lines[3]["kind"] == "state"
+    lines[3][field] = value
+    _write_index(index, lines)
+    with pytest.raises(RejectedInputError, match=re.escape(f"{index}, line 4: {message}")):
+        harness.load_trajectory(index)
+
+
+def test_grid_run_and_spectrum_import_no_scipy(tmp_path):
+    """scipy is imported where it is called: a grid run without gauge
+    reconstruction and the spectrum subcommand load no scipy module."""
+    config = _write_config(tmp_path, GRID_CONFIG)
+    script = "\n".join([
+        "import sys",
+        "from solitonlab import cli, harness",
+        f"assert cli.main(['spectrum', {config!r}]) == cli.EXIT_OK",
+        f"harness.run_experiment(harness.parse_config(open({config!r}).read()))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, harness.OUTPUT_ENV_VAR: str(tmp_path / "runs"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------
