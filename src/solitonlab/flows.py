@@ -12,6 +12,14 @@ model derives g^{-1}, Gamma(g) and Ricci once, and both Ricci and the gauge
 field V read them; the background's Gamma(h) is derived once per
 ``make_metric_rhs``.  Trajectory states carry metrics only: diagnostics read
 the geometry of a throwaway twin of each sampled model.
+
+``MetricInterpolant`` (the metric in time, for the gauge stage and the
+reparametrization) is a not-a-knot cubic spline written here rather than
+``scipy.interpolate.CubicSpline``, so those paths load no scipy.  Its slope
+solve follows LAPACK ``dgtsv``'s elimination order, pivot swaps and
+divisions, which scipy uses, so every interpolated metric is bitwise the
+float scipy gives: the gauge discrepancy is a difference of O(1) entries
+that comes out near 1e-4, so a last-bit change in a slope shows in it.
 """
 
 from __future__ import annotations
@@ -78,31 +86,105 @@ def _with_metric(model, arr, validate=False):
 
 
 class MetricInterpolant:
-    """Cubic-in-time interpolant of a trajectory's metric coefficients."""
+    """Cubic-in-time interpolant of a trajectory's metric coefficients.
+
+    Four or more samples give the not-a-knot cubic spline of
+    ``_not_a_knot_coefficients``; fewer give piecewise-linear interpolation
+    with ``np.interp``'s arithmetic.  Times outside the samples are clipped
+    to the first or last one.
+    """
 
     def __init__(self, traj: Trajectory):
-        from scipy.interpolate import CubicSpline
-
         times = traj.times
         series = traj.metric_series()
         self._template = traj.states[0].model
         self._shape = series.shape[1:]
-        kind = "cubic" if len(times) >= 4 else "linear"
-        if kind == "cubic":
-            self._spline = CubicSpline(times, series.reshape(len(times), -1), axis=0)
+        self._times = times
+        flat = series.reshape(len(times), -1)
+        if len(times) >= 4:
+            self._coef, self._flat = _not_a_knot_coefficients(times, flat), None
         else:
-            self._spline = None
-            self._times = times
-            self._flat = series.reshape(len(times), -1)
+            self._coef, self._flat = None, flat
         self.t_min = float(times[0])
         self.t_max = float(times[-1])
 
     def __call__(self, t: float):
-        if self._spline is not None:
-            flat = self._spline(np.clip(t, self.t_min, self.t_max))
+        x, y = self._times, self._flat
+        t = np.clip(t, self.t_min, self.t_max)
+        j = int(np.searchsorted(x, t, "right")) - 1
+        if self._coef is not None:
+            j = min(j, len(x) - 2)
+            c0, c1, c2, c3 = self._coef[:, j]
+            s = t - x[j]
+            flat = (((0.0 + c3) + c2 * s) + c1 * (s * s)) + c0 * ((s * s) * s)
+        elif j == len(x) - 1 or t == x[j]:
+            flat = y[j].copy()
         else:
-            flat = np.array([np.interp(t, self._times, col) for col in self._flat.T])
+            slope = (y[j + 1] - y[j]) / (x[j + 1] - x[j])
+            flat = slope * (t - x[j]) + y[j]
         return _with_metric(self._template, flat.reshape(self._shape))
+
+
+def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients ``c[k, i, col]`` of the not-a-knot cubic
+    spline through the columns of ``y`` (one row per knot ``x``, at least 4).
+
+    On ``[x_i, x_{i+1}]`` the spline is
+    ``c[3] + c[2] s + c[1] s^2 + c[0] s^3`` with ``s = t - x_i``.  The knot
+    slopes solve the banded system of ``scipy.interpolate.CubicSpline`` in
+    the elimination order of LAPACK ``dgtsv`` (which ``solve_banded`` calls
+    for one band each side), so every coefficient is the float scipy makes.
+    """
+    n = len(x)
+    h = np.diff(x)
+    hc = h[:, None]
+    slope = np.diff(y, axis=0) / hc
+    # row i: dl[i-1] s_{i-1} + d[i] s_i + du[i] s_{i+1} = b[i]
+    d = np.empty(n)
+    du = np.empty(n - 1)
+    dl = np.empty(n - 1)
+    b = np.empty_like(y)
+    d[1:-1] = 2 * (h[:-1] + h[1:])
+    du[1:] = h[:-1]
+    dl[:-1] = h[1:]
+    b[1:-1] = 3 * (hc[1:] * slope[:-1] + hc[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at x_1 and x_{n-2}
+    w = x[2] - x[0]
+    d[0], du[0] = h[1], w
+    b[0] = ((h[0] + 2 * w) * h[1] * slope[0] + (h[0] * h[0]) * slope[1]) / w
+    w = x[-1] - x[-3]
+    d[-1], dl[-1] = h[-2], w
+    b[-1] = ((h[-1] * h[-1]) * slope[-2] + (2 * w + h[-1]) * h[-2] * slope[-1]) / w
+
+    # dgtsv forward elimination with partial pivoting; a swap of rows i and
+    # i+1 leaves the fill-in s_{i+2} coefficient of row i in dl[i]
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            below = d[i + 1]
+            d[i + 1] = du[i] - fact * below
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = below
+            upper = b[i] - fact * b[i + 1]
+            b[i] = b[i + 1]
+            b[i + 1] = upper
+    # back substitution, dividing by the pivot as dgtsv does
+    s = b
+    s[-1] = s[-1] / d[-1]
+    s[-2] = (s[-2] - du[-1] * s[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        s[i] = (s[i] - du[i] * s[i + 1] - dl[i] * s[i + 2]) / d[i]
+
+    t = (s[:-1] + s[1:] - 2 * slope) / hc
+    return np.stack((t / hc, (slope - s[:-1]) / hc - t, s[:-1], y[:-1]))
 
 
 # ---------------------------------------------------------------------------

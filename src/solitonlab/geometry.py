@@ -152,6 +152,12 @@ class GridModel:
         return _read_only(np.sqrt(np.linalg.det(self.g)))
 
     @cached_property
+    def is_flat(self) -> bool:
+        """Whether g is the same at every node (to ``np.allclose``)."""
+        g0 = self.g.reshape(-1, self.n, self.n)
+        return bool(np.allclose(g0, g0[0]))
+
+    @cached_property
     def spacings(self) -> np.ndarray:
         """Grid step period / points along each axis."""
         return _read_only(np.array([p / d for p, d in zip(self.period, self.dims)]))
@@ -198,8 +204,7 @@ def validate_spd(g: np.ndarray) -> float:
 
 def require_flat(h: GridModel) -> None:
     """Reject a background whose metric is not the same at every node."""
-    g0 = h.g.reshape(-1, h.n, h.n)
-    if not np.allclose(g0, g0[0]):
+    if not h.is_flat:
         raise RejectedInputError("the background must be a constant (flat) metric")
 
 

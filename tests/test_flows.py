@@ -311,6 +311,87 @@ def test_metric_interpolant_matches_samples_and_between():
     assert np.max(np.abs(interp(mid_t).a - closest.model.a)) < 1e-8
 
 
+def _column_trajectory(times, columns):
+    """Unvalidated 8^2 grid states whose flattened metrics are ``columns`` rows."""
+    template = GridModel.flat(2, (8, 8))
+    traj = Trajectory(convention="unnormalized")
+    for t, row in zip(times, columns):
+        model = template.with_metric(row.reshape(template.g.shape), validate=False)
+        traj.append(FlowState(t=float(t), model=model, tau=np.inf), {})
+    return traj
+
+
+def _query_times(x, rng):
+    mids = 0.5 * (x[1:] + x[:-1])
+    return np.concatenate([x, [x[-1]], mids, rng.uniform(x[0], x[-1], 20)])
+
+
+def _dgtsv_row_swaps(x):
+    """Row swaps LAPACK dgtsv's partial pivoting makes on the not-a-knot
+    spline system of knots ``x`` (the diagonals only; slopes are not solved)."""
+    h = np.diff(x)
+    d = np.concatenate([[h[1]], 2 * (h[:-1] + h[1:]), [h[-2]]])
+    du = np.concatenate([[x[2] - x[0]], h[:-1]])
+    dl = np.concatenate([h[1:], [x[-1] - x[-3]]])
+    swaps = 0
+    for i in range(len(x) - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            d[i + 1] -= dl[i] / d[i] * du[i]
+        else:
+            fact = d[i] / dl[i]
+            d[i + 1] = du[i] - fact * d[i + 1]
+            if i < len(x) - 2:
+                du[i + 1] = -fact * du[i + 1]
+            swaps += 1
+    return swaps
+
+
+def test_not_a_knot_spline_equals_scipy_bitwise():
+    """Coefficients and values are the floats of scipy's CubicSpline for
+    uniform knots, knots accumulated as run_flow accumulates t, and uneven
+    knots on which dgtsv swaps rows; columns span 24 orders of magnitude."""
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(13)
+    swaps = 0
+    for n in range(4, 41):
+        accumulated = np.cumsum(np.r_[0.0, np.full(n - 1, 0.02)])
+        uneven = np.cumsum(rng.uniform(0.0, 1.0, n) ** 4 + 1e-3)
+        swaps += _dgtsv_row_swaps(uneven)
+        for x in (np.linspace(0.0, 1.0, n), accumulated, uneven):
+            y = rng.standard_normal((n, 256)) * 10.0 ** rng.uniform(-12, 12, 256)
+            reference = CubicSpline(x, y, axis=0)
+            assert np.array_equal(flows._not_a_knot_coefficients(x, y), reference.c)
+            interp = MetricInterpolant(_column_trajectory(x, y))
+            for t in _query_times(x, rng):
+                assert np.array_equal(interp(t).g.ravel(), reference(t))
+    assert swaps > 0
+
+
+def test_metric_interpolant_equals_cubic_spline_on_ricci_trajectory():
+    from scipy.interpolate import CubicSpline
+
+    ricci = flows.run_flow(_wavy_grid(2, (16, 16)), "unnormalized", np.inf, 0.01, 0.2,
+                           sample_every=2)
+    times, series = ricci.times, ricci.metric_series()
+    reference = CubicSpline(times, series, axis=0)
+    interp = MetricInterpolant(ricci)
+    for t in _query_times(times, np.random.default_rng(5)):
+        assert np.array_equal(interp(t).g, reference(t))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_linear_interpolant_equals_np_interp_per_column(n):
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.1, 1.0, n))
+    y = rng.standard_normal((n, 256)) * 10.0 ** rng.uniform(-8, 8, 256)
+    interp = MetricInterpolant(_column_trajectory(x, y))
+    outside = [x[0] - 1.0, x[-1] + 1.0]
+    for t in np.concatenate([_query_times(x, rng), outside]):
+        expected = np.array([np.interp(t, x, col) for col in y.T])
+        assert np.array_equal(interp(t).g.ravel(), expected)
+
+
 def test_reparametrization_round_trip():
     """tau-flow -> unnormalized convention -> back reproduces the samples."""
     m = FrameModel.su2(a=(4.4, 4.0, 3.7))

@@ -450,6 +450,32 @@ def test_grid_run_and_spectrum_import_no_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_gauge_run_and_gauge_check_import_no_scipy(tmp_path):
+    """The metric interpolant needs no scipy: a 16^2 run with gauge
+    reconstruction and the divergence fix, gauge-check and a
+    reparametrization load none."""
+    text = (GRID_CONFIG.replace("dims = 8,8", "dims = 16,16")
+            .replace("analyze = true", "analyze = false")
+            + "\n[gauge]\nreconstruct = true\nfix_divergence = true\n")
+    config = _write_config(tmp_path, text)
+    script = "\n".join([
+        "import sys",
+        "from solitonlab import cli, flows, geometry, harness",
+        f"record = harness.run_experiment(harness.parse_config(open({config!r}).read()))",
+        "assert {'gauge_discrepancy', 'divergence_residual'} <= record.verdicts.keys()",
+        f"assert cli.main(['gauge-check', {config!r}]) == cli.EXIT_OK",
+        "su2 = geometry.FrameModel.su2(a=(4.4, 4.0, 3.7))",
+        "flows.reparametrize(flows.run_flow(su2, 'tau', 1.0, 0.01, 0.1), 1.0)",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, harness.OUTPUT_ENV_VAR: str(tmp_path / "runs"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 # ---------------------------------------------------------------------------
 # the pipeline
 
