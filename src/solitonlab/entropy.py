@@ -320,7 +320,7 @@ def _minimize_mu_radial(model, tau: float, f0: np.ndarray, grad_tol: float,
     def w_of(v):
         vsq = v**2
         ent = np.where(vsq > 0.0, vsq * np.log(np.maximum(vsq, tiny**2)), 0.0)
-        kin = 4.0 * np.sum(wf * ((v[1:] - v[:-1]) / ds) ** 2)
+        kin = 4.0 * np.sum(wf * quad.face_slope(v) ** 2)
         return float(c * (tau * (kin + np.sum(w * vsq * R)) - np.sum(w * (nn * vsq + ent))))
 
     def potential(v):

@@ -4,8 +4,8 @@ Four right-hand sides are provided: the fixed-tau normalized flow
 ``-2 Ric + g / tau``, the unnormalized flow ``-2 Ric``, the gauge-fixed
 (DeTurck) flow with a reference background, and the coupled potential
 equation.  Time stepping is classical RK4 (``rk4``, shared with the gauge
-flows) under a parabolic CFL bound; the tau-flow <-> unnormalized
-reparametrization translates trajectories between the two conventions.
+flows) under a parabolic CFL bound; ``reparametrize`` translates a tau-flow
+trajectory into the unnormalized convention (one way only).
 
 The DeTurck right-hand side makes one geometry pass per evaluation: the
 model derives g^{-1}, Gamma(g) and Ricci once, and both Ricci and the gauge
@@ -374,7 +374,7 @@ def _diagnose(state: FlowState, background) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# reparametrization between the two flow conventions
+# reparametrization from the tau-flow to the unnormalized convention
 
 
 def reparametrize(traj: Trajectory, tau: float) -> Trajectory:
@@ -398,22 +398,4 @@ def reparametrize(traj: Trajectory, tau: float) -> Trajectory:
         model = interp(t)
         model = _with_metric(model, c * _metric_array(model))
         out.append(FlowState(t=float(s), model=model, tau=np.inf), {"t": float(s)})
-    return out
-
-
-def reparametrize_inverse(traj: Trajectory, tau: float, t_samples=None) -> Trajectory:
-    """Translate an unnormalized trajectory back to the tau-flow convention."""
-    if traj.convention != "unnormalized":
-        raise RejectedInputError("reparametrize_inverse expects an unnormalized trajectory")
-    interp = MetricInterpolant(traj)
-    if t_samples is None:
-        t_samples = -tau * np.log(1.0 - traj.times / tau)
-    t_samples = np.asarray(t_samples, dtype=float)
-    out = Trajectory(convention="tau")
-    for t in t_samples:
-        s = tau * (1.0 - np.exp(-t / tau))
-        c = 1.0 - s / tau
-        model = interp(s)
-        model = _with_metric(model, _metric_array(model) / c)
-        out.append(FlowState(t=float(t), model=model, tau=tau), {"t": float(t)})
     return out

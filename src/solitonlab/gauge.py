@@ -1,5 +1,6 @@
-"""Gauge machinery: reference-background vector field, harmonic-map heat flow,
-the particle ODE for the diffeomorphism, pullbacks, and the equivalence audit.
+"""Gauge machinery: reference-background vector field, the harmonic-map heat
+flow that evolves the diffeomorphism, pullbacks and inversion, the divergence
+gauge fix, and the equivalence audit.
 
 Diffeomorphisms of the torus are stored as periodic displacement fields F
 with phi(x) = x + F(x).  The reference background h is always a constant
@@ -174,39 +175,6 @@ def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t0: float, t1: floa
 
 
 # ---------------------------------------------------------------------------
-# the particle ODE d psi / dt = -V o psi
-
-
-def integrate_diffeo_ode(times, v_series, S0: np.ndarray, grid: GridModel) -> GaugeTrajectory:
-    """Per-node RK4 for the displacement S of psi(x) = x + S(x).
-
-    ``v_series`` holds the driving vector field sampled at ``times``; values
-    between samples are linear in t and multilinear (periodic) in space.
-    """
-    times = np.asarray(times, dtype=float)
-    x0 = coords_array(grid)
-    period = np.array(grid.period)
-
-    def v_at(t, pts):
-        i = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
-        t0, t1 = times[i], times[i + 1]
-        w = 0.0 if t1 == t0 else np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
-        v = (1.0 - w) * v_series[i] + w * v_series[i + 1]
-        return interp_periodic(v, np.mod(pts, period), grid.dims, grid.period)
-
-    traj = GaugeTrajectory(h=grid)
-    S = np.array(S0, dtype=float)
-    traj.times.append(float(times[0]))
-    traj.F.append(S.copy())
-    for i in range(len(times) - 1):
-        t, dt = times[i], times[i + 1] - times[i]
-        S, = flows.rk4(lambda c, y: (-v_at(t + c * dt, x0 + y[0]),), (S,), dt)
-        traj.times.append(float(times[i + 1]))
-        traj.F.append(S.copy())
-    return traj
-
-
-# ---------------------------------------------------------------------------
 # energy of the displacement
 
 
@@ -217,11 +185,6 @@ def energy_density(F: np.ndarray, g: GridModel, h: GridModel) -> np.ndarray:
     # summed over k, i, l, j in that order: bitwise einsum("...ij,...kl,...ki,...lj->...")
     return sum(ginv[..., i, j] * hg[..., k, l] * dF[..., k, i] * dF[..., l, j]
                for k, i, l, j in itertools.product(range(g.n), repeat=4))
-
-
-def total_energy(F: np.ndarray, g: GridModel, h: GridModel) -> float:
-    """E = int e dV_g by midpoint quadrature."""
-    return _integrate(energy_density(F, g, h), g)
 
 
 def _integrate(e: np.ndarray, g: GridModel) -> float:
@@ -301,7 +264,7 @@ def divergence_gauge_fix(g: GridModel, h: GridModel) -> DiffeoField:
     for _ in range(40):
         b = pullback_metric(X, h) if np.any(X) else h
         r = geometry.divergence(b, g.g)
-        res = geometry.norms(b, r, index="lower").l2
+        res = geometry.norms(b, r).l2
         if res < 1e-8:
             return DiffeoField(F=X, h=h)
         X = X + _solve_background_divergence(h, r)
@@ -313,7 +276,7 @@ def divergence_gauge_fix(g: GridModel, h: GridModel) -> DiffeoField:
 def gauge_residual(g: GridModel, phi: DiffeoField) -> float:
     """L2 norm of delta_{phi^* h}(g), the gauge condition being enforced."""
     b = pullback_metric(phi.F, phi.h) if np.any(phi.F) else phi.h
-    return geometry.norms(b, geometry.divergence(b, g.g), index="lower").l2
+    return geometry.norms(b, geometry.divergence(b, g.g)).l2
 
 
 # ---------------------------------------------------------------------------

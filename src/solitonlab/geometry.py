@@ -70,11 +70,6 @@ class FrameModel:
         """
         return cls(lams=(2.0, 2.0, 2.0), a=a, base_volume=2.0 * np.pi**2)
 
-    @classmethod
-    def flat_torus3(cls, a=(1.0, 1.0, 1.0), base_volume: float = 1.0) -> "FrameModel":
-        """Abelian frame (zero structure constants): a flat 3-torus."""
-        return cls(lams=np.zeros(3), a=a, base_volume=base_volume)
-
     def with_a(self, a) -> "FrameModel":
         """The same frame with metric coefficients ``a``."""
         return FrameModel(lams=self.lams, a=a, base_volume=self.base_volume)
@@ -118,12 +113,12 @@ class GridModel:
             object.__setattr__(self, "min_eig", validate_spd(self.g))
 
     @classmethod
-    def flat(cls, n=2, dims=(16, 16), period=None, scale=1.0) -> "GridModel":
-        """Constant metric ``scale * delta`` on the torus (default period 2 pi)."""
+    def flat(cls, n=2, dims=(16, 16), period=None) -> "GridModel":
+        """Constant metric ``delta`` on the torus (default period 2 pi)."""
         if period is None:
             period = (2.0 * np.pi,) * n
         g = np.zeros(tuple(dims) + (n, n))
-        g[...] = scale * np.eye(n)
+        g[...] = np.eye(n)
         return cls(n=n, dims=tuple(dims), period=tuple(period), g=g)
 
     @cached_property
@@ -380,15 +375,13 @@ class NormReport:
     sup: float
 
 
-def _pointwise_sq(m: GridModel, f: np.ndarray, index: str) -> np.ndarray:
-    """Squared pointwise magnitude of a scalar/vector/tensor field."""
+def _pointwise_sq(m: GridModel, f: np.ndarray) -> np.ndarray:
+    """Squared pointwise magnitude of a scalar, 1-form or (0,2)-tensor field."""
     extra = f.ndim - len(m.dims)
     if extra == 0:
         return f**2
     ginv = m.ginv
     if extra == 1:
-        if index == "upper":
-            return np.einsum("...ij,...i,...j->...", m.g, f, f)
         return np.einsum("...ij,...i,...j->...", ginv, f, f)
     if extra == 2:
         return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, f, f)
@@ -402,12 +395,11 @@ def volume(m) -> float:
     return float(np.sum(m.sqrt_det) * np.prod(m.spacings))
 
 
-def norms(m: GridModel, f: np.ndarray, index: str = "upper") -> NormReport:
+def norms(m: GridModel, f: np.ndarray) -> NormReport:
     """Discrete L2 norm against dV_g and the sup norm of a grid field.
 
-    The pointwise magnitude contracts indices with the model metric
-    (``index`` selects upper or lower for rank-1 fields).
+    The pointwise magnitude contracts the field's lower indices with g^{-1}.
     """
-    base_sq = _pointwise_sq(m, f, index)
+    base_sq = _pointwise_sq(m, f)
     l2 = float(np.sqrt(np.sum(base_sq * m.sqrt_det) * np.prod(m.spacings)))
     return NormReport(l2=l2, sup=float(np.sqrt(np.max(base_sq))))

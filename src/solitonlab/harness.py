@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, the end-to-end pipeline
 (flow, gauge reconstruction, entropy audit, spectral analysis, projection,
-interval classification, rate fit), persistence, and plot-data emission.
+the two- and three-interval verdicts, rate fit), persistence, and plot-data
+emission.
 
 Configs are INI-style text with sections [model], [flow], [gauge],
 [stability], [output]; unknown sections or keys are rejected with the
@@ -435,9 +436,14 @@ def spectral_report(cfg: RunConfig) -> stability.SpectralReport:
 
 def stability_verdicts(cfg: RunConfig, traj, report, verdicts: dict) -> None:
     """The stability stage: distance of ``traj`` to the flat soliton family,
-    the three-interval dichotomy, and its decay rate against the gap of
-    ``report``.  Each verdict goes into ``verdicts`` as soon as it is known,
-    so a failure keeps those before it."""
+    the interval lemmas, and its decay rate against the gap of ``report``.
+
+    A run that reaches 3L (L = ``interval_length``) gets the three-interval
+    dichotomy over [0, L], [L, 2L], [2L, 3L] and the two-interval lemma
+    (``"growth"``, ``"decay"`` or ``"neither"`` at delta = the gap) over the
+    first two windows; both are null when a window holds no sample.  Each
+    verdict goes into ``verdicts`` as soon as it is known, so a failure keeps
+    those before it."""
     background = flat_background(cfg)
     final = traj.states[-1].model
     fam = stability.nearest_soliton_in_family(final, background)
@@ -454,9 +460,15 @@ def stability_verdicts(cfg: RunConfig, traj, report, verdicts: dict) -> None:
     L = cfg.interval_length
     beta = cfg.beta if cfg.beta is not None else float(np.exp(L * report.gap / 4.0))
     if times[-1] >= 3.0 * L:
-        sel = lambda lo, hi: [nv for t, nv in zip(times, norms) if lo <= t <= hi]
-        verdicts["three_interval"] = stability.three_interval_test(
-            sel(0, L), sel(L, 2 * L), sel(2 * L, 3 * L), beta)
+        windows = [[nv for t, nv in zip(times, norms) if i * L <= t <= (i + 1) * L]
+                   for i in range(3)]
+        if all(windows):
+            verdicts["three_interval"] = stability.three_interval_test(*windows, beta)
+            lemma = stability.growth_decay_check(windows[0], windows[1], report.gap, L)
+            verdicts["two_interval"] = ("growth" if lemma.growth_holds
+                                        else "decay" if lemma.decay_holds else "neither")
+        else:  # a window falls between two samples
+            verdicts["three_interval"] = verdicts["two_interval"] = None
     try:
         fit = stability.fit_exponential_rate(times, norms)
         verdicts["rate"] = fit.rate

@@ -1,21 +1,23 @@
 """Linearized stability machinery: operator assembly, spectra, the
-growing/decaying/neutral trichotomy, projection onto the flat soliton
-family, evolution-residual monitoring, and exponential-rate fitting.
+growing/decaying/neutral trichotomy, the two- and three-interval lemmas,
+projection onto the flat soliton family, evolution-residual monitoring, and
+exponential-rate fitting.
 
 Perturbations of a grid metric are flattened component-major: for each
 upper-triangle component (i <= j) the node values are raveled in C order
 and the blocks concatenated.  The Euclidean inner product on these vectors
-is what all projections and orthogonality statements refer to.
+is what the trichotomy split and its orthogonality statements refer to.
 
 At a flat background the grid operators (``assemble_linearized_pde``'s
 compact stencil, ``linearize_flow_rhs``'s impulse response of the discrete
 flow) are translation invariant and act alike on every component, so they
 are ``FourierOperator``s and live in Fourier space only: the eigenvalues are
-the per-wavenumber symbol, repeated once per component; ``apply``, the
-trichotomy split and the neutral projection are FFT multiplies, with no
-grid-size cap; their ``matrix`` is a dense view rebuilt from the symbol,
-kept only for the benchmark's tracer.  Dense ``LinearOperator``s (frame Jacobians, hand-built
-matrices) are decomposed by ``eig``/``eigh``; their reports keep the modes.
+the per-wavenumber symbol, repeated once per component; ``apply`` and the
+trichotomy split (whose neutral part ``F_0`` is the projection onto the
+kernel) are FFT multiplies, with no grid-size cap; their ``matrix`` is a
+dense view rebuilt from the symbol, kept only for the benchmark's tracer.
+Dense ``LinearOperator``s (frame Jacobians, hand-built matrices) are
+decomposed by ``eig``/``eigh``; their reports keep the modes.
 """
 
 from __future__ import annotations
@@ -38,24 +40,6 @@ COMPONENT_RTOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# flattening of symmetric 2-tensor fields
-
-
-def tensor_to_vec(field: np.ndarray, n: int) -> np.ndarray:
-    return np.concatenate([field[..., i, j].ravel() for (i, j) in sym_components(n)])
-
-
-def vec_to_tensor(vec: np.ndarray, dims, n: int) -> np.ndarray:
-    N = int(np.prod(dims))
-    out = np.zeros(tuple(dims) + (n, n))
-    for c, (i, j) in enumerate(sym_components(n)):
-        block = vec[c * N:(c + 1) * N].reshape(dims)
-        out[..., i, j] = block
-        out[..., j, i] = block
-    return out
-
-
-# ---------------------------------------------------------------------------
 # operators
 
 
@@ -64,13 +48,6 @@ class LinearOperator:
     """Dense matrix acting on vectors: frame Jacobians and hand-built operators."""
 
     matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
 
 
 def laplacian_symbol(h: GridModel, tau: float) -> np.ndarray:
@@ -128,7 +105,7 @@ class FourierOperator:
         """Dense view, built from the symbol on every read.  Nothing in the
         package reads it: it stays only because ``perfbench/tracer.py``
         (``_operator_dim``) reads ``matrix.shape[0]`` after each traced
-        ``spectrum``, and goes when the tracer reads ``dim`` (ROADMAP item 7)."""
+        ``spectrum``, and goes when the tracer reads ``dim`` (ROADMAP item 5)."""
         import scipy.linalg
 
         N = self.symbol.size
@@ -221,10 +198,6 @@ class SpectralReport:
     symbol: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     modes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
-    def classification(self) -> np.ndarray:
-        """Per-mode labels: +1 growing, 0 neutral, -1 decaying."""
-        return _labels(self.eigenvalues, self.eps_neutral)
-
     def to_document(self) -> dict:
         """JSON-ready report; ``eigenvalues_im`` is omitted for a real spectrum."""
         doc = {
@@ -274,10 +247,11 @@ def spectrum(op: LinearOperator | FourierOperator, eps_neutral: Optional[float] 
             raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
         order = np.argsort(np.real(vals))
         vals, modes = vals[order], vecs[:, order]
-    re = np.real(vals)
-    n_grow = int(np.sum(re > eps_neutral))
-    n_decay = int(np.sum(re < -eps_neutral))
+    labels = _labels(vals, eps_neutral)
+    n_grow = int(np.sum(labels == 1))
+    n_decay = int(np.sum(labels == -1))
     n_neutral = len(vals) - n_grow - n_decay
+    re = np.real(vals)
     outside = np.abs(re)[np.abs(re) > eps_neutral]
     gap = float(np.min(outside)) if outside.size else np.inf
     return SpectralReport(eigenvalues=vals, eps_neutral=float(eps_neutral),
@@ -314,7 +288,7 @@ def trichotomy_split(F: np.ndarray, report: SpectralReport) -> TrichotomySplit:
         up, down, zero = (_symbol_mask(report, want, F) for want in (1, -1, 0))
     else:
         coeff = np.linalg.solve(report.modes, F.astype(complex))
-        labels = report.classification()
+        labels = _labels(report.eigenvalues, report.eps_neutral)
         up, down, zero = (np.real(report.modes @ (coeff * (labels == want)))
                           for want in (1, -1, 0))
     return TrichotomySplit(F_up=up, F_down=down, F_0=zero)
@@ -364,24 +338,6 @@ def three_interval_test(first: Sequence[float], second: Sequence[float],
     if s3 <= s2 / beta:
         return "decay-propagates" if s2 <= s1 / beta else "violation"
     return "decay-propagates"
-
-
-def project_neutral(k, report: SpectralReport):
-    """Euclidean-orthogonal projection onto the neutral eigenspace.
-
-    ``k`` may be a single flattened perturbation or a sequence of samples;
-    a sequence is averaged in time and projected, the discrete stand-in for
-    the space-time kernel projection on a static background.
-    """
-    samples = k if isinstance(k, (list, tuple)) else [k]
-    mean = np.mean([np.asarray(ki, dtype=float) for ki in samples], axis=0)
-    if report.symbol is not None:
-        return _symbol_mask(report, 0, mean)
-    basis = np.real_if_close(report.modes[:, report.classification() == 0])
-    if basis.size == 0:
-        return np.zeros_like(mean)
-    q, _ = np.linalg.qr(np.real(basis))
-    return q @ (q.T @ mean)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,11 @@ def _finite(command, out) -> bool:
        analyze=st.booleans(),
        reconstruct=st.booleans(),
        eps_neutral=st.sampled_from(["auto", "1e-3", "1e6", "-1", "nan"]),
-       beta=st.sampled_from(["auto", "1.5", "0.5", "nan"]))
+       beta=st.sampled_from(["auto", "1.5", "0.5", "nan"]),
+       interval_length=st.sampled_from(["1.0", "0.03"]))
 def test_run_ends_in_one_of_three_ways(tmp_path_factory, model, variant, tau, steps,
-                                       analyze, reconstruct, eps_neutral, beta):
+                                       analyze, reconstruct, eps_neutral, beta,
+                                       interval_length):
     text, dt = MODELS[model]
     config = (f"[model]\n{text}"
               f"[flow]\nvariant = {variant}\ntau = {tau}\ndt = {dt!r}\n"
@@ -64,6 +66,7 @@ def test_run_ends_in_one_of_three_ways(tmp_path_factory, model, variant, tau, st
               f"[gauge]\nreconstruct = {str(reconstruct).lower()}\n"
               f"[stability]\nanalyze = {str(analyze).lower()}\n"
               f"eps_neutral = {eps_neutral}\nbeta = {beta}\n"
+              f"interval_length = {interval_length}\n"
               "[output]\nname = fuzz\n")
     work = tmp_path_factory.mktemp("fuzz")
     path = work / "cfg.ini"

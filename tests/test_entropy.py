@@ -216,6 +216,17 @@ def test_radial_solver_recovers_round_minimum():
         assert abs(res.mu - w_const) < 1e-12
 
 
+def test_radial_mu_is_the_w_of_its_potential():
+    """The solver's own W of its last iterate equals ``w_functional`` of the
+    potential it returns, whose kinetic term splits the same face energies
+    between the cells."""
+    m = FrameModel.su2(a=(1.0, 1.0, 1.0))
+    tau = 0.05
+    quad = entropy._RadialQuadrature(1.0, 256)
+    res = entropy.minimize_mu(m, tau, f0=entropy.normalize_f(m, quad.theta**2 / (4.0 * tau), tau))
+    assert abs(entropy.w_functional(m, res.f, tau) - res.mu) < 1e-13
+
+
 def test_radial_multistart_agreement():
     m = FrameModel.su2(a=(1.0, 1.0, 1.0))
     tau = 0.25

@@ -18,7 +18,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def test_flat_torus_tau_flow_is_pure_dilation():
-    m = FrameModel.flat_torus3(a=(1.0, 2.0, 3.0))
+    m = FrameModel(lams=np.zeros(3), a=(1.0, 2.0, 3.0))  # the flat 3-torus
     tau = 1.0
     traj = flows.run_flow(m, "tau", tau=tau, dt=1e-3, t_end=1.0)
     for state in traj.states:
@@ -392,23 +392,24 @@ def test_linear_interpolant_equals_np_interp_per_column(n):
         assert np.array_equal(interp(t).g.ravel(), expected)
 
 
-def test_reparametrization_round_trip():
-    """tau-flow -> unnormalized convention -> back reproduces the samples."""
-    m = FrameModel.su2(a=(4.4, 4.0, 3.7))
-    tau = 1.0
-    traj = flows.run_flow(m, "tau", tau=tau, dt=1e-3, t_end=0.3, sample_every=5)
+@pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+def test_reparametrize_maps_round_fixed_point_onto_shrinking_sphere(tau):
+    """The round S^3 fixed point a* = 4 tau of the tau-flow is the shrinking
+    sphere a(s) = 4 (tau - s) of the unnormalized flow, at s = tau (1 - e^{-t/tau})."""
+    m = FrameModel.su2(a=(4.0 * tau,) * 3)
+    traj = flows.run_flow(m, "tau", tau=tau, dt=1e-3, t_end=1.0, sample_every=100)
     un = flows.reparametrize(traj, tau)
-    back = flows.reparametrize_inverse(un, tau, t_samples=traj.times)
-    for orig, rec in zip(traj.states, back.states):
-        assert np.isclose(orig.t, rec.t, atol=1e-12)
-        assert np.max(np.abs(orig.model.a - rec.model.a)) < 1e-7
+    assert un.convention == "unnormalized"
+    assert np.allclose(un.times, tau * (1.0 - np.exp(-traj.times / tau)), rtol=0.0, atol=1e-15)
+    for state in un.states:
+        assert np.max(np.abs(state.model.a - 4.0 * (tau - state.t))) <= 1e-12 * tau
 
 
 def test_reparametrize_rejects_samples_past_forty_tau():
     """Past t ~ 37 tau, 1 - e^{-t/tau} rounds to 1, so s reaches tau."""
     tau = 0.1
-    traj = flows.run_flow(FrameModel.flat_torus3(), "tau", tau=tau, dt=0.01, t_end=4.1,
-                          sample_every=100)
+    flat_torus = FrameModel(lams=np.zeros(3), a=(1.0, 1.0, 1.0))
+    traj = flows.run_flow(flat_torus, "tau", tau=tau, dt=0.01, t_end=4.1, sample_every=100)
     assert traj.times[-1] > 40.0 * tau
     with pytest.raises(RejectedInputError, match="s < tau"):
         flows.reparametrize(traj, tau)

@@ -174,7 +174,7 @@ def _unshared_harmonic_gauge(g_of_t, h, F0, t0, t1, dt):
         traj.times.append(float(t))
         traj.F.append(F.copy())
         traj.energy.append(gauge.EnergyRecord(t=float(t), e_sup=float(np.max(e)),
-                                              E=gauge.total_energy(F, g, h)))
+                                              E=gauge._integrate(e, g)))
 
     record(t, F)
     for _ in range(int(round((t1 - t0) / dt))):
@@ -251,33 +251,6 @@ def test_harmonic_flow_reports_breakdown():
     with pytest.raises(GaugeBreakdownError) as info:
         gauge.run_harmonic_gauge(lambda t: h, h, F0, 0.0, 10.0, 0.5)
     assert info.value.time > 0.0
-
-
-# ---------------------------------------------------------------------------
-# the particle ODE
-
-
-def test_diffeo_ode_exact_for_constant_field():
-    grid = _flat(8)
-    times = np.linspace(0.0, 1.0, 11)
-    v0 = np.zeros(grid.dims + (2,))
-    v0[..., 0] = 0.3
-    v0[..., 1] = -0.1
-    v_series = [v0] * len(times)
-    traj = gauge.integrate_diffeo_ode(times, v_series, np.zeros_like(v0), grid)
-    assert np.allclose(traj.F[-1], -v0, atol=1e-13)
-
-
-def test_diffeo_ode_exact_for_time_linear_field():
-    """v(t) = t c integrates to S(T) = -c T^2 / 2 (exact for RK4 plus
-    piecewise-linear sampling of a field linear in t)."""
-    grid = _flat(8)
-    times = np.linspace(0.0, 2.0, 21)
-    c = np.zeros(grid.dims + (2,))
-    c[..., 0] = 0.25
-    v_series = [t * c for t in times]
-    traj = gauge.integrate_diffeo_ode(times, v_series, np.zeros_like(c), grid)
-    assert np.allclose(traj.F[-1], -2.0 * c, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,7 @@ def test_readme_trajectory_keeps_its_arrays_out_of_the_index(tmp_path, monkeypat
 
 def test_trajectory_round_trip_flat_torus(tmp_path):
     """A frame state reloads with its own structure constants and base volume."""
-    m = FrameModel.flat_torus3(a=(1.0, 2.0, 3.0), base_volume=5.0)
+    m = FrameModel(lams=np.zeros(3), a=(1.0, 2.0, 3.0), base_volume=5.0)
     traj = flows.run_flow(m, "tau", tau=1.0, dt=1e-2, t_end=0.05)
     path = tmp_path / "traj.jsonl"
     harness.save_trajectory(traj, path)
@@ -537,6 +537,37 @@ def test_run_experiment_records_failed_stage(tmp_path, monkeypatch):
     assert "error" in doc["verdicts"]
     assert doc["trajectory_path"] is None and doc["spectral_path"] is None
     assert (out_dir / "config.ini").read_text() == harness.serialize_config(cfg)
+
+
+def test_readme_run_records_the_two_interval_decay(tmp_path, monkeypatch):
+    """The README trajectory up to 3L shows the decay lemma at delta = the gap
+    on its first two unit windows; one sample short of 3L it records no
+    interval verdict."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+
+    def run_to(t_end):
+        text = README_CONFIG.replace("t_end = 16.0", f"t_end = {t_end!r}")
+        return harness.run_experiment(harness.parse_config(text)).verdicts
+
+    verdicts = run_to(3.0)
+    assert verdicts["two_interval"] == "decay"
+    assert verdicts["three_interval"] == "decay-propagates"
+    verdicts = run_to(2.96)
+    assert "two_interval" not in verdicts and "three_interval" not in verdicts
+    assert verdicts["rate"] is not None
+
+
+def test_interval_window_without_a_sample_records_null_verdicts(tmp_path, monkeypatch, capsys):
+    """Samples 0.1 apart leave [0.03, 0.06] empty: null verdicts and exit 0,
+    as the rate is null when data are insufficient, not a traceback."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    config = tmp_path / "windows.ini"
+    config.write_text("[model]\ndims = 8,8\n[flow]\ndt = 0.02\nt_end = 1.0\nsample_every = 5\n"
+                      "[stability]\ninterval_length = 0.03\n")
+    assert cli.main(["run", str(config)]) == cli.EXIT_OK
+    verdicts = json.loads(capsys.readouterr().out.split("\nrecord: ")[0])
+    assert verdicts["three_interval"] is None and verdicts["two_interval"] is None
+    assert verdicts["rate"] is not None
 
 
 def test_rate_fit_without_enough_data_records_no_rate(tmp_path, monkeypatch):

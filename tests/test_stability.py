@@ -11,8 +11,8 @@ from solitonlab.geometry import FrameModel, GridModel
 TWO_PI = 2.0 * np.pi
 
 
-def _flat(n, scale=1.0):
-    return GridModel.flat(2, (n, n), (TWO_PI, TWO_PI), scale=scale)
+def _flat(n):
+    return GridModel.flat(2, (n, n), (TWO_PI, TWO_PI))
 
 
 def _aniso_flat(n):
@@ -41,7 +41,24 @@ def _symbol_eigenvalues(h):
 # Test-side dense oracles.  The package keeps flat-background operators in
 # Fourier space only, so these assemble them independently: the compact
 # operator as a Kronecker product of 1-D stencil matrices, the flow's
-# linearization column by column, one perturbed node at a time.
+# linearization column by column, one perturbed node at a time.  Their
+# vectors flatten a symmetric field component-major, as the package's
+# flattened perturbations are: per upper-triangle component (i <= j) the node
+# values raveled in C order, the blocks concatenated.
+
+
+def _tensor_to_vec(field, n):
+    return np.concatenate([field[..., i, j].ravel() for (i, j) in stability.sym_components(n)])
+
+
+def _vec_to_tensor(vec, dims, n):
+    N = int(np.prod(dims))
+    out = np.zeros(tuple(dims) + (n, n))
+    for c, (i, j) in enumerate(stability.sym_components(n)):
+        block = vec[c * N:(c + 1) * N].reshape(dims)
+        out[..., i, j] = block
+        out[..., j, i] = block
+    return out
 
 
 def _axis_matrices(dims, spacings):
@@ -109,7 +126,7 @@ def _dense_flow_linearization(background, variant, tau, reference, step=1e-5):
                 gm[node + (j, i)] -= step
             vp = rhs(background.with_metric(gp, validate=False))
             vm = rhs(background.with_metric(gm, validate=False))
-            mat[:, col] = stability.tensor_to_vec((vp - vm) / (2.0 * step), n)
+            mat[:, col] = _tensor_to_vec((vp - vm) / (2.0 * step), n)
             col += 1
     return mat
 
@@ -146,9 +163,9 @@ def test_tensor_vec_round_trip():
     rng = np.random.default_rng(0)
     t = rng.standard_normal((6, 6, 2, 2))
     t = 0.5 * (t + np.swapaxes(t, -1, -2))
-    v = stability.tensor_to_vec(t, 2)
+    v = _tensor_to_vec(t, 2)
     assert v.shape == (3 * 36,)
-    back = stability.vec_to_tensor(v, (6, 6), 2)
+    back = _vec_to_tensor(v, (6, 6), 2)
     assert np.array_equal(back, t)
 
 
@@ -234,8 +251,8 @@ def test_symbol_operator_equals_its_dense_matrix(monkeypatch, make, n, tau):
     assert report.modes is None
 
     k = _random_symmetric(h, 4)
-    applied = stability.tensor_to_vec(op.apply(k), h.n)
-    assert np.allclose(applied, oracle @ stability.tensor_to_vec(k, h.n),
+    applied = _tensor_to_vec(op.apply(k), h.n)
+    assert np.allclose(applied, oracle @ _tensor_to_vec(k, h.n),
                        rtol=0.0, atol=1e-12)
     # the dense view kept for the benchmark's tracer is the same operator
     monkeypatch.undo()
@@ -259,8 +276,6 @@ def test_symbol_report_splits_like_the_dense_report(make, n, tau):
     assert np.max(np.abs(split.reassembled() - F)) < 1e-10
     for part in ("F_up", "F_down", "F_0"):
         assert np.max(np.abs(getattr(split, part) - getattr(ref, part))) < 1e-10
-    assert np.max(np.abs(stability.project_neutral(F, report)
-                         - stability.project_neutral(F, dense))) < 1e-10
 
 
 def test_symbol_spectrum_forms_and_decomposes_no_matrix(monkeypatch):
@@ -306,17 +321,15 @@ def test_symbol_split_and_projection_need_no_dense_algebra(monkeypatch, h, tau):
             want = part if other == name else 0.0
             assert np.max(np.abs(getattr(again, other) - want)) < 1e-12
     # each part lies where the operator grows, decays or vanishes
-    L = lambda v: stability.tensor_to_vec(op.apply(stability.vec_to_tensor(v, h.dims, h.n)),
-                                          h.n)
+    L = lambda v: _tensor_to_vec(op.apply(_vec_to_tensor(v, h.dims, h.n)), h.n)
     eps = report.eps_neutral
     assert split.F_up @ L(split.F_up) >= eps * (split.F_up @ split.F_up)
     assert split.F_down @ L(split.F_down) <= -eps * (split.F_down @ split.F_down)
     assert np.linalg.norm(L(split.F_0)) <= eps * np.linalg.norm(split.F_0)
-    neutral = stability.project_neutral(F, report)
-    assert np.max(np.abs(neutral - split.F_0)) < 1e-12
-    assert np.max(np.abs(stability.project_neutral([F, 3.0 * F], report)
-                         - 2.0 * neutral)) < 1e-12
-    assert np.max(np.abs(stability.project_neutral(neutral, report) - neutral)) < 1e-12
+    # the neutral part is a linear projection: of the mean of two samples it is
+    # the mean of theirs
+    mean = stability.trichotomy_split(0.5 * (F + 3.0 * F), report).F_0
+    assert np.max(np.abs(mean - 2.0 * split.F_0)) < 1e-12
     # tau = inf: the constants are neutral, no mode grows; tau = 0.5: no mode is neutral
     assert (report.n_neutral > 0) == np.isinf(tau)
     assert (report.n_grow > 0) == np.isfinite(tau)
@@ -386,8 +399,8 @@ def test_linearized_flow_matches_the_dense_oracle(monkeypatch, make, n, tau):
         (dense.n_grow, dense.n_neutral, dense.n_decay)
     assert abs(report.gap - dense.gap) < 1e-8
     k = _random_symmetric(h, 8)
-    applied = stability.tensor_to_vec(op.apply(k), h.n)
-    assert np.max(np.abs(applied - oracle @ stability.tensor_to_vec(k, h.n))) < 1e-8
+    applied = _tensor_to_vec(op.apply(k), h.n)
+    assert np.max(np.abs(applied - oracle @ _tensor_to_vec(k, h.n))) < 1e-8
 
 
 @pytest.mark.parametrize("h", [_aniso_flat(64), GridModel.flat(3, (8, 8, 8))],
@@ -457,16 +470,16 @@ def test_trichotomy_pythagoras_for_symmetric_operator():
     assert np.isclose(lhs, rhs, rtol=1e-12)
 
 
-def test_project_neutral_on_modes_and_sequences():
+def test_neutral_part_on_modes_and_sample_means():
     report = _toy_report()
-    labels = report.classification()
-    neutral_vec = np.real(report.modes[:, np.where(labels == 0)[0][0]])
-    decaying_vec = np.real(report.modes[:, np.where(labels == -1)[0][0]])
-    assert np.allclose(stability.project_neutral(neutral_vec, report), neutral_vec,
+    re = np.real(report.eigenvalues)
+    neutral_vec = np.real(report.modes[:, np.where(np.abs(re) <= report.eps_neutral)[0][0]])
+    decaying_vec = np.real(report.modes[:, np.where(re < -report.eps_neutral)[0][0]])
+    assert np.allclose(stability.trichotomy_split(neutral_vec, report).F_0, neutral_vec,
                        atol=1e-12)
-    assert np.max(np.abs(stability.project_neutral(decaying_vec, report))) < 1e-12
-    seq = [neutral_vec, 3.0 * neutral_vec]
-    assert np.allclose(stability.project_neutral(seq, report), 2.0 * neutral_vec,
+    assert np.max(np.abs(stability.trichotomy_split(decaying_vec, report).F_0)) < 1e-12
+    mean = 0.5 * (neutral_vec + 3.0 * neutral_vec)
+    assert np.allclose(stability.trichotomy_split(mean, report).F_0, 2.0 * neutral_vec,
                        atol=1e-12)
 
 
