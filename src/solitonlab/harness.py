@@ -1,7 +1,7 @@
 """Experiment harness: config parsing, the end-to-end pipeline
 (flow, gauge reconstruction, entropy audit, spectral analysis, projection,
-the two- and three-interval verdicts, rate fit), persistence, and plot-data
-emission.
+the two- and three-interval verdicts, rate fit, quadratic remainder),
+persistence, and plot-data emission.
 
 Configs are INI-style text with sections [model], [flow], [gauge],
 [stability], [output]; unknown sections or keys are rejected with the
@@ -436,7 +436,9 @@ def spectral_report(cfg: RunConfig) -> stability.SpectralReport:
 
 def stability_verdicts(cfg: RunConfig, traj, report, verdicts: dict) -> None:
     """The stability stage: distance of ``traj`` to the flat soliton family,
-    the interval lemmas, and its decay rate against the gap of ``report``.
+    the interval lemmas, its decay rate against the gap of ``report``, and the
+    quadratic remainder of a DeTurck tau = inf run against the RK4 scheme it
+    integrated (``stability.rk4_remainder``; null for other flows).
 
     A run that reaches 3L (L = ``interval_length``) gets the three-interval
     dichotomy over [0, L], [L, 2L], [2L, 3L] and the two-interval lemma
@@ -475,16 +477,24 @@ def stability_verdicts(cfg: RunConfig, traj, report, verdicts: dict) -> None:
         verdicts["rate_gap_relative_deviation"] = abs(fit.rate - report.gap) / report.gap
     except InsufficientDataError:
         verdicts["rate"] = None
+    remainder = (None, None)
+    if cfg.variant == "deturck" and np.isinf(cfg.tau):
+        remainder = stability.rk4_remainder(traj, norms, fam.g1, background, cfg.dt)
+    verdicts["remainder_constant"], verdicts["remainder_ratio_last"] = remainder
 
 
 def run_experiment(cfg: RunConfig) -> RunRecord:
     """Run the stages ``cfg`` asks for under ``<root>/<name>-<digest>``.  A
     failed run's record names its stage and error and keeps what came before:
-    its verdicts, its ``config.ini`` and the files it wrote."""
+    its verdicts, its ``config.ini`` and the files it wrote.  A run directory
+    that cannot be created is rejected as ``output.root``."""
     t_start = time.time()
     out_root = Path(os.environ.get(OUTPUT_ENV_VAR, cfg.root))
     out_dir = out_root / f"{cfg.name}-{cfg.digest()}"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail("output.root", f"cannot create the run directory {out_dir}: {exc.strerror}")
     (out_dir / "config.ini").write_text(serialize_config(cfg))
     record = RunRecord(config_hash=cfg.digest(), trajectory_path=None,
                        spectral_path=None, verdicts={}, wall_clock=0.0)

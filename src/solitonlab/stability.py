@@ -1,7 +1,7 @@
 """Linearized stability machinery: operator assembly, spectra, the
 growing/decaying/neutral trichotomy, the two- and three-interval lemmas,
-projection onto the flat soliton family, evolution-residual monitoring, and
-exponential-rate fitting.
+projection onto the flat soliton family, the quadratic remainder of a run
+against the RK4 scheme that integrated it, and exponential-rate fitting.
 
 Perturbations of a grid metric are flattened component-major: for each
 upper-triangle component (i <= j) the node values are raveled in C order
@@ -151,9 +151,11 @@ def linearize_flow_rhs(background: GridModel, variant: str, tau: float,
     At a flat background it is a convolution: central differences at one
     node per component (2 ncomp RHS evaluations), FFT-ed, give its symbol.
     It reproduces the flow code's own stencils (wide first derivatives
-    included), which the evolution-residual monitor needs to see a quadratic
-    remainder.  A curved background, or components coupled or unequal beyond
-    ``COMPONENT_RTOL`` (the ungauged tau and unnormalized flows), is rejected.
+    included), so ``rk4_remainder``, which steps a run's deviation by its RK4
+    amplification, leaves the quadratic remainder alone; the compact symbol
+    would leave an O(|k|) mismatch.  A curved background, or components
+    coupled or unequal beyond ``COMPONENT_RTOL`` (the ungauged tau and
+    unnormalized flows), is rejected.
     """
     require_flat(background)
     n = background.n
@@ -378,64 +380,39 @@ def nearest_soliton_in_family(g: GridModel, h0: GridModel) -> FamilyProjection:
 
 
 # ---------------------------------------------------------------------------
-# residual monitoring and rate fitting
+# the quadratic remainder and rate fitting
+
+# the smallest ||k_i|| whose step enters ``rk4_remainder``: below it the
+# remainder is rounding, and dividing by ||k_i||^2 amplifies it
+REMAINDER_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class ResidualRecord:
-    t: float
-    remainder: float
-    quadratic_proxy: float
-    k_norm: float
+def rk4_remainder(traj, norms: Sequence[float], g1: GridModel, h: GridModel,
+                  dt: float) -> tuple:
+    """Quadratic remainder of a DeTurck tau = inf trajectory at its limit ``g1``.
 
-
-def residual_evolution_monitor(traj, op: FourierOperator,
-                               g1: GridModel) -> list:
-    """Nonlinear remainder ||dk/dt - L k|| along a trajectory, k = g - g1.
-
-    Per interior sample the time derivative is a centered difference; the
-    quadratic proxy is ||k||_sup ||D^2 k||_sup + ||Dk||_sup^2, the shape of
-    the expected remainder bound.  The fitted constant is the max ratio.
+    The discrete flow linearized at ``g1`` has symbol lambda; one RK4 step of
+    the linear flow multiplies each Fourier mode by R(dt lambda),
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so between samples m = Delta t / dt
+    steps apart it is R^m.  With k_i = g(t_i) - g1 and ``norms[i]`` its L2
+    norm in ``h``, the ratio ||k_{i+1} - R^m k_i|| / ||k_i||^2 measures the
+    remainder's constant over that interval.  Returns the largest ratio over
+    the samples with ||k_i|| above ``REMAINDER_FLOOR``, and the ratio at the
+    last of them, or (None, None) when no sample is above it.  A step that
+    ``flows.run_flow`` halved was not R(dt lambda), so its interval is inexact.
     """
-    states = traj.states
-    if len(states) < 3:
-        raise InsufficientDataError("residual monitoring needs at least three samples")
-    n = g1.n
-    records = []
-    for i in range(1, len(states) - 1):
-        km = states[i - 1].model.g - g1.g
-        k0 = states[i].model.g - g1.g
-        kp = states[i + 1].model.g - g1.g
-        dt_m = states[i].t - states[i - 1].t
-        dt_p = states[i + 1].t - states[i].t
-        if not np.isclose(dt_m, dt_p):
-            raise RejectedInputError("residual monitoring expects uniform sampling")
-        dkdt = (kp - km) / (dt_m + dt_p)
-        lk = op.apply(k0)
-        rem = geometry.norms(g1, dkdt - lk).l2
-        sup_k = float(np.max(np.sqrt(np.sum(k0**2, axis=(-2, -1)))))
-        proxy = sup_k * _deriv_sup(g1, k0, 2) + _deriv_sup(g1, k0, 1) ** 2
-        records.append(ResidualRecord(t=states[i].t, remainder=float(rem),
-                                      quadratic_proxy=float(proxy),
-                                      k_norm=float(geometry.norms(g1, k0).l2)))
-    return records
-
-
-def _deriv_sup(m: GridModel, field: np.ndarray, order: int) -> float:
-    """Sup of the Frobenius magnitude of coordinate partials of given order."""
-    arr = field
-    for _ in range(order):
-        arr = geometry.partials(m, arr)
-    return float(np.max(np.sqrt(np.sum(arr**2, axis=tuple(range(m.n, arr.ndim))))))
-
-
-def fitted_remainder_constant(records: Sequence[ResidualRecord]) -> float:
-    proxies = np.array([r.quadratic_proxy for r in records])
-    rems = np.array([r.remainder for r in records])
-    usable = proxies > NOISE_FLOOR
-    if not np.any(usable):
-        return 0.0
-    return float(np.max(rems[usable] / proxies[usable]))
+    op = linearize_flow_rhs(g1, "deturck", np.inf, reference=h)
+    z = dt * op.symbol
+    amplification = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    states, ratios = traj.states, []
+    for i in range(len(states) - 1):
+        if norms[i] <= REMAINDER_FLOOR:
+            continue
+        m = round((states[i + 1].t - states[i].t) / dt)
+        linear = FourierOperator(symbol=amplification**m, ncomp=op.ncomp)
+        k0, k1 = states[i].model.g - g1.g, states[i + 1].model.g - g1.g
+        ratios.append(geometry.norms(h, k1 - linear.apply(k0)).l2 / norms[i] ** 2)
+    return (max(ratios), ratios[-1]) if ratios else (None, None)
 
 
 @dataclass(frozen=True)

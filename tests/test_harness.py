@@ -506,15 +506,41 @@ def test_run_experiment_is_deterministic(tmp_path, monkeypatch):
 
 
 def test_verdicts_recomputable_from_trajectory(tmp_path, monkeypatch):
+    """The saved trajectory alone gives the record's numbers bitwise.  32 steps
+    sampled every 3 end in a 2-step interval, which the remainder verdict
+    pushes through R^2 rather than R^3."""
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
-    cfg = harness.parse_config(GRID_CONFIG)
+    text = GRID_CONFIG.replace("t_end = 0.05", "t_end = 0.32\nsample_every = 3")
+    cfg = harness.parse_config(text)
     record = harness.run_experiment(cfg)
     traj = harness.load_trajectory(record.trajectory_path)
+    assert [round(t / cfg.dt) for t in traj.times][-3:] == [27, 30, 32]
     h = harness.flat_background(cfg)
-    from solitonlab import stability
     fam = stability.nearest_soliton_in_family(traj.states[-1].model, h)
-    final = geometry.norms(h, traj.states[-1].model.g - fam.g1.g).l2
-    assert np.isclose(final, record.verdicts["final_norm"], rtol=1e-12)
+    norms = [geometry.norms(h, s.model.g - fam.g1.g).l2 for s in traj.states]
+    constant, last = stability.rk4_remainder(traj, norms, fam.g1, h, cfg.dt)
+    rate = stability.fit_exponential_rate(traj.times, norms).rate
+    v = record.verdicts
+    assert (norms[-1], rate, constant, last) == (
+        v["final_norm"], v["rate"], v["remainder_constant"], v["remainder_ratio_last"])
+    assert 0.0 < last <= constant < 0.05
+
+
+@pytest.mark.parametrize("flow,model", [
+    ("variant = tau\ntau = 1.0", ""), ("variant = unnormalized", ""),
+    ("variant = deturck\ntau = 1.0", ""),
+    ("variant = deturck", "amplitude = 1e-8")],
+    ids=["tau", "unnormalized", "deturck-finite-tau", "below-the-floor"])
+def test_remainder_verdict_is_null_where_it_does_not_apply(tmp_path, monkeypatch, flow, model):
+    """Only a DeTurck tau = inf run is integrated by the scheme whose linear
+    part the verdict pushes k through, and only a sample with ||k|| above
+    1e-6 enters it; every other run records null, never NaN."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    text = (f"[model]\ndims = 8,8\n{model}\n[flow]\n{flow}\ndt = 0.01\nt_end = 0.1\n")
+    verdicts = harness.run_experiment(harness.parse_config(text)).verdicts
+    assert verdicts["stationary"] is False and verdicts["rate"] is not None
+    assert verdicts["remainder_constant"] is None
+    assert verdicts["remainder_ratio_last"] is None
 
 
 def test_run_experiment_frame_entropy_audit(tmp_path, monkeypatch):
@@ -670,6 +696,17 @@ def test_cli_validation_exit_code(tmp_path, capsys):
                           "coefficients = 4,4,4\n[flow]\nvariant = deturck\n")
     assert cli.main(["run", frame]) == cli.EXIT_VALIDATION
     assert "validation error: flow.variant" in capsys.readouterr().err
+
+
+def test_cli_output_root_that_cannot_be_created_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(harness.OUTPUT_ENV_VAR, raising=False)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    root = blocker / "sub"
+    code = cli.main(["run", _write_config(tmp_path, f"[output]\nroot = {root}\n")])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "validation error: output.root" in err and str(root) in err
 
 
 def test_cli_numerical_exit_code(tmp_path, monkeypatch, capsys):

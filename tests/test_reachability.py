@@ -24,7 +24,6 @@ from solitonlab import cli, harness
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(solitonlab.__file__).resolve().parent
 
-_ITEM_4_RESIDUAL = "ROADMAP item 4: the residual monitor becomes a verdict of grid runs"
 _ITEM_4_SPLIT = "ROADMAP item 4: trichotomy_split becomes the integrability verdict of grid runs"
 _ERROR_PATH = "an error-path constructor: only a failing run raises it, and the driven runs succeed"
 
@@ -32,16 +31,9 @@ _ERROR_PATH = "an error-path constructor: only a failing run raises it, and the 
 ALLOWLIST = {
     "flows.reparametrize": "ROADMAP item 3: the shrinking-sphere check of frame runs",
     "stability.jacobian_ode": "ROADMAP item 3: the stability stage of frame runs",
-    "stability.linearize_flow_rhs": "ROADMAP item 4: serves the test that the integrated "
-                                    "flow's symbol is the compact one",
-    "stability.residual_evolution_monitor": _ITEM_4_RESIDUAL,
-    "stability._deriv_sup": _ITEM_4_RESIDUAL,
-    "stability.fitted_remainder_constant": _ITEM_4_RESIDUAL,
-    "stability.FourierOperator.apply": _ITEM_4_RESIDUAL,
     "stability.trichotomy_split": _ITEM_4_SPLIT,
     "stability.TrichotomySplit.reassembled": _ITEM_4_SPLIT,
     "stability._symbol_mask": _ITEM_4_SPLIT,
-    "stability._fourier_multiply": _ITEM_4_SPLIT,
     "stability.FourierOperator.matrix": "ROADMAP item 5: goes when the benchmark's tracer "
                                         "reads the operator's dim",
     "stability.FourierOperator.dim": "ROADMAP item 5: the benchmark's tracer reads it "

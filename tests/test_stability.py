@@ -1,10 +1,10 @@
 """Linearized operators, spectra, the trichotomy, interval lemmas, family
-projection, residual monitoring, and rate fitting."""
+projection, the quadratic remainder, and rate fitting."""
 
 import numpy as np
 import pytest
 
-from solitonlab import flows, geometry, stability
+from solitonlab import flows, geometry, harness, stability
 from solitonlab.errors import InsufficientDataError, RejectedInputError
 from solitonlab.geometry import FrameModel, GridModel
 
@@ -567,44 +567,73 @@ def test_family_projection_of_member_is_itself():
 
 
 # ---------------------------------------------------------------------------
-# residual monitoring
+# the quadratic remainder against the integrated RK4 scheme
 
 
-def _perturbed(h, eps, seed=7):
-    rng = np.random.default_rng(seed)
-    X, Y = h.coords()
-    g = h.g.copy()
-    g[..., 0, 0] *= 1.0 + eps * np.sin(X + Y)
-    g[..., 1, 1] *= 1.0 + eps * np.cos(X)
-    g[..., 0, 1] = g[..., 1, 0] = eps * np.sin(Y)
-    return h.with_metric(g)
+def _readme_trajectory(dims, amplitude, t_end, seed=7):
+    """The README run (samples 4 steps apart) on ``dims``, cut at ``t_end``,
+    from the perturbation of ``seed`` (the README's is 7): the arguments of
+    ``rk4_remainder``, that is its trajectory, the L2 norms of k = g - g1
+    for the family member g1 it tends to, g1, the flat background h, and dt."""
+    dt = 0.02 if len(dims) == 2 else 0.05
+    cfg = harness.RunConfig(dims=dims, period=(TWO_PI,) * len(dims), amplitude=amplitude,
+                            seed=seed, dt=dt, t_end=t_end, sample_every=4)
+    traj = harness.integrate_flow(cfg)
+    h = harness.flat_background(cfg)
+    g1 = stability.nearest_soliton_in_family(traj.states[-1].model, h).g1
+    norms = [geometry.norms(h, s.model.g - g1.g).l2 for s in traj.states]
+    return traj, norms, g1, h, dt
 
 
-def test_residual_monitor_remainder_is_quadratic():
-    """Halving the perturbation amplitude quarters the nonlinear remainder."""
-    h = _flat(12)
-    op = stability.linearize_flow_rhs(h, "deturck", np.inf, reference=h)
-    dt = 0.25 * flows.cfl_bound(h)
-    maxima = []
-    for eps in (2e-2, 1e-2):
-        traj = flows.run_flow(_perturbed(h, eps), "deturck", np.inf, dt, 8 * dt,
-                              background=h)
-        recs = stability.residual_evolution_monitor(traj, op, h)
-        maxima.append(max(r.remainder for r in recs))
-    ratio = maxima[0] / maxima[1]
-    assert 3.3 < ratio < 4.7, f"remainder not quadratic: ratio {ratio}"
-    const = stability.fitted_remainder_constant(recs)
-    assert 0.0 < const < 10.0
+@pytest.mark.parametrize("dims", [(16, 16), (8, 8, 8)], ids=["16x16", "8x8x8"])
+def test_rk4_remainder_constant_is_amplitude_independent(dims):
+    """||k_{i+1} - R^m k_i|| / ||k_i||^2 does not move over three decades of
+    amplitude (||k|| from 0.1 to 5e-5): the remainder left by the integrated
+    scheme's own linear part is quadratic in |k|.  Any linear mismatch (the
+    error of a time difference, the compact symbol, an R without its z^4/24
+    term) makes the ratio grow like 1/|k| and shows at the smallest one."""
+    constants = []
+    for amplitude in (0.02, 1e-3, 1e-5):
+        constant, last = stability.rk4_remainder(*_readme_trajectory(dims, amplitude, 1.0))
+        assert 0.0 < last <= constant < 0.05
+        constants.append(constant)
+    assert (max(constants) - min(constants)) / min(constants) < 5e-3, constants
 
 
-def test_residual_monitor_needs_uniform_sampling():
-    h = _flat(8)
-    op = stability.assemble_linearized_pde(h, np.inf)
-    traj = flows.Trajectory(convention="deturck")
-    for t in (0.0, 0.1, 0.3):
-        traj.append(flows.FlowState(t=t, model=h, tau=np.inf), {"t": t})
-    with pytest.raises(RejectedInputError):
-        stability.residual_evolution_monitor(traj, op, h)
+def _pushed_ratios(traj, norms, g1, h, dt, symbol):
+    """Test-side ||k_{i+1} - R(dt symbol)^m k_i|| / ||k_i||^2 per interval
+    with ||k_i|| > 1e-6, on a 2-D unit-metric background, by numpy FFTs and
+    an explicit L2 sum."""
+    z = dt * symbol
+    amplification = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    ratios = []
+    for i, (s0, s1) in enumerate(zip(traj.states, traj.states[1:])):
+        if norms[i] <= 1e-6:
+            continue
+        m = round((s1.t - s0.t) / dt)
+        k0, k1 = (np.moveaxis(s.model.g - g1.g, (-2, -1), (0, 1)) for s in (s0, s1))
+        pushed = np.fft.ifft2(amplification**m * np.fft.fft2(k0)).real
+        ratios.append(np.sqrt(np.sum((k1 - pushed) ** 2) * np.prod(h.spacings)) / norms[i] ** 2)
+    return ratios
+
+
+@pytest.mark.parametrize("seed", [7, 0])
+def test_compact_symbol_leaves_a_linear_mismatch(seed):
+    """The verdict is the largest and the last of the pushed ratios against
+    the integrated flow's symbol (the largest is the first for seed 7, the
+    second from last for seed 0).  With the compact-stencil symbol (the
+    spectral stage's operator) in its place the two linear parts differ at
+    O(|k|), so the ratio grows as |k| shrinks and ends far above the
+    verdict's."""
+    args = _readme_trajectory((16, 16), 0.01, 4.0, seed)
+    _, _, g1, h, _ = args
+    constant, last = stability.rk4_remainder(*args)
+    flow = _pushed_ratios(*args, stability.linearize_flow_rhs(g1, "deturck", np.inf,
+                                                              reference=h).symbol)
+    assert np.allclose([constant, last], [max(flow), flow[-1]], rtol=1e-9, atol=0.0)
+    compact = _pushed_ratios(*args, stability.assemble_linearized_pde(g1, np.inf).symbol)
+    assert compact[-1] > compact[0]
+    assert compact[-1] > 100.0 * last, (compact[-1], last)
 
 
 # ---------------------------------------------------------------------------
