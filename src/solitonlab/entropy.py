@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import NonConvergenceError, RejectedInputError
+from .errors import NonConvergenceError, NumericalFailureError, RejectedInputError
 from .geometry import FrameModel, GridModel
 
 CONSTRAINT_TOL = 1e-8
@@ -219,12 +219,14 @@ def defect_l2(model, f, tau: float) -> float:
 
 
 def entropy_record(state) -> EntropyRecord:
-    """W and defect for a single flow state carrying a potential."""
-    return EntropyRecord(
-        t=state.t,
-        W=w_functional(state.model, state.f, state.tau),
-        defect_l2=defect_l2(state.model, state.f, state.tau),
-    )
+    """W and defect for a single flow state carrying a potential; a non-finite
+    value (an overflowed volume) raises ``NumericalFailureError``."""
+    W = w_functional(state.model, state.f, state.tau)
+    defect = defect_l2(state.model, state.f, state.tau)
+    if not (np.isfinite(W) and np.isfinite(defect)):
+        raise NumericalFailureError(f"non-finite entropy audit at t={state.t:.6g} "
+                                    f"(W={W}, defect_l2={defect})")
+    return EntropyRecord(t=state.t, W=W, defect_l2=defect)
 
 
 # ---------------------------------------------------------------------------

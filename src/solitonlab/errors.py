@@ -36,4 +36,5 @@ class InsufficientDataError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A dense solver or eigendecomposition failed."""
+    """A computed value is not finite: W or the soliton defect of a coupled
+    flow sample (``entropy.entropy_record``), as when the volume overflows."""

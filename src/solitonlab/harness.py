@@ -146,6 +146,8 @@ def validate_config(cfg: RunConfig) -> None:
     """Reject ``cfg`` naming the first field out of range (``RejectedInputError``)."""
     if cfg.kind not in ("grid", "frame"):
         _fail("model.kind", f"must be 'grid' or 'frame', got {cfg.kind!r}")
+    if cfg.seed < 0:
+        _fail("model.seed", "must be a non-negative integer")
     if cfg.kind == "grid":
         if len(cfg.dims) != len(cfg.period) or len(cfg.dims) not in (2, 3):
             _fail("model.dims", "need 2 or 3 axes, and one period per axis")

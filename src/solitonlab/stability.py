@@ -16,8 +16,9 @@ the per-wavenumber symbol, repeated once per component; ``apply`` and the
 trichotomy split (whose neutral part ``F_0`` is the projection onto the
 kernel) are FFT multiplies, with no grid-size cap; their ``matrix`` is a
 dense view rebuilt from the symbol, kept only for the benchmark's tracer.
-Dense ``LinearOperator``s (frame Jacobians, hand-built matrices) are
-decomposed by ``eig``/``eigh``; their reports keep the modes.
+These are the only operators the package analyzes: the limit soliton of a
+grid run is flat, so no dense eigendecomposition is ever needed.  The 3x3
+frame Jacobian of ``jacobian_ode`` is a plain matrix for numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import flows, geometry
-from .errors import InsufficientDataError, NumericalFailureError, RejectedInputError
+from .errors import InsufficientDataError, RejectedInputError
 from .geometry import FrameModel, GridModel, require_flat, sym_components
 
 NOISE_FLOOR = 1e-12
@@ -41,13 +42,6 @@ COMPONENT_RTOL = 1e-6
 
 # ---------------------------------------------------------------------------
 # operators
-
-
-@dataclass(frozen=True)
-class LinearOperator:
-    """Dense matrix acting on vectors: frame Jacobians and hand-built operators."""
-
-    matrix: np.ndarray
 
 
 def laplacian_symbol(h: GridModel, tau: float) -> np.ndarray:
@@ -128,7 +122,7 @@ def assemble_linearized_pde(h: GridModel, tau: float) -> FourierOperator:
     return FourierOperator(symbol=laplacian_symbol(h, tau), ncomp=len(sym_components(h.n)))
 
 
-def jacobian_ode(rhs: Callable, background: FrameModel) -> LinearOperator:
+def jacobian_ode(rhs: Callable, background: FrameModel) -> np.ndarray:
     """Central finite-difference Jacobian of a frame-ODE right-hand side, with
     step 1e-6 relative to each coefficient (absolute below 1)."""
     a0 = np.array(background.a, dtype=float)
@@ -140,7 +134,7 @@ def jacobian_ode(rhs: Callable, background: FrameModel) -> LinearOperator:
         ap[k] += hk
         am[k] -= hk
         mat[:, k] = (rhs(background.with_a(ap)) - rhs(background.with_a(am))) / (2.0 * hk)
-    return LinearOperator(matrix=mat)
+    return mat
 
 
 def linearize_flow_rhs(background: GridModel, variant: str, tau: float,
@@ -184,81 +178,52 @@ def linearize_flow_rhs(background: GridModel, variant: str, tau: float,
 
 
 def _labels(values: np.ndarray, eps_neutral: float) -> np.ndarray:
-    re = np.real(values)
-    return np.where(re > eps_neutral, 1, np.where(re < -eps_neutral, -1, 0))
+    return np.where(values > eps_neutral, 1, np.where(values < -eps_neutral, -1, 0))
 
 
 @dataclass(frozen=True)
 class SpectralReport:
-    eigenvalues: np.ndarray  # sorted by real part, ascending
+    eigenvalues: np.ndarray  # real, ascending
     eps_neutral: float
     n_grow: int
     n_neutral: int
     n_decay: int
     gap: float
-    # a FourierOperator's symbol, or a dense operator's eigenvectors (columns)
-    symbol: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    modes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    symbol: np.ndarray = field(repr=False, compare=False)  # the operator's, per wavenumber
 
     def to_document(self) -> dict:
-        """JSON-ready report; ``eigenvalues_im`` is omitted for a real spectrum."""
-        doc = {
-            "eigenvalues_re": np.real(self.eigenvalues).tolist(),
-            "eigenvalues_im": np.imag(self.eigenvalues).tolist(),
+        """JSON-ready report."""
+        return {
+            "eigenvalues_re": self.eigenvalues.tolist(),
             "eps_neutral": self.eps_neutral,
             "counts": {"grow": self.n_grow, "neutral": self.n_neutral,
                        "decay": self.n_decay},
             "gap": self.gap,
             "convention": "forward-time: Re(lambda) > 0 grows under e^{Lt}",
         }
-        if not np.any(np.imag(self.eigenvalues)):
-            del doc["eigenvalues_im"]
-        return doc
 
 
-def default_neutral_tolerance(op: LinearOperator | FourierOperator) -> float:
-    """One tenth of the smallest symbol magnitude above 1e-10 for a
-    ``FourierOperator``; a norm-based floor for a dense operator."""
-    if isinstance(op, FourierOperator):
-        mags = np.abs(op.symbol.ravel())
-        return float(np.min(mags[mags > 1e-10]) / 10.0)
-    return max(float(np.max(np.abs(op.matrix))), 1.0) * 1e-8
+def default_neutral_tolerance(op: FourierOperator) -> float:
+    """One tenth of the smallest symbol magnitude above 1e-10."""
+    mags = np.abs(op.symbol.ravel())
+    return float(np.min(mags[mags > 1e-10]) / 10.0)
 
 
-def spectrum(op: LinearOperator | FourierOperator, eps_neutral: Optional[float] = None) -> SpectralReport:
-    """Eigenvalues with neutral-band classification.
-
-    A ``FourierOperator``'s eigenvalues are its symbol repeated once per
-    component; any other operator gets a dense eigendecomposition.
-    """
+def spectrum(op: FourierOperator, eps_neutral: Optional[float] = None) -> SpectralReport:
+    """Eigenvalues with neutral-band classification: the symbol repeated once
+    per component, sorted."""
     if eps_neutral is None:
         eps_neutral = default_neutral_tolerance(op)
-    symbol = modes = None
-    if isinstance(op, FourierOperator):
-        symbol = op.symbol
-        vals = np.sort(np.repeat(symbol.ravel(), op.ncomp)).astype(complex)
-    else:
-        sym = np.allclose(op.matrix, op.matrix.T, atol=1e-12)
-        try:
-            if sym:
-                vals, vecs = np.linalg.eigh(op.matrix)
-                vals = vals.astype(complex)
-            else:
-                vals, vecs = np.linalg.eig(op.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-        order = np.argsort(np.real(vals))
-        vals, modes = vals[order], vecs[:, order]
+    vals = np.sort(np.repeat(op.symbol.ravel(), op.ncomp))
     labels = _labels(vals, eps_neutral)
     n_grow = int(np.sum(labels == 1))
     n_decay = int(np.sum(labels == -1))
     n_neutral = len(vals) - n_grow - n_decay
-    re = np.real(vals)
-    outside = np.abs(re)[np.abs(re) > eps_neutral]
+    outside = np.abs(vals)[np.abs(vals) > eps_neutral]
     gap = float(np.min(outside)) if outside.size else np.inf
     return SpectralReport(eigenvalues=vals, eps_neutral=float(eps_neutral),
                           n_grow=n_grow, n_neutral=n_neutral, n_decay=n_decay, gap=gap,
-                          symbol=symbol, modes=modes)
+                          symbol=op.symbol)
 
 
 def _symbol_mask(report: SpectralReport, want: int, F: np.ndarray) -> np.ndarray:
@@ -279,20 +244,14 @@ class TrichotomySplit:
 
 
 def trichotomy_split(F: np.ndarray, report: SpectralReport) -> TrichotomySplit:
-    """Expand F in the eigenmode basis and regroup by classification.
+    """Split the flattened F by the label of each wavenumber's symbol.
 
-    Forward-time convention: modes with Re(lambda) > eps grow under the
+    Forward-time convention: modes with lambda > eps grow under the
     propagator e^{Lt}.  (In the source decomposition a_k e^{-lambda_k t}
     the growing part carries lambda_k < 0; the classifications coincide
     after the sign flip of the exponent convention.)
     """
-    if report.symbol is not None:
-        up, down, zero = (_symbol_mask(report, want, F) for want in (1, -1, 0))
-    else:
-        coeff = np.linalg.solve(report.modes, F.astype(complex))
-        labels = _labels(report.eigenvalues, report.eps_neutral)
-        up, down, zero = (np.real(report.modes @ (coeff * (labels == want)))
-                          for want in (1, -1, 0))
+    up, down, zero = (_symbol_mask(report, want, F) for want in (1, -1, 0))
     return TrichotomySplit(F_up=up, F_down=down, F_0=zero)
 
 

@@ -104,6 +104,7 @@ def test_parse_rejects_unknown_section_and_key():
     ("[stability]\nbeta = nan\n", "stability.beta"),
     ("[stability]\nbeta = inf\n", "stability.beta"),
     ("[stability]\ninterval_length = inf\n", "stability.interval_length"),
+    ("[model]\nseed = -1\n", "model.seed"),
 ])
 def test_field_precise_validation(snippet, field):
     with pytest.raises(RejectedInputError, match=field.replace(".", r"\.")):
@@ -867,6 +868,29 @@ def test_cli_entropy_exit_codes(tmp_path, capsys):
         grid = _write_config(tmp_path, GRID_CONFIG.replace("tau = inf", f"tau = {tau}"))
         assert cli.main(["entropy", grid]) == cli.EXIT_VALIDATION
         assert "flow.couple_potential" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coefficient,t_end,sample_every,t_fail", [
+    ("1e150", 0.02, 1, "0"),     # the volume overflows at the first sample
+    ("1e100", 10.0, 100, "7"),   # W turns NaN as the round sphere expands
+])
+def test_overflowing_entropy_audit_exits_numerical_naming_the_time(
+        tmp_path, monkeypatch, capsys, coefficient, t_end, sample_every, t_fail):
+    """A coupled sample whose W or defect is not finite ends ``run`` and
+    ``entropy`` in exit 3 naming its time, not in exit 0 with NaN verdicts."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    text = (f"[model]\nkind = frame\nrecipe = round\ncoefficients = {coefficient},"
+            f"{coefficient},{coefficient}\n[flow]\nvariant = tau\ntau = 1.0\n"
+            f"couple_potential = true\ndt = 0.01\nt_end = {t_end}\n"
+            f"sample_every = {sample_every}\n[output]\nname = overflow\n")
+    cfg = _write_config(tmp_path, text)
+    for command in ("run", "entropy"):
+        with np.errstate(all="ignore"):
+            assert cli.main([command, cfg]) == cli.EXIT_NUMERICAL
+        assert f"numerical failure: non-finite entropy audit at t={t_fail} " in \
+            capsys.readouterr().err
+    record, = tmp_path.glob("overflow-*/record.json")
+    assert json.loads(record.read_text())["verdicts"]["failed_stage"] == "flow"
 
 
 def test_cli_gauge_check(tmp_path, capsys):
