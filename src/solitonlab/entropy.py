@@ -6,13 +6,15 @@ The functional
 
 is evaluated under the constraint ``(4 pi tau)^{-n/2} int e^{-f} dV = 1``.
 Its infimum over admissible potentials (the mu-invariant) is found by
-projected gradient descent; along a coupled flow the numeric derivative of W
-is audited against the weighted square of the soliton-defect tensor
-``Ric + Hess f - g / (2 tau)``.
+L-BFGS on grids and by a ground-state iteration for polar profiles; along a
+coupled flow the numeric derivative of W is audited against the weighted
+square of the soliton-defect tensor ``Ric + Hess f - g / (2 tau)``.
 
 Potentials come in three shapes: a float (constant potential on a frame
 model), a 1-d array (a polar-angle profile on a round frame model, used to
 resolve the concentration regime at small tau), or a grid scalar field.
+Each shape has one W: ``w_functional`` sums the same terms that the mu
+solver of that shape minimizes (``_grid_terms``, ``_radial_w``).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .geometry import FrameModel, GridModel
 CONSTRAINT_TOL = 1e-8
 GRAD_TOL = 1e-8
 MAX_ITER = 100_000
+_TINY = 1e-150  # floor of v = e^{-f/2} in the radial solve
 
 
 @dataclass(frozen=True)
@@ -91,17 +94,16 @@ class _RadialQuadrature:
         """dv/ds at interior faces, s = r theta the arclength from the pole."""
         return (v[1:] - v[:-1]) / (self.r * self.dtheta)
 
-    def kinetic(self, f: np.ndarray) -> np.ndarray:
-        """Node shares of the face quadrature of int u |grad f|^2 dV.
 
-        Each interior face energy 4 w_face (dv/ds)^2 is split evenly between
-        its two cells; pole faces carry zero weight (zero flux).
-        """
-        q = 4.0 * self.w_face * self.face_slope(np.exp(-0.5 * f)) ** 2
-        acc = np.zeros_like(f)
-        acc[:-1] += q
-        acc[1:] += q
-        return 0.5 * acc
+def _radial_w(quad: _RadialQuadrature, v: np.ndarray, R: float, tau: float, n: int) -> float:
+    """W of the polar profile v = e^{-f/2}: the face energies 4 w_face (dv/ds)^2
+    (pole faces carry zero flux), and -v^2 log v^2 for u f at the nodes."""
+    c = (4.0 * np.pi * tau) ** (-n / 2.0)
+    w, wf = quad.w, quad.w_face
+    vsq = v**2
+    ent = np.where(vsq > 0.0, vsq * np.log(np.maximum(vsq, _TINY**2)), 0.0)
+    kin = 4.0 * np.sum(wf * quad.face_slope(v) ** 2)
+    return float(c * (tau * (kin + np.sum(w * vsq * R)) - np.sum(w * (n * vsq + ent))))
 
 
 def _weights(model, f):
@@ -114,22 +116,18 @@ def _weights(model, f):
     return np.array([geometry.volume(model)]), np.array([float(f)])
 
 
-def _grad_sq(model: GridModel, f):
-    """Partials of a grid potential and |grad f|^2 per node."""
+def _grid_terms(model: GridModel, f, tau: float):
+    """W = sum c u w A of a grid potential, with its per-node factors c,
+    u = e^{-f}, the weights w, A = tau (|grad f|^2 + R) + f - n, and the
+    partials of f."""
+    c = (4.0 * np.pi * tau) ** (-model.n / 2.0)
+    w, _ = _weights(model, f)
     df = geometry.partials(model, f)
-    return df, np.einsum("...ij,...i,...j->...", model.ginv, df, df)
-
-
-def _quadrature_terms(model, f):
-    """Per-node weights w, potential values, kinetic term u w |grad f|^2, R."""
-    w, fv = _weights(model, f)
+    gsq = np.einsum("...ij,...i,...j->...", model.ginv, df, df)
     R = geometry.scalar_curvature(model)
-    if isinstance(model, GridModel):
-        return w, fv, np.exp(-f) * w * _grad_sq(model, f)[1], R
-    if _is_radial(model, f):
-        kin = _RadialQuadrature(_require_round(model), len(f)).kinetic(f)
-        return w, fv, kin, np.full_like(f, R)
-    return w, fv, np.array([0.0]), np.array([R])
+    u = np.exp(-f)
+    A = tau * (gsq + R) + f - model.n
+    return float(np.sum(c * u * w * A)), c, u, w, A, df
 
 
 def _mass(model, f, tau: float) -> float:
@@ -175,11 +173,19 @@ def w_functional(model, f, tau: float) -> float:
 
 
 def _w_value(model, f, tau: float) -> float:
+    """W of a grid potential, a polar profile or a constant, by the sums that
+    the mu solvers minimize."""
+    if isinstance(model, GridModel):
+        return _grid_terms(model, f, tau)[0]
+    R = geometry.scalar_curvature(model)
+    if _is_radial(model, f):
+        quad = _RadialQuadrature(_require_round(model), len(f))
+        return _radial_w(quad, np.exp(-0.5 * f), R, tau, model.n)
+    # constant potential on a homogeneous model
     n = model.n
-    w, fv, kin, R = _quadrature_terms(model, f)
-    u = np.exp(-fv)
+    w, fv = _weights(model, f)
     c = (4.0 * np.pi * tau) ** (-n / 2.0)
-    return float(c * np.sum(tau * kin + u * w * (tau * R + fv - n)))
+    return float(c * np.sum(np.exp(-fv) * w * (tau * R + fv - n)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +282,7 @@ def monotonicity_report(traj) -> list:
 
 def _w_and_grad(model: GridModel, f, tau):
     """Entropy value and its exact discrete gradient dW/df per grid node."""
-    n = model.n
-    c = (4.0 * np.pi * tau) ** (-n / 2.0)
-    w, _ = _weights(model, f)
-    df, gsq = _grad_sq(model, f)
-    R = geometry.scalar_curvature(model)
-    u = np.exp(-f)
-    A = tau * (gsq + R) + f - n
-    W = float(np.sum(c * u * w * A))
+    W, c, u, w, A, df = _grid_terms(model, f, tau)
     grad = c * u * w * (1.0 - A)
     # adjoint of the periodic central difference is its negative
     s = 2.0 * tau * c * (u * w)[..., None] * np.einsum("...ij,...j->...i", model.ginv, df)
@@ -314,26 +313,19 @@ def _minimize_mu_radial(model, tau: float, f0: np.ndarray, grad_tol: float,
     # face weights padded with the zero-flux pole faces
     wl = np.concatenate([[0.0], wf])
     wr = np.concatenate([wf, [0.0]])
-    tiny = 1e-150
 
     def normalize(v):
         return v / np.sqrt(c * np.sum(w * v**2))
 
-    def w_of(v):
-        vsq = v**2
-        ent = np.where(vsq > 0.0, vsq * np.log(np.maximum(vsq, tiny**2)), 0.0)
-        kin = 4.0 * np.sum(wf * quad.face_slope(v) ** 2)
-        return float(c * (tau * (kin + np.sum(w * vsq * R)) - np.sum(w * (nn * vsq + ent))))
-
     def potential(v):
-        return tau * R - nn - 1.0 - 2.0 * np.log(np.maximum(v, tiny))
+        return tau * R - nn - 1.0 - 2.0 * np.log(np.maximum(v, _TINY))
 
     def apply_h(v, V):
         av = (wl * np.concatenate([[0.0], v[1:] - v[:-1]])
               - wr * np.concatenate([v[1:] - v[:-1], [0.0]])) / ds**2
         return 4.0 * tau * av / w + V * v
 
-    v = normalize(np.maximum(np.exp(-0.5 * np.asarray(f0, dtype=float)), tiny))
+    v = normalize(np.maximum(np.exp(-0.5 * np.asarray(f0, dtype=float)), _TINY))
     beta, W_prev = 0.5, np.inf
     for it in range(1, max_iter + 1):
         V = potential(v)
@@ -342,7 +334,7 @@ def _minimize_mu_radial(model, tau: float, f0: np.ndarray, grad_tol: float,
         lam, y = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
         psi = normalize(np.abs(y[:, 0]) / np.sqrt(w))
         v_new = normalize((1.0 - beta) * v + beta * psi)
-        W = w_of(v_new)
+        W = _radial_w(quad, v_new, R, tau, nn)
         if W > W_prev + 1e-14:
             beta = max(0.25 * beta, 1e-3)
         v, W_prev = v_new, W
@@ -351,9 +343,9 @@ def _minimize_mu_radial(model, tau: float, f0: np.ndarray, grad_tol: float,
         res = hv - lam_r * v
         gnorm = float(np.sqrt(c * np.sum(w * res**2)))
         if gnorm < grad_tol:
-            f = normalize_f(model, -2.0 * np.log(np.maximum(v, tiny)), tau)
+            f = normalize_f(model, -2.0 * np.log(np.maximum(v, _TINY)), tau)
             return MuResult(f=f, mu=W, iterations=it, grad_norm=gnorm)
-    f = normalize_f(model, -2.0 * np.log(np.maximum(v, tiny)), tau)
+    f = normalize_f(model, -2.0 * np.log(np.maximum(v, _TINY)), tau)
     raise NonConvergenceError(
         f"radial mu solve stalled at residual {gnorm:.3e}",
         last_iterate=MuResult(f=f, mu=W, iterations=max_iter, grad_norm=gnorm))

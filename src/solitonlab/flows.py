@@ -1,11 +1,11 @@
 """Right-hand sides and explicit time integration for the metric flows.
 
-Four right-hand sides are provided: the fixed-tau normalized flow
-``-2 Ric + g / tau``, the unnormalized flow ``-2 Ric``, the gauge-fixed
-(DeTurck) flow with a reference background, and the coupled potential
-equation.  Time stepping is classical RK4 (``rk4``, shared with the gauge
-flows) under a parabolic CFL bound; ``reparametrize`` translates a tau-flow
-trajectory into the unnormalized convention (one way only).
+The two flow variants are the fixed-tau normalized flow ``-2 Ric + g / tau``
+(``"tau"``; its tau = inf member is the unnormalized flow ``-2 Ric``) and the
+gauge-fixed (DeTurck) flow with a reference background (``"deturck"``); the
+coupled potential equation rides along.  Time stepping is classical RK4
+(``rk4``, shared with the gauge flows) under a parabolic CFL bound;
+``reparametrize`` translates a finite-tau trajectory to tau = inf (one way).
 
 The DeTurck right-hand side makes one geometry pass per evaluation: the
 model derives g^{-1}, Gamma(g) and Ricci once, and both Ricci and the gauge
@@ -43,7 +43,7 @@ class FlowState:
 
     ``f`` is the scalar potential (a float on a frame model, a scalar field
     on a grid), or None when the potential is not evolved.  ``tau`` may be
-    ``inf`` for the unnormalized convention.
+    ``inf``: the unnormalized flow.
     """
 
     t: float
@@ -192,10 +192,14 @@ def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def rhs_tau_flow(model, tau: float):
-    """Metric velocity -2 Ric(g) + g / tau of the fixed-tau normalized flow."""
+    """Metric velocity -2 Ric(g) + g / tau of the fixed-tau normalized flow;
+    ``tau = inf`` is the unnormalized flow (no g/tau term)."""
     if not (tau > 0):
-        raise RejectedInputError("tau must be positive (use rhs_unnormalized for tau = inf)")
-    return rhs_unnormalized(model) + _metric_array(model) / tau
+        raise RejectedInputError("tau must be positive (or inf)")
+    out = rhs_unnormalized(model)
+    if np.isfinite(tau):
+        out = out + _metric_array(model) / tau
+    return out
 
 
 def rhs_unnormalized(model):
@@ -231,8 +235,6 @@ def make_metric_rhs(variant: str, tau: float, background: Optional[GridModel] = 
     """Build a metric-velocity callable for a named flow variant."""
     if variant == "tau":
         return lambda model: rhs_tau_flow(model, tau)
-    if variant == "unnormalized":
-        return rhs_unnormalized
     if variant == "deturck":
         if background is None:
             raise RejectedInputError("deturck flow needs a reference background")
@@ -374,24 +376,26 @@ def _diagnose(state: FlowState, background) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# reparametrization from the tau-flow to the unnormalized convention
+# reparametrization from a finite tau to tau = inf
 
 
 def reparametrize(traj: Trajectory, tau: float) -> Trajectory:
-    """Translate a tau-flow trajectory to the unnormalized convention.
+    """Translate a tau-flow trajectory at a finite ``tau`` to the unnormalized
+    flow: the tau-flow at tau = inf.
 
     Uses ``c(s) = 1 - s/tau``, ``t(s) = -tau log(1 - s/tau)`` and
     ``g~(s) = c(s) g(t(s))`` with cubic interpolation of the metric in t, at
     the images ``s = tau (1 - e^{-t/tau})`` of the sample times.  Requires
     ``s < tau``, which fails in floating point once t exceeds about 37 tau.
     """
-    if traj.convention != "tau":
-        raise RejectedInputError("reparametrize expects a tau-flow trajectory")
+    if (traj.convention != "tau" or not np.isfinite(tau)
+            or any(s.tau != tau for s in traj.states)):
+        raise RejectedInputError("reparametrize expects a tau-flow trajectory at this finite tau")
     interp = MetricInterpolant(traj)
     s_samples = tau * (1.0 - np.exp(-traj.times / tau))
     if np.any(s_samples >= tau):
         raise RejectedInputError("reparametrization requires s < tau")
-    out = Trajectory(convention="unnormalized")
+    out = Trajectory(convention="tau")
     for s in s_samples:
         c = 1.0 - s / tau
         t = -tau * np.log(c)

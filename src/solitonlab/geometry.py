@@ -391,7 +391,7 @@ def _pointwise_sq(m: GridModel, f: np.ndarray) -> np.ndarray:
 def volume(m) -> float:
     """Total volume of the model."""
     if isinstance(m, FrameModel):
-        return float(m.base_volume * np.sqrt(np.prod(m.a)))
+        return float(m.base_volume * np.prod(np.sqrt(m.a)))  # no overflow of prod(a)
     return float(np.sum(m.sqrt_det) * np.prod(m.spacings))
 
 

@@ -11,13 +11,13 @@ seed, and verdicts are recomputable from the persisted trajectory alone.
 
 A persisted trajectory is a JSONL index (``trajectory.jsonl``) plus one
 uncompressed ``.npz`` array file beside it (``trajectory.npz``).  The index
-holds a header naming the array file, then per sample a state line (t, tau,
-the model kind and its scalar parameters: ``dims``/``period`` or
-``lams``/``base_volume``) and a diagnostics line; the gauge stage appends its
-energy lines.  The array file holds the stacked float64 metric arrays, under
-``g`` (grid) or ``a`` (frame), and the stacked potentials under ``f`` when
-the states carry one, so loading round-trips bitwise.  Plot data reads the
-index alone.
+holds a header with what every state shares (the convention, the array
+file's name, tau, the model kind and its scalar parameters:
+``dims``/``period`` or ``lams``/``base_volume``), then one sample line per
+state, its diagnostics with its t; the gauge stage appends its energy lines.
+The array file holds the stacked float64 metric arrays, under ``g`` (grid)
+or ``a`` (frame), and the stacked potentials under ``f`` when the states
+carry one, so loading round-trips bitwise.  Plot data reads the index alone.
 """
 
 from __future__ import annotations
@@ -162,8 +162,9 @@ def validate_config(cfg: RunConfig) -> None:
             _fail("model.recipe", f"unknown frame recipe {cfg.recipe!r}")
         if len(cfg.coefficients) != 3 or not _positive_finite(*cfg.coefficients):
             _fail("model.coefficients", "need three positive finite coefficients")
-    if cfg.variant not in ("tau", "unnormalized", "deturck"):
-        _fail("flow.variant", f"unknown variant {cfg.variant!r}")
+    if cfg.variant not in ("tau", "deturck"):
+        _fail("flow.variant", f"must be 'tau' or 'deturck', got {cfg.variant!r} "
+              "(the unnormalized flow is variant = tau with tau = inf)")
     if cfg.variant == "deturck" and cfg.kind == "frame":
         _fail("flow.variant", "the deturck flow needs a grid model (a flat reference background)")
     if not _positive_finite(cfg.dt):
@@ -261,25 +262,27 @@ def _arrays_path(path) -> Path:
     return arrays
 
 
-def _state_record(state) -> dict:
+def _shared_fields(state) -> dict:
+    """What every state of a trajectory shares, as the index header holds it:
+    tau (null for inf), the model kind and its scalar parameters."""
     model = state.model
-    rec = {"kind": "state", "t": state.t,
-           "tau": None if np.isinf(state.tau) else state.tau}
+    rec = {"tau": None if np.isinf(state.tau) else state.tau}
     if isinstance(model, FrameModel):
-        rec["model"] = "frame"
-        rec["lams"] = model.lams.tolist()
-        rec["base_volume"] = model.base_volume
+        rec.update(model="frame", lams=model.lams.tolist(), base_volume=model.base_volume)
     else:
-        rec["model"] = "grid"
-        rec["dims"] = list(model.dims)
-        rec["period"] = list(model.period)
+        rec.update(model="grid", dims=list(model.dims), period=list(model.period))
     return rec
 
 
 def save_trajectory(traj, path) -> None:
     """Write ``traj`` as the JSONL index ``path`` plus its ``.npz`` arrays."""
     arrays_path = _arrays_path(path)
-    key = "a" if isinstance(traj.states[0].model, FrameModel) else "g"
+    shared = _shared_fields(traj.states[0])
+    if any(_shared_fields(s) != shared or d.get("t") != s.t
+           for s, d in zip(traj.states, traj.diagnostics)):
+        raise RejectedInputError("a saved trajectory's states must share one tau and one "
+                                 "model, and each sample's diagnostics must carry its t")
+    key = "a" if shared["model"] == "frame" else "g"
     arrays = {key: traj.metric_series()}
     with_f = [s.f is not None for s in traj.states]
     if any(with_f):
@@ -290,27 +293,26 @@ def save_trajectory(traj, path) -> None:
         np.savez(fh, **arrays)
     with open(path, "w") as fh:
         fh.write(json.dumps({"kind": "header", "convention": traj.convention,
-                             "arrays": arrays_path.name}) + "\n")
-        for state, diag in zip(traj.states, traj.diagnostics):
-            fh.write(json.dumps(_state_record(state)) + "\n")
-            fh.write(json.dumps({"kind": "diagnostics", **diag}) + "\n")
+                             "arrays": arrays_path.name, **shared}) + "\n")
+        for diag in traj.diagnostics:
+            fh.write(json.dumps({"kind": "sample", **diag}) + "\n")
 
 
 _NUM = (int, float)
-# The fields each kind of index line needs (a state line also its model's),
-# and the JSON type of each field that loading or plotting would trip on.
-_NEEDED = {"header": ("convention",), "state": ("t", "tau", "model"), "diagnostics": ("t",),
-           "gauge": ("t",), "grid": ("dims", "period"), "frame": ("lams", "base_volume")}
-_TYPES = {"arrays": str, "t": _NUM, "tau": (*_NUM, type(None)), "dims": list,
+# The fields each kind of index line needs (the header also its model's), and
+# the JSON type of each field that loading or plotting would trip on.
+_NEEDED = {"header": ("convention", "arrays", "tau", "model"), "sample": ("t",), "gauge": ("t",),
+           "grid": ("dims", "period"), "frame": ("lams", "base_volume")}
+_TYPES = {"convention": str, "arrays": str, "t": _NUM, "tau": (*_NUM, type(None)), "dims": list,
           "period": list, "lams": list, "base_volume": _NUM, "entropy": dict}
 
 
 def _read_index(path) -> list:
-    """The records of the trajectory index ``path``, one JSON object per line.
-
-    A line that is not an index record, that lacks a field its kind needs, or
-    that holds a field of the wrong type (a list of other than numbers, dims
-    of other than integers, a model other than grid or frame) is rejected
+    """The records of the trajectory index ``path``: the header, then sample
+    and gauge lines.  An empty index is rejected naming the file; a line that
+    is not JSON or not of the kind its place needs, that lacks a field its
+    kind needs, or that holds a field of the wrong type (a list of other than
+    numbers, dims of other than integers, a model other than grid or frame)
     naming the file and the line.
     """
     records = []
@@ -321,69 +323,64 @@ def _read_index(path) -> list:
             except json.JSONDecodeError as exc:
                 raise RejectedInputError(f"{path}, line {lineno}: not JSON ({exc})") from exc
             kind = rec.get("kind") if isinstance(rec, dict) else None
-            if kind not in ("header", "state", "diagnostics", "gauge"):
-                raise RejectedInputError(f"{path}, line {lineno}: not an index record")
-            model = rec.get("model") if kind == "state" else None
-            needed = _NEEDED[kind] + (_NEEDED[model] if model in ("grid", "frame") else ())
-            for name in needed + tuple(rec):
-                value, item = rec.get(name), (int if name == "dims" else _NUM)
-                if (name not in rec or not isinstance(value, _TYPES.get(name, object))
-                        or _TYPES.get(name) is list and not all(isinstance(x, item) for x in value)
-                        or name == "model" and value not in ("grid", "frame")):
-                    raise RejectedInputError(f"{path}, line {lineno}: field {name!r} is missing "
-                                             "or has the wrong type")
+            if (kind == "header") != (lineno == 1) or kind not in ("header", "sample", "gauge"):
+                want = "the header" if lineno == 1 else "a sample or gauge line"
+                raise RejectedInputError(f"{path}, line {lineno}: not {want}")
             records.append(rec)
+    if not records:
+        raise RejectedInputError(f"{path}: an empty index (no header line)")
+    for lineno, rec in enumerate(records, 1):
+        model = rec.get("model")
+        needed = _NEEDED[rec["kind"]] + (_NEEDED[model] if model in ("grid", "frame") else ())
+        for name in needed + tuple(rec):
+            value, item = rec.get(name), (int if name == "dims" else _NUM)
+            if (name not in rec or not isinstance(value, _TYPES.get(name, object))
+                    or _TYPES.get(name) is list and not all(isinstance(x, item) for x in value)
+                    or name == "model" and value not in ("grid", "frame")):
+                raise RejectedInputError(f"{path}, line {lineno}: field {name!r} is missing "
+                                         "or has the wrong type")
     return records
 
 
 def load_trajectory(path):
-    """Read back what ``save_trajectory`` wrote, bitwise.
+    """Read back what ``save_trajectory`` wrote, bitwise: each state from the
+    header and one row of the array file.
 
-    An index that names no array file (written before trajectories kept their
-    arrays in one, with the arrays inline), whose state and diagnostics lines
-    differ in number, or whose array file is missing or does not match its
-    states, is rejected naming the file.  A state line whose model rejects its
-    parameters (``dims`` of other than 2 or 3 axes or under 8 points per axis,
-    a ``period`` of another length) is rejected naming the file and the line.
+    An array file that is missing, or that does not hold one row per sample
+    line, is rejected naming the file.  A header whose model rejects its
+    parameters (``dims`` of other than 2 or 3 axes or under 8 points per
+    axis, a ``period`` of another length) is rejected naming line 1.
     """
     path = Path(path)
-    records = _read_index(path)
-    if not records or records[0].get("kind") != "header" or "arrays" not in records[0]:
-        raise RejectedInputError(
-            f"{path}: the header names no array file (an index written before "
-            "trajectories kept their arrays in a .npz file beside it)")
-    arrays_path = path.parent / records[0]["arrays"]
+    header, *lines = _read_index(path)
+    diags = [{k: v for k, v in r.items() if k != "kind"} for r in lines if r["kind"] == "sample"]
+    arrays_path = path.parent / header["arrays"]
     try:
         with np.load(arrays_path) as npz:
             arrays = {k: npz[k] for k in npz.files}
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise RejectedInputError(f"{path}: cannot read its array file {arrays_path}: {exc}") from exc
-    state_lines = [(lineno, r) for lineno, r in enumerate(records, 1) if r["kind"] == "state"]
-    diags = [{k: v for k, v in r.items() if k != "kind"}
-             for r in records if r["kind"] == "diagnostics"]
-    if len(state_lines) != len(diags):
-        raise RejectedInputError(f"{path}: {len(state_lines)} state lines but {len(diags)} "
-                                 "diagnostics lines (one of each per sample)")
-    key = "a" if state_lines and state_lines[0][1]["model"] == "frame" else "g"
-    if key not in arrays or any(len(v) != len(state_lines) for v in arrays.values()):
+    key = "a" if header["model"] == "frame" else "g"
+    if key not in arrays or any(len(v) != len(diags) for v in arrays.values()):
         raise RejectedInputError(f"{arrays_path}: does not hold one {key!r} array per "
-                                 f"state of {path} ({len(state_lines)} states)")
+                                 f"sample line of {path} ({len(diags)} samples)")
     fs = arrays.get("f")
-    traj = flows.Trajectory(convention=records[0]["convention"])
-    for i, ((lineno, rec), diag) in enumerate(zip(state_lines, diags)):
+    tau = np.inf if header["tau"] is None else header["tau"]
+    traj = flows.Trajectory(convention=header["convention"])
+    for i, diag in enumerate(diags):
         try:
-            if rec["model"] == "frame":
-                model = FrameModel(lams=rec["lams"], a=arrays["a"][i],
-                                   base_volume=rec["base_volume"])
+            if key == "a":
+                model = FrameModel(lams=header["lams"], a=arrays["a"][i],
+                                   base_volume=header["base_volume"])
                 f = None if fs is None else float(fs[i])
             else:
-                model = GridModel(n=len(rec["dims"]), dims=tuple(rec["dims"]),
-                                  period=tuple(rec["period"]), g=arrays["g"][i], validate=False)
+                model = GridModel(n=len(header["dims"]), dims=tuple(header["dims"]),
+                                  period=tuple(header["period"]), g=arrays["g"][i],
+                                  validate=False)
                 f = None if fs is None else fs[i]
         except RejectedInputError as exc:
-            raise RejectedInputError(f"{path}, line {lineno}: {exc}") from exc
-        tau = rec["tau"] if rec["tau"] is not None else np.inf
-        traj.append(flows.FlowState(t=rec["t"], model=model, tau=tau, f=f), diag)
+            raise RejectedInputError(f"{path}, line 1: {exc}") from exc
+        traj.append(flows.FlowState(t=diag["t"], model=model, tau=tau, f=f), diag)
     return traj
 
 
@@ -411,7 +408,7 @@ def gauge_reconstruction(cfg: RunConfig, deturck_traj=None):
     """
     h = flat_background(cfg)
     model0 = build_model(cfg)
-    ricci = flows.run_flow(model0, "unnormalized", np.inf, cfg.dt, cfg.t_end,
+    ricci = flows.run_flow(model0, "tau", np.inf, cfg.dt, cfg.t_end,
                            sample_every=cfg.sample_every)
     det = deturck_traj
     if det is None:
@@ -569,7 +566,7 @@ def emit_plotdata(record: RunRecord, quantity: str) -> str:
     rows = []
     for rec in _read_index(traj_path):
         value = None
-        if rec["kind"] == "diagnostics":
+        if rec["kind"] == "sample":
             if quantity == "norm":
                 value = rec.get("deviation_l2")
             elif quantity == "W":

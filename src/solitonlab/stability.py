@@ -148,8 +148,8 @@ def linearize_flow_rhs(background: GridModel, variant: str, tau: float,
     included), so ``rk4_remainder``, which steps a run's deviation by its RK4
     amplification, leaves the quadratic remainder alone; the compact symbol
     would leave an O(|k|) mismatch.  A curved background, or components
-    coupled or unequal beyond ``COMPONENT_RTOL`` (the ungauged tau and
-    unnormalized flows), is rejected.
+    coupled or unequal beyond ``COMPONENT_RTOL`` (the ungauged tau-flow, at
+    a finite tau or at tau = inf, the unnormalized flow), is rejected.
     """
     require_flat(background)
     n = background.n

@@ -70,7 +70,7 @@ def _gauge_discrepancy(n, amp, t_end):
     nsteps = int(round(t_end / dt))
     dt = t_end / nsteps
     sample_every = max(1, nsteps // 10)
-    ricci = flows.run_flow(g0, "unnormalized", np.inf, dt, t_end,
+    ricci = flows.run_flow(g0, "tau", np.inf, dt, t_end,
                            sample_every=sample_every)
     det = flows.run_flow(g0, "deturck", np.inf, dt, t_end,
                          background=h, sample_every=sample_every)

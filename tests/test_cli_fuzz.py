@@ -30,7 +30,7 @@ MODELS = {
     "round": ("kind = frame\nrecipe = round\ncoefficients = 4,4,4\n", 0.01),
     "berger": ("kind = frame\nrecipe = berger\ncoefficients = 4.4,4.0,3.7\n", 0.01),
     # its volume overflows, so the entropy audit meets a non-finite W
-    "round 1e150": ("kind = frame\nrecipe = round\ncoefficients = 1e150,1e150,1e150\n", 0.01),
+    "round 1e210": ("kind = frame\nrecipe = round\ncoefficients = 1e210,1e210,1e210\n", 0.01),
 }
 COMMANDS = ("run", "spectrum", "entropy", "gauge-check")
 
@@ -56,6 +56,7 @@ def _finite(command, out) -> bool:
 @settings(max_examples=160, deadline=None, derandomize=True, database=None)
 @given(model=st.sampled_from(sorted(MODELS)),
        seed=st.sampled_from([0, -1]),
+       # "unnormalized" is no variant (it is tau = inf): drawn to be rejected
        variant=st.sampled_from(["tau", "unnormalized", "deturck"]),
        tau=st.sampled_from(["0.5", "1.0", "inf"]),
        steps=st.integers(1, 4),

@@ -257,6 +257,15 @@ def test_grid_minimizer_beats_test_potentials():
         assert res.mu <= entropy.w_functional(m, f, tau) + 1e-9
 
 
+def test_grid_mu_is_the_w_of_its_potential():
+    """The grid solve and ``w_functional`` sum the same per-node terms, so the
+    mu the solve reports is exactly the W of the potential it returns."""
+    m = _perturbed_grid(n=8, amp=0.02)
+    X, _ = m.coords()
+    res = entropy.minimize_mu(m, 1.0, f0=0.05 * np.sin(X), grad_tol=1e-6)
+    assert res.mu == entropy.w_functional(m, res.f, 1.0)
+
+
 def test_grid_mu_solve_derives_the_geometry_once(monkeypatch):
     """Every objective evaluation of the L-BFGS solve reads the same metric's
     inverse, Christoffel symbols and Ricci, derived on the first one."""

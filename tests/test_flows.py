@@ -37,7 +37,7 @@ def test_round_sphere_fixed_point_drift():
 def test_shrinking_round_sphere_unnormalized():
     # a(t) = a0 - 4t for the round su2 frame (Ric = 2 g / a * ... closed form)
     m = FrameModel.su2(a=(4.0, 4.0, 4.0))
-    traj = flows.run_flow(m, "unnormalized", tau=np.inf, dt=1e-3, t_end=0.5)
+    traj = flows.run_flow(m, "tau", tau=np.inf, dt=1e-3, t_end=0.5)
     for state in traj.states:
         assert np.allclose(state.model.a, 4.0 - 4.0 * state.t, rtol=1e-9)
 
@@ -255,7 +255,7 @@ def test_singular_stage_is_a_rejected_step_that_halving_recovers(monkeypatch):
     with pytest.raises(StepRejectedError, match="t = 0.01 met a singular stage metric"):
         flows.step(FlowState(0.0, flat, np.inf), singular_at_dt, 0.01)
     monkeypatch.setattr(flows, "make_metric_rhs", lambda *args: singular_at_dt)
-    traj = flows.run_flow(flat, "unnormalized", np.inf, dt=0.01, t_end=0.01)
+    traj = flows.run_flow(flat, "tau", np.inf, dt=0.01, t_end=0.01)
     half = flows.step(FlowState(0.0, flat, np.inf), singular_at_dt, 0.005)
     twice = flows.step(half, singular_at_dt, 0.005)
     assert traj.times.tolist() == [0.0, 0.01]
@@ -314,7 +314,7 @@ def test_metric_interpolant_matches_samples_and_between():
 def _column_trajectory(times, columns):
     """Unvalidated 8^2 grid states whose flattened metrics are ``columns`` rows."""
     template = GridModel.flat(2, (8, 8))
-    traj = Trajectory(convention="unnormalized")
+    traj = Trajectory(convention="tau")
     for t, row in zip(times, columns):
         model = template.with_metric(row.reshape(template.g.shape), validate=False)
         traj.append(FlowState(t=float(t), model=model, tau=np.inf), {})
@@ -371,7 +371,7 @@ def test_not_a_knot_spline_equals_scipy_bitwise():
 def test_metric_interpolant_equals_cubic_spline_on_ricci_trajectory():
     from scipy.interpolate import CubicSpline
 
-    ricci = flows.run_flow(_wavy_grid(2, (16, 16)), "unnormalized", np.inf, 0.01, 0.2,
+    ricci = flows.run_flow(_wavy_grid(2, (16, 16)), "tau", np.inf, 0.01, 0.2,
                            sample_every=2)
     times, series = ricci.times, ricci.metric_series()
     reference = CubicSpline(times, series, axis=0)
@@ -399,10 +399,13 @@ def test_reparametrize_maps_round_fixed_point_onto_shrinking_sphere(tau):
     m = FrameModel.su2(a=(4.0 * tau,) * 3)
     traj = flows.run_flow(m, "tau", tau=tau, dt=1e-3, t_end=1.0, sample_every=100)
     un = flows.reparametrize(traj, tau)
-    assert un.convention == "unnormalized"
+    assert un.convention == "tau" and {s.tau for s in un.states} == {np.inf}
     assert np.allclose(un.times, tau * (1.0 - np.exp(-traj.times / tau)), rtol=0.0, atol=1e-15)
     for state in un.states:
         assert np.max(np.abs(state.model.a - 4.0 * (tau - state.t))) <= 1e-12 * tau
+    for again in ((un, tau), (un, np.inf), (traj, 2.0 * tau)):  # states not at a finite tau
+        with pytest.raises(RejectedInputError, match="at this finite tau"):
+            flows.reparametrize(*again)
 
 
 def test_reparametrize_rejects_samples_past_forty_tau():
@@ -427,6 +430,15 @@ def test_reparametrized_trajectory_solves_unnormalized_flow():
     dads = (a_series[i + 1] - a_series[i - 1]) / (ss[i + 1] - ss[i - 1])
     rhs = flows.rhs_unnormalized(un.states[i].model)
     assert np.max(np.abs(dads - rhs)) < 1e-5
+
+
+def test_tau_flow_at_tau_inf_is_the_unnormalized_flow():
+    """``rhs_tau_flow`` at tau = inf adds no g/tau term: it is bitwise
+    ``rhs_unnormalized``, on a grid and on a frame."""
+    for m in (_wavy_grid(2, (8, 8)), FrameModel.su2(a=(4.4, 4.0, 3.7))):
+        assert np.array_equal(flows.rhs_tau_flow(m, np.inf), flows.rhs_unnormalized(m))
+    with pytest.raises(RejectedInputError, match="unknown flow variant 'unnormalized'"):
+        flows.make_metric_rhs("unnormalized", np.inf)
 
 
 def test_tau_rhs_rejects_bad_tau():

@@ -192,7 +192,7 @@ def test_harmonic_gauge_evaluates_each_metric_once():
     """One g_of_t call per distinct time (2 n_steps + 1), and the trajectory
     is bitwise that of the form re-evaluating the metric at every use."""
     g0 = _nonconformal(16)
-    ricci = flows.run_flow(g0, "unnormalized", np.inf, 0.01, 0.1)
+    ricci = flows.run_flow(g0, "tau", np.inf, 0.01, 0.1)
     interp = flows.MetricInterpolant(ricci)
     h = _flat(16)
     X, Y = h.coords()
@@ -286,7 +286,7 @@ def test_gauge_equivalence_small_pipeline():
 
     dt = 0.5 * flows.cfl_bound(model0)
     t_end = 20 * dt
-    ricci = flows.run_flow(model0, "unnormalized", np.inf, dt, t_end, sample_every=5)
+    ricci = flows.run_flow(model0, "tau", np.inf, dt, t_end, sample_every=5)
     det = flows.run_flow(model0, "deturck", np.inf, dt, t_end,
                          background=h, sample_every=5)
     ginterp = flows.MetricInterpolant(ricci)

@@ -76,6 +76,9 @@ def test_parse_rejects_unknown_section_and_key():
     ("[flow]\ndt = 1e-310\nt_end = 1.0\n", "flow.t_end"),
     ("[flow]\ntau = 0\n", "flow.tau"),
     ("[flow]\nvariant = sideways\n", "flow.variant"),
+    ("[flow]\nvariant = unnormalized\n", "flow.variant"),
+    ("[model]\nkind = frame\nrecipe = berger\n"
+     "[flow]\nvariant = unnormalized\ntau = 1.0\ncouple_potential = true\n", "flow.variant"),
     ("[flow]\ncouple_potential = maybe\n", "flow.couple_potential"),
     ("[model]\nkind = sphere\n", "model.kind"),
     ("[model]\ndims = 8\n", "model.dims"),
@@ -223,7 +226,7 @@ def test_trajectory_round_trip_frame(tmp_path):
         assert s0.f == s1.f
         assert s0.t == s1.t and s0.tau == s1.tau
     assert back.diagnostics == traj.diagnostics
-    inf_tau = flows.run_flow(m, "unnormalized", np.inf, dt=1e-2, t_end=0.02)
+    inf_tau = flows.run_flow(m, "tau", np.inf, dt=1e-2, t_end=0.02)
     harness.save_trajectory(inf_tau, path)
     assert [s.tau for s in harness.load_trajectory(path).states] == [np.inf] * 3
 
@@ -284,15 +287,16 @@ def test_readme_trajectory_keeps_its_arrays_out_of_the_index(tmp_path, monkeypat
     record = harness.run_experiment(harness.parse_config(README_CONFIG))
     index = Path(record.trajectory_path)
     lines = [json.loads(line) for line in index.read_text().splitlines()]
-    assert lines[0] == {"kind": "header", "convention": "deturck", "arrays": "trajectory.npz"}
+    assert lines[0] == {"kind": "header", "convention": "deturck", "arrays": "trajectory.npz",
+                        "tau": None, "model": "grid", "dims": [16, 16],
+                        "period": [TWO_PI, TWO_PI]}
     assert not any("g" in rec for rec in lines)
-    states = [rec for rec in lines if rec["kind"] == "state"]
-    assert len(states) == 201
+    assert [rec["kind"] for rec in lines[1:]] == ["sample"] * 201
     with np.load(index.with_suffix(".npz")) as npz:
         assert npz.files == ["g"]
         g = npz["g"]
     assert g.dtype == np.float64 and g.shape == (201, 16, 16, 2, 2)
-    assert index.stat().st_size < 100_000
+    assert index.stat().st_size <= 41_000
     assert index.with_suffix(".npz").stat().st_size < g.nbytes + 1_000
 
 
@@ -316,15 +320,23 @@ def _write_index(path, lines):
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
 
 
+def _record_of(index):
+    """A ``record.json`` beside the trajectory index ``index`` that names it."""
+    record = index.parent / "record.json"
+    record.write_text(harness.RunRecord(config_hash="0", trajectory_path=str(index),
+                                        spectral_path=None, verdicts={},
+                                        wall_clock=0.0).to_json())
+    return record
+
+
 def test_frame_trajectory_without_lams_is_rejected_by_name(tmp_path):
-    """A frame state whose index line lacks its Milnor constants."""
+    """A frame header that lacks its Milnor constants."""
     path = tmp_path / "old.jsonl"
     np.savez(tmp_path / "old.npz", a=np.array([[4.4, 4.0, 3.7]]), f=np.array([0.1]))
-    _write_index(path, [{"kind": "header", "convention": "tau", "arrays": "old.npz"},
-                        {"kind": "state", "t": 0.0, "tau": 1.0, "model": "frame",
-                         "c": np.zeros((3, 3, 3)).tolist()},
-                        {"kind": "diagnostics", "t": 0.0}])
-    with pytest.raises(RejectedInputError, match="'lams'"):
+    _write_index(path, [{"kind": "header", "convention": "tau", "arrays": "old.npz",
+                         "tau": 1.0, "model": "frame", "c": np.zeros((3, 3, 3)).tolist()},
+                        {"kind": "sample", "t": 0.0}])
+    with pytest.raises(RejectedInputError, match="line 1: field 'lams'"):
         harness.load_trajectory(path)
 
 
@@ -337,7 +349,8 @@ def test_trajectory_without_its_arrays_is_rejected_by_name(tmp_path):
     harness.save_trajectory(traj, path)
     arrays = tmp_path / "traj.npz"
     np.savez(arrays, a=traj.metric_series()[:2])
-    with pytest.raises(RejectedInputError, match="traj.npz: does not hold one 'a' array"):
+    with pytest.raises(RejectedInputError, match="traj.npz: does not hold one 'a' array per "
+                                                 "sample line of .*traj.jsonl \\(4 samples\\)"):
         harness.load_trajectory(path)
     harness.save_trajectory(traj, path)
     arrays.write_bytes(arrays.read_bytes()[:200])  # a write cut short
@@ -361,13 +374,65 @@ def test_trajectory_with_inline_arrays_is_rejected_by_name(tmp_path):
                          "dims": [8, 8], "period": [TWO_PI, TWO_PI],
                          "g": np.broadcast_to(np.eye(2), (8, 8, 2, 2)).tolist()},
                         {"kind": "diagnostics", "t": 0.0}])
-    with pytest.raises(RejectedInputError, match="inline.jsonl: the header names no array file"):
+    with pytest.raises(RejectedInputError,
+                       match=re.escape(f"{path}, line 2: not a sample or gauge line")):
+        harness.load_trajectory(path)
+    _write_index(path, [{"kind": "header", "convention": "deturck"}])
+    with pytest.raises(RejectedInputError, match=re.escape(f"{path}, line 1: field 'arrays'")):
         harness.load_trajectory(path)
 
 
+def test_index_of_the_state_line_format_is_rejected_naming_line_2(tmp_path, capsys):
+    """An index with a state and a diagnostics line per sample (the format
+    before the header held what the states share) has no reader: loading it
+    and ``plot`` on it are rejected naming line 2 (exit 2)."""
+    path = tmp_path / "traj.jsonl"
+    np.savez(tmp_path / "traj.npz", a=np.array([[4.4, 4.0, 3.7]]), f=np.array([0.1]))
+    _write_index(path, [{"kind": "header", "convention": "tau", "arrays": "traj.npz"},
+                        {"kind": "state", "t": 0.0, "tau": 1.0, "model": "frame",
+                         "lams": [2.0, 2.0, 2.0], "base_volume": 2.0 * np.pi**2},
+                        {"kind": "diagnostics", "t": 0.0, "entropy": {"W": 0.1}}])
+    with pytest.raises(RejectedInputError,
+                       match=re.escape(f"{path}, line 2: not a sample or gauge line")):
+        harness.load_trajectory(path)
+    record = _record_of(path)
+    assert cli.main(["plot", str(record), "W"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"validation error: {path}, line 2:")
+
+
+def test_empty_index_is_rejected_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "traj.jsonl"
+    path.write_text("")
+    with pytest.raises(RejectedInputError, match=re.escape(f"{path}: an empty index")):
+        harness.load_trajectory(path)
+    record = _record_of(path)
+    assert cli.main(["plot", str(record), "norm"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"validation error: {path}: an empty index")
+
+
+def test_save_rejects_states_that_do_not_share_the_header(tmp_path):
+    """The header holds one tau and one model for every state, and each
+    sample line the t of its state: a trajectory that breaks either is not
+    saved, so that no state loads back changed."""
+    m = FrameModel.su2(a=(4.4, 4.0, 3.7))
+    path = tmp_path / "traj.jsonl"
+    for second in (flows.FlowState(t=0.1, model=m, tau=2.0),
+                   flows.FlowState(t=0.1, model=FrameModel(lams=np.zeros(3), a=m.a), tau=1.0)):
+        traj = flows.Trajectory(convention="tau")
+        traj.append(flows.FlowState(t=0.0, model=m, tau=1.0), {"t": 0.0})
+        traj.append(second, {"t": 0.1})
+        with pytest.raises(RejectedInputError, match="share one tau and one model"):
+            harness.save_trajectory(traj, path)
+    traj = flows.Trajectory(convention="tau")
+    traj.append(flows.FlowState(t=0.0, model=m, tau=1.0), {"t": 0.5})
+    with pytest.raises(RejectedInputError, match="must carry its t"):
+        harness.save_trajectory(traj, path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("lineno,field,edit", [
-    (3, "entropy", lambda rec: {**rec, "entropy": 5}),
-    (2, "model", lambda rec: {k: v for k, v in rec.items() if k != "model"}),
+    (2, "entropy", lambda rec: {**rec, "entropy": 5}),
+    (1, "model", lambda rec: {k: v for k, v in rec.items() if k != "model"}),
 ], ids=["entropy-not-an-object", "state-without-model"])
 def test_index_line_of_the_wrong_shape_is_rejected_naming_the_line(tmp_path, capsys,
                                                                    lineno, field, edit):
@@ -378,10 +443,7 @@ def test_index_line_of_the_wrong_shape_is_rejected_naming_the_line(tmp_path, cap
                           t_end=0.02, couple_f=True)
     index = tmp_path / "traj.jsonl"
     harness.save_trajectory(traj, index)
-    record = tmp_path / "record.json"
-    record.write_text(harness.RunRecord(config_hash="0", trajectory_path=str(index),
-                                        spectral_path=None, verdicts={},
-                                        wall_clock=0.0).to_json())
+    record = _record_of(index)
     assert cli.main(["plot", str(record), "W"]) == cli.EXIT_OK
     capsys.readouterr()
     lines = [json.loads(line) for line in index.read_text().splitlines()]
@@ -405,13 +467,14 @@ def _grid_index(tmp_path):
 
 
 def test_index_that_lost_a_line_is_rejected_by_name(tmp_path):
-    """An index whose state and diagnostics lines differ in number does not
-    load short: it is rejected naming the file."""
+    """An index that lost a sample line does not load short: its array file
+    no longer holds one row per sample, and is rejected by name."""
     index, lines = _grid_index(tmp_path)
-    assert [rec["kind"] for rec in lines[:3]] == ["header", "state", "diagnostics"]
+    assert [rec["kind"] for rec in lines] == ["header", "sample", "sample", "sample"]
     _write_index(index, lines[:2] + lines[3:])
-    with pytest.raises(RejectedInputError,
-                       match=re.escape(f"{index}: 3 state lines but 2 diagnostics lines")):
+    arrays = index.with_suffix(".npz")
+    with pytest.raises(RejectedInputError, match=re.escape(
+            f"{arrays}: does not hold one 'g' array per sample line of {index} (2 samples)")):
         harness.load_trajectory(index)
 
 
@@ -422,13 +485,13 @@ def test_index_that_lost_a_line_is_rejected_by_name(tmp_path):
 ], ids=["one-axis-dims", "too-few-points", "one-entry-period"])
 def test_state_line_with_wrong_model_values_is_rejected_naming_the_line(tmp_path, field,
                                                                        value, message):
-    """A state line whose model parameters have the right types but values
-    the grid model rejects is rejected naming the file and the line."""
+    """The line that holds the states' model parameters is the header: one
+    whose parameters have the right types but values the grid model rejects
+    is rejected naming the file and line 1."""
     index, lines = _grid_index(tmp_path)
-    assert lines[3]["kind"] == "state"
-    lines[3][field] = value
+    lines[0][field] = value
     _write_index(index, lines)
-    with pytest.raises(RejectedInputError, match=re.escape(f"{index}, line 4: {message}")):
+    with pytest.raises(RejectedInputError, match=re.escape(f"{index}, line 1: {message}")):
         harness.load_trajectory(index)
 
 
@@ -528,7 +591,7 @@ def test_verdicts_recomputable_from_trajectory(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flow,model", [
-    ("variant = tau\ntau = 1.0", ""), ("variant = unnormalized", ""),
+    ("variant = tau\ntau = 1.0", ""), ("variant = tau\ntau = inf", ""),
     ("variant = deturck\ntau = 1.0", ""),
     ("variant = deturck", "amplitude = 1e-8")],
     ids=["tau", "unnormalized", "deturck-finite-tau", "below-the-floor"])
@@ -643,10 +706,10 @@ def test_gauge_reconstruction_verdict(tmp_path, monkeypatch):
     monkeypatch.setattr(flows, "run_flow", counted)
     record = harness.run_experiment(cfg)
     # the gauge stage reuses the pipeline's DeTurck trajectory
-    assert variants == ["deturck", "unnormalized"]
+    assert variants == ["deturck", "tau"]
     assert 0.0 <= record.verdicts["gauge_discrepancy"] < 1e-3
     disc, _ = harness.gauge_reconstruction(cfg)
-    assert variants[2:] == ["unnormalized", "deturck"]
+    assert variants[2:] == ["tau", "deturck"]
     assert record.verdicts["gauge_discrepancy"] == disc
     lines = [json.loads(l) for l in open(record.trajectory_path)]
     assert any(rec["kind"] == "gauge" for rec in lines)
@@ -871,9 +934,9 @@ def test_cli_entropy_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("coefficient,t_end,sample_every,t_fail", [
-    ("1e150", 0.02, 1, "0"),     # the volume overflows at the first sample
-    ("1e100", 10.0, 100, "7"),   # W turns NaN as the round sphere expands
-])
+    ("1e210", 0.02, 1, "0"),     # the volume overflows at the first sample
+    ("1e200", 20.0, 100, "11"),  # W turns non-finite as the round sphere expands
+], ids=["1e210-at-t0", "1e200-at-t11"])
 def test_overflowing_entropy_audit_exits_numerical_naming_the_time(
         tmp_path, monkeypatch, capsys, coefficient, t_end, sample_every, t_fail):
     """A coupled sample whose W or defect is not finite ends ``run`` and
@@ -891,6 +954,44 @@ def test_overflowing_entropy_audit_exits_numerical_naming_the_time(
             capsys.readouterr().err
     record, = tmp_path.glob("overflow-*/record.json")
     assert json.loads(record.read_text())["verdicts"]["failed_stage"] == "flow"
+
+
+def test_round_1e150_entropy_audit_is_finite(tmp_path, monkeypatch, capsys):
+    """A frame volume is base_volume prod(sqrt(a)), so a round sphere of
+    coefficients 1e150 (prod(a) = 1e450 overflows) audits finitely: exit 0,
+    a finite W, and the numeric dW/dt equal to the closed form."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    text = ("[model]\nkind = frame\nrecipe = round\ncoefficients = 1e150,1e150,1e150\n"
+            "[flow]\nvariant = tau\ntau = 1.0\ncouple_potential = true\ndt = 0.01\n"
+            "t_end = 0.02\n[output]\nname = huge\n")
+    cfg = _write_config(tmp_path, text)
+    assert cli.main(["run", cfg]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["entropy", cfg]) == cli.EXIT_OK
+    for line in capsys.readouterr().out.strip().splitlines():
+        fields = dict(part.split("=") for part in line.split())
+        assert np.isfinite(float(fields["W"])) and fields["monotone"] == "True"
+        assert fields["dWdt_numeric"] == fields["dWdt_formula"]
+    record, = tmp_path.glob("huge-*/record.json")
+    assert np.isfinite(json.loads(record.read_text())["verdicts"]["entropy_final"])
+
+
+@pytest.mark.parametrize("couple", ["false", "true"])
+def test_unnormalized_variant_is_rejected_by_run_and_entropy(tmp_path, monkeypatch, capsys,
+                                                             couple):
+    """The unnormalized flow is the tau-flow at tau = inf, so ``variant =
+    unnormalized`` is no variant: with or without the coupled potential at a
+    finite tau, ``run`` and ``entropy`` exit 2 naming ``flow.variant``."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    text = (BERGER_ENTROPY.format("4.4,4.0,3.7", 0.1).replace("variant = tau",
+                                                                "variant = unnormalized")
+            + f"couple_potential = {couple}\n")
+    cfg = _write_config(tmp_path, text)
+    for command in ("run", "entropy"):
+        assert cli.main([command, cfg]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: flow.variant:") and "tau = inf" in err
+    assert list(tmp_path.glob("*/record.json")) == []
 
 
 def test_cli_gauge_check(tmp_path, capsys):

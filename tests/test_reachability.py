@@ -38,9 +38,6 @@ ALLOWLIST = {
                                         "reads the operator's dim",
     "stability.FourierOperator.dim": "ROADMAP item 5: the benchmark's tracer reads it "
                                      "instead of the dense view",
-    "entropy._RadialQuadrature.kinetic": "W of a polar-profile potential through "
-                                         "w_functional; the radial mu solve sums the same "
-                                         "face energies itself",
     "geometry.laplacian_scalar": "ROADMAP item 6: the backward potential solve on grids",
     "harness.load_trajectory": "the trajectory store's reader; no command reads a "
                                "trajectory back",

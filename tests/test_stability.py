@@ -431,9 +431,9 @@ def test_linearized_flow_needs_no_node_cap(monkeypatch, h, tau):
 def test_linearized_flow_rejects_coupled_components_and_curved_backgrounds():
     h = _flat(8)
     # without the DeTurck term, Ricci's divergence terms couple the components
-    for variant in ("tau", "unnormalized"):
+    for tau in (1.0, np.inf):  # the tau-flow, and at tau = inf the unnormalized flow
         with pytest.raises(RejectedInputError, match="couples"):
-            stability.linearize_flow_rhs(h, variant, 1.0)
+            stability.linearize_flow_rhs(h, "tau", tau)
     X, _ = h.coords()
     curved = h.with_metric(h.g * (1.0 + 0.1 * np.sin(X))[..., None, None])
     with pytest.raises(RejectedInputError, match="flat"):
