@@ -1,7 +1,8 @@
 """Experiment harness: config parsing, the end-to-end pipeline
 (flow, gauge reconstruction, entropy audit, spectral analysis, projection,
 the two- and three-interval verdicts, rate fit, quadratic remainder),
-persistence, and plot-data emission.
+persistence, and plot-data emission.  Every verdict is one of the flow that
+ran, at parameters the stages derive: no config key tunes a verdict.
 
 Configs are INI-style text with sections [model], [flow], [gauge],
 [stability], [output]; unknown sections or keys are rejected with the
@@ -28,7 +29,7 @@ import json
 import os
 import time
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -42,12 +43,12 @@ OUTPUT_ENV_VAR = "SOLITONLAB_OUTPUT"
 
 # The config format: its sections and their keys, in the order
 # ``serialize_config`` writes them.  Each key names a ``RunConfig`` field and
-# is read as the type of that field's default (``None``: a number or "auto").
+# is read as the type of that field's default.
 _SCHEMA = {
     "model": ("kind", "dims", "period", "recipe", "amplitude", "seed", "coefficients"),
     "flow": ("variant", "tau", "dt", "t_end", "sample_every", "couple_potential"),
     "gauge": ("reconstruct", "fix_divergence"),
-    "stability": ("analyze", "eps_neutral", "interval_length", "beta"),
+    "stability": ("analyze",),
     "output": ("root", "name"),
 }
 
@@ -70,9 +71,6 @@ class RunConfig:
     reconstruct: bool = False
     fix_divergence: bool = False
     analyze: bool = True
-    eps_neutral: Optional[float] = None
-    interval_length: float = 1.0
-    beta: Optional[float] = None
     root: str = "runs"
     name: str = "experiment"
 
@@ -102,7 +100,7 @@ def _fail(field_name: str, message: str):
 
 
 _EXPECTED = {bool: "a boolean", tuple: "a comma-separated list", int: "an integer",
-             float: "a number", type(None): "a number or 'auto'"}
+             float: "a number"}
 
 
 def _parse_value(name: str, default, raw: str):
@@ -113,8 +111,6 @@ def _parse_value(name: str, default, raw: str):
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if isinstance(default, tuple):
             return tuple(type(default[0])(p) for p in raw.split(",") if p.strip())
-        if default is None:
-            return None if raw.lower() == "auto" else float(raw)
         return type(default)(raw)
     except (KeyError, ValueError):
         _fail(name, f"not {_EXPECTED[type(default)]}: {raw!r}")
@@ -162,6 +158,12 @@ def validate_config(cfg: RunConfig) -> None:
             _fail("model.recipe", f"unknown frame recipe {cfg.recipe!r}")
         if len(cfg.coefficients) != 3 or not _positive_finite(*cfg.coefficients):
             _fail("model.coefficients", "need three positive finite coefficients")
+        if cfg.recipe == "round" and len(set(cfg.coefficients)) != 1:
+            _fail("model.coefficients", "a round sphere needs three equal coefficients")
+        for key in ("reconstruct", "fix_divergence"):
+            if getattr(cfg, key):
+                _fail(f"gauge.{key}", "the gauge stages need a grid model "
+                      "(a flat reference background)")
     if cfg.variant not in ("tau", "deturck"):
         _fail("flow.variant", f"must be 'tau' or 'deturck', got {cfg.variant!r} "
               "(the unnormalized flow is variant = tau with tau = inf)")
@@ -186,17 +188,9 @@ def validate_config(cfg: RunConfig) -> None:
         _fail("flow.sample_every", "must be at least 1")
     if not 0 < cfg.amplitude < 0.5:
         _fail("model.amplitude", "must lie in (0, 0.5)")
-    if cfg.eps_neutral is not None and not _positive_finite(cfg.eps_neutral):
-        _fail("stability.eps_neutral", "must be positive and finite, or auto")
-    if not _positive_finite(cfg.interval_length):
-        _fail("stability.interval_length", "must be positive and finite")
-    if cfg.beta is not None and not 1 < cfg.beta < np.inf:
-        _fail("stability.beta", "must be finite and above 1, or auto")
 
 
 def _format_value(value) -> str:
-    if value is None:
-        return "auto"
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, tuple):
@@ -219,10 +213,8 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def build_model(cfg: RunConfig):
     if cfg.kind == "frame":
-        base = FrameModel.su2()
-        if cfg.recipe == "round":
-            return base.with_a(np.full(3, cfg.coefficients[0]))
-        return base.with_a(np.array(cfg.coefficients, dtype=float))
+        # a round sphere is the Berger sphere of three equal coefficients
+        return FrameModel.su2().with_a(np.array(cfg.coefficients, dtype=float))
     flat = GridModel.flat(len(cfg.dims), cfg.dims, cfg.period)
     if cfg.recipe == "flat":
         return flat
@@ -311,9 +303,10 @@ def _read_index(path) -> list:
     """The records of the trajectory index ``path``: the header, then sample
     and gauge lines.  An empty index is rejected naming the file; a line that
     is not JSON or not of the kind its place needs, that lacks a field its
-    kind needs, or that holds a field of the wrong type (a list of other than
-    numbers, dims of other than integers, a model other than grid or frame)
-    naming the file and the line.
+    kind needs, that holds a field of the wrong type (a list of other than
+    numbers, dims of other than integers, a model other than grid or frame),
+    or whose t is not above that of the line of its kind before it, naming
+    the file and the line.
     """
     records = []
     with open(path) as fh:
@@ -329,6 +322,7 @@ def _read_index(path) -> list:
             records.append(rec)
     if not records:
         raise RejectedInputError(f"{path}: an empty index (no header line)")
+    last_t = {"sample": -np.inf, "gauge": -np.inf}  # the t of the last line of each kind
     for lineno, rec in enumerate(records, 1):
         model = rec.get("model")
         needed = _NEEDED[rec["kind"]] + (_NEEDED[model] if model in ("grid", "frame") else ())
@@ -339,6 +333,12 @@ def _read_index(path) -> list:
                     or name == "model" and value not in ("grid", "frame")):
                 raise RejectedInputError(f"{path}, line {lineno}: field {name!r} is missing "
                                          "or has the wrong type")
+        kind = rec["kind"]
+        if kind in last_t:
+            if not rec["t"] > last_t[kind]:
+                raise RejectedInputError(f"{path}, line {lineno}: t = {rec['t']!r} is not "
+                                         f"above the t of the {kind} line before it")
+            last_t[kind] = rec["t"]
     return records
 
 
@@ -398,22 +398,20 @@ def integrate_flow(cfg: RunConfig) -> flows.Trajectory:
                           sample_every=cfg.sample_every)
 
 
-def gauge_reconstruction(cfg: RunConfig, deturck_traj=None):
+def gauge_reconstruction(cfg: RunConfig, traj: flows.Trajectory):
     """The gauge stage: max sup-discrepancy of the gauge transport, plus the
     energy records.
 
-    ``deturck_traj`` is the unnormalized DeTurck flow of ``build_model(cfg)``
-    with the config's dt, t_end and sampling, if the caller already
-    integrated it; otherwise it is integrated here.
+    ``traj`` is the run's flow (``integrate_flow(cfg)``).  Its partner, the
+    DeTurck flow of a tau-flow run or the tau-flow of a DeTurck run, is
+    integrated here at the run's tau: g/tau commutes with the pullback, so
+    the DeTurck flow is the tau-flow pulled back by the harmonic-map gauge at
+    every tau.  The gauge is driven by the tau-flow of the pair.
     """
     h = flat_background(cfg)
-    model0 = build_model(cfg)
-    ricci = flows.run_flow(model0, "tau", np.inf, cfg.dt, cfg.t_end,
-                           sample_every=cfg.sample_every)
-    det = deturck_traj
-    if det is None:
-        det = flows.run_flow(model0, "deturck", np.inf, cfg.dt, cfg.t_end,
-                             background=h, sample_every=cfg.sample_every)
+    partner = integrate_flow(replace(cfg, variant="tau" if cfg.variant == "deturck"
+                                     else "deturck"))
+    ricci, det = (partner, traj) if cfg.variant == "deturck" else (traj, partner)
     ginterp = flows.MetricInterpolant(ricci)
     gt = gauge.run_harmonic_gauge(ginterp, h, np.zeros(h.dims + (h.n,)), 0.0, cfg.t_end, cfg.dt)
     idx = [int(round(t / cfg.dt)) for t in ricci.times]
@@ -426,11 +424,7 @@ def gauge_reconstruction(cfg: RunConfig, deturck_traj=None):
 
 def spectral_report(cfg: RunConfig) -> stability.SpectralReport:
     """The spectral stage: the linearized flow at the config's flat background."""
-    op = stability.assemble_linearized_pde(flat_background(cfg), cfg.tau)
-    report = stability.spectrum(op, cfg.eps_neutral)
-    if np.isinf(report.gap):  # every eigenvalue is neutral
-        _fail("stability.eps_neutral", "leaves no eigenvalue outside the neutral band (no gap)")
-    return report
+    return stability.spectrum(stability.assemble_linearized_pde(flat_background(cfg), cfg.tau))
 
 
 def stability_verdicts(cfg: RunConfig, traj, report, verdicts: dict) -> None:
@@ -439,12 +433,12 @@ def stability_verdicts(cfg: RunConfig, traj, report, verdicts: dict) -> None:
     quadratic remainder of a DeTurck tau = inf run against the RK4 scheme it
     integrated (``stability.rk4_remainder``; null for other flows).
 
-    A run that reaches 3L (L = ``interval_length``) gets the three-interval
-    dichotomy over [0, L], [L, 2L], [2L, 3L] and the two-interval lemma
-    (``"growth"``, ``"decay"`` or ``"neither"`` at delta = the gap) over the
-    first two windows; both are null when a window holds no sample.  Each
-    verdict goes into ``verdicts`` as soon as it is known, so a failure keeps
-    those before it."""
+    A run whose ``t_end`` reaches 3L (L = ``stability.INTERVAL_LENGTH``) gets
+    the three-interval dichotomy over [0, L], [L, 2L], [2L, 3L] at
+    beta = e^{L gap / 4} and the two-interval lemma (``"growth"``, ``"decay"``
+    or ``"neither"`` at delta = the gap) over the first two windows; both are
+    null when a window holds no sample.  Each verdict goes into ``verdicts``
+    as soon as it is known, so a failure keeps those before it."""
     background = flat_background(cfg)
     final = traj.states[-1].model
     fam = stability.nearest_soliton_in_family(final, background)
@@ -458,9 +452,9 @@ def stability_verdicts(cfg: RunConfig, traj, report, verdicts: dict) -> None:
         verdicts["stationary"] = True
         return
     verdicts["stationary"] = False
-    L = cfg.interval_length
-    beta = cfg.beta if cfg.beta is not None else float(np.exp(L * report.gap / 4.0))
-    if times[-1] >= 3.0 * L:
+    L = stability.INTERVAL_LENGTH
+    if cfg.t_end >= 3.0 * L:
+        beta = float(np.exp(L * report.gap / 4.0))
         windows = [[nv for t, nv in zip(times, norms) if i * L <= t <= (i + 1) * L]
                    for i in range(3)]
         if all(windows):
@@ -513,17 +507,14 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
             verdicts["entropy_final"] = recs[-1].W
 
         stage = "gauge"
-        if cfg.reconstruct and cfg.kind == "grid":
-            same_flow = (cfg.variant == "deturck" and np.isinf(cfg.tau)
-                         and not cfg.couple_potential)
-            disc, energy_records = gauge_reconstruction(
-                cfg, deturck_traj=traj if same_flow else None)
+        if cfg.reconstruct:
+            disc, energy_records = gauge_reconstruction(cfg, traj)
             verdicts["gauge_discrepancy"] = disc
             with open(traj_path, "a") as fh:
                 for er in energy_records:
                     fh.write(json.dumps({"kind": "gauge", "t": er.t,
                                          "e_sup": er.e_sup, "E": er.E}) + "\n")
-        if cfg.fix_divergence and cfg.kind == "grid":
+        if cfg.fix_divergence:
             final = traj.states[-1].model
             phi = gauge.divergence_gauge_fix(final, flat_background(cfg))
             verdicts["divergence_residual"] = gauge.gauge_residual(final, phi)

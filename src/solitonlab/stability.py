@@ -33,6 +33,9 @@ from .errors import InsufficientDataError, RejectedInputError
 from .geometry import FrameModel, GridModel, require_flat, sym_components
 
 NOISE_FLOOR = 1e-12
+# the window length L of the interval lemmas: they hold for every L > 0, and
+# L = 1 makes alpha = e^{gap} and beta = e^{gap/4}
+INTERVAL_LENGTH = 1.0
 # central-difference step of ``linearize_flow_rhs``, and the component coupling
 # it takes for finite-difference noise (about 1e-11 relative at this step);
 # ungauged flows couple at O(1)
@@ -209,18 +212,17 @@ def default_neutral_tolerance(op: FourierOperator) -> float:
     return float(np.min(mags[mags > 1e-10]) / 10.0)
 
 
-def spectrum(op: FourierOperator, eps_neutral: Optional[float] = None) -> SpectralReport:
-    """Eigenvalues with neutral-band classification: the symbol repeated once
-    per component, sorted."""
-    if eps_neutral is None:
-        eps_neutral = default_neutral_tolerance(op)
+def spectrum(op: FourierOperator) -> SpectralReport:
+    """Eigenvalues with neutral-band classification at
+    ``default_neutral_tolerance``: the symbol repeated once per component,
+    sorted."""
+    eps_neutral = default_neutral_tolerance(op)
     vals = np.sort(np.repeat(op.symbol.ravel(), op.ncomp))
     labels = _labels(vals, eps_neutral)
     n_grow = int(np.sum(labels == 1))
     n_decay = int(np.sum(labels == -1))
     n_neutral = len(vals) - n_grow - n_decay
-    outside = np.abs(vals)[np.abs(vals) > eps_neutral]
-    gap = float(np.min(outside)) if outside.size else np.inf
+    gap = float(np.min(np.abs(vals)[np.abs(vals) > eps_neutral]))
     return SpectralReport(eigenvalues=vals, eps_neutral=float(eps_neutral),
                           n_grow=n_grow, n_neutral=n_neutral, n_decay=n_decay, gap=gap,
                           symbol=op.symbol)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from solitonlab import cli, flows, geometry, harness, stability
+from solitonlab import cli, flows, gauge, geometry, harness, stability
 from solitonlab.errors import InsufficientDataError, RejectedInputError
 from solitonlab.geometry import FrameModel, GridModel
 from solitonlab.harness import RunConfig
@@ -108,21 +108,40 @@ def test_parse_rejects_unknown_section_and_key():
     ("[stability]\nbeta = inf\n", "stability.beta"),
     ("[stability]\ninterval_length = inf\n", "stability.interval_length"),
     ("[model]\nseed = -1\n", "model.seed"),
+    ("[model]\nkind = frame\nrecipe = round\ncoefficients = 1,2,3\n", "model.coefficients"),
+    ("[model]\nkind = frame\nrecipe = berger\n[gauge]\nreconstruct = true\n",
+     "gauge.reconstruct"),
+    ("[model]\nkind = frame\nrecipe = berger\n[gauge]\nfix_divergence = true\n",
+     "gauge.fix_divergence"),
 ])
 def test_field_precise_validation(snippet, field):
-    with pytest.raises(RejectedInputError, match=field.replace(".", r"\.")):
+    with pytest.raises(RejectedInputError, match=field.replace(".", r"\.")) as err:
         harness.parse_config(snippet)
+    if field in REMOVED_KEYS:  # the stability stage derives them: no such key
+        assert str(err.value) == f"{field}: unknown key"
 
 
-def test_auto_fields_round_trip():
-    cfg = harness.parse_config("[stability]\neps_neutral = auto\nbeta = 1.5\n")
-    assert cfg.eps_neutral is None
-    assert cfg.beta == 1.5
-    assert harness.parse_config(harness.serialize_config(cfg)) == cfg
+# keys of the stability stage whose values it now derives: eps_neutral from
+# the symbol, beta from the gap, interval_length as stability.INTERVAL_LENGTH
+REMOVED_KEYS = ("stability.eps_neutral", "stability.beta", "stability.interval_length")
 
 
-THREE_D_CONFIG = ("[model]\ndims = 8,8,8\nperiod = 6.0,6.5,7.0\n[flow]\ntau = 2.5\n"
-                  "[stability]\neps_neutral = 1e-3\nbeta = 1.5\ninterval_length = 0.25\n")
+@pytest.mark.parametrize("field", REMOVED_KEYS)
+@pytest.mark.parametrize("command", ["run", "spectrum"])
+def test_a_removed_stability_key_exits_2_as_unknown(tmp_path, monkeypatch, capsys,
+                                                    command, field):
+    """A config that still sets eps_neutral, beta or interval_length is
+    rejected as an unknown key before any stage runs."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    key = field.split(".")[1]
+    cfg = _write_config(tmp_path, GRID_CONFIG.replace("analyze = true",
+                                                      f"analyze = true\n{key} = 1.5"))
+    assert cli.main([command, cfg]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: {field}: unknown key\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.ini"]
+
+
+THREE_D_CONFIG = ("[model]\ndims = 8,8,8\nperiod = 6.0,6.5,7.0\n[flow]\ntau = 2.5\n")
 BERGER_AUDIT = RunConfig(kind="frame", recipe="berger", coefficients=(4.4, 4.0, 3.7),
                          variant="tau", tau=1.0, dt=1e-3, t_end=0.05, sample_every=10,
                          couple_potential=True, analyze=False, name="frame-audit")
@@ -160,21 +179,20 @@ def test_config_text_and_digest_are_stable():
         "[flow]\nvariant = deturck\ntau = inf\ndt = 0.01\nt_end = 0.05\n"
         "sample_every = 1\ncouple_potential = false\n"
         "[gauge]\nreconstruct = false\nfix_divergence = false\n"
-        "[stability]\nanalyze = true\neps_neutral = auto\ninterval_length = 1.0\n"
-        "beta = auto\n[output]\nroot = runs\nname = smoke\n")
+        "[stability]\nanalyze = true\n[output]\nroot = runs\nname = smoke\n")
     expected = {  # name: (config text, digest, _format_hash)
-        "grid": (GRID_CONFIG, "5e2d3cadd2bc1c83", "75a85009b5595ec3"),
-        "readme": (README_CONFIG, "02cf6a89501185bd", "dad2f5ea2aa64af8"),
-        "3-D": (THREE_D_CONFIG, "84ae8e5e8c506ed4", "c3953fb8cfa6a226"),
-        "empty": ("", "f51084d726afe4f3", "8d857ea4dd90b626"),
+        "grid": (GRID_CONFIG, "0183ebc5b7891062", "5a8a77310efa3823"),
+        "readme": (README_CONFIG, "430825f4e2b09ccb", "652bfd0b3227c159"),
+        "3-D": (THREE_D_CONFIG, "ccea1c006d06b801", "31da30cdbd4447dc"),
+        "empty": ("", "929a8fe74d1a6ce1", "28f7f1ad9053b82e"),
     }
     for name, (text, digest, text_hash) in expected.items():
         cfg = harness.parse_config(text)
         assert (cfg.digest(), _format_hash([cfg])) == (digest, text_hash), name
     assert (BERGER_AUDIT.digest(), _format_hash([BERGER_AUDIT])) == (
-        "1ce71d09817aaa0a", "a5d5b6b9be2c05e0")
+        "40273bf2c407c2f5", "e39492ea032f918c")
     bench = _perfbench_configs()
-    assert len(bench) == 110 and _format_hash(bench) == "2b3fa0b73f649226"
+    assert len(bench) == 110 and _format_hash(bench) == "a881888d3636fa10"
 
 
 def test_schema_lists_every_config_field_once():
@@ -204,7 +222,7 @@ def test_build_frame_models():
     m = harness.build_model(cfg)
     assert isinstance(m, FrameModel)
     assert np.allclose(m.a, (1.2, 1.0, 0.7))
-    cfg = RunConfig(kind="frame", recipe="round", coefficients=(4.0, 1.0, 1.0))
+    cfg = RunConfig(kind="frame", recipe="round", coefficients=(4.0, 4.0, 4.0))
     assert np.allclose(harness.build_model(cfg).a, 4.0)
 
 
@@ -617,7 +635,7 @@ def test_run_experiment_frame_entropy_audit(tmp_path, monkeypatch):
 def test_run_experiment_records_failed_stage(tmp_path, monkeypatch):
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
     # frame models have no reference background: the deturck variant must fail
-    cfg = RunConfig(kind="frame", recipe="round", coefficients=(4.0, 1.0, 1.0),
+    cfg = RunConfig(kind="frame", recipe="round", coefficients=(4.0, 4.0, 4.0),
                     variant="deturck", analyze=False, name="doomed")
     with pytest.raises(RejectedInputError):
         harness.run_experiment(cfg)
@@ -647,13 +665,27 @@ def test_readme_run_records_the_two_interval_decay(tmp_path, monkeypatch):
     assert verdicts["rate"] is not None
 
 
+@pytest.mark.parametrize("dt", [0.05, 0.02, 0.01])
+def test_a_run_to_3L_records_both_interval_verdicts(tmp_path, monkeypatch, dt):
+    """Whether a run reaches 3L is read off its t_end, not off the float sum
+    of its steps: at dt 0.05 and 0.01 the last sample's t falls just short
+    of 3.0, at dt 0.02 just above it, and all three record both verdicts."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    text = GRID_CONFIG.replace("dt = 0.01", f"dt = {dt!r}").replace(
+        "t_end = 0.05", "t_end = 3.0\nsample_every = 3")
+    verdicts = harness.run_experiment(harness.parse_config(text)).verdicts
+    assert verdicts["two_interval"] in ("growth", "decay", "neither")
+    assert verdicts["three_interval"] in ("growth-propagates", "decay-propagates", "violation")
+
+
 def test_interval_window_without_a_sample_records_null_verdicts(tmp_path, monkeypatch, capsys):
-    """Samples 0.1 apart leave [0.03, 0.06] empty: null verdicts and exit 0,
-    as the rate is null when data are insufficient, not a traceback."""
+    """Samples 2.2 apart (t = 0, 2.2, 4.4, ...) leave [0, 1] with one sample
+    and [1, 2] with none at L = 1: null verdicts and exit 0, as the rate is
+    null when data are insufficient, not a traceback."""
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
     config = tmp_path / "windows.ini"
-    config.write_text("[model]\ndims = 8,8\n[flow]\ndt = 0.02\nt_end = 1.0\nsample_every = 5\n"
-                      "[stability]\ninterval_length = 0.03\n")
+    config.write_text("[model]\ndims = 8,8\n[flow]\ndt = 0.05\nt_end = 17.6\n"
+                      "sample_every = 44\n")
     assert cli.main(["run", str(config)]) == cli.EXIT_OK
     verdicts = json.loads(capsys.readouterr().out.split("\nrecord: ")[0])
     assert verdicts["three_interval"] is None and verdicts["two_interval"] is None
@@ -705,14 +737,59 @@ def test_gauge_reconstruction_verdict(tmp_path, monkeypatch):
 
     monkeypatch.setattr(flows, "run_flow", counted)
     record = harness.run_experiment(cfg)
-    # the gauge stage reuses the pipeline's DeTurck trajectory
+    # the gauge stage pairs the run's DeTurck trajectory with its tau-flow
     assert variants == ["deturck", "tau"]
     assert 0.0 <= record.verdicts["gauge_discrepancy"] < 1e-3
-    disc, _ = harness.gauge_reconstruction(cfg)
-    assert variants[2:] == ["tau", "deturck"]
+    disc, _ = harness.gauge_reconstruction(cfg, harness.load_trajectory(record.trajectory_path))
+    assert variants[2:] == ["tau"]
     assert record.verdicts["gauge_discrepancy"] == disc
     lines = [json.loads(l) for l in open(record.trajectory_path)]
     assert any(rec["kind"] == "gauge" for rec in lines)
+
+
+GAUGE_16 = ("[model]\ndims = 16,16\n[flow]\nvariant = {variant}\ntau = {tau}\ndt = 0.01\n"
+            "t_end = 0.5\nsample_every = 5\n[gauge]\nreconstruct = true\n"
+            "[stability]\nanalyze = false\n[output]\nname = {variant}\n")
+
+
+@pytest.mark.parametrize("tau", ["0.5", "inf"])
+def test_the_gauge_stage_pairs_the_run_with_its_partner_at_its_tau(tmp_path, monkeypatch,
+                                                                    capsys, tau):
+    """A DeTurck run and a tau-flow run at one tau integrate the same pair of
+    flows, two ``run_flow`` calls each, and record the discrepancy of that
+    pair computed straight from ``gauge``; ``gauge-check`` prints it too.
+    Pairing the tau = inf tau-flow with a tau = 0.5 DeTurck flow would give
+    1.73: the pair must share the run's tau."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    run_flow = flows.run_flow
+    calls = []
+    monkeypatch.setattr(flows, "run_flow", lambda *a, **k: calls.append(a[1]) or run_flow(*a, **k))
+    discs = {}
+    for variant, partner in (("deturck", "tau"), ("tau", "deturck")):
+        calls.clear()
+        config = _write_config(tmp_path, GAUGE_16.format(variant=variant, tau=tau))
+        discs[variant] = harness.run_experiment(_load(config)).verdicts["gauge_discrepancy"]
+        assert calls == [variant, partner]
+        assert cli.main(["gauge-check", config]) == cli.EXIT_OK
+        assert f"{discs[variant]:.6e}" in capsys.readouterr().out.splitlines()[0]
+    assert discs["deturck"] == discs["tau"]
+
+    cfg = _load(_write_config(tmp_path, GAUGE_16.format(variant="tau", tau=tau)))
+    h = harness.flat_background(cfg)
+    model0 = harness.build_model(cfg)
+    ricci = run_flow(model0, "tau", cfg.tau, cfg.dt, cfg.t_end, sample_every=5)
+    det = run_flow(model0, "deturck", cfg.tau, cfg.dt, cfg.t_end, background=h, sample_every=5)
+    gt = gauge.run_harmonic_gauge(flows.MetricInterpolant(ricci), h,
+                                  np.zeros(h.dims + (h.n,)), 0.0, cfg.t_end, cfg.dt)
+    sub = gauge.GaugeTrajectory(h=h)
+    sub.times, sub.F = gt.times[::5], gt.F[::5]
+    assert float(np.max(gauge.gauge_equivalence_check(ricci, det, sub))) == discs["tau"]
+    expected = {"0.5": 1.2113029299656852e-3, "inf": 7.636696362019451e-4}[tau]
+    assert abs(discs["tau"] - expected) <= 1e-12 * expected
+
+
+def _load(path):
+    return harness.parse_config(Path(path).read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +880,7 @@ def test_cli_frame_overflow_exits_numerical(tmp_path, monkeypatch, capsys):
     """A tau so small that the first step overflows to NaN coefficients is a
     rejected step (exit 3), not a run that ends in exit 0 on a NaN trajectory."""
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
-    text = ("[model]\nkind = frame\nrecipe = round\ncoefficients = 4,1,1\n"
+    text = ("[model]\nkind = frame\nrecipe = round\ncoefficients = 4,4,4\n"
             "[flow]\nvariant = tau\ntau = 1e-300\ndt = 0.01\nt_end = 0.02\n")
     with np.errstate(all="ignore"):
         assert cli.main(["run", _write_config(tmp_path, text)]) == cli.EXIT_NUMERICAL
@@ -873,6 +950,30 @@ def test_cli_plot_rejects_a_malformed_index(tmp_path, monkeypatch, capsys):
             harness.load_trajectory(index)
 
 
+@pytest.mark.parametrize("kind,quantity", [("sample", "norm"), ("gauge", "energy")])
+def test_index_lines_out_of_time_order_are_rejected_naming_the_line(tmp_path, monkeypatch,
+                                                                    capsys, kind, quantity):
+    """Two sample lines, or two gauge lines, swapped: ``load_trajectory`` and
+    ``plot`` reject the index naming the file and the later line of the pair
+    (exit 2), rather than a bare error or an unsorted table."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    cfg = harness.parse_config(GRID_CONFIG.replace("analyze = true", "analyze = false")
+                               + "[gauge]\nreconstruct = true\n")
+    record = harness.run_experiment(cfg)
+    record_path = str(Path(record.trajectory_path).parent / "record.json")
+    index = Path(record.trajectory_path)
+    lines = index.read_text().splitlines(keepends=True)
+    first = [json.loads(line)["kind"] for line in lines].index(kind)
+    lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    index.write_text("".join(lines))
+    message = f"{index}, line {first + 2}: t = "
+    with pytest.raises(RejectedInputError, match=re.escape(message)):
+        harness.load_trajectory(index)
+    assert cli.main(["plot", record_path, quantity]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"validation error: {message}")
+    assert not (index.parent / f"plot-{quantity}.dat").exists()
+
+
 def test_cli_spectrum_and_plot(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
     cfg_path = _write_config(tmp_path, GRID_CONFIG)
@@ -889,20 +990,6 @@ def test_cli_spectrum_and_plot(tmp_path, monkeypatch, capsys):
     assert cli.main(["plot", record_path, "norm"]) == cli.EXIT_OK
     plot_path = capsys.readouterr().out.strip()
     assert plot_path.endswith("plot-norm.dat")
-
-
-def test_an_eps_neutral_that_leaves_no_gap_is_rejected(tmp_path, monkeypatch, capsys):
-    """An eps_neutral above every eigenvalue's magnitude leaves no spectral
-    gap: ``spectrum`` and ``run`` reject it by name (exit 2) rather than
-    print an infinite gap or a NaN rate deviation."""
-    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
-    cfg = _write_config(tmp_path, GRID_CONFIG.replace("analyze = true",
-                                                      "analyze = true\neps_neutral = 1e6"))
-    for command in ("spectrum", "run"):
-        assert cli.main([command, cfg]) == cli.EXIT_VALIDATION
-        assert "validation error: stability.eps_neutral" in capsys.readouterr().err
-    record, = tmp_path.glob("smoke-*/record.json")
-    assert json.loads(record.read_text())["verdicts"]["failed_stage"] == "stability"
 
 
 BERGER_ENTROPY = ("[model]\nkind = frame\nrecipe = berger\ncoefficients = {}\n"
@@ -994,13 +1081,14 @@ def test_unnormalized_variant_is_rejected_by_run_and_entropy(tmp_path, monkeypat
     assert list(tmp_path.glob("*/record.json")) == []
 
 
-def test_cli_gauge_check(tmp_path, capsys):
+def test_cli_gauge_check(tmp_path, monkeypatch, capsys):
     grid = _write_config(tmp_path, GRID_CONFIG.replace("dims = 8,8", "dims = 16,16"))
     assert cli.main(["gauge-check", grid]) == cli.EXIT_OK
     first = capsys.readouterr().out.splitlines()[0]
     assert first.startswith("max sup-discrepancy")
     assert np.isfinite(float(first.split(":")[-1]))
     frame = _write_config(tmp_path, BERGER_ENTROPY.format("4.4,4.0,3.7", 0.1))
+    monkeypatch.setattr(flows, "run_flow", None)  # a frame is rejected before any flow
     assert cli.main(["gauge-check", frame]) == cli.EXIT_VALIDATION
     assert "model.kind" in capsys.readouterr().err
 

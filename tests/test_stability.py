@@ -397,7 +397,8 @@ def test_linearized_flow_matches_the_dense_oracle(monkeypatch, make, n, tau):
     op = stability.linearize_flow_rhs(h, "deturck", tau, reference=h)
     oracle = _dense_flow_linearization(h, "deturck", tau, reference=h)
     eps = stability.default_neutral_tolerance(op)
-    report = stability.spectrum(op, eps)
+    report = stability.spectrum(op)
+    assert report.eps_neutral == eps
     # symmetric up to the finite-difference noise
     assert np.max(np.abs(oracle - oracle.T)) < 1e-8
     dense = np.linalg.eigvalsh(0.5 * (oracle + oracle.T))
