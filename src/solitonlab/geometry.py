@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -182,19 +183,40 @@ def twin(m):
 def validate_spd(g: np.ndarray) -> float:
     """Reject a metric field with a non-SPD or near-degenerate node.
 
-    One eigendecomposition per node serves every check; returns the smallest
-    eigenvalue over all nodes.
+    Symmetry is ``np.allclose(g, g^T)``, tested on the off-diagonal pairs in
+    both orders.  In 2-D the checks read the lower triangle, as ``eigvalsh``
+    does, in closed form: the determinant a d - b^2, positivity by Sylvester's
+    criterion (a > 0 once the determinant is), and the smallest eigenvalue as
+    det / lambda_max with lambda_max = (a + d)/2 + sqrt(((a - d)/2)^2 + b^2),
+    which cancels nothing.  In 3-D one ``eigvalsh`` per node serves every
+    check.  Returns the smallest eigenvalue over all nodes.
     """
     if not np.all(np.isfinite(g)):
         raise RejectedInputError("metric field contains non-finite entries")
-    if not np.allclose(g, np.swapaxes(g, -1, -2)):
-        raise RejectedInputError("metric field is not symmetric")
-    eigs = np.linalg.eigvalsh(g)
-    if np.any(np.prod(eigs, axis=-1) < DET_FLOOR):
+    for i, j in combinations(range(g.shape[-1]), 2):
+        upper, lower = g[..., i, j], g[..., j, i]
+        # np.isclose(x, y) is |x - y| <= 1e-8 + 1e-5 |y|: both orders at once
+        if not np.all(np.abs(upper - lower)
+                      <= 1e-8 + 1e-5 * np.minimum(np.abs(upper), np.abs(lower))):
+            raise RejectedInputError("metric field is not symmetric")
+    if g.shape[-1] == 2:
+        a, b, d = g[..., 0, 0], g[..., 1, 0], g[..., 1, 1]
+        det = a * d - b * b
+        definite = a > 0
+        half_diff = 0.5 * (a - d)
+        # a node where lambda_max is 0 has det 0, which the floor rejects first
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam_min = det / (0.5 * (a + d) + np.sqrt(half_diff * half_diff + b * b))
+    else:
+        eigs = np.linalg.eigvalsh(g)
+        det = np.prod(eigs, axis=-1)
+        definite = eigs[..., 0] > 0
+        lam_min = eigs[..., 0]
+    if np.any(det < DET_FLOOR):
         raise RejectedInputError("metric determinant below degeneracy floor")
-    if np.any(eigs[..., 0] <= 0):
+    if not np.all(definite):
         raise RejectedInputError("metric is not positive definite at some node")
-    return float(np.min(eigs[..., 0]))
+    return float(np.min(lam_min))
 
 
 def require_flat(h: GridModel) -> None:
@@ -264,7 +286,81 @@ def hessian(m: GridModel, f: np.ndarray) -> np.ndarray:
 
 
 def inverse_metric(m: GridModel) -> np.ndarray:
-    return np.linalg.inv(m.g)
+    """Inverse metric g^{ij} per node: a closed form in 2-D, ``np.linalg.inv`` in 3-D.
+
+    ``np.linalg.inv`` solves g X = I with LAPACK ``dgesv``: an LU factorization
+    with partial pivoting, then forward and back substitution that multiply by
+    the reciprocal pivots.  In 2-D, where no row is swapped, this repeats that
+    arithmetic in closed form, operation by operation, and rounds the last
+    update of the back substitution once (``_fma``).  That is IEEE arithmetic,
+    the same on every machine.  It gives ``np.linalg.inv``'s bits where the
+    BLAS ``dtrsm`` kernel contracts that update into a fused multiply-add, as
+    OpenBLAS 0.3.31's SkylakeX kernel does (numpy 2.4); ``tests/test_geometry.py``
+    checks the equality where it runs on that build.  A node where pivoting
+    would swap rows, a pivot is zero or the result is not finite goes through
+    ``np.linalg.inv`` itself, which raises ``LinAlgError`` on an exactly
+    singular node.
+    """
+    g = m.g
+    if m.n != 2:
+        return np.linalg.inv(g)
+    x = np.empty(g.shape)
+    a00, a01, a10, a11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    with np.errstate(all="ignore"):
+        r0 = 1.0 / a00
+        l10 = a10 * r0
+        r1 = 1.0 / (a11 - l10 * a01)
+        x[..., 1, 0] = x10 = (0.0 - l10) * r1
+        x[..., 1, 1] = r1
+        x[..., 0, 1] = (0.0 - a01 * r1) * r0
+        x[..., 0, 0] = _fma(-x10, a01, 1.0) * r0
+    # partial pivoting keeps a row unless the one below is larger in magnitude
+    ok = (np.abs(a10) <= np.abs(a00)) & np.isfinite(x).all(axis=(-2, -1))
+    if not ok.all():
+        x[~ok] = np.linalg.inv(g[~ok])
+    return x
+
+
+# Veltkamp's splitting constant 2^27 + 1: splits a double into two halves of
+# at most 26 bits, whose pairwise products are exact
+_SPLIT = 134217729.0
+
+
+def _fma(a, b, c):
+    """``a * b + c`` rounded once, as a hardware fused multiply-add rounds it.
+
+    p = a * b rounded lies within ulp(p)/2 <= |p| 2^-52 of the exact product,
+    and rounding is monotone: where c + p rounds to the same float with p
+    moved by |p| 2^-52 either way, so does a b + c, and the plain c + p is the
+    answer.  Elsewhere, Dekker's TwoProduct (Veltkamp's split) and Knuth's
+    TwoSum write a b + c = s + r + e exactly; s + (r + e), with the inner sum
+    rounded to odd, is then the correctly rounded result (Boldo and Melquiond,
+    IEEE Trans. Comput. 57, 2008).  Rounding r + e to nearest instead can round
+    a near-tie of s + r + e to a tie, which then breaks to even, the wrong way.
+    Exact unless a product overflows (the result is then not finite) or a
+    nonzero one falls below 2^-969 while c is as small.
+    """
+    p = a * b
+    s = c + p
+    d = p * 2.0**-52
+    if np.all(c + (p - d) == c + (p + d)):
+        return s
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # a b - p
+    z = s - c
+    r = (c - (s - z)) + (p - z)  # c + p - s
+    v = r + e
+    z = v - r
+    w = (r - (v - z)) + (e - z)  # r + e - v
+    # round to odd: truncate v toward zero, then set its last bit if inexact
+    inexact = w != 0
+    bits = v.view(np.int64) - (inexact & np.signbit(v * w))  # the sign of v w, zero or not
+    return s + (bits | inexact).view(np.float64)
 
 
 def christoffel(m: GridModel) -> np.ndarray:

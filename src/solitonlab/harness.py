@@ -437,7 +437,9 @@ def stability_verdicts(cfg: RunConfig, traj, report, verdicts: dict) -> None:
     the three-interval dichotomy over [0, L], [L, 2L], [2L, 3L] at
     beta = e^{L gap / 4} and the two-interval lemma (``"growth"``, ``"decay"``
     or ``"neither"`` at delta = the gap) over the first two windows; both are
-    null when a window holds no sample.  Each verdict goes into ``verdicts``
+    null when a window holds no sample.  A sample belongs to the windows that
+    hold its step index, so one at L or 2L ends one window and starts the
+    next.  Each verdict goes into ``verdicts``
     as soon as it is known, so a failure keeps those before it."""
     background = flat_background(cfg)
     final = traj.states[-1].model
@@ -455,7 +457,13 @@ def stability_verdicts(cfg: RunConfig, traj, report, verdicts: dict) -> None:
     L = stability.INTERVAL_LENGTH
     if cfg.t_end >= 3.0 * L:
         beta = float(np.exp(L * report.gap / 4.0))
-        windows = [[nv for t, nv in zip(times, norms) if i * L <= t <= (i + 1) * L]
+        # windows by step index, not by the float sum of the steps, which can
+        # put a shared sample at t = L or 2L past the end of the earlier window;
+        # a window end that is a whole number of steps to 1e-9 includes it
+        steps = np.rint(times / cfg.dt)
+        per_window = L / cfg.dt
+        windows = [[nv for k, nv in zip(steps, norms)
+                    if (i - 1e-9) * per_window <= k <= (i + 1 + 1e-9) * per_window]
                    for i in range(3)]
         if all(windows):
             verdicts["three_interval"] = stability.three_interval_test(*windows, beta)

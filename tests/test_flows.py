@@ -174,21 +174,22 @@ def test_step_matches_the_classical_rk4_formula():
 
 
 def test_grid_step_decomposes_each_metric_once(monkeypatch):
-    """An accepted DeTurck step inverts each stage metric once and decomposes
+    """An accepted DeTurck step inverts each stage metric once and validates
     only its result: the SPD check keeps the smallest eigenvalue that the
-    next step's CFL bound reads."""
+    next step's CFL bound reads.  In 2-D both are closed forms, and LAPACK
+    inverts no node of an unpivoted metric."""
     rhs = flows.make_metric_rhs("deturck", np.inf, GridModel.flat(2, (8, 8)))
     state = FlowState(t=0.0, model=_wavy_grid(2, (8, 8)), tau=np.inf)
     calls = Counter()
-    for owner, name in ((geometry, "inverse_metric"), (np.linalg, "eigvalsh"),
-                        (np.linalg, "det")):
+    for owner, name in ((geometry, "inverse_metric"), (geometry, "validate_spd"),
+                        (np.linalg, "eigvalsh"), (np.linalg, "inv"), (np.linalg, "det")):
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     for n_steps in (1, 2):
         state = flows.step(state, rhs, 0.01)
-        assert calls == {"eigvalsh": n_steps, "inverse_metric": 4 * n_steps}
+        assert calls == {"validate_spd": n_steps, "inverse_metric": 4 * n_steps}
 
 
 def test_coupled_frame_step_derives_each_ricci_once(monkeypatch):

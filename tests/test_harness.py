@@ -669,13 +669,24 @@ def test_readme_run_records_the_two_interval_decay(tmp_path, monkeypatch):
 def test_a_run_to_3L_records_both_interval_verdicts(tmp_path, monkeypatch, dt):
     """Whether a run reaches 3L is read off its t_end, not off the float sum
     of its steps: at dt 0.05 and 0.01 the last sample's t falls just short
-    of 3.0, at dt 0.02 just above it, and all three record both verdicts."""
+    of 3.0, at dt 0.02 just above it, and all three record both verdicts.
+    The windows are chosen by step index too: the samples at t = L and 2L,
+    whose float times lie a few ulps past them (2L is 2.0000000000000013 at
+    dt 0.02 and 0.01), end one window and start the next."""
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    seen = []
+    real = stability.three_interval_test
+    monkeypatch.setattr(stability, "three_interval_test",
+                        lambda *args: seen.append(args[:3]) or real(*args))
     text = GRID_CONFIG.replace("dt = 0.01", f"dt = {dt!r}").replace(
-        "t_end = 0.05", "t_end = 3.0\nsample_every = 3")
+        "t_end = 0.05", "t_end = 3.0\nsample_every = 5")
     verdicts = harness.run_experiment(harness.parse_config(text)).verdicts
     assert verdicts["two_interval"] in ("growth", "decay", "neither")
     assert verdicts["three_interval"] in ("growth-propagates", "decay-propagates", "violation")
+    (windows,) = seen
+    per_window = round(stability.INTERVAL_LENGTH / dt) // 5 + 1
+    assert [len(w) for w in windows] == [per_window] * 3
+    assert windows[0][-1] == windows[1][0] and windows[1][-1] == windows[2][0]
 
 
 def test_interval_window_without_a_sample_records_null_verdicts(tmp_path, monkeypatch, capsys):
