@@ -8,10 +8,11 @@ coupled potential equation rides along.  Time stepping is classical RK4
 ``reparametrize`` translates a finite-tau trajectory to tau = inf (one way).
 
 The DeTurck right-hand side makes one geometry pass per evaluation: the
-model derives g^{-1}, Gamma(g) and Ricci once, and both Ricci and the gauge
-field V read them; the background's Gamma(h) is derived once per
-``make_metric_rhs``.  Trajectory states carry metrics only: diagnostics read
-the geometry of a throwaway twin of each sampled model.
+model derives g^{-1}, Gamma(g) and Ricci once, component-major (see
+``geometry``), and both Ricci and the gauge field V read them; the
+background's Gamma(h) is derived once per ``make_metric_rhs``.  Trajectory
+states carry metrics only: diagnostics read the geometry of a throwaway twin
+of each sampled model.
 
 ``MetricInterpolant`` (the metric in time, for the gauge stage and the
 reparametrization) is a not-a-knot cubic spline written here rather than
@@ -30,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import entropy, gauge, geometry
-from .errors import RejectedInputError, StepRejectedError
+from .errors import NumericalFailureError, RejectedInputError, StepRejectedError
 from .geometry import FrameModel, GridModel
 
 CFL_FACTOR = 0.2
@@ -213,10 +214,10 @@ def rhs_deturck(m: GridModel, h: GridModel, tau: float):
     L_V g is ``gauge.p_operator``, with V from ``gauge.deturck_vector``.
     ``tau = inf`` gives the unnormalized variant (no g/tau term).
     """
-    out = -2.0 * geometry.ricci(m) + gauge.p_operator(m, h)
+    out = -2.0 * m.ric_cm + gauge.p_operator(m, h)
     if np.isfinite(tau):
-        out = out + m.g / tau
-    return out
+        out = out + m.g_cm / tau
+    return geometry.node_major(out, 2)
 
 
 def rhs_potential(f, model, tau: float):
@@ -238,7 +239,7 @@ def make_metric_rhs(variant: str, tau: float, background: Optional[GridModel] = 
     if variant == "deturck":
         if background is None:
             raise RejectedInputError("deturck flow needs a reference background")
-        background.gamma  # derive Gamma(h) now, once for every evaluation
+        background.gamma_cm  # derive Gamma(h) now, once for every evaluation
         return lambda model: rhs_deturck(model, background, tau)
     raise RejectedInputError(f"unknown flow variant {variant!r}")
 
@@ -273,9 +274,12 @@ def cfl_bound(model) -> float:
 def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
     """One classical RK4 step of the metric (and the potential, if coupled).
 
-    A stage or result metric outside the SPD cone (a non-SPD grid metric, a
-    frame coefficient <= 0, a stage metric too singular to invert) raises
-    ``StepRejectedError`` so the caller can halve dt.  Coupling follows
+    A stage or result metric outside the SPD cone raises ``StepRejectedError``
+    so the caller can halve dt: a frame coefficient <= 0, a stage metric too
+    singular to invert, a grid stage metric with a leading principal minor
+    <= 0 at some node (``geometry.leading_minors_positive``, checked after
+    the stage's velocity, so that a singular stage is reported as such), or
+    a result metric that fails ``validate_spd``.  Coupling follows
     ``state.f``: a potential is advanced alongside, then re-normalized.
     """
     bound = cfl_bound(state.model)
@@ -290,11 +294,15 @@ def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
             raise StepRejectedError(
                 f"step to t = {state.t + dt} left the SPD cone: {exc}") from exc
 
-    def velocity(_, y):
+    def velocity(c, y):
         model = model_at(y[0])
+        out = (metric_rhs(model),)
         if coupled:
-            return metric_rhs(model), rhs_potential(y[1], model, state.tau)
-        return (metric_rhs(model),)
+            out += (rhs_potential(y[1], model, state.tau),)
+        if isinstance(model, GridModel) and not geometry.leading_minors_positive(model):
+            raise StepRejectedError(f"step to t = {state.t + dt}: the stage metric at "
+                                    f"t = {state.t + c * dt} is not positive definite")
+        return out
 
     y0 = (_metric_array(state.model), state.f) if coupled else (_metric_array(state.model),)
     try:
@@ -303,8 +311,19 @@ def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
         raise StepRejectedError(
             f"step to t = {state.t + dt} met a singular stage metric: {exc}") from exc
     model1 = model_at(y1[0], validate=True)
-    f1 = entropy.normalize_f(geometry.twin(model1), y1[1], state.tau) if coupled else None
+    f1 = _potential_at(state.t + dt, entropy.normalize_f, geometry.twin(model1), y1[1],
+                       state.tau) if coupled else None
     return FlowState(t=state.t + dt, model=model1, tau=state.tau, f=f1)
+
+
+def _potential_at(t: float, fn: Callable, *args):
+    """``fn(*args)``, the potential of the flow state at ``t``; a
+    ``NumericalFailureError`` it raises (an overflowed frame volume) is raised
+    again naming t."""
+    try:
+        return fn(*args)
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(f"the potential at t={t:.6g}: {exc}") from exc
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -331,7 +350,8 @@ def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
     """
     n_steps = step_count(t_end, dt)
     metric_rhs = make_metric_rhs(variant, tau, background)
-    f0 = entropy.constant_potential(geometry.twin(model0), tau) if couple_f else None
+    f0 = _potential_at(0.0, entropy.constant_potential, geometry.twin(model0),
+                       tau) if couple_f else None
     state = FlowState(t=0.0, model=model0, tau=tau, f=f0)
     traj = Trajectory(convention=variant)
     traj.append(state, _diagnose(state, background))

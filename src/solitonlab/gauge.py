@@ -94,12 +94,22 @@ class EnergyRecord:
 
 
 def deturck_vector(g: GridModel, h: GridModel) -> np.ndarray:
-    """V^k = g^{pq} (Gamma^k_pq(g) - Gamma^k_pq(h))."""
-    return np.einsum("...pq,...kpq->...k", g.ginv, g.gamma - h.gamma)
+    """V^k = g^{pq} (Gamma^k_pq(g) - Gamma^k_pq(h)), component-major.
+
+    Bitwise ``einsum("...pq,...kpq->...k")`` of the node-major fields: in 2-D
+    its SIMD lanes add (p, q) = (0, 0), (1, 0) and (0, 1), (1, 1) apart; its
+    order for the 9 products of 3-D is not matched, so there it runs itself.
+    """
+    if g.n == 2:
+        x = g.ginv_cm * (g.gamma_cm - h.gamma_cm)  # x[k, p, q]
+        return geometry.lane_sum([x[:, 0, 0], x[:, 0, 1], x[:, 1, 0], x[:, 1, 1]])
+    v = np.einsum("...pq,...kpq->...k", g.ginv, g.gamma - h.gamma)
+    return geometry.component_major(v, 1)
 
 
 def p_operator(g: GridModel, h: GridModel) -> np.ndarray:
-    """Standard-form gauge term nabla_i V_j + nabla_j V_i (w.r.t. g)."""
+    """Standard-form gauge term nabla_i V_j + nabla_j V_i (w.r.t. g),
+    component-major."""
     return geometry.lie_derivative_metric(g, deturck_vector(g, h))
 
 

@@ -9,24 +9,42 @@ Two backgrounds are supported:
   (the metric) on a uniform grid.  All derivative operators are second-order
   central differences with periodic wraparound.
 
-Grid fields are plain numpy arrays: scalars have shape ``dims``, vectors
-``dims + (n,)`` and symmetric 2-tensors ``dims + (n, n)``.
+Grid fields are plain numpy arrays, stored one of two ways.  Node-major
+fields put the grid axes first: scalars have shape ``dims``, vectors
+``dims + (n,)`` and symmetric 2-tensors ``dims + (n, n)``.  This is the layout
+of ``GridModel.g``, of the public derived fields ``ginv``, ``gamma`` and
+``ric``, and of every function not named below.
+
+The flow's right-hand side runs on component-major fields, which put the
+component axes first: ``(n,) + dims``, ``(n, n) + dims``, and ``(n, n, n) +
+dims`` for Christoffel symbols.  Each component is then one contiguous grid
+plane, so every elementwise operation walks a whole plane in its inner loop
+instead of the 2 or 3 entries of one node.  These are ``GridModel.g_cm``,
+``ginv_cm``, ``gamma_cm`` and ``ric_cm``, and what ``inverse_metric``,
+``christoffel``, ``lower_vector``, ``covd_oneform`` and
+``lie_derivative_metric`` take and return (and ``gauge.deturck_vector``).  The
+public ``ginv``, ``gamma`` and ``ric`` are node-major copies of them
+(``node_major``), made on first use, so the entropy, gauge, norm and
+diagnostic code reads the same bytes, and sums them in the same order, as
+before.
 
 The hot contractions over the n <= 3 component axes are sums of broadcast
 products, added in the order ``einsum`` adds them, so they equal its result
-bitwise.  A contraction that ``einsum`` adds in another order (it reduces some
-in SIMD lanes), or computes faster in its one call, stays an ``einsum``.
+bitwise.  A sum that ``einsum`` reduces along contiguous entries it adds in
+SIMD lanes (``lane_sum``); one whose order could not be matched, the 3-D
+gauge field, stays an ``einsum`` over node-major operands.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .errors import RejectedInputError
+from .errors import NumericalFailureError, RejectedInputError
 
 DET_FLOOR = 1e-12
 
@@ -88,8 +106,10 @@ class GridModel:
     ``g`` has shape ``dims + (n, n)`` and must be symmetric positive definite
     at every node.  Index arithmetic wraps modulo ``dims``.  Validation keeps
     the smallest eigenvalue of g as ``min_eig``.  The derived fields ``ginv``,
-    ``gamma``, ``ric`` and ``sqrt_det`` are computed once, on first use, and
-    are read-only: a model is never written to in place.
+    ``gamma``, ``ric`` and ``sqrt_det``, and the component-major ``g_cm``,
+    ``ginv_cm``, ``gamma_cm`` and ``ric_cm`` (see the module docstring), are
+    computed once, on first use, and are read-only: a model is never written
+    to in place.
     """
 
     n: int
@@ -128,19 +148,39 @@ class GridModel:
         return validate_spd(self.g)
 
     @cached_property
+    def g_cm(self) -> np.ndarray:
+        """The metric component-major: g_cm[i, j] is the grid plane of g_ij."""
+        return _read_only(component_major(self.g, 2))
+
+    @cached_property
+    def ginv_cm(self) -> np.ndarray:
+        """Inverse metric g^{ij}, component-major."""
+        return _read_only(inverse_metric(self))
+
+    @cached_property
+    def gamma_cm(self) -> np.ndarray:
+        """Christoffel symbols Gamma[k, i, j], component-major."""
+        return _read_only(christoffel(self))
+
+    @cached_property
+    def ric_cm(self) -> np.ndarray:
+        """Ricci tensor field, component-major."""
+        return _read_only(_ricci_grid(self))
+
+    @cached_property
     def ginv(self) -> np.ndarray:
         """Inverse metric g^{ij}."""
-        return _read_only(inverse_metric(self))
+        return _read_only(node_major(self.ginv_cm, 2))
 
     @cached_property
     def gamma(self) -> np.ndarray:
         """Christoffel symbols Gamma[..., k, i, j]."""
-        return _read_only(christoffel(self))
+        return _read_only(node_major(self.gamma_cm, 3))
 
     @cached_property
     def ric(self) -> np.ndarray:
         """Ricci tensor field."""
-        return _read_only(_ricci_grid(self))
+        return _read_only(node_major(self.ric_cm, 2))
 
     @cached_property
     def sqrt_det(self) -> np.ndarray:
@@ -170,6 +210,29 @@ class GridModel:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def component_major(a: np.ndarray, k: int) -> np.ndarray:
+    """A C-contiguous copy of the node-major field ``a`` with its ``k``
+    trailing component axes moved to the front, in order."""
+    return np.ascontiguousarray(a.transpose(_rotation(a.ndim, a.ndim - k)))
+
+
+def node_major(a: np.ndarray, k: int) -> np.ndarray:
+    """A C-contiguous copy of the component-major field ``a`` with its ``k``
+    leading component axes moved to the back: undoes ``component_major``."""
+    return np.ascontiguousarray(a.transpose(_rotation(a.ndim, k)))
+
+
+@lru_cache(maxsize=None)
+def _rotation(ndim: int, shift: int) -> tuple:
+    """The axis order that moves the first ``shift`` of ``ndim`` axes to the back."""
+    return tuple(range(shift, ndim)) + tuple(range(shift))
+
+
+def _leading(a: np.ndarray, *order) -> np.ndarray:
+    """A view of ``a`` with its leading axes permuted to ``order`` and the rest kept."""
+    return a.transpose(order + tuple(range(len(order), a.ndim)))
 
 
 def twin(m):
@@ -219,6 +282,21 @@ def validate_spd(g: np.ndarray) -> float:
     return float(np.min(lam_min))
 
 
+def leading_minors_positive(m: GridModel) -> bool:
+    """Sylvester's criterion at every node: whether the leading principal
+    minors of g, in closed form from its lower triangle, are all positive.
+    Cheaper than ``validate_spd`` and without its tolerances; a non-finite
+    entry fails it."""
+    g = m.g_cm
+    with np.errstate(over="ignore", invalid="ignore"):
+        minors = [g[0, 0], g[0, 0] * g[1, 1] - g[1, 0] * g[1, 0]]
+        if m.n == 3:
+            minors.append(g[0, 0] * (g[1, 1] * g[2, 2] - g[2, 1] * g[2, 1])
+                          - g[1, 0] * (g[1, 0] * g[2, 2] - g[2, 1] * g[2, 0])
+                          + g[2, 0] * (g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]))
+    return all(minor.min() > 0.0 for minor in minors)  # a NaN minimum compares False
+
+
 def require_flat(h: GridModel) -> None:
     """Reject a background whose metric is not the same at every node."""
     if not h.is_flat:
@@ -262,6 +340,18 @@ def partials(m: GridModel, f: np.ndarray) -> np.ndarray:
     return np.stack([d1(f, axis=l, h=hs[l]) for l in range(m.n)], axis=-1)
 
 
+def _partials_cm(m: GridModel, f: np.ndarray) -> np.ndarray:
+    """Stack of first partials of a component-major field, indexed by a
+    leading axis: out[l] = d_l f, each bitwise ``d1``."""
+    lead = f.ndim - m.n
+    out = np.empty((m.n,) + f.shape)
+    for l, h in enumerate(m.spacings):
+        plus, minus = _neighbours(f.shape[lead + l])
+        np.subtract(f.take(plus, axis=lead + l), f.take(minus, axis=lead + l), out=out[l])
+        out[l] /= 2.0 * h
+    return out
+
+
 def hessian(m: GridModel, f: np.ndarray) -> np.ndarray:
     """Coordinate second partials out[..., i, j] = d_i d_j f.
 
@@ -286,7 +376,8 @@ def hessian(m: GridModel, f: np.ndarray) -> np.ndarray:
 
 
 def inverse_metric(m: GridModel) -> np.ndarray:
-    """Inverse metric g^{ij} per node: a closed form in 2-D, ``np.linalg.inv`` in 3-D.
+    """Inverse metric g^{ij} per node, component-major: a closed form in 2-D,
+    ``np.linalg.inv`` in 3-D.
 
     ``np.linalg.inv`` solves g X = I with LAPACK ``dgesv``: an LU factorization
     with partial pivoting, then forward and back substitution that multiply by
@@ -301,23 +392,25 @@ def inverse_metric(m: GridModel) -> np.ndarray:
     ``np.linalg.inv`` itself, which raises ``LinAlgError`` on an exactly
     singular node.
     """
-    g = m.g
     if m.n != 2:
-        return np.linalg.inv(g)
+        return component_major(np.linalg.inv(m.g), 2)
+    g = m.g_cm
     x = np.empty(g.shape)
-    a00, a01, a10, a11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    a00, a01, a10, a11 = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
+    x00, x01, x10, r1 = x[0, 0], x[0, 1], x[1, 0], x[1, 1]  # views, written in place
     with np.errstate(all="ignore"):
         r0 = 1.0 / a00
         l10 = a10 * r0
-        r1 = 1.0 / (a11 - l10 * a01)
-        x[..., 1, 0] = x10 = (0.0 - l10) * r1
-        x[..., 1, 1] = r1
-        x[..., 0, 1] = (0.0 - a01 * r1) * r0
-        x[..., 0, 0] = _fma(-x10, a01, 1.0) * r0
+        np.divide(1.0, a11 - l10 * a01, out=r1)
+        np.multiply(0.0 - l10, r1, out=x10)
+        np.multiply(0.0 - a01 * r1, r0, out=x01)
+        np.multiply(_fma(-x10, a01, 1.0), r0, out=x00)
     # partial pivoting keeps a row unless the one below is larger in magnitude
-    ok = (np.abs(a10) <= np.abs(a00)) & np.isfinite(x).all(axis=(-2, -1))
-    if not ok.all():
-        x[~ok] = np.linalg.inv(g[~ok])
+    kept = np.abs(a10) <= np.abs(a00)
+    if kept.all() and np.isfinite(x).all():
+        return x
+    pivoted = ~(kept & np.isfinite(x).all(axis=(0, 1)))
+    x[..., pivoted] = np.moveaxis(np.linalg.inv(m.g[pivoted]), 0, -1)
     return x
 
 
@@ -343,7 +436,7 @@ def _fma(a, b, c):
     p = a * b
     s = c + p
     d = p * 2.0**-52
-    if np.all(c + (p - d) == c + (p + d)):
+    if (c + (p - d) == c + (p + d)).all():
         return s
     t = _SPLIT * a
     ah = t - (t - a)
@@ -364,17 +457,13 @@ def _fma(a, b, c):
 
 
 def christoffel(m: GridModel) -> np.ndarray:
-    """Christoffel symbols Gamma[..., k, i, j] of the grid metric."""
-    hs = m.spacings
-    n = m.n
-    # dg[..., i, j, l] = d_l g_ij
-    dg = np.stack([d1(m.g, axis=l, h=hs[l]) for l in range(n)], axis=-1)
-    term = (np.einsum("...jli->...lij", dg) + np.einsum("...ilj->...lij", dg)
-            - np.einsum("...ijl->...lij", dg))
-    # term[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    ginv = m.ginv
-    # g^{kl} term_lij with l summed in order: bitwise einsum("...kl,...lij->...kij")
-    return 0.5 * sum(ginv[..., :, l, None, None] * term[..., None, l, :, :] for l in range(n))
+    """Christoffel symbols Gamma[k, i, j] of the grid metric, component-major."""
+    dg = _partials_cm(m, m.g_cm)  # dg[l, i, j] = d_l g_ij
+    # term[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    term = _leading(dg, 2, 0, 1) + _leading(dg, 2, 1, 0) - dg
+    # g^{kl} term_lij, l summed in order: bitwise einsum("...kl,...lij->...kij")
+    products = _leading(m.ginv_cm, 1, 0)[:, :, None, None] * term[:, None]  # [l, k, i, j]
+    return 0.5 * _sum_in_order(products)
 
 
 def ricci(m):
@@ -383,10 +472,21 @@ def ricci(m):
 
 
 def _ricci_frame(m: FrameModel) -> np.ndarray:
-    """Closed-form Ricci of a unimodular Milnor frame, as lowered diagonal R_ii."""
+    """Closed-form Ricci of a unimodular Milnor frame, as lowered diagonal R_ii.
+
+    c_i = lambda_i sqrt(a_i / (a_j a_k)); where a_j a_k overflows or
+    underflows to zero, the quotient is taken one factor at a time.  The
+    quotients are Python floats, whose products overflow to inf silently.
+    """
     lams, a = m.lams, m.a
+    x = a.tolist()
     idx = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-    cbar = np.array([lams[i] * np.sqrt(a[i] / (a[j] * a[k])) for i, j, k in idx])
+    cbar = []
+    for i, j, k in idx:
+        p = x[j] * x[k]
+        q = x[i] / p if 0.0 < p < math.inf else x[i] / x[j] / x[k]
+        cbar.append(lams[i] * np.sqrt(q))
+    cbar = np.array(cbar)
     s = 0.5 * cbar.sum()
     mu = s - cbar
     r = np.array([2.0 * mu[j] * mu[k] for i, j, k in idx])
@@ -394,19 +494,33 @@ def _ricci_frame(m: FrameModel) -> np.ndarray:
 
 
 def _ricci_grid(m: GridModel) -> np.ndarray:
-    hs = m.spacings
+    """Ricci tensor R[i, j] of the grid metric, component-major."""
     n = m.n
-    gamma = m.gamma
-    # dgamma[..., k, i, j, l] = d_l Gamma^k_ij
-    dgamma = np.stack([d1(gamma, axis=l, h=hs[l]) for l in range(n)], axis=-1)
-    r = np.einsum("...kijk->...ij", dgamma)
-    r -= np.einsum("...kkji->...ij", dgamma)
-    # the Gamma.Gamma terms with k outer and l inner: bitwise einsum("...kkl,...lij->...ij")
-    # and einsum("...kil,...lkj->...ij")
-    pairs = [(k, l) for k in range(n) for l in range(n)]
-    r += sum(gamma[..., k, k, l, None, None] * gamma[..., l, :, :] for k, l in pairs)
-    r -= sum(gamma[..., k, :, l, None] * gamma[..., l, k, None, :] for k, l in pairs)
-    return 0.5 * (r + np.swapaxes(r, -1, -2))
+    gamma = m.gamma_cm
+    dgamma = _partials_cm(m, gamma)  # dgamma[l, k, i, j] = d_l Gamma^k_ij
+    # k summed in order: bitwise einsum("...kijk->...ij") and einsum("...kkji->...ij")
+    # of the node-major dgamma[..., k, i, j, l]
+    r = sum(dgamma[k, k] for k in range(n))
+    r -= sum(dgamma[:, k, k] for k in range(n))
+    # the Gamma.Gamma terms summed over (k, l), k outer and l inner: bitwise
+    # einsum("...kkl,...lij->...ij") and einsum("...kil,...lkj->...ij")
+    diag = np.einsum("kkl...->kl...", gamma)  # a view: diag[k, l] = Gamma^k_kl
+    r += _sum_in_order(_pairs(diag[:, :, None, None] * gamma[None]))
+    r -= _sum_in_order(_pairs(_leading(gamma, 0, 2, 1)[:, :, :, None]  # Gamma^k_il
+                              * _leading(gamma, 1, 0, 2)[:, :, None, :]))  # Gamma^l_kj
+    return 0.5 * (r + np.swapaxes(r, 0, 1))
+
+
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """``a[k, l, ...]`` as one leading axis of the pairs (k, l), k outer."""
+    return a.reshape((a.shape[0] * a.shape[1],) + a.shape[2:])
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """The sum over the leading axis of ``terms``, added one term after the
+    other from +0.0: what ``einsum`` computes over an index that is not the
+    innermost in memory, and what Python's ``sum`` computes."""
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 def scalar_curvature(m):
@@ -420,14 +534,27 @@ def scalar_curvature(m):
 # covariant derivatives and tensor calculus on the grid
 
 
+def lane_sum(terms):
+    """The sum of a list of 2 to 4 arrays in the order ``einsum`` adds a
+    contiguous run of that many products: its SIMD reduction adds the
+    even-numbered terms and the odd-numbered ones apart, then the two sums,
+    then the zero it started from (so an exact zero sum is +0.0)."""
+    even, odd = terms[0::2], terms[1::2]
+    return 0.0 + (sum(even[1:], even[0]) + sum(odd[1:], odd[0]))
+
+
 def lower_vector(m: GridModel, v: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...j->...i", m.g, v)
+    """g_ij v^j, component-major in and out: bitwise einsum("...ij,...j->...i")."""
+    products = m.g_cm * v  # [i, j]
+    return lane_sum([products[:, j] for j in range(m.n)])
 
 
 def covd_oneform(m: GridModel, w: np.ndarray) -> np.ndarray:
-    """Covariant derivative of a 1-form: out[..., i, j] = nabla_i w_j."""
-    dw = partials(m, w)  # dw[..., j, i] = d_i w_j
-    return np.einsum("...ji->...ij", dw) - np.einsum("...kij,...k->...ij", m.gamma, w)
+    """Covariant derivative of a 1-form, component-major in and out:
+    out[i, j] = nabla_i w_j."""
+    dw = _partials_cm(m, w)  # dw[i, j] = d_i w_j
+    # k summed in order: bitwise einsum("...kij,...k->...ij")
+    return dw - _sum_in_order(m.gamma_cm * w[:, None, None])
 
 
 def covd_tensor(m: GridModel, t: np.ndarray) -> np.ndarray:
@@ -448,9 +575,10 @@ def divergence(m: GridModel, t: np.ndarray) -> np.ndarray:
 
 
 def lie_derivative_metric(m: GridModel, v: np.ndarray) -> np.ndarray:
-    """(L_V g)_ij = nabla_i V_j + nabla_j V_i for an upper-index field V."""
+    """(L_V g)_ij = nabla_i V_j + nabla_j V_i for an upper-index field V,
+    component-major in and out."""
     dv = covd_oneform(m, lower_vector(m, v))
-    return dv + np.swapaxes(dv, -1, -2)
+    return dv + np.swapaxes(dv, 0, 1)
 
 
 def laplacian_scalar(m: GridModel, f: np.ndarray) -> np.ndarray:
@@ -485,9 +613,15 @@ def _pointwise_sq(m: GridModel, f: np.ndarray) -> np.ndarray:
 
 
 def volume(m) -> float:
-    """Total volume of the model."""
+    """Total volume of the model; ``NumericalFailureError`` where a frame
+    model's volume overflows."""
     if isinstance(m, FrameModel):
-        return float(m.base_volume * np.prod(np.sqrt(m.a)))  # no overflow of prod(a)
+        with np.errstate(over="ignore"):
+            vol = float(m.base_volume * np.prod(np.sqrt(m.a)))  # no overflow of prod(a)
+        if not np.isfinite(vol):
+            raise NumericalFailureError(f"the volume of the frame metric a = {m.a.tolist()} "
+                                        "overflows")
+        return vol
     return float(np.sum(m.sqrt_det) * np.prod(m.spacings))
 
 

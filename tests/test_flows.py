@@ -95,8 +95,9 @@ def _wavy_grid(n, dims):
 def test_deturck_rhs_equals_its_unfused_terms(n, dims, tau):
     m = _wavy_grid(n, dims)
     h = GridModel.flat(n, dims)
-    v = gauge.deturck_vector(m, h)
-    expected = -2.0 * geometry.ricci(m) + geometry.lie_derivative_metric(m, v)
+    v = gauge.deturck_vector(m, h)  # component-major, as the Lie derivative takes it
+    expected = -2.0 * geometry.ricci(m) + geometry.node_major(
+        geometry.lie_derivative_metric(m, v), 2)
     if np.isfinite(tau):
         expected = expected + m.g / tau
     assert np.array_equal(flows.rhs_deturck(m, h, tau), expected)
@@ -190,6 +191,20 @@ def test_grid_step_decomposes_each_metric_once(monkeypatch):
     for n_steps in (1, 2):
         state = flows.step(state, rhs, 0.01)
         assert calls == {"validate_spd": n_steps, "inverse_metric": 4 * n_steps}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_stage_outside_the_spd_cone_rejects_the_step(n):
+    """g' = -(3/dt) g makes the second RK4 stage -g/2; the step used to run
+    on and return 1.375 g, an SPD result from a negative-definite stage."""
+    flat = GridModel.flat(n, (16,) * n if n == 2 else (8,) * n)
+    dt = 0.01
+    shrink = lambda m: -(3.0 / dt) * m.g
+    with pytest.raises(StepRejectedError, match=r"stage metric at t = 0\.005 is not positive"):
+        flows.step(FlowState(0.0, flat, np.inf), shrink, dt)
+    # the same right-hand side at a third of the rate keeps every stage SPD
+    state = flows.step(FlowState(0.0, flat, np.inf), lambda m: -(1.0 / dt) * m.g, dt)
+    assert np.allclose(state.model.g, (3.0 / 8.0) * flat.g)
 
 
 def test_coupled_frame_step_derives_each_ricci_once(monkeypatch):

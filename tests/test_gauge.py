@@ -145,8 +145,8 @@ def test_deturck_vector_vanishes_on_background():
 def test_p_operator_is_symmetric():
     g = _nonconformal(16)
     h = _flat(16)
-    p = gauge.p_operator(g, h)
-    assert np.max(np.abs(p - np.swapaxes(p, -1, -2))) < 1e-13
+    p = gauge.p_operator(g, h)  # component-major: p[i, j]
+    assert np.max(np.abs(p - np.swapaxes(p, 0, 1))) < 1e-13
 
 
 def test_harmonic_rhs_zero_on_matching_flat_pair():

@@ -5,7 +5,7 @@ import pytest
 import sympy as sp
 
 from solitonlab import flows, geometry
-from solitonlab.errors import RejectedInputError
+from solitonlab.errors import NumericalFailureError, RejectedInputError
 from solitonlab.geometry import FrameModel, GridModel
 
 TWO_PI = 2.0 * np.pi
@@ -78,10 +78,10 @@ def test_curvature_matches_symbolic_oracle_at_second_order(symbolic_t2_oracle, o
         m, X, Y = _oracle_grid(symbolic_t2_oracle, nside)
         field = op(m)
         if key == "gamma":
-            # oracle indexing [k][i][j] matches the [..., k, i, j] layout
-            errs[nside] = _sup_error(field, symbolic_t2_oracle[key], X, Y)
-        else:
-            errs[nside] = _sup_error(field, symbolic_t2_oracle[key], X, Y)
+            # christoffel returns Gamma[k, i, j] component-major; the oracle
+            # indexing [k][i][j] matches the node-major [..., k, i, j] layout
+            field = geometry.node_major(field, 3)
+        errs[nside] = _sup_error(field, symbolic_t2_oracle[key], X, Y)
     assert errs[64] < errs[32]
     ratio = errs[32] / errs[64]
     assert 3.0 < ratio < 5.5, f"expected O(h^2) convergence, got ratio {ratio}"
@@ -164,6 +164,20 @@ def test_round_sphere_frame_values():
     assert np.isclose(geometry.volume(m), 2.0 * np.pi**2)
 
 
+@pytest.mark.parametrize("a", [1.0, 1e100, 1e150, 1e155, 1e210])
+def test_round_frame_ricci_survives_an_overflowing_product(a):
+    """The round sphere's lowered Ricci coefficients are 2 at every scale:
+    a_j a_k overflows past a = 1.3e154, and the quotient a_i / (a_j a_k) is
+    then taken one factor at a time (it read 0, so Ric read [0, 0, 0])."""
+    assert np.allclose(FrameModel.su2(a=(a,) * 3).ric, 2.0, rtol=1e-14, atol=0.0)
+
+
+def test_frame_volume_overflow_raises():
+    with pytest.raises(NumericalFailureError, match="volume of the frame metric"):
+        geometry.volume(FrameModel.su2(a=(1e210,) * 3))
+    assert np.isfinite(geometry.volume(FrameModel.su2(a=(1e150,) * 3)))
+
+
 def test_frame_ricci_is_permutation_natural():
     a = np.array([1.3, 0.9, 0.5])
     base = geometry.ricci(FrameModel.su2(a=tuple(a)))
@@ -197,11 +211,12 @@ def test_divergence_is_adjoint_of_lie_derivative(curved_t2):
     T[..., 1, 1] = np.sin(Y)
     T[..., 0, 1] = T[..., 1, 0] = 0.1 * np.sin(X) * np.sin(Y)
     dV = np.prod(m.spacings) * np.sqrt(np.linalg.det(m.g))
-    ginv = geometry.inverse_metric(m)
+    ginv = m.ginv
     delta_t = geometry.divergence(m, T)
+    V_cm = geometry.component_major(V, 1)
     lhs = np.sum(np.einsum("...ij,...i,...j->...", ginv, delta_t,
-                           geometry.lower_vector(m, V)) * dV)
-    lie = geometry.lie_derivative_metric(m, V)
+                           geometry.node_major(geometry.lower_vector(m, V_cm), 1)) * dV)
+    lie = geometry.node_major(geometry.lie_derivative_metric(m, V_cm), 2)
     rhs = 0.5 * np.sum(np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, T, lie) * dV)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
@@ -258,11 +273,17 @@ def test_non_spd_metric_rejected():
 
 def test_derived_fields_are_cached_and_read_only(curved_t2):
     m = curved_t2.with_metric(curved_t2.g)
-    assert np.array_equal(m.ginv, geometry.inverse_metric(m))
-    assert np.array_equal(m.gamma, geometry.christoffel(m))
+    assert np.array_equal(m.ginv_cm, geometry.inverse_metric(m))
+    assert np.array_equal(m.gamma_cm, geometry.christoffel(m))
+    assert np.array_equal(m.ric_cm, geometry._ricci_grid(m))
     assert np.array_equal(m.sqrt_det, np.sqrt(np.linalg.det(m.g)))
+    for cm, nm, k in ((m.g_cm, m.g, 2), (m.ginv_cm, m.ginv, 2), (m.gamma_cm, m.gamma, 3),
+                      (m.ric_cm, m.ric, 2)):
+        assert nm.shape == m.dims + (m.n,) * k and nm.flags.c_contiguous
+        assert np.array_equal(cm, geometry.component_major(nm, k))
     frame = FrameModel.su2(a=(1.2, 1.0, 0.7))
-    for model, names in ((m, ("ginv", "gamma", "ric", "sqrt_det")), (frame, ("ric",))):
+    grid_fields = ("ginv", "gamma", "ric", "sqrt_det", "g_cm", "ginv_cm", "gamma_cm", "ric_cm")
+    for model, names in ((m, grid_fields), (frame, ("ric",))):
         for name in names:
             field = getattr(model, name)
             assert getattr(model, name) is field  # derived once
@@ -275,7 +296,8 @@ def test_twin_shares_the_metric_and_none_of_the_fields(curved_t2):
     m = curved_t2.with_metric(curved_t2.g)
     m.ric
     t = geometry.twin(m)
-    assert t.g is m.g and not {"ginv", "gamma", "ric", "sqrt_det"} & vars(t).keys()
+    assert t.g is m.g and not {"ginv", "gamma", "ric", "sqrt_det", "g_cm", "ginv_cm",
+                               "gamma_cm", "ric_cm"} & vars(t).keys()
     assert np.array_equal(t.ric, m.ric)
 
 
@@ -331,6 +353,24 @@ def test_unrolled_curvature_contractions_equal_einsum_bitwise(dims):
         assert np.array_equal(geometry.covd_tensor(m, t), _einsum_covd_tensor(m, m.gamma, t))
 
 
+@pytest.mark.parametrize("length", [2, 3, 4])
+def test_summation_helpers_add_in_einsums_order(length):
+    """lane_sum and _sum_in_order against the einsum contractions they stand
+    for: products of a wide range of magnitudes, where another order rounds
+    differently, and products that are all -0.0, whose einsum sum is +0.0."""
+    rng = np.random.default_rng(length)
+    a, b = (rng.standard_normal((500, length)) * 2.0 ** rng.integers(-30, 30, (500, length))
+            for _ in range(2))
+    a[:100], b[:100] = 1.0, -0.0
+    products = [a[:, j] * b[:, j] for j in range(length)]
+    # einsum adds a contiguous run in SIMD lanes, a strided one term after term
+    assert np.array_equal(_bits(geometry.lane_sum(products)),
+                          _bits(np.einsum("...j,...j->...", a, b)))
+    assert np.array_equal(_bits(geometry._sum_in_order(np.stack(products))),
+                          _bits(np.einsum("j...,j...->...", a.T.copy(), b.T.copy())))
+    assert not np.signbit(geometry.lane_sum(products)[:100]).any()
+
+
 def _einsum_rhs_deturck(m, h, tau):
     """-2 Ric + L_V g (+ g / tau) with every contraction spelled as einsum."""
     ginv = np.linalg.inv(m.g)
@@ -343,12 +383,64 @@ def _einsum_rhs_deturck(m, h, tau):
     return out + m.g / tau if np.isfinite(tau) else out
 
 
+def _rhs_cases(dims):
+    """Random fields, and one of amplitude 0.6 with nodes that the closed-form
+    inverse hands to np.linalg.inv; each with the number of those nodes."""
+    cases = [(_random_spd(dims, seed), 0) for seed in SEEDS]
+    n = len(dims)
+    a = 0.6 * np.random.default_rng(3).standard_normal(tuple(dims) + (n, n))
+    g = np.eye(n) + a @ np.swapaxes(a, -1, -2)
+    m = GridModel(n=n, dims=dims, period=(TWO_PI,) * n, g=0.5 * (g + np.swapaxes(g, -1, -2)))
+    return cases + [(m, int(np.sum(np.abs(m.g[..., 1, 0]) > np.abs(m.g[..., 0, 0]))))]
+
+
 @pytest.mark.parametrize("tau", [0.7, np.inf])
-def test_deturck_rhs_equals_its_einsum_spelling_bitwise(tau):
-    h = GridModel.flat(2, (16, 16), (TWO_PI, TWO_PI))
-    for seed in SEEDS:
-        m = _random_spd((16, 16), seed)
-        assert np.array_equal(flows.rhs_deturck(m, h, tau), _einsum_rhs_deturck(m, h, tau))
+def test_deturck_rhs_equals_its_einsum_spelling_bitwise(tau, monkeypatch):
+    """The component-major DeTurck and tau-flow right-hand sides against the
+    node-major einsum spelling, bit for bit (signed zeros too), on every shape
+    of SHAPES; the amplitude-0.6 field of each 2-D shape has pivoted nodes,
+    which the closed-form inverse hands to np.linalg.inv."""
+    real_inv = np.linalg.inv
+    for dims in SHAPES:
+        n = len(dims)
+        h = GridModel.flat(n, dims, (TWO_PI,) * n)
+        for m, n_pivoted in _rhs_cases(dims):
+            inverted = []
+            monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(len(a)) or real_inv(a))
+            got = flows.rhs_deturck(m, h, tau)
+            monkeypatch.undo()
+            if n == 2:  # LAPACK inverts exactly the nodes it would pivot
+                assert inverted == ([n_pivoted] if n_pivoted else [])
+            assert np.array_equal(_bits(got), _bits(_einsum_rhs_deturck(m, h, tau)))
+            oracle = -2.0 * _einsum_ricci(m, _einsum_christoffel(m, real_inv(m.g)))
+            if np.isfinite(tau):
+                oracle = oracle + m.g / tau
+            assert np.array_equal(_bits(flows.rhs_tau_flow(geometry.twin(m), tau)),
+                                  _bits(oracle))
+        assert n_pivoted > 0 or n == 3  # the amplitude-0.6 field has pivoted nodes
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_leading_minors_agree_with_the_eigenvalues(n):
+    """Sylvester's criterion in closed form against eigvalsh, node by node,
+    on symmetric fields about half of whose nodes are indefinite."""
+    dims = (8,) * n
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        a = rng.standard_normal(dims + (n, n))
+        g = a @ np.swapaxes(a, -1, -2) - 0.3 * np.eye(n)
+        spd = np.linalg.eigvalsh(g)[..., 0] > 0
+        assert 0 < spd.sum() < spd.size
+        for node in (np.argmax(spd), np.argmin(spd)):
+            field = np.broadcast_to(g.reshape(-1, n, n)[node], g.shape).copy()
+            m = GridModel(n=n, dims=dims, period=(TWO_PI,) * n, g=field, validate=False)
+            assert geometry.leading_minors_positive(m) == spd.reshape(-1)[node]
+        m = GridModel(n=n, dims=dims, period=(TWO_PI,) * n, g=g, validate=False)
+        assert not geometry.leading_minors_positive(m)
+    bad = np.broadcast_to(np.eye(n), dims + (n, n)).copy()
+    bad[(0,) * n] = np.nan
+    assert not geometry.leading_minors_positive(
+        GridModel(n=n, dims=dims, period=(TWO_PI,) * n, g=bad, validate=False))
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +525,14 @@ def test_inverse_metric_rounds_as_documented(dims, monkeypatch):
         for m, n_pivoted in _inverse_cases(dims, seed):
             inverted = []
             monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(len(a)) or real_inv(a))
-            got = geometry.inverse_metric(m)
+            got = geometry.node_major(geometry.inverse_metric(m), 2)
             monkeypatch.undo()
             assert inverted == ([n_pivoted] if n_pivoted else [])
             kept = np.abs(m.g[..., 1, 0]) <= np.abs(m.g[..., 0, 0])
             assert np.array_equal(got[kept], _inverse_2d_exact(m.g[kept]))
     diagonal = GridModel(n=2, dims=(8, 8), period=(TWO_PI,) * 2,
                          g=np.broadcast_to(np.diag([1.0, 2.0]), (8, 8, 2, 2)).copy())
-    assert not _bits(geometry.inverse_metric(diagonal)[..., [0, 1], [1, 0]]).any()
+    assert not _bits(geometry.inverse_metric(diagonal)[[0, 1], [1, 0]]).any()
 
 
 _MEASURED_BUILD = ("0.3.31.188.0", "SkylakeX")
@@ -458,7 +550,7 @@ def test_inverse_metric_is_lapack_inv_bitwise(dims):
     np.linalg.inv's bits, signed zeros included."""
     for seed in SEEDS:
         for m, _ in _inverse_cases(dims, seed):
-            assert np.array_equal(_bits(geometry.inverse_metric(m)), _bits(np.linalg.inv(m.g)))
+            assert np.array_equal(_bits(m.ginv), _bits(np.linalg.inv(m.g)))
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1032,13 +1032,14 @@ def test_cli_entropy_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("coefficient,t_end,sample_every,t_fail", [
-    ("1e210", 0.02, 1, "0"),     # the volume overflows at the first sample
-    ("1e200", 20.0, 100, "11"),  # W turns non-finite as the round sphere expands
-], ids=["1e210-at-t0", "1e200-at-t11"])
+    ("1e210", 0.02, 1, "0"),        # the volume overflows at the start
+    ("1e200", 20.0, 100, "10.69"),  # and here as the round sphere expands, between samples
+], ids=["1e210-at-t0", "1e200-at-t10.69"])
 def test_overflowing_entropy_audit_exits_numerical_naming_the_time(
         tmp_path, monkeypatch, capsys, coefficient, t_end, sample_every, t_fail):
-    """A coupled sample whose W or defect is not finite ends ``run`` and
-    ``entropy`` in exit 3 naming its time, not in exit 0 with NaN verdicts."""
+    """A coupled run whose frame volume overflows ends ``run`` and ``entropy``
+    in exit 3 naming the time it overflows at, not in exit 0 with NaN
+    verdicts, nor in a later non-finite entropy audit."""
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
     text = (f"[model]\nkind = frame\nrecipe = round\ncoefficients = {coefficient},"
             f"{coefficient},{coefficient}\n[flow]\nvariant = tau\ntau = 1.0\n"
@@ -1046,10 +1047,9 @@ def test_overflowing_entropy_audit_exits_numerical_naming_the_time(
             f"sample_every = {sample_every}\n[output]\nname = overflow\n")
     cfg = _write_config(tmp_path, text)
     for command in ("run", "entropy"):
-        with np.errstate(all="ignore"):
-            assert cli.main([command, cfg]) == cli.EXIT_NUMERICAL
-        assert f"numerical failure: non-finite entropy audit at t={t_fail} " in \
-            capsys.readouterr().err
+        assert cli.main([command, cfg]) == cli.EXIT_NUMERICAL
+        assert (f"numerical failure: the potential at t={t_fail}: the volume of the frame "
+                "metric a = [") in capsys.readouterr().err
     record, = tmp_path.glob("overflow-*/record.json")
     assert json.loads(record.read_text())["verdicts"]["failed_stage"] == "flow"
 
