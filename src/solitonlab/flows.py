@@ -10,9 +10,10 @@ coupled potential equation rides along.  Time stepping is classical RK4
 The DeTurck right-hand side makes one geometry pass per evaluation: the
 model derives g^{-1}, Gamma(g) and Ricci once, component-major (see
 ``geometry``), and both Ricci and the gauge field V read them; the
-background's Gamma(h) is derived once per ``make_metric_rhs``.  Trajectory
-states carry metrics only: diagnostics read the geometry of a throwaway twin
-of each sampled model.
+background's Gamma(h) is derived once per ``make_metric_rhs``.  A sampled
+state's geometry is derived once too: its diagnostics read the working
+model, whose fields the next step's first stage reuses, and the trajectory
+stores a twin (``geometry.twin``), so stored states carry metrics only.
 
 ``MetricInterpolant`` (the metric in time, for the gauge stage and the
 reparametrization) is a not-a-knot cubic spline written here rather than
@@ -295,7 +296,8 @@ def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
                 f"step to t = {state.t + dt} left the SPD cone: {exc}") from exc
 
     def velocity(c, y):
-        model = model_at(y[0])
+        # the first stage is the state itself, whose geometry its sample derived
+        model = state.model if c == 0.0 else model_at(y[0])
         out = (metric_rhs(model),)
         if coupled:
             out += (rhs_potential(y[1], model, state.tau),)
@@ -311,7 +313,7 @@ def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
         raise StepRejectedError(
             f"step to t = {state.t + dt} met a singular stage metric: {exc}") from exc
     model1 = model_at(y1[0], validate=True)
-    f1 = _potential_at(state.t + dt, entropy.normalize_f, geometry.twin(model1), y1[1],
+    f1 = _potential_at(state.t + dt, entropy.normalize_f, model1, y1[1],
                        state.tau) if coupled else None
     return FlowState(t=state.t + dt, model=model1, tau=state.tau, f=f1)
 
@@ -350,11 +352,10 @@ def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
     """
     n_steps = step_count(t_end, dt)
     metric_rhs = make_metric_rhs(variant, tau, background)
-    f0 = _potential_at(0.0, entropy.constant_potential, geometry.twin(model0),
-                       tau) if couple_f else None
+    f0 = _potential_at(0.0, entropy.constant_potential, model0, tau) if couple_f else None
     state = FlowState(t=0.0, model=model0, tau=tau, f=f0)
     traj = Trajectory(convention=variant)
-    traj.append(state, _diagnose(state, background))
+    _sample(traj, state, background)
     i = 0
     while i < n_steps:
         halvings = 0
@@ -375,13 +376,14 @@ def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
         state = advanced
         i += 1
         if i % sample_every == 0 or i == n_steps:
-            traj.append(state, _diagnose(state, background))
+            _sample(traj, state, background)
     return traj
 
 
-def _diagnose(state: FlowState, background) -> dict:
+def _sample(traj: Trajectory, state: FlowState, background) -> None:
+    """Append a twin of ``state``, with the diagnostics of ``state`` itself."""
     diag = {"t": state.t}
-    model = geometry.twin(state.model)
+    model = state.model
     R = geometry.scalar_curvature(model)
     diag["scalar_curvature_range"] = [float(np.min(R)), float(np.max(R))]
     if background is not None and isinstance(model, GridModel):
@@ -390,9 +392,9 @@ def _diagnose(state: FlowState, background) -> dict:
         diag["deviation_l2"] = rep.l2
         diag["deviation_sup"] = rep.sup
     if state.f is not None:
-        rec = entropy.entropy_record(replace(state, model=model))
+        rec = entropy.entropy_record(state)
         diag["entropy"] = {"W": rec.W, "defect_l2": rec.defect_l2}
-    return diag
+    traj.append(replace(state, model=geometry.twin(model)), diag)
 
 
 # ---------------------------------------------------------------------------

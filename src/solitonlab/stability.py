@@ -1,20 +1,14 @@
-"""Linearized stability machinery: operator assembly, spectra, the
-growing/decaying/neutral trichotomy, the two- and three-interval lemmas,
-projection onto the flat soliton family, the quadratic remainder of a run
-against the RK4 scheme that integrated it, and exponential-rate fitting.
-
-Perturbations of a grid metric are flattened component-major: for each
-upper-triangle component (i <= j) the node values are raveled in C order
-and the blocks concatenated.  The Euclidean inner product on these vectors
-is what the trichotomy split and its orthogonality statements refer to.
+"""Linearized stability machinery: operator assembly, spectra, the two- and
+three-interval lemmas, projection onto the flat soliton family, the quadratic
+remainder of a run against the RK4 scheme that integrated it, and
+exponential-rate fitting.
 
 At a flat background the grid operators (``assemble_linearized_pde``'s
-compact stencil, ``linearize_flow_rhs``'s impulse response of the discrete
-flow) are translation invariant and act alike on every component, so they
-are ``FourierOperator``s and live in Fourier space only: the eigenvalues are
-the per-wavenumber symbol, repeated once per component; ``apply`` and the
-trichotomy split (whose neutral part ``F_0`` is the projection onto the
-kernel) are FFT multiplies, with no grid-size cap; their ``matrix`` is a
+compact stencil, ``linearized_deturck_flow``'s wide stencils of the
+integrated flow) are translation invariant and act alike on every component,
+so they are ``FourierOperator``s and live in Fourier space only: the
+eigenvalues are the per-wavenumber symbol, repeated once per component, and
+``apply`` is an FFT multiply, with no grid-size cap; their ``matrix`` is a
 dense view rebuilt from the symbol, kept only for the benchmark's tracer.
 These are the only operators the package analyzes: the limit soliton of a
 grid run is flat, so no dense eigendecomposition is ever needed.  The 3x3
@@ -23,12 +17,12 @@ frame Jacobian of ``jacobian_ode`` is a plain matrix for numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import flows, geometry
+from . import geometry
 from .errors import InsufficientDataError, RejectedInputError
 from .geometry import FrameModel, GridModel, require_flat, sym_components
 
@@ -36,11 +30,6 @@ NOISE_FLOOR = 1e-12
 # the window length L of the interval lemmas: they hold for every L > 0, and
 # L = 1 makes alpha = e^{gap} and beta = e^{gap/4}
 INTERVAL_LENGTH = 1.0
-# central-difference step of ``linearize_flow_rhs``, and the component coupling
-# it takes for finite-difference noise (about 1e-11 relative at this step);
-# ungauged flows couple at O(1)
-FD_STEP = 1e-5
-COMPONENT_RTOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -140,44 +129,33 @@ def jacobian_ode(rhs: Callable, background: FrameModel) -> np.ndarray:
     return mat
 
 
-def linearize_flow_rhs(background: GridModel, variant: str, tau: float,
-                       reference: Optional[GridModel] = None) -> FourierOperator:
-    """Linearization of the discrete flow right-hand side, accurate to about
-    1e-11 relative at the step ``FD_STEP``.
+def linearized_deturck_flow(g1: GridModel) -> FourierOperator:
+    """The DeTurck flow's right-hand side at tau = inf, linearized at the flat
+    ``g1`` against a flat reference, exactly.
 
-    At a flat background it is a convolution: central differences at one
-    node per component (2 ncomp RHS evaluations), FFT-ed, give its symbol.
-    It reproduces the flow code's own stencils (wide first derivatives
-    included), so ``rk4_remainder``, which steps a run's deviation by its RK4
-    amplification, leaves the quadratic remainder alone; the compact symbol
-    would leave an O(|k|) mismatch.  A curved background, or components
-    coupled or unequal beyond ``COMPONENT_RTOL`` (the ungauged tau-flow, at
-    a finite tau or at tau = inf, the unnormalized flow), is rejected.
+    At a constant metric the Christoffel symbols and every difference of the
+    metric vanish, and so do those of the flat reference, which therefore
+    drops out.  What is left is linear in the perturbation k, each term two
+    of the flow code's wide central differences D_a D_b with constant
+    coefficients.  Those stencils commute, so the continuum cancellation of
+    the cross terms of -2 Ric and L_V g holds node for node, leaving
+    g1^{ab} D_a D_b k_ij on each component.  D_a multiplies a Fourier mode by
+    i sin(theta_a)/dx_a, theta_a being the phase advance per node: the symbol
+    is -g1^{ab} sin(theta_a) sin(theta_b)/(dx_a dx_b).  ``rk4_remainder``
+    steps a run's deviation by it, so it leaves the quadratic remainder
+    alone; the compact symbol would leave an O(|k|) mismatch.
     """
-    require_flat(background)
-    n = background.n
-    comps = sym_components(n)
-    rhs = flows.make_metric_rhs(variant, tau, background=reference)
-    response = np.empty((len(comps), len(comps)) + background.dims)
-    for c, (i, j) in enumerate(comps):
-        bump = np.zeros(background.g.shape)
-        bump[(0,) * n + (i, j)] = bump[(0,) * n + (j, i)] = FD_STEP
-        dv = (rhs(background.with_metric(background.g + bump, validate=False))
-              - rhs(background.with_metric(background.g - bump, validate=False))) / (2.0 * FD_STEP)
-        response[:, c] = [dv[..., a, b] for (a, b) in comps]
-    blocks = np.fft.fftn(response, axes=tuple(range(2, 2 + n)))
-    symbol = np.mean(np.diagonal(blocks, axis1=0, axis2=1).real, axis=-1)
-    identity = np.eye(len(comps)).reshape((len(comps),) * 2 + (1,) * n)
-    mismatch = float(np.max(np.abs(blocks - identity * symbol)))
-    if mismatch > COMPONENT_RTOL * max(1.0, float(np.max(np.abs(blocks)))):
-        raise RejectedInputError(
-            f"the linearized {variant!r} flow couples or distinguishes the metric components "
-            f"(symbol mismatch {mismatch:.3g}); it has no componentwise Fourier form")
-    return FourierOperator(symbol=symbol, ncomp=len(comps))
+    require_flat(g1)
+    n = g1.n
+    ginv = np.linalg.inv(g1.g.reshape(-1, n, n)[0])
+    theta = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(d) for d in g1.dims], indexing="ij")
+    sines = [np.sin(th) / dx for th, dx in zip(theta, g1.spacings)]
+    symbol = -sum(ginv[a, b] * sines[a] * sines[b] for a in range(n) for b in range(n))
+    return FourierOperator(symbol=symbol, ncomp=len(sym_components(n)))
 
 
 # ---------------------------------------------------------------------------
-# spectra and the trichotomy
+# spectra
 
 
 def _labels(values: np.ndarray, eps_neutral: float) -> np.ndarray:
@@ -192,7 +170,6 @@ class SpectralReport:
     n_neutral: int
     n_decay: int
     gap: float
-    symbol: np.ndarray = field(repr=False, compare=False)  # the operator's, per wavenumber
 
     def to_document(self) -> dict:
         """JSON-ready report."""
@@ -224,37 +201,7 @@ def spectrum(op: FourierOperator) -> SpectralReport:
     n_neutral = len(vals) - n_grow - n_decay
     gap = float(np.min(np.abs(vals)[np.abs(vals) > eps_neutral]))
     return SpectralReport(eigenvalues=vals, eps_neutral=float(eps_neutral),
-                          n_grow=n_grow, n_neutral=n_neutral, n_decay=n_decay, gap=gap,
-                          symbol=op.symbol)
-
-
-def _symbol_mask(report: SpectralReport, want: int, F: np.ndarray) -> np.ndarray:
-    """The part of the flattened ``F`` on the wavenumbers labelled ``want``."""
-    mask = (_labels(report.symbol, report.eps_neutral) == want).astype(float)
-    blocks = np.reshape(F, (-1,) + report.symbol.shape)
-    return _fourier_multiply(mask, blocks).ravel()
-
-
-@dataclass(frozen=True)
-class TrichotomySplit:
-    F_up: np.ndarray
-    F_down: np.ndarray
-    F_0: np.ndarray
-
-    def reassembled(self) -> np.ndarray:
-        return self.F_up + self.F_down + self.F_0
-
-
-def trichotomy_split(F: np.ndarray, report: SpectralReport) -> TrichotomySplit:
-    """Split the flattened F by the label of each wavenumber's symbol.
-
-    Forward-time convention: modes with lambda > eps grow under the
-    propagator e^{Lt}.  (In the source decomposition a_k e^{-lambda_k t}
-    the growing part carries lambda_k < 0; the classifications coincide
-    after the sign flip of the exponent convention.)
-    """
-    up, down, zero = (_symbol_mask(report, want, F) for want in (1, -1, 0))
-    return TrichotomySplit(F_up=up, F_down=down, F_0=zero)
+                          n_grow=n_grow, n_neutral=n_neutral, n_decay=n_decay, gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -352,17 +299,18 @@ def rk4_remainder(traj, norms: Sequence[float], g1: GridModel, h: GridModel,
                   dt: float) -> tuple:
     """Quadratic remainder of a DeTurck tau = inf trajectory at its limit ``g1``.
 
-    The discrete flow linearized at ``g1`` has symbol lambda; one RK4 step of
-    the linear flow multiplies each Fourier mode by R(dt lambda),
-    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so between samples m = Delta t / dt
-    steps apart it is R^m.  With k_i = g(t_i) - g1 and ``norms[i]`` its L2
-    norm in ``h``, the ratio ||k_{i+1} - R^m k_i|| / ||k_i||^2 measures the
-    remainder's constant over that interval.  Returns the largest ratio over
+    The discrete flow linearized at ``g1`` (``linearized_deturck_flow``) has
+    symbol lambda; one RK4 step of the linear flow multiplies each Fourier
+    mode by R(dt lambda), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so between
+    samples m = Delta t / dt steps apart it is R^m.  With k_i = g(t_i) - g1
+    and ``norms[i]`` its L2 norm in ``h``, the ratio
+    ||k_{i+1} - R^m k_i|| / ||k_i||^2 measures the remainder's constant over
+    that interval.  Returns the largest ratio over
     the samples with ||k_i|| above ``REMAINDER_FLOOR``, and the ratio at the
     last of them, or (None, None) when no sample is above it.  A step that
     ``flows.run_flow`` halved was not R(dt lambda), so its interval is inexact.
     """
-    op = linearize_flow_rhs(g1, "deturck", np.inf, reference=h)
+    op = linearized_deturck_flow(g1)
     z = dt * op.symbol
     amplification = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
     states, ratios = traj.states, []

@@ -1,15 +1,17 @@
 """Flow drivers: exact solutions, integrator order, stepping, reparametrization."""
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from solitonlab import entropy, flows, gauge, geometry
+from solitonlab import entropy, flows, gauge, geometry, harness
 from solitonlab.errors import RejectedInputError, StepRejectedError
 from solitonlab.flows import FlowState, MetricInterpolant, Trajectory
 from solitonlab.geometry import FrameModel, GridModel
 
+ROOT = Path(__file__).resolve().parent.parent
 TWO_PI = 2.0 * np.pi
 
 
@@ -191,6 +193,43 @@ def test_grid_step_decomposes_each_metric_once(monkeypatch):
     for n_steps in (1, 2):
         state = flows.step(state, rhs, 0.01)
         assert calls == {"validate_spd": n_steps, "inverse_metric": 4 * n_steps}
+
+
+def test_run_flow_derives_each_sampled_state_once(monkeypatch):
+    """On the README config each RHS evaluation derives Gamma once, plus the
+    background and the final sample: a sample's diagnostics read the working
+    model, whose geometry the next step's first stage reuses.  The stored
+    states are twins that carry the metric only."""
+    calls = Counter()
+    for owner, name in ((geometry, "christoffel"), (flows, "rhs_deturck")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    cfg = harness.parse_config((ROOT / "examples.ini").read_text())
+    traj = harness.integrate_flow(cfg)
+    assert calls["rhs_deturck"] == 4 * flows.step_count(cfg.t_end, cfg.dt)
+    assert calls["christoffel"] == calls["rhs_deturck"] + 2
+    assert len(traj.states) == 201
+    assert all(set(vars(s.model)) == {"n", "dims", "period", "g", "validate"}
+               for s in traj.states)
+
+
+def test_coupled_frame_run_derives_each_sampled_state_once(monkeypatch):
+    """On the coupled Berger run the initial potential, each sample's
+    diagnostics and the next step's first stage read one Ricci: it is derived
+    once per RHS evaluation, plus once for the final sample."""
+    calls = Counter()
+    for owner, name in ((geometry, "_ricci_frame"), (flows, "rhs_tau_flow")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    m = FrameModel.su2(a=(4.4, 4.0, 3.7))
+    traj = flows.run_flow(m, "tau", 1.0, dt=1e-3, t_end=0.1, couple_f=True, sample_every=10)
+    assert calls["rhs_tau_flow"] == 4 * 100
+    assert calls["_ricci_frame"] == calls["rhs_tau_flow"] + 1
+    assert all(set(vars(s.model)) == {"lams", "a", "base_volume"} for s in traj.states)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -24,16 +24,12 @@ from solitonlab import cli, harness
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(solitonlab.__file__).resolve().parent
 
-_ITEM_4_SPLIT = "ROADMAP item 4: trichotomy_split becomes the integrability verdict of grid runs"
 _ERROR_PATH = "an error-path constructor: only a failing run raises it, and the driven runs succeed"
 
 # name (module.qualname) -> why no run reaches it yet
 ALLOWLIST = {
     "flows.reparametrize": "ROADMAP item 3: the shrinking-sphere check of frame runs",
     "stability.jacobian_ode": "ROADMAP item 3: the stability stage of frame runs",
-    "stability.trichotomy_split": _ITEM_4_SPLIT,
-    "stability.TrichotomySplit.reassembled": _ITEM_4_SPLIT,
-    "stability._symbol_mask": _ITEM_4_SPLIT,
     "stability.FourierOperator.matrix": "ROADMAP item 5: goes when the benchmark's tracer "
                                         "reads the operator's dim",
     "stability.FourierOperator.dim": "ROADMAP item 5: the benchmark's tracer reads it "

@@ -1,5 +1,5 @@
-"""Linearized operators, spectra, the trichotomy, interval lemmas, family
-projection, the quadratic remainder, and rate fitting."""
+"""Linearized operators, spectra, interval lemmas, family projection, the
+quadratic remainder, and rate fitting."""
 
 import numpy as np
 import pytest
@@ -38,12 +38,12 @@ def _symbol_eigenvalues(h):
     return np.sort(sym.ravel())
 
 
-# Test-side dense oracles.  The package keeps flat-background operators in
-# Fourier space only, so these assemble them independently: the compact
-# operator as a Kronecker product of 1-D stencil matrices, the flow's
-# linearization column by column, one perturbed node at a time.  Their
-# vectors flatten a symmetric field component-major, as the package's
-# flattened perturbations are: per upper-triangle component (i <= j) the node
+# Test-side oracles.  The package keeps flat-background operators in Fourier
+# space only, so these assemble them independently: the compact operator as a
+# Kronecker product of 1-D stencil matrices, the flow's linearization column
+# by column, one perturbed node at a time, or as the FFT of its response to
+# one perturbed node per component.  The dense vectors flatten a symmetric
+# field component-major: per upper-triangle component (i <= j) the node
 # values raveled in C order, the blocks concatenated.
 
 
@@ -131,15 +131,51 @@ def _dense_flow_linearization(background, variant, tau, reference, step=1e-5):
     return mat
 
 
-def _wide_stencil_symbol(h, tau):
-    """Closed-form symbol of the DeTurck flow's linearization at a flat h:
-    h^{ab} d_a d_b with wide central first differences, plus 1/tau."""
-    n = h.n
-    Hinv = np.linalg.inv(h.g.reshape(-1, n, n)[0])
-    theta = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(d) for d in h.dims], indexing="ij")
-    sines = [np.sin(th) / dx for th, dx in zip(theta, h.spacings)]
-    sym = -sum(Hinv[a, b] * sines[a] * sines[b] for a in range(n) for b in range(n))
-    return sym + 1.0 / tau if np.isfinite(tau) else sym
+def _impulse_response(background, reference, tau, step=1e-3):
+    """The DeTurck RHS linearized at the flat ``background`` by central
+    differences at one node per metric component (2 ncomp RHS evaluations),
+    FFT-ed: ``out[a, c]`` is the response of component a to component c per
+    wavenumber, shape ``(ncomp, ncomp) + dims``.  The RHS is at most
+    quadratic in a one-node bump (the bumped node's inverse metric meets
+    only differences, which vanish there), so the central difference is
+    exact but for rounding, which a large step keeps small: at 1e-5 the
+    difference of the O(1) g/tau terms left 7e-11 of the symbol at 8^3."""
+    n = background.n
+    comps = stability.sym_components(n)
+    rhs = flows.make_metric_rhs("deturck", tau, background=reference)
+    response = np.empty((len(comps), len(comps)) + background.dims)
+    for c, (i, j) in enumerate(comps):
+        bump = np.zeros(background.g.shape)
+        bump[(0,) * n + (i, j)] = bump[(0,) * n + (j, i)] = step
+        dv = (rhs(background.with_metric(background.g + bump, validate=False))
+              - rhs(background.with_metric(background.g - bump, validate=False))) / (2.0 * step)
+        response[:, c] = [dv[..., a, b] for (a, b) in comps]
+    return np.fft.fftn(response, axes=tuple(range(2, 2 + n)))
+
+
+def _flow_operator(g1, tau):
+    """``linearized_deturck_flow`` plus the 1/tau of the g/tau term (if finite)."""
+    op = stability.linearized_deturck_flow(g1)
+    shift = 1.0 / tau if np.isfinite(tau) else 0.0
+    return stability.FourierOperator(symbol=op.symbol + shift, ncomp=op.ncomp)
+
+
+def _assert_is_the_impulse_response(g1, reference, tau):
+    """The closed form (plus 1/tau) is, to 1e-10 relative, every diagonal block
+    of the impulse response, whose off-diagonal blocks vanish: the components
+    neither couple nor differ."""
+    symbol = _flow_operator(g1, tau).symbol
+    blocks = _impulse_response(g1, reference, tau)
+    ncomp = blocks.shape[0]
+    identity = np.eye(ncomp).reshape((ncomp,) * 2 + (1,) * g1.n)
+    mismatch = np.max(np.abs(blocks - identity * symbol))
+    assert mismatch < 1e-10 * np.max(np.abs(symbol)), mismatch / np.max(np.abs(symbol))
+
+
+def _aniso_flat_3d():
+    h = GridModel.flat(3, (8, 8, 8))
+    H = np.array([[2.0, 0.3, -0.2], [0.3, 1.0, 0.1], [-0.2, 0.1, 1.5]])
+    return h.with_metric(np.broadcast_to(H, h.g.shape).copy())
 
 
 def _refuse_dense_view(monkeypatch):
@@ -270,82 +306,42 @@ def test_symbol_operator_equals_its_dense_matrix(monkeypatch, make, n, tau):
 
 @pytest.mark.parametrize("make,n,tau", EQUIVALENCE_CASES, ids=EQUIVALENCE_IDS)
 def test_symbol_report_splits_like_the_dense_report(make, n, tau):
+    """The neutral band, the counts of growing, neutral and decaying
+    eigenvalues, and the gap are those of the dense oracle's eigenvalues."""
     h = make(n)
-    op = stability.assemble_linearized_pde(h, tau)
-    report = stability.spectrum(op)
-    oracle = _dense_assembled_operator(h, tau)
-    vals, vecs = np.linalg.eigh(oracle)
+    report = stability.spectrum(stability.assemble_linearized_pde(h, tau))
+    vals = np.linalg.eigvalsh(_dense_assembled_operator(h, tau))
     mags = np.abs(vals)
     eps = report.eps_neutral
     assert abs(eps - np.min(mags[mags > 1e-10]) / 10.0) < 1e-13
     counts, gap = _dense_classification(vals, eps)
     assert (report.n_grow, report.n_neutral, report.n_decay) == counts
     assert abs(report.gap - gap) < 1e-12
-    F = np.random.default_rng(5).standard_normal(op.dim)
-    split = stability.trichotomy_split(F, report)
-    assert np.max(np.abs(split.reassembled() - F)) < 1e-10
-    # the orthogonal projector onto the oracle's eigenvectors of each class
-    for part, keep in (("F_up", vals > eps), ("F_down", vals < -eps),
-                       ("F_0", np.abs(vals) <= eps)):
-        ref = vecs[:, keep] @ (vecs[:, keep].T @ F)
-        assert np.max(np.abs(getattr(split, part) - ref)) < 1e-10
 
 
 def test_symbol_spectrum_forms_and_decomposes_no_matrix(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense eigensolver called")
-
-    h = _aniso_flat(32)  # validating the metric takes eigenvalues of 2x2 blocks
-    _refuse_dense_view(monkeypatch)
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(np.linalg, "eig", refuse)
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    op = stability.assemble_linearized_pde(h, 2.0)
-    report = stability.spectrum(op)
-    report.to_document()
-    assert report.n_decay > 0
-    assert report.eigenvalues.dtype == np.float64
-
-
-@pytest.mark.parametrize("h", [_aniso_flat(64), GridModel.flat(3, (8, 8, 8))],
-                         ids=["aniso64x64", "8x8x8"])
-@pytest.mark.parametrize("tau", [np.inf, 0.5])
-def test_symbol_split_and_projection_need_no_dense_algebra(monkeypatch, h, tau):
-    """At dimension 12288 (64^2) and 3072 (8^3) the split and the neutral
-    projection are FFT masks: no dense eigensolver, no Kronecker product and
-    no dense view of the operator."""
+    """Up to dimension 12288 (64^2) and in 3-D (3072 at 8^3) the spectrum is
+    read off the symbol: no dense eigensolver, no Kronecker product and no
+    dense view of the operator."""
     def refuse(*args, **kwargs):
         raise AssertionError("dense linear algebra called")
 
+    # built first: validating a 3-D metric takes eigenvalues of 3x3 blocks
+    cases = [(_aniso_flat(32), 2.0)] + [(h, tau) for h in (_aniso_flat(64),
+                                                           GridModel.flat(3, (8, 8, 8)))
+                                        for tau in (np.inf, 0.5)]
+    _refuse_dense_view(monkeypatch)
     for name in ("eigh", "eig", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
     monkeypatch.setattr(np, "kron", refuse)
-    _refuse_dense_view(monkeypatch)
-    op = stability.assemble_linearized_pde(h, tau)
-    report = stability.spectrum(op)
-    F = np.random.default_rng(6).standard_normal(op.dim)
-    split = stability.trichotomy_split(F, report)
-    assert np.max(np.abs(split.reassembled() - F)) < 1e-12
-    parts = (split.F_up, split.F_down, split.F_0)
-    assert np.isclose(np.sum(F**2), sum(np.sum(p**2) for p in parts), rtol=1e-12, atol=0.0)
-    for name, part in zip(("F_up", "F_down", "F_0"), parts):
-        again = stability.trichotomy_split(part, report)
-        for other in ("F_up", "F_down", "F_0"):
-            want = part if other == name else 0.0
-            assert np.max(np.abs(getattr(again, other) - want)) < 1e-12
-    # each part lies where the operator grows, decays or vanishes
-    L = lambda v: _tensor_to_vec(op.apply(_vec_to_tensor(v, h.dims, h.n)), h.n)
-    eps = report.eps_neutral
-    assert split.F_up @ L(split.F_up) >= eps * (split.F_up @ split.F_up)
-    assert split.F_down @ L(split.F_down) <= -eps * (split.F_down @ split.F_down)
-    assert np.linalg.norm(L(split.F_0)) <= eps * np.linalg.norm(split.F_0)
-    # the neutral part is a linear projection: of the mean of two samples it is
-    # the mean of theirs
-    mean = stability.trichotomy_split(0.5 * (F + 3.0 * F), report).F_0
-    assert np.max(np.abs(mean - 2.0 * split.F_0)) < 1e-12
-    # tau = inf: the constants are neutral, no mode grows; tau = 0.5: no mode is neutral
-    assert (report.n_neutral > 0) == np.isinf(tau)
-    assert (report.n_grow > 0) == np.isfinite(tau)
+    for h, tau in cases:
+        report = stability.spectrum(stability.assemble_linearized_pde(h, tau))
+        report.to_document()
+        assert report.n_decay > 0
+        assert report.eigenvalues.dtype == np.float64
+        # tau = inf: the constants are neutral, no mode grows; finite tau: no mode is neutral
+        assert (report.n_neutral > 0) == np.isinf(tau)
+        assert (report.n_grow > 0) == np.isfinite(tau)
 
 
 def test_default_neutral_tolerance_is_a_tenth_of_the_gap():
@@ -371,7 +367,7 @@ def test_discrete_rhs_linearization_consistent_with_assembly():
     diffs = []
     for n in (8, 16):
         h = _flat(n)
-        lin = stability.linearize_flow_rhs(h, "deturck", np.inf, reference=h)
+        lin = stability.linearized_deturck_flow(h)
         asm = stability.assemble_linearized_pde(h, np.inf)
         X, Y = h.coords()
         k = np.zeros(h.g.shape)
@@ -392,10 +388,13 @@ LINEARIZATION_CASES = [(make, n, tau) for make in (_flat, _aniso_flat) for n in 
                          ids=[f"{m.__name__.strip('_')}{n}-tau{t}"
                               for m, n, t in LINEARIZATION_CASES])
 def test_linearized_flow_matches_the_dense_oracle(monkeypatch, make, n, tau):
+    """The closed form (plus 1/tau at a finite tau) against the node-by-node
+    linearization, against the unit flat reference: for the anisotropic
+    background it is not the background."""
     h = make(n)
     _refuse_dense_view(monkeypatch)
-    op = stability.linearize_flow_rhs(h, "deturck", tau, reference=h)
-    oracle = _dense_flow_linearization(h, "deturck", tau, reference=h)
+    op = _flow_operator(h, tau)
+    oracle = _dense_flow_linearization(h, "deturck", tau, reference=_flat(n))
     eps = stability.default_neutral_tolerance(op)
     report = stability.spectrum(op)
     assert report.eps_neutral == eps
@@ -411,34 +410,36 @@ def test_linearized_flow_matches_the_dense_oracle(monkeypatch, make, n, tau):
     assert np.max(np.abs(applied - oracle @ _tensor_to_vec(k, h.n))) < 1e-8
 
 
-@pytest.mark.parametrize("h", [_aniso_flat(64), GridModel.flat(3, (8, 8, 8))],
+@pytest.mark.parametrize("h", [_aniso_flat(64), _aniso_flat_3d()],
                          ids=["aniso64x64", "8x8x8"])
 @pytest.mark.parametrize("tau", [np.inf, 0.5])
-def test_linearized_flow_needs_no_node_cap(monkeypatch, h, tau):
-    """2 RHS evaluations per metric component give the symbol of the wide
-    stencils on any grid."""
-    calls = []
-    rhs_deturck = flows.rhs_deturck
-    monkeypatch.setattr(flows, "rhs_deturck",
-                        lambda *args: calls.append(1) or rhs_deturck(*args))
-    op = stability.linearize_flow_rhs(h, "deturck", tau, reference=h)
-    ncomp = h.n * (h.n + 1) // 2
-    assert len(calls) == 2 * ncomp
-    assert (op.ncomp, op.symbol.shape) == (ncomp, h.dims)
-    oracle = _wide_stencil_symbol(h, tau)
-    assert np.max(np.abs(op.symbol - oracle)) < 1e-8 * np.max(np.abs(oracle))
+def test_linearized_flow_needs_no_node_cap(h, tau):
+    """The closed form is the symbol of the flow's stencils on any grid: at
+    64^2 and on an anisotropic 8^3 metric, against the unit flat reference, it
+    is the impulse response of the discrete flow."""
+    assert stability.linearized_deturck_flow(h).symbol.shape == h.dims
+    _assert_is_the_impulse_response(h, GridModel.flat(h.n, h.dims), tau)
 
 
-def test_linearized_flow_rejects_coupled_components_and_curved_backgrounds():
+def test_linearized_flow_kernel_and_gap():
+    """The wide stencils vanish at theta = pi as well as at 0: at 16^2 the
+    flow's kernel holds the wavenumbers (0 or 8, 0 or 8) of each of the three
+    components, and its gap is the lowest mode's (sin dx / dx)^2, below the
+    compact symbol's 2 (1 - cos dx) / dx^2."""
+    h = _flat(16)
+    report = stability.spectrum(stability.linearized_deturck_flow(h))
+    dx = h.spacings[0]
+    assert (report.n_grow, report.n_neutral) == (0, 12)
+    assert np.isclose(report.gap, (np.sin(dx) / dx) ** 2, rtol=1e-12, atol=0.0)
+    assert report.gap < stability.spectrum(stability.assemble_linearized_pde(h, np.inf)).gap
+
+
+def test_linearized_flow_rejects_curved_backgrounds():
     h = _flat(8)
-    # without the DeTurck term, Ricci's divergence terms couple the components
-    for tau in (1.0, np.inf):  # the tau-flow, and at tau = inf the unnormalized flow
-        with pytest.raises(RejectedInputError, match="couples"):
-            stability.linearize_flow_rhs(h, "tau", tau)
     X, _ = h.coords()
     curved = h.with_metric(h.g * (1.0 + 0.1 * np.sin(X))[..., None, None])
     with pytest.raises(RejectedInputError, match="flat"):
-        stability.linearize_flow_rhs(curved, "deturck", np.inf, reference=h)
+        stability.linearized_deturck_flow(curved)
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +587,19 @@ def test_compact_symbol_leaves_a_linear_mismatch(seed):
     args = _readme_trajectory((16, 16), 0.01, 4.0, seed)
     _, _, g1, h, _ = args
     constant, last = stability.rk4_remainder(*args)
-    flow = _pushed_ratios(*args, stability.linearize_flow_rhs(g1, "deturck", np.inf,
-                                                              reference=h).symbol)
+    flow = _pushed_ratios(*args, stability.linearized_deturck_flow(g1).symbol)
     assert np.allclose([constant, last], [max(flow), flow[-1]], rtol=1e-9, atol=0.0)
     compact = _pushed_ratios(*args, stability.assemble_linearized_pde(g1, np.inf).symbol)
     assert compact[-1] > compact[0]
     assert compact[-1] > 100.0 * last, (compact[-1], last)
+
+
+def test_linearized_flow_is_the_impulse_response_at_the_readme_limit():
+    """Where ``rk4_remainder`` linearizes: at the limit g1 of the README run,
+    a constant metric that is not the flat reference h."""
+    _, _, g1, h, _ = _readme_trajectory((16, 16), 0.01, 16.0)
+    assert np.max(np.abs(g1.g - h.g)) > 1e-5
+    _assert_is_the_impulse_response(g1, h, np.inf)
 
 
 # ---------------------------------------------------------------------------
