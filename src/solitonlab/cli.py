@@ -40,7 +40,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     report = harness.spectral_report(_load_config(args.config))
-    print(json.dumps(report.to_document(), indent=2))
+    print(report.to_json())
     return EXIT_OK
 
 

@@ -37,4 +37,6 @@ class InsufficientDataError(ValueError):
 
 class NumericalFailureError(RuntimeError):
     """A computed value is not finite: W or the soliton defect of a coupled
-    flow sample (``entropy.entropy_record``), as when the volume overflows."""
+    flow sample (``entropy.entropy_record``), as when the volume overflows;
+    or a spectrum has no gap to read (``stability.spectrum``): its symbol
+    holds a non-finite entry, or no magnitude above the neutral floor."""

@@ -151,6 +151,13 @@ def validate_config(cfg: RunConfig) -> None:
             _fail("model.dims", "each grid dimension must be at least 8")
         if not _positive_finite(*cfg.period):
             _fail("model.period", "each period must be positive and finite")
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            h2 = (np.array(cfg.period) / np.array(cfg.dims)) ** 2
+            powers = np.concatenate([h2, 1.0 / h2])
+        normal = np.finfo(float)
+        if not np.all((powers >= normal.tiny) & (powers <= normal.max)):
+            _fail("model.period", "each grid step h = period / points needs h^2 and 1/h^2 "
+                  "in the normal float range")
         if cfg.recipe not in ("flat", "perturbed-flat"):
             _fail("model.recipe", f"unknown grid recipe {cfg.recipe!r}")
     else:
@@ -531,7 +538,7 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
         if cfg.analyze and cfg.kind == "grid":
             report = spectral_report(cfg)
             spectral_path = out_dir / "spectral.json"
-            spectral_path.write_text(json.dumps(report.to_document(), indent=2))
+            spectral_path.write_text(report.to_json())
             record.spectral_path = str(spectral_path)
             stability_verdicts(cfg, traj, report, verdicts)
     except BaseException as exc:

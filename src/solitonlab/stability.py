@@ -13,17 +13,23 @@ dense view rebuilt from the symbol, kept only for the benchmark's tracer.
 These are the only operators the package analyzes: the limit soliton of a
 grid run is flat, so no dense eigendecomposition is ever needed.  The 3x3
 frame Jacobian of ``jacobian_ode`` is a plain matrix for numpy.
+
+A ``SpectralReport`` is written as ``to_json``, the text of
+``json.dumps(to_document(), indent=2)``, formatting each distinct eigenvalue
+once.  ``spectrum`` raises ``NumericalFailureError`` for a symbol with a
+non-finite entry or no magnitude above the neutral floor: it has no gap.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import geometry
-from .errors import InsufficientDataError, RejectedInputError
+from .errors import InsufficientDataError, NumericalFailureError, RejectedInputError
 from .geometry import FrameModel, GridModel, require_flat, sym_components
 
 NOISE_FLOOR = 1e-12
@@ -182,17 +188,51 @@ class SpectralReport:
             "convention": "forward-time: Re(lambda) > 0 grows under e^{Lt}",
         }
 
+    def to_json(self) -> str:
+        """``json.dumps(self.to_document(), indent=2)``, byte for byte, with
+        each distinct eigenvalue bit pattern formatted once: the symbol is
+        repeated once per component and even in the wavenumber, so a 32^2
+        report holds 3,072 eigenvalues but at most 289 distinct ones."""
+        doc = self.to_document()
+        doc["eigenvalues_re"] = []
+        bits, inverse = np.unique(self.eigenvalues.view(np.int64), return_inverse=True)
+        texts = np.array([_json_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
+        items = texts[inverse].tolist()
+        listed = "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+        return json.dumps(doc, indent=2).replace('"eigenvalues_re": []',
+                                                 '"eigenvalues_re": ' + listed, 1)
+
+
+def _json_float(x: float) -> str:
+    """``x`` as ``json`` writes a float (``allow_nan``: NaN, Infinity, -Infinity)."""
+    if x != x:
+        return "NaN"
+    if x == np.inf:
+        return "Infinity"
+    if x == -np.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
 
 def default_neutral_tolerance(op: FourierOperator) -> float:
-    """One tenth of the smallest symbol magnitude above 1e-10."""
+    """One tenth of the smallest symbol magnitude above 1e-10; a symbol with
+    none above it (a grid step so long that every mode is neutral) raises
+    ``NumericalFailureError``."""
     mags = np.abs(op.symbol.ravel())
-    return float(np.min(mags[mags > 1e-10]) / 10.0)
+    mags = mags[mags > 1e-10]
+    if not mags.size:
+        raise NumericalFailureError("spectrum: no symbol magnitude lies above 1e-10, "
+                                    "so the spectrum has no gap")
+    return float(np.min(mags) / 10.0)
 
 
 def spectrum(op: FourierOperator) -> SpectralReport:
     """Eigenvalues with neutral-band classification at
     ``default_neutral_tolerance``: the symbol repeated once per component,
-    sorted."""
+    sorted.  A non-finite symbol entry (a grid step so short that 1/h^2
+    overflows) raises ``NumericalFailureError``."""
+    if not np.all(np.isfinite(op.symbol)):
+        raise NumericalFailureError("spectrum: the operator's symbol has a non-finite entry")
     eps_neutral = default_neutral_tolerance(op)
     vals = np.sort(np.repeat(op.symbol.ravel(), op.ncomp))
     labels = _labels(vals, eps_neutral)

@@ -1003,6 +1003,37 @@ def test_cli_spectrum_and_plot(tmp_path, monkeypatch, capsys):
     assert plot_path.endswith("plot-norm.dat")
 
 
+@pytest.mark.parametrize("text", [README_CONFIG, THREE_D_CONFIG], ids=["readme", "8x8x8"])
+def test_spectrum_prints_the_runs_spectral_document(tmp_path, monkeypatch, capsys, text):
+    """``solitonlab spectrum`` prints the bytes that ``run`` writes to
+    ``spectral.json``, plus print's newline."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    cfg_path = _write_config(tmp_path, text)
+    assert cli.main(["run", cfg_path]) == cli.EXIT_OK
+    record_path = Path(capsys.readouterr().out.strip().splitlines()[-1].split("record: ")[-1])
+    assert cli.main(["spectrum", cfg_path]) == cli.EXIT_OK
+    assert capsys.readouterr().out == (record_path.parent / "spectral.json").read_text() + "\n"
+
+
+@pytest.mark.parametrize("command", ["run", "spectrum"])
+@pytest.mark.parametrize("period", ["1e-160", "1e7", "1e300"])
+def test_extreme_periods_exit_2_or_3(tmp_path, monkeypatch, capsys, command, period):
+    """A grid step whose h^2 or 1/h^2 leaves the normal float range is
+    rejected as ``model.period``; one so long that no symbol magnitude lies
+    above the neutral floor is a numerical failure of the spectrum, which a
+    run records as its stability stage.  Neither ends in a traceback."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    cfg_path = _write_config(tmp_path, f"[model]\ndims = 8,8\nperiod = {period},{period}\n")
+    expected = ((cli.EXIT_NUMERICAL, "numerical failure: spectrum: ") if period == "1e7"
+                else (cli.EXIT_VALIDATION, "validation error: model.period: "))
+    code = cli.main([command, cfg_path])
+    err = capsys.readouterr().err
+    assert code == expected[0] and err.startswith(expected[1]), (code, err)
+    if command == "run" and code == cli.EXIT_NUMERICAL:
+        record = json.loads(next(tmp_path.glob("*/record.json")).read_text())
+        assert record["verdicts"]["failed_stage"] == "stability"
+
+
 BERGER_ENTROPY = ("[model]\nkind = frame\nrecipe = berger\ncoefficients = {}\n"
                   "[flow]\nvariant = tau\ntau = 1.0\ndt = 0.01\nt_end = {}\n")
 

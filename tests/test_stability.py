@@ -1,11 +1,13 @@
 """Linearized operators, spectra, interval lemmas, family projection, the
 quadratic remainder, and rate fitting."""
 
+import json
+
 import numpy as np
 import pytest
 
 from solitonlab import flows, geometry, harness, stability
-from solitonlab.errors import InsufficientDataError, RejectedInputError
+from solitonlab.errors import InsufficientDataError, NumericalFailureError, RejectedInputError
 from solitonlab.geometry import FrameModel, GridModel
 
 TWO_PI = 2.0 * np.pi
@@ -349,6 +351,56 @@ def test_default_neutral_tolerance_is_a_tenth_of_the_gap():
     op = stability.assemble_linearized_pde(h, np.inf)
     lowest = 2.0 * (1.0 - np.cos(h.spacings[0])) / h.spacings[0] ** 2
     assert np.isclose(stability.default_neutral_tolerance(op), lowest / 10.0)
+
+
+# a report holding every float ``json`` spells apart: both zeros, NaN, both
+# infinities, the smallest subnormal, and repeats
+_SYNTHETIC_REPORT = stability.SpectralReport(
+    eigenvalues=np.array([-np.inf, -1.5, -0.0, -0.0, 0.0, 5e-324, 5e-324, 0.1, np.inf, np.nan]),
+    eps_neutral=1e-3, n_grow=4, n_neutral=4, n_decay=2, gap=0.1)
+_EMPTY_REPORT = stability.SpectralReport(eigenvalues=np.array([]), eps_neutral=0.1,
+                                         n_grow=0, n_neutral=0, n_decay=0, gap=np.inf)
+
+
+@pytest.mark.parametrize("report", [
+    pytest.param(lambda: stability.spectrum(stability.assemble_linearized_pde(
+        _aniso_flat(32), np.inf)), id="aniso32x32"),
+    pytest.param(lambda: stability.spectrum(stability.assemble_linearized_pde(
+        _aniso_flat_3d(), np.inf)), id="8x8x8"),
+    pytest.param(lambda: stability.spectrum(stability.assemble_linearized_pde(
+        _aniso_flat(16), 0.5)), id="aniso16x16-tau0.5"),
+    pytest.param(lambda: _SYNTHETIC_REPORT, id="synthetic"),
+    pytest.param(lambda: _EMPTY_REPORT, id="empty"),
+])
+def test_spectral_json_is_the_indented_dump_of_the_document(report):
+    """``to_json`` formats each distinct eigenvalue once and gives the bytes
+    of ``json.dumps(to_document(), indent=2)``."""
+    report = report()
+    assert report.to_json() == json.dumps(report.to_document(), indent=2)
+
+
+def test_spectral_json_reads_the_document_once(monkeypatch):
+    calls = []
+    to_document = stability.SpectralReport.to_document
+
+    def counted(self):
+        calls.append(self)
+        return to_document(self)
+
+    monkeypatch.setattr(stability.SpectralReport, "to_document", counted)
+    report = stability.spectrum(stability.assemble_linearized_pde(_flat(16), np.inf))
+    report.to_json()
+    assert len(calls) == 1 and calls[0] is report
+
+
+@pytest.mark.parametrize("symbol", [np.full((8, 8), 1e-11), np.where(np.eye(8), np.inf, -1.0)],
+                         ids=["all-neutral", "non-finite"])
+def test_spectrum_without_a_gap_is_a_numerical_failure(symbol):
+    """A symbol with no magnitude above the 1e-10 floor (a grid step so long
+    that every mode is neutral) or with a non-finite entry (1/h^2 overflowed)
+    has no gap to report."""
+    with pytest.raises(NumericalFailureError, match="^spectrum: "):
+        stability.spectrum(stability.FourierOperator(symbol=symbol, ncomp=3))
 
 
 def test_frame_jacobian_at_round_fixed_point():
