@@ -98,12 +98,20 @@ class _RadialQuadrature:
 def _radial_w(quad: _RadialQuadrature, v: np.ndarray, R: float, tau: float, n: int) -> float:
     """W of the polar profile v = e^{-f/2}: the face energies 4 w_face (dv/ds)^2
     (pole faces carry zero flux), and -v^2 log v^2 for u f at the nodes."""
-    c = (4.0 * np.pi * tau) ** (-n / 2.0)
+    c = _heat_factor(tau, n)
     w, wf = quad.w, quad.w_face
     vsq = v**2
     ent = np.where(vsq > 0.0, vsq * np.log(np.maximum(vsq, _TINY**2)), 0.0)
     kin = 4.0 * np.sum(wf * quad.face_slope(v) ** 2)
     return float(c * (tau * (kin + np.sum(w * vsq * R)) - np.sum(w * (n * vsq + ent))))
+
+
+def _heat_factor(tau: float, n: int) -> float:
+    """(4 pi tau)^{-n/2}; ``NumericalFailureError`` where it overflows (n = 3, tau < 1e-206)."""
+    try:
+        return float(4.0 * np.pi * tau) ** (-n / 2.0)
+    except OverflowError:
+        raise NumericalFailureError(f"(4 pi tau)^(-{n}/2) overflows at tau = {tau!r}") from None
 
 
 def _weights(model, f):
@@ -120,7 +128,7 @@ def _grid_terms(model: GridModel, f, tau: float):
     """W = sum c u w A of a grid potential, with its per-node factors c,
     u = e^{-f}, the weights w, A = tau (|grad f|^2 + R) + f - n, and the
     partials of f."""
-    c = (4.0 * np.pi * tau) ** (-model.n / 2.0)
+    c = _heat_factor(tau, model.n)
     w, _ = _weights(model, f)
     df = geometry.partials(model, f)
     gsq = np.einsum("...ij,...i,...j->...", model.ginv, df, df)
@@ -133,7 +141,7 @@ def _grid_terms(model: GridModel, f, tau: float):
 def _mass(model, f, tau: float) -> float:
     """(4 pi tau)^{-n/2} int e^{-f} dV."""
     w, fv = _weights(model, f)
-    return (4.0 * np.pi * tau) ** (-model.n / 2.0) * np.sum(np.exp(-fv) * w)
+    return _heat_factor(tau, model.n) * np.sum(np.exp(-fv) * w)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +192,7 @@ def _w_value(model, f, tau: float) -> float:
     # constant potential on a homogeneous model
     n = model.n
     w, fv = _weights(model, f)
-    c = (4.0 * np.pi * tau) ** (-n / 2.0)
-    return float(c * np.sum(np.exp(-fv) * w * (tau * R + fv - n)))
+    return float(_heat_factor(tau, n) * np.sum(np.exp(-fv) * w * (tau * R + fv - n)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +219,7 @@ def weighted_defect_sq(model, f, tau: float) -> float:
         raise RejectedInputError("defect on a frame model needs a constant potential")
     d = soliton_defect(model, f, tau)
     w, fv = _weights(model, f)
-    c = (4.0 * np.pi * tau) ** (-model.n / 2.0)
+    c = _heat_factor(tau, model.n)
     if isinstance(model, FrameModel):
         mag_sq = float(np.sum((d / model.a) ** 2))
         return float(mag_sq * c * np.sum(np.exp(-fv) * w))
@@ -226,12 +233,15 @@ def defect_l2(model, f, tau: float) -> float:
 
 def entropy_record(state) -> EntropyRecord:
     """W and defect for a single flow state carrying a potential; a non-finite
-    value (an overflowed volume) raises ``NumericalFailureError``."""
-    W = w_functional(state.model, state.f, state.tau)
-    defect = defect_l2(state.model, state.f, state.tau)
-    if not (np.isfinite(W) and np.isfinite(defect)):
-        raise NumericalFailureError(f"non-finite entropy audit at t={state.t:.6g} "
-                                    f"(W={W}, defect_l2={defect})")
+    value (an overflowed volume, factor or defect) raises ``NumericalFailureError`` naming t."""
+    try:
+        W = w_functional(state.model, state.f, state.tau)
+        with np.errstate(over="ignore"):  # an overflowed defect is named below
+            defect = defect_l2(state.model, state.f, state.tau)
+        if not (np.isfinite(W) and np.isfinite(defect)):
+            raise NumericalFailureError(f"W={W}, defect_l2={defect}")
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(f"non-finite entropy audit at t={state.t:.6g}: {exc}") from exc
     return EntropyRecord(t=state.t, W=W, defect_l2=defect)
 
 
@@ -307,7 +317,7 @@ def _minimize_mu_radial(model, tau: float, f0: np.ndarray, grad_tol: float,
 
     r = _require_round(model)
     quad = _RadialQuadrature(r, len(f0))
-    nn, c = model.n, (4.0 * np.pi * tau) ** (-model.n / 2.0)
+    nn, c = model.n, _heat_factor(tau, model.n)
     R = geometry.scalar_curvature(model)
     w, wf, ds = quad.w, quad.w_face, r * quad.dtheta
     # face weights padded with the zero-flux pole faces
@@ -389,7 +399,7 @@ def minimize_mu(model, tau: float, f0=None, grad_tol: float = GRAD_TOL,
     f = normalize_f(model, np.asarray(f0, dtype=float), tau)
     shape = f.shape
     w_nodes, _ = _weights(model, f)
-    c = (4.0 * np.pi * tau) ** (-model.n / 2.0)
+    c = _heat_factor(tau, model.n)
 
     def objective(ft):
         # line-search probes may overflow e^{-f}; the renormalization recovers

@@ -308,7 +308,8 @@ def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
 
     y0 = (_metric_array(state.model), state.f) if coupled else (_metric_array(state.model),)
     try:
-        y1 = rk4(velocity, y0, dt)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed stage fails the checks
+            y1 = rk4(velocity, y0, dt)
     except np.linalg.LinAlgError as exc:
         raise StepRejectedError(
             f"step to t = {state.t + dt} met a singular stage metric: {exc}") from exc

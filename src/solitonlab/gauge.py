@@ -2,10 +2,11 @@
 flow that evolves the diffeomorphism, pullbacks and inversion, the divergence
 gauge fix, and the equivalence audit.
 
-Diffeomorphisms of the torus are stored as periodic displacement fields F
-with phi(x) = x + F(x).  The reference background h is always a constant
-(flat) metric in these coordinates, so its Christoffel symbols vanish and
-the map Laplacian needs no target-connection terms.
+A torus diffeomorphism phi = Id + F is a plain array F of periodic
+displacements (shape dims + (n,)), passed with the background h it lives
+on; a gauge run keeps one per step.  The reference background h is always a
+constant (flat) metric in these coordinates, so its Christoffel symbols
+vanish and the map Laplacian needs no target-connection terms.
 """
 
 from __future__ import annotations
@@ -57,27 +58,13 @@ def interp_periodic(values: np.ndarray, points: np.ndarray, dims, period) -> np.
     return out
 
 
-@dataclass(frozen=True)
-class DiffeoField:
-    """A torus diffeomorphism phi(x) = x + F(x) with its reference background."""
-
-    F: np.ndarray
-    h: GridModel
-
-    def jacobian(self) -> np.ndarray:
-        """J[..., k, i] = d_i phi^k = delta_ki + d_i F^k."""
-        dF = geometry.partials(self.h, self.F)  # [..., k, i]
-        return np.eye(self.h.n) + dF
-
-    def min_jacobian_det(self) -> float:
-        return float(np.min(np.linalg.det(self.jacobian())))
-
-    def is_injective(self) -> bool:
-        """Injectivity proxy: positive Jacobian determinant everywhere and a
-        displacement smaller than half the minimal period."""
-        if self.min_jacobian_det() <= 0.0:
-            return False
-        return float(np.max(np.abs(self.F))) < 0.5 * min(self.h.period)
+def is_injective(F: np.ndarray, h: GridModel) -> bool:
+    """Injectivity proxy for phi = Id + F: det(I + dF) > 0 at every node and
+    a displacement smaller than half the minimal period of ``h``."""
+    J = np.eye(h.n) + geometry.partials(h, F)  # J[..., k, i] = d_i phi^k
+    if float(np.min(np.linalg.det(J))) <= 0.0:
+        return False
+    return float(np.max(np.abs(F))) < 0.5 * min(h.period)
 
 
 @dataclass(frozen=True)
@@ -177,7 +164,7 @@ def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t0: float, t1: floa
         stages = {0.0: now, 0.5: g_of_t(t + 0.5 * dt), 1.0: g_of_t(t + dt)}
         F, = flows.rk4(velocity, (F,), dt)
         t += dt
-        if not DiffeoField(F=F, h=h).is_injective():
+        if not is_injective(F, h):
             raise GaugeBreakdownError(f"gauge lost injectivity at t = {t}", time=t)
         now = stages[1.0]
         record(t, F, now)
@@ -242,15 +229,10 @@ def _solve_background_divergence(h: GridModel, rhs: np.ndarray) -> np.ndarray:
     Fourier solve with the central-difference symbols so the solution inverts
     the discrete operator; null (Nyquist/constant) modes are dropped.
     """
-    geometry.require_flat(h)
     n = h.n
     H = h.g.reshape(-1, n, n)[0]
     Hinv = np.linalg.inv(H)
-    dims = h.dims
-    hs = h.spacings
-    kappa = np.meshgrid(*[np.sin(2.0 * np.pi * np.fft.fftfreq(d)) / hsx
-                          for d, hsx in zip(dims, hs)], indexing="ij")
-    kappa = np.stack(kappa, axis=-1)  # dims + (n,)
+    kappa = np.stack(geometry.d1_symbol(h), axis=-1)  # dims + (n,)
     rhat = np.stack([np.fft.fftn(rhs[..., j]) for j in range(n)], axis=-1)
     quad = np.einsum("...i,ij,...j->...", kappa, Hinv, kappa)
     A = np.einsum("...j,...l->...jl", kappa, kappa) + quad[..., None, None] * H
@@ -261,8 +243,9 @@ def _solve_background_divergence(h: GridModel, rhs: np.ndarray) -> np.ndarray:
     return np.stack([np.real(np.fft.ifftn(xhat[..., l])) for l in range(n)], axis=-1)
 
 
-def divergence_gauge_fix(g: GridModel, h: GridModel) -> DiffeoField:
-    """Find phi near Id with delta_{phi^* h}(g) = 0 by fixed-point iteration.
+def divergence_gauge_fix(g: GridModel, h: GridModel) -> np.ndarray:
+    """Displacement F of phi = Id + F near Id with delta_{phi^* h}(g) = 0, by
+    fixed-point iteration.
 
     Each sweep solves the flat linearized system for a displacement update
     and re-measures the divergence against the pulled-back background.
@@ -276,16 +259,15 @@ def divergence_gauge_fix(g: GridModel, h: GridModel) -> DiffeoField:
         r = geometry.divergence(b, g.g)
         res = geometry.norms(b, r).l2
         if res < 1e-8:
-            return DiffeoField(F=X, h=h)
+            return X
         X = X + _solve_background_divergence(h, r)
-    raise NonConvergenceError(
-        f"divergence gauge fix stalled at residual {res:.3e}",
-        last_iterate=DiffeoField(F=X, h=h))
+    raise NonConvergenceError(f"divergence gauge fix stalled at residual {res:.3e}",
+                              last_iterate=X)
 
 
-def gauge_residual(g: GridModel, phi: DiffeoField) -> float:
-    """L2 norm of delta_{phi^* h}(g), the gauge condition being enforced."""
-    b = pullback_metric(phi.F, phi.h) if np.any(phi.F) else phi.h
+def gauge_residual(g: GridModel, F: np.ndarray, h: GridModel) -> float:
+    """L2 norm of delta_{phi^* h}(g) for phi = Id + F, the gauge condition enforced."""
+    b = pullback_metric(F, h) if np.any(F) else h
     return geometry.norms(b, geometry.divergence(b, g.g)).l2
 
 
@@ -296,18 +278,18 @@ def gauge_residual(g: GridModel, phi: DiffeoField) -> float:
 def gauge_equivalence_check(ricci_traj, deturck_traj, gauge_traj: GaugeTrajectory) -> np.ndarray:
     """Sup-norm discrepancy pullback(phi^-1, g_ricci) vs g_deturck per sample.
 
-    The three trajectories must share sample times.  At t0 the discrepancy
-    is zero by construction; afterwards it measures the combined spatial,
-    temporal, and interpolation error of the gauge transport.
+    The two flows must share sample times; each sample is paired with the
+    entry of the whole gauge run at its time (``np.isclose``), and one with
+    no entry is rejected.  At t0 the discrepancy is zero by construction;
+    afterwards it measures the combined spatial, temporal, and interpolation
+    error of the gauge transport.
     """
+    times = np.array(gauge_traj.times)
     errs = []
-    for i, t in enumerate(gauge_traj.times):
-        g_r = ricci_traj.states[i].model
-        g_d = deturck_traj.states[i].model
-        if not (np.isclose(ricci_traj.states[i].t, t)
-                and np.isclose(deturck_traj.states[i].t, t)):
+    for s_r, s_d in zip(ricci_traj.states, deturck_traj.states, strict=True):
+        j = int(np.argmin(np.abs(times - s_r.t)))
+        if not (np.isclose(times[j], s_r.t) and np.isclose(s_d.t, s_r.t)):
             raise RejectedInputError("trajectories are not sampled at matching times")
-        Finv = invert_diffeo(gauge_traj.F[i], gauge_traj.h)
-        pulled = pullback_metric(Finv, g_r)
-        errs.append(float(np.max(np.abs(pulled.g - g_d.g))))
+        pulled = pullback_metric(invert_diffeo(gauge_traj.F[j], gauge_traj.h), s_r.model)
+        errs.append(float(np.max(np.abs(pulled.g - s_d.model.g))))
     return np.array(errs)

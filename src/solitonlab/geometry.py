@@ -328,6 +328,13 @@ def d1(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (f.take(plus, axis=axis) - f.take(minus, axis=axis)) / (2.0 * h)
 
 
+def d1_symbol(m: GridModel) -> tuple:
+    """Fourier symbol over i of ``d1`` along each axis a of ``m``: sin(theta_a)/h_a, theta_a
+    the phase advance per node, on the wavenumber grid (``m.dims``, fftn order)."""
+    return np.meshgrid(*[np.sin(2.0 * np.pi * np.fft.fftfreq(d)) / h
+                         for d, h in zip(m.dims, m.spacings)], indexing="ij")
+
+
 def d2(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Compact 3-point second derivative along a grid axis."""
     plus, minus = _neighbours(f.shape[axis])

@@ -98,12 +98,13 @@ class FourierOperator:
         package reads it: it stays only because ``perfbench/tracer.py``
         (``_operator_dim``) reads ``matrix.shape[0]`` after each traced
         ``spectrum``, and goes when the tracer reads ``dim`` (ROADMAP item 5)."""
-        import scipy.linalg
-
         N = self.symbol.size
         units = np.eye(N).reshape((N,) + self.symbol.shape)
         block = _fourier_multiply(self.symbol, units).reshape(N, N).T
-        return scipy.linalg.block_diag(*[block] * self.ncomp)
+        out = np.zeros((self.ncomp * N, self.ncomp * N))
+        for c in range(self.ncomp):
+            out[c * N:(c + 1) * N, c * N:(c + 1) * N] = block
+        return out
 
 
 def assemble_linearized_pde(h: GridModel, tau: float) -> FourierOperator:
@@ -154,8 +155,7 @@ def linearized_deturck_flow(g1: GridModel) -> FourierOperator:
     require_flat(g1)
     n = g1.n
     ginv = np.linalg.inv(g1.g.reshape(-1, n, n)[0])
-    theta = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(d) for d in g1.dims], indexing="ij")
-    sines = [np.sin(th) / dx for th, dx in zip(theta, g1.spacings)]
+    sines = geometry.d1_symbol(g1)
     symbol = -sum(ginv[a, b] * sines[a] * sines[b] for a in range(n) for b in range(n))
     return FourierOperator(symbol=symbol, ncomp=len(sym_components(n)))
 

@@ -4,9 +4,8 @@ equivalence audit between the plain and gauge-fixed metric flows."""
 import numpy as np
 import pytest
 
-from solitonlab import flows, gauge, geometry
+from solitonlab import flows, gauge, geometry, harness
 from solitonlab.errors import GaugeBreakdownError, NonConvergenceError, RejectedInputError
-from solitonlab.gauge import DiffeoField
 from solitonlab.geometry import GridModel
 
 TWO_PI = 2.0 * np.pi
@@ -122,13 +121,13 @@ def test_injectivity_proxy():
     X, _ = g.coords()
     F = np.zeros(g.dims + (2,))
     F[..., 0] = 0.1 * np.sin(X)
-    assert DiffeoField(F=F, h=g).is_injective()
+    assert gauge.is_injective(F, g)
     # folded: d phi/dx changes sign
     F[..., 0] = 1.6 * np.sin(X)
-    assert not DiffeoField(F=F, h=g).is_injective()
+    assert not gauge.is_injective(F, g)
     # translation past half a period
     F = np.full(g.dims + (2,), 0.6 * TWO_PI)
-    assert not DiffeoField(F=F, h=g).is_injective()
+    assert not gauge.is_injective(F, g)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +259,23 @@ def test_harmonic_flow_reports_breakdown():
 def test_divergence_gauge_fix_reduces_residual():
     g = _nonconformal(16, amp=0.02)
     h = _flat(16)
-    before = gauge.gauge_residual(g, DiffeoField(F=np.zeros(h.dims + (2,)), h=h))
-    phi = gauge.divergence_gauge_fix(g, h)
-    after = gauge.gauge_residual(g, phi)
+    before = gauge.gauge_residual(g, np.zeros(h.dims + (2,)), h)
+    F = gauge.divergence_gauge_fix(g, h)
+    after = gauge.gauge_residual(g, F, h)
     assert after < 1e-8
     assert after < 1e-3 * before
-    assert phi.is_injective()
+    assert gauge.is_injective(F, h)
+
+
+def test_divergence_gauge_fix_stall_carries_the_displacement():
+    """A fix that stalls raises with its last displacement array: it does on
+    the 8^2 perturbed-flat initial metric of the default config."""
+    cfg = harness.parse_config("[model]\ndims = 8,8\n")
+    g, h = harness.build_model(cfg), harness.flat_background(cfg)
+    with pytest.raises(NonConvergenceError, match="stalled") as info:
+        gauge.divergence_gauge_fix(g, h)
+    F = info.value.last_iterate
+    assert F.shape == h.dims + (2,) and np.any(F)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +301,12 @@ def test_gauge_equivalence_small_pipeline():
                          background=h, sample_every=5)
     ginterp = flows.MetricInterpolant(ricci)
     gt = gauge.run_harmonic_gauge(ginterp, h, np.zeros(h.dims + (2,)), 0.0, t_end, dt)
-    idx = [int(round(t / dt)) for t in ricci.times]
-    sub = gauge.GaugeTrajectory(h=h, times=[gt.times[i] for i in idx],
-                                F=[gt.F[i] for i in idx])
-    errs = gauge.gauge_equivalence_check(ricci, det, sub)
+    errs = gauge.gauge_equivalence_check(ricci, det, gt)
+    # flows sampled at every step pair with every entry of the gauge run, and
+    # agree with the audit of every fifth sample where the two share a time
+    every = [flows.run_flow(model0, "tau", np.inf, dt, t_end),
+             flows.run_flow(model0, "deturck", np.inf, dt, t_end, background=h)]
+    assert np.array_equal(gauge.gauge_equivalence_check(*every, gt)[::5], errs)
     assert errs[0] == 0.0
     assert np.max(errs) < 1e-4
 
@@ -309,6 +321,9 @@ def test_gauge_equivalence_rejects_mismatched_times():
                                F=[np.zeros(h.dims + (2,))] * 2)
     with pytest.raises(RejectedInputError):
         gauge.gauge_equivalence_check(traj_a, traj_b, gt)
+    # the flows agree, but the gauge run has no entry at their sample t = 0.05
+    with pytest.raises(RejectedInputError):
+        gauge.gauge_equivalence_check(traj_b, traj_b, gt)
 
 
 @pytest.mark.parametrize("dims", [(16, 16), (32, 32), (8, 8, 8), (12, 10, 9)],

@@ -97,6 +97,28 @@ def test_stencils_equal_the_roll_formula(shape):
         assert np.array_equal(geometry.d2(f, axis=axis, h=h), (up - 2.0 * f + down) / h**2)
 
 
+@pytest.mark.parametrize("dims", [(8, 8), (16, 16), (32, 32), (33, 17), (8, 8, 8), (12, 10, 9)],
+                         ids=lambda d: "x".join(map(str, d)))
+def test_d1_symbol_is_the_symbol_of_d1(dims):
+    """``d1`` multiplies a Fourier mode by i ``d1_symbol``, whose planes are
+    bitwise the sine of the meshgrid of phases over h: the spelling that the
+    linearized flow's symbol used before it read them from here."""
+    n = len(dims)
+    rng = np.random.default_rng(0)
+    for period in (TWO_PI, 6.0, 37.5):
+        m = GridModel.flat(n, dims, (period,) * n)
+        sym = geometry.d1_symbol(m)
+        theta = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(d) for d in dims], indexing="ij")
+        k = tuple(int(rng.integers(d)) for d in dims)
+        phase = sum(th[k] * j for th, j in zip(theta, np.meshgrid(*map(np.arange, dims),
+                                                                 indexing="ij")))
+        mode = np.exp(1j * phase)
+        for a in range(n):
+            assert np.array_equal(sym[a], np.sin(theta[a]) / m.spacings[a])
+            assert np.allclose(geometry.d1(mode, axis=a, h=m.spacings[a]),
+                               1j * sym[a][k] * mode, rtol=0.0, atol=1e-12 / m.spacings[a])
+
+
 def test_flat_metric_curvature_vanishes_exactly():
     m = GridModel.flat(2, (16, 16), (TWO_PI, TWO_PI))
     assert np.max(np.abs(geometry.christoffel(m))) == 0.0

@@ -85,6 +85,9 @@ def test_parse_rejects_unknown_section_and_key():
     ("[model]\ndims = 2,2\n", "model.dims"),
     ("[model]\ndims = 6,6\n", "model.dims"),
     ("[model]\ndims = 8,8,8,8\nperiod = 6.0,6.0,6.0,6.0\n", "model.dims"),
+    ("[model]\ndims = 1000000,1000000\n", "model.dims"),  # more than 2^20 nodes
+    ("[model]\ndims = 1025,1024\n", "model.dims"),
+    ("[model]\ndims = 102,102,102\nperiod = 6.0,6.0,6.0\n", "model.dims"),
     ("[flow]\ncouple_potential = true\n", "flow.couple_potential"),
     ("[flow]\ntau = 1.0\ncouple_potential = true\n", "flow.couple_potential"),
     ("[model]\nkind = frame\nrecipe = berger\n"
@@ -515,13 +518,16 @@ def test_state_line_with_wrong_model_values_is_rejected_naming_the_line(tmp_path
 
 def test_grid_run_and_spectrum_import_no_scipy(tmp_path):
     """scipy is imported where it is called: a grid run without gauge
-    reconstruction and the spectrum subcommand load no scipy module."""
+    reconstruction, the spectrum subcommand and the dense view of the
+    spectral operator load no scipy module."""
     config = _write_config(tmp_path, GRID_CONFIG)
     script = "\n".join([
         "import sys",
-        "from solitonlab import cli, harness",
+        "from solitonlab import cli, harness, stability",
         f"assert cli.main(['spectrum', {config!r}]) == cli.EXIT_OK",
-        f"harness.run_experiment(harness.parse_config(open({config!r}).read()))",
+        f"cfg = harness.parse_config(open({config!r}).read())",
+        "harness.run_experiment(cfg)",
+        "stability.assemble_linearized_pde(harness.flat_background(cfg), cfg.tau).matrix",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
     src = str(Path(harness.__file__).resolve().parents[1])
@@ -792,9 +798,7 @@ def test_the_gauge_stage_pairs_the_run_with_its_partner_at_its_tau(tmp_path, mon
     det = run_flow(model0, "deturck", cfg.tau, cfg.dt, cfg.t_end, background=h, sample_every=5)
     gt = gauge.run_harmonic_gauge(flows.MetricInterpolant(ricci), h,
                                   np.zeros(h.dims + (h.n,)), 0.0, cfg.t_end, cfg.dt)
-    sub = gauge.GaugeTrajectory(h=h)
-    sub.times, sub.F = gt.times[::5], gt.F[::5]
-    assert float(np.max(gauge.gauge_equivalence_check(ricci, det, sub))) == discs["tau"]
+    assert float(np.max(gauge.gauge_equivalence_check(ricci, det, gt))) == discs["tau"]
     expected = {"0.5": 1.2113029299656852e-3, "inf": 7.636696362019451e-4}[tau]
     assert abs(discs["tau"] - expected) <= 1e-12 * expected
 
@@ -889,13 +893,32 @@ def test_cli_frame_singularity_exits_numerical(tmp_path, monkeypatch, capsys):
 
 def test_cli_frame_overflow_exits_numerical(tmp_path, monkeypatch, capsys):
     """A tau so small that the first step overflows to NaN coefficients is a
-    rejected step (exit 3), not a run that ends in exit 0 on a NaN trajectory."""
+    rejected step (exit 3), not a run that ends in exit 0 on a NaN trajectory,
+    and its stages overflow without a RuntimeWarning."""
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
     text = ("[model]\nkind = frame\nrecipe = round\ncoefficients = 4,4,4\n"
             "[flow]\nvariant = tau\ntau = 1e-300\ndt = 0.01\nt_end = 0.02\n")
-    with np.errstate(all="ignore"):
-        assert cli.main(["run", _write_config(tmp_path, text)]) == cli.EXIT_NUMERICAL
+    assert cli.main(["run", _write_config(tmp_path, text)]) == cli.EXIT_NUMERICAL
     assert "left the SPD cone: metric coefficients must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "entropy"])
+@pytest.mark.parametrize("tau", ["1e-200", "1e-300"])
+def test_cli_coupled_frame_at_a_tiny_tau_exits_numerical_at_t0(tmp_path, monkeypatch, capsys,
+                                                                command, tau):
+    """The entropy audit of the first sample fails: at tau = 1e-200 the
+    defect overflows, at 1e-300 already the factor (4 pi tau)^{-3/2}.  Both
+    end the flow stage with exit 3 naming t=0, without a RuntimeWarning."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    text = ("[model]\nkind = frame\nrecipe = berger\ncoefficients = 4.4,4.0,3.7\n"
+            f"[flow]\nvariant = tau\ntau = {tau}\ndt = 0.001\nt_end = 0.002\n"
+            "couple_potential = true\n[output]\nname = tiny\n")
+    assert cli.main([command, _write_config(tmp_path, text)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: non-finite entropy audit at t=0")
+    if command == "run":
+        record, = tmp_path.glob("tiny-*/record.json")
+        assert json.loads(record.read_text())["verdicts"]["failed_stage"] == "flow"
 
 
 def test_cli_singular_stage_exits_numerical_naming_the_time(tmp_path, monkeypatch, capsys):

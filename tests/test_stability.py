@@ -303,7 +303,13 @@ def test_symbol_operator_equals_its_dense_matrix(monkeypatch, make, n, tau):
                        rtol=0.0, atol=1e-12)
     # the dense view kept for the benchmark's tracer is the same operator
     monkeypatch.undo()
-    assert np.max(np.abs(op.matrix - oracle)) < 1e-12
+    mat = op.matrix
+    assert np.max(np.abs(mat - oracle)) < 1e-12
+    # numpy places the blocks as scipy's block_diag does, bit for bit
+    from scipy.linalg import block_diag
+
+    N = op.symbol.size
+    assert mat.tobytes() == block_diag(*[mat[:N, :N]] * op.ncomp).tobytes()
 
 
 @pytest.mark.parametrize("make,n,tau", EQUIVALENCE_CASES, ids=EQUIVALENCE_IDS)
