@@ -10,6 +10,12 @@ L-BFGS on grids and by a ground-state iteration for polar profiles; along a
 coupled flow the numeric derivative of W is audited against the weighted
 square of the soliton-defect tensor ``Ric + Hess f - g / (2 tau)``.
 
+The ground-state iteration yields its LAPACK eigensolves to
+``lapack.drive`` instead of making them, so the polar-profile starts of
+``minimize_mu_multistart`` run together: each start's eigensolves on a
+worker thread of its own, without the GIL, and all their arithmetic on the
+calling thread.  A start's result has the bits of its solve run alone.
+
 Potentials come in three shapes: a float (constant potential on a frame
 model), a 1-d array (a polar-angle profile on a round frame model, used to
 resolve the concentration regime at small tau), or a grid scalar field.
@@ -302,7 +308,7 @@ def _w_and_grad(model: GridModel, f, tau):
 
 
 def _minimize_mu_radial(model, tau: float, f0: np.ndarray, grad_tol: float,
-                        max_iter: int) -> MuResult:
+                        max_iter: int):
     """Ground-state solve of the radial entropy minimization.
 
     In the substitution v = e^{-f/2} the functional is quadratic in v except
@@ -312,8 +318,11 @@ def _minimize_mu_radial(model, tau: float, f0: np.ndarray, grad_tol: float,
     eigensolves converges where descent on f is hopelessly ill conditioned.
     At the fixed point W = lambda + 1 (multiplier of the unit-mass
     constraint), which doubles as an internal consistency check.
+
+    A generator for ``lapack.drive``: it yields the LAPACK calls of each
+    eigensolve (``lapack.lowest_eigenpair``) and returns the ``MuResult``.
     """
-    from scipy.linalg import eigh_tridiagonal
+    from . import lapack
 
     r = _require_round(model)
     quad = _RadialQuadrature(r, len(f0))
@@ -341,7 +350,7 @@ def _minimize_mu_radial(model, tau: float, f0: np.ndarray, grad_tol: float,
         V = potential(v)
         diag = 4.0 * tau * (wl + wr) / (ds**2 * w) + V
         off = -4.0 * tau * wf / (ds**2 * np.sqrt(w[:-1] * w[1:]))
-        lam, y = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+        lam, y = yield from lapack.lowest_eigenpair(diag, off)
         psi = normalize(np.abs(y[:, 0]) / np.sqrt(w))
         v_new = normalize((1.0 - beta) * v + beta * psi)
         W = _radial_w(quad, v_new, R, tau, nn)
@@ -391,7 +400,7 @@ def minimize_mu(model, tau: float, f0=None, grad_tol: float = GRAD_TOL,
         f = normalize_f(model, float(f0), tau)
         return MuResult(f=f, mu=_w_value(model, f, tau), iterations=0, grad_norm=0.0)
     if _is_radial(model, f0):
-        return _minimize_mu_radial(model, tau, f0, grad_tol, min(max_iter, 1000))
+        return _radial_mu(model, tau, [f0], grad_tol, max_iter)[0]
     if isinstance(model, FrameModel):
         raise RejectedInputError("a frame model takes a constant potential or a "
                                  "1-d polar profile")
@@ -431,6 +440,24 @@ def minimize_mu(model, tau: float, f0=None, grad_tol: float = GRAD_TOL,
     return result
 
 
+def _radial_mu(model, tau: float, starts: list, grad_tol: float, max_iter: int) -> list:
+    """The radial solves from ``starts``, run together by ``lapack.drive``:
+    each start's eigensolves on a thread of its own, its arithmetic on this
+    one, so every result has the bits of a solve run alone."""
+    from . import lapack
+
+    return lapack.drive([_minimize_mu_radial(model, tau, f0, grad_tol, min(max_iter, 1000))
+                         for f0 in starts])
+
+
 def minimize_mu_multistart(model, tau: float, starts) -> list:
-    """Run ``minimize_mu`` from several starts; returns all results."""
+    """Run ``minimize_mu`` from several starts; returns all results.
+
+    Polar-profile starts run together (``_radial_mu``) and a failing one
+    raises once all have ended, the first failing start's error; other
+    starts run one after the other.
+    """
+    starts = list(starts)
+    if starts and all(_is_radial(model, f0) for f0 in starts):
+        return _radial_mu(model, tau, starts, GRAD_TOL, MAX_ITER)
     return [minimize_mu(model, tau, f0=f0) for f0 in starts]

@@ -60,9 +60,9 @@ class FrameModel:
 
     ``lams`` are the frame's structure constants: ``[e_i, e_j] = lams[k] e_k``
     for every cyclic permutation (i, j, k) of (0, 1, 2) (Milnor, Adv. Math. 21,
-    1976); ``a[i] > 0`` are the diagonal metric coefficients, so ``g = diag(a)``
-    in the frame.  ``base_volume`` is the volume of the group for
-    ``a = (1, 1, 1)``.
+    1976); ``0 < a[i] < inf`` are the diagonal metric coefficients, so
+    ``g = diag(a)`` in the frame.  ``base_volume`` is the volume of the group
+    for ``a = (1, 1, 1)``.
     """
 
     lams: np.ndarray
@@ -77,8 +77,9 @@ class FrameModel:
             raise RejectedInputError("structure constants must have shape (3,)")
         if self.a.shape != (3,):
             raise RejectedInputError("metric coefficients must have shape (3,)")
-        if not np.all(self.a > 0):  # NaN included
-            raise RejectedInputError("metric coefficients must be positive")
+        if not ((0.0 < self.a) & (self.a < np.inf)).all():  # NaN included
+            raise RejectedInputError("metric coefficients must be positive and finite, got "
+                                     + ", ".join(f"{x:.6g}" for x in self.a))
 
     @classmethod
     def su2(cls, a=(1.0, 1.0, 1.0)) -> "FrameModel":

@@ -1,9 +1,13 @@
 """Entropy functional, constraint handling, defect, and mu minimization."""
 
+import ctypes
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from solitonlab import entropy, flows, geometry
+from solitonlab import entropy, flows, geometry, lapack
 from solitonlab.entropy import MuResult
 from solitonlab.errors import NonConvergenceError, RejectedInputError
 from solitonlab.geometry import FrameModel, GridModel
@@ -244,6 +248,129 @@ def test_radial_nonconvergence_carries_last_iterate():
     with pytest.raises(NonConvergenceError) as info:
         entropy.minimize_mu(m, 0.25, f0=f0, max_iter=1)
     assert isinstance(info.value.last_iterate, MuResult)
+
+
+# ---------------------------------------------------------------------------
+# the radial solve's LAPACK calls, run without the GIL
+
+
+def _eigenpair(d, e):
+    return lapack.drive([lapack.lowest_eigenpair(d, e)])[0]
+
+
+def _radial_matrix(monkeypatch, n_theta=8192, tau=1e-2):
+    """The (diag, off) of the first eigensolve of criterion 8's radial solve."""
+    captured, lowest_eigenpair = [], lapack.lowest_eigenpair
+
+    def capture(d, e):
+        captured.append((d.copy(), e.copy()))
+        return (yield from lowest_eigenpair(d, e))
+
+    monkeypatch.setattr(lapack, "lowest_eigenpair", capture)
+    m = FrameModel.su2(a=(1.0, 1.0, 1.0))
+    quad = entropy._RadialQuadrature(1.0, n_theta)
+    f0 = entropy.normalize_f(m, quad.theta**2 / (4.0 * tau), tau)
+    with pytest.raises(NonConvergenceError):
+        entropy.minimize_mu(m, tau, f0=f0, max_iter=1)
+    return captured[0]
+
+
+def _random_tridiagonal(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n), rng.standard_normal(n - 1)
+
+
+def _split_tridiagonal():
+    d, e = _random_tridiagonal(40, 7)
+    e[17] = 0.0  # two blocks, which dstebz and dstein treat one by one
+    return d, e
+
+
+TRIDIAGONALS = {
+    **{f"random-{n}": (lambda n=n, seed=seed: _random_tridiagonal(n, seed))
+       for seed, n in enumerate((3, 17, 256, 1000))},
+    "split": _split_tridiagonal,
+    "n=2": lambda: (np.array([2.0, -1.0]), np.array([0.5])),
+}
+
+
+@pytest.mark.parametrize("matrix", ["radial-8192", *TRIDIAGONALS])
+def test_lowest_eigenpair_equals_eigh_tridiagonal(matrix, monkeypatch):
+    """Both sides call the same LAPACK routines with the same arguments, so
+    the eigenvalue and the eigenvector agree in every bit."""
+    from scipy.linalg import eigh_tridiagonal
+
+    d, e = _radial_matrix(monkeypatch) if matrix == "radial-8192" else TRIDIAGONALS[matrix]()
+    w, z = _eigenpair(d, e)
+    w_ref, z_ref = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    assert w.shape == w_ref.shape and z.shape == z_ref.shape
+    assert np.array_equal(w, w_ref) and np.array_equal(z, z_ref)
+
+
+@pytest.mark.parametrize("bad", ["d", "e"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_lowest_eigenpair_rejects_non_finite_input(bad, value):
+    d, e = _random_tridiagonal(8, 0)
+    {"d": d, "e": e}[bad][3] = value
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _eigenpair(d, e)
+
+
+@pytest.mark.parametrize("d, e", [(np.ones(4), np.ones(4)), (np.ones((2, 2)), np.ones(1)),
+                                  (np.ones(0), np.ones(0))])
+def test_lowest_eigenpair_rejects_mismatched_shapes(d, e):
+    with pytest.raises(ValueError, match="shape"):
+        _eigenpair(d, e)
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_lowest_eigenpair_raises_on_lapack_info(routine):
+    """A routine that sets info != 0 (its last argument) raises naming it."""
+    task = lapack.lowest_eigenpair(*_random_tridiagonal(8, 0))
+    function, args = next(task)
+    if routine == "dstein":
+        function(*args)
+        function, args = next(task)
+    ctypes.c_int.from_address(args[-1]).value = 2
+    with pytest.raises(np.linalg.LinAlgError, match=f"{routine} failed .*info=2"):
+        task.send(None)
+
+
+def test_radial_multistart_equals_its_solves_one_by_one():
+    m = FrameModel.su2(a=(1.0, 1.0, 1.0))
+    tau = 1e-2
+    quad = entropy._RadialQuadrature(1.0, 1024)
+    starts = [entropy.normalize_f(m, s * quad.theta**2 / (4.0 * tau), tau) for s in (0.5, 1.0, 2.0)]
+    together = entropy.minimize_mu_multistart(m, tau, starts)
+    for res, f0 in zip(together, starts):
+        alone = entropy.minimize_mu(m, tau, f0=f0)
+        assert np.array_equal(res.f, alone.f)
+        assert (res.mu, res.iterations, res.grad_norm) == (alone.mu, alone.iterations,
+                                                           alone.grad_norm)
+
+
+def test_drive_raises_the_first_failure_after_every_task_ends():
+    """As the sequential loop would, ``drive`` raises the lowest-indexed
+    failure, with its last iterate; the other tasks still run to their end,
+    and no worker thread outlives the call."""
+    ended = []
+
+    def task(name, calls, fail=False):
+        for _ in range(calls):
+            yield time.sleep, (0.002,)
+        ended.append(name)
+        if fail:
+            raise NonConvergenceError(f"{name} stalled", last_iterate=name)
+        return name
+
+    threads = threading.active_count()
+    assert lapack.drive([task("a", 3), task("b", 1), task("c", 0)]) == ["a", "b", "c"]
+    with pytest.raises(NonConvergenceError, match="b stalled") as info:
+        lapack.drive([task("a", 4), task("b", 2, fail=True), task("c", 1, fail=True),
+                      task("d", 6)])
+    assert info.value.last_iterate == "b"
+    assert sorted(ended[3:]) == ["a", "b", "c", "d"]
+    assert threading.active_count() == threads
 
 
 def test_grid_minimizer_beats_test_potentials():

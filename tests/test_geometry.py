@@ -281,6 +281,13 @@ def test_norm_scaling_under_metric_dilation():
                       c ** 0.5 * geometry.norms(m, f).l2)
 
 
+@pytest.mark.parametrize("a", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (np.nan, 1.0, 1.0),
+                               (np.inf, 1.0, 1.0), (1.0, 1.0, -np.inf)])
+def test_frame_model_rejects_non_positive_or_non_finite_coefficients(a):
+    with pytest.raises(RejectedInputError, match="must be positive and finite"):
+        FrameModel.su2(a=a)
+
+
 def test_non_spd_metric_rejected():
     m = GridModel.flat(2, (8, 8), (TWO_PI, TWO_PI))
     bad = m.g.copy()

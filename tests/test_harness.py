@@ -98,6 +98,8 @@ def test_parse_rejects_unknown_section_and_key():
     ("[model]\nkind = frame\nrecipe = berger\n[flow]\nvariant = deturck\n", "flow.variant"),
     ("[model]\nkind = frame\nrecipe = berger\ncoefficients = nan,1,1\n",
      "model.coefficients"),
+    ("[model]\nkind = frame\nrecipe = berger\ncoefficients = inf,1,1\n",
+     "model.coefficients"),
     ("[model]\nperiod = 0,6.0\n", "model.period"),
     ("[model]\nperiod = inf,6.0\n", "model.period"),
     ("[model]\nperiod = nan,6.0\n", "model.period"),
@@ -892,7 +894,7 @@ def test_cli_frame_singularity_exits_numerical(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_frame_overflow_exits_numerical(tmp_path, monkeypatch, capsys):
-    """A tau so small that the first step overflows to NaN coefficients is a
+    """A tau so small that the first step overflows the coefficients is a
     rejected step (exit 3), not a run that ends in exit 0 on a NaN trajectory,
     and its stages overflow without a RuntimeWarning."""
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
@@ -900,6 +902,19 @@ def test_cli_frame_overflow_exits_numerical(tmp_path, monkeypatch, capsys):
             "[flow]\nvariant = tau\ntau = 1e-300\ndt = 0.01\nt_end = 0.02\n")
     assert cli.main(["run", _write_config(tmp_path, text)]) == cli.EXIT_NUMERICAL
     assert "left the SPD cone: metric coefficients must be positive" in capsys.readouterr().err
+
+
+def test_cli_frame_overflow_names_the_infinite_coefficients(tmp_path, monkeypatch, capsys):
+    """An uncoupled Berger run whose g/tau overflows in its second RK4 stage
+    ends in exit 3 naming the infinite coefficients, not the NaN that later
+    arithmetic on them leaves (a frame model rejects a = inf)."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    text = ("[model]\nkind = frame\nrecipe = berger\ncoefficients = 4.4,4.0,3.7\n"
+            "[flow]\nvariant = tau\ntau = 1e-300\ndt = 0.01\nt_end = 0.02\n")
+    assert cli.main(["run", _write_config(tmp_path, text)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "metric coefficients must be positive and finite, got inf" in err
 
 
 @pytest.mark.parametrize("command", ["run", "entropy"])
