@@ -10,11 +10,10 @@ L-BFGS on grids and by a ground-state iteration for polar profiles; along a
 coupled flow the numeric derivative of W is audited against the weighted
 square of the soliton-defect tensor ``Ric + Hess f - g / (2 tau)``.
 
-The ground-state iteration yields its LAPACK eigensolves to
-``lapack.drive`` instead of making them, so the polar-profile starts of
-``minimize_mu_multistart`` run together: each start's eigensolves on a
-worker thread of its own, without the GIL, and all their arithmetic on the
-calling thread.  A start's result has the bits of its solve run alone.
+The polar-profile starts of ``minimize_mu_multistart`` run together, each
+whole on a thread of its own (the first on the calling thread); their
+tridiagonal eigensolves (``lapack.lowest_eigenpair``) release the GIL, so
+they overlap.  A start's result has the bits of its solve run alone.
 
 Potentials come in three shapes: a float (constant potential on a frame
 model), a 1-d array (a polar-angle profile on a round frame model, used to
@@ -25,6 +24,7 @@ solver of that shape minimizes (``_grid_terms``, ``_radial_w``).
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,10 +213,10 @@ def soliton_defect(model, f, tau: float):
     only); grids return a symmetric tensor field.
     """
     if isinstance(model, FrameModel):
-        return geometry.ricci(model) - model.a / (2.0 * tau)
+        return model.ric - model.a / (2.0 * tau)
     df = geometry.partials(model, f)
     hess = geometry.hessian(model, f) - np.einsum("...kij,...k->...ij", model.gamma, df)
-    return geometry.ricci(model) + hess - model.g / (2.0 * tau)
+    return model.ric + hess - model.g / (2.0 * tau)
 
 
 def weighted_defect_sq(model, f, tau: float) -> float:
@@ -318,9 +318,6 @@ def _minimize_mu_radial(model, tau: float, f0: np.ndarray, grad_tol: float,
     eigensolves converges where descent on f is hopelessly ill conditioned.
     At the fixed point W = lambda + 1 (multiplier of the unit-mass
     constraint), which doubles as an internal consistency check.
-
-    A generator for ``lapack.drive``: it yields the LAPACK calls of each
-    eigensolve (``lapack.lowest_eigenpair``) and returns the ``MuResult``.
     """
     from . import lapack
 
@@ -350,7 +347,7 @@ def _minimize_mu_radial(model, tau: float, f0: np.ndarray, grad_tol: float,
         V = potential(v)
         diag = 4.0 * tau * (wl + wr) / (ds**2 * w) + V
         off = -4.0 * tau * wf / (ds**2 * np.sqrt(w[:-1] * w[1:]))
-        lam, y = yield from lapack.lowest_eigenpair(diag, off)
+        lam, y = lapack.lowest_eigenpair(diag, off)
         psi = normalize(np.abs(y[:, 0]) / np.sqrt(w))
         v_new = normalize((1.0 - beta) * v + beta * psi)
         W = _radial_w(quad, v_new, R, tau, nn)
@@ -441,21 +438,29 @@ def minimize_mu(model, tau: float, f0=None, grad_tol: float = GRAD_TOL,
 
 
 def _radial_mu(model, tau: float, starts: list, grad_tol: float, max_iter: int) -> list:
-    """The radial solves from ``starts``, run together by ``lapack.drive``:
-    each start's eigensolves on a thread of its own, its arithmetic on this
-    one, so every result has the bits of a solve run alone."""
-    from . import lapack
+    """The radial solves from ``starts``, in order: the first on this thread,
+    each other one whole on a worker thread in a copy of this thread's
+    context, so its numpy error state holds there.  Every result has the
+    bits of its solve run alone.  Once every start has ended, the failure of
+    the lowest-indexed one that failed is raised, as running them one after
+    the other would raise it; no worker outlives the call."""
+    from concurrent.futures import ThreadPoolExecutor  # lazily: it loads logging
 
-    return lapack.drive([_minimize_mu_radial(model, tau, f0, grad_tol, min(max_iter, 1000))
-                         for f0 in starts])
+    def solve(f0):
+        return _minimize_mu_radial(model, tau, f0, grad_tol, min(max_iter, 1000))
+
+    with ThreadPoolExecutor(max_workers=max(len(starts) - 1, 1)) as pool:
+        rest = [pool.submit(contextvars.copy_context().run, solve, f0) for f0 in starts[1:]]
+        first = solve(starts[0])
+    return [first] + [future.result() for future in rest]
 
 
 def minimize_mu_multistart(model, tau: float, starts) -> list:
     """Run ``minimize_mu`` from several starts; returns all results.
 
-    Polar-profile starts run together (``_radial_mu``) and a failing one
-    raises once all have ended, the first failing start's error; other
-    starts run one after the other.
+    Polar-profile starts run together, one thread each (``_radial_mu``),
+    and a failing one raises once all have ended, the first failing start's
+    error; other starts run one after the other on the calling thread.
     """
     starts = list(starts)
     if starts and all(_is_radial(model, f0) for f0 in starts):

@@ -206,7 +206,7 @@ def rhs_tau_flow(model, tau: float):
 
 def rhs_unnormalized(model):
     """Metric velocity -2 Ric(g) of the unnormalized flow."""
-    return -2.0 * geometry.ricci(model)
+    return -2.0 * model.ric
 
 
 def rhs_deturck(m: GridModel, h: GridModel, tau: float):

@@ -474,11 +474,6 @@ def christoffel(m: GridModel) -> np.ndarray:
     return 0.5 * _sum_in_order(products)
 
 
-def ricci(m):
-    """Ricci tensor: a symmetric field on a grid, diagonal coefficients on a frame."""
-    return m.ric
-
-
 def _ricci_frame(m: FrameModel) -> np.ndarray:
     """Closed-form Ricci of a unimodular Milnor frame, as lowered diagonal R_ii.
 

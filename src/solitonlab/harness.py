@@ -198,6 +198,12 @@ def validate_config(cfg: RunConfig) -> None:
         _fail("flow.sample_every", "must be at least 1")
     if not 0 < cfg.amplitude < 0.5:
         _fail("model.amplitude", "must lie in (0, 0.5)")
+    for key in ("root", "name"):
+        if "\0" in getattr(cfg, key):
+            _fail(f"output.{key}", "must not contain a NUL byte")
+    if "/" in cfg.name or os.sep in cfg.name:
+        _fail("output.name", "must not contain a path separator: the run directory "
+              "goes under output.root")
 
 
 def _format_value(value) -> str:

@@ -1,8 +1,6 @@
 """Entropy functional, constraint handling, defect, and mu minimization."""
 
-import ctypes
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -254,17 +252,13 @@ def test_radial_nonconvergence_carries_last_iterate():
 # the radial solve's LAPACK calls, run without the GIL
 
 
-def _eigenpair(d, e):
-    return lapack.drive([lapack.lowest_eigenpair(d, e)])[0]
-
-
 def _radial_matrix(monkeypatch, n_theta=8192, tau=1e-2):
     """The (diag, off) of the first eigensolve of criterion 8's radial solve."""
     captured, lowest_eigenpair = [], lapack.lowest_eigenpair
 
     def capture(d, e):
         captured.append((d.copy(), e.copy()))
-        return (yield from lowest_eigenpair(d, e))
+        return lowest_eigenpair(d, e)
 
     monkeypatch.setattr(lapack, "lowest_eigenpair", capture)
     m = FrameModel.su2(a=(1.0, 1.0, 1.0))
@@ -301,7 +295,7 @@ def test_lowest_eigenpair_equals_eigh_tridiagonal(matrix, monkeypatch):
     from scipy.linalg import eigh_tridiagonal
 
     d, e = _radial_matrix(monkeypatch) if matrix == "radial-8192" else TRIDIAGONALS[matrix]()
-    w, z = _eigenpair(d, e)
+    w, z = lapack.lowest_eigenpair(d, e)
     w_ref, z_ref = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
     assert w.shape == w_ref.shape and z.shape == z_ref.shape
     assert np.array_equal(w, w_ref) and np.array_equal(z, z_ref)
@@ -313,27 +307,32 @@ def test_lowest_eigenpair_rejects_non_finite_input(bad, value):
     d, e = _random_tridiagonal(8, 0)
     {"d": d, "e": e}[bad][3] = value
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _eigenpair(d, e)
+        lapack.lowest_eigenpair(d, e)
 
 
 @pytest.mark.parametrize("d, e", [(np.ones(4), np.ones(4)), (np.ones((2, 2)), np.ones(1)),
                                   (np.ones(0), np.ones(0))])
 def test_lowest_eigenpair_rejects_mismatched_shapes(d, e):
     with pytest.raises(ValueError, match="shape"):
-        _eigenpair(d, e)
+        lapack.lowest_eigenpair(d, e)
 
 
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
-def test_lowest_eigenpair_raises_on_lapack_info(routine):
+def test_lowest_eigenpair_raises_on_lapack_info(routine, monkeypatch):
     """A routine that sets info != 0 (its last argument) raises naming it."""
-    task = lapack.lowest_eigenpair(*_random_tridiagonal(8, 0))
-    function, args = next(task)
-    if routine == "dstein":
-        function(*args)
-        function, args = next(task)
-    ctypes.c_int.from_address(args[-1]).value = 2
+    stebz, stein = lapack._routines()
+
+    def failing(function):
+        def call(*args):
+            function(*args)
+            args[-1][0] = 2
+
+        return call
+
+    routines = (failing(stebz), stein) if routine == "dstebz" else (stebz, failing(stein))
+    monkeypatch.setattr(lapack, "_routines", lambda: routines)
     with pytest.raises(np.linalg.LinAlgError, match=f"{routine} failed .*info=2"):
-        task.send(None)
+        lapack.lowest_eigenpair(*_random_tridiagonal(8, 0))
 
 
 def test_radial_multistart_equals_its_solves_one_by_one():
@@ -349,28 +348,55 @@ def test_radial_multistart_equals_its_solves_one_by_one():
                                                            alone.grad_norm)
 
 
-def test_drive_raises_the_first_failure_after_every_task_ends():
-    """As the sequential loop would, ``drive`` raises the lowest-indexed
-    failure, with its last iterate; the other tasks still run to their end,
-    and no worker thread outlives the call."""
-    ended = []
+def _radial_starts(n_theta, tau, scales):
+    m = FrameModel.su2(a=(1.0, 1.0, 1.0))
+    quad = entropy._RadialQuadrature(1.0, n_theta)
+    return m, [entropy.normalize_f(m, s * quad.theta**2 / (4.0 * tau), tau) for s in scales]
 
-    def task(name, calls, fail=False):
-        for _ in range(calls):
-            yield time.sleep, (0.002,)
-        ended.append(name)
-        if fail:
-            raise NonConvergenceError(f"{name} stalled", last_iterate=name)
-        return name
 
+def test_radial_multistart_raises_the_first_failure_after_every_start_ends(monkeypatch):
+    """As the sequential loop would, ``minimize_mu_multistart`` raises the
+    lowest-indexed failing start's error, with its last iterate; the other
+    starts still run to their end, and no worker thread outlives the call."""
+    tau = 1e-2
+    m, starts = _radial_starts(256, tau, (0.5, 1.0, 2.0, 4.0))
+    stalled = {id(starts[1]), id(starts[2])}  # these starts get a single iteration
+    ended, solve = [], entropy._minimize_mu_radial
+
+    def stalling(model, tau, f0, grad_tol, max_iter):
+        try:
+            return solve(model, tau, f0, grad_tol, 1 if id(f0) in stalled else max_iter)
+        finally:
+            ended.append(id(f0))
+
+    monkeypatch.setattr(entropy, "_minimize_mu_radial", stalling)
     threads = threading.active_count()
-    assert lapack.drive([task("a", 3), task("b", 1), task("c", 0)]) == ["a", "b", "c"]
-    with pytest.raises(NonConvergenceError, match="b stalled") as info:
-        lapack.drive([task("a", 4), task("b", 2, fail=True), task("c", 1, fail=True),
-                      task("d", 6)])
-    assert info.value.last_iterate == "b"
-    assert sorted(ended[3:]) == ["a", "b", "c", "d"]
+    with pytest.raises(NonConvergenceError) as info:
+        entropy.minimize_mu_multistart(m, tau, starts)
+    assert sorted(ended) == sorted(id(f0) for f0 in starts)
     assert threading.active_count() == threads
+    with pytest.raises(NonConvergenceError) as alone:
+        entropy.minimize_mu(m, tau, f0=starts[1], max_iter=1)
+    assert str(info.value) == str(alone.value)
+    assert np.array_equal(info.value.last_iterate.f, alone.value.last_iterate.f)
+    assert info.value.last_iterate.iterations == 1
+
+
+def test_radial_multistart_keeps_the_callers_error_state(monkeypatch):
+    """Every start, on a worker thread or not, runs under the caller's
+    ``np.errstate``."""
+    tau = 1e-2
+    m, starts = _radial_starts(64, tau, (0.5, 1.0, 2.0))
+    seen, solve = [], entropy._minimize_mu_radial
+
+    def recording(*args):
+        seen.append(np.geterr()["over"])
+        return solve(*args)
+
+    monkeypatch.setattr(entropy, "_minimize_mu_radial", recording)
+    with np.errstate(over="raise"):
+        entropy.minimize_mu_multistart(m, tau, starts)
+    assert seen == ["raise"] * len(starts)
 
 
 def test_grid_minimizer_beats_test_potentials():

