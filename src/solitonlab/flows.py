@@ -2,10 +2,15 @@
 
 The two flow variants are the fixed-tau normalized flow ``-2 Ric + g / tau``
 (``"tau"``; its tau = inf member is the unnormalized flow ``-2 Ric``) and the
-gauge-fixed (DeTurck) flow with a reference background (``"deturck"``); the
-coupled potential equation rides along.  Time stepping is classical RK4
-(``rk4``, shared with the gauge flows) under a parabolic CFL bound;
-``reparametrize`` translates a finite-tau trajectory to tau = inf (one way).
+gauge-fixed (DeTurck) flow with a reference background (``"deturck"``).  Time
+stepping is classical RK4 of the metric (``rk4``, shared with the gauge
+flows) under a parabolic CFL bound; ``reparametrize`` translates a finite-tau
+trajectory to tau = inf (one way).
+
+A coupled run's potential f lives on frame models, where it is constant in
+space: its equation f_t = -R + n/(2 tau) is d/dt log Vol(g), so each step
+reads f off its metric (``entropy.constant_potential``) instead of
+integrating it.
 
 The DeTurck right-hand side makes one geometry pass per evaluation: the
 model derives g^{-1}, Gamma(g) and Ricci once, component-major (see
@@ -43,9 +48,10 @@ MAX_HALVINGS = 8
 class FlowState:
     """Immutable snapshot of an evolving geometry.
 
-    ``f`` is the scalar potential (a float on a frame model, a scalar field
-    on a grid), or None when the potential is not evolved.  ``tau`` may be
-    ``inf``: the unnormalized flow.
+    ``f`` is the potential of a coupled run, the constant that satisfies the
+    normalization constraint on ``model`` (``entropy.constant_potential``),
+    or None on an uncoupled run.  ``tau`` may be ``inf``: the unnormalized
+    flow.
     """
 
     t: float
@@ -221,18 +227,6 @@ def rhs_deturck(m: GridModel, h: GridModel, tau: float):
     return geometry.node_major(out, 2)
 
 
-def rhs_potential(f, model, tau: float):
-    """Scalar velocity -Delta f + |grad f|^2 - R + n / (2 tau)."""
-    n = model.n
-    if isinstance(model, FrameModel):
-        # homogeneous: gradient terms vanish for the constant potential
-        return -geometry.scalar_curvature(model) + n / (2.0 * tau)
-    df = geometry.partials(model, f)
-    grad_sq = np.einsum("...ij,...i,...j->...", model.ginv, df, df)
-    lap = geometry.laplacian_scalar(model, f)
-    return -lap + grad_sq - geometry.scalar_curvature(model) + n / (2.0 * tau)
-
-
 def make_metric_rhs(variant: str, tau: float, background: Optional[GridModel] = None) -> Callable:
     """Build a metric-velocity callable for a named flow variant."""
     if variant == "tau":
@@ -249,18 +243,17 @@ def make_metric_rhs(variant: str, tau: float, background: Optional[GridModel] = 
 # time stepping
 
 
-def rk4(f: Callable, y: tuple, dt: float) -> tuple:
-    """One classical RK4 step of the tuple of arrays ``y``.
+def rk4(f: Callable, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of the array ``y``.
 
-    ``f(c, y)`` returns the velocities of the components of ``y`` at the
-    stage whose time is a fraction ``c`` (0, 1/2, 1/2, 1) of the step.
+    ``f(c, y)`` returns the velocity of ``y`` at the stage whose time is a
+    fraction ``c`` (0, 1/2, 1/2, 1) of the step.
     """
     k1 = f(0.0, y)
-    k2 = f(0.5, tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k1)))
-    k3 = f(0.5, tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k2)))
-    k4 = f(1.0, tuple(yi + dt * ki for yi, ki in zip(y, k3)))
-    return tuple(yi + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+    k2 = f(0.5, y + 0.5 * dt * k1)
+    k3 = f(0.5, y + 0.5 * dt * k2)
+    k4 = f(1.0, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def cfl_bound(model) -> float:
@@ -273,7 +266,7 @@ def cfl_bound(model) -> float:
 
 
 def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
-    """One classical RK4 step of the metric (and the potential, if coupled).
+    """One classical RK4 step of the metric.
 
     A stage or result metric outside the SPD cone raises ``StepRejectedError``
     so the caller can halve dt: a frame coefficient <= 0, a stage metric too
@@ -281,12 +274,13 @@ def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
     <= 0 at some node (``geometry.leading_minors_positive``, checked after
     the stage's velocity, so that a singular stage is reported as such), or
     a result metric that fails ``validate_spd``.  Coupling follows
-    ``state.f``: a potential is advanced alongside, then re-normalized.
+    ``state.f``: the result's potential is ``entropy.constant_potential`` of
+    its metric, and an overflowed volume raises ``NumericalFailureError``
+    naming the step's time.
     """
     bound = cfl_bound(state.model)
     if dt > bound:
         raise StepRejectedError(f"dt = {dt} exceeds the CFL bound {bound:.3e}")
-    coupled = state.f is not None
 
     def model_at(arr, validate=False):
         try:
@@ -297,25 +291,22 @@ def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
 
     def velocity(c, y):
         # the first stage is the state itself, whose geometry its sample derived
-        model = state.model if c == 0.0 else model_at(y[0])
-        out = (metric_rhs(model),)
-        if coupled:
-            out += (rhs_potential(y[1], model, state.tau),)
+        model = state.model if c == 0.0 else model_at(y)
+        out = metric_rhs(model)
         if isinstance(model, GridModel) and not geometry.leading_minors_positive(model):
             raise StepRejectedError(f"step to t = {state.t + dt}: the stage metric at "
                                     f"t = {state.t + c * dt} is not positive definite")
         return out
 
-    y0 = (_metric_array(state.model), state.f) if coupled else (_metric_array(state.model),)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed stage fails the checks
-            y1 = rk4(velocity, y0, dt)
+            y1 = rk4(velocity, _metric_array(state.model), dt)
     except np.linalg.LinAlgError as exc:
         raise StepRejectedError(
             f"step to t = {state.t + dt} met a singular stage metric: {exc}") from exc
-    model1 = model_at(y1[0], validate=True)
-    f1 = _potential_at(state.t + dt, entropy.normalize_f, model1, y1[1],
-                       state.tau) if coupled else None
+    model1 = model_at(y1, validate=True)
+    f1 = None if state.f is None else _potential_at(
+        state.t + dt, entropy.constant_potential, model1, state.tau)
     return FlowState(t=state.t + dt, model=model1, tau=state.tau, f=f1)
 
 
@@ -348,9 +339,12 @@ def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
     rejection dt is halved (up to ``MAX_HALVINGS`` times); rejection
     past that limit propagates.  Diagnostics per sample: scalar curvature
     range, metric deviation from the background (if given), and the entropy
-    record of a coupled run, whose potential starts at the constant that
-    satisfies the normalization constraint.
+    record of a coupled run.  ``couple_f`` is rejected on a ``GridModel``,
+    where the forward potential equation is a backward heat equation.
     """
+    if couple_f and isinstance(model0, GridModel):
+        raise RejectedInputError("on a grid the coupled potential would solve a backward "
+                                 "heat equation")
     n_steps = step_count(t_end, dt)
     metric_rhs = make_metric_rhs(variant, tau, background)
     f0 = _potential_at(0.0, entropy.constant_potential, model0, tau) if couple_f else None

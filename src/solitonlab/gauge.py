@@ -155,14 +155,14 @@ def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t0: float, t1: floa
                                         E=_integrate(e, g)))
 
     def velocity(c, y):
-        return (harmonic_map_rhs(y[0], stages[c], h),)
+        return harmonic_map_rhs(y, stages[c], h)
 
     now = g_of_t(t)
     record(t, F, now)
     for _ in range(n_steps):
         # the metrics at the stage fractions c = 0, 1/2, 1 of this step
         stages = {0.0: now, 0.5: g_of_t(t + 0.5 * dt), 1.0: g_of_t(t + dt)}
-        F, = flows.rk4(velocity, (F,), dt)
+        F = flows.rk4(velocity, F, dt)
         t += dt
         if not is_injective(F, h):
             raise GaugeBreakdownError(f"gauge lost injectivity at t = {t}", time=t)
@@ -243,32 +243,32 @@ def _solve_background_divergence(h: GridModel, rhs: np.ndarray) -> np.ndarray:
     return np.stack([np.real(np.fft.ifftn(xhat[..., l])) for l in range(n)], axis=-1)
 
 
-def divergence_gauge_fix(g: GridModel, h: GridModel) -> np.ndarray:
+def divergence_gauge_fix(g: GridModel, h: GridModel) -> tuple:
     """Displacement F of phi = Id + F near Id with delta_{phi^* h}(g) = 0, by
-    fixed-point iteration.
+    fixed-point iteration, and the ``gauge_residual`` norm it reaches.
 
-    Each sweep solves the flat linearized system for a displacement update
-    and re-measures the divergence against the pulled-back background.
-    Raises ``NonConvergenceError`` (carrying the last iterate) if the
-    residual does not drop below 1e-8 in 40 sweeps.
+    Each sweep measures the divergence against the pulled-back background
+    (``gauge_residual``) and solves the flat linearized system for a
+    displacement update.  Raises ``NonConvergenceError`` (carrying the last
+    iterate) if the residual does not drop below 1e-8 in 40 sweeps.
     """
     geometry.require_flat(h)
     X = np.zeros(h.dims + (h.n,))
     for _ in range(40):
-        b = pullback_metric(X, h) if np.any(X) else h
-        r = geometry.divergence(b, g.g)
-        res = geometry.norms(b, r).l2
+        r, res = gauge_residual(g, X, h)
         if res < 1e-8:
-            return X
+            return X, res
         X = X + _solve_background_divergence(h, r)
     raise NonConvergenceError(f"divergence gauge fix stalled at residual {res:.3e}",
                               last_iterate=X)
 
 
-def gauge_residual(g: GridModel, F: np.ndarray, h: GridModel) -> float:
-    """L2 norm of delta_{phi^* h}(g) for phi = Id + F, the gauge condition enforced."""
+def gauge_residual(g: GridModel, F: np.ndarray, h: GridModel) -> tuple:
+    """The 1-form delta_{phi^* h}(g) for phi = Id + F, the gauge condition
+    enforced, and its L2 norm."""
     b = pullback_metric(F, h) if np.any(F) else h
-    return geometry.norms(b, geometry.divergence(b, g.g)).l2
+    r = geometry.divergence(b, g.g)
+    return r, geometry.norms(b, r).l2
 
 
 # ---------------------------------------------------------------------------

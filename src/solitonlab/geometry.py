@@ -132,7 +132,7 @@ class GridModel:
         if self.g.shape != self.dims + (self.n, self.n):
             raise RejectedInputError(f"metric field must have shape {self.dims + (self.n, self.n)}")
         if self.validate:
-            object.__setattr__(self, "min_eig", validate_spd(self.g))
+            self.min_eig  # validates g, keeping its smallest eigenvalue
 
     @classmethod
     def flat(cls, n=2, dims=(16, 16), period=None) -> "GridModel":
@@ -145,7 +145,7 @@ class GridModel:
 
     @cached_property
     def min_eig(self) -> float:
-        """Smallest eigenvalue of g over all nodes; validates g if not yet done."""
+        """Smallest eigenvalue of g over all nodes, from ``validate_spd``."""
         return validate_spd(self.g)
 
     @cached_property

@@ -534,9 +534,8 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
                     fh.write(json.dumps({"kind": "gauge", "t": er.t,
                                          "e_sup": er.e_sup, "E": er.E}) + "\n")
         if cfg.fix_divergence:
-            final, h = traj.states[-1].model, flat_background(cfg)
-            F = gauge.divergence_gauge_fix(final, h)
-            verdicts["divergence_residual"] = gauge.gauge_residual(final, F, h)
+            _, verdicts["divergence_residual"] = gauge.divergence_gauge_fix(
+                traj.states[-1].model, flat_background(cfg))
 
         stage = "stability"
         if cfg.analyze and cfg.kind == "grid":

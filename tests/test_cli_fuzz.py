@@ -1,7 +1,8 @@
 """Fuzz gate for `solitonlab run`, `spectrum`, `entropy` and `gauge-check`:
 every config ends, under each of them, in finite output with exit 0, a
 field-precise rejection with exit 2, or a numerical failure with exit 3 --
-never in a traceback or in non-finite numbers.
+never in a traceback or in non-finite numbers.  Coupled draws reach the
+entropy audit of `run` on frames; with a grid or tau = inf they must exit 2.
 
 Few draws reach the remainder verdict (a grid DeTurck run at tau = inf,
 analyzed, with no divergence fix, which stalls on these 8^n grids), so
@@ -64,19 +65,23 @@ def _finite(command, out) -> bool:
        sample_every=st.sampled_from([1, 3]),
        analyze=st.booleans(),
        reconstruct=st.booleans(),
-       fix_divergence=st.booleans())
+       fix_divergence=st.booleans(),
+       couple=st.booleans())
 @example(model="grid 8^2", seed=0, variant="deturck", tau="inf", steps=4, sample_every=3,
-         analyze=True, reconstruct=False, fix_divergence=False)
+         analyze=True, reconstruct=False, fix_divergence=False, couple=False)
 @example(model="grid 8^3", seed=0, variant="deturck", tau="inf", steps=4, sample_every=3,
-         analyze=True, reconstruct=True, fix_divergence=False)
+         analyze=True, reconstruct=True, fix_divergence=False, couple=False)
 @example(model="grid 8^2", seed=0, variant="deturck", tau="inf", steps=60, sample_every=3,
-         analyze=True, reconstruct=True, fix_divergence=False)
+         analyze=True, reconstruct=True, fix_divergence=False, couple=False)
 # so small a tau that the stages of `run` overflow, and the factor
 # (4 pi tau)^{-3/2} of the coupled audit of `entropy`
 @example(model="berger", seed=0, variant="tau", tau="1e-300", steps=2, sample_every=1,
-         analyze=False, reconstruct=False, fix_divergence=False)
+         analyze=False, reconstruct=False, fix_divergence=False, couple=False)
+@example(model="berger", seed=0, variant="tau", tau="0.5", steps=4, sample_every=1,
+         analyze=False, reconstruct=False, fix_divergence=False, couple=True)
 def test_run_ends_in_one_of_three_ways(tmp_path_factory, model, seed, variant, tau, steps,
-                                       sample_every, analyze, reconstruct, fix_divergence):
+                                       sample_every, analyze, reconstruct, fix_divergence,
+                                       couple):
     text, dt = MODELS[model]
     gauge = ""
     if model.startswith("grid"):  # the perturbation's seed and the gauge stages; frames
@@ -86,6 +91,7 @@ def test_run_ends_in_one_of_three_ways(tmp_path_factory, model, seed, variant, t
     config = (f"[model]\n{text}"
               f"[flow]\nvariant = {variant}\ntau = {tau}\ndt = {dt!r}\n"
               f"t_end = {steps * dt!r}\nsample_every = {sample_every}\n"
+              f"couple_potential = {str(couple).lower()}\n"
               f"{gauge}[stability]\nanalyze = {str(analyze).lower()}\n"
               "[output]\nname = fuzz\n")
     work = tmp_path_factory.mktemp("fuzz")
@@ -97,5 +103,7 @@ def test_run_ends_in_one_of_three_ways(tmp_path_factory, model, seed, variant, t
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([command, str(path)])
         assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL), (command, config)
+        if couple and (model.startswith("grid") or tau == "inf"):
+            assert code == cli.EXIT_VALIDATION, (command, config)
         if code == cli.EXIT_OK:
             assert _finite(command, out.getvalue()), (command, config, out.getvalue())

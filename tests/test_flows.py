@@ -142,7 +142,8 @@ def test_step_rejects_dt_above_cfl():
 
 
 def test_step_matches_the_classical_rk4_formula():
-    """One step is bitwise the textbook RK4 written out stage by stage."""
+    """One step is bitwise the textbook RK4 written out stage by stage; a
+    coupled step's potential is bitwise the constant potential of its result."""
     dt = 0.01
     g0 = _wavy_grid(2, (8, 8))
     rhs = flows.make_metric_rhs("deturck", np.inf, GridModel.flat(2, (8, 8)))
@@ -157,23 +158,17 @@ def test_step_matches_the_classical_rk4_formula():
 
     tau = 1.0
     m = FrameModel.su2(a=(4.4, 4.0, 3.7))
-    f0 = entropy.constant_potential(m, tau)
     rhs = flows.make_metric_rhs("tau", tau)
-
-    def k(a, f):
-        stage = m.with_a(a)
-        return rhs(stage), flows.rhs_potential(f, stage, tau)
-
-    k1a, k1f = k(m.a, f0)
-    k2a, k2f = k(m.a + 0.5 * dt * k1a, f0 + 0.5 * dt * k1f)
-    k3a, k3f = k(m.a + 0.5 * dt * k2a, f0 + 0.5 * dt * k2f)
-    k4a, k4f = k(m.a + dt * k3a, f0 + dt * k3f)
-    a1 = m.a + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-    f1 = entropy.normalize_f(m.with_a(a1), f0 + (dt / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f),
-                             tau)
-    got = flows.step(FlowState(t=0.0, model=m, tau=tau, f=f0), rhs, dt)
+    k = lambda a: rhs(m.with_a(a))
+    k1 = k(m.a)
+    k2 = k(m.a + 0.5 * dt * k1)
+    k3 = k(m.a + 0.5 * dt * k2)
+    k4 = k(m.a + dt * k3)
+    a1 = m.a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    got = flows.step(FlowState(t=0.0, model=m, tau=tau, f=entropy.constant_potential(m, tau)),
+                     rhs, dt)
     assert np.array_equal(got.model.a, a1)
-    assert got.f == f1
+    assert got.f == entropy.constant_potential(m.with_a(a1), tau)
 
 
 def test_grid_step_decomposes_each_metric_once(monkeypatch):
@@ -247,9 +242,8 @@ def test_a_stage_outside_the_spd_cone_rejects_the_step(n):
 
 
 def test_coupled_frame_step_derives_each_ricci_once(monkeypatch):
-    """A coupled Berger step computes the Ricci of each stage model once, for
-    the metric and the potential velocities alike; renormalizing the potential
-    on the result reads only its volume."""
+    """A coupled Berger step computes the Ricci of each stage model once; the
+    potential of the result reads only its volume."""
     seen = []
 
     def counted(m, _fn=geometry._ricci_frame):
@@ -272,7 +266,6 @@ def test_trajectory_states_keep_no_derived_fields():
     h = GridModel.flat(2, (8, 8))
     runs = [flows.run_flow(_wavy_grid(2, (8, 8)), "deturck", np.inf, 0.01, 0.04,
                            background=h, sample_every=2),
-            flows.run_flow(_wavy_grid(2, (8, 8)), "tau", 1.0, 0.001, 0.002, couple_f=True),
             flows.run_flow(FrameModel.su2(a=(4.4, 4.0, 3.7)), "tau", 1.0, 0.01, 0.05,
                            couple_f=True, sample_every=2)]
     entropy.monotonicity_report(runs[-1])
@@ -342,12 +335,18 @@ def test_trajectory_rejects_non_monotone_times():
 
 
 def test_coupled_potential_keeps_constraint():
-    from solitonlab import entropy
     m = FrameModel.su2(a=(4.4, 4.0, 3.7))
     traj = flows.run_flow(m, "tau", tau=1.0, dt=1e-3, t_end=0.1,
                           couple_f=True)
     for state in traj.states:
-        assert entropy.constraint_residual(state.model, state.f, state.tau) < 1e-10
+        assert entropy.constraint_residual(state.model, state.f, state.tau) < 1e-14
+
+
+def test_run_flow_rejects_a_coupled_grid():
+    """On a grid the forward potential equation is a backward heat equation:
+    ``run_flow`` rejects coupling there, as ``validate_config`` does."""
+    with pytest.raises(RejectedInputError, match="backward heat equation"):
+        flows.run_flow(_wavy_grid(2, (8, 8)), "tau", 1.0, 0.001, 0.002, couple_f=True)
 
 
 # ---------------------------------------------------------------------------

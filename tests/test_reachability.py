@@ -1,13 +1,14 @@
 """Reachability gate: every function defined in ``src/solitonlab`` is entered by
 what the program is run for, or is on ``ALLOWLIST`` with its reason.
 
-Under ``sys.setprofile`` the test drives one smoke op of each of the four
-benchmark workloads, and every CLI command (``run``, ``spectrum``,
-``entropy``, ``gauge-check``, ``plot`` with every quantity) on a small grid
-config with gauge reconstruction and the divergence fix and on the coupled
-Berger frame config.  A function that none of them enters fails the test
-unless it is allowlisted; an allowlisted function that one of them enters
-fails it too, so the list can only shrink.
+Under ``sys.setprofile`` (and ``threading.setprofile``, so that the worker
+threads of the radial mu multistart count too) the test drives one smoke op
+of each of the four benchmark workloads, and every CLI command (``run``,
+``spectrum``, ``entropy``, ``gauge-check``, ``plot`` with every quantity) on
+a small grid config with gauge reconstruction and the divergence fix and on
+the coupled Berger frame config.  A function that none of them enters fails
+the test unless it is allowlisted; an allowlisted function that one of them
+enters fails it too, so the list can only shrink.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import inspect
 import io
 import os
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -37,8 +39,6 @@ ALLOWLIST = {
     "geometry.laplacian_scalar": "ROADMAP item 6: the backward potential solve on grids",
     "harness.load_trajectory": "the trajectory store's reader; no command reads a "
                                "trajectory back",
-    "geometry.GridModel.min_eig": "the fallback for a model built unvalidated; every "
-                                  "model a run steps from was validated",
     "errors.GaugeBreakdownError.__init__": _ERROR_PATH,
     "errors.NonConvergenceError.__init__": _ERROR_PATH,
 }
@@ -152,10 +152,12 @@ def test_every_function_is_reached_or_allowlisted(tmp_path, monkeypatch):
             entered[id(frame.f_code)] = frame.f_code
 
     sys.setprofile(profile)
+    threading.setprofile(profile)
     try:
         codes = _drive(tmp_path)
     finally:
         sys.setprofile(None)
+        threading.setprofile(None)
 
     # the frame config has no flat background (spectrum, gauge-check), and a
     # grid config cannot evolve the potential (entropy): those exit 2
