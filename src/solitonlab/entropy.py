@@ -155,9 +155,19 @@ def _mass(model, f, tau: float) -> float:
 
 
 def constant_potential(model, tau: float):
-    """The constant potential satisfying the normalization constraint."""
+    """The constant potential f = log Vol(g) - (n/2) log(4 pi tau) satisfying
+    the normalization constraint; ``NumericalFailureError`` where Vol, e^{-f}
+    or e^{-f} Vol = (4 pi tau)^{n/2} overflows (at a volume of 0 too)."""
     n = model.n
-    c = float(np.log(geometry.volume(model)) - 0.5 * n * np.log(4.0 * np.pi * tau))
+    vol = geometry.volume(model)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # named below
+        c = float(np.log(vol) - 0.5 * n * np.log(4.0 * np.pi * tau))
+        weight = float(np.exp(-c))
+        mass = weight * vol
+    if not np.isfinite(mass):
+        raise NumericalFailureError(f"e^(-f) Vol, which the constraint sets to (4 pi tau)^({n}/2), "
+                                    f"is not finite: Vol = {vol!r}, e^(-f) = {weight!r}, "
+                                    f"tau = {tau!r}")
     if isinstance(model, GridModel):
         return np.full(model.dims, c)
     return c
@@ -181,7 +191,7 @@ def w_functional(model, f, tau: float) -> float:
 
     Rejects potentials whose constraint residual exceeds ``CONSTRAINT_TOL``.
     """
-    if constraint_residual(model, f, tau) > CONSTRAINT_TOL:
+    if not constraint_residual(model, f, tau) <= CONSTRAINT_TOL:  # a NaN residual too
         raise RejectedInputError("potential violates the normalization constraint")
     return _w_value(model, f, tau)
 
@@ -237,18 +247,21 @@ def defect_l2(model, f, tau: float) -> float:
     return float(np.sqrt(weighted_defect_sq(model, f, tau)))
 
 
-def entropy_record(state) -> EntropyRecord:
-    """W and defect for a single flow state carrying a potential; a non-finite
-    value (an overflowed volume, factor or defect) raises ``NumericalFailureError`` naming t."""
+def entropy_record(model, tau: float, t: float) -> EntropyRecord:
+    """W and defect of the flow state ``model`` at time ``t`` with its coupled
+    potential, ``constant_potential(model, tau)``; a potential or value that
+    is not finite (an overflowed volume, factor or defect) raises
+    ``NumericalFailureError`` naming t."""
     try:
-        W = w_functional(state.model, state.f, state.tau)
+        f = constant_potential(model, tau)
+        W = w_functional(model, f, tau)
         with np.errstate(over="ignore"):  # an overflowed defect is named below
-            defect = defect_l2(state.model, state.f, state.tau)
+            defect = defect_l2(model, f, tau)
         if not (np.isfinite(W) and np.isfinite(defect)):
             raise NumericalFailureError(f"W={W}, defect_l2={defect}")
     except NumericalFailureError as exc:
-        raise NumericalFailureError(f"non-finite entropy audit at t={state.t:.6g}: {exc}") from exc
-    return EntropyRecord(t=state.t, W=W, defect_l2=defect)
+        raise NumericalFailureError(f"non-finite entropy audit at t={t:.6g}: {exc}") from exc
+    return EntropyRecord(t=t, W=W, defect_l2=defect)
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +277,9 @@ def monotonicity_report(traj) -> list:
     centered-difference dW/dt, and the closed-form derivative
     ``2 tau int |defect|^2 dm = 2 tau defect_l2^2``.  ``monotone`` flags any
     sample where the numeric derivative dips below -1e-10.  A trajectory
-    without potentials or without those records is rejected.
+    without those records is rejected.
     """
     states = traj.states
-    if any(s.f is None for s in states):
-        raise RejectedInputError("monotonicity audit requires a trajectory with the potential evolved")
     if any("entropy" not in d for d in traj.diagnostics):
         raise RejectedInputError("monotonicity audit requires the per-sample entropy records "
                                  "that a coupled run_flow writes into the diagnostics")
@@ -276,7 +287,7 @@ def monotonicity_report(traj) -> list:
     W = np.array([d["entropy"]["W"] for d in traj.diagnostics])
     defects = [d["entropy"]["defect_l2"] for d in traj.diagnostics]
     records = []
-    for i, (s, defect) in enumerate(zip(states, defects)):
+    for i, defect in enumerate(defects):
         if 0 < i < len(states) - 1:
             numeric = (W[i + 1] - W[i - 1]) / (times[i + 1] - times[i - 1])
         elif i == 0 and len(states) > 1:
@@ -287,7 +298,7 @@ def monotonicity_report(traj) -> list:
             numeric = np.nan
         records.append(EntropyRecord(
             t=float(times[i]), W=float(W[i]), defect_l2=float(defect),
-            dWdt_numeric=float(numeric), dWdt_formula=float(2.0 * s.tau * defect**2),
+            dWdt_numeric=float(numeric), dWdt_formula=float(2.0 * traj.tau * defect**2),
             monotone=bool(numeric >= -1e-10)))
     return records
 

@@ -36,7 +36,8 @@ class InsufficientDataError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A computed value is not finite: W or the soliton defect of a coupled
-    flow sample (``entropy.entropy_record``), as when the volume overflows;
+    """A computed value is not finite: the potential of a coupled flow state
+    (``entropy.constant_potential``), or W or the soliton defect of its
+    sample (``entropy.entropy_record``), as when the volume overflows;
     or a spectrum has no gap to read (``stability.spectrum``): its symbol
     holds a non-finite entry, or no magnitude above the neutral floor."""

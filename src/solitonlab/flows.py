@@ -7,10 +7,10 @@ stepping is classical RK4 of the metric (``rk4``, shared with the gauge
 flows) under a parabolic CFL bound; ``reparametrize`` translates a finite-tau
 trajectory to tau = inf (one way).
 
-A coupled run's potential f lives on frame models, where it is constant in
-space: its equation f_t = -R + n/(2 tau) is d/dt log Vol(g), so each step
-reads f off its metric (``entropy.constant_potential``) instead of
-integrating it.
+A flow state is its time and its metric; its tau is the trajectory's.  A
+coupled run's potential f lives on frame models, where it is constant in
+space: its equation f_t = -R + n/(2 tau) is d/dt log Vol(g), so it is a
+function of the metric (``entropy.constant_potential``) and stored nowhere.
 
 The DeTurck right-hand side makes one geometry pass per evaluation: the
 model derives g^{-1}, Gamma(g) and Ricci once, component-major (see
@@ -31,7 +31,7 @@ that comes out near 1e-4, so a last-bit change in a slope shows in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,25 +46,19 @@ MAX_HALVINGS = 8
 
 @dataclass(frozen=True)
 class FlowState:
-    """Immutable snapshot of an evolving geometry.
-
-    ``f`` is the potential of a coupled run, the constant that satisfies the
-    normalization constraint on ``model`` (``entropy.constant_potential``),
-    or None on an uncoupled run.  ``tau`` may be ``inf``: the unnormalized
-    flow.
-    """
+    """Immutable snapshot of an evolving geometry: its time and its metric."""
 
     t: float
     model: object
-    tau: float
-    f: Optional[object] = None
 
 
 @dataclass
 class Trajectory:
-    """Time-ordered flow states plus per-sample diagnostics."""
+    """Time-ordered flow states plus per-sample diagnostics, of one flow at one
+    ``tau`` (``inf``: the unnormalized flow)."""
 
     convention: str
+    tau: float
     states: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
 
@@ -273,10 +267,7 @@ def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
     singular to invert, a grid stage metric with a leading principal minor
     <= 0 at some node (``geometry.leading_minors_positive``, checked after
     the stage's velocity, so that a singular stage is reported as such), or
-    a result metric that fails ``validate_spd``.  Coupling follows
-    ``state.f``: the result's potential is ``entropy.constant_potential`` of
-    its metric, and an overflowed volume raises ``NumericalFailureError``
-    naming the step's time.
+    a result metric that fails ``validate_spd``.
     """
     bound = cfl_bound(state.model)
     if dt > bound:
@@ -304,20 +295,16 @@ def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
     except np.linalg.LinAlgError as exc:
         raise StepRejectedError(
             f"step to t = {state.t + dt} met a singular stage metric: {exc}") from exc
-    model1 = model_at(y1, validate=True)
-    f1 = None if state.f is None else _potential_at(
-        state.t + dt, entropy.constant_potential, model1, state.tau)
-    return FlowState(t=state.t + dt, model=model1, tau=state.tau, f=f1)
+    return FlowState(t=state.t + dt, model=model_at(y1, validate=True))
 
 
-def _potential_at(t: float, fn: Callable, *args):
-    """``fn(*args)``, the potential of the flow state at ``t``; a
-    ``NumericalFailureError`` it raises (an overflowed frame volume) is raised
-    again naming t."""
+def _check_potential(state: FlowState, tau: float) -> None:
+    """``entropy.constant_potential`` of ``state`` for its ``NumericalFailureError``
+    alone, which is raised again naming the state's time."""
     try:
-        return fn(*args)
+        entropy.constant_potential(state.model, tau)
     except NumericalFailureError as exc:
-        raise NumericalFailureError(f"the potential at t={t:.6g}: {exc}") from exc
+        raise NumericalFailureError(f"the potential at t={state.t:.6g}: {exc}") from exc
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -339,18 +326,23 @@ def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
     rejection dt is halved (up to ``MAX_HALVINGS`` times); rejection
     past that limit propagates.  Diagnostics per sample: scalar curvature
     range, metric deviation from the background (if given), and the entropy
-    record of a coupled run.  ``couple_f`` is rejected on a ``GridModel``,
-    where the forward potential equation is a backward heat equation.
+    record of a coupled run, which checks the potential of every state it
+    reaches (``_check_potential``).  ``couple_f`` is rejected unless tau is
+    finite and positive, and on a ``GridModel``, where the forward potential
+    equation is a backward heat equation.
     """
+    if couple_f and not 0 < tau < np.inf:
+        raise RejectedInputError(f"the coupled potential needs a finite positive tau, got {tau!r}")
     if couple_f and isinstance(model0, GridModel):
         raise RejectedInputError("on a grid the coupled potential would solve a backward "
                                  "heat equation")
     n_steps = step_count(t_end, dt)
     metric_rhs = make_metric_rhs(variant, tau, background)
-    f0 = _potential_at(0.0, entropy.constant_potential, model0, tau) if couple_f else None
-    state = FlowState(t=0.0, model=model0, tau=tau, f=f0)
-    traj = Trajectory(convention=variant)
-    _sample(traj, state, background)
+    state = FlowState(t=0.0, model=model0)
+    if couple_f:
+        _check_potential(state, tau)
+    traj = Trajectory(convention=variant, tau=tau)
+    _sample(traj, state, background, couple_f)
     i = 0
     while i < n_steps:
         halvings = 0
@@ -369,15 +361,18 @@ def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
                 if halvings > MAX_HALVINGS:
                     raise
         state = advanced
+        if couple_f:
+            _check_potential(state, tau)
         i += 1
         if i % sample_every == 0 or i == n_steps:
-            _sample(traj, state, background)
+            _sample(traj, state, background, couple_f)
     return traj
 
 
-def _sample(traj: Trajectory, state: FlowState, background) -> None:
-    """Append a twin of ``state``, with the diagnostics of ``state`` itself."""
-    diag = {"t": state.t}
+def _sample(traj: Trajectory, state: FlowState, background, coupled: bool) -> None:
+    """Append a twin of ``state``, with the diagnostics of ``state`` itself: of
+    a ``coupled`` run also its entropy record at the trajectory's tau."""
+    diag = {}
     model = state.model
     R = geometry.scalar_curvature(model)
     diag["scalar_curvature_range"] = [float(np.min(R)), float(np.max(R))]
@@ -386,10 +381,10 @@ def _sample(traj: Trajectory, state: FlowState, background) -> None:
         rep = geometry.norms(model, dev)
         diag["deviation_l2"] = rep.l2
         diag["deviation_sup"] = rep.sup
-    if state.f is not None:
-        rec = entropy.entropy_record(state)
+    if coupled:
+        rec = entropy.entropy_record(model, traj.tau, state.t)
         diag["entropy"] = {"W": rec.W, "defect_l2": rec.defect_l2}
-    traj.append(replace(state, model=geometry.twin(model)), diag)
+    traj.append(FlowState(t=state.t, model=geometry.twin(model)), diag)
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +400,17 @@ def reparametrize(traj: Trajectory, tau: float) -> Trajectory:
     the images ``s = tau (1 - e^{-t/tau})`` of the sample times.  Requires
     ``s < tau``, which fails in floating point once t exceeds about 37 tau.
     """
-    if (traj.convention != "tau" or not np.isfinite(tau)
-            or any(s.tau != tau for s in traj.states)):
+    if traj.convention != "tau" or not np.isfinite(tau) or traj.tau != tau:
         raise RejectedInputError("reparametrize expects a tau-flow trajectory at this finite tau")
     interp = MetricInterpolant(traj)
     s_samples = tau * (1.0 - np.exp(-traj.times / tau))
     if np.any(s_samples >= tau):
         raise RejectedInputError("reparametrization requires s < tau")
-    out = Trajectory(convention="tau")
+    out = Trajectory(convention="tau", tau=np.inf)
     for s in s_samples:
         c = 1.0 - s / tau
         t = -tau * np.log(c)
         model = interp(t)
         model = _with_metric(model, c * _metric_array(model))
-        out.append(FlowState(t=float(s), model=model, tau=np.inf), {"t": float(s)})
+        out.append(FlowState(t=float(s), model=model), {})
     return out

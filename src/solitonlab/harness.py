@@ -13,12 +13,13 @@ seed, and verdicts are recomputable from the persisted trajectory alone.
 A persisted trajectory is a JSONL index (``trajectory.jsonl``) plus one
 uncompressed ``.npz`` array file beside it (``trajectory.npz``).  The index
 holds a header with what every state shares (the convention, the array
-file's name, tau, the model kind and its scalar parameters:
+file's name, the run's tau, the model kind and its scalar parameters:
 ``dims``/``period`` or ``lams``/``base_volume``), then one sample line per
-state, its diagnostics with its t; the gauge stage appends its energy lines.
+state, its t and its diagnostics; the gauge stage appends its energy lines.
 The array file holds the stacked float64 metric arrays, under ``g`` (grid)
-or ``a`` (frame), and the stacked potentials under ``f`` when the states
-carry one, so loading round-trips bitwise.  Plot data reads the index alone.
+or ``a`` (frame), so loading round-trips bitwise.  A coupled run's potential
+is not stored: it is ``entropy.constant_potential`` of each metric at the
+header's tau.  Plot data reads the index alone.
 """
 
 from __future__ import annotations
@@ -270,40 +271,29 @@ def _arrays_path(path) -> Path:
     return arrays
 
 
-def _shared_fields(state) -> dict:
-    """What every state of a trajectory shares, as the index header holds it:
-    tau (null for inf), the model kind and its scalar parameters."""
-    model = state.model
-    rec = {"tau": None if np.isinf(state.tau) else state.tau}
+def _model_fields(model) -> dict:
+    """What every state of a trajectory shares of its model, as the index
+    header holds it: the model kind and its scalar parameters."""
     if isinstance(model, FrameModel):
-        rec.update(model="frame", lams=model.lams.tolist(), base_volume=model.base_volume)
-    else:
-        rec.update(model="grid", dims=list(model.dims), period=list(model.period))
-    return rec
+        return {"model": "frame", "lams": model.lams.tolist(), "base_volume": model.base_volume}
+    return {"model": "grid", "dims": list(model.dims), "period": list(model.period)}
 
 
 def save_trajectory(traj, path) -> None:
     """Write ``traj`` as the JSONL index ``path`` plus its ``.npz`` arrays."""
     arrays_path = _arrays_path(path)
-    shared = _shared_fields(traj.states[0])
-    if any(_shared_fields(s) != shared or d.get("t") != s.t
-           for s, d in zip(traj.states, traj.diagnostics)):
-        raise RejectedInputError("a saved trajectory's states must share one tau and one "
-                                 "model, and each sample's diagnostics must carry its t")
+    shared = _model_fields(traj.states[0].model)
+    if any(_model_fields(s.model) != shared for s in traj.states):
+        raise RejectedInputError("a saved trajectory's states must share one model")
     key = "a" if shared["model"] == "frame" else "g"
-    arrays = {key: traj.metric_series()}
-    with_f = [s.f is not None for s in traj.states]
-    if any(with_f):
-        if not all(with_f):
-            raise RejectedInputError("a trajectory carries a potential on every state or none")
-        arrays["f"] = np.stack([np.asarray(s.f, dtype=float) for s in traj.states])
     with open(arrays_path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, **{key: traj.metric_series()})
     with open(path, "w") as fh:
         fh.write(json.dumps({"kind": "header", "convention": traj.convention,
-                             "arrays": arrays_path.name, **shared}) + "\n")
-        for diag in traj.diagnostics:
-            fh.write(json.dumps({"kind": "sample", **diag}) + "\n")
+                             "arrays": arrays_path.name,
+                             "tau": None if np.isinf(traj.tau) else traj.tau, **shared}) + "\n")
+        for s, diag in zip(traj.states, traj.diagnostics):
+            fh.write(json.dumps({"kind": "sample", "t": s.t, **diag}) + "\n")
 
 
 _NUM = (int, float)
@@ -362,14 +352,15 @@ def load_trajectory(path):
     """Read back what ``save_trajectory`` wrote, bitwise: each state from the
     header and one row of the array file.
 
-    An array file that is missing, or that does not hold one row per sample
+    An array file that is missing, or whose arrays (an older store's ``f``
+    too, whose values are not read) do not each hold one row per sample
     line, is rejected naming the file.  A header whose model rejects its
     parameters (``dims`` of other than 2 or 3 axes or under 8 points per
     axis, a ``period`` of another length) is rejected naming line 1.
     """
     path = Path(path)
     header, *lines = _read_index(path)
-    diags = [{k: v for k, v in r.items() if k != "kind"} for r in lines if r["kind"] == "sample"]
+    samples = [r for r in lines if r["kind"] == "sample"]
     arrays_path = path.parent / header["arrays"]
     try:
         with np.load(arrays_path) as npz:
@@ -377,26 +368,22 @@ def load_trajectory(path):
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise RejectedInputError(f"{path}: cannot read its array file {arrays_path}: {exc}") from exc
     key = "a" if header["model"] == "frame" else "g"
-    if key not in arrays or any(len(v) != len(diags) for v in arrays.values()):
+    if key not in arrays or any(len(v) != len(samples) for v in arrays.values()):
         raise RejectedInputError(f"{arrays_path}: does not hold one {key!r} array per "
-                                 f"sample line of {path} ({len(diags)} samples)")
-    fs = arrays.get("f")
-    tau = np.inf if header["tau"] is None else header["tau"]
-    traj = flows.Trajectory(convention=header["convention"])
-    for i, diag in enumerate(diags):
+                                 f"sample line of {path} ({len(samples)} samples)")
+    traj = flows.Trajectory(convention=header["convention"],
+                            tau=np.inf if header["tau"] is None else header["tau"])
+    for rec, row in zip(samples, arrays[key]):
         try:
             if key == "a":
-                model = FrameModel(lams=header["lams"], a=arrays["a"][i],
-                                   base_volume=header["base_volume"])
-                f = None if fs is None else float(fs[i])
+                model = FrameModel(lams=header["lams"], a=row, base_volume=header["base_volume"])
             else:
                 model = GridModel(n=len(header["dims"]), dims=tuple(header["dims"]),
-                                  period=tuple(header["period"]), g=arrays["g"][i],
-                                  validate=False)
-                f = None if fs is None else fs[i]
+                                  period=tuple(header["period"]), g=row, validate=False)
         except RejectedInputError as exc:
             raise RejectedInputError(f"{path}, line 1: {exc}") from exc
-        traj.append(flows.FlowState(t=diag["t"], model=model, tau=tau, f=f), diag)
+        traj.append(flows.FlowState(t=rec["t"], model=model),
+                    {k: v for k, v in rec.items() if k not in ("kind", "t")})
     return traj
 
 

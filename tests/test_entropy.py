@@ -47,6 +47,13 @@ def test_w_functional_rejects_unnormalized_potential():
     m = FrameModel.su2()
     with pytest.raises(RejectedInputError):
         entropy.w_functional(m, 5.0, tau=1.0)
+    # a NaN potential has a NaN residual, which is no more within the tolerance
+    grid = _perturbed_grid(n=8)
+    f = entropy.constant_potential(grid, 1.0)
+    f[3, 5] = np.nan
+    for model, potential in ((m, np.nan), (grid, f)):
+        with pytest.raises(RejectedInputError, match="normalization constraint"):
+            entropy.w_functional(model, potential, tau=1.0)
 
 
 def test_round_sphere_closed_form():
@@ -148,18 +155,18 @@ def test_monotonicity_report_reads_the_recorded_entropy():
     assert len(records) == len(traj.states) == 6
     for rec, s in zip(records, traj.states):
         model = geometry.twin(s.model)
-        defect_sq = entropy.weighted_defect_sq(model, s.f, tau)
-        assert rec.W == entropy.w_functional(model, s.f, tau)
+        f = entropy.constant_potential(model, tau)
+        defect_sq = entropy.weighted_defect_sq(model, f, tau)
+        assert rec.W == entropy.w_functional(model, f, tau)
         assert rec.defect_l2 == np.sqrt(defect_sq)
         assert np.isclose(rec.dWdt_formula, 2.0 * tau * defect_sq, rtol=4e-16, atol=0.0)
 
 
 def test_monotonicity_report_needs_the_entropy_records():
     m = FrameModel.su2(a=(4.4, 4.0, 3.7))
-    f = entropy.constant_potential(m, 1.0)
-    traj = flows.Trajectory(convention="tau")
+    traj = flows.Trajectory(convention="tau", tau=1.0)
     for t in (0.0, 0.1, 0.2):
-        traj.append(flows.FlowState(t=t, model=m, tau=1.0, f=f), {"t": t})
+        traj.append(flows.FlowState(t=t, model=m), {})
     with pytest.raises(RejectedInputError, match="entropy records"):
         entropy.monotonicity_report(traj)
 
@@ -438,8 +445,7 @@ def test_grid_mu_solve_derives_the_geometry_once(monkeypatch):
 def test_entropy_record_from_state():
     m = FrameModel.su2(a=(4.0, 4.0, 4.0))
     f = entropy.constant_potential(m, 1.0)
-    state = flows.FlowState(t=0.3, model=m, tau=1.0, f=f)
-    rec = entropy.entropy_record(state)
+    rec = entropy.entropy_record(m, 1.0, 0.3)
     assert rec.t == 0.3
     assert rec.defect_l2 < 1e-13
     assert np.isclose(rec.W, entropy.w_functional(m, f, 1.0))

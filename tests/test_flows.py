@@ -135,15 +135,15 @@ def test_step_rejects_dt_above_cfl():
     h = GridModel.flat(2, (16, 16), (TWO_PI, TWO_PI))
     X, _ = h.coords()
     g0 = h.with_metric(h.g * (1.0 + 0.01 * np.sin(X))[..., None, None])
-    state = FlowState(t=0.0, model=g0, tau=np.inf, f=None)
+    state = FlowState(t=0.0, model=g0)
     rhs = flows.make_metric_rhs("deturck", np.inf, background=h)
     with pytest.raises(StepRejectedError):
         flows.step(state, rhs, dt=10.0 * flows.cfl_bound(g0))
 
 
 def test_step_matches_the_classical_rk4_formula():
-    """One step is bitwise the textbook RK4 written out stage by stage; a
-    coupled step's potential is bitwise the constant potential of its result."""
+    """One step is bitwise the textbook RK4 written out stage by stage, on a
+    grid and on a frame."""
     dt = 0.01
     g0 = _wavy_grid(2, (8, 8))
     rhs = flows.make_metric_rhs("deturck", np.inf, GridModel.flat(2, (8, 8)))
@@ -152,7 +152,7 @@ def test_step_matches_the_classical_rk4_formula():
     k2 = rhs(at(g0.g + 0.5 * dt * k1))
     k3 = rhs(at(g0.g + 0.5 * dt * k2))
     k4 = rhs(at(g0.g + dt * k3))
-    got = flows.step(FlowState(t=0.0, model=g0, tau=np.inf), rhs, dt)
+    got = flows.step(FlowState(t=0.0, model=g0), rhs, dt)
     assert np.array_equal(got.model.g, g0.g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     assert got.t == dt
 
@@ -165,10 +165,8 @@ def test_step_matches_the_classical_rk4_formula():
     k3 = k(m.a + 0.5 * dt * k2)
     k4 = k(m.a + dt * k3)
     a1 = m.a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    got = flows.step(FlowState(t=0.0, model=m, tau=tau, f=entropy.constant_potential(m, tau)),
-                     rhs, dt)
+    got = flows.step(FlowState(t=0.0, model=m), rhs, dt)
     assert np.array_equal(got.model.a, a1)
-    assert got.f == entropy.constant_potential(m.with_a(a1), tau)
 
 
 def test_grid_step_decomposes_each_metric_once(monkeypatch):
@@ -177,7 +175,7 @@ def test_grid_step_decomposes_each_metric_once(monkeypatch):
     next step's CFL bound reads.  In 2-D both are closed forms, and LAPACK
     inverts no node of an unpivoted metric."""
     rhs = flows.make_metric_rhs("deturck", np.inf, GridModel.flat(2, (8, 8)))
-    state = FlowState(t=0.0, model=_wavy_grid(2, (8, 8)), tau=np.inf)
+    state = FlowState(t=0.0, model=_wavy_grid(2, (8, 8)))
     calls = Counter()
     for owner, name in ((geometry, "inverse_metric"), (geometry, "validate_spd"),
                         (np.linalg, "eigvalsh"), (np.linalg, "inv"), (np.linalg, "det")):
@@ -235,15 +233,16 @@ def test_a_stage_outside_the_spd_cone_rejects_the_step(n):
     dt = 0.01
     shrink = lambda m: -(3.0 / dt) * m.g
     with pytest.raises(StepRejectedError, match=r"stage metric at t = 0\.005 is not positive"):
-        flows.step(FlowState(0.0, flat, np.inf), shrink, dt)
+        flows.step(FlowState(0.0, flat), shrink, dt)
     # the same right-hand side at a third of the rate keeps every stage SPD
-    state = flows.step(FlowState(0.0, flat, np.inf), lambda m: -(1.0 / dt) * m.g, dt)
+    state = flows.step(FlowState(0.0, flat), lambda m: -(1.0 / dt) * m.g, dt)
     assert np.allclose(state.model.g, (3.0 / 8.0) * flat.g)
 
 
 def test_coupled_frame_step_derives_each_ricci_once(monkeypatch):
-    """A coupled Berger step computes the Ricci of each stage model once; the
-    potential of the result reads only its volume."""
+    """A coupled Berger run derives the Ricci of each model once: the first
+    stage of a step reuses its sample's, and the potential of every state
+    reads only its volume."""
     seen = []
 
     def counted(m, _fn=geometry._ricci_frame):
@@ -253,10 +252,9 @@ def test_coupled_frame_step_derives_each_ricci_once(monkeypatch):
     monkeypatch.setattr(geometry, "_ricci_frame", counted)
     tau = 1.0
     m = FrameModel.su2(a=(4.4, 4.0, 3.7))
-    state = FlowState(t=0.0, model=m, tau=tau, f=entropy.constant_potential(m, tau))
-    flows.step(state, flows.make_metric_rhs("tau", tau), 0.01)
-    assert len(seen) == 4
-    assert len({id(model) for model in seen}) == 4
+    flows.run_flow(m, "tau", tau, 0.01, 0.01, couple_f=True)
+    assert len(seen) == 5  # the two samples, and the last three stages of the step
+    assert len({id(model) for model in seen}) == 5
 
 
 DERIVED = {"ginv", "gamma", "ric", "sqrt_det"}
@@ -277,7 +275,7 @@ def test_frame_stage_past_zero_is_a_rejected_step():
     """A frame coefficient crossing zero inside a stage is a rejected step
     (dt can be halved); a bad tau is still rejected input."""
     m = FrameModel.su2(a=(1.2, 1.0, 0.9))
-    state = FlowState(t=0.0, model=m, tau=1.0)
+    state = FlowState(t=0.0, model=m)
     with pytest.raises(StepRejectedError, match="t = 1.0 left the SPD cone"):
         flows.step(state, flows.make_metric_rhs("tau", 1.0), 1.0)
     with pytest.raises(RejectedInputError):
@@ -301,10 +299,10 @@ def test_singular_stage_is_a_rejected_step_that_halving_recovers(monkeypatch):
     singular_at_dt = lambda m: -2.0 * m.g / 0.01 + 0.0 * m.ginv
     flat = GridModel.flat(2, (8, 8))
     with pytest.raises(StepRejectedError, match="t = 0.01 met a singular stage metric"):
-        flows.step(FlowState(0.0, flat, np.inf), singular_at_dt, 0.01)
+        flows.step(FlowState(0.0, flat), singular_at_dt, 0.01)
     monkeypatch.setattr(flows, "make_metric_rhs", lambda *args: singular_at_dt)
     traj = flows.run_flow(flat, "tau", np.inf, dt=0.01, t_end=0.01)
-    half = flows.step(FlowState(0.0, flat, np.inf), singular_at_dt, 0.005)
+    half = flows.step(FlowState(0.0, flat), singular_at_dt, 0.005)
     twice = flows.step(half, singular_at_dt, 0.005)
     assert traj.times.tolist() == [0.0, 0.01]
     assert np.array_equal(traj.states[-1].model.g, twice.model.g)
@@ -324,10 +322,10 @@ def test_run_flow_takes_only_whole_steps():
 
 def test_trajectory_rejects_non_monotone_times():
     m = FrameModel.su2()
-    traj = Trajectory(convention="tau")
-    traj.append(FlowState(t=0.0, model=m, tau=1.0, f=None), {})
+    traj = Trajectory(convention="tau", tau=1.0)
+    traj.append(FlowState(t=0.0, model=m), {})
     with pytest.raises(RejectedInputError):
-        traj.append(FlowState(t=0.0, model=m, tau=1.0, f=None), {})
+        traj.append(FlowState(t=0.0, model=m), {})
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +337,19 @@ def test_coupled_potential_keeps_constraint():
     traj = flows.run_flow(m, "tau", tau=1.0, dt=1e-3, t_end=0.1,
                           couple_f=True)
     for state in traj.states:
-        assert entropy.constraint_residual(state.model, state.f, state.tau) < 1e-14
+        f = entropy.constant_potential(state.model, traj.tau)
+        assert entropy.constraint_residual(state.model, f, traj.tau) < 1e-14
 
 
 def test_run_flow_rejects_a_coupled_grid():
-    """On a grid the forward potential equation is a backward heat equation:
-    ``run_flow`` rejects coupling there, as ``validate_config`` does."""
+    """On a grid the forward potential equation is a backward heat equation,
+    and at tau = inf there is no potential: ``run_flow`` rejects coupling
+    there, as ``validate_config`` does."""
     with pytest.raises(RejectedInputError, match="backward heat equation"):
         flows.run_flow(_wavy_grid(2, (8, 8)), "tau", 1.0, 0.001, 0.002, couple_f=True)
+    with pytest.raises(RejectedInputError, match="needs a finite positive tau, got inf"):
+        flows.run_flow(FrameModel.su2(a=(4.4, 4.0, 3.7)), "tau", np.inf, 0.001, 0.002,
+                       couple_f=True)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +371,10 @@ def test_metric_interpolant_matches_samples_and_between():
 def _column_trajectory(times, columns):
     """Unvalidated 8^2 grid states whose flattened metrics are ``columns`` rows."""
     template = GridModel.flat(2, (8, 8))
-    traj = Trajectory(convention="tau")
+    traj = Trajectory(convention="tau", tau=np.inf)
     for t, row in zip(times, columns):
         model = template.with_metric(row.reshape(template.g.shape), validate=False)
-        traj.append(FlowState(t=float(t), model=model, tau=np.inf), {})
+        traj.append(FlowState(t=float(t), model=model), {})
     return traj
 
 
@@ -453,7 +456,7 @@ def test_reparametrize_maps_round_fixed_point_onto_shrinking_sphere(tau):
     m = FrameModel.su2(a=(4.0 * tau,) * 3)
     traj = flows.run_flow(m, "tau", tau=tau, dt=1e-3, t_end=1.0, sample_every=100)
     un = flows.reparametrize(traj, tau)
-    assert un.convention == "tau" and {s.tau for s in un.states} == {np.inf}
+    assert un.convention == "tau" and un.tau == np.inf
     assert np.allclose(un.times, tau * (1.0 - np.exp(-traj.times / tau)), rtol=0.0, atol=1e-15)
     for state in un.states:
         assert np.max(np.abs(state.model.a - 4.0 * (tau - state.t))) <= 1e-12 * tau

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from solitonlab import cli, flows, gauge, geometry, harness, stability
+from solitonlab import cli, entropy, flows, gauge, geometry, harness, stability
 from solitonlab.errors import InsufficientDataError, RejectedInputError
 from solitonlab.geometry import FrameModel, GridModel
 from solitonlab.harness import RunConfig
@@ -240,22 +240,29 @@ def test_build_frame_models():
 
 
 def test_trajectory_round_trip_frame(tmp_path):
+    """A coupled Berger run's store holds its metrics alone, and loads back
+    bitwise: each recorded W and defect is the entropy record of the loaded
+    state at the loaded tau, so the audit needs nothing the store lacks."""
     m = FrameModel.su2(a=(4.4, 4.0, 3.7))
-    traj = flows.run_flow(m, "tau", tau=1.0, dt=1e-2, t_end=0.05,
+    traj = flows.run_flow(m, "tau", tau=2.0 / 3.0, dt=1e-2, t_end=0.05,
                           couple_f=True)
     path = tmp_path / "traj.jsonl"
     harness.save_trajectory(traj, path)
+    with np.load(tmp_path / "traj.npz") as npz:
+        assert npz.files == ["a"]
     back = harness.load_trajectory(path)
-    assert back.convention == traj.convention
+    assert back.convention == traj.convention and back.tau == traj.tau
     assert len(back.states) == len(traj.states)
     for s0, s1 in zip(traj.states, back.states):
         assert np.array_equal(s0.model.a, s1.model.a)
-        assert s0.f == s1.f
-        assert s0.t == s1.t and s0.tau == s1.tau
+        assert s0.t == s1.t
     assert back.diagnostics == traj.diagnostics
+    for s, diag in zip(back.states, back.diagnostics):
+        rec = entropy.entropy_record(s.model, back.tau, s.t)
+        assert (rec.W, rec.defect_l2) == (diag["entropy"]["W"], diag["entropy"]["defect_l2"])
     inf_tau = flows.run_flow(m, "tau", np.inf, dt=1e-2, t_end=0.02)
     harness.save_trajectory(inf_tau, path)
-    assert [s.tau for s in harness.load_trajectory(path).states] == [np.inf] * 3
+    assert harness.load_trajectory(path).tau == np.inf
 
 
 def test_trajectory_round_trip_grid(tmp_path):
@@ -272,27 +279,22 @@ def test_trajectory_round_trip_grid(tmp_path):
 
 
 def test_trajectory_round_trip_grid_potential(tmp_path):
-    """A grid state's scalar field f, time and tau come back bitwise."""
+    """A grid state's time and the run's tau come back bitwise, and the array
+    file holds the metrics alone: a potential is not stored."""
     cfg = harness.parse_config(GRID_CONFIG)
     model = harness.build_model(cfg)
-    rng = np.random.default_rng(5)
-    traj = flows.Trajectory(convention="tau")
+    traj = flows.Trajectory(convention="tau", tau=2.0 / 3.0)
     for t in (0.0, 0.1 / 3.0, np.pi):
-        f = rng.standard_normal(model.dims) * np.exp(rng.uniform(-40, 40, model.dims))
-        traj.append(flows.FlowState(t=t, model=model, tau=2.0 / 3.0, f=f), {"t": t})
+        traj.append(flows.FlowState(t=t, model=model), {})
     path = tmp_path / "traj.jsonl"
     harness.save_trajectory(traj, path)
     back = harness.load_trajectory(path)
+    assert back.tau == traj.tau
     for s0, s1 in zip(traj.states, back.states, strict=True):
         assert np.array_equal(s0.model.g, s1.model.g)
-        assert np.array_equal(s0.f, s1.f)
-        assert s0.t == s1.t and s0.tau == s1.tau
+        assert s0.t == s1.t
     with np.load(tmp_path / "traj.npz") as npz:
-        assert sorted(npz.files) == ["f", "g"]
-        assert npz["f"].dtype == np.float64 and npz["f"].shape == (3,) + model.dims
-    traj.append(flows.FlowState(t=4.0, model=model, tau=2.0 / 3.0), {"t": 4.0})
-    with pytest.raises(RejectedInputError, match="potential on every state or none"):
-        harness.save_trajectory(traj, path)
+        assert npz.files == ["g"]
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -379,6 +381,12 @@ def test_trajectory_without_its_arrays_is_rejected_by_name(tmp_path):
     with pytest.raises(RejectedInputError, match="traj.npz: does not hold one 'a' array per "
                                                  "sample line of .*traj.jsonl \\(4 samples\\)"):
         harness.load_trajectory(path)
+    # an older store's f array loads, whatever its values, and only at the samples' length
+    np.savez(arrays, a=traj.metric_series(), f=np.full(4, np.nan))
+    assert np.array_equal(harness.load_trajectory(path).metric_series(), traj.metric_series())
+    np.savez(arrays, a=traj.metric_series(), f=np.zeros(3))
+    with pytest.raises(RejectedInputError, match="does not hold one 'a' array per"):
+        harness.load_trajectory(path)
     harness.save_trajectory(traj, path)
     arrays.write_bytes(arrays.read_bytes()[:200])  # a write cut short
     with pytest.raises(RejectedInputError, match="traj.npz"):
@@ -438,21 +446,14 @@ def test_empty_index_is_rejected_naming_the_file(tmp_path, capsys):
 
 
 def test_save_rejects_states_that_do_not_share_the_header(tmp_path):
-    """The header holds one tau and one model for every state, and each
-    sample line the t of its state: a trajectory that breaks either is not
-    saved, so that no state loads back changed."""
+    """The header holds one model for every state: a trajectory whose states
+    do not share it is not saved, so that no state loads back changed."""
     m = FrameModel.su2(a=(4.4, 4.0, 3.7))
     path = tmp_path / "traj.jsonl"
-    for second in (flows.FlowState(t=0.1, model=m, tau=2.0),
-                   flows.FlowState(t=0.1, model=FrameModel(lams=np.zeros(3), a=m.a), tau=1.0)):
-        traj = flows.Trajectory(convention="tau")
-        traj.append(flows.FlowState(t=0.0, model=m, tau=1.0), {"t": 0.0})
-        traj.append(second, {"t": 0.1})
-        with pytest.raises(RejectedInputError, match="share one tau and one model"):
-            harness.save_trajectory(traj, path)
-    traj = flows.Trajectory(convention="tau")
-    traj.append(flows.FlowState(t=0.0, model=m, tau=1.0), {"t": 0.5})
-    with pytest.raises(RejectedInputError, match="must carry its t"):
+    traj = flows.Trajectory(convention="tau", tau=1.0)
+    traj.append(flows.FlowState(t=0.0, model=m), {})
+    traj.append(flows.FlowState(t=0.1, model=FrameModel(lams=np.zeros(3), a=m.a)), {})
+    with pytest.raises(RejectedInputError, match="share one model"):
         harness.save_trajectory(traj, path)
     assert not path.exists()
 
@@ -1124,6 +1125,29 @@ def test_overflowing_entropy_audit_exits_numerical_naming_the_time(
         assert (f"numerical failure: the potential at t={t_fail}: the volume of the frame "
                 "metric a = [") in capsys.readouterr().err
     record, = tmp_path.glob("overflow-*/record.json")
+    assert json.loads(record.read_text())["verdicts"]["failed_stage"] == "flow"
+
+
+@pytest.mark.parametrize("coefficient,tau", [("1e-210", "1.0"), ("1e-250", "1.0"),
+                                              ("1e-300", "1.0"), ("1e100", "1e250")])
+def test_a_potential_that_cannot_be_evaluated_exits_numerical_at_t0(
+        tmp_path, monkeypatch, capsys, coefficient, tau):
+    """A round sphere so small that e^{-f} = (4 pi tau)^{3/2} / Vol overflows
+    (1e-210), or whose volume underflows to 0 (1e-250, 1e-300), or a tau so
+    large that e^{-f} Vol = (4 pi tau)^{3/2} overflows, ends ``run`` and
+    ``entropy`` in exit 3 naming the potential at t=0, without a
+    RuntimeWarning: not in a rejected potential, nor in the log of 0."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    text = (f"[model]\nkind = frame\nrecipe = round\ncoefficients = {coefficient},"
+            f"{coefficient},{coefficient}\n[flow]\nvariant = tau\ntau = {tau}\n"
+            "couple_potential = true\ndt = 0.01\nt_end = 0.02\n[output]\nname = tiny\n")
+    cfg = _write_config(tmp_path, text)
+    for command in ("run", "entropy"):
+        assert cli.main([command, cfg]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: the potential at t=0: e^(-f) Vol, which the constraint sets "
+            "to (4 pi tau)^(3/2), is not finite")
+    record, = tmp_path.glob("tiny-*/record.json")
     assert json.loads(record.read_text())["verdicts"]["failed_stage"] == "flow"
 
 
