@@ -254,8 +254,8 @@ def entropy_record(model, tau: float, t: float) -> EntropyRecord:
     ``NumericalFailureError`` naming t."""
     try:
         f = constant_potential(model, tau)
-        W = w_functional(model, f, tau)
-        with np.errstate(over="ignore"):  # an overflowed defect is named below
+        with np.errstate(over="ignore"):  # an overflowed W or defect is named below
+            W = w_functional(model, f, tau)
             defect = defect_l2(model, f, tau)
         if not (np.isfinite(W) and np.isfinite(defect)):
             raise NumericalFailureError(f"W={W}, defect_l2={defect}")

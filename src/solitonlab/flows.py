@@ -199,7 +199,7 @@ def rhs_tau_flow(model, tau: float):
     if not (tau > 0):
         raise RejectedInputError("tau must be positive (or inf)")
     out = rhs_unnormalized(model)
-    if np.isfinite(tau):
+    if tau < np.inf:
         out = out + _metric_array(model) / tau
     return out
 

@@ -5,6 +5,10 @@ Two backgrounds are supported:
 * ``FrameModel`` -- a homogeneous space described by the three structure
   constants lambda_k of a Milnor frame and diagonal metric coefficients.
   Curvature is closed-form, fields are constants, and flows reduce to ODEs.
+  Its closed forms run on Python floats, sparing numpy's per-call cost on
+  length-3 arrays, with numpy's bits: three-term sums and products are
+  taken left to right, as numpy reduces three entries, and sqrt is
+  correctly rounded in both (the entropy code's exp and log stay numpy's).
 * ``GridModel`` -- a flat periodic torus carrying a symmetric 2-tensor field
   (the metric) on a uniform grid.  All derivative operators are second-order
   central differences with periodic wraparound.
@@ -62,7 +66,8 @@ class FrameModel:
     for every cyclic permutation (i, j, k) of (0, 1, 2) (Milnor, Adv. Math. 21,
     1976); ``0 < a[i] < inf`` are the diagonal metric coefficients, so
     ``g = diag(a)`` in the frame.  ``base_volume`` is the volume of the group
-    for ``a = (1, 1, 1)``.
+    for ``a = (1, 1, 1)``.  ``a`` is checked, and its closed forms evaluated,
+    on Python floats (see the module docstring).
     """
 
     lams: np.ndarray
@@ -77,9 +82,10 @@ class FrameModel:
             raise RejectedInputError("structure constants must have shape (3,)")
         if self.a.shape != (3,):
             raise RejectedInputError("metric coefficients must have shape (3,)")
-        if not ((0.0 < self.a) & (self.a < np.inf)).all():  # NaN included
+        x = self.a.tolist()
+        if not all(0.0 < v < math.inf for v in x):  # NaN included
             raise RejectedInputError("metric coefficients must be positive and finite, got "
-                                     + ", ".join(f"{x:.6g}" for x in self.a))
+                                     + ", ".join(f"{v:.6g}" for v in x))
 
     @classmethod
     def su2(cls, a=(1.0, 1.0, 1.0)) -> "FrameModel":
@@ -477,23 +483,22 @@ def christoffel(m: GridModel) -> np.ndarray:
 def _ricci_frame(m: FrameModel) -> np.ndarray:
     """Closed-form Ricci of a unimodular Milnor frame, as lowered diagonal R_ii.
 
-    c_i = lambda_i sqrt(a_i / (a_j a_k)); where a_j a_k overflows or
-    underflows to zero, the quotient is taken one factor at a time.  The
-    quotients are Python floats, whose products overflow to inf silently.
+    R_ii = 2 mu_j mu_k a_i, mu_i = (cbar_0 + cbar_1 + cbar_2) / 2 - cbar_i,
+    cbar_i = lambda_i sqrt(a_i / (a_j a_k)); where a_j a_k overflows or
+    underflows to zero, the quotient is taken one factor at a time.  On
+    Python floats, whose products overflow to inf silently, with numpy's
+    bits (see the module docstring).
     """
-    lams, a = m.lams, m.a
-    x = a.tolist()
+    lams, x = m.lams.tolist(), m.a.tolist()
     idx = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
     cbar = []
     for i, j, k in idx:
         p = x[j] * x[k]
         q = x[i] / p if 0.0 < p < math.inf else x[i] / x[j] / x[k]
-        cbar.append(lams[i] * np.sqrt(q))
-    cbar = np.array(cbar)
-    s = 0.5 * cbar.sum()
-    mu = s - cbar
-    r = np.array([2.0 * mu[j] * mu[k] for i, j, k in idx])
-    return r * a
+        cbar.append(lams[i] * math.sqrt(q))
+    s = 0.5 * (cbar[0] + cbar[1] + cbar[2])
+    mu = [s - c for c in cbar]
+    return np.array([2.0 * mu[j] * mu[k] * x[i] for i, j, k in idx])
 
 
 def _ricci_grid(m: GridModel) -> np.ndarray:
@@ -617,11 +622,12 @@ def _pointwise_sq(m: GridModel, f: np.ndarray) -> np.ndarray:
 
 def volume(m) -> float:
     """Total volume of the model; ``NumericalFailureError`` where a frame
-    model's volume overflows."""
+    model's volume overflows.  A frame's is base_volume ((sqrt a_0 sqrt a_1)
+    sqrt a_2), on floats (see the module docstring)."""
     if isinstance(m, FrameModel):
-        with np.errstate(over="ignore"):
-            vol = float(m.base_volume * np.prod(np.sqrt(m.a)))  # no overflow of prod(a)
-        if not np.isfinite(vol):
+        s0, s1, s2 = map(math.sqrt, m.a.tolist())
+        vol = m.base_volume * (s0 * s1 * s2)  # no overflow of prod(a)
+        if not math.isfinite(vol):
             raise NumericalFailureError(f"the volume of the frame metric a = {m.a.tolist()} "
                                         "overflows")
         return vol

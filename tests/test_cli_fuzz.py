@@ -33,6 +33,9 @@ MODELS = {
     "berger": ("kind = frame\nrecipe = berger\ncoefficients = 4.4,4.0,3.7\n", 0.01),
     # its volume overflows, so the entropy audit meets a non-finite W
     "round 1e210": ("kind = frame\nrecipe = round\ncoefficients = 1e210,1e210,1e210\n", 0.01),
+    # a sphere that collapses within one step: a stage leaves the SPD cone at
+    # every dt the halvings reach, so the run exits 3
+    "round 0.01": ("kind = frame\nrecipe = round\ncoefficients = 0.01,0.01,0.01\n", 0.1),
 }
 COMMANDS = ("run", "spectrum", "entropy", "gauge-check")
 
@@ -78,6 +81,9 @@ def _finite(command, out) -> bool:
 @example(model="berger", seed=0, variant="tau", tau="1e-300", steps=2, sample_every=1,
          analyze=False, reconstruct=False, fix_divergence=False, couple=False)
 @example(model="berger", seed=0, variant="tau", tau="0.5", steps=4, sample_every=1,
+         analyze=False, reconstruct=False, fix_divergence=False, couple=True)
+# so large a tau that W's constant-potential sum overflows in the coupled audit
+@example(model="berger", seed=0, variant="tau", tau="1e200", steps=2, sample_every=1,
          analyze=False, reconstruct=False, fix_divergence=False, couple=True)
 def test_run_ends_in_one_of_three_ways(tmp_path_factory, model, seed, variant, tau, steps,
                                        sample_every, analyze, reconstruct, fix_divergence,

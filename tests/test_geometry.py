@@ -1,8 +1,11 @@
 """Geometry layer: curvature against symbolic oracles, norms, validation."""
 
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings, strategies as st
 
 from solitonlab import flows, geometry
 from solitonlab.errors import NumericalFailureError, RejectedInputError
@@ -254,6 +257,80 @@ def test_scalar_laplacian_eigenfunction():
     h = m.spacings[0]
     lam_discrete = -2.0 * (1.0 - np.cos(h)) / h**2
     assert np.allclose(geometry.laplacian_scalar(m, f), lam_discrete * f, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the float frame kernels against their numpy spellings, bit for bit
+
+# Milnor's unimodular signatures: SU(2), E(2), Nil, Sol and SL(2, R)
+MILNOR_LAMS = {"su2": (2.0, 2.0, 2.0), "e2": (1.0, 1.0, 0.0), "nil": (1.0, 0.0, 0.0),
+               "sol": (1.0, -1.0, 0.0), "sl2": (1.0, 1.0, -1.0)}
+
+
+def _numpy_ricci_frame(m):
+    """``_ricci_frame`` in numpy arithmetic on length-3 arrays: the reference
+    whose bits the float kernel must give."""
+    lams, a = m.lams, m.a
+    x = a.tolist()
+    idx = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    cbar = []
+    for i, j, k in idx:
+        p = x[j] * x[k]
+        q = x[i] / p if 0.0 < p < math.inf else x[i] / x[j] / x[k]
+        cbar.append(lams[i] * np.sqrt(q))
+    cbar = np.array(cbar)
+    mu = 0.5 * cbar.sum() - cbar
+    return np.array([2.0 * mu[j] * mu[k] for i, j, k in idx]) * a
+
+
+def _numpy_frame_volume(m):
+    """The frame ``volume`` in numpy arithmetic, inf where it overflows."""
+    return float(m.base_volume * np.prod(np.sqrt(m.a)))
+
+
+def _numpy_accepts(a):
+    return bool(((0.0 < a) & (a < np.inf)).all())
+
+
+# log-uniform over the whole range, and hypothesis's own choice of floats in it
+_COEFFICIENT = st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+                         st.floats(1e-300, 1e300))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(group=st.sampled_from(sorted(MILNOR_LAMS)),
+       a=st.tuples(_COEFFICIENT, _COEFFICIENT, _COEFFICIENT))
+@example(group="su2", a=(4.4, 4.0, 3.7))  # the Berger start of the entropy audit
+@example(group="su2", a=(1e300, 1e300, 1e300))  # a_j a_k and the volume overflow
+@example(group="nil", a=(1e300, 1e-300, 1e-300))  # a 0 lambda times an infinite quotient
+@example(group="sol", a=(1e-300, 1e-300, 1e300))  # a_j a_k underflows to 0
+@example(group="sl2", a=(1e200, 1e150, 1e-100))  # one product overflows, the volume not
+def test_frame_kernels_equal_their_numpy_spellings_bitwise(group, a):
+    """``_ricci_frame`` and the frame ``volume`` run on Python floats; they
+    must give the bits of their numpy spellings.  The oracles run with
+    numpy's warnings off: 0 * inf makes a NaN, which numpy warns about and
+    floats do not."""
+    m = FrameModel(lams=MILNOR_LAMS[group], a=a, base_volume=2.0 * np.pi**2)
+    with np.errstate(all="ignore"):
+        ric, vol = _numpy_ricci_frame(m), _numpy_frame_volume(m)
+    assert np.array_equal(geometry._ricci_frame(m), ric, equal_nan=True)
+    if math.isfinite(vol):
+        assert np.array_equal(geometry.volume(m), vol, equal_nan=True)
+    else:
+        with pytest.raises(NumericalFailureError, match="volume of the frame metric"):
+            geometry.volume(m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=st.tuples(*[st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324]))] * 3))
+def test_frame_model_accepts_what_the_array_check_accepted(a):
+    """``FrameModel`` checks its coefficients on floats; it accepts exactly the
+    coefficients the array check accepted (NaN, 0, -0.0 and inf rejected)."""
+    if _numpy_accepts(np.array(a)):
+        assert FrameModel.su2(a=a).a.tolist() == list(a)
+    else:
+        with pytest.raises(RejectedInputError, match="must be positive and finite"):
+            FrameModel.su2(a=a)
 
 
 # ---------------------------------------------------------------------------
