@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import entropy, harness
-from .errors import (GaugeBreakdownError, NonConvergenceError, NumericalFailureError,
-                     RejectedInputError, StepRejectedError)
+from .errors import NumericalFailureError, RejectedInputError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -101,8 +100,7 @@ def main(argv=None) -> int:
     except RejectedInputError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalFailureError, StepRejectedError, NonConvergenceError,
-            GaugeBreakdownError, np.linalg.LinAlgError) as exc:
+    except (NumericalFailureError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

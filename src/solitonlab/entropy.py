@@ -36,6 +36,7 @@ from .geometry import FrameModel, GridModel
 CONSTRAINT_TOL = 1e-8
 GRAD_TOL = 1e-8
 MAX_ITER = 100_000
+RADIAL_MAX_ITER = 1000  # the radial solve lowers any larger max_iter to this
 _TINY = 1e-150  # floor of v = e^{-f/2} in the radial solve
 
 
@@ -395,7 +396,9 @@ def minimize_mu(model, tau: float, f0=None, grad_tol: float = GRAD_TOL,
     objective, which makes it shift-invariant; L-BFGS-B then runs on the
     free potential with the exact chain-rule gradient.  Convergence means
     the projected L2 gradient norm drops below ``grad_tol``; failure raises
-    ``NonConvergenceError`` carrying the last iterate.
+    ``NonConvergenceError`` carrying the last iterate.  ``max_iter`` caps a
+    grid solve; the radial solve of a polar-profile start caps it at
+    ``RADIAL_MAX_ITER``.
 
     A constant start on a homogeneous frame model is a symmetric critical
     point and is returned immediately with mu = W(const).
@@ -458,7 +461,7 @@ def _radial_mu(model, tau: float, starts: list, grad_tol: float, max_iter: int) 
     from concurrent.futures import ThreadPoolExecutor  # lazily: it loads logging
 
     def solve(f0):
-        return _minimize_mu_radial(model, tau, f0, grad_tol, min(max_iter, 1000))
+        return _minimize_mu_radial(model, tau, f0, grad_tol, min(max_iter, RADIAL_MAX_ITER))
 
     with ThreadPoolExecutor(max_workers=max(len(starts) - 1, 1)) as pool:
         rest = [pool.submit(contextvars.copy_context().run, solve, f0) for f0 in starts[1:]]
@@ -469,9 +472,10 @@ def _radial_mu(model, tau: float, starts: list, grad_tol: float, max_iter: int) 
 def minimize_mu_multistart(model, tau: float, starts) -> list:
     """Run ``minimize_mu`` from several starts; returns all results.
 
-    Polar-profile starts run together, one thread each (``_radial_mu``),
-    and a failing one raises once all have ended, the first failing start's
-    error; other starts run one after the other on the calling thread.
+    Polar-profile starts run together, one thread each (``_radial_mu``), to
+    ``RADIAL_MAX_ITER`` iterations, and a failing one raises once all have
+    ended, the first failing start's error; other starts run one after the
+    other on the calling thread, to ``MAX_ITER``.
     """
     starts = list(starts)
     if starts and all(_is_radial(model, f0) for f0 in starts):

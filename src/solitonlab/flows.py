@@ -216,7 +216,7 @@ def rhs_deturck(m: GridModel, h: GridModel, tau: float):
     ``tau = inf`` gives the unnormalized variant (no g/tau term).
     """
     out = -2.0 * m.ric_cm + gauge.p_operator(m, h)
-    if np.isfinite(tau):
+    if tau < np.inf:
         out = out + m.g_cm / tau
     return geometry.node_major(out, 2)
 
@@ -343,27 +343,19 @@ def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
         _check_potential(state, tau)
     traj = Trajectory(convention=variant, tau=tau)
     _sample(traj, state, background, couple_f)
-    i = 0
-    while i < n_steps:
-        halvings = 0
-        sub_dt = dt
-        advanced = state
-        while True:
+    for i in range(1, n_steps + 1):
+        for halvings in range(MAX_HALVINGS + 1):  # dt / 2**halvings is exact
             try:
-                sub = advanced
+                sub = state
                 for _ in range(2**halvings):
-                    sub = step(sub, metric_rhs, sub_dt)
-                advanced = sub
+                    sub = step(sub, metric_rhs, dt / 2**halvings)
                 break
             except StepRejectedError:
-                halvings += 1
-                sub_dt *= 0.5
-                if halvings > MAX_HALVINGS:
+                if halvings == MAX_HALVINGS:
                     raise
-        state = advanced
+        state = sub
         if couple_f:
             _check_potential(state, tau)
-        i += 1
         if i % sample_every == 0 or i == n_steps:
             _sample(traj, state, background, couple_f)
     return traj

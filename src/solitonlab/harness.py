@@ -1,8 +1,8 @@
-"""Experiment harness: config parsing, the end-to-end pipeline
-(flow, gauge reconstruction, entropy audit, spectral analysis, projection,
-the two- and three-interval verdicts, rate fit, quadratic remainder),
-persistence, and plot-data emission.  Every verdict is one of the flow that
-ran, at parameters the stages derive: no config key tunes a verdict.
+"""Experiment harness: config parsing, the end-to-end pipeline (flow, entropy
+audit, gauge reconstruction, spectral analysis, and the stability stage,
+``stability.run_verdicts``), persistence, and plot-data emission.  Every
+verdict is one of the flow that ran, at parameters the stages derive: no
+config key tunes a verdict.
 
 Configs are INI-style text with sections [model], [flow], [gauge],
 [stability], [output]; unknown sections or keys are rejected with the
@@ -36,8 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import entropy, flows, gauge, geometry, stability
-from .errors import InsufficientDataError, RejectedInputError
+from . import entropy, flows, gauge, stability
+from .errors import RejectedInputError
 from .geometry import FrameModel, GridModel
 
 OUTPUT_ENV_VAR = "SOLITONLAB_OUTPUT"
@@ -425,63 +425,6 @@ def spectral_report(cfg: RunConfig) -> stability.SpectralReport:
     return stability.spectrum(stability.assemble_linearized_pde(flat_background(cfg), cfg.tau))
 
 
-def stability_verdicts(cfg: RunConfig, traj, report, verdicts: dict) -> None:
-    """The stability stage: distance of ``traj`` to the flat soliton family,
-    the interval lemmas, its decay rate against the gap of ``report``, and the
-    quadratic remainder of a DeTurck tau = inf run against the RK4 scheme it
-    integrated (``stability.rk4_remainder``; null for other flows).
-
-    A run whose ``t_end`` reaches 3L (L = ``stability.INTERVAL_LENGTH``) gets
-    the three-interval dichotomy over [0, L], [L, 2L], [2L, 3L] at
-    beta = e^{L gap / 4} and the two-interval lemma (``"growth"``, ``"decay"``
-    or ``"neither"`` at delta = the gap) over the first two windows; both are
-    null when a window holds no sample.  A sample belongs to the windows that
-    hold its step index, so one at L or 2L ends one window and starts the
-    next.  Each verdict goes into ``verdicts``
-    as soon as it is known, so a failure keeps those before it."""
-    background = flat_background(cfg)
-    final = traj.states[-1].model
-    fam = stability.nearest_soliton_in_family(final, background)
-    verdicts["factor_two_holds"] = fam.factor_two_holds
-    verdicts["distance_to_family"] = float(np.max(np.abs(final.g - fam.g1.g)))
-
-    times = np.array(traj.times)
-    norms = [geometry.norms(background, s.model.g - fam.g1.g).l2 for s in traj.states]
-    verdicts["final_norm"] = norms[-1]
-    if float(np.max(norms)) < stability.NOISE_FLOOR:
-        verdicts["stationary"] = True
-        return
-    verdicts["stationary"] = False
-    L = stability.INTERVAL_LENGTH
-    if cfg.t_end >= 3.0 * L:
-        beta = float(np.exp(L * report.gap / 4.0))
-        # windows by step index, not by the float sum of the steps, which can
-        # put a shared sample at t = L or 2L past the end of the earlier window;
-        # a window end that is a whole number of steps to 1e-9 includes it
-        steps = np.rint(times / cfg.dt)
-        per_window = L / cfg.dt
-        windows = [[nv for k, nv in zip(steps, norms)
-                    if (i - 1e-9) * per_window <= k <= (i + 1 + 1e-9) * per_window]
-                   for i in range(3)]
-        if all(windows):
-            verdicts["three_interval"] = stability.three_interval_test(*windows, beta)
-            lemma = stability.growth_decay_check(windows[0], windows[1], report.gap, L)
-            verdicts["two_interval"] = ("growth" if lemma.growth_holds
-                                        else "decay" if lemma.decay_holds else "neither")
-        else:  # a window falls between two samples
-            verdicts["three_interval"] = verdicts["two_interval"] = None
-    try:
-        fit = stability.fit_exponential_rate(times, norms)
-        verdicts["rate"] = fit.rate
-        verdicts["rate_gap_relative_deviation"] = abs(fit.rate - report.gap) / report.gap
-    except InsufficientDataError:
-        verdicts["rate"] = None
-    remainder = (None, None)
-    if cfg.variant == "deturck" and np.isinf(cfg.tau):
-        remainder = stability.rk4_remainder(traj, norms, fam.g1, background, cfg.dt)
-    verdicts["remainder_constant"], verdicts["remainder_ratio_last"] = remainder
-
-
 def run_experiment(cfg: RunConfig) -> RunRecord:
     """Run the stages ``cfg`` asks for under ``<root>/<name>-<digest>``.  A
     failed run's record names its stage and error and keeps what came before:
@@ -530,7 +473,8 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
             spectral_path = out_dir / "spectral.json"
             spectral_path.write_text(report.to_json())
             record.spectral_path = str(spectral_path)
-            stability_verdicts(cfg, traj, report, verdicts)
+            stability.run_verdicts(traj, flat_background(cfg), report.gap, cfg.dt,
+                                   cfg.t_end, verdicts)
     except BaseException as exc:
         verdicts["failed_stage"] = stage
         verdicts["error"] = f"{type(exc).__name__}: {exc}"

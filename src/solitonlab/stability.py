@@ -1,7 +1,8 @@
 """Linearized stability machinery: operator assembly, spectra, the two- and
 three-interval lemmas, projection onto the flat soliton family, the quadratic
-remainder of a run against the RK4 scheme that integrated it, and
-exponential-rate fitting.
+remainder of a run against the RK4 scheme that integrated it,
+exponential-rate fitting, and the stage that applies them to a grid run
+(``run_verdicts``).
 
 At a flat background the grid operators (``assemble_linearized_pde``'s
 compact stencil, ``linearized_deturck_flow``'s wide stencils of the
@@ -328,7 +329,7 @@ def nearest_soliton_in_family(g: GridModel, h0: GridModel) -> FamilyProjection:
 
 
 # ---------------------------------------------------------------------------
-# the quadratic remainder and rate fitting
+# the quadratic remainder, rate fitting, and the stability stage
 
 # the smallest ||k_i|| whose step enters ``rk4_remainder``: below it the
 # remainder is rounding, and dividing by ||k_i||^2 amplifies it
@@ -393,3 +394,61 @@ def fit_exponential_rate(times: Sequence[float], norms: Sequence[float]) -> Rate
     resid = float(np.sqrt(np.mean((A @ sol - np.log(y)) ** 2)))
     return RateFit(amplitude=float(np.exp(logc)), rate=float(rate),
                    residual=resid, samples_used=len(t))
+
+
+def run_verdicts(traj, h: GridModel, gap: float, dt: float, t_end: float,
+                 verdicts: dict) -> None:
+    """The stability stage of a grid run from the flat ``h`` at step ``dt``:
+    distance of ``traj`` to the flat soliton family, the interval lemmas, its
+    decay rate against ``gap`` (of the spectrum at ``h``), and the quadratic
+    remainder of a DeTurck tau = inf run (``rk4_remainder``; null for other
+    flows, which it reads off ``traj``).
+
+    A run whose ``t_end`` reaches 3L (L = ``INTERVAL_LENGTH``) gets the
+    three-interval dichotomy over [0, L], [L, 2L], [2L, 3L] at
+    beta = e^{L gap / 4} and the two-interval lemma (``"growth"``, ``"decay"``
+    or ``"neither"`` at delta = the gap) over the first two windows; both are
+    null when a window holds no sample.  A sample belongs to the windows that
+    hold its step index, so one at L or 2L ends one window and starts the
+    next.  Each verdict goes into ``verdicts`` as soon as it is known, so a
+    failure keeps those before it."""
+    final = traj.states[-1].model
+    fam = nearest_soliton_in_family(final, h)
+    verdicts["factor_two_holds"] = fam.factor_two_holds
+    verdicts["distance_to_family"] = float(np.max(np.abs(final.g - fam.g1.g)))
+
+    times = traj.times
+    norms = [geometry.norms(h, s.model.g - fam.g1.g).l2 for s in traj.states]
+    verdicts["final_norm"] = norms[-1]
+    if float(np.max(norms)) < NOISE_FLOOR:
+        verdicts["stationary"] = True
+        return
+    verdicts["stationary"] = False
+    L = INTERVAL_LENGTH
+    if t_end >= 3.0 * L:
+        beta = float(np.exp(L * gap / 4.0))
+        # windows by step index, not by the float sum of the steps, which can
+        # put a shared sample at t = L or 2L past the end of the earlier window;
+        # a window end that is a whole number of steps to 1e-9 includes it
+        steps = np.rint(times / dt)
+        per_window = L / dt
+        windows = [[nv for k, nv in zip(steps, norms)
+                    if (i - 1e-9) * per_window <= k <= (i + 1 + 1e-9) * per_window]
+                   for i in range(3)]
+        if all(windows):
+            verdicts["three_interval"] = three_interval_test(*windows, beta)
+            lemma = growth_decay_check(windows[0], windows[1], gap, L)
+            verdicts["two_interval"] = ("growth" if lemma.growth_holds
+                                        else "decay" if lemma.decay_holds else "neither")
+        else:  # a window falls between two samples
+            verdicts["three_interval"] = verdicts["two_interval"] = None
+    try:
+        fit = fit_exponential_rate(times, norms)
+        verdicts["rate"] = fit.rate
+        verdicts["rate_gap_relative_deviation"] = abs(fit.rate - gap) / gap
+    except InsufficientDataError:
+        verdicts["rate"] = None
+    remainder = (None, None)
+    if traj.convention == "deturck" and np.isinf(traj.tau):
+        remainder = rk4_remainder(traj, norms, fam.g1, h, dt)
+    verdicts["remainder_constant"], verdicts["remainder_ratio_last"] = remainder

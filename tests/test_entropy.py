@@ -406,6 +406,25 @@ def test_radial_multistart_keeps_the_callers_error_state(monkeypatch):
     assert seen == ["raise"] * len(starts)
 
 
+def test_radial_solves_cap_their_iterations_at_radial_max_iter(monkeypatch):
+    """A radial solve gets the caller's ``max_iter`` up to ``RADIAL_MAX_ITER``
+    (1000), whether ``minimize_mu`` or the multistart (``MAX_ITER``) calls it."""
+    tau = 1e-2
+    m, starts = _radial_starts(64, tau, (0.5, 1.0))
+    seen = []
+
+    def recording(model, tau, f0, grad_tol, max_iter):
+        seen.append(max_iter)
+        return MuResult(f=f0, mu=0.0, iterations=0, grad_norm=0.0)
+
+    monkeypatch.setattr(entropy, "_minimize_mu_radial", recording)
+    entropy.minimize_mu(m, tau, f0=starts[0], max_iter=10)
+    entropy.minimize_mu(m, tau, f0=starts[0], max_iter=10**5)
+    assert seen == [10, 1000] and entropy.RADIAL_MAX_ITER == 1000
+    entropy.minimize_mu_multistart(m, tau, starts)
+    assert seen[2:] == [1000, 1000]
+
+
 def test_grid_minimizer_beats_test_potentials():
     m = _perturbed_grid(n=8, amp=0.02)
     tau = 1.0

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from solitonlab import cli, entropy, flows, gauge, geometry, harness, stability
-from solitonlab.errors import InsufficientDataError, RejectedInputError
+from solitonlab.errors import (GaugeBreakdownError, InsufficientDataError, NonConvergenceError,
+                               NumericalFailureError, RejectedInputError, StepRejectedError)
 from solitonlab.geometry import FrameModel, GridModel
 from solitonlab.harness import RunConfig
 
@@ -122,6 +123,10 @@ def test_parse_rejects_unknown_section_and_key():
     ("[output]\nroot = runs\0\n", "output.root"),
     ("[output]\nname = ../../escaped\n", "output.name"),
     ("[output]\nname = runs/sub\n", "output.name"),
+    ("[model]\nrecipe = round\n", "model.recipe"),
+    ("[model]\nkind = frame\nrecipe = perturbed-flat\n", "model.recipe"),
+    ("[flow]\nsample_every = 0\n", "flow.sample_every"),
+    ("[flow\ndt = 0.1\n", "config syntax"),
 ])
 def test_field_precise_validation(snippet, field):
     with pytest.raises(RejectedInputError, match=field.replace(".", r"\.")) as err:
@@ -621,6 +626,45 @@ def test_verdicts_recomputable_from_trajectory(tmp_path, monkeypatch):
     assert 0.0 < last <= constant < 0.05
 
 
+def test_a_flat_run_is_stationary_and_records_no_fit(tmp_path, monkeypatch):
+    """A run from the flat torus stays at it: every norm is 0, below the
+    noise floor, so the stage records it stationary and no interval verdict,
+    rate or remainder, though the run reaches 3L."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    text = "[model]\ndims = 8,8\nrecipe = flat\n[flow]\ndt = 0.05\nt_end = 3.0\n"
+    verdicts = harness.run_experiment(harness.parse_config(text)).verdicts
+    assert verdicts == {"factor_two_holds": True, "distance_to_family": 0.0,
+                        "final_norm": 0.0, "stationary": True}
+
+
+@pytest.mark.parametrize("convention,tau", [("deturck", np.inf), ("tau", np.inf),
+                                            ("deturck", 2.0)])
+def test_run_verdicts_reads_a_hand_built_trajectory(convention, tau):
+    """``stability.run_verdicts`` needs no config: on a trajectory decaying as
+    e^{-2t} to the flat torus it fits the rate 2, finds decay on the windows
+    at gap 1, and gives a remainder only to the DeTurck flow at tau = inf,
+    reading both off the trajectory."""
+    h = GridModel.flat(2, (8, 8))
+    x, _ = h.coords()
+    wave = np.zeros(h.g.shape)
+    wave[..., 0, 1] = wave[..., 1, 0] = 0.01 * np.sin(x)
+    traj = flows.Trajectory(convention=convention, tau=tau)
+    for j in range(13):
+        t = 0.25 * j
+        traj.append(flows.FlowState(t=t, model=h.with_metric(h.g + np.exp(-2.0 * t) * wave)), {})
+    verdicts = {}
+    stability.run_verdicts(traj, h, 1.0, 0.25, 3.0, verdicts)
+    assert verdicts["stationary"] is False and verdicts["factor_two_holds"] is True
+    assert abs(verdicts["rate"] - 2.0) < 1e-9
+    assert abs(verdicts["rate_gap_relative_deviation"] - 1.0) < 1e-9
+    assert (verdicts["two_interval"], verdicts["three_interval"]) == ("decay", "decay-propagates")
+    constant, last = verdicts["remainder_constant"], verdicts["remainder_ratio_last"]
+    if (convention, tau) == ("deturck", np.inf):
+        assert 0.0 < last <= constant < np.inf
+    else:
+        assert constant is None and last is None
+
+
 @pytest.mark.parametrize("flow,model", [
     ("variant = tau\ntau = 1.0", ""), ("variant = tau\ntau = inf", ""),
     ("variant = deturck\ntau = 1.0", ""),
@@ -880,6 +924,24 @@ def test_cli_numerical_exit_code(tmp_path, monkeypatch, capsys):
     code = cli.main(["run", _write_config(tmp_path, text)])
     assert code == cli.EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    NumericalFailureError("spectrum: the operator's symbol has a non-finite entry"),
+    StepRejectedError("step to t = 0.5 left the SPD cone"),
+    NonConvergenceError("mu minimization stalled at |grad| = 1e-3"),
+    GaugeBreakdownError("gauge lost injectivity at t = 0.5", time=0.5)],
+    ids=lambda error: type(error).__name__)
+def test_every_numerical_failure_exits_3(tmp_path, capsys, monkeypatch, error):
+    """Each numerical failure a stage raises is a ``NumericalFailureError``,
+    which the CLI maps to exit 3 with one line on stderr."""
+    def failing(cfg):
+        raise error
+
+    assert isinstance(error, NumericalFailureError)
+    monkeypatch.setattr(harness, "spectral_report", failing)
+    assert cli.main(["spectrum", _write_config(tmp_path, GRID_CONFIG)]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"numerical failure: {error}\n"
 
 
 def test_cli_frame_singularity_exits_numerical(tmp_path, monkeypatch, capsys):
