@@ -26,6 +26,8 @@ def _load_config(path: str) -> harness.RunConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise RejectedInputError(f"config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise RejectedInputError(f"config file {path}: {exc}") from exc
     return harness.parse_config(text)
 
 
@@ -71,6 +73,8 @@ def _cmd_plot(args) -> int:
         data = json.loads(record_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise RejectedInputError(f"record file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise RejectedInputError(f"record file {record_path}: {exc}") from exc
     try:
         record = harness.RunRecord(**data)
     except TypeError as exc:  # not an object, or missing or unknown keys

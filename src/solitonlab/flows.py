@@ -23,10 +23,11 @@ stores a twin (``geometry.twin``), so stored states carry metrics only.
 ``MetricInterpolant`` (the metric in time, for the gauge stage and the
 reparametrization) is a not-a-knot cubic spline written here rather than
 ``scipy.interpolate.CubicSpline``, so those paths load no scipy.  Its slope
-solve follows LAPACK ``dgtsv``'s elimination order, pivot swaps and
-divisions, which scipy uses, so every interpolated metric is bitwise the
-float scipy gives: the gauge discrepancy is a difference of O(1) entries
-that comes out near 1e-4, so a last-bit change in a slope shows in it.
+solve is Thomas elimination: on the knots ``run_flow`` writes (uniform
+steps, the last interval possibly shorter) LAPACK ``dgtsv``, which scipy
+calls, swaps no rows and makes the same floats, so a flow's interpolated
+metrics are scipy's bitwise.  The gauge discrepancy, near 1e-4 from O(1)
+entries, would show a last-bit change in a slope.
 """
 
 from __future__ import annotations
@@ -107,12 +108,10 @@ class MetricInterpolant:
             self._coef, self._flat = _not_a_knot_coefficients(times, flat), None
         else:
             self._coef, self._flat = None, flat
-        self.t_min = float(times[0])
-        self.t_max = float(times[-1])
 
     def __call__(self, t: float):
         x, y = self._times, self._flat
-        t = np.clip(t, self.t_min, self.t_max)
+        t = np.clip(t, x[0], x[-1])
         j = int(np.searchsorted(x, t, "right")) - 1
         if self._coef is not None:
             j = min(j, len(x) - 2)
@@ -133,9 +132,9 @@ def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     On ``[x_i, x_{i+1}]`` the spline is
     ``c[3] + c[2] s + c[1] s^2 + c[0] s^3`` with ``s = t - x_i``.  The knot
-    slopes solve the banded system of ``scipy.interpolate.CubicSpline`` in
-    the elimination order of LAPACK ``dgtsv`` (which ``solve_banded`` calls
-    for one band each side), so every coefficient is the float scipy makes.
+    slopes solve the banded system of ``scipy.interpolate.CubicSpline`` by
+    Thomas elimination, LAPACK ``dgtsv``'s (which ``solve_banded`` calls for
+    one band each side) wherever it swaps no rows, as on ``run_flow``'s knots.
     """
     n = len(x)
     h = np.diff(x)
@@ -158,32 +157,16 @@ def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d[-1], dl[-1] = h[-2], w
     b[-1] = ((h[-1] * h[-1]) * slope[-2] + (2 * w + h[-1]) * h[-2] * slope[-1]) / w
 
-    # dgtsv forward elimination with partial pivoting; a swap of rows i and
-    # i+1 leaves the fill-in s_{i+2} coefficient of row i in dl[i]
+    # Thomas elimination: on run_flow's knots dgtsv pivots on the diagonal
+    # of every row, so these are its operations and its floats
     for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            dl[i] = 0.0
-        else:
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            below = d[i + 1]
-            d[i + 1] = du[i] - fact * below
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = below
-            upper = b[i] - fact * b[i + 1]
-            b[i] = b[i + 1]
-            b[i + 1] = upper
-    # back substitution, dividing by the pivot as dgtsv does
+        fact = dl[i] / d[i]
+        d[i + 1] = d[i + 1] - fact * du[i]
+        b[i + 1] = b[i + 1] - fact * b[i]
     s = b
     s[-1] = s[-1] / d[-1]
-    s[-2] = (s[-2] - du[-1] * s[-1]) / d[-2]
-    for i in range(n - 3, -1, -1):
-        s[i] = (s[i] - du[i] * s[i + 1] - dl[i] * s[i + 2]) / d[i]
+    for i in range(n - 2, -1, -1):
+        s[i] = (s[i] - du[i] * s[i + 1]) / d[i]
 
     t = (s[:-1] + s[1:] - 2 * slope) / hc
     return np.stack((t / hc, (slope - s[:-1]) / hc - t, s[:-1], y[:-1]))
@@ -212,10 +195,11 @@ def rhs_unnormalized(model):
 def rhs_deturck(m: GridModel, h: GridModel, tau: float):
     """Metric velocity of the gauge-fixed flow: -2 Ric + g/tau + L_V g.
 
-    L_V g is ``gauge.p_operator``, with V from ``gauge.deturck_vector``.
-    ``tau = inf`` gives the unnormalized variant (no g/tau term).
+    L_V g = nabla_i V_j + nabla_j V_i (w.r.t. g), with V from
+    ``gauge.deturck_vector``.  ``tau = inf`` gives the unnormalized variant
+    (no g/tau term).
     """
-    out = -2.0 * m.ric_cm + gauge.p_operator(m, h)
+    out = -2.0 * m.ric_cm + geometry.lie_derivative_metric(m, gauge.deturck_vector(m, h))
     if tau < np.inf:
         out = out + m.g_cm / tau
     return geometry.node_major(out, 2)

@@ -4,7 +4,8 @@ gauge fix, and the equivalence audit.
 
 A torus diffeomorphism phi = Id + F is a plain array F of periodic
 displacements (shape dims + (n,)), passed with the background h it lives
-on; a gauge run keeps one per step.  The reference background h is always a
+on; a gauge run keeps one per step from t = 0, as a flow does, and reads its
+times off its energy records.  The reference background h is always a
 constant (flat) metric in these coordinates, so its Christoffel symbols
 vanish and the map Laplacian needs no target-connection terms.
 """
@@ -19,6 +20,8 @@ import numpy as np
 from . import flows, geometry
 from .errors import GaugeBreakdownError, NonConvergenceError, RejectedInputError
 from .geometry import GridModel
+
+INVERT_MAX_ITER = 100
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +97,6 @@ def deturck_vector(g: GridModel, h: GridModel) -> np.ndarray:
     return geometry.component_major(v, 1)
 
 
-def p_operator(g: GridModel, h: GridModel) -> np.ndarray:
-    """Standard-form gauge term nabla_i V_j + nabla_j V_i (w.r.t. g),
-    component-major."""
-    return geometry.lie_derivative_metric(g, deturck_vector(g, h))
-
-
 # ---------------------------------------------------------------------------
 # harmonic-map heat flow for the displacement
 
@@ -125,31 +122,33 @@ class GaugeTrajectory:
     """Time series of displacement fields with per-step energy records."""
 
     h: GridModel
-    times: list = field(default_factory=list)
     F: list = field(default_factory=list)
     energy: list = field(default_factory=list)
 
+    @property
+    def times(self) -> np.ndarray:
+        return np.array([e.t for e in self.energy])
 
-def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t0: float, t1: float,
+
+def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t_end: float,
                        dt: float) -> GaugeTrajectory:
-    """Integrate the displacement heat flow driven by an evolving metric.
+    """Integrate from t = 0 the displacement heat flow driven by an evolving metric.
 
     ``g_of_t`` maps a time to a GridModel (e.g. a MetricInterpolant).  RK4 in
     time; ``g_of_t`` is called once per distinct time (step ends and
     midpoints), so the stages and the energy record that use one metric share
     its derived fields.  The injectivity proxy is checked after every step and
     a failure raises ``GaugeBreakdownError`` with the breakdown time.
-    ``t1 - t0`` must be a whole number of steps (``flows.step_count``).
+    ``t_end`` must be a whole number of steps (``flows.step_count``).
     """
     geometry.require_flat(h)
     traj = GaugeTrajectory(h=h)
     F = np.array(F0, dtype=float)
-    t = t0
-    n_steps = flows.step_count(t1 - t0, dt)
+    t = 0.0
+    n_steps = flows.step_count(t_end, dt)
 
     def record(t, F, g):
         e = energy_density(F, g, h)
-        traj.times.append(float(t))
         traj.F.append(F.copy())
         traj.energy.append(EnergyRecord(t=float(t), e_sup=float(np.max(e)),
                                         E=_integrate(e, g)))
@@ -204,16 +203,16 @@ def pullback_metric(F: np.ndarray, g: GridModel) -> GridModel:
     return g.with_metric(0.5 * (out + np.swapaxes(out, -1, -2)), validate=False)
 
 
-def invert_diffeo(F: np.ndarray, grid: GridModel, max_iter: int = 100) -> np.ndarray:
+def invert_diffeo(F: np.ndarray, grid: GridModel) -> np.ndarray:
     """Displacement G of the inverse map: (Id + F) o (Id + G) = Id.
 
     Fixed-point iteration; raises ``NonConvergenceError`` (carrying the last
-    iterate) if the update does not drop below 1e-13 in ``max_iter`` sweeps.
+    iterate) if the update does not drop below 1e-13 in ``INVERT_MAX_ITER`` sweeps.
     """
     x0 = coords_array(grid)
     period = np.array(grid.period)
     G, delta = -F.copy(), np.inf
-    for _ in range(max_iter):
+    for _ in range(INVERT_MAX_ITER):
         G_new = -interp_periodic(F, np.mod(x0 + G, period), grid.dims, grid.period)
         delta = float(np.max(np.abs(G_new - G)))
         G = G_new
@@ -284,7 +283,7 @@ def gauge_equivalence_check(ricci_traj, deturck_traj, gauge_traj: GaugeTrajector
     afterwards it measures the combined spatial, temporal, and interpolation
     error of the gauge transport.
     """
-    times = np.array(gauge_traj.times)
+    times = gauge_traj.times
     errs = []
     for s_r, s_d in zip(ricci_traj.states, deturck_traj.states, strict=True):
         j = int(np.argmin(np.abs(times - s_r.t)))

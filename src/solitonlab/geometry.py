@@ -30,7 +30,8 @@ instead of the 2 or 3 entries of one node.  These are ``GridModel.g_cm``,
 public ``ginv``, ``gamma`` and ``ric`` are node-major copies of them
 (``node_major``), made on first use, so the entropy, gauge, norm and
 diagnostic code reads the same bytes, and sums them in the same order, as
-before.
+the node-major code whose numbers the benchmark's reference fingerprints
+hold; the copies go when those are regenerated.
 
 The hot contractions over the n <= 3 component axes are sums of broadcast
 products, added in the order ``einsum`` adds them, so they equal its result

@@ -307,25 +307,28 @@ _TYPES = {"convention": str, "arrays": str, "t": _NUM, "tau": (*_NUM, type(None)
 
 def _read_index(path) -> list:
     """The records of the trajectory index ``path``: the header, then sample
-    and gauge lines.  An empty index is rejected naming the file; a line that
-    is not JSON or not of the kind its place needs, that lacks a field its
-    kind needs, that holds a field of the wrong type (a list of other than
-    numbers, dims of other than integers, a model other than grid or frame),
-    or whose t is not above that of the line of its kind before it, naming
-    the file and the line.
+    and gauge lines.  An index that is empty or not text is rejected naming
+    the file; a line that is not JSON or not of the kind its place needs,
+    that lacks a field its kind needs, that holds a field of the wrong type (a
+    list of other than numbers, dims of other than integers, a model other
+    than grid or frame), or whose t is not above that of the line of its kind
+    before it, naming the file and the line.
     """
     records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RejectedInputError(f"{path}, line {lineno}: not JSON ({exc})") from exc
-            kind = rec.get("kind") if isinstance(rec, dict) else None
-            if (kind == "header") != (lineno == 1) or kind not in ("header", "sample", "gauge"):
-                want = "the header" if lineno == 1 else "a sample or gauge line"
-                raise RejectedInputError(f"{path}, line {lineno}: not {want}")
-            records.append(rec)
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise RejectedInputError(f"{path}: not a text index ({exc})") from exc
+    for lineno, line in enumerate(lines, 1):
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RejectedInputError(f"{path}, line {lineno}: not JSON ({exc})") from exc
+        kind = rec.get("kind") if isinstance(rec, dict) else None
+        if (kind == "header") != (lineno == 1) or kind not in ("header", "sample", "gauge"):
+            want = "the header" if lineno == 1 else "a sample or gauge line"
+            raise RejectedInputError(f"{path}, line {lineno}: not {want}")
+        records.append(rec)
     if not records:
         raise RejectedInputError(f"{path}: an empty index (no header line)")
     last_t = {"sample": -np.inf, "gauge": -np.inf}  # the t of the last line of each kind
@@ -416,7 +419,7 @@ def gauge_reconstruction(cfg: RunConfig, traj: flows.Trajectory):
                                      else "deturck"))
     ricci, det = (partner, traj) if cfg.variant == "deturck" else (traj, partner)
     gt = gauge.run_harmonic_gauge(flows.MetricInterpolant(ricci), h, np.zeros(h.dims + (h.n,)),
-                                  0.0, cfg.t_end, cfg.dt)
+                                  cfg.t_end, cfg.dt)
     return float(np.max(gauge.gauge_equivalence_check(ricci, det, gt))), gt.energy
 
 
@@ -461,8 +464,7 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
             verdicts["gauge_discrepancy"] = disc
             with open(traj_path, "a") as fh:
                 for er in energy_records:
-                    fh.write(json.dumps({"kind": "gauge", "t": er.t,
-                                         "e_sup": er.e_sup, "E": er.E}) + "\n")
+                    fh.write(json.dumps({"kind": "gauge", **asdict(er)}) + "\n")
         if cfg.fix_divergence:
             _, verdicts["divergence_residual"] = gauge.divergence_gauge_fix(
                 traj.states[-1].model, flat_background(cfg))

@@ -400,9 +400,10 @@ def run_verdicts(traj, h: GridModel, gap: float, dt: float, t_end: float,
                  verdicts: dict) -> None:
     """The stability stage of a grid run from the flat ``h`` at step ``dt``:
     distance of ``traj`` to the flat soliton family, the interval lemmas, its
-    decay rate against ``gap`` (of the spectrum at ``h``), and the quadratic
-    remainder of a DeTurck tau = inf run (``rk4_remainder``; null for other
-    flows, which it reads off ``traj``).
+    decay rate against ``gap`` (of the spectrum at ``h``) with the fit's
+    residual and sample count, and the quadratic remainder of a DeTurck
+    tau = inf run (``rk4_remainder``; null for other flows, which it reads
+    off ``traj``).
 
     A run whose ``t_end`` reaches 3L (L = ``INTERVAL_LENGTH``) gets the
     three-interval dichotomy over [0, L], [L, 2L], [2L, 3L] at
@@ -445,6 +446,8 @@ def run_verdicts(traj, h: GridModel, gap: float, dt: float, t_end: float,
     try:
         fit = fit_exponential_rate(times, norms)
         verdicts["rate"] = fit.rate
+        verdicts["rate_fit_residual"] = fit.residual
+        verdicts["rate_fit_samples"] = fit.samples_used
         verdicts["rate_gap_relative_deviation"] = abs(fit.rate - gap) / gap
     except InsufficientDataError:
         verdicts["rate"] = None

@@ -75,8 +75,7 @@ def _gauge_discrepancy(n, amp, t_end):
     det = flows.run_flow(g0, "deturck", np.inf, dt, t_end,
                          background=h, sample_every=sample_every)
     ginterp = flows.MetricInterpolant(ricci)
-    gt = gauge.run_harmonic_gauge(ginterp, h, np.zeros(h.dims + (h.n,)),
-                                  0.0, t_end, dt)
+    gt = gauge.run_harmonic_gauge(ginterp, h, np.zeros(h.dims + (h.n,)), t_end, dt)
     return float(np.max(gauge.gauge_equivalence_check(ricci, det, gt)))
 
 

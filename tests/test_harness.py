@@ -626,6 +626,24 @@ def test_verdicts_recomputable_from_trajectory(tmp_path, monkeypatch):
     assert 0.0 < last <= constant < 0.05
 
 
+def test_readme_run_records_the_quality_of_its_rate_fit(tmp_path, monkeypatch):
+    """Beside ``rate`` the record keeps the fit's RMS log residual and the
+    number of tail samples it used, those of the fit of the saved trajectory:
+    on the README run, the last half of its 201 samples."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    cfg = harness.parse_config(README_CONFIG)
+    record = harness.run_experiment(cfg)
+    traj = harness.load_trajectory(record.trajectory_path)
+    h = harness.flat_background(cfg)
+    fam = stability.nearest_soliton_in_family(traj.states[-1].model, h)
+    norms = [geometry.norms(h, s.model.g - fam.g1.g).l2 for s in traj.states]
+    fit = stability.fit_exponential_rate(traj.times, norms)
+    v = record.verdicts
+    assert (v["rate"], v["rate_fit_residual"], v["rate_fit_samples"]) == (
+        fit.rate, fit.residual, fit.samples_used)
+    assert v["rate_fit_samples"] == 101 and 0.0 < v["rate_fit_residual"] < 1e-4
+
+
 def test_a_flat_run_is_stationary_and_records_no_fit(tmp_path, monkeypatch):
     """A run from the flat torus stays at it: every norm is 0, below the
     noise floor, so the stage records it stationary and no interval verdict,
@@ -769,6 +787,7 @@ def test_rate_fit_without_enough_data_records_no_rate(tmp_path, monkeypatch):
     monkeypatch.setattr(stability, "fit_exponential_rate", too_few)
     record = harness.run_experiment(harness.parse_config(GRID_CONFIG))
     assert record.verdicts["rate"] is None
+    assert not {"rate_fit_residual", "rate_fit_samples"} & record.verdicts.keys()
 
 
 def test_rate_fit_error_fails_the_stability_stage(tmp_path, monkeypatch):
@@ -848,10 +867,32 @@ def test_the_gauge_stage_pairs_the_run_with_its_partner_at_its_tau(tmp_path, mon
     ricci = run_flow(model0, "tau", cfg.tau, cfg.dt, cfg.t_end, sample_every=5)
     det = run_flow(model0, "deturck", cfg.tau, cfg.dt, cfg.t_end, background=h, sample_every=5)
     gt = gauge.run_harmonic_gauge(flows.MetricInterpolant(ricci), h,
-                                  np.zeros(h.dims + (h.n,)), 0.0, cfg.t_end, cfg.dt)
+                                  np.zeros(h.dims + (h.n,)), cfg.t_end, cfg.dt)
     assert float(np.max(gauge.gauge_equivalence_check(ricci, det, gt))) == discs["tau"]
     expected = {"0.5": 1.2113029299656852e-3, "inf": 7.636696362019451e-4}[tau]
     assert abs(discs["tau"] - expected) <= 1e-12 * expected
+
+
+def test_the_gauge_stage_over_a_shorter_last_interval(tmp_path, capsys, monkeypatch):
+    """At dt 0.01, t_end 0.25 and sample_every 10 the flows' last sample
+    interval is half the others.  Every metric the gauge run reads off the
+    spline is scipy's CubicSpline of the tau-flow bitwise, and gauge-check
+    prints a discrepancy of 3.219826e-04."""
+    from scipy.interpolate import CubicSpline
+
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    config = _write_config(tmp_path, "[flow]\ndt = 0.01\nt_end = 0.25\nsample_every = 10\n")
+    calls = []
+    real = flows.MetricInterpolant.__call__
+    monkeypatch.setattr(flows.MetricInterpolant, "__call__",
+                        lambda self, t: calls.append((t, real(self, t))) or calls[-1][1])
+    assert cli.main(["gauge-check", config]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0].endswith(": 3.219826e-04")
+    ricci = harness.integrate_flow(dataclasses.replace(_load(config), variant="tau"))
+    assert [round(t / 0.01) for t in ricci.times] == [0, 10, 20, 25]
+    spline = CubicSpline(ricci.times, ricci.metric_series(), axis=0)
+    assert len(calls) == 2 * 25 + 1
+    assert all(np.array_equal(model.g, spline(t)) for t, model in calls)
 
 
 def _load(path):
@@ -1030,6 +1071,34 @@ def test_cli_plot_of_a_failed_run_is_rejected(tmp_path, monkeypatch, capsys):
     assert cli.main(["plot", str(record), "norm"]) == cli.EXIT_VALIDATION
     assert "validation error: the record's trajectory None does not exist" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("case", ["run", "spectrum", "entropy", "gauge-check", "plot-record",
+                                  "plot-arrays"])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, case):
+    """A config or record holding byte 0xff, and a record whose trajectory is
+    the array file, end in one ``validation error:`` line that names the
+    file, not in a ``UnicodeDecodeError`` traceback."""
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"[flow]\ndt = 0.01\n# \xff\n")
+    if case == "plot-arrays":
+        index = tmp_path / "traj.jsonl"
+        harness.save_trajectory(flows.run_flow(GridModel.flat(2, (8, 8)), "tau", np.inf,
+                                               0.01, 0.02), index)
+        bad = index.with_suffix(".npz")
+        args = ["plot", str(_record_of(bad)), "norm"]
+    else:
+        args = ["plot", str(bad), "norm"] if case == "plot-record" else [case, str(bad)]
+    assert cli.main(args) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1 and str(bad) in err
+
+
+def test_index_that_is_not_utf8_is_rejected_naming_the_file(tmp_path):
+    path = tmp_path / "traj.jsonl"
+    path.write_bytes(b'{"kind": "header"}\n\xff\n')
+    with pytest.raises(RejectedInputError, match=re.escape(f"{path}: not a text index")):
+        harness.load_trajectory(path)
 
 
 def test_cli_plot_rejects_a_malformed_record(tmp_path, capsys):
