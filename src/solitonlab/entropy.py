@@ -226,7 +226,8 @@ def soliton_defect(model, f, tau: float):
     if isinstance(model, FrameModel):
         return model.ric - model.a / (2.0 * tau)
     df = geometry.partials(model, f)
-    hess = geometry.hessian(model, f) - np.einsum("...kij,...k->...ij", model.gamma, df)
+    hess = (geometry.node_major(geometry.hessian(model, f), 2)
+            - np.einsum("...kij,...k->...ij", model.gamma, df))
     return model.ric + hess - model.g / (2.0 * tau)
 
 

@@ -255,7 +255,8 @@ def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
     """
     bound = cfl_bound(state.model)
     if dt > bound:
-        raise StepRejectedError(f"dt = {dt} exceeds the CFL bound {bound:.3e}")
+        raise StepRejectedError(f"step from t = {state.t}: dt = {dt} exceeds the CFL "
+                                f"bound {bound:.3e}")
 
     def model_at(arr, validate=False):
         try:

@@ -8,6 +8,14 @@ on; a gauge run keeps one per step from t = 0, as a flow does, and reads its
 times off its energy records.  The reference background h is always a
 constant (flat) metric in these coordinates, so its Christoffel symbols
 vanish and the map Laplacian needs no target-connection terms.
+
+F, and every field a function here takes or returns, is node-major.  Inside,
+the gauge flow's step kernels (``harmonic_map_rhs``, ``energy_density``,
+``is_injective``) and ``pullback_metric`` work on component-major planes
+(``g_cm``, ``ginv_cm``, ``gamma_cm`` and the partials of F; see
+``geometry``), and add their products in the order einsum adds them, so
+they return the bits of their node-major einsum spellings.  A 2-D gauge run
+derives no node-major ``ginv`` or ``gamma``.
 """
 
 from __future__ import annotations
@@ -63,11 +71,25 @@ def interp_periodic(values: np.ndarray, points: np.ndarray, dims, period) -> np.
 
 def is_injective(F: np.ndarray, h: GridModel) -> bool:
     """Injectivity proxy for phi = Id + F: det(I + dF) > 0 at every node and
-    a displacement smaller than half the minimal period of ``h``."""
-    J = np.eye(h.n) + geometry.partials(h, F)  # J[..., k, i] = d_i phi^k
-    if float(np.min(np.linalg.det(J))) <= 0.0:
+    a displacement smaller than half the minimal period of ``h``.  The
+    determinant is a closed form, of which only the sign is read."""
+    J = _jacobian_cm(F, h)
+    if h.n == 2:
+        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+    else:
+        det = (J[0, 0] * (J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1])
+               - J[0, 1] * (J[1, 0] * J[2, 2] - J[1, 2] * J[2, 0])
+               + J[0, 2] * (J[1, 0] * J[2, 1] - J[1, 1] * J[2, 0]))
+    if float(np.min(det)) <= 0.0:
         return False
     return float(np.max(np.abs(F))) < 0.5 * min(h.period)
+
+
+def _jacobian_cm(F: np.ndarray, m: GridModel) -> np.ndarray:
+    """J[i, k] = d_i phi^k of phi = Id + F, component-major: bitwise the
+    node-major ``np.eye(n) + swapaxes(partials(m, F))``."""
+    dF = geometry.partials_cm(m, geometry.component_major(F, 1))  # dF[i, k] = d_i F^k
+    return np.eye(m.n).reshape((m.n, m.n) + (1,) * m.n) + dF
 
 
 @dataclass(frozen=True)
@@ -106,15 +128,39 @@ def harmonic_map_rhs(F: np.ndarray, g: GridModel, h: GridModel) -> np.ndarray:
 
     rhs^k = g^{ij} (d2_ij F^k - Gamma^l_ij(g) d_l F^k) + g^{ij} (Gamma^k_ij(h)
     - Gamma^k_ij(g)); the last term is the forcing that vanishes when g = h.
+    Bitwise the node-major spelling: einsum("...ij,...kij->...k") for the
+    g^{ij} d2_ij F^k term and the forcing (in 2-D their ``lane_sum``, as in
+    ``deturck_vector``), and einsum("...ij,...lij,...kl->...k") for the
+    connection term, whose products (g^{ij} Gamma^l_ij) d_l F^k go over
+    (l, i, j) row-major (``_einsum_sum``).
     """
     geometry.require_flat(h)
-    ginv, gamma = g.ginv, g.gamma
-    hess = geometry.hessian(g, F)  # [..., k, i, j]
-    lap = np.einsum("...ij,...kij->...k", ginv, hess)
-    dF = geometry.partials(g, F)  # [..., k, l]
-    lap -= np.einsum("...ij,...lij,...kl->...k", ginv, gamma, dF)
-    forcing = -np.einsum("...ij,...kij->...k", ginv, gamma)
-    return lap + forcing
+    n = g.n
+    f = geometry.component_major(F, 1)  # f[k] = F^k
+    dF = geometry.partials_cm(g, f)  # dF[l, k] = d_l F^k
+    hess = geometry.hessian(g, f)  # hess[i, j, k] = d_i d_j F^k
+    q = g.ginv_cm * g.gamma_cm  # q[l, i, j] = g^{ij} Gamma^l_ij
+    pairs = list(itertools.product(range(n), repeat=2))
+    conn = _einsum_sum([[q[l, i, j] * dF[l] for i, j in pairs] for l in range(n)], n)
+    if n == 2:
+        lap = geometry.lane_sum([g.ginv_cm[i, j] * hess[i, j] for i, j in pairs])
+        forcing = geometry.lane_sum([q[:, i, j] for i, j in pairs])
+    else:
+        hess = geometry.node_major(np.moveaxis(hess, 2, 0), 3)  # [..., k, i, j]
+        lap = geometry.component_major(np.einsum("...ij,...kij->...k", g.ginv, hess), 1)
+        forcing = geometry.component_major(np.einsum("...ij,...kij->...k", g.ginv, g.gamma), 1)
+    return geometry.node_major(lap - conn - forcing, 1)
+
+
+def _einsum_sum(rows: list, n: int) -> np.ndarray:
+    """The sum of the products ``rows[a][b]`` of a three-operand contraction
+    over n-dimensional component axes, added from +0.0 in the order that
+    numpy 2.4's ``einsum`` adds them (the bitwise tests check it): in 2-D
+    each row adds its own sum from +0.0, in 3-D one running sum goes over
+    (a, b) row-major."""
+    if n == 2:
+        return sum((sum(row, 0.0) for row in rows), 0.0)
+    return sum((t for row in rows for t in row), 0.0)
 
 
 @dataclass
@@ -176,10 +222,10 @@ def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t_end: float,
 
 def energy_density(F: np.ndarray, g: GridModel, h: GridModel) -> np.ndarray:
     """e = g^{ij} h_kl d_i F^k d_j F^l, the gauge-displacement energy density."""
-    dF = geometry.partials(g, F)  # [..., k, i]
-    ginv, hg = g.ginv, h.g
+    dF = geometry.partials_cm(g, geometry.component_major(F, 1))  # dF[i, k] = d_i F^k
+    ginv, hg = g.ginv_cm, h.g_cm
     # summed over k, i, l, j in that order: bitwise einsum("...ij,...kl,...ki,...lj->...")
-    return sum(ginv[..., i, j] * hg[..., k, l] * dF[..., k, i] * dF[..., l, j]
+    return sum(ginv[i, j] * hg[k, l] * dF[i, k] * dF[j, l]
                for k, i, l, j in itertools.product(range(g.n), repeat=4))
 
 
@@ -193,14 +239,20 @@ def _integrate(e: np.ndarray, g: GridModel) -> float:
 
 
 def pullback_metric(F: np.ndarray, g: GridModel) -> GridModel:
-    """(phi^* g)_ij(x) = d_i phi^k d_j phi^l g_kl(phi(x)) for phi = Id + F."""
+    """(phi^* g)_ij(x) = d_i phi^k d_j phi^l g_kl(phi(x)) for phi = Id + F,
+    symmetrized: bitwise the node-major einsum("...ik,...jl,...kl->...ij"),
+    whose products (d_i phi^k d_j phi^l) g_kl go over (k, l) row-major
+    (``_einsum_sum``)."""
     n = g.n
-    dF = geometry.partials(g, F)  # [..., k, i]
-    J = np.eye(n) + np.swapaxes(dF, -1, -2)  # J[..., i, k] = d_i phi^k
+    J = _jacobian_cm(F, g)  # J[i, k] = d_i phi^k
     pts = np.mod(coords_array(g) + F, np.array(g.period))
-    g_at = interp_periodic(g.g, pts, g.dims, g.period)
-    out = np.einsum("...ik,...jl,...kl->...ij", J, J, g_at)
-    return g.with_metric(0.5 * (out + np.swapaxes(out, -1, -2)), validate=False)
+    g_at = geometry.component_major(interp_periodic(g.g, pts, g.dims, g.period), 2)
+    out = np.empty(g_at.shape)
+    for i, j in itertools.product(range(n), repeat=2):
+        out[i, j] = _einsum_sum([[J[i, k] * J[j, l] * g_at[k, l] for l in range(n)]
+                                 for k in range(n)], n)
+    sym = 0.5 * (out + np.swapaxes(out, 0, 1))
+    return g.with_metric(geometry.node_major(sym, 2), validate=False)
 
 
 def invert_diffeo(F: np.ndarray, grid: GridModel) -> np.ndarray:

@@ -19,25 +19,30 @@ fields put the grid axes first: scalars have shape ``dims``, vectors
 of ``GridModel.g``, of the public derived fields ``ginv``, ``gamma`` and
 ``ric``, and of every function not named below.
 
-The flow's right-hand side runs on component-major fields, which put the
-component axes first: ``(n,) + dims``, ``(n, n) + dims``, and ``(n, n, n) +
-dims`` for Christoffel symbols.  Each component is then one contiguous grid
-plane, so every elementwise operation walks a whole plane in its inner loop
-instead of the 2 or 3 entries of one node.  These are ``GridModel.g_cm``,
-``ginv_cm``, ``gamma_cm`` and ``ric_cm``, and what ``inverse_metric``,
-``christoffel``, ``lower_vector``, ``covd_oneform`` and
-``lie_derivative_metric`` take and return (and ``gauge.deturck_vector``).  The
+The flow's right-hand side, the gauge flow's step kernels and the norms run
+on component-major fields, which put the component axes first: ``(n,) +
+dims``, ``(n, n) + dims``, and ``(n, n, n) + dims`` for Christoffel symbols.
+Each component is then one contiguous grid plane, so every elementwise
+operation walks a whole plane in its inner loop instead of the 2 or 3
+entries of one node.  These are ``GridModel.g_cm``, ``ginv_cm``,
+``gamma_cm`` and ``ric_cm``, and what ``inverse_metric``, ``christoffel``,
+``partials_cm``, ``hessian``, ``lower_vector``, ``covd_oneform`` and
+``lie_derivative_metric`` take and return; ``norms`` reads ``ginv_cm``.  The
 public ``ginv``, ``gamma`` and ``ric`` are node-major copies of them
-(``node_major``), made on first use, so the entropy, gauge, norm and
-diagnostic code reads the same bytes, and sums them in the same order, as
-the node-major code whose numbers the benchmark's reference fingerprints
-hold; the copies go when those are regenerated.
+(``node_major``), made on first use, for the readers that still contract
+node-major fields: the entropy code, ``scalar_curvature`` (a sampled state's
+diagnostics), ``divergence`` and ``covd_tensor`` (the divergence gauge
+fix's residual) and the 3-D gauge einsums.  They read the same bytes, and
+sum them in the same order, as the node-major code whose numbers the
+benchmark's reference fingerprints hold; the copies go when those are
+regenerated.
 
 The hot contractions over the n <= 3 component axes are sums of broadcast
 products, added in the order ``einsum`` adds them, so they equal its result
 bitwise.  A sum that ``einsum`` reduces along contiguous entries it adds in
-SIMD lanes (``lane_sum``); one whose order could not be matched, the 3-D
-gauge field, stays an ``einsum`` over node-major operands.
+SIMD lanes (``lane_sum``); one whose order could not be matched, the
+two-operand contractions of the 3-D gauge kernels, stays an ``einsum`` over
+node-major operands.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -355,7 +360,7 @@ def partials(m: GridModel, f: np.ndarray) -> np.ndarray:
     return np.stack([d1(f, axis=l, h=hs[l]) for l in range(m.n)], axis=-1)
 
 
-def _partials_cm(m: GridModel, f: np.ndarray) -> np.ndarray:
+def partials_cm(m: GridModel, f: np.ndarray) -> np.ndarray:
     """Stack of first partials of a component-major field, indexed by a
     leading axis: out[l] = d_l f, each bitwise ``d1``."""
     lead = f.ndim - m.n
@@ -368,21 +373,19 @@ def _partials_cm(m: GridModel, f: np.ndarray) -> np.ndarray:
 
 
 def hessian(m: GridModel, f: np.ndarray) -> np.ndarray:
-    """Coordinate second partials out[..., i, j] = d_i d_j f.
+    """Coordinate second partials of a component-major field, indexed by two
+    leading axes: out[i, j] = d_i d_j f.
 
     Diagonal entries use the compact stencil; mixed entries are nested
-    central differences.  ``f`` may carry trailing component axes.
+    central differences.
     """
+    lead = f.ndim - m.n
     hs = m.spacings
-    n = m.n
-    out = np.empty(f.shape + (n, n))
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                out[..., i, i] = d2(f, axis=i, h=hs[i])
-            else:
-                out[..., i, j] = d1(d1(f, axis=j, h=hs[j]), axis=i, h=hs[i])
-                out[..., j, i] = out[..., i, j]
+    out = np.empty((m.n, m.n) + f.shape)
+    for i in range(m.n):
+        out[i, i] = d2(f, axis=lead + i, h=hs[i])
+        for j in range(i + 1, m.n):
+            out[i, j] = out[j, i] = d1(d1(f, axis=lead + j, h=hs[j]), axis=lead + i, h=hs[i])
     return out
 
 
@@ -473,7 +476,7 @@ def _fma(a, b, c):
 
 def christoffel(m: GridModel) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] of the grid metric, component-major."""
-    dg = _partials_cm(m, m.g_cm)  # dg[l, i, j] = d_l g_ij
+    dg = partials_cm(m, m.g_cm)  # dg[l, i, j] = d_l g_ij
     # term[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     term = _leading(dg, 2, 0, 1) + _leading(dg, 2, 1, 0) - dg
     # g^{kl} term_lij, l summed in order: bitwise einsum("...kl,...lij->...kij")
@@ -506,7 +509,7 @@ def _ricci_grid(m: GridModel) -> np.ndarray:
     """Ricci tensor R[i, j] of the grid metric, component-major."""
     n = m.n
     gamma = m.gamma_cm
-    dgamma = _partials_cm(m, gamma)  # dgamma[l, k, i, j] = d_l Gamma^k_ij
+    dgamma = partials_cm(m, gamma)  # dgamma[l, k, i, j] = d_l Gamma^k_ij
     # k summed in order: bitwise einsum("...kijk->...ij") and einsum("...kkji->...ij")
     # of the node-major dgamma[..., k, i, j, l]
     r = sum(dgamma[k, k] for k in range(n))
@@ -561,7 +564,7 @@ def lower_vector(m: GridModel, v: np.ndarray) -> np.ndarray:
 def covd_oneform(m: GridModel, w: np.ndarray) -> np.ndarray:
     """Covariant derivative of a 1-form, component-major in and out:
     out[i, j] = nabla_i w_j."""
-    dw = _partials_cm(m, w)  # dw[i, j] = d_i w_j
+    dw = partials_cm(m, w)  # dw[i, j] = d_i w_j
     # k summed in order: bitwise einsum("...kij,...k->...ij")
     return dw - _sum_in_order(m.gamma_cm * w[:, None, None])
 
@@ -592,7 +595,7 @@ def lie_derivative_metric(m: GridModel, v: np.ndarray) -> np.ndarray:
 
 def laplacian_scalar(m: GridModel, f: np.ndarray) -> np.ndarray:
     """Rough Laplacian g^{ij} nabla_i nabla_j f of a scalar field."""
-    hess = hessian(m, f) - np.einsum("...kij,...k->...ij", m.gamma, partials(m, f))
+    hess = node_major(hessian(m, f), 2) - np.einsum("...kij,...k->...ij", m.gamma, partials(m, f))
     return np.einsum("...ij,...ij->...", m.ginv, hess)
 
 
@@ -613,12 +616,15 @@ def _pointwise_sq(m: GridModel, f: np.ndarray) -> np.ndarray:
     extra = f.ndim - len(m.dims)
     if extra == 0:
         return f**2
-    ginv = m.ginv
+    if extra > 2:
+        raise RejectedInputError("fields with more than two component axes are not supported")
+    ginv, f, idx = m.ginv_cm, component_major(f, extra), range(m.n)
+    # products left to right, added from +0.0 in row-major index order: bitwise
+    # einsum("...ij,...i,...j->...") and einsum("...ik,...jl,...ij,...kl->...")
     if extra == 1:
-        return np.einsum("...ij,...i,...j->...", ginv, f, f)
-    if extra == 2:
-        return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, f, f)
-    raise RejectedInputError("fields with more than two component axes are not supported")
+        return sum((ginv[i, j] * f[i] * f[j] for i, j in product(idx, repeat=2)), 0.0)
+    return sum((ginv[i, k] * ginv[j, l] * f[i, j] * f[k, l]
+                for i, j, k, l in product(idx, repeat=4)), 0.0)
 
 
 def volume(m) -> float:

@@ -24,9 +24,12 @@ from solitonlab import cli, harness
 
 TWO_PI = repr(2.0 * math.pi)
 
+GRID_8_2 = "kind = grid\ndims = 8,8\nperiod = {p},{p}\nrecipe = perturbed-flat\n".format(p=TWO_PI)
 MODELS = {
-    "grid 8^2": ("kind = grid\ndims = 8,8\nperiod = {p},{p}\nrecipe = perturbed-flat\n"
-                 .format(p=TWO_PI), 0.05),
+    "grid 8^2": (GRID_8_2, 0.05),
+    # above the CFL bound 0.122: halving recovers dt = 0.5 (to 0.0625), not dt = 40
+    "grid 8^2 dt 0.5": (GRID_8_2, 0.5),
+    "grid 8^2 dt 40": (GRID_8_2, 40.0),
     "grid 8^3": ("kind = grid\ndims = 8,8,8\nperiod = {p},{p},{p}\nrecipe = perturbed-flat\n"
                  .format(p=TWO_PI), 0.05),
     "round": ("kind = frame\nrecipe = round\ncoefficients = 4,4,4\n", 0.01),
@@ -75,6 +78,12 @@ def _finite(command, out) -> bool:
 @example(model="grid 8^3", seed=0, variant="deturck", tau="inf", steps=4, sample_every=3,
          analyze=True, reconstruct=True, fix_divergence=False, couple=False)
 @example(model="grid 8^2", seed=0, variant="deturck", tau="inf", steps=60, sample_every=3,
+         analyze=True, reconstruct=True, fix_divergence=False, couple=False)
+# a dt above the CFL bound that halving recovers, with the gauge stage on, and
+# one it cannot
+@example(model="grid 8^2 dt 0.5", seed=0, variant="deturck", tau="inf", steps=4, sample_every=1,
+         analyze=True, reconstruct=True, fix_divergence=False, couple=False)
+@example(model="grid 8^2 dt 40", seed=0, variant="deturck", tau="inf", steps=1, sample_every=1,
          analyze=True, reconstruct=True, fix_divergence=False, couple=False)
 # so small a tau that the stages of `run` overflow, and the factor
 # (4 pi tau)^{-3/2} of the coupled audit of `entropy`

@@ -1,6 +1,8 @@
 """Gauge transport: interpolation, pullbacks, the displacement flows, and the
 equivalence audit between the plain and gauge-fixed metric flows."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,51 @@ def test_injectivity_proxy():
     assert not gauge.is_injective(F, g)
 
 
+@pytest.mark.parametrize("dims", [(16, 16), (8, 8, 8)], ids=lambda d: "x".join(map(str, d)))
+def test_injectivity_proxy_rejects_a_node_of_zero_determinant(dims):
+    """F^0 = -h at x_1 and +h at x_{-1}: d_0 F^0 = -2h / 2h = -1 exactly at the
+    nodes x_0, where det(I + dF) is then exactly 0 and the proxy fails; a
+    displacement a little smaller leaves every determinant positive."""
+    n = len(dims)
+    h = GridModel.flat(n, dims, (TWO_PI,) * n)
+    step = h.spacings[0]
+    F = np.zeros(dims + (n,))
+    F[1, ..., 0], F[-1, ..., 0] = -step, step
+    assert np.all(np.linalg.det(np.eye(n) + geometry.partials(h, F))[0] == 0.0)
+    assert not gauge.is_injective(F, h)
+    assert gauge.is_injective((1.0 - 2.0**-20) * F, h)
+
+
+@pytest.mark.parametrize("dims, axes", [((16, 16), (0, 1)), ((8, 8, 8), (0, 1)),
+                                        ((8, 8, 8), (0, 2)), ((8, 8, 8), (1, 2))],
+                         ids=["16x16", "8x8x8-01", "8x8x8-02", "8x8x8-12"])
+def test_injectivity_proxy_rejects_folds(dims, axes):
+    """Two folds, each against the same map at a smaller amplitude.  A
+    stretch F^a = c sin x_a, whose d_a phi^a changes sign past c = 1.  A
+    shear F^a = +-A h at x_b = +-h, F^b = +-A h at x_a = +-h: d_b F^a = A at
+    x_b = 0 and -A/2 at x_b = +-2h (d_a F^b likewise), so d phi keeps a unit
+    diagonal and its determinant 1 - (d_a F^b)(d_b F^a) is 1 - A^2 at the
+    nodes x_a = x_b = 0 and at least 1 - A^2/4 elsewhere."""
+    n = len(dims)
+    h = GridModel.flat(n, dims, (TWO_PI,) * n)
+    X = h.coords()
+    a, b = axes
+    step = h.spacings[0]
+    for (c, A), injective in (((0.5, 0.9), True), ((1.6, 1.2), False)):
+        stretch = np.zeros(dims + (n,))
+        stretch[..., a] = c * np.sin(X[a])
+        shear = np.zeros(dims + (n,))
+        for axis, comp in ((b, a), (a, b)):
+            at = [slice(None)] * n
+            for node, sign in ((1, 1.0), (-1, -1.0)):
+                at[axis] = node
+                shear[tuple(at) + (comp,)] = sign * A * step
+        for F in (stretch, shear):
+            assert gauge.is_injective(F, h) == injective
+            sign = np.min(np.linalg.det(np.eye(n) + geometry.partials(h, F))) > 0.0
+            assert sign == injective
+
+
 # ---------------------------------------------------------------------------
 # gauge vector field and harmonic flow
 
@@ -213,6 +260,28 @@ def test_harmonic_gauge_evaluates_each_metric_once():
     assert all(np.array_equal(a, b) for a, b in zip(got.F, want.F))
     assert len(got.F) == len(want.F) == n_steps + 1
     assert got.energy == want.energy
+
+
+def test_a_2d_gauge_run_reads_only_component_major_geometry():
+    """The stages, energy records and injectivity checks of a 2-D gauge run
+    read g^{ij}, Gamma and h_kl component-major: no stage metric and no
+    background is left holding a node-major ginv or gamma."""
+    g0 = _nonconformal(16)
+    interp = flows.MetricInterpolant(flows.run_flow(g0, "tau", np.inf, 0.01, 0.05))
+    h = _flat(16)
+    X, Y = h.coords()
+    F0 = np.stack([0.01 * np.sin(X + Y), 0.02 * np.cos(X)], axis=-1)
+    models = []
+
+    def keeping(t):
+        models.append(interp(t))
+        return models[-1]
+
+    gauge.run_harmonic_gauge(keeping, h, F0, 0.05, 0.01)
+    assert len(models) == 11
+    for m in models + [h]:
+        assert "ginv" not in vars(m) and "gamma" not in vars(m)
+    assert all("ginv_cm" in vars(m) and "gamma_cm" in vars(m) for m in models)
 
 
 def test_harmonic_flow_decays_displacement_on_flat_pair():
@@ -331,20 +400,70 @@ def test_gauge_equivalence_rejects_mismatched_times():
         gauge.gauge_equivalence_check(traj_b, traj_b, gt)
 
 
-@pytest.mark.parametrize("dims", [(16, 16), (32, 32), (8, 8, 8), (12, 10, 9)],
-                         ids=lambda d: "x".join(map(str, d)))
+SHAPES = [(16, 16), (32, 32), (8, 8, 8), (12, 10, 9)]
+
+
+def _random_pair(dims, seed):
+    """A random SPD metric g, a flat background h and a small displacement F."""
+    n = len(dims)
+    rng = np.random.default_rng(seed)
+    a = 0.3 * rng.standard_normal(dims + (n, n))
+    g = GridModel(n=n, dims=dims, period=(TWO_PI,) * n, g=np.eye(n) + a @ np.swapaxes(a, -1, -2))
+    b = rng.standard_normal((n, n))
+    h = GridModel.flat(n, dims, (TWO_PI,) * n).with_metric(
+        np.broadcast_to(np.eye(n) + 0.1 * b @ b.T, dims + (n, n)))
+    F = 0.05 * rng.standard_normal(dims + (n,))
+    return g, h, F
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _node_major_hessian(m, F):
+    """out[..., k, i, j] = d_i d_j F^k: compact stencils on the diagonal, and
+    off it the central difference along the lower axis of the one along the
+    higher."""
+    hs = m.spacings
+    out = np.empty(F.shape + (m.n, m.n))
+    for i, j in itertools.product(range(m.n), repeat=2):
+        lo, hi = min(i, j), max(i, j)
+        out[..., i, j] = (geometry.d2(F, i, hs[i]) if i == j
+                          else geometry.d1(geometry.d1(F, hi, hs[hi]), lo, hs[lo]))
+    return out
+
+
+@pytest.mark.parametrize("dims", SHAPES, ids=lambda d: "x".join(map(str, d)))
 def test_energy_density_equals_its_einsum_spelling_bitwise(dims):
     """The unrolled energy density adds its terms in einsum's order (k, i, l, j)."""
-    n = len(dims)
     for seed in (0, 1, 2):
-        rng = np.random.default_rng(seed)
-        a = 0.3 * rng.standard_normal(dims + (n, n))
-        g = GridModel(n=n, dims=dims, period=(TWO_PI,) * n,
-                      g=np.eye(n) + a @ np.swapaxes(a, -1, -2))
-        b = rng.standard_normal((n, n))
-        h = GridModel.flat(n, dims, (TWO_PI,) * n).with_metric(
-            np.broadcast_to(np.eye(n) + 0.1 * b @ b.T, dims + (n, n)))
-        F = 0.05 * rng.standard_normal(dims + (n,))
+        g, h, F = _random_pair(dims, seed)
         dF = geometry.partials(g, F)
         oracle = np.einsum("...ij,...kl,...ki,...lj->...", g.ginv, h.g, dF, dF)
-        assert np.array_equal(gauge.energy_density(F, g, h), oracle)
+        assert np.array_equal(_bits(gauge.energy_density(F, g, h)), _bits(oracle))
+
+
+@pytest.mark.parametrize("dims", SHAPES, ids=lambda d: "x".join(map(str, d)))
+def test_harmonic_map_rhs_equals_its_einsum_spelling_bitwise(dims):
+    """The component-major velocity adds its products in the order the
+    node-major einsum spelling does, bit for bit (signed zeros too)."""
+    for seed in (0, 1, 2):
+        g, h, F = _random_pair(dims, seed)
+        lap = np.einsum("...ij,...kij->...k", g.ginv, _node_major_hessian(g, F))
+        lap -= np.einsum("...ij,...lij,...kl->...k", g.ginv, g.gamma, geometry.partials(g, F))
+        oracle = lap + -np.einsum("...ij,...kij->...k", g.ginv, g.gamma)
+        assert np.array_equal(_bits(gauge.harmonic_map_rhs(F, g, h)), _bits(oracle))
+
+
+@pytest.mark.parametrize("dims", SHAPES, ids=lambda d: "x".join(map(str, d)))
+def test_pullback_metric_equals_its_einsum_spelling_bitwise(dims):
+    """(phi^* g)_ij = d_i phi^k d_j phi^l g_kl(phi), symmetrized: the
+    component-major sums equal the node-major einsum spelling bit for bit."""
+    for seed in (0, 1, 2):
+        g, _, F = _random_pair(dims, seed)
+        J = np.eye(g.n) + np.swapaxes(geometry.partials(g, F), -1, -2)
+        pts = np.mod(gauge.coords_array(g) + F, np.array(g.period))
+        g_at = gauge.interp_periodic(g.g, pts, g.dims, g.period)
+        out = np.einsum("...ik,...jl,...kl->...ij", J, J, g_at)
+        oracle = 0.5 * (out + np.swapaxes(out, -1, -2))
+        assert np.array_equal(_bits(gauge.pullback_metric(F, g).g), _bits(oracle))

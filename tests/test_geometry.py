@@ -462,6 +462,21 @@ def test_unrolled_curvature_contractions_equal_einsum_bitwise(dims):
         assert np.array_equal(geometry.covd_tensor(m, t), _einsum_covd_tensor(m, m.gamma, t))
 
 
+@pytest.mark.parametrize("dims", SHAPES, ids=lambda d: "x".join(map(str, d)))
+def test_pointwise_magnitude_equals_its_einsum_spelling_bitwise(dims):
+    """|w|^2 of a 1-form and |T|^2 of a (not necessarily symmetric) 2-tensor
+    add their products in einsum's order, bit for bit (signed zeros too)."""
+    n = len(dims)
+    for seed in SEEDS:
+        m = _random_spd(dims, seed)
+        rng = np.random.default_rng(seed + 10)
+        w, t = rng.standard_normal(dims + (n,)), rng.standard_normal(dims + (n, n))
+        assert np.array_equal(_bits(geometry._pointwise_sq(m, w)),
+                              _bits(np.einsum("...ij,...i,...j->...", m.ginv, w, w)))
+        assert np.array_equal(_bits(geometry._pointwise_sq(m, t)),
+                              _bits(np.einsum("...ik,...jl,...ij,...kl->...", m.ginv, m.ginv, t, t)))
+
+
 @pytest.mark.parametrize("length", [2, 3, 4])
 def test_summation_helpers_add_in_einsums_order(length):
     """lane_sum and _sum_in_order against the einsum contractions they stand

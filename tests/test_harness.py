@@ -967,6 +967,27 @@ def test_cli_numerical_exit_code(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt", ["0.5", "40"])
+def test_cli_run_above_the_cfl_bound(tmp_path, monkeypatch, capsys, dt):
+    """On 8^2 the CFL bound is 0.122: a step of 0.5 is retried as 8 steps of
+    0.0625 and the run ends in exit 0; a step of 40 is still 0.156 after the
+    last halving, and the run ends in exit 3, naming the time of the step it
+    could not take, with a record that names the flow stage."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    text = GRID_CONFIG.replace("dt = 0.01", f"dt = {dt}").replace("t_end = 0.05", f"t_end = {dt}")
+    code = cli.main(["run", _write_config(tmp_path, text)])
+    record, = tmp_path.glob("smoke-*/record.json")
+    verdicts = json.loads(record.read_text())["verdicts"]
+    if dt == "0.5":
+        assert code == cli.EXIT_OK
+        assert "failed_stage" not in verdicts
+        return
+    assert code == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("numerical failure: step from t = 0.0: dt = 0.15625 "
+                                       "exceeds the CFL bound 1.221e-01\n")
+    assert verdicts["failed_stage"] == "flow"
+
+
 @pytest.mark.parametrize("error", [
     NumericalFailureError("spectrum: the operator's symbol has a non-finite entry"),
     StepRejectedError("step to t = 0.5 left the SPD cone"),
