@@ -199,9 +199,10 @@ def rhs_deturck(m: GridModel, h: GridModel, tau: float):
     ``gauge.deturck_vector``.  ``tau = inf`` gives the unnormalized variant
     (no g/tau term).
     """
-    out = -2.0 * m.ric_cm + geometry.lie_derivative_metric(m, gauge.deturck_vector(m, h))
+    out = geometry.lie_derivative_metric(m, gauge.deturck_vector(m, h))
+    out += -2.0 * m.ric_cm
     if tau < np.inf:
-        out = out + m.g_cm / tau
+        out += m.g_cm / tau
     return geometry.node_major(out, 2)
 
 
@@ -212,7 +213,7 @@ def make_metric_rhs(variant: str, tau: float, background: Optional[GridModel] = 
     if variant == "deturck":
         if background is None:
             raise RejectedInputError("deturck flow needs a reference background")
-        background.gamma_cm  # derive Gamma(h) now, once for every evaluation
+        background.gamma_is_zero  # derive Gamma(h) now, once for every evaluation
         return lambda model: rhs_deturck(model, background, tau)
     raise RejectedInputError(f"unknown flow variant {variant!r}")
 
@@ -227,11 +228,19 @@ def rk4(f: Callable, y: np.ndarray, dt: float) -> np.ndarray:
     ``f(c, y)`` returns the velocity of ``y`` at the stage whose time is a
     fraction ``c`` (0, 1/2, 1/2, 1) of the step.
     """
+    half = 0.5 * dt
     k1 = f(0.0, y)
-    k2 = f(0.5, y + 0.5 * dt * k1)
-    k3 = f(0.5, y + 0.5 * dt * k2)
+    k2 = f(0.5, y + half * k1)
+    k3 = f(0.5, y + half * k2)
     k4 = f(1.0, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # (dt / 6) (k1 + 2 k2 + 2 k3 + k4) + y, added in that order in one buffer
+    acc = 2.0 * k2
+    acc += k1
+    acc += 2.0 * k3
+    acc += k4
+    acc *= dt / 6.0
+    acc += y
+    return acc
 
 
 def cfl_bound(model) -> float:
@@ -239,7 +248,7 @@ def cfl_bound(model) -> float:
     inf for frame ODEs."""
     if isinstance(model, FrameModel):
         return np.inf
-    h_min = float(np.min(model.spacings))
+    h_min = min(p / d for p, d in zip(model.period, model.dims))  # min(spacings)
     return CFL_FACTOR * h_min**2 * model.min_eig
 
 
@@ -251,12 +260,14 @@ def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
     singular to invert, a grid stage metric with a leading principal minor
     <= 0 at some node (``geometry.leading_minors_positive``, checked after
     the stage's velocity, so that a singular stage is reported as such), or
-    a result metric that fails ``validate_spd``.
+    a result metric that fails ``validate_spd``.  The first stage is the
+    state, which ``cfl_bound`` has validated: in 2-D that tested its minors.
     """
     bound = cfl_bound(state.model)
     if dt > bound:
         raise StepRejectedError(f"step from t = {state.t}: dt = {dt} exceeds the CFL "
                                 f"bound {bound:.3e}")
+    grid = isinstance(state.model, GridModel)
 
     def model_at(arr, validate=False):
         try:
@@ -269,7 +280,8 @@ def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
         # the first stage is the state itself, whose geometry its sample derived
         model = state.model if c == 0.0 else model_at(y)
         out = metric_rhs(model)
-        if isinstance(model, GridModel) and not geometry.leading_minors_positive(model):
+        if (grid and (c != 0.0 or model.n == 3)
+                and not geometry.leading_minors_positive(model)):
             raise StepRejectedError(f"step to t = {state.t + dt}: the stage metric at "
                                     f"t = {state.t + c * dt} is not positive definite")
         return out

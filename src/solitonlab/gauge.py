@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flows, geometry
-from .errors import GaugeBreakdownError, NonConvergenceError, RejectedInputError
+from .errors import (GaugeBreakdownError, NonConvergenceError, NumericalFailureError,
+                     RejectedInputError)
 from .geometry import GridModel
 
 INVERT_MAX_ITER = 100
@@ -111,11 +112,14 @@ def deturck_vector(g: GridModel, h: GridModel) -> np.ndarray:
     Bitwise ``einsum("...pq,...kpq->...k")`` of the node-major fields: in 2-D
     its SIMD lanes add (p, q) = (0, 0), (1, 0) and (0, 1), (1, 1) apart; its
     order for the 9 products of 3-D is not matched, so there it runs itself.
+    A Gamma(h) of +0.0 only, as a flat h has, is not subtracted.
     """
     if g.n == 2:
-        x = g.ginv_cm * (g.gamma_cm - h.gamma_cm)  # x[k, p, q]
+        diff = g.gamma_cm if h.gamma_is_zero else g.gamma_cm - h.gamma_cm
+        x = g.ginv_cm * diff  # x[k, p, q]
         return geometry.lane_sum([x[:, 0, 0], x[:, 0, 1], x[:, 1, 0], x[:, 1, 1]])
-    v = np.einsum("...pq,...kpq->...k", g.ginv, g.gamma - h.gamma)
+    diff = g.gamma if h.gamma_is_zero else g.gamma - h.gamma
+    v = np.einsum("...pq,...kpq->...k", g.ginv, diff)
     return geometry.component_major(v, 1)
 
 
@@ -181,11 +185,15 @@ def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t_end: float,
     """Integrate from t = 0 the displacement heat flow driven by an evolving metric.
 
     ``g_of_t`` maps a time to a GridModel (e.g. a MetricInterpolant).  RK4 in
-    time; ``g_of_t`` is called once per distinct time (step ends and
-    midpoints), so the stages and the energy record that use one metric share
-    its derived fields.  The injectivity proxy is checked after every step and
-    a failure raises ``GaugeBreakdownError`` with the breakdown time.
-    ``t_end`` must be a whole number of steps (``flows.step_count``).
+    time, each step split into 2**k equal substeps, k the least with
+    dt / 2**k within ``flows.cfl_bound`` of the metric at the step's start
+    (``_substep_exponent``; k = 0 is one RK4 step of dt); F and its energy
+    are recorded at whole steps.  ``g_of_t`` is called once per distinct time
+    (substep ends and midpoints), so the stages and the energy record that use
+    one metric share its derived fields.  The injectivity proxy is checked
+    after every step and a failure raises ``GaugeBreakdownError`` with the
+    breakdown time.  ``t_end`` must be a whole number of steps
+    (``flows.step_count``).
     """
     geometry.require_flat(h)
     traj = GaugeTrajectory(h=h)
@@ -205,15 +213,35 @@ def run_harmonic_gauge(g_of_t, h: GridModel, F0: np.ndarray, t_end: float,
     now = g_of_t(t)
     record(t, F, now)
     for _ in range(n_steps):
-        # the metrics at the stage fractions c = 0, 1/2, 1 of this step
-        stages = {0.0: now, 0.5: g_of_t(t + 0.5 * dt), 1.0: g_of_t(t + dt)}
-        F = flows.rk4(velocity, F, dt)
+        parts = 2**_substep_exponent(now, dt, t)
+        sub = dt / parts
+        for j in range(parts):
+            s = t + j * sub
+            # the metrics at the stage fractions c = 0, 1/2, 1 of this substep
+            stages = {0.0: now, 0.5: g_of_t(s + 0.5 * sub),
+                      1.0: g_of_t(t + dt if j == parts - 1 else s + sub)}
+            F = flows.rk4(velocity, F, sub)
+            now = stages[1.0]
         t += dt
         if not is_injective(F, h):
             raise GaugeBreakdownError(f"gauge lost injectivity at t = {t}", time=t)
-        now = stages[1.0]
         record(t, F, now)
     return traj
+
+
+def _substep_exponent(g: GridModel, dt: float, t: float) -> int:
+    """The least k, at most ``flows.MAX_HALVINGS``, with dt / 2**k within
+    ``flows.cfl_bound`` of ``g``, the metric at time ``t``;
+    ``NumericalFailureError`` where ``g`` is not SPD or no such k exists."""
+    try:
+        bound = flows.cfl_bound(g)
+    except RejectedInputError as exc:
+        raise NumericalFailureError(f"the metric driving the gauge at t = {t}: {exc}") from exc
+    for k in range(flows.MAX_HALVINGS + 1):
+        if dt / 2**k <= bound:
+            return k
+    raise NumericalFailureError(f"the gauge step from t = {t} needs more than "
+                                f"{2**flows.MAX_HALVINGS} substeps of dt = {dt}")
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,24 @@ sum them in the same order, as the node-major code whose numbers the
 benchmark's reference fingerprints hold; the copies go when those are
 regenerated.
 
+Validation (``validate_spd``, which ``GridModel.min_eig`` runs) reads the
+component-major planes of ``g_cm`` as well: the geometry reads them next.
+
 The hot contractions over the n <= 3 component axes are sums of broadcast
 products, added in the order ``einsum`` adds them, so they equal its result
 bitwise.  A sum that ``einsum`` reduces along contiguous entries it adds in
 SIMD lanes (``lane_sum``); one whose order could not be matched, the
 two-operand contractions of the 3-D gauge kernels, stays an ``einsum`` over
 node-major operands.
+
+A model's derived fields are ``cached_field``s: each is computed on first
+read and kept in the instance ``__dict__``, where later reads find it
+without a call, as Python 3.12's ``functools.cached_property`` does; Python
+3.11's takes a lock on every first read, a cost paid by every stage model
+of a flow.  ``GridModel.with_metric``, which builds those stage models,
+checks only the new metric's shape, since the grid it copies is already
+normalized; per-grid constants (the neighbour indices and the central
+differences' 2 h) are cached at module level, not on models.
 """
 
 from __future__ import annotations
@@ -57,6 +69,20 @@ import numpy as np
 from .errors import NumericalFailureError, RejectedInputError
 
 DET_FLOOR = 1e-12
+
+
+class cached_field(cached_property):
+    """A model field derived on first read and read from the instance
+    ``__dict__`` after that, where it shadows this non-data descriptor:
+    ``functools.cached_property`` as Python 3.12 has it, without the lock
+    that Python 3.11's takes on every first read.  Threads that read a field
+    first at the same time may each derive it; every one returns the value
+    stored first."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.attrname, self.func(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +132,7 @@ class FrameModel:
         """The same frame with metric coefficients ``a``."""
         return FrameModel(lams=self.lams, a=a, base_volume=self.base_volume)
 
-    @cached_property
+    @cached_field
     def ric(self) -> np.ndarray:
         """Ricci tensor as lowered diagonal coefficients, read-only."""
         return _read_only(_ricci_frame(self))
@@ -141,6 +167,11 @@ class GridModel:
             raise RejectedInputError("dims and period must have length n")
         if any(d < 8 for d in self.dims):
             raise RejectedInputError("grid needs at least 8 points per axis")
+        self._check_metric()
+
+    def _check_metric(self):
+        """Reject a metric of the wrong shape and, if ``validate``, one that
+        ``validate_spd`` rejects."""
         if self.g.shape != self.dims + (self.n, self.n):
             raise RejectedInputError(f"metric field must have shape {self.dims + (self.n, self.n)}")
         if self.validate:
@@ -155,58 +186,65 @@ class GridModel:
         g[...] = np.eye(n)
         return cls(n=n, dims=tuple(dims), period=tuple(period), g=g)
 
-    @cached_property
+    @cached_field
     def min_eig(self) -> float:
-        """Smallest eigenvalue of g over all nodes, from ``validate_spd``."""
-        return validate_spd(self.g)
+        """Smallest eigenvalue of g over all nodes, from ``validate_spd`` of
+        ``g_cm``, which the geometry reads next."""
+        return validate_spd(self.g_cm)
 
-    @cached_property
+    @cached_field
     def g_cm(self) -> np.ndarray:
         """The metric component-major: g_cm[i, j] is the grid plane of g_ij."""
         return _read_only(component_major(self.g, 2))
 
-    @cached_property
+    @cached_field
     def ginv_cm(self) -> np.ndarray:
         """Inverse metric g^{ij}, component-major."""
         return _read_only(inverse_metric(self))
 
-    @cached_property
+    @cached_field
     def gamma_cm(self) -> np.ndarray:
         """Christoffel symbols Gamma[k, i, j], component-major."""
         return _read_only(christoffel(self))
 
-    @cached_property
+    @cached_field
     def ric_cm(self) -> np.ndarray:
         """Ricci tensor field, component-major."""
         return _read_only(_ricci_grid(self))
 
-    @cached_property
+    @cached_field
+    def gamma_is_zero(self) -> bool:
+        """Whether every Christoffel symbol is +0.0, as on a constant metric:
+        then subtracting them changes no bit."""
+        return not self.gamma_cm.view(np.int64).any()
+
+    @cached_field
     def ginv(self) -> np.ndarray:
         """Inverse metric g^{ij}."""
         return _read_only(node_major(self.ginv_cm, 2))
 
-    @cached_property
+    @cached_field
     def gamma(self) -> np.ndarray:
         """Christoffel symbols Gamma[..., k, i, j]."""
         return _read_only(node_major(self.gamma_cm, 3))
 
-    @cached_property
+    @cached_field
     def ric(self) -> np.ndarray:
         """Ricci tensor field."""
         return _read_only(node_major(self.ric_cm, 2))
 
-    @cached_property
+    @cached_field
     def sqrt_det(self) -> np.ndarray:
         """Volume density sqrt(det g) per node."""
         return _read_only(np.sqrt(np.linalg.det(self.g)))
 
-    @cached_property
+    @cached_field
     def is_flat(self) -> bool:
         """Whether g is the same at every node (to ``np.allclose``)."""
         g0 = self.g.reshape(-1, self.n, self.n)
         return bool(np.allclose(g0, g0[0]))
 
-    @cached_property
+    @cached_field
     def spacings(self) -> np.ndarray:
         """Grid step period / points along each axis."""
         return _read_only(np.array([p / d for p, d in zip(self.period, self.dims)]))
@@ -217,7 +255,14 @@ class GridModel:
         return np.meshgrid(*axes, indexing="ij")
 
     def with_metric(self, g, validate: bool = True) -> "GridModel":
-        return GridModel(n=self.n, dims=self.dims, period=self.period, g=g, validate=validate)
+        """This grid with the metric ``g``, of which only the shape is checked
+        (and, if ``validate``, the values): this model's ``n``, ``dims`` and
+        ``period`` are already normalized and checked."""
+        m = object.__new__(GridModel)
+        m.__dict__.update(n=self.n, dims=self.dims, period=self.period,
+                          g=np.asarray(g, dtype=float), validate=validate)
+        m._check_metric()
+        return m
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -257,7 +302,8 @@ def twin(m):
 
 
 def validate_spd(g: np.ndarray) -> float:
-    """Reject a metric field with a non-SPD or near-degenerate node.
+    """Reject a component-major metric field (``g[i, j]`` the grid plane of
+    g_ij, as ``GridModel.g_cm``) with a non-SPD or near-degenerate node.
 
     Symmetry is ``np.allclose(g, g^T)``, tested on the off-diagonal pairs in
     both orders.  In 2-D the checks read the lower triangle, as ``eigvalsh``
@@ -265,18 +311,20 @@ def validate_spd(g: np.ndarray) -> float:
     criterion (a > 0 once the determinant is), and the smallest eigenvalue as
     det / lambda_max with lambda_max = (a + d)/2 + sqrt(((a - d)/2)^2 + b^2),
     which cancels nothing.  In 3-D one ``eigvalsh`` per node serves every
-    check.  Returns the smallest eigenvalue over all nodes.
+    check.  Every check is elementwise, or a reduction whose result does not
+    depend on the order, so the layout changes no outcome.  Returns the
+    smallest eigenvalue over all nodes.
     """
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise RejectedInputError("metric field contains non-finite entries")
-    for i, j in combinations(range(g.shape[-1]), 2):
-        upper, lower = g[..., i, j], g[..., j, i]
+    for i, j in combinations(range(len(g)), 2):
+        upper, lower = g[i, j], g[j, i]
         # np.isclose(x, y) is |x - y| <= 1e-8 + 1e-5 |y|: both orders at once
-        if not np.all(np.abs(upper - lower)
-                      <= 1e-8 + 1e-5 * np.minimum(np.abs(upper), np.abs(lower))):
+        if not (np.abs(upper - lower)
+                <= 1e-8 + 1e-5 * np.minimum(np.abs(upper), np.abs(lower))).all():
             raise RejectedInputError("metric field is not symmetric")
-    if g.shape[-1] == 2:
-        a, b, d = g[..., 0, 0], g[..., 1, 0], g[..., 1, 1]
+    if len(g) == 2:
+        a, b, d = g[0, 0], g[1, 0], g[1, 1]
         det = a * d - b * b
         definite = a > 0
         half_diff = 0.5 * (a - d)
@@ -284,30 +332,37 @@ def validate_spd(g: np.ndarray) -> float:
         with np.errstate(divide="ignore", invalid="ignore"):
             lam_min = det / (0.5 * (a + d) + np.sqrt(half_diff * half_diff + b * b))
     else:
-        eigs = np.linalg.eigvalsh(g)
+        eigs = np.linalg.eigvalsh(np.moveaxis(g, (0, 1), (-2, -1)))
         det = np.prod(eigs, axis=-1)
         definite = eigs[..., 0] > 0
         lam_min = eigs[..., 0]
-    if np.any(det < DET_FLOOR):
+    if (det < DET_FLOOR).any():
         raise RejectedInputError("metric determinant below degeneracy floor")
-    if not np.all(definite):
+    if not definite.all():
         raise RejectedInputError("metric is not positive definite at some node")
-    return float(np.min(lam_min))
+    return float(lam_min.min())
 
 
 def leading_minors_positive(m: GridModel) -> bool:
     """Sylvester's criterion at every node: whether the leading principal
     minors of g, in closed form from its lower triangle, are all positive.
     Cheaper than ``validate_spd`` and without its tolerances; a non-finite
-    entry fails it."""
+    entry fails it.  In 2-D ``validate_spd`` tests these same two minors."""
     g = m.g_cm
+    # a NaN minimum compares False; each minor is formed once the last has passed
+    if not g[0, 0].min() > 0.0:
+        return False
     with np.errstate(over="ignore", invalid="ignore"):
-        minors = [g[0, 0], g[0, 0] * g[1, 1] - g[1, 0] * g[1, 0]]
-        if m.n == 3:
-            minors.append(g[0, 0] * (g[1, 1] * g[2, 2] - g[2, 1] * g[2, 1])
-                          - g[1, 0] * (g[1, 0] * g[2, 2] - g[2, 1] * g[2, 0])
-                          + g[2, 0] * (g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]))
-    return all(minor.min() > 0.0 for minor in minors)  # a NaN minimum compares False
+        minor = g[0, 0] * g[1, 1]
+        minor -= g[1, 0] * g[1, 0]
+        if not minor.min() > 0.0:
+            return False
+        if m.n == 2:
+            return True
+        minor = (g[0, 0] * (g[1, 1] * g[2, 2] - g[2, 1] * g[2, 1])
+                 - g[1, 0] * (g[1, 0] * g[2, 2] - g[2, 1] * g[2, 0])
+                 + g[2, 0] * (g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]))
+        return bool(minor.min() > 0.0)
 
 
 def require_flat(h: GridModel) -> None:
@@ -325,6 +380,10 @@ def sym_components(n: int):
 # finite differences
 
 
+# The stencils gather neighbours with ``take(..., mode="clip")``: every index
+# is in range, and unlike the default ``mode="raise"`` it checks none.
+
+
 @lru_cache(maxsize=None)
 def _neighbours(n: int):
     """Periodic index arrays (i + 1) mod n and (i - 1) mod n, read-only."""
@@ -335,10 +394,18 @@ def _neighbours(n: int):
     return plus, minus
 
 
+@lru_cache(maxsize=None)
+def _two_h(dims: tuple, period: tuple) -> tuple:
+    """The central differences' divisors 2 h_a of a grid, as floats: the
+    bits of ``2.0 * spacings[a]``."""
+    return tuple(2.0 * (p / d) for p, d in zip(period, dims))
+
+
 def d1(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Second-order central first derivative along a grid axis."""
     plus, minus = _neighbours(f.shape[axis])
-    return (f.take(plus, axis=axis) - f.take(minus, axis=axis)) / (2.0 * h)
+    return (f.take(plus, axis=axis, mode="clip")
+            - f.take(minus, axis=axis, mode="clip")) / (2.0 * h)
 
 
 def d1_symbol(m: GridModel) -> tuple:
@@ -351,7 +418,8 @@ def d1_symbol(m: GridModel) -> tuple:
 def d2(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Compact 3-point second derivative along a grid axis."""
     plus, minus = _neighbours(f.shape[axis])
-    return (f.take(plus, axis=axis) - 2.0 * f + f.take(minus, axis=axis)) / h**2
+    return (f.take(plus, axis=axis, mode="clip") - 2.0 * f
+            + f.take(minus, axis=axis, mode="clip")) / h**2
 
 
 def partials(m: GridModel, f: np.ndarray) -> np.ndarray:
@@ -365,10 +433,12 @@ def partials_cm(m: GridModel, f: np.ndarray) -> np.ndarray:
     leading axis: out[l] = d_l f, each bitwise ``d1``."""
     lead = f.ndim - m.n
     out = np.empty((m.n,) + f.shape)
-    for l, h in enumerate(m.spacings):
+    for l, two_h in enumerate(_two_h(m.dims, m.period)):
         plus, minus = _neighbours(f.shape[lead + l])
-        np.subtract(f.take(plus, axis=lead + l), f.take(minus, axis=lead + l), out=out[l])
-        out[l] /= 2.0 * h
+        d = out[l]
+        f.take(plus, axis=lead + l, out=d, mode="clip")
+        d -= f.take(minus, axis=lead + l, mode="clip")
+        d /= two_h
     return out
 
 
@@ -478,10 +548,13 @@ def christoffel(m: GridModel) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] of the grid metric, component-major."""
     dg = partials_cm(m, m.g_cm)  # dg[l, i, j] = d_l g_ij
     # term[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    term = _leading(dg, 2, 0, 1) + _leading(dg, 2, 1, 0) - dg
+    term = _leading(dg, 2, 0, 1) + _leading(dg, 2, 1, 0)
+    term -= dg
     # g^{kl} term_lij, l summed in order: bitwise einsum("...kl,...lij->...kij")
     products = _leading(m.ginv_cm, 1, 0)[:, :, None, None] * term[:, None]  # [l, k, i, j]
-    return 0.5 * _sum_in_order(products)
+    out = _sum_in_order(products)
+    out *= 0.5
+    return out
 
 
 def _ricci_frame(m: FrameModel) -> np.ndarray:
@@ -507,20 +580,22 @@ def _ricci_frame(m: FrameModel) -> np.ndarray:
 
 def _ricci_grid(m: GridModel) -> np.ndarray:
     """Ricci tensor R[i, j] of the grid metric, component-major."""
-    n = m.n
     gamma = m.gamma_cm
     dgamma = partials_cm(m, gamma)  # dgamma[l, k, i, j] = d_l Gamma^k_ij
-    # k summed in order: bitwise einsum("...kijk->...ij") and einsum("...kkji->...ij")
-    # of the node-major dgamma[..., k, i, j, l]
-    r = sum(dgamma[k, k] for k in range(n))
-    r -= sum(dgamma[:, k, k] for k in range(n))
+    # k summed in order over diagonal views, whose last axis is k: bitwise
+    # einsum("...kijk->...ij") and einsum("...kkji->...ij") of the node-major
+    # dgamma[..., k, i, j, l]
+    r = _sum_in_order(dgamma.diagonal(0, 0, 1), axis=-1)  # d_k Gamma^k_ij
+    r -= _sum_in_order(dgamma.diagonal(0, 1, 2), axis=-1)  # d_l Gamma^k_kj, l as i
     # the Gamma.Gamma terms summed over (k, l), k outer and l inner: bitwise
     # einsum("...kkl,...lij->...ij") and einsum("...kil,...lkj->...ij")
     diag = np.einsum("kkl...->kl...", gamma)  # a view: diag[k, l] = Gamma^k_kl
     r += _sum_in_order(_pairs(diag[:, :, None, None] * gamma[None]))
     r -= _sum_in_order(_pairs(_leading(gamma, 0, 2, 1)[:, :, :, None]  # Gamma^k_il
                               * _leading(gamma, 1, 0, 2)[:, :, None, :]))  # Gamma^l_kj
-    return 0.5 * (r + np.swapaxes(r, 0, 1))
+    out = r + np.swapaxes(r, 0, 1)
+    out *= 0.5
+    return out
 
 
 def _pairs(a: np.ndarray) -> np.ndarray:
@@ -528,11 +603,13 @@ def _pairs(a: np.ndarray) -> np.ndarray:
     return a.reshape((a.shape[0] * a.shape[1],) + a.shape[2:])
 
 
-def _sum_in_order(terms: np.ndarray) -> np.ndarray:
-    """The sum over the leading axis of ``terms``, added one term after the
-    other from +0.0: what ``einsum`` computes over an index that is not the
-    innermost in memory, and what Python's ``sum`` computes."""
-    return np.add.reduce(terms, axis=0, initial=0.0)
+def _sum_in_order(terms: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The sum over one axis of ``terms`` (the leading one by default), added
+    one term after the other from +0.0: what ``einsum`` computes over an index
+    that is not the innermost in memory, and what Python's ``sum`` computes.
+    numpy adds in that order along the leading axis of a C-contiguous array,
+    and along any axis of fewer than 8 terms."""
+    return np.add.reduce(terms, axis=axis, initial=0.0)
 
 
 def scalar_curvature(m):
@@ -566,7 +643,8 @@ def covd_oneform(m: GridModel, w: np.ndarray) -> np.ndarray:
     out[i, j] = nabla_i w_j."""
     dw = partials_cm(m, w)  # dw[i, j] = d_i w_j
     # k summed in order: bitwise einsum("...kij,...k->...ij")
-    return dw - _sum_in_order(m.gamma_cm * w[:, None, None])
+    dw -= _sum_in_order(m.gamma_cm * w[:, None, None])
+    return dw
 
 
 def covd_tensor(m: GridModel, t: np.ndarray) -> np.ndarray:

@@ -315,14 +315,49 @@ def test_harmonic_flow_ends_at_t1():
 
 
 def test_harmonic_flow_reports_breakdown():
-    """An unstable step size blows the displacement up past injectivity."""
+    """A displacement that folds the map, det(I + dF) = 1 + 1.5 cos x < 0
+    near x = pi, is still folded after the first step: the run raises
+    ``GaugeBreakdownError`` at that time.  (An unstable step size no longer
+    breaks the flow down: ``test_harmonic_flow_splits_steps_to_the_cfl_bound``.)"""
+    h = _flat(16)
+    X, _ = h.coords()
+    F0 = np.zeros(h.dims + (2,))
+    F0[..., 0] = 1.5 * np.sin(X)
+    with pytest.raises(GaugeBreakdownError, match="at t = 0.01$") as info:
+        gauge.run_harmonic_gauge(lambda t: h, h, F0, 1.0, 0.01)
+    assert info.value.time == 0.01
+
+
+def test_harmonic_flow_splits_steps_to_the_cfl_bound():
+    """A step above the CFL bound of the metric at its start is split into
+    2**k equal substeps, k the least that fits.  On 8^2 (bound 0.117) a step
+    of 0.5 is 8 substeps of 0.0625, bitwise the run at dt 0.0625 read at every
+    8th step, with F and its energy recorded at whole steps only.  On 16^2,
+    F0 = 0.3 sin x at dt 0.5, which lost injectivity unsplit, decays."""
+    g = _nonconformal(8)
+    assert 0.0625 <= flows.cfl_bound(g) < 0.125
+    h = _flat(8)
+    X, Y = h.coords()
+    F0 = np.stack([0.05 * np.sin(X + Y), 0.02 * np.cos(X)], axis=-1)
+    seen = []
+
+    def g_of_t(t):
+        seen.append(t)
+        return g.with_metric(g.g, validate=False)
+
+    split = gauge.run_harmonic_gauge(g_of_t, h, F0, 4.0, 0.5)
+    assert len(seen) == 1 + 8 * 8 * 2 and len(set(seen)) == len(seen)
+    fine = gauge.run_harmonic_gauge(g_of_t, h, F0, 4.0, 0.0625)
+    assert list(split.times) == [0.5 * i for i in range(9)]
+    assert all(np.array_equal(a, b) for a, b in zip(split.F, fine.F[::8], strict=True))
+    assert split.energy == fine.energy[::8]
+
     h = _flat(16)
     X, _ = h.coords()
     F0 = np.zeros(h.dims + (2,))
     F0[..., 0] = 0.3 * np.sin(X)
-    with pytest.raises(GaugeBreakdownError) as info:
-        gauge.run_harmonic_gauge(lambda t: h, h, F0, 10.0, 0.5)
-    assert info.value.time > 0.0
+    E = [e.E for e in gauge.run_harmonic_gauge(lambda t: h, h, F0, 2.0, 0.5).energy]
+    assert len(E) == 5 and all(e2 < e1 for e1, e2 in zip(E, E[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Geometry layer: curvature against symbolic oracles, norms, validation."""
 
 import math
+import threading
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -507,23 +509,55 @@ def _einsum_rhs_deturck(m, h, tau):
     return out + m.g / tau if np.isfinite(tau) else out
 
 
+def _signed_zero_field(dims):
+    """A random field whose off-diagonal entries are +0.0 on a third of the
+    nodes and -0.0 on another, and which is constant along the first axis
+    on half the grid, so that differences there are exact zeros too."""
+    g = _random_spd(dims, 4).g.copy()
+    n, half = len(dims), dims[0] // 2
+    g[:half] = g[:1]
+    off = np.arange(g[..., 0, 0].size).reshape(dims) % 3
+    for i, j in combinations(range(n), 2):
+        for k, zero in ((1, 0.0), (2, -0.0)):
+            g[..., i, j][off == k] = zero
+            g[..., j, i][off == k] = zero
+    return g
+
+
+def _asymmetric_field(dims):
+    """A random field whose g_ij and g_ji differ by 1e-6 relative: within
+    ``validate_spd``'s tolerance, so a shortcut that read g_ij for g_ji would
+    change bits."""
+    g = _random_spd(dims, 5).g.copy()
+    n = len(dims)
+    for i, j in combinations(range(n), 2):
+        g[..., i, j] *= 1.0 + 1e-6
+    return g
+
+
 def _rhs_cases(dims):
-    """Random fields, and one of amplitude 0.6 with nodes that the closed-form
-    inverse hands to np.linalg.inv; each with the number of those nodes."""
-    cases = [(_random_spd(dims, seed), 0) for seed in SEEDS]
+    """Random fields, a field of signed zeros, a field that is symmetric only
+    within the validation's tolerance, and last one of amplitude 0.6 with
+    nodes that the closed-form inverse hands to np.linalg.inv; each with the
+    number of those nodes."""
     n = len(dims)
     a = 0.6 * np.random.default_rng(3).standard_normal(tuple(dims) + (n, n))
     g = np.eye(n) + a @ np.swapaxes(a, -1, -2)
-    m = GridModel(n=n, dims=dims, period=(TWO_PI,) * n, g=0.5 * (g + np.swapaxes(g, -1, -2)))
-    return cases + [(m, int(np.sum(np.abs(m.g[..., 1, 0]) > np.abs(m.g[..., 0, 0]))))]
+    fields = [_random_spd(dims, seed).g for seed in SEEDS]
+    fields += [_signed_zero_field(dims), _asymmetric_field(dims),
+               0.5 * (g + np.swapaxes(g, -1, -2))]
+    models = [GridModel(n=n, dims=dims, period=(TWO_PI,) * n, g=f) for f in fields]
+    return [(m, int(np.sum(np.abs(m.g[..., 1, 0]) > np.abs(m.g[..., 0, 0])))) for m in models]
 
 
 @pytest.mark.parametrize("tau", [0.7, np.inf])
 def test_deturck_rhs_equals_its_einsum_spelling_bitwise(tau, monkeypatch):
     """The component-major DeTurck and tau-flow right-hand sides against the
     node-major einsum spelling, bit for bit (signed zeros too), on every shape
-    of SHAPES; the amplitude-0.6 field of each 2-D shape has pivoted nodes,
-    which the closed-form inverse hands to np.linalg.inv."""
+    of SHAPES: random fields, one with exact and signed zeros, one whose g_ij
+    and g_ji differ within the validation's tolerance, and one of amplitude
+    0.6, which in 2-D has pivoted nodes that the closed-form inverse hands to
+    np.linalg.inv."""
     real_inv = np.linalg.inv
     for dims in SHAPES:
         n = len(dims)
@@ -737,7 +771,7 @@ def test_2d_validation_rejects_what_eigvalsh_rejects(case):
     with pytest.raises(RejectedInputError) as oracle:
         _validate_spd_eigvalsh(g)
     with pytest.raises(RejectedInputError, match=str(oracle.value)):
-        geometry.validate_spd(g)
+        geometry.validate_spd(geometry.component_major(g, 2))
 
 
 def test_2d_validation_reads_the_smallest_eigenvalue():
@@ -747,4 +781,159 @@ def test_2d_validation_reads_the_smallest_eigenvalue():
         for seed in SEEDS:
             g = _random_spd(dims, seed).g
             oracle = _validate_spd_eigvalsh(g)
-            assert geometry.validate_spd(g) == pytest.approx(oracle, rel=1e-15, abs=0.0)
+            got = geometry.validate_spd(geometry.component_major(g, 2))
+            assert got == pytest.approx(oracle, rel=1e-15, abs=0.0)
+
+
+def _validate_spd_node_major(g):
+    """``validate_spd`` as it read node-major fields (g[..., i, j]) before it
+    read component-major planes: the oracle of the layout change."""
+    if not np.all(np.isfinite(g)):
+        raise RejectedInputError("metric field contains non-finite entries")
+    for i, j in combinations(range(g.shape[-1]), 2):
+        upper, lower = g[..., i, j], g[..., j, i]
+        if not np.all(np.abs(upper - lower)
+                      <= 1e-8 + 1e-5 * np.minimum(np.abs(upper), np.abs(lower))):
+            raise RejectedInputError("metric field is not symmetric")
+    if g.shape[-1] == 2:
+        a, b, d = g[..., 0, 0], g[..., 1, 0], g[..., 1, 1]
+        det = a * d - b * b
+        definite = a > 0
+        half_diff = 0.5 * (a - d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam_min = det / (0.5 * (a + d) + np.sqrt(half_diff * half_diff + b * b))
+    else:
+        eigs = np.linalg.eigvalsh(g)
+        det = np.prod(eigs, axis=-1)
+        definite = eigs[..., 0] > 0
+        lam_min = eigs[..., 0]
+    if np.any(det < geometry.DET_FLOOR):
+        raise RejectedInputError("metric determinant below degeneracy floor")
+    if not np.all(definite):
+        raise RejectedInputError("metric is not positive definite at some node")
+    return float(np.min(lam_min))
+
+
+# one node each, of a 3 x 3 metric; the asymmetric pairs pass np.isclose in
+# one order only, in the (0, 2) and (1, 2) pairs
+_BAD_3D_NODES = {
+    "upper-larger": [[1e4, 0.0, 1e3 + 1e-2 + 5e-8], [0.0, 1e4, 0.0], [1e3, 0.0, 1e4]],
+    "lower-larger": [[1e4, 0.0, 0.0], [0.0, 1e4, 1e3], [0.0, 1e3 + 1e-2 + 5e-8, 1e4]],
+    "det-floor": [[1e-5, 0.0, 0.0], [0.0, 1e-4, 0.0], [0.0, 0.0, 1e-4]],
+    "indefinite": [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "two-negative": [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -1.0]],  # det > 0
+    "negative-definite": [[-1.0, 0.5, 0.0], [0.5, -2.0, 0.0], [0.0, 0.0, -1.0]],
+    "non-finite": [[1.0, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 1.0]],
+}
+
+
+def _validation_fields():
+    """(name, node-major field) pairs: random fields of every shape of SHAPES,
+    and each one with a bad node of every kind in its dimension."""
+    for dims in SHAPES:
+        bad_nodes = _BAD_2D_NODES if len(dims) == 2 else _BAD_3D_NODES
+        for seed in SEEDS:
+            g = _random_spd(dims, seed).g
+            yield f"{dims} seed {seed}", g
+            for case, node in sorted(bad_nodes.items()):
+                bad = g.copy()
+                bad[(3,) * len(dims)] = node
+                yield f"{dims} seed {seed} {case}", bad
+
+
+def test_validation_on_planes_decides_as_on_nodes():
+    """validate_spd on component-major planes accepts and rejects exactly the
+    fields that its node-major form did, with the same message, and returns
+    the same smallest eigenvalue bitwise, in 2-D and in 3-D."""
+    outcomes = set()
+    for name, g in _validation_fields():
+        try:
+            want = _validate_spd_node_major(g)
+        except RejectedInputError as exc:
+            with pytest.raises(RejectedInputError) as got:
+                geometry.validate_spd(geometry.component_major(g, 2))
+            assert str(got.value) == str(exc), name
+            outcomes.add((g.ndim, str(exc)))
+            continue
+        assert geometry.validate_spd(geometry.component_major(g, 2)) == want, name
+        outcomes.add((g.ndim, "accepted"))
+    messages = {"accepted", "metric field contains non-finite entries",
+                "metric field is not symmetric", "metric determinant below degeneracy floor",
+                "metric is not positive definite at some node"}
+    assert outcomes == {(ndim, msg) for ndim in (4, 5) for msg in messages}
+
+
+# ---------------------------------------------------------------------------
+# the cached-field descriptor
+
+
+def test_each_derived_field_is_derived_once(curved_t2, monkeypatch):
+    """The kernels behind the cached fields run once per model, however often
+    a field is read; the fields sit in the instance dict, where the
+    descriptor, which defines no __set__, is not consulted again."""
+    calls = []
+    for name in ("inverse_metric", "christoffel", "_ricci_grid", "validate_spd"):
+        def counted(*args, _fn=getattr(geometry, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(geometry, name, counted)
+    m = curved_t2.with_metric(curved_t2.g)
+    for _ in range(3):
+        m.ginv, m.gamma, m.ric, m.min_eig, m.gamma_is_zero
+    assert sorted(calls) == ["_ricci_grid", "christoffel", "inverse_metric", "validate_spd"]
+    assert not hasattr(geometry.cached_field, "__set__")
+    assert {"min_eig", "g_cm", "ginv_cm", "gamma_cm", "ric_cm", "ginv", "gamma", "ric",
+            "gamma_is_zero"} <= vars(m).keys()
+    assert GridModel.flat(2, (8, 8)).gamma_is_zero  # a constant metric's Gamma is +0.0
+    assert m.gamma_is_zero is False
+    # a twin carries the metric alone, on grids and frames
+    assert set(vars(geometry.twin(m))) == {"n", "dims", "period", "g", "validate"}
+    frame = FrameModel.su2(a=(1.2, 1.0, 0.7))
+    frame.ric
+    assert set(vars(geometry.twin(frame))) == {"lams", "a", "base_volume"}
+
+
+def test_with_metric_checks_only_the_shape(curved_t2):
+    """A model built by with_metric keeps the grid's normalized dims and
+    period, holds the same attributes as one built by the constructor, and
+    checks the metric's shape and, when asked, its values."""
+    m = curved_t2.with_metric(curved_t2.g.tolist(), validate=False)
+    assert m.dims is curved_t2.dims and m.period is curved_t2.period
+    assert m.g.dtype == float and np.array_equal(m.g, curved_t2.g)
+    built = GridModel(n=m.n, dims=m.dims, period=m.period, g=m.g, validate=False)
+    assert vars(m) == {**vars(built), "g": m.g}
+    with pytest.raises(RejectedInputError, match=r"must have shape \(32, 32, 2, 2\)"):
+        curved_t2.with_metric(curved_t2.g[:8])
+    flipped = -curved_t2.g
+    assert curved_t2.with_metric(flipped, validate=False).g is flipped
+    with pytest.raises(RejectedInputError, match="not positive definite"):
+        curved_t2.with_metric(flipped)
+
+
+def test_frame_ricci_read_first_from_three_threads_is_one_value(monkeypatch):
+    """Three threads that read a frame's Ricci first at the same moment (each
+    held inside the derivation until all three are there, which a lock would
+    not allow) all return one value: the one stored first."""
+    barrier = threading.Barrier(3, timeout=10)
+    real = geometry._ricci_frame
+
+    def held(m):
+        barrier.wait()
+        return real(m)
+
+    monkeypatch.setattr(geometry, "_ricci_frame", held)
+    m = FrameModel.su2(a=(1.2, 1.0, 0.7))
+    got = [None] * 3
+
+    def read(i):
+        got[i] = m.ric
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert got[0] is got[1] is got[2] is m.ric
+    assert np.array_equal(_bits(got[0]), _bits(real(m)))
+    with pytest.raises(ValueError, match="read-only"):
+        got[0][...] = 0.0

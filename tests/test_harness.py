@@ -988,6 +988,19 @@ def test_cli_run_above_the_cfl_bound(tmp_path, monkeypatch, capsys, dt):
     assert verdicts["failed_stage"] == "flow"
 
 
+def test_cli_gauge_stage_above_the_cfl_bound(tmp_path, monkeypatch):
+    """The gauge flow splits each step of 0.5 to the 8^2 CFL bound, as the
+    metric flow halves it: the run with reconstruction ends in exit 0 with a
+    finite discrepancy, where the unsplit flow lost injectivity at t = 3.5."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    text = ("[model]\nkind = grid\ndims = 8,8\nrecipe = perturbed-flat\nseed = 0\n"
+            "[flow]\nvariant = deturck\ndt = 0.5\nt_end = 4\n[gauge]\nreconstruct = true\n")
+    assert cli.main(["run", _write_config(tmp_path, text)]) == cli.EXIT_OK
+    record, = tmp_path.glob("experiment-*/record.json")
+    disc = json.loads(record.read_text())["verdicts"]["gauge_discrepancy"]
+    assert isinstance(disc, float) and np.isfinite(disc)
+
+
 @pytest.mark.parametrize("error", [
     NumericalFailureError("spectrum: the operator's symbol has a non-finite entry"),
     StepRejectedError("step to t = 0.5 left the SPD cone"),
