@@ -79,6 +79,9 @@ def _cmd_plot(args) -> int:
         record = harness.RunRecord(**data)
     except TypeError as exc:  # not an object, or missing or unknown keys
         raise RejectedInputError(f"record file {record_path}: {exc}") from exc
+    if isinstance(record.trajectory_path, str):
+        # the run directory may have been copied or moved: its index sits beside the record
+        record.trajectory_path = str(record_path.parent / Path(record.trajectory_path).name)
     path = harness.emit_plotdata(record, args.quantity)
     print(path)
     return EXIT_OK

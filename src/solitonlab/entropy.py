@@ -20,6 +20,10 @@ model), a 1-d array (a polar-angle profile on a round frame model, used to
 resolve the concentration regime at small tau), or a grid scalar field.
 Each shape has one W: ``w_functional`` sums the same terms that the mu
 solver of that shape minimizes (``_grid_terms``, ``_radial_w``).
+
+The grid terms read the model's component-major fields (see ``geometry``)
+and add their products in the order einsum adds them over node-major
+operands, so they have the bits of their einsum spellings.
 """
 
 from __future__ import annotations
@@ -134,11 +138,11 @@ def _weights(model, f):
 def _grid_terms(model: GridModel, f, tau: float):
     """W = sum c u w A of a grid potential, with its per-node factors c,
     u = e^{-f}, the weights w, A = tau (|grad f|^2 + R) + f - n, and the
-    partials of f."""
+    partials of f, component-major."""
     c = _heat_factor(tau, model.n)
     w, _ = _weights(model, f)
     df = geometry.partials(model, f)
-    gsq = np.einsum("...ij,...i,...j->...", model.ginv, df, df)
+    gsq = geometry.pointwise_sq(model, df)
     R = geometry.scalar_curvature(model)
     u = np.exp(-f)
     A = tau * (gsq + R) + f - model.n
@@ -225,10 +229,9 @@ def soliton_defect(model, f, tau: float):
     """
     if isinstance(model, FrameModel):
         return model.ric - model.a / (2.0 * tau)
-    df = geometry.partials(model, f)
-    hess = (geometry.node_major(geometry.hessian(model, f), 2)
-            - np.einsum("...kij,...k->...ij", model.gamma, df))
-    return model.ric + hess - model.g / (2.0 * tau)
+    hess = geometry.hessian(model, f)
+    hess -= geometry.connection_term(model, geometry.partials(model, f))
+    return geometry.node_major(model.ric_cm + hess - model.g_cm / (2.0 * tau), 2)
 
 
 def weighted_defect_sq(model, f, tau: float) -> float:
@@ -241,7 +244,7 @@ def weighted_defect_sq(model, f, tau: float) -> float:
     if isinstance(model, FrameModel):
         mag_sq = float(np.sum((d / model.a) ** 2))
         return float(mag_sq * c * np.sum(np.exp(-fv) * w))
-    mag_sq = np.einsum("...ik,...jl,...ij,...kl->...", model.ginv, model.ginv, d, d)
+    mag_sq = geometry.pointwise_sq(model, geometry.component_major(d, 2))
     return float(np.sum(c * np.exp(-fv) * w * mag_sq))
 
 
@@ -314,9 +317,11 @@ def _w_and_grad(model: GridModel, f, tau):
     W, c, u, w, A, df = _grid_terms(model, f, tau)
     grad = c * u * w * (1.0 - A)
     # adjoint of the periodic central difference is its negative
-    s = 2.0 * tau * c * (u * w)[..., None] * np.einsum("...ij,...j->...i", model.ginv, df)
+    # g^{ij} d_j f: bitwise einsum("...ij,...j->...i")
+    gdf = geometry.lane_sum([model.ginv_cm[:, j] * df[j] for j in range(model.n)])
+    s = 2.0 * tau * c * (u * w) * gdf
     for l in range(model.n):
-        grad -= geometry.d1(s[..., l], axis=l, h=model.spacings[l])
+        grad -= geometry.d1(s[l], axis=l, h=model.spacings[l])
     return W, grad
 
 

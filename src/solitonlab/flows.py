@@ -15,7 +15,9 @@ function of the metric (``entropy.constant_potential``) and stored nowhere.
 The DeTurck right-hand side makes one geometry pass per evaluation: the
 model derives g^{-1}, Gamma(g) and Ricci once, component-major (see
 ``geometry``), and both Ricci and the gauge field V read them; the
-background's Gamma(h) is derived once per ``make_metric_rhs``.  A sampled
+background's Gamma(h) is derived once per ``make_metric_rhs``.  A velocity
+is returned node-major, as the metric it moves is stored: on a grid
+``rhs_unnormalized`` takes a node-major copy of ``ric_cm`` itself.  A sampled
 state's geometry is derived once too: its diagnostics read the working
 model, whose fields the next step's first stage reuses, and the trajectory
 stores a twin (``geometry.twin``), so stored states carry metrics only.
@@ -189,7 +191,9 @@ def rhs_tau_flow(model, tau: float):
 
 def rhs_unnormalized(model):
     """Metric velocity -2 Ric(g) of the unnormalized flow."""
-    return -2.0 * model.ric
+    if isinstance(model, FrameModel):
+        return -2.0 * model.ric
+    return geometry.node_major(-2.0 * model.ric_cm, 2)
 
 
 def rhs_deturck(m: GridModel, h: GridModel, tau: float):

@@ -9,13 +9,12 @@ times off its energy records.  The reference background h is always a
 constant (flat) metric in these coordinates, so its Christoffel symbols
 vanish and the map Laplacian needs no target-connection terms.
 
-F, and every field a function here takes or returns, is node-major.  Inside,
-the gauge flow's step kernels (``harmonic_map_rhs``, ``energy_density``,
-``is_injective``) and ``pullback_metric`` work on component-major planes
-(``g_cm``, ``ginv_cm``, ``gamma_cm`` and the partials of F; see
-``geometry``), and add their products in the order einsum adds them, so
-they return the bits of their node-major einsum spellings.  A 2-D gauge run
-derives no node-major ``ginv`` or ``gamma``.
+F, and every field a function here takes or returns, is node-major, except
+``deturck_vector``'s, which feeds the component-major flow right-hand side.
+Inside, every kernel works on component-major planes (``g_cm``,
+``ginv_cm``, ``gamma_cm`` and the partials of F; see ``geometry``), in 2-D
+and 3-D alike, and adds its products in the order einsum adds them, so it
+returns the bits of its node-major einsum spelling.
 """
 
 from __future__ import annotations
@@ -87,9 +86,8 @@ def is_injective(F: np.ndarray, h: GridModel) -> bool:
 
 
 def _jacobian_cm(F: np.ndarray, m: GridModel) -> np.ndarray:
-    """J[i, k] = d_i phi^k of phi = Id + F, component-major: bitwise the
-    node-major ``np.eye(n) + swapaxes(partials(m, F))``."""
-    dF = geometry.partials_cm(m, geometry.component_major(F, 1))  # dF[i, k] = d_i F^k
+    """J[i, k] = d_i phi^k = delta_ik + d_i F^k of phi = Id + F, component-major."""
+    dF = geometry.partials(m, geometry.component_major(F, 1))  # dF[i, k] = d_i F^k
     return np.eye(m.n).reshape((m.n, m.n) + (1,) * m.n) + dF
 
 
@@ -107,20 +105,10 @@ class EnergyRecord:
 
 
 def deturck_vector(g: GridModel, h: GridModel) -> np.ndarray:
-    """V^k = g^{pq} (Gamma^k_pq(g) - Gamma^k_pq(h)), component-major.
-
-    Bitwise ``einsum("...pq,...kpq->...k")`` of the node-major fields: in 2-D
-    its SIMD lanes add (p, q) = (0, 0), (1, 0) and (0, 1), (1, 1) apart; its
-    order for the 9 products of 3-D is not matched, so there it runs itself.
-    A Gamma(h) of +0.0 only, as a flat h has, is not subtracted.
-    """
-    if g.n == 2:
-        diff = g.gamma_cm if h.gamma_is_zero else g.gamma_cm - h.gamma_cm
-        x = g.ginv_cm * diff  # x[k, p, q]
-        return geometry.lane_sum([x[:, 0, 0], x[:, 0, 1], x[:, 1, 0], x[:, 1, 1]])
-    diff = g.gamma if h.gamma_is_zero else g.gamma - h.gamma
-    v = np.einsum("...pq,...kpq->...k", g.ginv, diff)
-    return geometry.component_major(v, 1)
+    """V^k = g^{pq} (Gamma^k_pq(g) - Gamma^k_pq(h)), component-major, by
+    ``geometry.trace``.  A Gamma(h) of +0.0 only, as a flat h has, is not
+    subtracted."""
+    return geometry.trace(g, g.gamma_cm if h.gamma_is_zero else g.gamma_cm - h.gamma_cm)
 
 
 # ---------------------------------------------------------------------------
@@ -133,26 +121,21 @@ def harmonic_map_rhs(F: np.ndarray, g: GridModel, h: GridModel) -> np.ndarray:
     rhs^k = g^{ij} (d2_ij F^k - Gamma^l_ij(g) d_l F^k) + g^{ij} (Gamma^k_ij(h)
     - Gamma^k_ij(g)); the last term is the forcing that vanishes when g = h.
     Bitwise the node-major spelling: einsum("...ij,...kij->...k") for the
-    g^{ij} d2_ij F^k term and the forcing (in 2-D their ``lane_sum``, as in
-    ``deturck_vector``), and einsum("...ij,...lij,...kl->...k") for the
+    g^{ij} d2_ij F^k term and the forcing (the lanes of ``geometry.trace``,
+    as in ``deturck_vector``), and einsum("...ij,...lij,...kl->...k") for the
     connection term, whose products (g^{ij} Gamma^l_ij) d_l F^k go over
     (l, i, j) row-major (``_einsum_sum``).
     """
     geometry.require_flat(h)
     n = g.n
     f = geometry.component_major(F, 1)  # f[k] = F^k
-    dF = geometry.partials_cm(g, f)  # dF[l, k] = d_l F^k
+    dF = geometry.partials(g, f)  # dF[l, k] = d_l F^k
     hess = geometry.hessian(g, f)  # hess[i, j, k] = d_i d_j F^k
     q = g.ginv_cm * g.gamma_cm  # q[l, i, j] = g^{ij} Gamma^l_ij
     pairs = list(itertools.product(range(n), repeat=2))
     conn = _einsum_sum([[q[l, i, j] * dF[l] for i, j in pairs] for l in range(n)], n)
-    if n == 2:
-        lap = geometry.lane_sum([g.ginv_cm[i, j] * hess[i, j] for i, j in pairs])
-        forcing = geometry.lane_sum([q[:, i, j] for i, j in pairs])
-    else:
-        hess = geometry.node_major(np.moveaxis(hess, 2, 0), 3)  # [..., k, i, j]
-        lap = geometry.component_major(np.einsum("...ij,...kij->...k", g.ginv, hess), 1)
-        forcing = geometry.component_major(np.einsum("...ij,...kij->...k", g.ginv, g.gamma), 1)
+    lap = geometry.lane_sum([g.ginv_cm[i, j] * hess[i, j] for i, j in pairs])
+    forcing = geometry.trace(g, g.gamma_cm)
     return geometry.node_major(lap - conn - forcing, 1)
 
 
@@ -250,7 +233,7 @@ def _substep_exponent(g: GridModel, dt: float, t: float) -> int:
 
 def energy_density(F: np.ndarray, g: GridModel, h: GridModel) -> np.ndarray:
     """e = g^{ij} h_kl d_i F^k d_j F^l, the gauge-displacement energy density."""
-    dF = geometry.partials_cm(g, geometry.component_major(F, 1))  # dF[i, k] = d_i F^k
+    dF = geometry.partials(g, geometry.component_major(F, 1))  # dF[i, k] = d_i F^k
     ginv, hg = g.ginv_cm, h.g_cm
     # summed over k, i, l, j in that order: bitwise einsum("...ij,...kl,...ki,...lj->...")
     return sum(ginv[i, j] * hg[k, l] * dF[i, k] * dF[j, l]

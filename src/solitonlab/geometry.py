@@ -13,39 +13,31 @@ Two backgrounds are supported:
   (the metric) on a uniform grid.  All derivative operators are second-order
   central differences with periodic wraparound.
 
-Grid fields are plain numpy arrays, stored one of two ways.  Node-major
-fields put the grid axes first: scalars have shape ``dims``, vectors
-``dims + (n,)`` and symmetric 2-tensors ``dims + (n, n)``.  This is the layout
-of ``GridModel.g``, of the public derived fields ``ginv``, ``gamma`` and
-``ric``, and of every function not named below.
-
-The flow's right-hand side, the gauge flow's step kernels and the norms run
-on component-major fields, which put the component axes first: ``(n,) +
-dims``, ``(n, n) + dims``, and ``(n, n, n) + dims`` for Christoffel symbols.
-Each component is then one contiguous grid plane, so every elementwise
-operation walks a whole plane in its inner loop instead of the 2 or 3
-entries of one node.  These are ``GridModel.g_cm``, ``ginv_cm``,
-``gamma_cm`` and ``ric_cm``, and what ``inverse_metric``, ``christoffel``,
-``partials_cm``, ``hessian``, ``lower_vector``, ``covd_oneform`` and
-``lie_derivative_metric`` take and return; ``norms`` reads ``ginv_cm``.  The
-public ``ginv``, ``gamma`` and ``ric`` are node-major copies of them
-(``node_major``), made on first use, for the readers that still contract
-node-major fields: the entropy code, ``scalar_curvature`` (a sampled state's
-diagnostics), ``divergence`` and ``covd_tensor`` (the divergence gauge
-fix's residual) and the 3-D gauge einsums.  They read the same bytes, and
-sum them in the same order, as the node-major code whose numbers the
-benchmark's reference fingerprints hold; the copies go when those are
-regenerated.
+Grid fields are plain numpy arrays, stored one way inside the geometry:
+component-major, with the component axes first.  Scalars have shape
+``dims``, vectors ``(n,) + dims``, symmetric 2-tensors ``(n, n) + dims`` and
+Christoffel symbols ``(n, n, n) + dims``, so each component is one
+contiguous grid plane and every elementwise operation walks a whole plane in
+its inner loop instead of the 2 or 3 entries of one node.  The derived
+fields ``GridModel.g_cm``, ``ginv_cm``, ``gamma_cm`` and ``ric_cm`` have
+this layout, and so does every field that ``inverse_metric``,
+``christoffel``, ``partials``, ``hessian``, ``lower_vector``, ``trace``,
+``connection_term``, ``covd_oneform``, ``covd_tensor``,
+``lie_derivative_metric`` and ``pointwise_sq`` take and return.  Node-major arrays, with the grid axes first (``dims + (n, n)``), are
+left at the boundary: the stored metric ``GridModel.g``, and what
+``divergence``, ``laplacian_scalar``, ``scalar_curvature`` and ``norms`` take
+and return.
 
 Validation (``validate_spd``, which ``GridModel.min_eig`` runs) reads the
 component-major planes of ``g_cm`` as well: the geometry reads them next.
 
-The hot contractions over the n <= 3 component axes are sums of broadcast
-products, added in the order ``einsum`` adds them, so they equal its result
-bitwise.  A sum that ``einsum`` reduces along contiguous entries it adds in
-SIMD lanes (``lane_sum``); one whose order could not be matched, the
-two-operand contractions of the 3-D gauge kernels, stays an ``einsum`` over
-node-major operands.
+The contractions over the n <= 3 component axes are sums of broadcast
+products, added in the order numpy's ``einsum`` adds them over node-major
+operands, so they equal its result bitwise.  A contiguous run of products
+it adds in SIMD lanes (``lane_sum``); a strided or multi-operand
+contraction one term after the other from +0.0 (``_sum_in_order``,
+``pointwise_sq``).  The lane order is that of numpy's baseline SIMD on
+x86-64, two float64 lanes.
 
 A model's derived fields are ``cached_field``s: each is computed on first
 read and kept in the instance ``__dict__``, where later reads find it
@@ -144,11 +136,10 @@ class GridModel:
 
     ``g`` has shape ``dims + (n, n)`` and must be symmetric positive definite
     at every node.  Index arithmetic wraps modulo ``dims``.  Validation keeps
-    the smallest eigenvalue of g as ``min_eig``.  The derived fields ``ginv``,
-    ``gamma``, ``ric`` and ``sqrt_det``, and the component-major ``g_cm``,
-    ``ginv_cm``, ``gamma_cm`` and ``ric_cm`` (see the module docstring), are
-    computed once, on first use, and are read-only: a model is never written
-    to in place.
+    the smallest eigenvalue of g as ``min_eig``.  The derived fields, the
+    component-major ``g_cm``, ``ginv_cm``, ``gamma_cm`` and ``ric_cm`` (see the
+    module docstring) and the density ``sqrt_det``, are computed once, on first
+    use, and are read-only: a model is never written to in place.
     """
 
     n: int
@@ -217,21 +208,6 @@ class GridModel:
         """Whether every Christoffel symbol is +0.0, as on a constant metric:
         then subtracting them changes no bit."""
         return not self.gamma_cm.view(np.int64).any()
-
-    @cached_field
-    def ginv(self) -> np.ndarray:
-        """Inverse metric g^{ij}."""
-        return _read_only(node_major(self.ginv_cm, 2))
-
-    @cached_field
-    def gamma(self) -> np.ndarray:
-        """Christoffel symbols Gamma[..., k, i, j]."""
-        return _read_only(node_major(self.gamma_cm, 3))
-
-    @cached_field
-    def ric(self) -> np.ndarray:
-        """Ricci tensor field."""
-        return _read_only(node_major(self.ric_cm, 2))
 
     @cached_field
     def sqrt_det(self) -> np.ndarray:
@@ -423,12 +399,6 @@ def d2(f: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def partials(m: GridModel, f: np.ndarray) -> np.ndarray:
-    """Stack of first partials, indexed by a trailing axis: out[..., l] = d_l f."""
-    hs = m.spacings
-    return np.stack([d1(f, axis=l, h=hs[l]) for l in range(m.n)], axis=-1)
-
-
-def partials_cm(m: GridModel, f: np.ndarray) -> np.ndarray:
     """Stack of first partials of a component-major field, indexed by a
     leading axis: out[l] = d_l f, each bitwise ``d1``."""
     lead = f.ndim - m.n
@@ -546,7 +516,7 @@ def _fma(a, b, c):
 
 def christoffel(m: GridModel) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] of the grid metric, component-major."""
-    dg = partials_cm(m, m.g_cm)  # dg[l, i, j] = d_l g_ij
+    dg = partials(m, m.g_cm)  # dg[l, i, j] = d_l g_ij
     # term[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     term = _leading(dg, 2, 0, 1) + _leading(dg, 2, 1, 0)
     term -= dg
@@ -581,7 +551,7 @@ def _ricci_frame(m: FrameModel) -> np.ndarray:
 def _ricci_grid(m: GridModel) -> np.ndarray:
     """Ricci tensor R[i, j] of the grid metric, component-major."""
     gamma = m.gamma_cm
-    dgamma = partials_cm(m, gamma)  # dgamma[l, k, i, j] = d_l Gamma^k_ij
+    dgamma = partials(m, gamma)  # dgamma[l, k, i, j] = d_l Gamma^k_ij
     # k summed in order over diagonal views, whose last axis is k: bitwise
     # einsum("...kijk->...ij") and einsum("...kkji->...ij") of the node-major
     # dgamma[..., k, i, j, l]
@@ -589,7 +559,8 @@ def _ricci_grid(m: GridModel) -> np.ndarray:
     r -= _sum_in_order(dgamma.diagonal(0, 1, 2), axis=-1)  # d_l Gamma^k_kj, l as i
     # the Gamma.Gamma terms summed over (k, l), k outer and l inner: bitwise
     # einsum("...kkl,...lij->...ij") and einsum("...kil,...lkj->...ij")
-    diag = np.einsum("kkl...->kl...", gamma)  # a view: diag[k, l] = Gamma^k_kl
+    diag = gamma.diagonal(0, 0, 1)  # diag[l, ..., k] = Gamma^k_kl
+    diag = diag.transpose(_rotation(diag.ndim, diag.ndim - 1))  # a view: diag[k, l]
     r += _sum_in_order(_pairs(diag[:, :, None, None] * gamma[None]))
     r -= _sum_in_order(_pairs(_leading(gamma, 0, 2, 1)[:, :, :, None]  # Gamma^k_il
                               * _leading(gamma, 1, 0, 2)[:, :, None, :]))  # Gamma^l_kj
@@ -616,7 +587,7 @@ def scalar_curvature(m):
     """Scalar curvature: a scalar field on a grid, a real on a frame model."""
     if isinstance(m, FrameModel):
         return float(np.sum(m.ric / m.a))
-    return np.einsum("...ij,...ij->...", m.ginv, m.ric)
+    return trace(m, m.ric_cm)
 
 
 # ---------------------------------------------------------------------------
@@ -624,12 +595,26 @@ def scalar_curvature(m):
 
 
 def lane_sum(terms):
-    """The sum of a list of 2 to 4 arrays in the order ``einsum`` adds a
-    contiguous run of that many products: its SIMD reduction adds the
-    even-numbered terms and the odd-numbered ones apart, then the two sums,
-    then the zero it started from (so an exact zero sum is +0.0)."""
-    even, odd = terms[0::2], terms[1::2]
-    return 0.0 + (sum(even[1:], even[0]) + sum(odd[1:], odd[0]))
+    """The sum of a list of at least 2 arrays in the order ``einsum`` adds a
+    contiguous run of that many products: its SIMD loop adds the even- and
+    the odd-numbered terms in two lanes, each whole block of 8 last to first
+    (it is unrolled four vectors deep) and the rest in order, then the two
+    lanes, then the zero it started from (so an exact zero sum is +0.0)."""
+    lanes, blocks = [None, None], len(terms) - len(terms) % 8
+    order = [k for s in range(0, blocks, 8) for k in range(s + 7, s - 1, -1)]
+    for k in order + list(range(blocks, len(terms))):
+        lanes[k % 2] = terms[k] if lanes[k % 2] is None else terms[k] + lanes[k % 2]
+    return 0.0 + (lanes[0] + lanes[1])
+
+
+def trace(m: GridModel, t: np.ndarray) -> np.ndarray:
+    """g^{ij} t_ij over the last two component axes of the component-major
+    ``t`` (shape ``lead + (n, n) + dims``), returned with the shape ``lead +
+    dims``: bitwise einsum("...ij,...kij->...k") of the node-major fields,
+    whose products g^{ij} t_kij run contiguous over (i, j) row-major."""
+    x = m.ginv_cm * t
+    grid = (slice(None),) * m.n
+    return lane_sum([x[(Ellipsis, i, j) + grid] for i, j in product(range(m.n), repeat=2)])
 
 
 def lower_vector(m: GridModel, v: np.ndarray) -> np.ndarray:
@@ -641,27 +626,34 @@ def lower_vector(m: GridModel, v: np.ndarray) -> np.ndarray:
 def covd_oneform(m: GridModel, w: np.ndarray) -> np.ndarray:
     """Covariant derivative of a 1-form, component-major in and out:
     out[i, j] = nabla_i w_j."""
-    dw = partials_cm(m, w)  # dw[i, j] = d_i w_j
-    # k summed in order: bitwise einsum("...kij,...k->...ij")
-    dw -= _sum_in_order(m.gamma_cm * w[:, None, None])
+    dw = partials(m, w)  # dw[i, j] = d_i w_j
+    dw -= connection_term(m, w)
     return dw
 
 
+def connection_term(m: GridModel, w: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij w_k of a 1-form, component-major in and out, k summed in
+    order: bitwise einsum("...kij,...k->...ij")."""
+    return _sum_in_order(m.gamma_cm * w[:, None, None])
+
+
 def covd_tensor(m: GridModel, t: np.ndarray) -> np.ndarray:
-    """Covariant derivative of a (0,2)-tensor: out[..., l, i, j] = nabla_l T_ij."""
-    dt = partials(m, t)  # dt[..., i, j, l] = d_l T_ij
-    out = np.einsum("...ijl->...lij", dt)
-    gamma, idx = m.gamma, range(m.n)
-    # Gamma's upper index summed in order: bitwise einsum("...mli,...mj->...lij") and
-    # einsum("...mlj,...im->...lij")
-    out -= sum(gamma[..., p, :, :, None] * t[..., p, None, None, :] for p in idx)
-    out -= sum(gamma[..., p, :, None, :] * t[..., None, :, p, None] for p in idx)
+    """Covariant derivative of a (0,2)-tensor, component-major in and out:
+    out[l, i, j] = nabla_l T_ij."""
+    out = partials(m, t)  # out[l, i, j] = d_l T_ij
+    gamma = m.gamma_cm
+    # Gamma's upper index m summed in order: bitwise einsum("...mli,...mj->...lij")
+    # and einsum("...mlj,...im->...lij")
+    out -= _sum_in_order(gamma[:, :, :, None] * t[:, None, None, :])
+    out -= _sum_in_order(gamma[:, :, None, :] * _leading(t, 1, 0)[:, None, :, None])
     return out
 
 
 def divergence(m: GridModel, t: np.ndarray) -> np.ndarray:
-    """Divergence (delta T)_j = -g^{ik} nabla_i T_kj, returned as a 1-form."""
-    return -np.einsum("...ik,...ikj->...j", m.ginv, covd_tensor(m, t))
+    """Divergence (delta T)_j = -g^{ik} nabla_i T_kj of a node-major
+    (0,2)-tensor, returned as a node-major 1-form."""
+    nabla = covd_tensor(m, component_major(t, 2))  # nabla[i, k, j]
+    return node_major(-trace(m, _leading(nabla, 2, 0, 1)), 1)
 
 
 def lie_derivative_metric(m: GridModel, v: np.ndarray) -> np.ndarray:
@@ -673,8 +665,9 @@ def lie_derivative_metric(m: GridModel, v: np.ndarray) -> np.ndarray:
 
 def laplacian_scalar(m: GridModel, f: np.ndarray) -> np.ndarray:
     """Rough Laplacian g^{ij} nabla_i nabla_j f of a scalar field."""
-    hess = node_major(hessian(m, f), 2) - np.einsum("...kij,...k->...ij", m.gamma, partials(m, f))
-    return np.einsum("...ij,...ij->...", m.ginv, hess)
+    hess = hessian(m, f)
+    hess -= connection_term(m, partials(m, f))
+    return trace(m, hess)
 
 
 # ---------------------------------------------------------------------------
@@ -689,14 +682,15 @@ class NormReport:
     sup: float
 
 
-def _pointwise_sq(m: GridModel, f: np.ndarray) -> np.ndarray:
-    """Squared pointwise magnitude of a scalar, 1-form or (0,2)-tensor field."""
+def pointwise_sq(m: GridModel, f: np.ndarray) -> np.ndarray:
+    """Squared pointwise magnitude of a component-major scalar, 1-form or
+    (0,2)-tensor field."""
     extra = f.ndim - len(m.dims)
     if extra == 0:
         return f**2
     if extra > 2:
         raise RejectedInputError("fields with more than two component axes are not supported")
-    ginv, f, idx = m.ginv_cm, component_major(f, extra), range(m.n)
+    ginv, idx = m.ginv_cm, range(m.n)
     # products left to right, added from +0.0 in row-major index order: bitwise
     # einsum("...ij,...i,...j->...") and einsum("...ik,...jl,...ij,...kl->...")
     if extra == 1:
@@ -724,6 +718,6 @@ def norms(m: GridModel, f: np.ndarray) -> NormReport:
 
     The pointwise magnitude contracts the field's lower indices with g^{-1}.
     """
-    base_sq = _pointwise_sq(m, f)
+    base_sq = pointwise_sq(m, component_major(f, f.ndim - len(m.dims)))
     l2 = float(np.sqrt(np.sum(base_sq * m.sqrt_det) * np.prod(m.spacings)))
     return NormReport(l2=l2, sup=float(np.sqrt(np.max(base_sq))))

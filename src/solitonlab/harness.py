@@ -132,6 +132,8 @@ def parse_config(text: str) -> RunConfig:
             if key not in _SCHEMA[sec]:
                 _fail(f"{sec}.{key}", "unknown key")
             setattr(cfg, key, _parse_value(f"{sec}.{key}", getattr(cfg, key), raw))
+    if cfg.kind == "grid" and not parser.has_option("model", "period"):
+        cfg.period = (2.0 * np.pi,) * len(cfg.dims)  # a 2 pi torus along every axis
     validate_config(cfg)
     return cfg
 
@@ -147,8 +149,11 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.seed < 0:
         _fail("model.seed", "must be a non-negative integer")
     if cfg.kind == "grid":
-        if len(cfg.dims) != len(cfg.period) or len(cfg.dims) not in (2, 3):
-            _fail("model.dims", "need 2 or 3 axes, and one period per axis")
+        if len(cfg.dims) not in (2, 3):
+            _fail("model.dims", "need 2 or 3 axes")
+        if len(cfg.period) != len(cfg.dims):
+            _fail("model.period", f"need one period per axis: {len(cfg.period)} periods "
+                  f"for {len(cfg.dims)} axes")
         if any(d < 8 for d in cfg.dims):
             _fail("model.dims", "each grid dimension must be at least 8")
         if np.prod(cfg.dims, dtype=float) > MAX_GRID_NODES:

@@ -98,7 +98,7 @@ def test_deturck_rhs_equals_its_unfused_terms(n, dims, tau):
     m = _wavy_grid(n, dims)
     h = GridModel.flat(n, dims)
     v = gauge.deturck_vector(m, h)  # component-major, as the Lie derivative takes it
-    expected = -2.0 * m.ric + geometry.node_major(
+    expected = -2.0 * geometry.node_major(m.ric_cm, 2) + geometry.node_major(
         geometry.lie_derivative_metric(m, v), 2)
     if np.isfinite(tau):
         expected = expected + m.g / tau
@@ -296,7 +296,7 @@ def test_singular_stage_is_a_rejected_step_that_halving_recovers(monkeypatch):
     """An RK4 stage metric that cannot be inverted is a rejected step naming
     its time, not a ``LinAlgError``: at dt = 0.01 the first half stage of
     g' = -200 g is the zero metric, at dt = 0.005 it is g/2."""
-    singular_at_dt = lambda m: -2.0 * m.g / 0.01 + 0.0 * m.ginv
+    singular_at_dt = lambda m: -2.0 * m.g / 0.01 + 0.0 * geometry.node_major(m.ginv_cm, 2)
     flat = GridModel.flat(2, (8, 8))
     with pytest.raises(StepRejectedError, match="t = 0.01 met a singular stage metric"):
         flows.step(FlowState(0.0, flat), singular_at_dt, 0.01)

@@ -143,7 +143,7 @@ def test_injectivity_proxy_rejects_a_node_of_zero_determinant(dims):
     step = h.spacings[0]
     F = np.zeros(dims + (n,))
     F[1, ..., 0], F[-1, ..., 0] = -step, step
-    assert np.all(np.linalg.det(np.eye(n) + geometry.partials(h, F))[0] == 0.0)
+    assert np.all(np.linalg.det(np.eye(n) + _node_major_partials(h, F))[0] == 0.0)
     assert not gauge.is_injective(F, h)
     assert gauge.is_injective((1.0 - 2.0**-20) * F, h)
 
@@ -174,7 +174,7 @@ def test_injectivity_proxy_rejects_folds(dims, axes):
                 shear[tuple(at) + (comp,)] = sign * A * step
         for F in (stretch, shear):
             assert gauge.is_injective(F, h) == injective
-            sign = np.min(np.linalg.det(np.eye(n) + geometry.partials(h, F))) > 0.0
+            sign = np.min(np.linalg.det(np.eye(n) + _node_major_partials(h, F))) > 0.0
             assert sign == injective
 
 
@@ -455,6 +455,11 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def _node_major_partials(m, f):
+    """out[..., l] = d_l f of a node-major field: the einsum spellings' operand."""
+    return np.stack([geometry.d1(f, axis=l, h=m.spacings[l]) for l in range(m.n)], axis=-1)
+
+
 def _node_major_hessian(m, F):
     """out[..., k, i, j] = d_i d_j F^k: compact stencils on the diagonal, and
     off it the central difference along the lower axis of the one along the
@@ -473,8 +478,9 @@ def test_energy_density_equals_its_einsum_spelling_bitwise(dims):
     """The unrolled energy density adds its terms in einsum's order (k, i, l, j)."""
     for seed in (0, 1, 2):
         g, h, F = _random_pair(dims, seed)
-        dF = geometry.partials(g, F)
-        oracle = np.einsum("...ij,...kl,...ki,...lj->...", g.ginv, h.g, dF, dF)
+        dF = _node_major_partials(g, F)
+        ginv = geometry.node_major(g.ginv_cm, 2)
+        oracle = np.einsum("...ij,...kl,...ki,...lj->...", ginv, h.g, dF, dF)
         assert np.array_equal(_bits(gauge.energy_density(F, g, h)), _bits(oracle))
 
 
@@ -484,9 +490,10 @@ def test_harmonic_map_rhs_equals_its_einsum_spelling_bitwise(dims):
     node-major einsum spelling does, bit for bit (signed zeros too)."""
     for seed in (0, 1, 2):
         g, h, F = _random_pair(dims, seed)
-        lap = np.einsum("...ij,...kij->...k", g.ginv, _node_major_hessian(g, F))
-        lap -= np.einsum("...ij,...lij,...kl->...k", g.ginv, g.gamma, geometry.partials(g, F))
-        oracle = lap + -np.einsum("...ij,...kij->...k", g.ginv, g.gamma)
+        ginv, gamma = geometry.node_major(g.ginv_cm, 2), geometry.node_major(g.gamma_cm, 3)
+        lap = np.einsum("...ij,...kij->...k", ginv, _node_major_hessian(g, F))
+        lap -= np.einsum("...ij,...lij,...kl->...k", ginv, gamma, _node_major_partials(g, F))
+        oracle = lap + -np.einsum("...ij,...kij->...k", ginv, gamma)
         assert np.array_equal(_bits(gauge.harmonic_map_rhs(F, g, h)), _bits(oracle))
 
 
@@ -496,7 +503,7 @@ def test_pullback_metric_equals_its_einsum_spelling_bitwise(dims):
     component-major sums equal the node-major einsum spelling bit for bit."""
     for seed in (0, 1, 2):
         g, _, F = _random_pair(dims, seed)
-        J = np.eye(g.n) + np.swapaxes(geometry.partials(g, F), -1, -2)
+        J = np.eye(g.n) + np.swapaxes(_node_major_partials(g, F), -1, -2)
         pts = np.mod(gauge.coords_array(g) + F, np.array(g.period))
         g_at = gauge.interp_periodic(g.g, pts, g.dims, g.period)
         out = np.einsum("...ik,...jl,...kl->...ij", J, J, g_at)

@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
-from solitonlab import flows, geometry
+from solitonlab import entropy, flows, geometry
 from solitonlab.errors import NumericalFailureError, RejectedInputError
 from solitonlab.geometry import FrameModel, GridModel
 
@@ -73,7 +73,7 @@ def _sup_error(field, exact_fn, X, Y):
 
 
 def ricci(m):
-    return m.ric
+    return geometry.node_major(m.ric_cm, 2)
 
 
 @pytest.mark.parametrize("op,key", [
@@ -131,7 +131,7 @@ def test_d1_symbol_is_the_symbol_of_d1(dims):
 def test_flat_metric_curvature_vanishes_exactly():
     m = GridModel.flat(2, (16, 16), (TWO_PI, TWO_PI))
     assert np.max(np.abs(geometry.christoffel(m))) == 0.0
-    assert np.max(np.abs(m.ric)) == 0.0
+    assert np.max(np.abs(m.ric_cm)) == 0.0
     assert np.max(np.abs(geometry.scalar_curvature(m))) == 0.0
 
 
@@ -242,7 +242,7 @@ def test_divergence_is_adjoint_of_lie_derivative(curved_t2):
     T[..., 1, 1] = np.sin(Y)
     T[..., 0, 1] = T[..., 1, 0] = 0.1 * np.sin(X) * np.sin(Y)
     dV = np.prod(m.spacings) * np.sqrt(np.linalg.det(m.g))
-    ginv = m.ginv
+    ginv = geometry.node_major(m.ginv_cm, 2)
     delta_t = geometry.divergence(m, T)
     V_cm = geometry.component_major(V, 1)
     lhs = np.sum(np.einsum("...ij,...i,...j->...", ginv, delta_t,
@@ -389,12 +389,13 @@ def test_derived_fields_are_cached_and_read_only(curved_t2):
     assert np.array_equal(m.gamma_cm, geometry.christoffel(m))
     assert np.array_equal(m.ric_cm, geometry._ricci_grid(m))
     assert np.array_equal(m.sqrt_det, np.sqrt(np.linalg.det(m.g)))
-    for cm, nm, k in ((m.g_cm, m.g, 2), (m.ginv_cm, m.ginv, 2), (m.gamma_cm, m.gamma, 3),
-                      (m.ric_cm, m.ric, 2)):
-        assert nm.shape == m.dims + (m.n,) * k and nm.flags.c_contiguous
-        assert np.array_equal(cm, geometry.component_major(nm, k))
+    assert np.array_equal(m.g_cm, geometry.component_major(m.g, 2))
+    for cm, k in ((m.g_cm, 2), (m.ginv_cm, 2), (m.gamma_cm, 3), (m.ric_cm, 2)):
+        assert cm.shape == (m.n,) * k + m.dims and cm.flags.c_contiguous
+    # the geometry keeps one layout: no node-major copy of a derived field
+    assert not any(hasattr(m, name) for name in ("ginv", "gamma", "ric"))
     frame = FrameModel.su2(a=(1.2, 1.0, 0.7))
-    grid_fields = ("ginv", "gamma", "ric", "sqrt_det", "g_cm", "ginv_cm", "gamma_cm", "ric_cm")
+    grid_fields = ("sqrt_det", "g_cm", "ginv_cm", "gamma_cm", "ric_cm")
     for model, names in ((m, grid_fields), (frame, ("ric",))):
         for name in names:
             field = getattr(model, name)
@@ -405,11 +406,11 @@ def test_derived_fields_are_cached_and_read_only(curved_t2):
 
 def test_twin_shares_the_metric_and_none_of_the_fields(curved_t2):
     m = curved_t2.with_metric(curved_t2.g)
-    m.ric
+    m.ric_cm
     t = geometry.twin(m)
-    assert t.g is m.g and not {"ginv", "gamma", "ric", "sqrt_det", "g_cm", "ginv_cm",
-                               "gamma_cm", "ric_cm"} & vars(t).keys()
-    assert np.array_equal(t.ric, m.ric)
+    assert t.g is m.g and not {"sqrt_det", "g_cm", "ginv_cm", "gamma_cm",
+                               "ric_cm"} & vars(t).keys()
+    assert np.array_equal(t.ric_cm, m.ric_cm)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +446,20 @@ def _einsum_ricci(m, gamma):
     return 0.5 * (r + np.swapaxes(r, -1, -2))
 
 
+def _node_major_partials(m, f):
+    """out[..., l] = d_l f of a node-major field: the einsum spellings' operand."""
+    return np.stack([geometry.d1(f, axis=l, h=m.spacings[l]) for l in range(m.n)], axis=-1)
+
+
+def _node_major_fields(m):
+    """Node-major copies of the inverse metric, the Christoffel symbols and
+    the Ricci tensor of a grid model: the einsum spellings' operands."""
+    return (geometry.node_major(m.ginv_cm, 2), geometry.node_major(m.gamma_cm, 3),
+            geometry.node_major(m.ric_cm, 2))
+
+
 def _einsum_covd_tensor(m, gamma, t):
-    out = np.einsum("...ijl->...lij", geometry.partials(m, t))
+    out = np.einsum("...ijl->...lij", _node_major_partials(m, t))
     out -= np.einsum("...mli,...mj->...lij", gamma, t)
     out -= np.einsum("...mlj,...im->...lij", gamma, t)
     return out
@@ -458,10 +471,12 @@ def test_unrolled_curvature_contractions_equal_einsum_bitwise(dims):
     component products in einsum's order, so they equal its result bitwise."""
     for seed in SEEDS:
         m = _random_spd(dims, seed)
-        assert np.array_equal(m.gamma, _einsum_christoffel(m, np.linalg.inv(m.g)))
-        assert np.array_equal(m.ric, _einsum_ricci(m, m.gamma))
+        _, gamma, ric = _node_major_fields(m)
+        assert np.array_equal(gamma, _einsum_christoffel(m, np.linalg.inv(m.g)))
+        assert np.array_equal(ric, _einsum_ricci(m, gamma))
         t = _random_spd(dims, seed + 10).g
-        assert np.array_equal(geometry.covd_tensor(m, t), _einsum_covd_tensor(m, m.gamma, t))
+        got = geometry.covd_tensor(m, geometry.component_major(t, 2))
+        assert np.array_equal(geometry.node_major(got, 3), _einsum_covd_tensor(m, gamma, t))
 
 
 @pytest.mark.parametrize("dims", SHAPES, ids=lambda d: "x".join(map(str, d)))
@@ -473,17 +488,19 @@ def test_pointwise_magnitude_equals_its_einsum_spelling_bitwise(dims):
         m = _random_spd(dims, seed)
         rng = np.random.default_rng(seed + 10)
         w, t = rng.standard_normal(dims + (n,)), rng.standard_normal(dims + (n, n))
-        assert np.array_equal(_bits(geometry._pointwise_sq(m, w)),
-                              _bits(np.einsum("...ij,...i,...j->...", m.ginv, w, w)))
-        assert np.array_equal(_bits(geometry._pointwise_sq(m, t)),
-                              _bits(np.einsum("...ik,...jl,...ij,...kl->...", m.ginv, m.ginv, t, t)))
+        ginv = geometry.node_major(m.ginv_cm, 2)
+        assert np.array_equal(_bits(geometry.pointwise_sq(m, geometry.component_major(w, 1))),
+                              _bits(np.einsum("...ij,...i,...j->...", ginv, w, w)))
+        assert np.array_equal(_bits(geometry.pointwise_sq(m, geometry.component_major(t, 2))),
+                              _bits(np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, t, t)))
 
 
-@pytest.mark.parametrize("length", [2, 3, 4])
+@pytest.mark.parametrize("length", [2, 3, 4, 5, 6, 7, 8, 9, 16, 27])
 def test_summation_helpers_add_in_einsums_order(length):
     """lane_sum and _sum_in_order against the einsum contractions they stand
     for: products of a wide range of magnitudes, where another order rounds
-    differently, and products that are all -0.0, whose einsum sum is +0.0."""
+    differently, and products that are all -0.0, whose einsum sum is +0.0.
+    From 8 terms on einsum's loop adds whole blocks of 8 in its unrolled order."""
     rng = np.random.default_rng(length)
     a, b = (rng.standard_normal((500, length)) * 2.0 ** rng.integers(-30, 30, (500, length))
             for _ in range(2))
@@ -503,7 +520,7 @@ def _einsum_rhs_deturck(m, h, tau):
     gamma = _einsum_christoffel(m, ginv)
     v = np.einsum("...pq,...kpq->...k", ginv, gamma - _einsum_christoffel(h, np.linalg.inv(h.g)))
     w = np.einsum("...ij,...j->...i", m.g, v)
-    dw = np.einsum("...ji->...ij", geometry.partials(m, w))
+    dw = np.einsum("...ji->...ij", _node_major_partials(m, w))
     dw = dw - np.einsum("...kij,...k->...ij", gamma, w)
     out = -2.0 * _einsum_ricci(m, gamma) + (dw + np.swapaxes(dw, -1, -2))
     return out + m.g / tau if np.isfinite(tau) else out
@@ -576,6 +593,66 @@ def test_deturck_rhs_equals_its_einsum_spelling_bitwise(tau, monkeypatch):
             assert np.array_equal(_bits(flows.rhs_tau_flow(geometry.twin(m), tau)),
                                   _bits(oracle))
         assert n_pivoted > 0 or n == 3  # the amplitude-0.6 field has pivoted nodes
+
+
+def _einsum_covariant_hessian(m, f):
+    """d_i d_j f - Gamma^k_ij d_k f of a scalar field, node-major, with the
+    connection term spelled as einsum."""
+    _, gamma, _ = _node_major_fields(m)
+    hess = geometry.node_major(geometry.hessian(m, f), 2)
+    return hess - np.einsum("...kij,...k->...ij", gamma, _node_major_partials(m, f))
+
+
+def _einsum_w_and_grad(m, f, tau):
+    """The grid entropy W of a potential and its gradient, every contraction
+    spelled as a node-major einsum."""
+    ginv, _, ric = _node_major_fields(m)
+    c = entropy._heat_factor(tau, m.n)
+    w = m.sqrt_det * np.prod(m.spacings)
+    df = _node_major_partials(m, f)
+    u = np.exp(-f)
+    A = tau * (np.einsum("...ij,...i,...j->...", ginv, df, df)
+               + np.einsum("...ij,...ij->...", ginv, ric)) + f - m.n
+    grad = c * u * w * (1.0 - A)
+    s = 2.0 * tau * c * (u * w)[..., None] * np.einsum("...ij,...j->...i", ginv, df)
+    for l in range(m.n):
+        grad -= geometry.d1(s[..., l], axis=l, h=m.spacings[l])
+    return float(np.sum(c * u * w * A)), grad
+
+
+@pytest.mark.parametrize("dims", SHAPES, ids=lambda d: "x".join(map(str, d)))
+def test_grid_readers_equal_their_node_major_einsum_spelling_bitwise(dims):
+    """Scalar curvature, the covariant derivative and the divergence of a
+    2-tensor, the rough Laplacian, the soliton defect and its weighted square,
+    and the grid entropy with its gradient against their node-major einsum
+    spellings, bit for bit (signed zeros too): on the fields of _rhs_cases,
+    with a 2-tensor of exact and signed zeros and a potential that is
+    constant along the first axis on half the grid, so that its partials
+    there are exact zeros."""
+    n, tau = len(dims), 0.7
+    f = 0.1 * np.random.default_rng(7).standard_normal(dims)
+    f[:dims[0] // 2] = f[:1]
+    t = _signed_zero_field(dims)
+    for m, _ in _rhs_cases(dims):
+        ginv, gamma, ric = _node_major_fields(m)
+        assert np.array_equal(_bits(geometry.scalar_curvature(m)),
+                              _bits(np.einsum("...ij,...ij->...", ginv, ric)))
+        nabla = _einsum_covd_tensor(m, gamma, t)
+        got = geometry.covd_tensor(m, geometry.component_major(t, 2))
+        assert np.array_equal(_bits(geometry.node_major(got, 3)), _bits(nabla))
+        assert np.array_equal(_bits(geometry.divergence(m, t)),
+                              _bits(-np.einsum("...ik,...ikj->...j", ginv, nabla)))
+        hess = _einsum_covariant_hessian(m, f)
+        assert np.array_equal(_bits(geometry.laplacian_scalar(m, f)),
+                              _bits(np.einsum("...ij,...ij->...", ginv, hess)))
+        defect = ric + hess - m.g / (2.0 * tau)
+        assert np.array_equal(_bits(entropy.soliton_defect(m, f, tau)), _bits(defect))
+        mag_sq = np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, defect, defect)
+        c, w = entropy._heat_factor(tau, n), m.sqrt_det * np.prod(m.spacings)
+        assert entropy.weighted_defect_sq(m, f, tau) == float(np.sum(c * np.exp(-f) * w * mag_sq))
+        W, grad = entropy._w_and_grad(m, f, tau)
+        W_want, grad_want = _einsum_w_and_grad(m, f, tau)
+        assert W == W_want and np.array_equal(_bits(grad), _bits(grad_want))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -708,7 +785,8 @@ def test_inverse_metric_is_lapack_inv_bitwise(dims):
     np.linalg.inv's bits, signed zeros included."""
     for seed in SEEDS:
         for m, _ in _inverse_cases(dims, seed):
-            assert np.array_equal(_bits(m.ginv), _bits(np.linalg.inv(m.g)))
+            ginv = geometry.node_major(m.ginv_cm, 2)
+            assert np.array_equal(_bits(ginv), _bits(np.linalg.inv(m.g)))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -879,10 +957,10 @@ def test_each_derived_field_is_derived_once(curved_t2, monkeypatch):
         monkeypatch.setattr(geometry, name, counted)
     m = curved_t2.with_metric(curved_t2.g)
     for _ in range(3):
-        m.ginv, m.gamma, m.ric, m.min_eig, m.gamma_is_zero
+        m.ginv_cm, m.gamma_cm, m.ric_cm, m.min_eig, m.gamma_is_zero
     assert sorted(calls) == ["_ricci_grid", "christoffel", "inverse_metric", "validate_spd"]
     assert not hasattr(geometry.cached_field, "__set__")
-    assert {"min_eig", "g_cm", "ginv_cm", "gamma_cm", "ric_cm", "ginv", "gamma", "ric",
+    assert {"min_eig", "g_cm", "ginv_cm", "gamma_cm", "ric_cm",
             "gamma_is_zero"} <= vars(m).keys()
     assert GridModel.flat(2, (8, 8)).gamma_is_zero  # a constant metric's Gamma is +0.0
     assert m.gamma_is_zero is False

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +106,8 @@ def test_parse_rejects_unknown_section_and_key():
     ("[model]\nperiod = inf,6.0\n", "model.period"),
     ("[model]\nperiod = nan,6.0\n", "model.period"),
     ("[model]\nperiod = -6.0,6.0\n", "model.period"),
+    ("[model]\ndims = 8,8,8\nperiod = 6.0,6.0\n", "model.period"),
+    ("[model]\nperiod = 6.0,6.0,6.0\n", "model.period"),
     ("[stability]\neps_neutral = -1\n", "stability.eps_neutral"),
     ("[stability]\neps_neutral = nan\n", "stability.eps_neutral"),
     ("[stability]\neps_neutral = inf\n", "stability.eps_neutral"),
@@ -207,6 +210,16 @@ def test_config_text_and_digest_are_stable():
         "40273bf2c407c2f5", "e39492ea032f918c")
     bench = _perfbench_configs()
     assert len(bench) == 110 and _format_hash(bench) == "a881888d3636fa10"
+
+
+def test_grid_config_without_a_period_is_a_2pi_torus(tmp_path, capsys):
+    """A grid config that gives no period has period 2 pi along every axis of
+    its dims: a config holding only ``dims = 8,8,8`` runs the spectrum of the
+    8^3 torus (exit 0, the six metric components' constant modes neutral)."""
+    assert harness.parse_config("[model]\ndims = 8,8,8\n").period == (2.0 * np.pi,) * 3
+    assert harness.parse_config("[model]\ndims = 8,8\n").period == RunConfig().period
+    assert cli.main(["spectrum", _write_config(tmp_path, "[model]\ndims = 8,8,8\n")]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["counts"]["neutral"] == 6
 
 
 def test_schema_lists_every_config_field_once():
@@ -1209,6 +1222,38 @@ def test_cli_spectrum_and_plot(tmp_path, monkeypatch, capsys):
     assert cli.main(["plot", record_path, "norm"]) == cli.EXIT_OK
     plot_path = capsys.readouterr().out.strip()
     assert plot_path.endswith("plot-norm.dat")
+
+
+def test_plot_reads_the_trajectory_beside_the_record(tmp_path, monkeypatch, capsys):
+    """``plot`` reads the index beside the record file it is given and writes
+    its table there, whatever trajectory path the run stored (relative to the
+    directory the run started in, here): a copy of a run directory is plotted
+    from its own index into itself, from a directory holding another run
+    under the stored path, and once the original is gone."""
+    monkeypatch.delenv(harness.OUTPUT_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    record = harness.run_experiment(harness.parse_config(GRID_CONFIG))
+    stored = Path(record.trajectory_path)
+    assert not stored.is_absolute()
+    rows = sum('"deviation_l2"' in line for line in stored.read_text().splitlines())
+    original, copy = tmp_path / stored.parent, tmp_path / "copy"
+    shutil.copytree(original, copy)
+    # another directory whose runs/ holds, under the stored path, an index of no samples
+    other = tmp_path / "other"
+    (other / stored.parent).mkdir(parents=True)
+    (other / stored).write_text(stored.read_text().splitlines()[0] + "\n")
+
+    def plot_copy_from(cwd):
+        monkeypatch.chdir(cwd)
+        assert cli.main(["plot", str(copy / "record.json"), "norm"]) == cli.EXIT_OK
+        plot = Path(capsys.readouterr().out.strip())
+        assert plot == copy / "plot-norm.dat"
+        assert len(plot.read_text().splitlines()) == 1 + rows > 2
+        assert not list(other.rglob("plot-*")) and not list(original.glob("plot-*"))
+
+    plot_copy_from(other)
+    shutil.rmtree(original)
+    plot_copy_from(tmp_path)
 
 
 @pytest.mark.parametrize("text", [README_CONFIG, THREE_D_CONFIG], ids=["readme", "8x8x8"])
