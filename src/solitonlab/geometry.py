@@ -130,6 +130,17 @@ class FrameModel:
         return _read_only(_ricci_frame(self))
 
 
+def check_grid(n: int, dims: tuple, period: tuple) -> None:
+    """Reject the grid parameters no ``GridModel`` takes: other than 2 or 3
+    axes, ``dims`` or ``period`` of another length, under 8 points per axis."""
+    if n not in (2, 3):
+        raise RejectedInputError("grid models support n = 2 or 3")
+    if len(dims) != n or len(period) != n:
+        raise RejectedInputError("dims and period must have length n")
+    if any(d < 8 for d in dims):
+        raise RejectedInputError("grid needs at least 8 points per axis")
+
+
 @dataclass(frozen=True)
 class GridModel:
     """Periodic-grid model: a metric tensor field on a flat torus.
@@ -152,12 +163,7 @@ class GridModel:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "period", tuple(float(p) for p in self.period))
         object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
-        if self.n not in (2, 3):
-            raise RejectedInputError("grid models support n = 2 or 3")
-        if len(self.dims) != self.n or len(self.period) != self.n:
-            raise RejectedInputError("dims and period must have length n")
-        if any(d < 8 for d in self.dims):
-            raise RejectedInputError("grid needs at least 8 points per axis")
+        check_grid(self.n, self.dims, self.period)
         self._check_metric()
 
     def _check_metric(self):

@@ -17,9 +17,15 @@ file's name, the run's tau, the model kind and its scalar parameters:
 ``dims``/``period`` or ``lams``/``base_volume``), then one sample line per
 state, its t and its diagnostics; the gauge stage appends its energy lines.
 The array file holds the stacked float64 metric arrays, under ``g`` (grid)
-or ``a`` (frame), so loading round-trips bitwise.  A coupled run's potential
-is not stored: it is ``entropy.constant_potential`` of each metric at the
-header's tau.  Plot data reads the index alone.
+or ``a`` (frame), so loading round-trips bitwise.  A grid metric is stored
+as its n(n+1)/2 upper-triangle components, in ``geometry.sym_components``
+order (shape ``(samples,) + dims + (n(n+1)/2,)``), when every metric of the
+trajectory is exactly symmetric, as a flow's are; otherwise, and in stores
+written before this layout, as the full ``dims + (n, n)`` matrices.  A
+coupled run's potential is not stored: it is ``entropy.constant_potential``
+of each metric at the header's tau.  Plot data reads the index alone, and
+``record.json`` names the index and the spectral document by their file
+names, since they sit beside it.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import numpy as np
 
 from . import entropy, flows, gauge, stability
 from .errors import RejectedInputError
-from .geometry import FrameModel, GridModel
+from .geometry import FrameModel, GridModel, check_grid, sym_components
 
 OUTPUT_ENV_VAR = "SOLITONLAB_OUTPUT"
 MAX_GRID_NODES = 2**20  # a DeTurck step peaks near 1.3 kB per node: 1.4 GB at most
@@ -90,7 +96,13 @@ class RunRecord:
     wall_clock: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, default=str)
+        """The record as ``record.json`` holds it: its paths are file names,
+        since the files sit beside it in the run directory."""
+        doc = asdict(self)
+        for key in ("trajectory_path", "spectral_path"):
+            if doc[key] is not None:
+                doc[key] = Path(doc[key]).name
+        return json.dumps(doc, indent=2, default=str)
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +296,35 @@ def _model_fields(model) -> dict:
     return {"model": "grid", "dims": list(model.dims), "period": list(model.period)}
 
 
+def _stored_metrics(traj) -> np.ndarray:
+    """What the array file holds of a grid trajectory's metrics: each one's
+    n(n+1)/2 upper-triangle components, in ``sym_components`` order, when
+    every metric is exactly symmetric (compared as int64, so a -0.0 facing a
+    +0.0 is not), else the full n x n matrices.  The triangles are gathered
+    one component at a time, so the full stack is never held beside them."""
+    gs = [s.model.g for s in traj.states]
+    pairs = sym_components(gs[0].shape[-1])
+    triangles = np.empty((len(gs),) + gs[0].shape[:-2] + (len(pairs),))
+    for c, (i, j) in enumerate(pairs):
+        upper = np.stack([g[..., i, j] for g in gs], out=triangles[..., c])
+        if i < j and not np.array_equal(np.stack([g[..., j, i] for g in gs]).view(np.int64),
+                                        upper.view(np.int64)):
+            return np.stack(gs)
+    return triangles
+
+
 def save_trajectory(traj, path) -> None:
     """Write ``traj`` as the JSONL index ``path`` plus its ``.npz`` arrays."""
     arrays_path = _arrays_path(path)
     shared = _model_fields(traj.states[0].model)
     if any(_model_fields(s.model) != shared for s in traj.states):
         raise RejectedInputError("a saved trajectory's states must share one model")
-    key = "a" if shared["model"] == "frame" else "g"
+    if shared["model"] == "frame":
+        arrays = {"a": traj.metric_series()}
+    else:
+        arrays = {"g": _stored_metrics(traj)}
     with open(arrays_path, "wb") as fh:
-        np.savez(fh, **{key: traj.metric_series()})
+        np.savez(fh, **arrays)
     with open(path, "w") as fh:
         fh.write(json.dumps({"kind": "header", "convention": traj.convention,
                              "arrays": arrays_path.name,
@@ -360,11 +392,18 @@ def load_trajectory(path):
     """Read back what ``save_trajectory`` wrote, bitwise: each state from the
     header and one row of the array file.
 
+    A grid store's ``g`` holds each metric's upper triangle (shape ``dims +
+    (n(n+1)/2,)`` per sample, see ``save_trajectory``) or, in a store of
+    metrics not exactly symmetric or written before triangles were stored,
+    the full ``dims + (n, n)`` matrix; the number of axes tells the two
+    apart, and a triangle is mirrored into the lower one bit for bit.
+
     An array file that is missing, or whose arrays (an older store's ``f``
     too, whose values are not read) do not each hold one row per sample
-    line, is rejected naming the file.  A header whose model rejects its
-    parameters (``dims`` of other than 2 or 3 axes or under 8 points per
-    axis, a ``period`` of another length) is rejected naming line 1.
+    line, or whose ``g`` fits the header's dims in neither layout, is
+    rejected naming the file.  A header whose model rejects its parameters
+    (``dims`` of other than 2 or 3 axes or under 8 points per axis, a
+    ``period`` of another length) is rejected naming line 1.
     """
     path = Path(path)
     header, *lines = _read_index(path)
@@ -376,18 +415,35 @@ def load_trajectory(path):
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise RejectedInputError(f"{path}: cannot read its array file {arrays_path}: {exc}") from exc
     key = "a" if header["model"] == "frame" else "g"
-    if key not in arrays or any(len(v) != len(samples) for v in arrays.values()):
+    if key not in arrays or any(v.shape[:1] != (len(samples),) for v in arrays.values()):
         raise RejectedInputError(f"{arrays_path}: does not hold one {key!r} array per "
                                  f"sample line of {path} ({len(samples)} samples)")
+    rows = arrays[key]
+    if key == "g":
+        dims, period = tuple(header["dims"]), tuple(header["period"])
+        n = len(dims)
+        try:
+            check_grid(n, dims, period)
+        except RejectedInputError as exc:
+            raise RejectedInputError(f"{path}, line 1: {exc}") from exc
+        pairs = sym_components(n)
+        if rows.shape[1:] == dims + (len(pairs),):
+            i, j = zip(*pairs)
+            full = np.empty(rows.shape[:-1] + (n, n))
+            full[..., i, j] = full[..., j, i] = rows
+            rows = full
+        elif rows.shape[1:] != dims + (n, n):
+            raise RejectedInputError(
+                f"{arrays_path}: 'g' of shape {rows.shape} holds neither the triangles "
+                f"{dims + (len(pairs),)} nor the matrices {dims + (n, n)} of the grid of {path}")
     traj = flows.Trajectory(convention=header["convention"],
                             tau=np.inf if header["tau"] is None else header["tau"])
-    for rec, row in zip(samples, arrays[key]):
+    for rec, row in zip(samples, rows):
         try:
             if key == "a":
                 model = FrameModel(lams=header["lams"], a=row, base_volume=header["base_volume"])
             else:
-                model = GridModel(n=len(header["dims"]), dims=tuple(header["dims"]),
-                                  period=tuple(header["period"]), g=row, validate=False)
+                model = GridModel(n=n, dims=dims, period=period, g=row, validate=False)
         except RejectedInputError as exc:
             raise RejectedInputError(f"{path}, line 1: {exc}") from exc
         traj.append(flows.FlowState(t=rec["t"], model=model),

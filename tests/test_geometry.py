@@ -20,10 +20,19 @@ TWO_PI = 2.0 * np.pi
 # symbolic oracle: a generic smooth periodic metric on T^2
 
 
+def _grid_function(coords, components, shape):
+    """The symbolic ``components`` (row-major, of a tensor of ``shape``)
+    evaluated on whole coordinate grids: a function of X, Y returning the
+    node-major field of shape ``X.shape + shape``."""
+    f = sp.lambdify(coords, components, "numpy")
+    return lambda X, Y: np.stack([np.broadcast_to(c, X.shape) for c in f(X, Y)],
+                                 axis=-1).reshape(X.shape + shape)
+
+
 @pytest.fixture(scope="module")
 def symbolic_t2_oracle():
     """Christoffel, Ricci, and scalar curvature of a non-trivial periodic
-    metric, computed symbolically and lambdified for pointwise comparison."""
+    metric, computed symbolically and lambdified for comparison on grids."""
     x, y = sp.symbols("x y", real=True)
     u = sp.Rational(1, 10) * sp.sin(x) * sp.cos(y)
     v = sp.Rational(1, 20) * sp.cos(x + y)
@@ -32,44 +41,39 @@ def symbolic_t2_oracle():
     ginv = g.inv()
     coords = (x, y)
     n = 2
-    gamma = [[[sp.simplify(sum(ginv[k, l] * (sp.diff(g[l, i], coords[j])
-                                             + sp.diff(g[l, j], coords[i])
-                                             - sp.diff(g[i, j], coords[l])) / 2
-                               for l in range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    gamma = [[[sum(ginv[k, l] * (sp.diff(g[l, i], coords[j])
+                                 + sp.diff(g[l, j], coords[i])
+                                 - sp.diff(g[i, j], coords[l])) / 2
+                   for l in range(n))
                for j in range(n)] for i in range(n)] for k in range(n)]
     ric = sp.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            term = sum(sp.diff(gamma[k][i][j], coords[k]) for k in range(n))
-            term -= sum(sp.diff(gamma[k][k][j], coords[i]) for k in range(n))
-            term += sum(gamma[k][k][l] * gamma[l][i][j]
-                        for k in range(n) for l in range(n))
-            term -= sum(gamma[k][i][l] * gamma[l][k][j]
-                        for k in range(n) for l in range(n))
-            ric[i, j] = term
-    scal = sum(ginv[i, j] * ric[i, j] for i in range(n) for j in range(n))
+    for i, j in pairs:
+        term = sum(sp.diff(gamma[k][i][j], coords[k]) for k in range(n))
+        term -= sum(sp.diff(gamma[k][k][j], coords[i]) for k in range(n))
+        term += sum(gamma[k][k][l] * gamma[l][i][j]
+                    for k in range(n) for l in range(n))
+        term -= sum(gamma[k][i][l] * gamma[l][k][j]
+                    for k in range(n) for l in range(n))
+        ric[i, j] = term
+    scal = sum(ginv[i, j] * ric[i, j] for i, j in pairs)
     return {
-        "metric": sp.lambdify((x, y), g, "numpy"),
-        "gamma": sp.lambdify((x, y), sp.Array(gamma), "numpy"),
-        "ricci": sp.lambdify((x, y), ric, "numpy"),
-        "scalar": sp.lambdify((x, y), scal, "numpy"),
+        "metric": _grid_function(coords, [g[i, j] for i, j in pairs], (n, n)),
+        "gamma": _grid_function(coords, [gamma[k][i][j] for k in range(n) for i, j in pairs],
+                                (n, n, n)),
+        "ricci": _grid_function(coords, [ric[i, j] for i, j in pairs], (n, n)),
+        "scalar": _grid_function(coords, [scal], ()),
     }
 
 
 def _oracle_grid(oracle, nside):
     m = GridModel.flat(2, (nside, nside), (TWO_PI, TWO_PI))
     X, Y = m.coords()
-    gm = np.empty(m.g.shape)
-    for idx in np.ndindex(nside, nside):
-        gm[idx] = oracle["metric"](X[idx], Y[idx])
-    return m.with_metric(gm), X, Y
+    return m.with_metric(oracle["metric"](X, Y)), X, Y
 
 
 def _sup_error(field, exact_fn, X, Y):
-    err = 0.0
-    for idx in np.ndindex(X.shape):
-        err = max(err, np.max(np.abs(field[idx] - np.asarray(exact_fn(X[idx], Y[idx])))))
-    return err
+    return np.max(np.abs(field - exact_fn(X, Y)))
 
 
 def ricci(m):

@@ -315,6 +315,123 @@ def test_trajectory_round_trip_grid_potential(tmp_path):
         assert npz.files == ["g"]
 
 
+def _bits(series):
+    return series.view(np.int64)
+
+
+def _grid_config(dims, variant, tau, dt="0.01", t_end="0.03"):
+    return (f"[model]\nkind = grid\ndims = {dims}\nseed = 3\n[flow]\nvariant = {variant}\n"
+            f"tau = {tau}\ndt = {dt}\nt_end = {t_end}\n[stability]\nanalyze = false\n")
+
+
+@pytest.mark.parametrize("config", [
+    _grid_config("8,8", "tau", "inf"),
+    _grid_config("8,8", "tau", "0.5"),
+    _grid_config("8,8", "deturck", "inf"),
+    _grid_config("8,8", "deturck", "0.5"),
+    _grid_config("8,8,8", "tau", "inf"),
+    _grid_config("8,8,8", "tau", "0.5"),
+    _grid_config("8,8,8", "deturck", "inf"),
+    _grid_config("8,8,8", "deturck", "0.5"),
+    _grid_config("8,8", "deturck", "inf", dt="0.5", t_end="4"),
+], ids=["2d-tau-inf", "2d-tau-0.5", "2d-deturck-inf", "2d-deturck-0.5", "3d-tau-inf",
+        "3d-tau-0.5", "3d-deturck-inf", "3d-deturck-0.5", "2d-deturck-dt-0.5-halved"])
+def test_every_stored_flow_metric_is_exactly_symmetric(tmp_path, monkeypatch, config):
+    """A flow keeps g_ij and g_ji equal bit for bit, in 2-D and 3-D, on
+    either variant, at finite and infinite tau, and through the halved steps
+    of an 8^2 run at dt 0.5; so a run stores each metric's n(n+1)/2 upper
+    triangle, and every state loads back with the flow's int64 view."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    cfg = harness.parse_config(config)
+    traj = harness.integrate_flow(cfg)
+    bits = _bits(traj.metric_series())
+    assert np.array_equal(bits, np.swapaxes(bits, -1, -2))
+    record = harness.run_experiment(cfg)
+    n = len(cfg.dims)
+    with np.load(Path(record.trajectory_path).with_suffix(".npz")) as npz:
+        assert npz["g"].shape == (len(traj.states),) + cfg.dims + (n * (n + 1) // 2,)
+    back = harness.load_trajectory(record.trajectory_path)
+    assert np.array_equal(_bits(back.metric_series()), bits)
+    assert [s.t for s in back.states] == [s.t for s in traj.states]
+
+
+def _flat_trajectory(g_of):
+    """A 3-state tau trajectory on the flat 8^2 grid whose state k has the
+    metric ``g_of(k, flat metric)``."""
+    flat = GridModel.flat(2, (8, 8))
+    traj = flows.Trajectory(convention="tau", tau=1.0)
+    for k in range(3):
+        traj.append(flows.FlowState(t=0.1 * k, model=flat.with_metric(g_of(k, flat.g.copy()))),
+                    {})
+    return traj
+
+
+def _scaled(k, g):
+    g[..., 0, 0] += 0.01 * k
+    return g
+
+
+def _asymmetric(k, g):
+    g = _scaled(k, g)
+    if k == 2:
+        g[3, 4, 0, 1] += 1e-9  # within validate_spd's 1e-5 symmetry tolerance
+    return g
+
+
+def _signed_zero(k, g):
+    if k == 1:
+        g[5, 2, 1, 0] = -0.0  # g_01 stays +0.0: equal as floats, not as bits
+    return g
+
+
+@pytest.mark.parametrize("g_of,layout", [
+    (_scaled, (3,)),
+    (_asymmetric, (2, 2)),
+    (_signed_zero, (2, 2)),
+], ids=["symmetric-triangles", "asymmetric-within-tolerance", "signed-zero-pair"])
+def test_grid_store_round_trips_bitwise_in_either_layout(tmp_path, g_of, layout):
+    """A store of exactly symmetric metrics holds their triangles; one whose
+    metrics are not all symmetric bit for bit (an off-diagonal pair 1e-9
+    apart, or -0.0 facing +0.0) keeps the full matrices.  Each loads back
+    with equal int64 views."""
+    traj = _flat_trajectory(g_of)
+    path = tmp_path / "traj.jsonl"
+    harness.save_trajectory(traj, path)
+    with np.load(tmp_path / "traj.npz") as npz:
+        assert npz.files == ["g"] and npz["g"].shape == (3, 8, 8) + layout
+    back = harness.load_trajectory(path)
+    assert np.array_equal(_bits(back.metric_series()), _bits(traj.metric_series()))
+    assert not back.states[1].model.validate  # loading re-validates no metric
+
+
+def test_store_of_the_full_layout_written_before_triangles_loads_bitwise(tmp_path):
+    """An older store holds every grid metric as its full matrix, symmetric
+    ones too: it loads as it did."""
+    traj = _flat_trajectory(_scaled)
+    path = tmp_path / "traj.jsonl"
+    harness.save_trajectory(traj, path)
+    np.savez(tmp_path / "traj.npz", g=traj.metric_series())
+    back = harness.load_trajectory(path)
+    assert np.array_equal(_bits(back.metric_series()), _bits(traj.metric_series()))
+
+
+@pytest.mark.parametrize("shape", [(3, 8, 8, 4), (3, 8, 8, 2), (3, 8, 8, 2, 3), (3, 8, 8, 6),
+                                   (3, 8, 8)], ids=lambda s: "x".join(map(str, s)))
+def test_grid_arrays_of_neither_layout_are_rejected_naming_the_array_file(tmp_path, shape):
+    """A ``g`` whose trailing shape fits the header's dims neither as
+    triangles nor as matrices is a fault of the array file, not of the
+    header: it is rejected naming the array file."""
+    traj = _flat_trajectory(_scaled)
+    path = tmp_path / "traj.jsonl"
+    harness.save_trajectory(traj, path)
+    arrays = tmp_path / "traj.npz"
+    np.savez(arrays, g=np.ones(shape))
+    with pytest.raises(RejectedInputError, match=re.escape(
+            f"{arrays}: 'g' of shape {shape} holds neither the triangles (8, 8, 3) nor the "
+            f"matrices (8, 8, 2, 2) of the grid of {path}")):
+        harness.load_trajectory(path)
+
+
 ROOT = Path(__file__).resolve().parent.parent
 README_CONFIG = (ROOT / "examples.ini").read_text()
 
@@ -329,7 +446,8 @@ def test_examples_ini_is_the_readme_config():
 
 def test_readme_trajectory_keeps_its_arrays_out_of_the_index(tmp_path, monkeypatch):
     """The README run's index holds scalars only; its 201 metrics sit in the
-    array file as one float64 stack."""
+    array file as one float64 stack of their upper triangles (g_00, g_01,
+    g_11): the flow keeps every metric exactly symmetric."""
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
     record = harness.run_experiment(harness.parse_config(README_CONFIG))
     index = Path(record.trajectory_path)
@@ -342,7 +460,7 @@ def test_readme_trajectory_keeps_its_arrays_out_of_the_index(tmp_path, monkeypat
     with np.load(index.with_suffix(".npz")) as npz:
         assert npz.files == ["g"]
         g = npz["g"]
-    assert g.dtype == np.float64 and g.shape == (201, 16, 16, 2, 2)
+    assert g.dtype == np.float64 and g.shape == (201, 16, 16, 3)
     assert index.stat().st_size <= 41_000
     assert index.with_suffix(".npz").stat().st_size < g.nbytes + 1_000
 
@@ -403,6 +521,9 @@ def test_trajectory_without_its_arrays_is_rejected_by_name(tmp_path):
     np.savez(arrays, a=traj.metric_series(), f=np.full(4, np.nan))
     assert np.array_equal(harness.load_trajectory(path).metric_series(), traj.metric_series())
     np.savez(arrays, a=traj.metric_series(), f=np.zeros(3))
+    with pytest.raises(RejectedInputError, match="does not hold one 'a' array per"):
+        harness.load_trajectory(path)
+    np.savez(arrays, a=np.float64(4.4))  # an array of no axes has no rows
     with pytest.raises(RejectedInputError, match="does not hold one 'a' array per"):
         harness.load_trajectory(path)
     harness.save_trajectory(traj, path)
@@ -817,7 +938,8 @@ def test_rate_fit_error_fails_the_stability_stage(tmp_path, monkeypatch):
     doc = json.loads((out_dir / "record.json").read_text())
     assert doc["verdicts"]["failed_stage"] == "stability"
     assert doc["verdicts"]["factor_two_holds"] is True  # reached before the fit
-    assert doc["spectral_path"] == str(out_dir / "spectral.json")
+    assert doc["spectral_path"] == "spectral.json"  # a name: the file sits beside the record
+    assert doc["trajectory_path"] == "trajectory.jsonl"
     assert json.loads((out_dir / "spectral.json").read_text())["counts"]["neutral"] == 3
     assert harness.parse_config((out_dir / "config.ini").read_text()) == cfg
 
