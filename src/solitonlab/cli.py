@@ -60,7 +60,8 @@ def _cmd_entropy(args) -> int:
 def _cmd_gauge_check(args) -> int:
     cfg = _load_config(args.config)
     harness.flat_background(cfg)  # reject a frame config before its flow is integrated
-    disc, energy = harness.gauge_reconstruction(cfg, harness.integrate_flow(cfg))
+    with harness.GaugePartner(cfg) as partner:
+        disc, energy = harness.gauge_reconstruction(cfg, harness.integrate_flow(cfg), partner)
     print(f"max sup-discrepancy (tau-flow pullback vs deturck): {disc:.6e}")
     if energy:
         print(f"final gauge energy: {energy[-1].E:.6e} (sup density {energy[-1].e_sup:.6e})")

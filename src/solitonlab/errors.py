@@ -1,5 +1,7 @@
 """Exception types shared across the package: a failing run raises a
-``RejectedInputError`` (exit 2) or a ``NumericalFailureError`` (exit 3)."""
+``RejectedInputError`` (exit 2) or a ``NumericalFailureError`` (exit 3).
+Every type pickles with what it carries, so a failure in a forked child
+reaches its parent as itself."""
 
 
 class RejectedInputError(ValueError):
@@ -27,6 +29,10 @@ class GaugeBreakdownError(NumericalFailureError):
     def __init__(self, message: str, time: float):
         super().__init__(message)
         self.time = time
+
+    def __reduce__(self):
+        # the default passes only the message back to __init__, which needs the time too
+        return type(self), (*self.args, self.time), self.__dict__
 
 
 class NonConvergenceError(NumericalFailureError):

@@ -33,7 +33,9 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import multiprocessing
 import os
+import threading
 import time
 import zipfile
 from dataclasses import asdict, dataclass, replace
@@ -400,10 +402,12 @@ def load_trajectory(path):
 
     An array file that is missing, or whose arrays (an older store's ``f``
     too, whose values are not read) do not each hold one row per sample
-    line, or whose ``g`` fits the header's dims in neither layout, is
+    line, or whose ``g`` fits the header's dims in neither layout, or whose
+    ``a`` rows are not three coefficients each, all positive and finite, is
     rejected naming the file.  A header whose model rejects its parameters
     (``dims`` of other than 2 or 3 axes or under 8 points per axis, a
-    ``period`` of another length) is rejected naming line 1.
+    ``period`` of another length, ``lams`` of other than three constants) is
+    rejected naming line 1.
     """
     path = Path(path)
     header, *lines = _read_index(path)
@@ -419,7 +423,13 @@ def load_trajectory(path):
         raise RejectedInputError(f"{arrays_path}: does not hold one {key!r} array per "
                                  f"sample line of {path} ({len(samples)} samples)")
     rows = arrays[key]
-    if key == "g":
+    if key == "a":
+        if len(header["lams"]) != 3:
+            raise RejectedInputError(f"{path}, line 1: structure constants must have shape (3,)")
+        if rows.shape[1:] != (3,):
+            raise RejectedInputError(f"{arrays_path}: 'a' of shape {rows.shape} does not hold "
+                                     f"three metric coefficients per sample of {path}")
+    else:
         dims, period = tuple(header["dims"]), tuple(header["period"])
         n = len(dims)
         try:
@@ -438,14 +448,14 @@ def load_trajectory(path):
                 f"{dims + (len(pairs),)} nor the matrices {dims + (n, n)} of the grid of {path}")
     traj = flows.Trajectory(convention=header["convention"],
                             tau=np.inf if header["tau"] is None else header["tau"])
-    for rec, row in zip(samples, rows):
+    for number, (rec, row) in enumerate(zip(samples, rows)):
         try:
             if key == "a":
                 model = FrameModel(lams=header["lams"], a=row, base_volume=header["base_volume"])
             else:
                 model = GridModel(n=n, dims=dims, period=period, g=row, validate=False)
-        except RejectedInputError as exc:
-            raise RejectedInputError(f"{path}, line 1: {exc}") from exc
+        except RejectedInputError as exc:  # a frame's coefficients out of range
+            raise RejectedInputError(f"{arrays_path}, sample {number}: {exc}") from exc
         traj.append(flows.FlowState(t=rec["t"], model=model),
                     {k: v for k, v in rec.items() if k not in ("kind", "t")})
     return traj
@@ -465,23 +475,125 @@ def integrate_flow(cfg: RunConfig) -> flows.Trajectory:
                           sample_every=cfg.sample_every)
 
 
-def gauge_reconstruction(cfg: RunConfig, traj: flows.Trajectory):
-    """The gauge stage: max sup-discrepancy of the gauge transport, plus the
-    energy records.
-
-    ``traj`` is the run's flow (``integrate_flow(cfg)``).  Its partner, the
-    DeTurck flow of a tau-flow run or the tau-flow of a DeTurck run, is
-    integrated here at the run's tau: g/tau commutes with the pullback, so
-    the DeTurck flow is the tau-flow pulled back by the harmonic-map gauge at
-    every tau.  The gauge is driven by the tau-flow of the pair.
-    """
-    h = flat_background(cfg)
+def gauge_partner(cfg: RunConfig) -> tuple:
+    """The half of the gauge stage that does not read the run's own flow: the
+    partner flow, the DeTurck flow of a tau-flow run or the tau-flow of a
+    DeTurck run, at the run's tau (g/tau commutes with the pullback, so the
+    DeTurck flow is the tau-flow pulled back by the harmonic-map gauge at
+    every tau), and for a DeTurck run the ``_harmonic_gauge`` its tau-flow
+    partner drives (None for a tau-flow run, whose own flow drives it)."""
     partner = integrate_flow(replace(cfg, variant="tau" if cfg.variant == "deturck"
                                      else "deturck"))
-    ricci, det = (partner, traj) if cfg.variant == "deturck" else (traj, partner)
+    return partner, _harmonic_gauge(cfg, partner) if cfg.variant == "deturck" else None
+
+
+def _harmonic_gauge(cfg: RunConfig, ricci: flows.Trajectory) -> tuple:
+    """The harmonic-map gauge driven by the tau-flow ``ricci``, as the gauge
+    stage reads it: a gauge trajectory of its entries at the sample times of
+    ``ricci`` alone, the ones ``gauge.gauge_equivalence_check`` pairs with
+    the samples, and the energy records of every step."""
+    h = flat_background(cfg)
     gt = gauge.run_harmonic_gauge(flows.MetricInterpolant(ricci), h, np.zeros(h.dims + (h.n,)),
                                   cfg.t_end, cfg.dt)
-    return float(np.max(gauge.gauge_equivalence_check(ricci, det, gt))), gt.energy
+    at = [int(np.argmin(np.abs(gt.times - t))) for t in ricci.times]
+    sampled = gauge.GaugeTrajectory(h=h, F=[gt.F[j] for j in at],
+                                    energy=[gt.energy[j] for j in at])
+    return sampled, gt.energy
+
+
+def _fork_partner() -> bool:
+    """Whether ``GaugePartner`` forks: the platform offers ``fork``, the
+    process may run on two CPUs or more, no other thread runs (whose locks
+    the child could inherit held), and the process is no daemonic
+    ``multiprocessing`` worker, which may not start children."""
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1
+            and not multiprocessing.current_process().daemon)
+
+
+def _send_partner(conn, cfg: RunConfig) -> None:
+    """A forked child's work: ``gauge_partner(cfg)``, or the exception it
+    raised, sent to the parent through ``conn``."""
+    try:
+        reply = (True, gauge_partner(cfg))
+    except BaseException as exc:  # an interrupt too: ``GaugePartner.result`` re-raises it
+        reply = (False, exc)
+    conn.send(reply)
+
+
+class GaugePartner:
+    """``gauge_partner(cfg)``, started before the run's own flow.
+
+    Where ``_fork_partner()`` holds (and the fork succeeds), a forked child
+    integrates it beside the flow and sends it back through a pipe;
+    otherwise it runs in turn, when ``result`` is first asked for.  The
+    arithmetic is the same either way, so the gauge stage's bits are too.
+    ``result`` raises a failure of the partner as its own type and message.
+    ``close``, or leaving a ``with`` block, kills and reaps the child if one
+    still runs, so no path leaves a process behind.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self._cfg = cfg
+        self._child = self._conn = None
+        if _fork_partner():
+            context = multiprocessing.get_context("fork")
+            self._conn, send = context.Pipe(duplex=False)  # a Queue would start a thread
+            self._child = context.Process(target=_send_partner, args=(send, cfg))
+            try:
+                self._child.start()
+            except OSError:  # no process to spare (EAGAIN): run in turn
+                self._conn.close()
+                self._child = None
+            finally:
+                send.close()  # the child holds the write end: its exit ends the pipe
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def result(self) -> tuple:
+        if self._child is None:
+            return gauge_partner(self._cfg)
+        try:
+            ok, value = self._conn.recv()
+        except EOFError:
+            self._child.join()
+            raise ChildProcessError(f"the gauge stage's partner process ended with exit code "
+                                    f"{self._child.exitcode} before sending a result") from None
+        finally:
+            self.close()
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        if self._child is not None:
+            self._child.kill()  # it writes no file; SIGKILL, so no inherited handler keeps it
+            self._child.join()
+            self._conn.close()
+
+
+def gauge_reconstruction(cfg: RunConfig, traj: flows.Trajectory, partner: GaugePartner):
+    """The gauge stage: max sup-discrepancy of the gauge transport, plus the
+    energy records of the harmonic-map gauge.
+
+    ``traj`` is the run's flow (``integrate_flow(cfg)``) and ``partner`` the
+    other half of the pair, started before it (``GaugePartner(cfg)``).  The
+    gauge is driven by the tau-flow of the pair: the partner's for a DeTurck
+    run; for a tau-flow run ``traj``, once the partner has arrived.
+    """
+    other, driven = partner.result()
+    if cfg.variant == "deturck":
+        ricci, det = other, traj
+    else:
+        ricci, det = traj, other
+        driven = _harmonic_gauge(cfg, traj)
+    gt, energy = driven
+    return float(np.max(gauge.gauge_equivalence_check(ricci, det, gt))), energy
 
 
 def spectral_report(cfg: RunConfig) -> stability.SpectralReport:
@@ -506,7 +618,10 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
                        spectral_path=None, verdicts={}, wall_clock=0.0)
     verdicts = record.verdicts
     stage = "flow"
+    partner = None
     try:
+        if cfg.reconstruct:
+            partner = GaugePartner(cfg)  # the gauge stage's other half, beside the flow
         traj = integrate_flow(cfg)
         traj_path = out_dir / "trajectory.jsonl"
         save_trajectory(traj, traj_path)
@@ -521,7 +636,7 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
 
         stage = "gauge"
         if cfg.reconstruct:
-            disc, energy_records = gauge_reconstruction(cfg, traj)
+            disc, energy_records = gauge_reconstruction(cfg, traj, partner)
             verdicts["gauge_discrepancy"] = disc
             with open(traj_path, "a") as fh:
                 for er in energy_records:
@@ -543,6 +658,8 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
         verdicts["error"] = f"{type(exc).__name__}: {exc}"
         raise
     finally:
+        if partner is not None:
+            partner.close()
         record.wall_clock = time.time() - t_start
         (out_dir / "record.json").write_text(record.to_json())
     return record

@@ -4,11 +4,14 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import multiprocessing
 import os
 import re
 import shutil
 import subprocess
 import sys
+import threading
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +543,33 @@ def test_trajectory_without_its_arrays_is_rejected_by_name(tmp_path):
         harness.save_trajectory(traj, arrays)
 
 
+def test_frame_arrays_out_of_shape_or_range_are_rejected_naming_the_array_file(tmp_path):
+    """A frame store's ``a`` rows that are not three coefficients, or hold
+    one out of range, are the array file's fault, not the header's; Milnor
+    constants of other than three entries are the header's."""
+    traj = flows.run_flow(FrameModel.su2(a=(4.4, 4.0, 3.7)), "tau", tau=1.0, dt=1e-2,
+                          t_end=0.03)
+    path = tmp_path / "traj.jsonl"
+    harness.save_trajectory(traj, path)
+    arrays = tmp_path / "traj.npz"
+    np.savez(arrays, a=np.ones((4, 4)))
+    with pytest.raises(RejectedInputError, match=re.escape(
+            f"{arrays}: 'a' of shape (4, 4) does not hold three metric coefficients per "
+            f"sample of {path}")):
+        harness.load_trajectory(path)
+    a = traj.metric_series()
+    a[2, 1] = -1.0
+    np.savez(arrays, a=a)
+    with pytest.raises(RejectedInputError, match=re.escape(
+            f"{arrays}, sample 2: metric coefficients must be positive and finite")):
+        harness.load_trajectory(path)
+    header, *lines = [json.loads(line) for line in path.read_text().splitlines()]
+    _write_index(path, [{**header, "lams": [2.0, 2.0]}, *lines])
+    with pytest.raises(RejectedInputError, match=re.escape(
+            f"{path}, line 1: structure constants must have shape (3,)")):
+        harness.load_trajectory(path)
+
+
 def test_trajectory_with_inline_arrays_is_rejected_by_name(tmp_path):
     """An index written when the states carried their arrays inline."""
     path = tmp_path / "inline.jsonl"
@@ -946,6 +976,7 @@ def test_rate_fit_error_fails_the_stability_stage(tmp_path, monkeypatch):
 
 def test_gauge_reconstruction_verdict(tmp_path, monkeypatch):
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    monkeypatch.setattr(harness, "_fork_partner", lambda: False)  # count every call here
     cfg = harness.parse_config(GRID_CONFIG)
     cfg.reconstruct = True
     cfg.analyze = False
@@ -962,7 +993,8 @@ def test_gauge_reconstruction_verdict(tmp_path, monkeypatch):
     # the gauge stage pairs the run's DeTurck trajectory with its tau-flow
     assert variants == ["deturck", "tau"]
     assert 0.0 <= record.verdicts["gauge_discrepancy"] < 1e-3
-    disc, _ = harness.gauge_reconstruction(cfg, harness.load_trajectory(record.trajectory_path))
+    disc, _ = harness.gauge_reconstruction(cfg, harness.load_trajectory(record.trajectory_path),
+                                           harness.GaugePartner(cfg))
     assert variants[2:] == ["tau"]
     assert record.verdicts["gauge_discrepancy"] == disc
     lines = [json.loads(l) for l in open(record.trajectory_path)]
@@ -983,6 +1015,7 @@ def test_the_gauge_stage_pairs_the_run_with_its_partner_at_its_tau(tmp_path, mon
     Pairing the tau = inf tau-flow with a tau = 0.5 DeTurck flow would give
     1.73: the pair must share the run's tau."""
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    monkeypatch.setattr(harness, "_fork_partner", lambda: False)  # count every call here
     run_flow = flows.run_flow
     calls = []
     monkeypatch.setattr(flows, "run_flow", lambda *a, **k: calls.append(a[1]) or run_flow(*a, **k))
@@ -1016,6 +1049,7 @@ def test_the_gauge_stage_over_a_shorter_last_interval(tmp_path, capsys, monkeypa
     from scipy.interpolate import CubicSpline
 
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    monkeypatch.setattr(harness, "_fork_partner", lambda: False)  # count every call here
     config = _write_config(tmp_path, "[flow]\ndt = 0.01\nt_end = 0.25\nsample_every = 10\n")
     calls = []
     real = flows.MetricInterpolant.__call__
@@ -1028,6 +1062,199 @@ def test_the_gauge_stage_over_a_shorter_last_interval(tmp_path, capsys, monkeypa
     spline = CubicSpline(ricci.times, ricci.metric_series(), axis=0)
     assert len(calls) == 2 * 25 + 1
     assert all(np.array_equal(model.g, spline(t)) for t, model in calls)
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the platform offers no fork")
+
+
+def _counting_run_flow(monkeypatch, fail=None):
+    """Count the ``run_flow`` calls of this process by variant, and raise a
+    ``StepRejectedError`` from the ``fail`` variant's (in a forked child too)."""
+    run_flow, calls = flows.run_flow, []
+
+    def counted(model0, variant, *args, **kwargs):
+        calls.append(variant)
+        if variant == fail:
+            raise StepRejectedError(f"the {variant} flow left the SPD cone at t = 0.01")
+        return run_flow(model0, variant, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "run_flow", counted)
+    return calls
+
+
+def _no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("tau", ["0.5", "inf"])
+@pytest.mark.parametrize("variant", ["deturck", "tau"])
+def test_the_forked_gauge_stage_gives_the_bits_of_the_in_turn_one(tmp_path, monkeypatch,
+                                                                   variant, tau):
+    """With the partner in a forked child (this process integrates the run's
+    own flow alone) the gauge stage gives the discrepancy and every energy
+    record of the stage run in turn, bit for bit, and leaves no child."""
+    cfg = _load(_write_config(tmp_path, GAUGE_16.format(variant=variant, tau=tau)))
+    calls = _counting_run_flow(monkeypatch)
+    stages = {}
+    for fork in (True, False):
+        calls.clear()
+        monkeypatch.setattr(harness, "_fork_partner", lambda: fork)
+        with harness.GaugePartner(cfg) as partner:
+            stages[fork] = harness.gauge_reconstruction(cfg, harness.integrate_flow(cfg), partner)
+        partner_variant = "tau" if variant == "deturck" else "deturck"
+        assert calls == ([variant] if fork else [variant, partner_variant])
+        _no_child_left()
+    (disc, energy), (disc_in_turn, energy_in_turn) = stages[True], stages[False]
+    assert disc == disc_in_turn and 0.0 < disc < 2e-3
+    assert energy == energy_in_turn and len(energy) == 51
+
+
+def _breakdown(*args, **kwargs):
+    raise GaugeBreakdownError("gauge lost injectivity at t = 0.25", time=0.25)
+
+
+@needs_fork
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-turn"])
+@pytest.mark.parametrize("failure", ["step-rejected", "gauge-breakdown"])
+def test_a_failing_partner_fails_the_gauge_stage(tmp_path, monkeypatch, capsys, failure, fork):
+    """A partner that raises, in a forked child or in turn, fails the run at
+    the gauge stage with its own type, message and breakdown time, and
+    ``run`` and ``gauge-check`` exit 3 naming it; no child is left."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    monkeypatch.setattr(harness, "_fork_partner", lambda: fork)
+    if failure == "step-rejected":
+        _counting_run_flow(monkeypatch, fail="tau")
+        error, message = StepRejectedError, "the tau flow left the SPD cone at t = 0.01"
+    else:
+        monkeypatch.setattr(gauge, "run_harmonic_gauge", _breakdown)
+        error, message = GaugeBreakdownError, "gauge lost injectivity at t = 0.25"
+    config = _write_config(tmp_path, GAUGE_16.format(variant="deturck", tau="inf"))
+    cfg = _load(config)
+    with pytest.raises(error, match=re.escape(message)) as raised:
+        harness.run_experiment(cfg)
+    assert getattr(raised.value, "time", 0.25) == 0.25
+    verdicts = json.loads((tmp_path / f"{cfg.name}-{cfg.digest()}" / "record.json").read_text())[
+        "verdicts"]
+    assert verdicts["failed_stage"] == "gauge"
+    assert verdicts["error"] == f"{error.__name__}: {message}"
+    for command in ("run", "gauge-check"):
+        assert cli.main([command, config]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    _no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("variant", ["deturck", "tau"])
+def test_a_failing_own_flow_leaves_no_child(tmp_path, monkeypatch, capsys, variant):
+    """When the run's own flow fails while the forked partner still runs, the
+    run fails at the flow stage and the child is killed and reaped."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    monkeypatch.setattr(harness, "_fork_partner", lambda: True)
+    _counting_run_flow(monkeypatch, fail=variant)
+    config = _write_config(tmp_path, GAUGE_16.format(variant=variant, tau="inf"))
+    cfg = _load(config)
+    with pytest.raises(StepRejectedError):
+        harness.run_experiment(cfg)
+    doc = json.loads((tmp_path / f"{cfg.name}-{cfg.digest()}" / "record.json").read_text())
+    assert doc["verdicts"]["failed_stage"] == "flow"
+    _no_child_left()
+    assert cli.main(["gauge-check", config]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(f"numerical failure: the {variant} flow")
+    _no_child_left()
+
+
+@needs_fork
+def test_a_partner_process_that_dies_fails_the_gauge_stage(tmp_path, monkeypatch):
+    """A child that ends without sending its result is named with its exit
+    code at the gauge stage, not waited on forever."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    monkeypatch.setattr(harness, "_fork_partner", lambda: True)
+    monkeypatch.setattr(harness, "_send_partner", lambda conn, cfg: os._exit(7))
+    cfg = _load(_write_config(tmp_path, GAUGE_16.format(variant="deturck", tau="inf")))
+    with pytest.raises(ChildProcessError, match="ended with exit code 7"):
+        harness.run_experiment(cfg)
+    doc = json.loads((tmp_path / f"{cfg.name}-{cfg.digest()}" / "record.json").read_text())
+    assert doc["verdicts"]["failed_stage"] == "gauge"
+    _no_child_left()
+
+
+@needs_fork
+def test_a_fork_that_fails_runs_the_partner_in_turn(tmp_path, monkeypatch):
+    """Where the fork itself fails (no process to spare), the partner runs
+    in turn, with the same verdict."""
+    cfg = _load(_write_config(tmp_path, GAUGE_16.format(variant="deturck", tau="inf")))
+    monkeypatch.setattr(harness, "_fork_partner", lambda: True)
+
+    def no_process(self):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    calls = _counting_run_flow(monkeypatch)
+    with harness.GaugePartner(cfg) as partner:
+        disc, _ = harness.gauge_reconstruction(cfg, harness.integrate_flow(cfg), partner)
+    assert calls == ["deturck", "tau"]
+    assert abs(disc - 7.636696362019451e-4) <= 1e-12 * 7.636696362019451e-4
+    _no_child_left()
+
+
+def test_the_partner_runs_in_turn_beside_a_thread_or_on_one_cpu(monkeypatch):
+    """No fork while another thread runs, whose locks a child could inherit
+    held, where the process may use one CPU only, in a daemonic worker, or
+    where the platform offers no fork."""
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert harness._fork_partner()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not harness._fork_partner()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert not harness._fork_partner()
+    finally:
+        release.set()
+        thread.join()
+    assert harness._fork_partner()
+    monkeypatch.setattr(multiprocessing, "current_process", lambda: Namespace(daemon=True))
+    assert not harness._fork_partner()  # a daemonic process may start no child
+    monkeypatch.setattr(multiprocessing, "current_process", lambda: Namespace(daemon=False))
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert not harness._fork_partner()
+
+
+@needs_fork
+def test_a_forked_partner_failure_exits_3_with_one_line(tmp_path):
+    """Through real file descriptors: a partner that fails in the forked
+    child prints no traceback, from the child or the parent; ``gauge-check``
+    exits 3 with one line of stderr."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the process may use one CPU only: the partner runs in turn")
+    config = _write_config(tmp_path, GAUGE_16.format(variant="deturck", tau="inf"))
+    script = "\n".join([
+        "import sys",
+        "from solitonlab import cli, flows, harness",
+        "from solitonlab.errors import StepRejectedError",
+        "assert harness._fork_partner()",
+        "run_flow = flows.run_flow",
+        "def failing(model0, variant, *args, **kwargs):",
+        "    if variant == 'tau':",
+        "        raise StepRejectedError('the tau flow left the SPD cone')",
+        "    return run_flow(model0, variant, *args, **kwargs)",
+        "flows.run_flow = failing",
+        f"sys.exit(cli.main(['gauge-check', {config!r}]))",
+    ])
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == cli.EXIT_NUMERICAL, done.stderr
+    assert done.stderr == "numerical failure: the tau flow left the SPD cone\n"
 
 
 def _load(path):
