@@ -696,13 +696,18 @@ def pointwise_sq(m: GridModel, f: np.ndarray) -> np.ndarray:
         return f**2
     if extra > 2:
         raise RejectedInputError("fields with more than two component axes are not supported")
-    ginv, idx = m.ginv_cm, range(m.n)
-    # products left to right, added from +0.0 in row-major index order: bitwise
-    # einsum("...ij,...i,...j->...") and einsum("...ik,...jl,...ij,...kl->...")
+    ginv = m.ginv_cm
+    # products left to right in one array over the index tuples, added from
+    # +0.0 in row-major tuple order: bitwise einsum("...ij,...i,...j->...")
+    # and einsum("...ik,...jl,...ij,...kl->...")
     if extra == 1:
-        return sum((ginv[i, j] * f[i] * f[j] for i, j in product(idx, repeat=2)), 0.0)
-    return sum((ginv[i, k] * ginv[j, l] * f[i, j] * f[k, l]
-                for i, j, k, l in product(idx, repeat=4)), 0.0)
+        terms = ginv * f[:, None]
+        terms *= f[None, :]
+    else:
+        terms = ginv[:, None, :, None] * ginv[None, :, None, :]  # [i, j, k, l]
+        terms *= f[:, :, None, None]
+        terms *= f[None, None]
+    return _sum_in_order(terms.reshape((-1,) + f.shape[extra:]))
 
 
 def volume(m) -> float:

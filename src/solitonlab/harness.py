@@ -11,7 +11,8 @@ message.  Runs are reproducible: randomized initial data takes an explicit
 seed, and verdicts are recomputable from the persisted trajectory alone.
 
 A persisted trajectory is a JSONL index (``trajectory.jsonl``) plus one
-uncompressed ``.npz`` array file beside it (``trajectory.npz``).  The index
+``.npz`` array file beside it (``trajectory.npz``), its member deflated
+(stores written before, uncompressed, load as well).  The index
 holds a header with what every state shares (the convention, the array
 file's name, the run's tau, the model kind and its scalar parameters:
 ``dims``/``period`` or ``lams``/``base_volume``), then one sample line per
@@ -50,6 +51,10 @@ from .geometry import FrameModel, GridModel, check_grid, sym_components
 
 OUTPUT_ENV_VAR = "SOLITONLAB_OUTPUT"
 MAX_GRID_NODES = 2**20  # a DeTurck step peaks near 1.3 kB per node: 1.4 GB at most
+# The zlib level of the trajectory store: level 1 deflates a 16^2 run's metrics
+# to 18-78% of their bytes in 6-18 ms, and level 6 (``np.savez_compressed``'s)
+# takes twice as long or more for files only 1-8% smaller.
+STORE_DEFLATE_LEVEL = 1
 
 # The config format: its sections and their keys, in the order
 # ``serialize_config`` writes them.  Each key names a ``RunConfig`` field and
@@ -298,36 +303,58 @@ def _model_fields(model) -> dict:
     return {"model": "grid", "dims": list(model.dims), "period": list(model.period)}
 
 
-def _stored_metrics(traj) -> np.ndarray:
-    """What the array file holds of a grid trajectory's metrics: each one's
-    n(n+1)/2 upper-triangle components, in ``sym_components`` order, when
-    every metric is exactly symmetric (compared as int64, so a -0.0 facing a
-    +0.0 is not), else the full n x n matrices.  The triangles are gathered
-    one component at a time, so the full stack is never held beside them."""
-    gs = [s.model.g for s in traj.states]
+def _fresh(path) -> Path:
+    """``path``, with any file there removed so that it is written anew: a
+    rerun into its run directory creates new files rather than truncating the
+    ones it wrote before, which can block in ``open`` for tens of ms."""
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    return path
+
+
+def _exactly_symmetric(g: np.ndarray) -> bool:
+    """Whether every g_ij equals g_ji as int64, so a -0.0 facing a +0.0 does not."""
+    bits = g.view(np.int64)
+    return np.array_equal(bits, bits.swapaxes(-1, -2))
+
+
+def _stored_rows(traj) -> tuple:
+    """What the array file holds of ``traj``: its key, the shape of one row,
+    and the rows, made one state at a time as they are written.  A frame
+    state's row is its coefficients; a grid state's is its n(n+1)/2
+    upper-triangle components, in ``sym_components`` order, when every metric
+    of the trajectory is exactly symmetric, else its full n x n matrix."""
+    models = [s.model for s in traj.states]
+    if isinstance(models[0], FrameModel):
+        return "a", models[0].a.shape, (m.a for m in models)
+    gs = [m.g for m in models]
+    if not all(_exactly_symmetric(g) for g in gs):
+        return "g", gs[0].shape, iter(gs)
     pairs = sym_components(gs[0].shape[-1])
-    triangles = np.empty((len(gs),) + gs[0].shape[:-2] + (len(pairs),))
-    for c, (i, j) in enumerate(pairs):
-        upper = np.stack([g[..., i, j] for g in gs], out=triangles[..., c])
-        if i < j and not np.array_equal(np.stack([g[..., j, i] for g in gs]).view(np.int64),
-                                        upper.view(np.int64)):
-            return np.stack(gs)
-    return triangles
+    i, j = zip(*pairs)
+    return "g", gs[0].shape[:-2] + (len(pairs),), (g[..., i, j] for g in gs)
 
 
 def save_trajectory(traj, path) -> None:
-    """Write ``traj`` as the JSONL index ``path`` plus its ``.npz`` arrays."""
+    """Write ``traj`` as the JSONL index ``path`` plus its ``.npz`` arrays.
+
+    The array file is what ``np.savez`` writes of the stacked rows, its one
+    member deflated at zlib level ``STORE_DEFLATE_LEVEL``: the ``.npy`` header,
+    then the rows streamed one at a time, so no stack of them is held."""
     arrays_path = _arrays_path(path)
     shared = _model_fields(traj.states[0].model)
     if any(_model_fields(s.model) != shared for s in traj.states):
         raise RejectedInputError("a saved trajectory's states must share one model")
-    if shared["model"] == "frame":
-        arrays = {"a": traj.metric_series()}
-    else:
-        arrays = {"g": _stored_metrics(traj)}
-    with open(arrays_path, "wb") as fh:
-        np.savez(fh, **arrays)
-    with open(path, "w") as fh:
+    key, row_shape, rows = _stored_rows(traj)
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)), "fortran_order": False,
+              "shape": (len(traj.states),) + row_shape}
+    with zipfile.ZipFile(_fresh(arrays_path), "w", zipfile.ZIP_DEFLATED,
+                         compresslevel=STORE_DEFLATE_LEVEL) as zf, \
+            zf.open(key + ".npy", "w", force_zip64=True) as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for row in rows:
+            fh.write(np.ascontiguousarray(row, dtype=float))
+    with open(_fresh(path), "w") as fh:
         fh.write(json.dumps({"kind": "header", "convention": traj.convention,
                              "arrays": arrays_path.name,
                              "tau": None if np.isinf(traj.tau) else traj.tau, **shared}) + "\n")
@@ -613,7 +640,7 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         _fail("output.root", f"cannot create the run directory {out_dir}: {exc.strerror}")
-    (out_dir / "config.ini").write_text(serialize_config(cfg))
+    _fresh(out_dir / "config.ini").write_text(serialize_config(cfg))
     record = RunRecord(config_hash=cfg.digest(), trajectory_path=None,
                        spectral_path=None, verdicts={}, wall_clock=0.0)
     verdicts = record.verdicts
@@ -649,7 +676,7 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
         if cfg.analyze and cfg.kind == "grid":
             report = spectral_report(cfg)
             spectral_path = out_dir / "spectral.json"
-            spectral_path.write_text(report.to_json())
+            _fresh(spectral_path).write_text(report.to_json())
             record.spectral_path = str(spectral_path)
             stability.run_verdicts(traj, flat_background(cfg), report.gap, cfg.dt,
                                    cfg.t_end, verdicts)
@@ -661,7 +688,7 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
         if partner is not None:
             partner.close()
         record.wall_clock = time.time() - t_start
-        (out_dir / "record.json").write_text(record.to_json())
+        _fresh(out_dir / "record.json").write_text(record.to_json())
     return record
 
 
@@ -697,7 +724,7 @@ def emit_plotdata(record: RunRecord, quantity: str) -> str:
             value = rec.get("E")
         if value is not None:
             rows.append((rec["t"], value))
-    with open(path, "w") as fh:
+    with open(_fresh(path), "w") as fh:
         fh.write(f"# t\t{quantity}\n")
         for t, v in rows:
             fh.write(f"{t!r}\t{v!r}\n")

@@ -11,6 +11,8 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
+import zipfile
 from argparse import Namespace
 from pathlib import Path
 
@@ -260,10 +262,17 @@ def test_build_frame_models():
 # persistence
 
 
+def _compression(arrays_path) -> dict:
+    """The zip compression method of each member of an array file."""
+    with zipfile.ZipFile(arrays_path) as zf:
+        return {info.filename: info.compress_type for info in zf.infolist()}
+
+
 def test_trajectory_round_trip_frame(tmp_path):
-    """A coupled Berger run's store holds its metrics alone, and loads back
-    bitwise: each recorded W and defect is the entropy record of the loaded
-    state at the loaded tau, so the audit needs nothing the store lacks."""
+    """A coupled Berger run's store holds its metrics alone, deflated, and
+    loads back bitwise: each recorded W and defect is the entropy record of
+    the loaded state at the loaded tau, so the audit needs nothing the store
+    lacks."""
     m = FrameModel.su2(a=(4.4, 4.0, 3.7))
     traj = flows.run_flow(m, "tau", tau=2.0 / 3.0, dt=1e-2, t_end=0.05,
                           couple_f=True)
@@ -271,6 +280,8 @@ def test_trajectory_round_trip_frame(tmp_path):
     harness.save_trajectory(traj, path)
     with np.load(tmp_path / "traj.npz") as npz:
         assert npz.files == ["a"]
+        assert np.array_equal(_bits(npz["a"]), _bits(traj.metric_series()))
+    assert _compression(tmp_path / "traj.npz") == {"a.npy": zipfile.ZIP_DEFLATED}
     back = harness.load_trajectory(path)
     assert back.convention == traj.convention and back.tau == traj.tau
     assert len(back.states) == len(traj.states)
@@ -395,13 +406,18 @@ def _signed_zero(k, g):
 def test_grid_store_round_trips_bitwise_in_either_layout(tmp_path, g_of, layout):
     """A store of exactly symmetric metrics holds their triangles; one whose
     metrics are not all symmetric bit for bit (an off-diagonal pair 1e-9
-    apart, or -0.0 facing +0.0) keeps the full matrices.  Each loads back
-    with equal int64 views."""
+    apart, or -0.0 facing +0.0) keeps the full matrices.  Either is one
+    deflated member that ``np.load`` reads back with the int64 view of the
+    triangles or the matrices, and each loads back with equal int64 views."""
     traj = _flat_trajectory(g_of)
     path = tmp_path / "traj.jsonl"
     harness.save_trajectory(traj, path)
+    series = traj.metric_series()
+    stored = series[..., (0, 0, 1), (0, 1, 1)] if layout == (3,) else series
     with np.load(tmp_path / "traj.npz") as npz:
         assert npz.files == ["g"] and npz["g"].shape == (3, 8, 8) + layout
+        assert np.array_equal(_bits(npz["g"]), _bits(stored))
+    assert _compression(tmp_path / "traj.npz") == {"g.npy": zipfile.ZIP_DEFLATED}
     back = harness.load_trajectory(path)
     assert np.array_equal(_bits(back.metric_series()), _bits(traj.metric_series()))
     assert not back.states[1].model.validate  # loading re-validates no metric
@@ -450,7 +466,9 @@ def test_examples_ini_is_the_readme_config():
 def test_readme_trajectory_keeps_its_arrays_out_of_the_index(tmp_path, monkeypatch):
     """The README run's index holds scalars only; its 201 metrics sit in the
     array file as one float64 stack of their upper triangles (g_00, g_01,
-    g_11): the flow keeps every metric exactly symmetric."""
+    g_11): the flow keeps every metric exactly symmetric.  The file is
+    deflated, and saving the trajectory again holds less memory at its peak
+    than the stack it writes: its rows are streamed, one state at a time."""
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
     record = harness.run_experiment(harness.parse_config(README_CONFIG))
     index = Path(record.trajectory_path)
@@ -465,7 +483,16 @@ def test_readme_trajectory_keeps_its_arrays_out_of_the_index(tmp_path, monkeypat
         g = npz["g"]
     assert g.dtype == np.float64 and g.shape == (201, 16, 16, 3)
     assert index.stat().st_size <= 41_000
-    assert index.with_suffix(".npz").stat().st_size < g.nbytes + 1_000
+    assert index.with_suffix(".npz").stat().st_size < g.nbytes // 2
+    traj = harness.load_trajectory(index)
+    tracemalloc.start()
+    try:
+        harness.save_trajectory(traj, tmp_path / "again.jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.nbytes
+    assert (tmp_path / "again.npz").read_bytes() == index.with_suffix(".npz").read_bytes()
 
 
 def test_trajectory_round_trip_flat_torus(tmp_path):
@@ -759,6 +786,31 @@ def test_run_experiment_writes_artifacts_and_verdicts(tmp_path, monkeypatch):
     assert record.verdicts["factor_two_holds"]
     assert record.verdicts["stationary"] is False
     assert record.verdicts["final_norm"] > 0
+
+
+def test_a_rerun_writes_its_files_anew_with_the_same_bytes(tmp_path, monkeypatch):
+    """Running a config again into its run directory removes each file it
+    writes and creates it anew rather than truncating it, which can block in
+    ``open`` for tens of ms: the files of the first run, kept under hard
+    links, are not those of the rerun, yet hold the same bytes (record.json
+    holds the wall clock), and a file the run does not write survives."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path / "runs"))
+    cfg = harness.parse_config(GRID_CONFIG)
+    same = ("config.ini", "trajectory.jsonl", "trajectory.npz", "spectral.json", "plot-norm.dat")
+    first = harness.run_experiment(cfg)
+    harness.emit_plotdata(first, "norm")
+    out_dir = Path(first.trajectory_path).parent
+    for name in same + ("record.json",):
+        os.link(out_dir / name, tmp_path / name)
+    (out_dir / "notes.txt").write_text("kept")
+    again = harness.run_experiment(cfg)
+    harness.emit_plotdata(again, "norm")
+    for name in same + ("record.json",):
+        assert not (out_dir / name).samefile(tmp_path / name), name
+    for name in same:
+        assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert again.verdicts == first.verdicts
+    assert (out_dir / "notes.txt").read_text() == "kept"
 
 
 def test_run_experiment_is_deterministic(tmp_path, monkeypatch):
