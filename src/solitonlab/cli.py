@@ -1,14 +1,19 @@
 """Command-line entry point.
 
 Subcommands: run, spectrum, entropy, gauge-check, plot.  Exit codes:
-0 success, 2 validation error, 3 numerical failure.
+0 success, 2 validation error, 3 numerical failure, 141 (128 + SIGPIPE) when
+standard output closes before the command has written it all, as under
+``| head``: the rest is dropped, with no traceback.  The argument parser is
+built by the first ``main`` call and reused for the rest of the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +24,7 @@ from .errors import NumericalFailureError, RejectedInputError
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _load_config(path: str) -> harness.RunConfig:
@@ -88,7 +94,8 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="solitonlab",
                                      description="desk-scale geometric flow laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,10 +108,22 @@ def main(argv=None) -> int:
     p.add_argument("record")
     p.add_argument("quantity", choices=harness.PLOT_QUANTITIES)
     p.set_defaults(fn=_cmd_plot)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the Python documentation's recipe: send what is left to devnull, so
+        # the flush at shutdown finds no closed pipe either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except RejectedInputError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

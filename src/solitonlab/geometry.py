@@ -176,12 +176,16 @@ class GridModel:
 
     @classmethod
     def flat(cls, n=2, dims=(16, 16), period=None) -> "GridModel":
-        """Constant metric ``delta`` on the torus (default period 2 pi)."""
+        """Constant metric ``delta`` on the torus (default period 2 pi).  It is
+        flat and SPD by construction: ``is_flat`` and ``min_eig`` (1.0, what
+        ``validate_spd`` finds) are set, not computed node by node."""
         if period is None:
             period = (2.0 * np.pi,) * n
         g = np.zeros(tuple(dims) + (n, n))
         g[...] = np.eye(n)
-        return cls(n=n, dims=tuple(dims), period=tuple(period), g=g)
+        m = cls(n=n, dims=tuple(dims), period=tuple(period), g=g, validate=False)
+        m.__dict__.update(validate=True, is_flat=True, min_eig=1.0)
+        return m
 
     @cached_field
     def min_eig(self) -> float:

@@ -138,7 +138,7 @@ def _parse_value(name: str, default, raw: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are read literally
     try:
         parser.read_string(text)
     except configparser.Error as exc:

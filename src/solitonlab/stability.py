@@ -16,14 +16,15 @@ grid run is flat, so no dense eigendecomposition is ever needed.  The 3x3
 frame Jacobian of ``jacobian_ode`` is a plain matrix for numpy.
 
 A ``SpectralReport`` is written as ``to_json``, the text of
-``json.dumps(to_document(), indent=2)``, formatting each distinct eigenvalue
-once.  ``spectrum`` raises ``NumericalFailureError`` for a symbol with a
-non-finite entry or no magnitude above the neutral floor: it has no gap.
+``json.dumps(to_document(), indent=2)``, formatting each run of equal
+eigenvalues once.  ``spectrum`` raises ``NumericalFailureError`` for a symbol
+with a non-finite entry or no magnitude above the neutral floor: it has no gap.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,11 +51,14 @@ def laplacian_symbol(h: GridModel, tau: float) -> np.ndarray:
     compact stencil contributes -h^{aa} 2 (1 - cos theta_a)/dx_a^2 and each
     nested-central mixed pair -2 h^{ab} sin(theta_a) sin(theta_b)/(dx_a dx_b),
     theta_a being the phase advance per node.  Reads the metric at the first
-    node.
+    node.  Each term is formed on its axes' wavenumbers and broadcast into
+    the grid: each element sees the operations it would on full grid planes.
     """
     n = h.n
     hinv = np.linalg.inv(h.g.reshape(-1, n, n)[0])
-    theta = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(d) for d in h.dims], indexing="ij")
+    # theta[a] varies along axis a alone: shape 1 on every other axis
+    theta = [(2.0 * np.pi * np.fft.fftfreq(d)).reshape([-1 if b == a else 1 for b in range(n)])
+             for a, d in enumerate(h.dims)]
     dx = h.spacings
     sym = np.zeros(h.dims)
     for a in range(n):
@@ -191,14 +195,20 @@ class SpectralReport:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_document(), indent=2)``, byte for byte, with
-        each distinct eigenvalue bit pattern formatted once: the symbol is
-        repeated once per component and even in the wavenumber, so a 32^2
-        report holds 3,072 eigenvalues but at most 289 distinct ones."""
+        each run of equal bit patterns formatted once: the symbol is repeated
+        once per component and even in the wavenumber, and the eigenvalues
+        are sorted, so a 32^2 report holds 3,072 eigenvalues in at most 289
+        runs.  Any order gives the same bytes; sorted, it is the fewest runs."""
         doc = self.to_document()
         doc["eigenvalues_re"] = []
-        bits, inverse = np.unique(self.eigenvalues.view(np.int64), return_inverse=True)
-        texts = np.array([_json_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
-        items = texts[inverse].tolist()
+        bits = self.eigenvalues.view(np.int64)
+        starts = np.flatnonzero(np.diff(bits)) + 1  # where a run of equal bits begins
+        if bits.size:
+            starts = np.concatenate(([0], starts))
+        items = []
+        for x, length in zip(self.eigenvalues[starts].tolist(),
+                             np.diff(starts, append=bits.size).tolist()):
+            items += [_json_float(x)] * length
         listed = "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
         return json.dumps(doc, indent=2).replace('"eigenvalues_re": []',
                                                  '"eigenvalues_re": ' + listed, 1)
@@ -206,13 +216,9 @@ class SpectralReport:
 
 def _json_float(x: float) -> str:
     """``x`` as ``json`` writes a float (``allow_nan``: NaN, Infinity, -Infinity)."""
-    if x != x:
-        return "NaN"
-    if x == np.inf:
-        return "Infinity"
-    if x == -np.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
 def default_neutral_tolerance(op: FourierOperator) -> float:

@@ -383,6 +383,24 @@ def test_non_spd_metric_rejected():
         m.with_metric(bad)
 
 
+@pytest.mark.parametrize("n,dims", [(2, (8, 12)), (3, (8, 9, 10))])
+def test_flat_model_is_flat_and_spd_by_construction(n, dims):
+    """``GridModel.flat`` sets ``is_flat`` and ``min_eig`` without reading
+    its nodes, to what validating the identity metric gives; the models
+    derived from it validate their own metric."""
+    m = GridModel.flat(n, dims)
+    validated = GridModel(n=n, dims=dims, period=m.period, g=m.g.copy())
+    assert m.min_eig == validated.min_eig == geometry.validate_spd(m.g_cm) == 1.0
+    assert m.is_flat and geometry.twin(m).is_flat and m.validate
+    assert "g_cm" not in vars(GridModel.flat(n, dims))  # no node was read
+    bad = m.g.copy()
+    bad[(0,) * n] = np.diag([1.0] * (n - 2) + [-1.0, -1.0])  # det 1, not definite
+    for derived in (m, geometry.twin(m)):
+        with pytest.raises(RejectedInputError, match="not positive definite"):
+            derived.with_metric(bad)
+    assert not geometry.twin(m.with_metric(bad, validate=False)).is_flat
+
+
 # ---------------------------------------------------------------------------
 # derived fields
 

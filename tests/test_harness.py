@@ -75,6 +75,29 @@ def test_parse_rejects_unknown_section_and_key():
         harness.parse_config("[flow]\nwarp = 9\n")
 
 
+@pytest.mark.parametrize("name", ["run50%", "a%(b)s", "100%%"])
+def test_config_values_are_read_literally(name):
+    """A ``%`` in a value has no meaning: the value is read as written, and
+    ``serialize_config`` writes it back as text that reads to an equal config."""
+    cfg = harness.parse_config(f"[output]\nname = {name}\n")
+    assert cfg.name == name
+    again = harness.parse_config(harness.serialize_config(cfg))
+    assert again == cfg and again.digest() == cfg.digest()
+
+
+def test_a_config_holding_a_percent_sign_runs(tmp_path, monkeypatch, capsys):
+    """``name = run50%`` runs, under ``run50%-<digest>``, and its spectrum
+    prints; neither ends in an interpolation error."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    text = GRID_CONFIG.replace("name = smoke", "name = run50%")
+    config = _write_config(tmp_path, text)
+    assert cli.main(["run", config]) == cli.EXIT_OK
+    record = tmp_path / f"run50%-{harness.parse_config(text).digest()}" / "record.json"
+    assert capsys.readouterr().out.splitlines()[-1] == f"record: {record}"
+    assert cli.main(["spectrum", config]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["counts"]["neutral"] == 3
+
+
 @pytest.mark.parametrize("snippet,field", [
     ("[flow]\ndt = -0.1\n", "flow.dt"),
     ("[flow]\ndt = soon\n", "flow.dt"),
@@ -1832,3 +1855,49 @@ def test_cli_spectrum_beyond_the_dense_cap(tmp_path, capsys, dims):
     assert doc["counts"] == {"grow": 0, "neutral": ncomp, "decay": ncomp * sym.size - ncomp}
     gap = np.min(np.abs(sym)[np.abs(sym) > 1e-10])
     assert abs(doc["gap"] - gap) <= 1e-12 * gap
+
+
+def test_repeated_cli_calls_share_one_parser(tmp_path, monkeypatch, capsys):
+    """The parser the first ``main`` call builds serves every later call in
+    the process: after a rejected config, an unknown subcommand, a bad plot
+    quantity and a spectrum with no gap, a spectrum prints what it printed
+    the first time."""
+    monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
+    config = _write_config(tmp_path, GRID_CONFIG)
+    unknown = tmp_path / "unknown.ini"
+    unknown.write_text(GRID_CONFIG + "warp = 9\n")
+    no_gap = tmp_path / "no-gap.ini"
+    no_gap.write_text("[model]\ndims = 8,8\nperiod = 1e7,1e7\n")
+    assert cli.main(["spectrum", config]) == cli.EXIT_OK
+    first = capsys.readouterr().out
+    parser = cli._parser()
+    assert cli.main(["spectrum", str(unknown)]) == cli.EXIT_VALIDATION
+    for argv in (["transmogrify", config], ["plot", str(tmp_path / "record.json"), "colour"]):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 2
+    assert cli.main(["spectrum", str(no_gap)]) == cli.EXIT_NUMERICAL
+    capsys.readouterr()
+    assert cli.main(["spectrum", config]) == cli.EXIT_OK
+    assert capsys.readouterr().out == first and cli._parser() is parser
+
+
+@pytest.mark.parametrize("command,dims,read", [("spectrum", "64,64", 1), ("run", "8,8", 0)],
+                         ids=["spectrum-64x64-one-byte-read", "run-pipe-closed-at-once"])
+def test_a_closed_stdout_exits_without_a_traceback(tmp_path, command, dims, read):
+    """``solitonlab spectrum <64^2 config> | head -c 1``: the document, about
+    300 KB, outgrows the pipe's buffer, so a write fails once the reader has
+    gone.  ``run``'s short output fails on the flush inside ``main``.  Each
+    exits with ``EXIT_BROKEN_PIPE`` and writes nothing to stderr."""
+    config = _write_config(tmp_path, GRID_CONFIG.replace("dims = 8,8", f"dims = {dims}"))
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, harness.OUTPUT_ENV_VAR: str(tmp_path / "runs"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "solitonlab.cli", command, config],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(read) == b"{"[:read]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
+    assert err == b""

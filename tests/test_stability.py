@@ -180,6 +180,49 @@ def _aniso_flat_3d():
     return h.with_metric(np.broadcast_to(H, h.g.shape).copy())
 
 
+def _meshgrid_laplacian_symbol(h, tau):
+    """``laplacian_symbol`` spelled on full ``meshgrid`` planes, with each
+    term's operations in its order: the oracle of its bits."""
+    n = h.n
+    hinv = np.linalg.inv(h.g.reshape(-1, n, n)[0])
+    theta = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(d) for d in h.dims], indexing="ij")
+    dx = h.spacings
+    sym = np.zeros(h.dims)
+    for a in range(n):
+        sym -= hinv[a, a] * 2.0 * (1.0 - np.cos(theta[a])) / dx[a] ** 2
+    for a in range(n):
+        for b in range(a + 1, n):
+            sym -= 2.0 * hinv[a, b] * np.sin(theta[a]) * np.sin(theta[b]) / (dx[a] * dx[b])
+    if np.isfinite(tau):
+        sym += 1.0 / tau
+    return sym
+
+
+def _aniso_2d(dims):
+    h = GridModel.flat(2, dims, (TWO_PI, 1.3 * TWO_PI))
+    return h.with_metric(np.broadcast_to(np.array([[2.0, 0.3], [0.3, 1.0]]), h.g.shape).copy())
+
+
+# the spectrum-32 benchmark's flat background of variant 9
+_SPECTRUM_32_V9 = ((32, 32), (TWO_PI * (1.0 + 0.1 * 9), TWO_PI * (1.0 + 0.05 * 9)))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _flat(16), id="16x16"),
+    pytest.param(lambda: GridModel.flat(2, *_SPECTRUM_32_V9), id="spectrum-32-v9"),
+    pytest.param(lambda: _aniso_flat(16), id="aniso16x16"),
+    pytest.param(lambda: _aniso_2d((9, 12)), id="aniso9x12"),
+    pytest.param(lambda: GridModel.flat(3, (8, 12, 10), (6.0, 6.5, 7.0)), id="8x12x10"),
+    pytest.param(_aniso_flat_3d, id="aniso8x8x8"),
+])
+@pytest.mark.parametrize("tau", [np.inf, 0.5])
+def test_laplacian_symbol_has_the_bits_of_the_meshgrid_spelling(make, tau):
+    h = make()
+    got, want = stability.laplacian_symbol(h, tau), _meshgrid_laplacian_symbol(h, tau)
+    assert got.shape == want.shape == h.dims
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _refuse_dense_view(monkeypatch):
     """Make any read of ``FourierOperator.matrix`` fail until the patch is undone."""
     def refuse(self):
@@ -375,6 +418,8 @@ _EMPTY_REPORT = stability.SpectralReport(eigenvalues=np.array([]), eps_neutral=0
         _aniso_flat_3d(), np.inf)), id="8x8x8"),
     pytest.param(lambda: stability.spectrum(stability.assemble_linearized_pde(
         _aniso_flat(16), 0.5)), id="aniso16x16-tau0.5"),
+    pytest.param(lambda: stability.spectrum(stability.assemble_linearized_pde(
+        GridModel.flat(2, *_SPECTRUM_32_V9), np.inf)), id="spectrum-32-v9"),
     pytest.param(lambda: _SYNTHETIC_REPORT, id="synthetic"),
     pytest.param(lambda: _EMPTY_REPORT, id="empty"),
 ])
