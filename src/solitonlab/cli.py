@@ -20,6 +20,7 @@ import numpy as np
 
 from . import entropy, harness
 from .errors import NumericalFailureError, RejectedInputError
+from .fork import Forked
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -66,7 +67,7 @@ def _cmd_entropy(args) -> int:
 def _cmd_gauge_check(args) -> int:
     cfg = _load_config(args.config)
     harness.flat_background(cfg)  # reject a frame config before its flow is integrated
-    with harness.GaugePartner(cfg) as partner:
+    with Forked(harness.gauge_partner, cfg) as partner:
         disc, energy = harness.gauge_reconstruction(cfg, harness.integrate_flow(cfg), partner)
     print(f"max sup-discrepancy (tau-flow pullback vs deturck): {disc:.6e}")
     if energy:

@@ -11,9 +11,9 @@ coupled flow the numeric derivative of W is audited against the weighted
 square of the soliton-defect tensor ``Ric + Hess f - g / (2 tau)``.
 
 The polar-profile starts of ``minimize_mu_multistart`` run together, each
-whole on a thread of its own (the first on the calling thread); their
-tridiagonal eigensolves (``lapack.lowest_eigenpair``) release the GIL, so
-they overlap.  A start's result has the bits of its solve run alone.
+whole in a forked child of its own (``fork.Forked``; the first in the
+calling process), or in turn where no child may fork.  A start's result has
+the bits of its solve run alone.
 
 Potentials come in three shapes: a float (constant potential on a frame
 model), a 1-d array (a polar-angle profile on a round frame model, used to
@@ -28,13 +28,15 @@ operands, so they have the bits of their einsum spellings.
 
 from __future__ import annotations
 
-import contextvars
+import contextlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
 from .errors import NonConvergenceError, NumericalFailureError, RejectedInputError
+from .fork import Forked
 from .geometry import FrameModel, GridModel
 
 CONSTRAINT_TOL = 1e-8
@@ -337,7 +339,7 @@ def _minimize_mu_radial(model, tau: float, f0: np.ndarray, grad_tol: float,
     At the fixed point W = lambda + 1 (multiplier of the unit-mass
     constraint), which doubles as an internal consistency check.
     """
-    from . import lapack
+    from scipy.linalg import eigh_tridiagonal
 
     r = _require_round(model)
     quad = _RadialQuadrature(r, len(f0))
@@ -365,7 +367,7 @@ def _minimize_mu_radial(model, tau: float, f0: np.ndarray, grad_tol: float,
         V = potential(v)
         diag = 4.0 * tau * (wl + wr) / (ds**2 * w) + V
         off = -4.0 * tau * wf / (ds**2 * np.sqrt(w[:-1] * w[1:]))
-        lam, y = lapack.lowest_eigenpair(diag, off)
+        lam, y = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
         psi = normalize(np.abs(y[:, 0]) / np.sqrt(w))
         v_new = normalize((1.0 - beta) * v + beta * psi)
         W = _radial_w(quad, v_new, R, tau, nn)
@@ -458,30 +460,38 @@ def minimize_mu(model, tau: float, f0=None, grad_tol: float = GRAD_TOL,
 
 
 def _radial_mu(model, tau: float, starts: list, grad_tol: float, max_iter: int) -> list:
-    """The radial solves from ``starts``, in order: the first on this thread,
-    each other one whole on a worker thread in a copy of this thread's
-    context, so its numpy error state holds there.  Every result has the
-    bits of its solve run alone.  Once every start has ended, the failure of
-    the lowest-indexed one that failed is raised, as running them one after
-    the other would raise it; no worker outlives the call."""
-    from concurrent.futures import ThreadPoolExecutor  # lazily: it loads logging
+    """The radial solves from ``starts``, in order: the first in this
+    process, each other one whole in a forked child of its own
+    (``Forked``), or in turn after the first where no child may fork.
+    Every result has the bits of its solve run alone.  Once every start has
+    ended, the failure of the lowest-indexed one that failed is raised, as
+    running them one after the other would raise it; no child outlives the
+    call."""
+    import scipy.linalg  # noqa: F401  here, or every child would import it on its own
 
-    def solve(f0):
-        return _minimize_mu_radial(model, tau, f0, grad_tol, min(max_iter, RADIAL_MAX_ITER))
-
-    with ThreadPoolExecutor(max_workers=max(len(starts) - 1, 1)) as pool:
-        rest = [pool.submit(contextvars.copy_context().run, solve, f0) for f0 in starts[1:]]
-        first = solve(starts[0])
-    return [first] + [future.result() for future in rest]
+    args = (grad_tol, min(max_iter, RADIAL_MAX_ITER))
+    results, failure = [], None
+    with contextlib.ExitStack() as stack:
+        rest = [stack.enter_context(Forked(_minimize_mu_radial, model, tau, f0, *args))
+                for f0 in starts[1:]]
+        first = functools.partial(_minimize_mu_radial, model, tau, starts[0], *args)
+        for solve in [first] + [child.result for child in rest]:
+            try:
+                results.append(solve())
+            except Exception as exc:  # held: the first is raised once every start has ended
+                failure = failure or exc
+    if failure is not None:
+        raise failure
+    return results
 
 
 def minimize_mu_multistart(model, tau: float, starts) -> list:
     """Run ``minimize_mu`` from several starts; returns all results.
 
-    Polar-profile starts run together, one thread each (``_radial_mu``), to
-    ``RADIAL_MAX_ITER`` iterations, and a failing one raises once all have
-    ended, the first failing start's error; other starts run one after the
-    other on the calling thread, to ``MAX_ITER``.
+    Polar-profile starts run together, one process each (``_radial_mu``),
+    to ``RADIAL_MAX_ITER`` iterations, and a failing one raises once all
+    have ended, the first failing start's error; other starts run one after
+    the other in the calling process, to ``MAX_ITER``.
     """
     starts = list(starts)
     if starts and all(_is_radial(model, f0) for f0 in starts):

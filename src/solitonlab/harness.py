@@ -34,9 +34,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-import multiprocessing
 import os
-import threading
 import time
 import zipfile
 from dataclasses import asdict, dataclass, replace
@@ -46,6 +44,7 @@ from typing import Optional
 import numpy as np
 
 from . import entropy, flows, gauge, stability
+from .fork import Forked
 from .errors import RejectedInputError
 from .geometry import FrameModel, GridModel, check_grid, sym_components
 
@@ -528,90 +527,15 @@ def _harmonic_gauge(cfg: RunConfig, ricci: flows.Trajectory) -> tuple:
     return sampled, gt.energy
 
 
-def _fork_partner() -> bool:
-    """Whether ``GaugePartner`` forks: the platform offers ``fork``, the
-    process may run on two CPUs or more, no other thread runs (whose locks
-    the child could inherit held), and the process is no daemonic
-    ``multiprocessing`` worker, which may not start children."""
-    return ("fork" in multiprocessing.get_all_start_methods()
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1
-            and not multiprocessing.current_process().daemon)
-
-
-def _send_partner(conn, cfg: RunConfig) -> None:
-    """A forked child's work: ``gauge_partner(cfg)``, or the exception it
-    raised, sent to the parent through ``conn``."""
-    try:
-        reply = (True, gauge_partner(cfg))
-    except BaseException as exc:  # an interrupt too: ``GaugePartner.result`` re-raises it
-        reply = (False, exc)
-    conn.send(reply)
-
-
-class GaugePartner:
-    """``gauge_partner(cfg)``, started before the run's own flow.
-
-    Where ``_fork_partner()`` holds (and the fork succeeds), a forked child
-    integrates it beside the flow and sends it back through a pipe;
-    otherwise it runs in turn, when ``result`` is first asked for.  The
-    arithmetic is the same either way, so the gauge stage's bits are too.
-    ``result`` raises a failure of the partner as its own type and message.
-    ``close``, or leaving a ``with`` block, kills and reaps the child if one
-    still runs, so no path leaves a process behind.
-    """
-
-    def __init__(self, cfg: RunConfig):
-        self._cfg = cfg
-        self._child = self._conn = None
-        if _fork_partner():
-            context = multiprocessing.get_context("fork")
-            self._conn, send = context.Pipe(duplex=False)  # a Queue would start a thread
-            self._child = context.Process(target=_send_partner, args=(send, cfg))
-            try:
-                self._child.start()
-            except OSError:  # no process to spare (EAGAIN): run in turn
-                self._conn.close()
-                self._child = None
-            finally:
-                send.close()  # the child holds the write end: its exit ends the pipe
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    def result(self) -> tuple:
-        if self._child is None:
-            return gauge_partner(self._cfg)
-        try:
-            ok, value = self._conn.recv()
-        except EOFError:
-            self._child.join()
-            raise ChildProcessError(f"the gauge stage's partner process ended with exit code "
-                                    f"{self._child.exitcode} before sending a result") from None
-        finally:
-            self.close()
-        if not ok:
-            raise value
-        return value
-
-    def close(self) -> None:
-        if self._child is not None:
-            self._child.kill()  # it writes no file; SIGKILL, so no inherited handler keeps it
-            self._child.join()
-            self._conn.close()
-
-
-def gauge_reconstruction(cfg: RunConfig, traj: flows.Trajectory, partner: GaugePartner):
+def gauge_reconstruction(cfg: RunConfig, traj: flows.Trajectory, partner: Forked):
     """The gauge stage: max sup-discrepancy of the gauge transport, plus the
     energy records of the harmonic-map gauge.
 
     ``traj`` is the run's flow (``integrate_flow(cfg)``) and ``partner`` the
-    other half of the pair, started before it (``GaugePartner(cfg)``).  The
-    gauge is driven by the tau-flow of the pair: the partner's for a DeTurck
-    run; for a tau-flow run ``traj``, once the partner has arrived.
+    other half of the pair, started before it (``Forked(gauge_partner, cfg)``:
+    in a forked child where one may fork, otherwise in turn).  The gauge is
+    driven by the tau-flow of the pair: the partner's for a DeTurck run; for
+    a tau-flow run ``traj``, once the partner has arrived.
     """
     other, driven = partner.result()
     if cfg.variant == "deturck":
@@ -648,7 +572,7 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
     partner = None
     try:
         if cfg.reconstruct:
-            partner = GaugePartner(cfg)  # the gauge stage's other half, beside the flow
+            partner = Forked(gauge_partner, cfg)  # the gauge stage's other half, beside the flow
         traj = integrate_flow(cfg)
         traj_path = out_dir / "trajectory.jsonl"
         save_trajectory(traj, traj_path)

@@ -182,10 +182,10 @@ class SpectralReport:
     n_decay: int
     gap: float
 
-    def to_document(self) -> dict:
-        """JSON-ready report."""
+    def to_document(self, eigenvalues: bool = True) -> dict:
+        """JSON-ready report; ``eigenvalues=False`` leaves its eigenvalue list empty."""
         return {
-            "eigenvalues_re": self.eigenvalues.tolist(),
+            "eigenvalues_re": self.eigenvalues.tolist() if eigenvalues else [],
             "eps_neutral": self.eps_neutral,
             "counts": {"grow": self.n_grow, "neutral": self.n_neutral,
                        "decay": self.n_decay},
@@ -199,8 +199,7 @@ class SpectralReport:
         once per component and even in the wavenumber, and the eigenvalues
         are sorted, so a 32^2 report holds 3,072 eigenvalues in at most 289
         runs.  Any order gives the same bytes; sorted, it is the fewest runs."""
-        doc = self.to_document()
-        doc["eigenvalues_re"] = []
+        doc = self.to_document(eigenvalues=False)
         bits = self.eigenvalues.view(np.int64)
         starts = np.flatnonzero(np.diff(bits)) + 1  # where a run of equal bits begins
         if bits.size:

@@ -1,11 +1,13 @@
 """Entropy functional, constraint handling, defect, and mu minimization."""
 
+import multiprocessing
+import os
 import threading
 
 import numpy as np
 import pytest
 
-from solitonlab import entropy, flows, geometry, lapack
+from solitonlab import entropy, flows, fork, geometry
 from solitonlab.entropy import MuResult
 from solitonlab.errors import NonConvergenceError, RejectedInputError
 from solitonlab.geometry import FrameModel, GridModel
@@ -256,103 +258,29 @@ def test_radial_nonconvergence_carries_last_iterate():
 
 
 # ---------------------------------------------------------------------------
-# the radial solve's LAPACK calls, run without the GIL
+# the radial multistart: its starts after the first in forked children
 
 
-def _radial_matrix(monkeypatch, n_theta=8192, tau=1e-2):
-    """The (diag, off) of the first eigensolve of criterion 8's radial solve."""
-    captured, lowest_eigenpair = [], lapack.lowest_eigenpair
-
-    def capture(d, e):
-        captured.append((d.copy(), e.copy()))
-        return lowest_eigenpair(d, e)
-
-    monkeypatch.setattr(lapack, "lowest_eigenpair", capture)
-    m = FrameModel.su2(a=(1.0, 1.0, 1.0))
-    quad = entropy._RadialQuadrature(1.0, n_theta)
-    f0 = entropy.normalize_f(m, quad.theta**2 / (4.0 * tau), tau)
-    with pytest.raises(NonConvergenceError):
-        entropy.minimize_mu(m, tau, f0=f0, max_iter=1)
-    return captured[0]
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the platform offers no fork")
 
 
-def _random_tridiagonal(n, seed):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(n), rng.standard_normal(n - 1)
+def _both_paths(monkeypatch):
+    """Yield True with the starts after the first in forked children (two
+    CPUs faked, as any host of two or more has), where the platform offers
+    fork, then False with them in turn."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert fork._can_fork()
+        yield True
+    monkeypatch.setattr(fork, "_can_fork", lambda: False)
+    yield False
 
 
-def _split_tridiagonal():
-    d, e = _random_tridiagonal(40, 7)
-    e[17] = 0.0  # two blocks, which dstebz and dstein treat one by one
-    return d, e
-
-
-TRIDIAGONALS = {
-    **{f"random-{n}": (lambda n=n, seed=seed: _random_tridiagonal(n, seed))
-       for seed, n in enumerate((3, 17, 256, 1000))},
-    "split": _split_tridiagonal,
-    "n=2": lambda: (np.array([2.0, -1.0]), np.array([0.5])),
-}
-
-
-@pytest.mark.parametrize("matrix", ["radial-8192", *TRIDIAGONALS])
-def test_lowest_eigenpair_equals_eigh_tridiagonal(matrix, monkeypatch):
-    """Both sides call the same LAPACK routines with the same arguments, so
-    the eigenvalue and the eigenvector agree in every bit."""
-    from scipy.linalg import eigh_tridiagonal
-
-    d, e = _radial_matrix(monkeypatch) if matrix == "radial-8192" else TRIDIAGONALS[matrix]()
-    w, z = lapack.lowest_eigenpair(d, e)
-    w_ref, z_ref = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-    assert w.shape == w_ref.shape and z.shape == z_ref.shape
-    assert np.array_equal(w, w_ref) and np.array_equal(z, z_ref)
-
-
-@pytest.mark.parametrize("bad", ["d", "e"])
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_lowest_eigenpair_rejects_non_finite_input(bad, value):
-    d, e = _random_tridiagonal(8, 0)
-    {"d": d, "e": e}[bad][3] = value
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        lapack.lowest_eigenpair(d, e)
-
-
-@pytest.mark.parametrize("d, e", [(np.ones(4), np.ones(4)), (np.ones((2, 2)), np.ones(1)),
-                                  (np.ones(0), np.ones(0))])
-def test_lowest_eigenpair_rejects_mismatched_shapes(d, e):
-    with pytest.raises(ValueError, match="shape"):
-        lapack.lowest_eigenpair(d, e)
-
-
-@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
-def test_lowest_eigenpair_raises_on_lapack_info(routine, monkeypatch):
-    """A routine that sets info != 0 (its last argument) raises naming it."""
-    stebz, stein = lapack._routines()
-
-    def failing(function):
-        def call(*args):
-            function(*args)
-            args[-1][0] = 2
-
-        return call
-
-    routines = (failing(stebz), stein) if routine == "dstebz" else (stebz, failing(stein))
-    monkeypatch.setattr(lapack, "_routines", lambda: routines)
-    with pytest.raises(np.linalg.LinAlgError, match=f"{routine} failed .*info=2"):
-        lapack.lowest_eigenpair(*_random_tridiagonal(8, 0))
-
-
-def test_radial_multistart_equals_its_solves_one_by_one():
-    m = FrameModel.su2(a=(1.0, 1.0, 1.0))
-    tau = 1e-2
-    quad = entropy._RadialQuadrature(1.0, 1024)
-    starts = [entropy.normalize_f(m, s * quad.theta**2 / (4.0 * tau), tau) for s in (0.5, 1.0, 2.0)]
-    together = entropy.minimize_mu_multistart(m, tau, starts)
-    for res, f0 in zip(together, starts):
-        alone = entropy.minimize_mu(m, tau, f0=f0)
-        assert np.array_equal(res.f, alone.f)
-        assert (res.mu, res.iterations, res.grad_norm) == (alone.mu, alone.iterations,
-                                                           alone.grad_norm)
+def _no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _radial_starts(n_theta, tau, scales):
@@ -361,68 +289,122 @@ def _radial_starts(n_theta, tau, scales):
     return m, [entropy.normalize_f(m, s * quad.theta**2 / (4.0 * tau), tau) for s in scales]
 
 
-def test_radial_multistart_raises_the_first_failure_after_every_start_ends(monkeypatch):
+def _log_each_solve(monkeypatch, path, starts, max_iters=None):
+    """Have every radial solve, in this process or in a forked child, append
+    to ``path`` (a child's memory dies with it, a file does not) the index of
+    its start, its process id and ``np.geterr()["over"]`` once it has ended;
+    returns a reader of the lines logged since its last call.  ``max_iters``
+    maps a start's index to the ``max_iter`` its solve gets instead of the
+    caller's."""
+    solve = entropy._minimize_mu_radial
+
+    def logged(model, tau, f0, grad_tol, max_iter):
+        index = next(i for i, start in enumerate(starts) if np.array_equal(start, f0))
+        try:
+            return solve(model, tau, f0, grad_tol, (max_iters or {}).get(index, max_iter))
+        finally:
+            with open(path, "a") as fh:
+                fh.write(f"{index} {os.getpid()} {np.geterr()['over']}\n")
+
+    def read():
+        lines = [line.split() for line in path.read_text().splitlines()]
+        path.unlink()
+        return lines
+
+    monkeypatch.setattr(entropy, "_minimize_mu_radial", logged)
+    return read
+
+
+def test_radial_multistart_equals_its_solves_one_by_one(monkeypatch):
+    """Forked or in turn, each start's result has the bits of its solve run
+    alone, and no child is left."""
+    tau = 1e-2
+    m, starts = _radial_starts(1024, tau, (0.5, 1.0, 2.0))
+    alone = [entropy.minimize_mu(m, tau, f0=f0) for f0 in starts]
+    for _ in _both_paths(monkeypatch):
+        together = entropy.minimize_mu_multistart(m, tau, starts)
+        _no_child_left()
+        for res, ref in zip(together, alone, strict=True):
+            assert np.array_equal(res.f, ref.f)
+            assert (res.mu, res.iterations, res.grad_norm) == (ref.mu, ref.iterations,
+                                                               ref.grad_norm)
+
+
+def test_radial_multistart_raises_the_first_failure_after_every_start_ends(tmp_path,
+                                                                            monkeypatch):
     """As the sequential loop would, ``minimize_mu_multistart`` raises the
     lowest-indexed failing start's error, with its last iterate; the other
-    starts still run to their end, and no worker thread outlives the call."""
+    starts still run to their end, and no thread or child outlives the call."""
     tau = 1e-2
     m, starts = _radial_starts(256, tau, (0.5, 1.0, 2.0, 4.0))
-    stalled = {id(starts[1]), id(starts[2])}  # these starts get a single iteration
-    ended, solve = [], entropy._minimize_mu_radial
-
-    def stalling(model, tau, f0, grad_tol, max_iter):
-        try:
-            return solve(model, tau, f0, grad_tol, 1 if id(f0) in stalled else max_iter)
-        finally:
-            ended.append(id(f0))
-
-    monkeypatch.setattr(entropy, "_minimize_mu_radial", stalling)
-    threads = threading.active_count()
-    with pytest.raises(NonConvergenceError) as info:
-        entropy.minimize_mu_multistart(m, tau, starts)
-    assert sorted(ended) == sorted(id(f0) for f0 in starts)
-    assert threading.active_count() == threads
     with pytest.raises(NonConvergenceError) as alone:
         entropy.minimize_mu(m, tau, f0=starts[1], max_iter=1)
-    assert str(info.value) == str(alone.value)
-    assert np.array_equal(info.value.last_iterate.f, alone.value.last_iterate.f)
-    assert info.value.last_iterate.iterations == 1
+    threads = threading.active_count()
+    ended = _log_each_solve(monkeypatch, tmp_path / "solves", starts, {1: 1, 2: 1})  # two stall
+    for _ in _both_paths(monkeypatch):
+        with pytest.raises(NonConvergenceError) as info:
+            entropy.minimize_mu_multistart(m, tau, starts)
+        assert sorted(int(index) for index, _, _ in ended()) == [0, 1, 2, 3]
+        assert threading.active_count() == threads
+        _no_child_left()
+        assert str(info.value) == str(alone.value)
+        assert np.array_equal(info.value.last_iterate.f, alone.value.last_iterate.f)
+        assert info.value.last_iterate.iterations == 1
 
 
-def test_radial_multistart_keeps_the_callers_error_state(monkeypatch):
-    """Every start, on a worker thread or not, runs under the caller's
-    ``np.errstate``."""
+def test_radial_multistart_keeps_the_callers_error_state(tmp_path, monkeypatch):
+    """Every start, in a forked child or not, runs under the caller's
+    ``np.errstate``; forked, the starts after the first run in children."""
     tau = 1e-2
     m, starts = _radial_starts(64, tau, (0.5, 1.0, 2.0))
-    seen, solve = [], entropy._minimize_mu_radial
-
-    def recording(*args):
-        seen.append(np.geterr()["over"])
-        return solve(*args)
-
-    monkeypatch.setattr(entropy, "_minimize_mu_radial", recording)
-    with np.errstate(over="raise"):
-        entropy.minimize_mu_multistart(m, tau, starts)
-    assert seen == ["raise"] * len(starts)
+    solves = _log_each_solve(monkeypatch, tmp_path / "solves", starts)
+    for forked in _both_paths(monkeypatch):
+        with np.errstate(over="raise"):
+            entropy.minimize_mu_multistart(m, tau, starts)
+        logged = solves()
+        assert sorted((int(index), over) for index, _, over in logged) == [
+            (0, "raise"), (1, "raise"), (2, "raise")]
+        in_caller = {int(index): int(pid) == os.getpid() for index, pid, _ in logged}
+        assert in_caller == {0: True, 1: not forked, 2: not forked}
 
 
 def test_radial_solves_cap_their_iterations_at_radial_max_iter(monkeypatch):
     """A radial solve gets the caller's ``max_iter`` up to ``RADIAL_MAX_ITER``
-    (1000), whether ``minimize_mu`` or the multistart (``MAX_ITER``) calls it."""
+    (1000), whether ``minimize_mu`` or the multistart (``MAX_ITER``) calls it,
+    forked or in turn; each solve here returns the cap it got."""
     tau = 1e-2
     m, starts = _radial_starts(64, tau, (0.5, 1.0))
-    seen = []
 
-    def recording(model, tau, f0, grad_tol, max_iter):
-        seen.append(max_iter)
-        return MuResult(f=f0, mu=0.0, iterations=0, grad_norm=0.0)
+    def capped(model, tau, f0, grad_tol, max_iter):
+        return MuResult(f=f0, mu=0.0, iterations=max_iter, grad_norm=0.0)
 
-    monkeypatch.setattr(entropy, "_minimize_mu_radial", recording)
-    entropy.minimize_mu(m, tau, f0=starts[0], max_iter=10)
-    entropy.minimize_mu(m, tau, f0=starts[0], max_iter=10**5)
-    assert seen == [10, 1000] and entropy.RADIAL_MAX_ITER == 1000
-    entropy.minimize_mu_multistart(m, tau, starts)
-    assert seen[2:] == [1000, 1000]
+    monkeypatch.setattr(entropy, "_minimize_mu_radial", capped)
+    assert entropy.minimize_mu(m, tau, f0=starts[0], max_iter=10).iterations == 10
+    assert entropy.minimize_mu(m, tau, f0=starts[0], max_iter=10**5).iterations == 1000
+    assert entropy.RADIAL_MAX_ITER == 1000
+    for _ in _both_paths(monkeypatch):
+        results = entropy.minimize_mu_multistart(m, tau, starts)
+        assert [res.iterations for res in results] == [1000, 1000]
+
+
+@needs_fork
+def test_a_start_whose_child_dies_fails_the_multistart(monkeypatch):
+    """A start's child that ends without sending its result is named with its
+    exit code once every start has ended, and no child is left."""
+    tau = 1e-2
+    m, starts = _radial_starts(64, tau, (0.5, 1.0, 2.0))
+    monkeypatch.setattr(fork, "_can_fork", lambda: True)
+    parent, solve = os.getpid(), entropy._minimize_mu_radial
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(7)
+        return solve(*args)
+
+    monkeypatch.setattr(entropy, "_minimize_mu_radial", dying)
+    with pytest.raises(ChildProcessError, match="ended with exit code 7 "):
+        entropy.minimize_mu_multistart(m, tau, starts)
+    _no_child_left()
 
 
 def test_grid_minimizer_beats_test_potentials():

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from solitonlab import cli, entropy, flows, gauge, geometry, harness, stability
+from solitonlab import cli, entropy, flows, fork, gauge, geometry, harness, stability
 from solitonlab.errors import (GaugeBreakdownError, InsufficientDataError, NonConvergenceError,
                                NumericalFailureError, RejectedInputError, StepRejectedError)
 from solitonlab.geometry import FrameModel, GridModel
@@ -1051,7 +1051,7 @@ def test_rate_fit_error_fails_the_stability_stage(tmp_path, monkeypatch):
 
 def test_gauge_reconstruction_verdict(tmp_path, monkeypatch):
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
-    monkeypatch.setattr(harness, "_fork_partner", lambda: False)  # count every call here
+    monkeypatch.setattr(fork, "_can_fork", lambda: False)  # count every call here
     cfg = harness.parse_config(GRID_CONFIG)
     cfg.reconstruct = True
     cfg.analyze = False
@@ -1069,7 +1069,7 @@ def test_gauge_reconstruction_verdict(tmp_path, monkeypatch):
     assert variants == ["deturck", "tau"]
     assert 0.0 <= record.verdicts["gauge_discrepancy"] < 1e-3
     disc, _ = harness.gauge_reconstruction(cfg, harness.load_trajectory(record.trajectory_path),
-                                           harness.GaugePartner(cfg))
+                                           fork.Forked(harness.gauge_partner, cfg))
     assert variants[2:] == ["tau"]
     assert record.verdicts["gauge_discrepancy"] == disc
     lines = [json.loads(l) for l in open(record.trajectory_path)]
@@ -1090,7 +1090,7 @@ def test_the_gauge_stage_pairs_the_run_with_its_partner_at_its_tau(tmp_path, mon
     Pairing the tau = inf tau-flow with a tau = 0.5 DeTurck flow would give
     1.73: the pair must share the run's tau."""
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
-    monkeypatch.setattr(harness, "_fork_partner", lambda: False)  # count every call here
+    monkeypatch.setattr(fork, "_can_fork", lambda: False)  # count every call here
     run_flow = flows.run_flow
     calls = []
     monkeypatch.setattr(flows, "run_flow", lambda *a, **k: calls.append(a[1]) or run_flow(*a, **k))
@@ -1124,7 +1124,7 @@ def test_the_gauge_stage_over_a_shorter_last_interval(tmp_path, capsys, monkeypa
     from scipy.interpolate import CubicSpline
 
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
-    monkeypatch.setattr(harness, "_fork_partner", lambda: False)  # count every call here
+    monkeypatch.setattr(fork, "_can_fork", lambda: False)  # count every call here
     config = _write_config(tmp_path, "[flow]\ndt = 0.01\nt_end = 0.25\nsample_every = 10\n")
     calls = []
     real = flows.MetricInterpolant.__call__
@@ -1175,13 +1175,13 @@ def test_the_forked_gauge_stage_gives_the_bits_of_the_in_turn_one(tmp_path, monk
     cfg = _load(_write_config(tmp_path, GAUGE_16.format(variant=variant, tau=tau)))
     calls = _counting_run_flow(monkeypatch)
     stages = {}
-    for fork in (True, False):
+    for forked in (True, False):
         calls.clear()
-        monkeypatch.setattr(harness, "_fork_partner", lambda: fork)
-        with harness.GaugePartner(cfg) as partner:
-            stages[fork] = harness.gauge_reconstruction(cfg, harness.integrate_flow(cfg), partner)
+        monkeypatch.setattr(fork, "_can_fork", lambda: forked)
+        with fork.Forked(harness.gauge_partner, cfg) as partner:
+            stages[forked] = harness.gauge_reconstruction(cfg, harness.integrate_flow(cfg), partner)
         partner_variant = "tau" if variant == "deturck" else "deturck"
-        assert calls == ([variant] if fork else [variant, partner_variant])
+        assert calls == ([variant] if forked else [variant, partner_variant])
         _no_child_left()
     (disc, energy), (disc_in_turn, energy_in_turn) = stages[True], stages[False]
     assert disc == disc_in_turn and 0.0 < disc < 2e-3
@@ -1193,14 +1193,15 @@ def _breakdown(*args, **kwargs):
 
 
 @needs_fork
-@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-turn"])
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-turn"])
 @pytest.mark.parametrize("failure", ["step-rejected", "gauge-breakdown"])
-def test_a_failing_partner_fails_the_gauge_stage(tmp_path, monkeypatch, capsys, failure, fork):
+def test_a_failing_partner_fails_the_gauge_stage(tmp_path, monkeypatch, capsys, failure,
+                                                 forked):
     """A partner that raises, in a forked child or in turn, fails the run at
     the gauge stage with its own type, message and breakdown time, and
     ``run`` and ``gauge-check`` exit 3 naming it; no child is left."""
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
-    monkeypatch.setattr(harness, "_fork_partner", lambda: fork)
+    monkeypatch.setattr(fork, "_can_fork", lambda: forked)
     if failure == "step-rejected":
         _counting_run_flow(monkeypatch, fail="tau")
         error, message = StepRejectedError, "the tau flow left the SPD cone at t = 0.01"
@@ -1228,7 +1229,7 @@ def test_a_failing_own_flow_leaves_no_child(tmp_path, monkeypatch, capsys, varia
     """When the run's own flow fails while the forked partner still runs, the
     run fails at the flow stage and the child is killed and reaped."""
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
-    monkeypatch.setattr(harness, "_fork_partner", lambda: True)
+    monkeypatch.setattr(fork, "_can_fork", lambda: True)
     _counting_run_flow(monkeypatch, fail=variant)
     config = _write_config(tmp_path, GAUGE_16.format(variant=variant, tau="inf"))
     cfg = _load(config)
@@ -1247,8 +1248,8 @@ def test_a_partner_process_that_dies_fails_the_gauge_stage(tmp_path, monkeypatch
     """A child that ends without sending its result is named with its exit
     code at the gauge stage, not waited on forever."""
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
-    monkeypatch.setattr(harness, "_fork_partner", lambda: True)
-    monkeypatch.setattr(harness, "_send_partner", lambda conn, cfg: os._exit(7))
+    monkeypatch.setattr(fork, "_can_fork", lambda: True)
+    monkeypatch.setattr(fork, "_send", lambda conn, fn, args: os._exit(7))
     cfg = _load(_write_config(tmp_path, GAUGE_16.format(variant="deturck", tau="inf")))
     with pytest.raises(ChildProcessError, match="ended with exit code 7"):
         harness.run_experiment(cfg)
@@ -1262,14 +1263,14 @@ def test_a_fork_that_fails_runs_the_partner_in_turn(tmp_path, monkeypatch):
     """Where the fork itself fails (no process to spare), the partner runs
     in turn, with the same verdict."""
     cfg = _load(_write_config(tmp_path, GAUGE_16.format(variant="deturck", tau="inf")))
-    monkeypatch.setattr(harness, "_fork_partner", lambda: True)
+    monkeypatch.setattr(fork, "_can_fork", lambda: True)
 
     def no_process(self):
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
     calls = _counting_run_flow(monkeypatch)
-    with harness.GaugePartner(cfg) as partner:
+    with fork.Forked(harness.gauge_partner, cfg) as partner:
         disc, _ = harness.gauge_reconstruction(cfg, harness.integrate_flow(cfg), partner)
     assert calls == ["deturck", "tau"]
     assert abs(disc - 7.636696362019451e-4) <= 1e-12 * 7.636696362019451e-4
@@ -1282,24 +1283,24 @@ def test_the_partner_runs_in_turn_beside_a_thread_or_on_one_cpu(monkeypatch):
     where the platform offers no fork."""
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert harness._fork_partner()
+    assert fork._can_fork()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert not harness._fork_partner()
+    assert not fork._can_fork()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert not harness._fork_partner()
+        assert not fork._can_fork()
     finally:
         release.set()
         thread.join()
-    assert harness._fork_partner()
+    assert fork._can_fork()
     monkeypatch.setattr(multiprocessing, "current_process", lambda: Namespace(daemon=True))
-    assert not harness._fork_partner()  # a daemonic process may start no child
+    assert not fork._can_fork()  # a daemonic process may start no child
     monkeypatch.setattr(multiprocessing, "current_process", lambda: Namespace(daemon=False))
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert not harness._fork_partner()
+    assert not fork._can_fork()
 
 
 @needs_fork
@@ -1312,9 +1313,9 @@ def test_a_forked_partner_failure_exits_3_with_one_line(tmp_path):
     config = _write_config(tmp_path, GAUGE_16.format(variant="deturck", tau="inf"))
     script = "\n".join([
         "import sys",
-        "from solitonlab import cli, flows, harness",
+        "from solitonlab import cli, flows, fork",
         "from solitonlab.errors import StepRejectedError",
-        "assert harness._fork_partner()",
+        "assert fork._can_fork()",
         "run_flow = flows.run_flow",
         "def failing(model0, variant, *args, **kwargs):",
         "    if variant == 'tau':",

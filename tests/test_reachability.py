@@ -1,10 +1,10 @@
 """Reachability gate: every function defined in ``src/solitonlab`` is entered by
 what the program is run for, or is on ``ALLOWLIST`` with its reason.
 
-Under ``sys.setprofile`` (and ``threading.setprofile``, so that the worker
-threads of the radial mu multistart count too; a forked child, such as the
-gauge stage's partner, keeps the profile and reports what it entered through
-a file) the test drives one smoke op
+Under ``sys.setprofile`` (and ``threading.setprofile``, so that a thread
+would count too; a forked child, such as the gauge stage's partner or a
+radial mu start after the first, keeps the profile and reports what it
+entered through a file) the test drives one smoke op
 of each of the four benchmark workloads, and every CLI command (``run``,
 ``spectrum``, ``entropy``, ``gauge-check``, ``plot`` with every quantity) on
 a small grid config with gauge reconstruction and the divergence fix and on
@@ -144,7 +144,7 @@ def _drive(tmp_path: Path) -> dict:
 def test_every_function_is_reached_or_allowlisted(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))  # restored afterwards
-    # the gauge partner forks as on any host of two CPUs or more, whatever this one has
+    # the gauge partner and the radial starts fork as on any host of two CPUs or more
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     # a memoized function that earlier tests filled would not be entered again
     for name, module in list(sys.modules.items()):

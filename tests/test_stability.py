@@ -1,6 +1,7 @@
 """Linearized operators, spectra, interval lemmas, family projection, the
 quadratic remainder, and rate fitting."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -430,18 +431,34 @@ def test_spectral_json_is_the_indented_dump_of_the_document(report):
     assert report.to_json() == json.dumps(report.to_document(), indent=2)
 
 
+class _CountedList(np.ndarray):
+    """Eigenvalues that record the length of every list made of them."""
+
+    listed = []
+
+    def tolist(self):
+        self.listed.append(self.size)
+        return super().tolist()
+
+
 def test_spectral_json_reads_the_document_once(monkeypatch):
+    """``to_json`` reads the document once, without its eigenvalue list, and
+    lists no more eigenvalues than it formats: one per run of equal bits."""
     calls = []
     to_document = stability.SpectralReport.to_document
 
-    def counted(self):
-        calls.append(self)
-        return to_document(self)
+    def counted(self, **kwargs):
+        calls.append(to_document(self, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(stability.SpectralReport, "to_document", counted)
     report = stability.spectrum(stability.assemble_linearized_pde(_flat(16), np.inf))
+    report = dataclasses.replace(report, eigenvalues=report.eigenvalues.view(_CountedList))
+    _CountedList.listed.clear()
     report.to_json()
-    assert len(calls) == 1 and calls[0] is report
+    assert len(calls) == 1 and calls[0]["eigenvalues_re"] == []
+    runs = np.count_nonzero(np.diff(report.eigenvalues.view(np.int64))) + 1
+    assert _CountedList.listed == [runs] and runs < report.eigenvalues.size == 768
 
 
 @pytest.mark.parametrize("symbol", [np.full((8, 8), 1e-11), np.where(np.eye(8), np.inf, -1.0)],
