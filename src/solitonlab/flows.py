@@ -7,7 +7,10 @@ stepping is classical RK4 of the metric (``rk4``, shared with the gauge
 flows) under a parabolic CFL bound; ``reparametrize`` translates a finite-tau
 trajectory to tau = inf (one way).
 
-A flow state is its time and its metric; its tau is the trajectory's.  A
+A flow state is its time and its metric, the model's ``metric`` (a frame's
+``a``, a grid's ``g``), from which ``with_metric`` rebuilds a model; -2 Ric,
+the step bound and the stage check are the model's too (see ``geometry``),
+so no code here tests the model kind.  Its tau is the trajectory's.  A
 coupled run's potential f lives on frame models, where it is constant in
 space: its equation f_t = -R + n/(2 tau) is d/dt log Vol(g), so it is a
 function of the metric (``entropy.constant_potential``) and stored nowhere.
@@ -17,7 +20,7 @@ model derives g^{-1}, Gamma(g) and Ricci once, component-major (see
 ``geometry``), and both Ricci and the gauge field V read them; the
 background's Gamma(h) is derived once per ``make_metric_rhs``.  A velocity
 is returned node-major, as the metric it moves is stored: on a grid
-``rhs_unnormalized`` takes a node-major copy of ``ric_cm`` itself.  A sampled
+``ricci_velocity`` takes a node-major copy of ``ric_cm`` itself.  A sampled
 state's geometry is derived once too: its diagnostics read the working
 model, whose fields the next step's first stage reuses, and the trajectory
 stores a twin (``geometry.twin``), so stored states carry metrics only.
@@ -77,17 +80,7 @@ class Trajectory:
 
     def metric_series(self) -> np.ndarray:
         """Stacked metric coefficient arrays, leading axis = sample index."""
-        return np.stack([_metric_array(s.model) for s in self.states])
-
-
-def _metric_array(model) -> np.ndarray:
-    return model.a if isinstance(model, FrameModel) else model.g
-
-
-def _with_metric(model, arr, validate=False):
-    if isinstance(model, FrameModel):
-        return model.with_a(arr)
-    return model.with_metric(arr, validate=validate)
+        return np.stack([s.model.metric for s in self.states])
 
 
 class MetricInterpolant:
@@ -125,7 +118,7 @@ class MetricInterpolant:
         else:
             slope = (y[j + 1] - y[j]) / (x[j + 1] - x[j])
             flat = slope * (t - x[j]) + y[j]
-        return _with_metric(self._template, flat.reshape(self._shape))
+        return self._template.with_metric(flat.reshape(self._shape), validate=False)
 
 
 def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -185,15 +178,13 @@ def rhs_tau_flow(model, tau: float):
         raise RejectedInputError("tau must be positive (or inf)")
     out = rhs_unnormalized(model)
     if tau < np.inf:
-        out = out + _metric_array(model) / tau
+        out = out + model.metric / tau
     return out
 
 
 def rhs_unnormalized(model):
     """Metric velocity -2 Ric(g) of the unnormalized flow."""
-    if isinstance(model, FrameModel):
-        return -2.0 * model.ric
-    return geometry.node_major(-2.0 * model.ric_cm, 2)
+    return model.ricci_velocity()
 
 
 def rhs_deturck(m: GridModel, h: GridModel, tau: float):
@@ -250,10 +241,7 @@ def rk4(f: Callable, y: np.ndarray, dt: float) -> np.ndarray:
 def cfl_bound(model) -> float:
     """Parabolic step bound 0.2 h^2 min eig(g) (= 0.2 h^2 / max eig(g^{-1}));
     inf for frame ODEs."""
-    if isinstance(model, FrameModel):
-        return np.inf
-    h_min = min(p / d for p, d in zip(model.period, model.dims))  # min(spacings)
-    return CFL_FACTOR * h_min**2 * model.min_eig
+    return model.step_bound(CFL_FACTOR)
 
 
 def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
@@ -261,21 +249,21 @@ def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
 
     A stage or result metric outside the SPD cone raises ``StepRejectedError``
     so the caller can halve dt: a frame coefficient <= 0, a stage metric too
-    singular to invert, a grid stage metric with a leading principal minor
-    <= 0 at some node (``geometry.leading_minors_positive``, checked after
-    the stage's velocity, so that a singular stage is reported as such), or
-    a result metric that fails ``validate_spd``.  The first stage is the
-    state, which ``cfl_bound`` has validated: in 2-D that tested its minors.
+    singular to invert, a stage metric that fails the model's
+    ``stage_definite`` (on a grid a leading principal minor <= 0 at some
+    node, checked after the stage's velocity, so that a singular stage is
+    reported as such), or a result metric that fails ``validate_spd``.  The
+    first stage is the state, which ``cfl_bound`` has validated: in 2-D that
+    tested its minors.
     """
     bound = cfl_bound(state.model)
     if dt > bound:
         raise StepRejectedError(f"step from t = {state.t}: dt = {dt} exceeds the CFL "
                                 f"bound {bound:.3e}")
-    grid = isinstance(state.model, GridModel)
 
     def model_at(arr, validate=False):
         try:
-            return _with_metric(state.model, arr, validate=validate)
+            return state.model.with_metric(arr, validate=validate)
         except RejectedInputError as exc:
             raise StepRejectedError(
                 f"step to t = {state.t + dt} left the SPD cone: {exc}") from exc
@@ -284,15 +272,14 @@ def step(state: FlowState, metric_rhs: Callable, dt: float) -> FlowState:
         # the first stage is the state itself, whose geometry its sample derived
         model = state.model if c == 0.0 else model_at(y)
         out = metric_rhs(model)
-        if (grid and (c != 0.0 or model.n == 3)
-                and not geometry.leading_minors_positive(model)):
+        if not model.stage_definite(c):
             raise StepRejectedError(f"step to t = {state.t + dt}: the stage metric at "
                                     f"t = {state.t + c * dt} is not positive definite")
         return out
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed stage fails the checks
-            y1 = rk4(velocity, _metric_array(state.model), dt)
+            y1 = rk4(velocity, state.model.metric, dt)
     except np.linalg.LinAlgError as exc:
         raise StepRejectedError(
             f"step to t = {state.t + dt} met a singular stage metric: {exc}") from exc
@@ -326,17 +313,20 @@ def run_flow(model0, variant: str, tau: float, dt: float, t_end: float,
     ``t_end`` must be a whole number of steps (``step_count``).  On step
     rejection dt is halved (up to ``MAX_HALVINGS`` times); rejection
     past that limit propagates.  Diagnostics per sample: scalar curvature
-    range, metric deviation from the background (if given), and the entropy
-    record of a coupled run, which checks the potential of every state it
-    reaches (``_check_potential``).  ``couple_f`` is rejected unless tau is
-    finite and positive, and on a ``GridModel``, where the forward potential
-    equation is a backward heat equation.
+    range, metric deviation from the background (if given; rejected with a
+    ``FrameModel``, which has no grid), and the entropy record of a coupled
+    run, which checks the potential of every state it reaches
+    (``_check_potential``).  ``couple_f`` is rejected unless tau is finite and
+    positive, and on a ``GridModel``, where the forward potential equation is
+    a backward heat equation.
     """
     if couple_f and not 0 < tau < np.inf:
         raise RejectedInputError(f"the coupled potential needs a finite positive tau, got {tau!r}")
     if couple_f and isinstance(model0, GridModel):
         raise RejectedInputError("on a grid the coupled potential would solve a backward "
                                  "heat equation")
+    if background is not None and isinstance(model0, FrameModel):
+        raise RejectedInputError("a frame model has no grid to compare with a background")
     n_steps = step_count(t_end, dt)
     metric_rhs = make_metric_rhs(variant, tau, background)
     state = FlowState(t=0.0, model=model0)
@@ -369,7 +359,7 @@ def _sample(traj: Trajectory, state: FlowState, background, coupled: bool) -> No
     model = state.model
     R = geometry.scalar_curvature(model)
     diag["scalar_curvature_range"] = [float(np.min(R)), float(np.max(R))]
-    if background is not None and isinstance(model, GridModel):
+    if background is not None:
         dev = model.g - background.g
         rep = geometry.norms(model, dev)
         diag["deviation_l2"] = rep.l2
@@ -404,6 +394,6 @@ def reparametrize(traj: Trajectory, tau: float) -> Trajectory:
         c = 1.0 - s / tau
         t = -tau * np.log(c)
         model = interp(t)
-        model = _with_metric(model, c * _metric_array(model))
+        model = model.with_metric(c * model.metric, validate=False)
         out.append(FlowState(t=float(s), model=model), {})
     return out

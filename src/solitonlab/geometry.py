@@ -13,6 +13,11 @@ Two backgrounds are supported:
   (the metric) on a uniform grid.  All derivative operators are second-order
   central differences with periodic wraparound.
 
+Both classes supply what ``flows``, ``stability`` and ``harness``'s store
+read, so those test no model kind: ``metric``/``with_metric`` (the array a
+flow evolves, and a model rebuilt from one), ``ricci_velocity``,
+``step_bound``, ``stage_definite``, ``array_key``, ``store_header``, ``store_rows``.
+
 Grid fields are plain numpy arrays, stored one way inside the geometry:
 component-major, with the component axes first.  Scalars have shape
 ``dims``, vectors ``(n,) + dims``, symmetric 2-tensors ``(n, n) + dims`` and
@@ -55,6 +60,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from operator import attrgetter
 
 import numpy as np
 
@@ -98,6 +104,7 @@ class FrameModel:
     a: np.ndarray
     base_volume: float = 1.0
     n = 3  # a class constant, not a field: Milnor frames span 3-dimensional groups
+    array_key = "a"  # the name of the trajectory store's array of metrics
 
     def __post_init__(self):
         object.__setattr__(self, "lams", np.asarray(self.lams, dtype=float))
@@ -124,21 +131,51 @@ class FrameModel:
         """The same frame with metric coefficients ``a``."""
         return FrameModel(lams=self.lams, a=a, base_volume=self.base_volume)
 
+    metric = property(attrgetter("a"), doc="The array a flow evolves: the coefficients ``a``.")
+
+    def with_metric(self, a, validate: bool = True) -> "FrameModel":
+        """``with_a``, which checks ``a`` whatever ``validate`` says."""
+        return self.with_a(a)
+
     @cached_field
     def ric(self) -> np.ndarray:
         """Ricci tensor as lowered diagonal coefficients, read-only."""
         return _read_only(_ricci_frame(self))
 
+    def ricci_velocity(self) -> np.ndarray:
+        """-2 Ric, the unnormalized flow's velocity of ``a``."""
+        return -2.0 * self.ric
+
+    def step_bound(self, factor: float) -> float:
+        """inf: the flow of ``a`` is an ODE, with no parabolic step bound."""
+        return np.inf
+
+    def stage_definite(self, c: float) -> bool:
+        """True: ``with_a`` checked each RK4 stage's ``a`` as it built it."""
+        return True
+
+    def store_header(self) -> dict:
+        """What the states of a stored trajectory share: the kind and the frame."""
+        return {"model": "frame", "lams": self.lams.tolist(), "base_volume": self.base_volume}
+
+    @staticmethod
+    def store_rows(metrics: list) -> tuple:
+        """The shape of one stored row, and the rows: the coefficients."""
+        return metrics[0].shape, iter(metrics)
+
 
 def check_grid(n: int, dims: tuple, period: tuple) -> None:
     """Reject the grid parameters no ``GridModel`` takes: other than 2 or 3
-    axes, ``dims`` or ``period`` of another length, under 8 points per axis."""
+    axes, ``dims`` or ``period`` of another length, under 8 points per axis,
+    a period that is not positive and finite."""
     if n not in (2, 3):
         raise RejectedInputError("grid models support n = 2 or 3")
     if len(dims) != n or len(period) != n:
         raise RejectedInputError("dims and period must have length n")
     if any(d < 8 for d in dims):
         raise RejectedInputError("grid needs at least 8 points per axis")
+    if not all(0.0 < p < math.inf for p in period):  # NaN included
+        raise RejectedInputError("each period must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -158,6 +195,7 @@ class GridModel:
     period: tuple
     g: np.ndarray
     validate: bool = field(default=True, compare=False)
+    array_key = "g"  # the name of the trajectory store's array of metrics
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -240,6 +278,8 @@ class GridModel:
         axes = [np.arange(d) * (p / d) for d, p in zip(self.dims, self.period)]
         return np.meshgrid(*axes, indexing="ij")
 
+    metric = property(attrgetter("g"), doc="The array a flow evolves: the node-major ``g``.")
+
     def with_metric(self, g, validate: bool = True) -> "GridModel":
         """This grid with the metric ``g``, of which only the shape is checked
         (and, if ``validate``, the values): this model's ``n``, ``dims`` and
@@ -249,6 +289,35 @@ class GridModel:
                           g=np.asarray(g, dtype=float), validate=validate)
         m._check_metric()
         return m
+
+    def ricci_velocity(self) -> np.ndarray:
+        """-2 Ric, the unnormalized flow's velocity: a node-major copy, not cached."""
+        return node_major(-2.0 * self.ric_cm, 2)
+
+    def step_bound(self, factor: float) -> float:
+        """The parabolic step bound ``factor`` h^2 min eig(g), h the smallest grid step."""
+        h_min = min(p / d for p, d in zip(self.period, self.dims))  # min(spacings)
+        return factor * h_min**2 * self.min_eig
+
+    def stage_definite(self, c: float) -> bool:
+        """Whether the RK4 stage at the fraction ``c`` of a step passes
+        ``leading_minors_positive``; unchecked, the first of a 2-D step."""
+        return (c == 0.0 and self.n == 2) or leading_minors_positive(self)
+
+    def store_header(self) -> dict:
+        """What the states of a stored trajectory share: the kind and the grid."""
+        return {"model": "grid", "dims": list(self.dims), "period": list(self.period)}
+
+    @staticmethod
+    def store_rows(metrics: list) -> tuple:
+        """The shape of one stored row, and the rows, made one at a time: each
+        metric's n(n+1)/2 upper-triangle components, in ``sym_components``
+        order, if every one is symmetric as int64, else its n x n matrix."""
+        bits = [g.view(np.int64) for g in metrics]
+        if not all(np.array_equal(b, b.swapaxes(-1, -2)) for b in bits):
+            return metrics[0].shape, iter(metrics)
+        i, j = zip(*sym_components(metrics[0].shape[-1]))
+        return metrics[0].shape[:-2] + (len(i),), (g[..., i, j] for g in metrics)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -282,9 +351,7 @@ def _leading(a: np.ndarray, *order) -> np.ndarray:
 def twin(m):
     """A copy of ``m`` sharing its metric but none of its derived fields: reads
     the geometry of a stored model without keeping that geometry on it."""
-    if isinstance(m, FrameModel):
-        return m.with_a(m.a)
-    return m.with_metric(m.g, validate=False)
+    return m.with_metric(m.metric, validate=False)
 
 
 def validate_spd(g: np.ndarray) -> float:

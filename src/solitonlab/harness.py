@@ -14,15 +14,15 @@ A persisted trajectory is a JSONL index (``trajectory.jsonl``) plus one
 ``.npz`` array file beside it (``trajectory.npz``), its member deflated
 (stores written before, uncompressed, load as well).  The index
 holds a header with what every state shares (the convention, the array
-file's name, the run's tau, the model kind and its scalar parameters:
-``dims``/``period`` or ``lams``/``base_volume``), then one sample line per
-state, its t and its diagnostics; the gauge stage appends its energy lines.
-The array file holds the stacked float64 metric arrays, under ``g`` (grid)
-or ``a`` (frame), so loading round-trips bitwise.  A grid metric is stored
-as its n(n+1)/2 upper-triangle components, in ``geometry.sym_components``
-order (shape ``(samples,) + dims + (n(n+1)/2,)``), when every metric of the
-trajectory is exactly symmetric, as a flow's are; otherwise, and in stores
-written before this layout, as the full ``dims + (n, n)`` matrices.  A
+file's name, the run's tau, and the model's ``store_header``: its kind and
+scalar parameters, ``dims``/``period`` or ``lams``/``base_volume``), then one
+sample line per state, its t and its diagnostics; the gauge stage appends
+its energy lines.  The array file holds the model's ``store_rows`` of the
+metrics, stacked float64 under its ``array_key`` (``g`` or ``a``), so loading
+round-trips bitwise: a grid metric's n(n+1)/2 upper-triangle components, in
+``geometry.sym_components`` order, when every metric of the trajectory is
+exactly symmetric, as a flow's are, or else, as in stores written before
+this layout, its full ``dims + (n, n)`` matrix.  A
 coupled run's potential is not stored: it is ``entropy.constant_potential``
 of each metric at the header's tau.  Plot data reads the index alone, and
 ``record.json`` names the index and the spectral document by their file
@@ -294,14 +294,6 @@ def _arrays_path(path) -> Path:
     return arrays
 
 
-def _model_fields(model) -> dict:
-    """What every state of a trajectory shares of its model, as the index
-    header holds it: the model kind and its scalar parameters."""
-    if isinstance(model, FrameModel):
-        return {"model": "frame", "lams": model.lams.tolist(), "base_volume": model.base_volume}
-    return {"model": "grid", "dims": list(model.dims), "period": list(model.period)}
-
-
 def _fresh(path) -> Path:
     """``path``, with any file there removed so that it is written anew: a
     rerun into its run directory creates new files rather than truncating the
@@ -311,29 +303,6 @@ def _fresh(path) -> Path:
     return path
 
 
-def _exactly_symmetric(g: np.ndarray) -> bool:
-    """Whether every g_ij equals g_ji as int64, so a -0.0 facing a +0.0 does not."""
-    bits = g.view(np.int64)
-    return np.array_equal(bits, bits.swapaxes(-1, -2))
-
-
-def _stored_rows(traj) -> tuple:
-    """What the array file holds of ``traj``: its key, the shape of one row,
-    and the rows, made one state at a time as they are written.  A frame
-    state's row is its coefficients; a grid state's is its n(n+1)/2
-    upper-triangle components, in ``sym_components`` order, when every metric
-    of the trajectory is exactly symmetric, else its full n x n matrix."""
-    models = [s.model for s in traj.states]
-    if isinstance(models[0], FrameModel):
-        return "a", models[0].a.shape, (m.a for m in models)
-    gs = [m.g for m in models]
-    if not all(_exactly_symmetric(g) for g in gs):
-        return "g", gs[0].shape, iter(gs)
-    pairs = sym_components(gs[0].shape[-1])
-    i, j = zip(*pairs)
-    return "g", gs[0].shape[:-2] + (len(pairs),), (g[..., i, j] for g in gs)
-
-
 def save_trajectory(traj, path) -> None:
     """Write ``traj`` as the JSONL index ``path`` plus its ``.npz`` arrays.
 
@@ -341,15 +310,16 @@ def save_trajectory(traj, path) -> None:
     member deflated at zlib level ``STORE_DEFLATE_LEVEL``: the ``.npy`` header,
     then the rows streamed one at a time, so no stack of them is held."""
     arrays_path = _arrays_path(path)
-    shared = _model_fields(traj.states[0].model)
-    if any(_model_fields(s.model) != shared for s in traj.states):
+    model = traj.states[0].model
+    shared = model.store_header()
+    if any(s.model.store_header() != shared for s in traj.states):
         raise RejectedInputError("a saved trajectory's states must share one model")
-    key, row_shape, rows = _stored_rows(traj)
+    row_shape, rows = model.store_rows([s.model.metric for s in traj.states])
     header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)), "fortran_order": False,
               "shape": (len(traj.states),) + row_shape}
     with zipfile.ZipFile(_fresh(arrays_path), "w", zipfile.ZIP_DEFLATED,
                          compresslevel=STORE_DEFLATE_LEVEL) as zf, \
-            zf.open(key + ".npy", "w", force_zip64=True) as fh:
+            zf.open(model.array_key + ".npy", "w", force_zip64=True) as fh:
         np.lib.format.write_array_header_1_0(fh, header)
         for row in rows:
             fh.write(np.ascontiguousarray(row, dtype=float))
@@ -426,35 +396,34 @@ def load_trajectory(path):
     the full ``dims + (n, n)`` matrix; the number of axes tells the two
     apart, and a triangle is mirrored into the lower one bit for bit.
 
-    An array file that is missing, or whose arrays (an older store's ``f``
-    too, whose values are not read) do not each hold one row per sample
-    line, or whose ``g`` fits the header's dims in neither layout, or whose
-    ``a`` rows are not three coefficients each, all positive and finite, is
-    rejected naming the file.  A header whose model rejects its parameters
-    (``dims`` of other than 2 or 3 axes or under 8 points per axis, a
-    ``period`` of another length, ``lams`` of other than three constants) is
-    rejected naming line 1.
+    A header of a convention other than a flow variant, a tau not positive,
+    or parameters its model rejects (``dims`` of other than 2 or 3 axes or
+    under 8 points per axis, a ``period`` of another length or not positive
+    and finite, ``lams`` of other than three finite constants, a
+    ``base_volume`` not positive and finite) is rejected naming line 1.  An
+    array file that is missing, or whose arrays (an older store's ``f`` too,
+    whose values are not read) do not each hold one row per sample line, or
+    whose ``g`` fits the header's dims in neither layout, or whose ``a`` rows
+    are not three coefficients each, all positive and finite, is rejected
+    naming the file.
     """
     path = Path(path)
     header, *lines = _read_index(path)
-    samples = [r for r in lines if r["kind"] == "sample"]
-    arrays_path = path.parent / header["arrays"]
-    try:
-        with np.load(arrays_path) as npz:
-            arrays = {k: npz[k] for k in npz.files}
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise RejectedInputError(f"{path}: cannot read its array file {arrays_path}: {exc}") from exc
-    key = "a" if header["model"] == "frame" else "g"
-    if key not in arrays or any(v.shape[:1] != (len(samples),) for v in arrays.values()):
-        raise RejectedInputError(f"{arrays_path}: does not hold one {key!r} array per "
-                                 f"sample line of {path} ({len(samples)} samples)")
-    rows = arrays[key]
-    if key == "a":
-        if len(header["lams"]) != 3:
+    tau = np.inf if header["tau"] is None else header["tau"]
+    if header["convention"] not in ("tau", "deturck") or not tau > 0:
+        raise RejectedInputError(f"{path}, line 1: convention {header['convention']!r} at tau "
+                                 f"= {tau!r} is not a 'tau' or 'deturck' flow at a positive tau")
+    if header["model"] == "frame":
+        lams, base_volume = header["lams"], header["base_volume"]
+        if len(lams) != 3:
             raise RejectedInputError(f"{path}, line 1: structure constants must have shape (3,)")
-        if rows.shape[1:] != (3,):
-            raise RejectedInputError(f"{arrays_path}: 'a' of shape {rows.shape} does not hold "
-                                     f"three metric coefficients per sample of {path}")
+        if not all(-np.inf < x < np.inf for x in lams):  # NaN included
+            raise RejectedInputError(f"{path}, line 1: structure constants must be finite")
+        if not 0 < base_volume < np.inf:
+            raise RejectedInputError(f"{path}, line 1: base_volume must be positive and finite")
+        cls, params = FrameModel, dict(lams=lams, base_volume=base_volume)
+        shape, triangles = (3,), None
+        wrong = "does not hold three metric coefficients per sample"
     else:
         dims, period = tuple(header["dims"]), tuple(header["period"])
         n = len(dims)
@@ -462,24 +431,32 @@ def load_trajectory(path):
             check_grid(n, dims, period)
         except RejectedInputError as exc:
             raise RejectedInputError(f"{path}, line 1: {exc}") from exc
-        pairs = sym_components(n)
-        if rows.shape[1:] == dims + (len(pairs),):
-            i, j = zip(*pairs)
-            full = np.empty(rows.shape[:-1] + (n, n))
-            full[..., i, j] = full[..., j, i] = rows
-            rows = full
-        elif rows.shape[1:] != dims + (n, n):
-            raise RejectedInputError(
-                f"{arrays_path}: 'g' of shape {rows.shape} holds neither the triangles "
-                f"{dims + (len(pairs),)} nor the matrices {dims + (n, n)} of the grid of {path}")
-    traj = flows.Trajectory(convention=header["convention"],
-                            tau=np.inf if header["tau"] is None else header["tau"])
+        i, j = zip(*sym_components(n))
+        cls, params = GridModel, dict(n=n, dims=dims, period=period, validate=False)
+        shape, triangles = dims + (n, n), dims + (len(i),)
+        wrong = f"holds neither the triangles {triangles} nor the matrices {shape} of the grid"
+    samples = [r for r in lines if r["kind"] == "sample"]
+    arrays_path = path.parent / header["arrays"]
+    try:
+        with np.load(arrays_path) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise RejectedInputError(f"{path}: cannot read its array file {arrays_path}: {exc}") from exc
+    key = cls.array_key
+    if key not in arrays or any(v.shape[:1] != (len(samples),) for v in arrays.values()):
+        raise RejectedInputError(f"{arrays_path}: does not hold one {key!r} array per "
+                                 f"sample line of {path} ({len(samples)} samples)")
+    rows = arrays[key]
+    if rows.shape[1:] == triangles:
+        full = np.empty(rows.shape[:-1] + (n, n))
+        full[..., i, j] = full[..., j, i] = rows
+        rows = full
+    elif rows.shape[1:] != shape:
+        raise RejectedInputError(f"{arrays_path}: {key!r} of shape {rows.shape} {wrong} of {path}")
+    traj = flows.Trajectory(convention=header["convention"], tau=tau)
     for number, (rec, row) in enumerate(zip(samples, rows)):
         try:
-            if key == "a":
-                model = FrameModel(lams=header["lams"], a=row, base_volume=header["base_volume"])
-            else:
-                model = GridModel(n=n, dims=dims, period=period, g=row, validate=False)
+            model = cls(**params, **{key: row})
         except RejectedInputError as exc:  # a frame's coefficients out of range
             raise RejectedInputError(f"{arrays_path}, sample {number}: {exc}") from exc
         traj.append(flows.FlowState(t=rec["t"], model=model),

@@ -129,7 +129,7 @@ def assemble_linearized_pde(h: GridModel, tau: float) -> FourierOperator:
 def jacobian_ode(rhs: Callable, background: FrameModel) -> np.ndarray:
     """Central finite-difference Jacobian of a frame-ODE right-hand side, with
     step 1e-6 relative to each coefficient (absolute below 1)."""
-    a0 = np.array(background.a, dtype=float)
+    a0 = np.array(background.metric, dtype=float)
     dim = len(a0)
     mat = np.empty((dim, dim))
     for k in range(dim):
@@ -137,7 +137,8 @@ def jacobian_ode(rhs: Callable, background: FrameModel) -> np.ndarray:
         ap, am = a0.copy(), a0.copy()
         ap[k] += hk
         am[k] -= hk
-        mat[:, k] = (rhs(background.with_a(ap)) - rhs(background.with_a(am))) / (2.0 * hk)
+        mat[:, k] = ((rhs(background.with_metric(ap)) - rhs(background.with_metric(am)))
+                     / (2.0 * hk))
     return mat
 
 

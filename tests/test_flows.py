@@ -119,11 +119,22 @@ def test_deturck_rhs_makes_one_geometry_pass(monkeypatch):
     assert calls == {"christoffel": 1, "inverse_metric": 1}
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
 def test_cfl_bound_scales_with_grid():
+    """The bound scales as h^2, is inf on the round and Berger frames, and
+    on 2-D and 3-D grids is bitwise ``CFL_FACTOR * h_min**2 * min_eig``, the
+    spelling of ``cfl_bound`` before the models supplied their bound."""
     h16 = GridModel.flat(2, (16, 16), (TWO_PI, TWO_PI))
     h32 = GridModel.flat(2, (32, 32), (TWO_PI, TWO_PI))
     assert np.isclose(flows.cfl_bound(h16) / flows.cfl_bound(h32), 4.0)
-    assert flows.cfl_bound(FrameModel.su2()) == np.inf
+    for frame in (FrameModel.su2(), FrameModel.su2(a=(4.4, 4.0, 3.7))):
+        assert flows.cfl_bound(frame) == np.inf
+    for m in (_wavy_grid(2, (8, 10)), _wavy_grid(3, (8, 9, 10))):
+        h_min = min(p / d for p, d in zip(m.period, m.dims))
+        assert _bits(flows.cfl_bound(m)) == _bits(flows.CFL_FACTOR * h_min**2 * m.min_eig)
     # 0.2 h^2 min eig(g) is the bound 0.2 h^2 / max eig(g^{-1}), validated or not
     g = _wavy_grid(2, (8, 10))
     inverse_form = 0.2 * np.min(g.spacings) ** 2 / np.max(np.linalg.eigvalsh(np.linalg.inv(g.g)))
@@ -352,6 +363,15 @@ def test_run_flow_rejects_a_coupled_grid():
                        couple_f=True)
 
 
+def test_run_flow_rejects_a_background_with_a_frame():
+    """A frame has no grid to measure a deviation from a background on:
+    ``run_flow`` rejects the pair at its entry, for either variant."""
+    h = GridModel.flat(2, (8, 8))
+    for variant in ("tau", "deturck"):
+        with pytest.raises(RejectedInputError, match="no grid to compare with a background"):
+            flows.run_flow(FrameModel.su2(), variant, 1.0, 0.001, 0.002, background=h)
+
+
 # ---------------------------------------------------------------------------
 # interpolation and reparametrization
 
@@ -534,11 +554,32 @@ def test_reparametrized_trajectory_solves_unnormalized_flow():
 
 def test_tau_flow_at_tau_inf_is_the_unnormalized_flow():
     """``rhs_tau_flow`` at tau = inf adds no g/tau term: it is bitwise
-    ``rhs_unnormalized``, on a grid and on a frame."""
-    for m in (_wavy_grid(2, (8, 8)), FrameModel.su2(a=(4.4, 4.0, 3.7))):
-        assert np.array_equal(flows.rhs_tau_flow(m, np.inf), flows.rhs_unnormalized(m))
+    ``rhs_unnormalized``, on 2-D and 3-D grids and on the round and Berger
+    frames.  Both are bitwise -2 Ric as ``rhs_unnormalized`` spelled it
+    before the models supplied it: ``node_major(-2.0 * ric_cm, 2)`` on a
+    grid, ``-2.0 * ric`` on a frame."""
+    grids = [_wavy_grid(2, (8, 8)), _wavy_grid(3, (8, 8, 8))]
+    frames = [FrameModel.su2(), FrameModel.su2(a=(4.4, 4.0, 3.7))]
+    oracles = ([geometry.node_major(-2.0 * m.ric_cm, 2) for m in grids]
+               + [-2.0 * m.ric for m in frames])
+    for m, oracle in zip(grids + frames, oracles, strict=True):
+        assert np.array_equal(_bits(flows.rhs_unnormalized(m)), _bits(oracle))
+        assert np.array_equal(_bits(flows.rhs_tau_flow(m, np.inf)), _bits(oracle))
     with pytest.raises(RejectedInputError, match="unknown flow variant 'unnormalized'"):
         flows.make_metric_rhs("unnormalized", np.inf)
+
+
+def test_stage_check_is_the_leading_minors_rule():
+    """``stage_definite`` is the check ``step`` ran after a stage's velocity
+    when it tested the model kind: on a grid ``leading_minors_positive``,
+    skipped for the first stage (c = 0) of a 2-D step; on a frame none."""
+    for n in (2, 3):
+        m = GridModel.flat(n, (8,) * n)
+        bad = m.with_metric(-m.g, validate=False)
+        for c in (0.0, 0.5, 1.0):
+            assert m.stage_definite(c)
+            assert bad.stage_definite(c) == (c == 0.0 and n == 2)
+    assert FrameModel.su2().stage_definite(0.5)
 
 
 def test_tau_rhs_rejects_bad_tau():

@@ -375,6 +375,18 @@ def test_frame_model_rejects_non_positive_or_non_finite_coefficients(a):
         FrameModel.su2(a=a)
 
 
+@pytest.mark.parametrize("period", [(np.nan, TWO_PI), (0.0, TWO_PI), (TWO_PI, -1.0),
+                                    (np.inf, TWO_PI)])
+def test_grid_model_rejects_a_period_not_positive_and_finite(period):
+    """``check_grid``, which every ``GridModel`` and the trajectory loader
+    run, rejects a period that is NaN, zero (a grid step of 0), negative or
+    infinite."""
+    with pytest.raises(RejectedInputError, match="each period must be positive and finite"):
+        GridModel.flat(2, (8, 8), period)
+    with pytest.raises(RejectedInputError, match="each period must be positive and finite"):
+        geometry.check_grid(2, (8, 8), period)
+
+
 def test_non_spd_metric_rejected():
     m = GridModel.flat(2, (8, 8), (TWO_PI, TWO_PI))
     bad = m.g.copy()

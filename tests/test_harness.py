@@ -291,16 +291,32 @@ def _compression(arrays_path) -> dict:
         return {info.filename: info.compress_type for info in zf.infolist()}
 
 
+def _header_as_before(index, traj) -> bool:
+    """Whether the header line of the store ``index`` of ``traj`` is, byte for
+    byte, the one written when the store tested the model kind."""
+    m = traj.states[0].model
+    if isinstance(m, FrameModel):
+        fields = {"model": "frame", "lams": m.lams.tolist(), "base_volume": m.base_volume}
+    else:
+        fields = {"model": "grid", "dims": list(m.dims), "period": list(m.period)}
+    header = {"kind": "header", "convention": traj.convention,
+              "arrays": Path(index).with_suffix(".npz").name,
+              "tau": None if np.isinf(traj.tau) else traj.tau, **fields}
+    return Path(index).read_text().splitlines()[0] == json.dumps(header)
+
+
 def test_trajectory_round_trip_frame(tmp_path):
     """A coupled Berger run's store holds its metrics alone, deflated, and
     loads back bitwise: each recorded W and defect is the entropy record of
     the loaded state at the loaded tau, so the audit needs nothing the store
-    lacks."""
+    lacks.  Its header, and that of a round run, is the one written when the
+    store tested the model kind."""
     m = FrameModel.su2(a=(4.4, 4.0, 3.7))
     traj = flows.run_flow(m, "tau", tau=2.0 / 3.0, dt=1e-2, t_end=0.05,
                           couple_f=True)
     path = tmp_path / "traj.jsonl"
     harness.save_trajectory(traj, path)
+    assert _header_as_before(path, traj)
     with np.load(tmp_path / "traj.npz") as npz:
         assert npz.files == ["a"]
         assert np.array_equal(_bits(npz["a"]), _bits(traj.metric_series()))
@@ -317,7 +333,14 @@ def test_trajectory_round_trip_frame(tmp_path):
         assert (rec.W, rec.defect_l2) == (diag["entropy"]["W"], diag["entropy"]["defect_l2"])
     inf_tau = flows.run_flow(m, "tau", np.inf, dt=1e-2, t_end=0.02)
     harness.save_trajectory(inf_tau, path)
+    assert _header_as_before(path, inf_tau)
     assert harness.load_trajectory(path).tau == np.inf
+    round_run = flows.run_flow(FrameModel.su2(), "tau", tau=2.0 / 3.0, dt=1e-2, t_end=0.02,
+                               couple_f=True)
+    harness.save_trajectory(round_run, path)
+    assert _header_as_before(path, round_run)
+    assert np.array_equal(_bits(harness.load_trajectory(path).metric_series()),
+                          _bits(round_run.metric_series()))
 
 
 def test_trajectory_round_trip_grid(tmp_path):
@@ -327,6 +350,7 @@ def test_trajectory_round_trip_grid(tmp_path):
     traj = flows.run_flow(model0, "deturck", np.inf, 0.01, 0.03, background=h)
     path = tmp_path / "traj.jsonl"
     harness.save_trajectory(traj, path)
+    assert _header_as_before(path, traj)
     back = harness.load_trajectory(path)
     for s0, s1 in zip(traj.states, back.states):
         assert np.array_equal(s0.model.g, s1.model.g)
@@ -377,13 +401,15 @@ def test_every_stored_flow_metric_is_exactly_symmetric(tmp_path, monkeypatch, co
     """A flow keeps g_ij and g_ji equal bit for bit, in 2-D and 3-D, on
     either variant, at finite and infinite tau, and through the halved steps
     of an 8^2 run at dt 0.5; so a run stores each metric's n(n+1)/2 upper
-    triangle, and every state loads back with the flow's int64 view."""
+    triangle, under the header it held when the store tested the model
+    kind, and every state loads back with the flow's int64 view."""
     monkeypatch.setenv(harness.OUTPUT_ENV_VAR, str(tmp_path))
     cfg = harness.parse_config(config)
     traj = harness.integrate_flow(cfg)
     bits = _bits(traj.metric_series())
     assert np.array_equal(bits, np.swapaxes(bits, -1, -2))
     record = harness.run_experiment(cfg)
+    assert _header_as_before(record.trajectory_path, traj)
     n = len(cfg.dims)
     with np.load(Path(record.trajectory_path).with_suffix(".npz")) as npz:
         assert npz["g"].shape == (len(traj.states),) + cfg.dims + (n * (n + 1) // 2,)
@@ -524,6 +550,7 @@ def test_trajectory_round_trip_flat_torus(tmp_path):
     traj = flows.run_flow(m, "tau", tau=1.0, dt=1e-2, t_end=0.05)
     path = tmp_path / "traj.jsonl"
     harness.save_trajectory(traj, path)
+    assert _header_as_before(path, traj)
     back = harness.load_trajectory(path)
     assert len(back.states) == len(traj.states)
     for s0, s1 in zip(traj.states, back.states):
@@ -725,17 +752,43 @@ def test_index_that_lost_a_line_is_rejected_by_name(tmp_path):
         harness.load_trajectory(index)
 
 
-@pytest.mark.parametrize("field,value,message", [
-    ("dims", [8], "grid models support n = 2 or 3"),
-    ("dims", [4, 4], "grid needs at least 8 points per axis"),
-    ("period", [6.0], "dims and period must have length n"),
-], ids=["one-axis-dims", "too-few-points", "one-entry-period"])
-def test_state_line_with_wrong_model_values_is_rejected_naming_the_line(tmp_path, field,
-                                                                       value, message):
+def _frame_index(tmp_path):
+    """The index of a 3-state coupled Berger trajectory, and its lines as records."""
+    traj = flows.run_flow(FrameModel.su2(a=(4.4, 4.0, 3.7)), "tau", tau=1.0, dt=1e-2,
+                          t_end=0.02, couple_f=True)
+    index = tmp_path / "traj.jsonl"
+    harness.save_trajectory(traj, index)
+    return index, [json.loads(line) for line in index.read_text().splitlines()]
+
+
+_NOT_A_FLOW = "is not a 'tau' or 'deturck' flow at a positive tau"
+
+
+@pytest.mark.parametrize("index_of,field,value,message", [
+    (_grid_index, "dims", [8], "grid models support n = 2 or 3"),
+    (_grid_index, "dims", [4, 4], "grid needs at least 8 points per axis"),
+    (_grid_index, "period", [6.0], "dims and period must have length n"),
+    (_grid_index, "period", [0, 6], "each period must be positive and finite"),
+    (_grid_index, "period", [-1, 6], "each period must be positive and finite"),
+    (_grid_index, "period", [np.nan, 6.0], "each period must be positive and finite"),
+    (_grid_index, "tau", 0, f"convention 'deturck' at tau = 0 {_NOT_A_FLOW}"),
+    (_frame_index, "tau", -2.0, f"convention 'tau' at tau = -2.0 {_NOT_A_FLOW}"),
+    (_frame_index, "tau", np.nan, f"convention 'tau' at tau = nan {_NOT_A_FLOW}"),
+    (_grid_index, "convention", "heat", f"convention 'heat' at tau = inf {_NOT_A_FLOW}"),
+    (_frame_index, "base_volume", 0, "base_volume must be positive and finite"),
+    (_frame_index, "base_volume", -3.0, "base_volume must be positive and finite"),
+    (_frame_index, "lams", [2.0, np.nan, 2.0], "structure constants must be finite"),
+], ids=["one-axis-dims", "too-few-points", "one-entry-period", "zero-period",
+        "negative-period", "nan-period", "zero-tau", "negative-tau", "nan-tau",
+        "unknown-convention", "zero-base-volume", "negative-base-volume", "nan-lams"])
+def test_state_line_with_wrong_model_values_is_rejected_naming_the_line(tmp_path, index_of,
+                                                                       field, value, message):
     """The line that holds the states' model parameters is the header: one
-    whose parameters have the right types but values the grid model rejects
-    is rejected naming the file and line 1."""
-    index, lines = _grid_index(tmp_path)
+    whose parameters have the right types but values the model rejects (a
+    period or base volume not positive and finite, structure constants not
+    finite), or whose tau is not positive or whose convention is no flow
+    variant, is rejected naming the file and line 1."""
+    index, lines = index_of(tmp_path)
     lines[0][field] = value
     _write_index(index, lines)
     with pytest.raises(RejectedInputError, match=re.escape(f"{index}, line 1: {message}")):
